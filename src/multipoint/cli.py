@@ -16,15 +16,13 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .formulas import (
+    SIGNATURE_ROUTES,
     RouteDisagreement,
     chern_number,
     multiple_point_dimension,
     pontrjagin_number,
     recursion_identity_holds,
     signature,
-    signature_collected,
-    signature_via_source,
-    signature_via_target,
     virtual_signature_class,
 )
 from .graded import GradedClass, cross
@@ -156,19 +154,7 @@ def cmd_compute(args) -> int:
            "route": args.route}
     try:
         if kind == "signature":
-            if args.route == "auto":
-                routes = {"general": signature_via_source,
-                          "via-N": signature_via_target,
-                          "collected": signature_collected}
-                values = {name: fn(model, k) for name, fn in routes.items()}
-                if len(set(values.values())) != 1:
-                    detail = ", ".join(f"{n}={_fraction_str(v)}" for n, v in values.items())
-                    print(f"route disagreement: {detail}", file=sys.stderr)
-                    return EXIT_DISAGREEMENT
-                value = next(iter(values.values()))
-            else:
-                value = signature(model, k, route=args.route)
-            out["value"] = _fraction_str(value)
+            out["value"] = _fraction_str(signature(model, k, route=args.route))
             text = out["value"]
         elif kind == "bk":
             cls = virtual_signature_class(model, k)
@@ -298,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="multiplicity (k >= 1)")
     p.add_argument("--quantity", required=True,
                    help="signature | bk | pontrjagin=J | chern=J (J comma-separated degrees)")
-    p.add_argument("--route", choices=["general", "collected", "via-N", "auto"],
-                   default="auto")
+    p.add_argument("--route", choices=[*SIGNATURE_ROUTES, "auto"], default="auto")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compute)
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graded import GradedAlgebraError, GradedClass, TensorClass, cross, diagonal_pullback
 from .model import ImmersionModel, ModelError, preimage_under
-from .partitions import SetPartition, all_partitions, count_by_type_marked, marked_type_vectors, type_vectors
+from .partitions import all_partitions, marked_type_vectors, type_vectors
 from .series import log_coefficient
 
 
@@ -63,6 +63,63 @@ def _check_tensor(model: ImmersionModel, k: int, x: TensorClass) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _transfer(model: ImmersionModel, factors: Sequence[GradedClass],
+              to_target: bool) -> GradedClass:
+    """Transfer of the elementary tensor c_1 x ... x c_k of source classes.
+
+    Sums, over the partitions of {1,...,k}, the product of the log
+    coefficients of the block sizes times the product of the block classes
+    e^(|B|-1) * prod_{i in B} c_i.  On the target every block passes
+    through the pushforward; on the source the block containing 1 is kept
+    as it is and every other block passes through pullback(pushforward(.)).
+    The sum is multilinear in the factors, so no cross product is expanded:
+    each of the 2^k - 1 block classes, and its image, is built at most once
+    per call however many partitions share it.
+    """
+    e = model.euler
+    image_of = model.pushforward if to_target else model.pushpull
+    blocks: Dict[Tuple[int, ...], GradedClass] = {}
+    images: Dict[Tuple[int, ...], GradedClass] = {}
+
+    def block(b: Tuple[int, ...]) -> GradedClass:
+        cls = blocks.get(b)
+        if cls is None:
+            cls = factors[b[0] - 1] if len(b) == 1 else block(b[:-1]) * factors[b[-1] - 1] * e
+            blocks[b] = cls
+        return cls
+
+    def image(b: Tuple[int, ...]) -> GradedClass:
+        cls = images.get(b)
+        if cls is None:
+            cls = images[b] = image_of(block(b))
+        return cls
+
+    out = (model.target if to_target else model.source).zero()
+    for alpha in all_partitions(len(factors)):
+        first, *rest = alpha.blocks
+        cls = image(first) if to_target else block(first)
+        weight = log_coefficient(len(first))
+        for b in rest:
+            if cls.is_zero():
+                break
+            cls = cls * image(b)
+            weight *= log_coefficient(len(b))
+        if not cls.is_zero():
+            out = out + weight * cls
+    return out
+
+
+def _transfer_tensor(model: ImmersionModel, k: int, x: TensorClass,
+                     to_target: bool) -> GradedClass:
+    _check_k(k)
+    _check_tensor(model, k, x)
+    out = (model.target if to_target else model.source).zero()
+    for idx, coeff in x.terms.items():
+        factors = [model.source.basis_class(i) for i in idx]
+        out = out + coeff * _transfer(model, factors, to_target)
+    return out
+
+
 def transfer_to_source(model: ImmersionModel, k: int, x: TensorClass) -> GradedClass:
     """Push the restriction of a class on the k-fold source power down to
     the source, by the solved partition-sum formula.
@@ -70,56 +127,16 @@ def transfer_to_source(model: ImmersionModel, k: int, x: TensorClass) -> GradedC
     Per partition, the block containing 1 contributes its factor product
     directly (weighted by a power of the Euler class); every other block
     passes through pullback(pushforward(.)).  Homogeneous of degree
-    (k-1)*codim on elementary tensors.
+    (k-1)*codim on elementary tensors.  Linear in x: each term, a tensor
+    of basis classes, goes through the factorised kernel on its own.
     """
-    _check_k(k)
-    _check_tensor(model, k, x)
-    e = model.euler
-    out = model.source.zero()
-    for alpha in all_partitions(k):
-        for idx, coeff in x.terms.items():
-            first = alpha.blocks[0]
-            cls = e ** (len(first) - 1)
-            for i in first:
-                cls = cls * model.source.basis_class(idx[i - 1])
-            if cls.is_zero():
-                continue
-            weight = Fraction(log_coefficient(len(first)))
-            for block in alpha.blocks[1:]:
-                inner = e ** (len(block) - 1)
-                for i in block:
-                    inner = inner * model.source.basis_class(idx[i - 1])
-                cls = cls * model.pushpull(inner)
-                weight *= log_coefficient(len(block))
-                if cls.is_zero():
-                    break
-            if not cls.is_zero():
-                out = out + (coeff * weight) * cls
-    return out
+    return _transfer_tensor(model, k, x, to_target=False)
 
 
 def transfer_to_target(model: ImmersionModel, k: int, x: TensorClass) -> GradedClass:
     """Pushforward of the k-tuple restriction all the way to the target:
     every block contributes a pushed-forward factor."""
-    _check_k(k)
-    _check_tensor(model, k, x)
-    e = model.euler
-    out = model.target.zero()
-    for alpha in all_partitions(k):
-        for idx, coeff in x.terms.items():
-            cls = model.target.unit()
-            weight = Fraction(coeff)
-            for block in alpha.blocks:
-                inner = e ** (len(block) - 1)
-                for i in block:
-                    inner = inner * model.source.basis_class(idx[i - 1])
-                cls = cls * model.pushforward(inner)
-                weight *= log_coefficient(len(block))
-                if cls.is_zero():
-                    break
-            if not cls.is_zero():
-                out = out + weight * cls
-    return out
+    return _transfer_tensor(model, k, x, to_target=True)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +156,7 @@ def signature_via_source(model: ImmersionModel, k: int) -> Fraction:
     transfer of L(source) x L(normal)^{-1} x ... x L(normal)^{-1}."""
     _check_k(k)
     factors = [model.l_source] + [model.l_normal_inverse] * (k - 1)
-    value = transfer_to_source(model, k, cross(factors)).integrate()
+    value = _transfer(model, factors, to_target=False).integrate()
     return value / factorial(k)
 
 
@@ -147,9 +164,8 @@ def signature_via_target(model: ImmersionModel, k: int) -> Fraction:
     """Same signature, evaluated on the target: pair L(target) with the
     full pushforward transfer of the tensor power of L(normal)^{-1}."""
     _check_k(k)
-    x = cross([model.l_normal_inverse] * k)
-    value = (model.l_target * transfer_to_target(model, k, x)).integrate()
-    return value / factorial(k)
+    pushed = _transfer(model, [model.l_normal_inverse] * k, to_target=True)
+    return (model.l_target * pushed).integrate() / factorial(k)
 
 
 def signature_collected(model: ImmersionModel, k: int) -> Fraction:
@@ -212,7 +228,8 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
     values = {name: fn(model, k) for name, fn in SIGNATURE_ROUTES.items()}
     distinct = set(values.values())
     if len(distinct) != 1:
-        raise RouteDisagreement(f"signature routes disagree for k={k}: {values}")
+        detail = ", ".join(f"{name}={value}" for name, value in values.items())
+        raise RouteDisagreement(f"signature routes disagree for k={k}: {detail}")
     return distinct.pop()
 
 
@@ -284,7 +301,7 @@ def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
                 coeff /= i ** mult * factorial(mult)
                 cls = cls * blocks[i - 1] ** mult
         collected = collected + coeff * cls
-    enumerated = transfer_to_target(model, k, cross([model.l_normal_inverse] * k))
+    enumerated = _transfer(model, [model.l_normal_inverse] * k, to_target=True)
     if collected != enumerated:
         raise RouteDisagreement(
             f"virtual signature class mismatch for k={k}: "
@@ -502,14 +519,3 @@ def recursion_identity_holds(model: ImmersionModel, k: int, x: TensorClass) -> b
                 y = y.scale_slot(slot, model.euler ** (len(block) - 1))
         rhs = rhs + transfer_to_source(model, len(alpha.blocks), y)
     return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# Marked-count sanity helper used by oracles and reports
-# ---------------------------------------------------------------------------
-
-
-def marked_count(k: int, first_size: int, counts: Sequence[int]) -> int:
-    """Number of partitions with a marked first block; re-exported for the
-    collected source-route weights."""
-    return count_by_type_marked(k, first_size, counts)

@@ -36,6 +36,14 @@ def _clean(coords: Mapping[int, object]) -> Coords:
     return out
 
 
+def _clean_in_basis(coords: Mapping[int, object], n: int, what: str) -> Coords:
+    out = _clean(coords)
+    for i in out:
+        if not 0 <= i < n:
+            raise GradedAlgebraError(f"{what} index {i} outside the basis 0..{n - 1}")
+    return out
+
+
 @dataclass(frozen=True)
 class RingComponent:
     """One connected component of the underlying space: a basis index
@@ -76,18 +84,21 @@ class GradedRing:
         self.name = name
         self.top_degree = max(self.degrees) if top_degree is None else int(top_degree)
 
+        n = len(self.labels)
         table: Dict[Tuple[int, int], Coords] = {}
         for (i, j), coords in products.items():
             i, j = int(i), int(j)
+            if not (0 <= i < n and 0 <= j < n):
+                raise GradedAlgebraError(f"product key ({i}, {j}) outside the basis 0..{n - 1}")
             key = (i, j) if i <= j else (j, i)
-            coords = _clean(coords)
+            coords = _clean_in_basis(coords, n, f"product {key} value")
             if key in table and table[key] != coords:
                 raise GradedAlgebraError(f"conflicting product entries for {key}")
             if coords:
                 table[key] = coords
         self.products = table
 
-        self.integral = _clean(integral)
+        self.integral = _clean_in_basis(integral, n, "integral")
 
         if unit is None:
             zero_deg = [i for i, d in enumerate(self.degrees) if d == 0]
@@ -95,10 +106,10 @@ class GradedRing:
                 raise GradedAlgebraError("unit must be given explicitly for rings "
                                          "with several degree-0 basis elements")
             unit = {zero_deg[0]: 1}
-        self.unit_coords = _clean(unit)
+        self.unit_coords = _clean_in_basis(unit, n, "unit")
 
         if components is None:
-            components = [RingComponent("all", tuple(range(len(self.labels))), self.top_degree)]
+            components = [RingComponent("all", tuple(range(n)), self.top_degree)]
         self.components = tuple(components)
         self._component_of = {}
         for comp in self.components:
@@ -106,7 +117,7 @@ class GradedRing:
                 if i in self._component_of:
                     raise GradedAlgebraError("components overlap")
                 self._component_of[i] = comp
-        if set(self._component_of) != set(range(len(self.labels))):
+        if set(self._component_of) != set(range(n)):
             raise GradedAlgebraError("components do not cover the basis")
 
     # ---- element constructors -------------------------------------------
@@ -257,7 +268,7 @@ class GradedClass:
         return (self.ring is other.ring or self.ring == other.ring) and self.coords == other.coords
 
     def __hash__(self):
-        return hash((id(self.ring), frozenset(self.coords.items())))
+        return hash((self.ring, frozenset(self.coords.items())))
 
     # ---- graded structure ---------------------------------------------------
 
@@ -475,9 +486,6 @@ class TensorClass:
                 new = idx[:slot] + (i,) + idx[slot + 1:]
                 out[new] = out.get(new, Fraction(0)) + c * s
         return TensorClass(self.ring, self.arity, out)
-
-    def slot_factors(self, idx: Tuple[int, ...]) -> List[GradedClass]:
-        return [self.ring.basis_class(i) for i in idx]
 
     def __repr__(self) -> str:
         if not self.terms:

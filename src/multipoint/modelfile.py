@@ -63,6 +63,10 @@ def _coords_from(obj, where: str) -> Dict[int, Fraction]:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(obj: Mapping, key: str, where: str):
     if key not in obj:
         raise ModelFormatError(f"{where}: missing required field {key!r}")
@@ -97,8 +101,7 @@ def ring_from_dict(obj, where: str = "ring") -> GradedRing:
     degrees = _require(obj, "degrees", where)
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ModelFormatError(f"{where}: labels must be a list of strings")
-    if not isinstance(degrees, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in degrees):
+    if not isinstance(degrees, list) or not all(_is_int(x) for x in degrees):
         raise ModelFormatError(f"{where}: degrees must be a list of integers")
 
     raw_products = _require(obj, "products", where)
@@ -119,14 +122,20 @@ def ring_from_dict(obj, where: str = "ring") -> GradedRing:
     unit = _coords_from(obj["unit"], f"{where}.unit") if "unit" in obj else None
     components = None
     if "components" in obj:
+        if not isinstance(obj["components"], list):
+            raise ModelFormatError(f"{where}: components must be a list")
         components = []
         for n, c in enumerate(obj["components"]):
+            cwhere = f"{where}.components[{n}]"
             if not isinstance(c, dict):
-                raise ModelFormatError(f"{where}.components[{n}]: expected an object")
-            components.append(RingComponent(
-                str(c.get("name", f"c{n}")),
-                tuple(int(i) for i in _require(c, "indices", f"{where}.components[{n}]")),
-                int(_require(c, "top_degree", f"{where}.components[{n}]"))))
+                raise ModelFormatError(f"{cwhere}: expected an object")
+            indices = _require(c, "indices", cwhere)
+            if not isinstance(indices, list) or not all(_is_int(i) for i in indices):
+                raise ModelFormatError(f"{cwhere}: indices must be a list of integers")
+            top = _require(c, "top_degree", cwhere)
+            if not _is_int(top):
+                raise ModelFormatError(f"{cwhere}: top_degree must be an integer")
+            components.append(RingComponent(str(c.get("name", f"c{n}")), tuple(indices), top))
     try:
         return GradedRing(labels, degrees, products, integral,
                           top_degree=obj.get("top_degree"), unit=unit,
@@ -207,7 +216,7 @@ def model_from_dict(obj, where: str = "model") -> ImmersionModel:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"{where}: unsupported format_version {version}")
     codim = _require(obj, "codim", where)
-    if not isinstance(codim, int) or isinstance(codim, bool):
+    if not _is_int(codim):
         raise ModelFormatError(f"{where}: codim must be an integer")
     source = ring_from_dict(_require(obj, "source", where), f"{where}.source")
     target = ring_from_dict(_require(obj, "target", where), f"{where}.target")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from multipoint import cli
+from multipoint import cli, formulas
 from multipoint.modelfile import model_to_dict, save_model
 from multipoint.models import BUNDLED, bundled_model
 
@@ -65,7 +65,7 @@ def test_compute_signature(capsys):
 
 
 def test_compute_signature_routes(capsys):
-    for route in ("general", "collected", "via-N", "auto"):
+    for route in ("general", "collected", "via-N", "collected-source", "auto"):
         code, out, _ = run(capsys, "compute", "hypersurface-d4", "--k", "1",
                            "--quantity", "signature", "--route", route)
         assert code == 0
@@ -120,7 +120,7 @@ def test_compute_invalid_model_exits_2(tmp_path, capsys):
 
 def test_compute_route_disagreement_exits_1(capsys, monkeypatch):
     from fractions import Fraction
-    monkeypatch.setattr(cli, "signature_via_target", lambda m, k: Fraction(999))
+    monkeypatch.setitem(formulas.SIGNATURE_ROUTES, "via-N", lambda m, k: Fraction(999))
     code, _, err = run(capsys, "compute", "two-lines", "--k", "2",
                        "--quantity", "signature", "--route", "auto")
     assert code == 1
@@ -145,3 +145,31 @@ def test_usage_error_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["compute", "line-in-plane"])  # missing required options
     assert exc.value.code == 3
+
+
+def _malformed(tmp_path, edit):
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    edit(obj)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _set_first_product_value(obj, coords):
+    key = next(iter(obj["source"]["products"]))
+    obj["source"]["products"][key] = coords
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: _set_first_product_value(obj, {"7": "1"}),
+    lambda obj: obj["source"]["integral"].update({"9": "1"}),
+    lambda obj: obj["source"]["products"].update({"0,9": {"1": "1"}}),
+    lambda obj: obj["source"]["components"][0].update({"indices": "01"}),
+], ids=["product-value-index", "integral-index", "product-key-index", "indices-string"])
+def test_malformed_ring_exits_2(tmp_path, capsys, edit):
+    path = _malformed(tmp_path, edit)
+    for argv in (["validate", path], ["compute", path, "--k", "1", "--quantity", "signature"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, (argv, err)
+        assert "Traceback" not in err
+        assert "source" in err

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from multipoint.formulas import (
+    SIGNATURE_ROUTES,
     PreconditionError,
     chern_number,
     multiple_point_dimension,
@@ -33,9 +34,17 @@ from multipoint.formulas import (
 from multipoint.graded import cross
 from multipoint.model import disjoint_union
 from multipoint.models import (
+    BUNDLED,
     bundled_model,
     random_truncated_model,
     random_union_components,
+)
+from multipoint.oracle import (
+    DEFAULT_CAP,
+    signature_enumerated,
+    transfer_to_source_enumerated,
+    transfer_to_target_enumerated,
+    virtual_class_enumerated,
 )
 
 
@@ -103,6 +112,22 @@ def test_transfer_raises_degree_uniformly():
         assert m.source.degrees[i] == 3 * 2 + shift
 
 
+def test_transfers_match_oracle_on_general_factors():
+    # factors that are neither basis classes nor all equal, and sums of crosses
+    rng = random.Random(11)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng) for _ in range(4)]
+    for m in models:
+        L, u, e, one = m.l_source, m.l_normal_inverse, m.euler, m.source.unit()
+        first = cross([L, u, e + u])
+        for x in (first, first - 3 * cross([e + one, L, u]), cross([u, e + L, one, L + u])):
+            k = x.arity
+            assert transfer_to_source(m, k, x) == \
+                transfer_to_source_enumerated(m, k, x).value, (m.name, x)
+            assert transfer_to_target(m, k, x) == \
+                transfer_to_target_enumerated(m, k, x).value, (m.name, x)
+
+
 def test_transfer_arity_mismatch():
     m = bundled_model("line-in-plane")
     x = cross([m.source.unit()] * 2)
@@ -133,6 +158,18 @@ def test_signature_routes_agree_on_bundled():
                     signature_collected(m, k), signature_collected_source(m, k),
                     signature_via_class(m, k)}
             assert len(vals) == 1, (name, k, vals)
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_signature_routes_and_oracle_agree_at_high_k(k):
+    for name in BUNDLED:
+        m = bundled_model(name)
+        values = {route: fn(m, k) for route, fn in SIGNATURE_ROUTES.items()}
+        assert len(set(values.values())) == 1, (name, k, values)
+        if k <= DEFAULT_CAP:
+            assert signature_enumerated(m, k).value == values["general"], (name, k)
+            assert virtual_signature_class(m, k) == virtual_class_enumerated(m, k).value, \
+                (name, k)
 
 
 def test_signature_two_lines_double_point():

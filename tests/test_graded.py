@@ -184,3 +184,24 @@ def test_product_ring_components():
     top = prod.element({1: 1, 4: 1})
     assert top.integrate() == 2
     assert prod.unit().coords == {0: Fraction(1), 2: Fraction(1)}
+
+
+def test_equal_classes_on_equal_rings_hash_equal():
+    a = truncated_polynomial_ring("h", 2, name="CP2")
+    b = truncated_polynomial_ring("h", 2, name="CP2")
+    assert a is not b and a == b
+    x = a.element({1: Fraction(3, 2), 2: 5})
+    y = b.element({1: Fraction(3, 2), 2: 5})
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y}) == 1
+
+
+@pytest.mark.parametrize("products,integral,unit", [
+    ({(0, 9): {1: 1}}, {2: 1}, {0: 1}),
+    ({(0, 1): {7: 1}}, {2: 1}, {0: 1}),
+    ({}, {9: 1}, {0: 1}),
+    ({}, {2: 1}, {5: 1}),
+], ids=["product-key", "product-value", "integral-key", "unit-key"])
+def test_ring_rejects_indices_outside_basis(products, integral, unit):
+    with pytest.raises(GradedAlgebraError, match="outside the basis"):
+        GradedRing(["1", "h", "h2"], [0, 2, 4], products, integral, unit=unit)

@@ -25,6 +25,19 @@ def test_enumeration_counts():
         assert len(set(parts)) == bell
 
 
+def test_cached_and_streamed_enumeration_agree():
+    # k <= CACHED_UP_TO is served from the per-k cache, larger k is streamed;
+    # dropping the singleton block {k+1} maps the latter onto the former
+    from multipoint.partitions import CACHED_UP_TO
+    k = CACHED_UP_TO
+    cached = list(all_partitions(k))
+    assert list(all_partitions(k)) == cached
+    streamed = list(all_partitions(k + 1))
+    assert len(streamed) == len(set(streamed)) == 21147  # Bell(9)
+    assert [p.blocks[:-1] for p in streamed if p.blocks[-1] == (k + 1,)] \
+        == [q.blocks for q in cached]
+
+
 def test_block_ordering_invariant():
     for alpha in all_partitions(5):
         assert alpha.blocks[0][0] == 1
