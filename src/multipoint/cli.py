@@ -85,23 +85,8 @@ def _resolve_model(ref: str) -> ImmersionModel:
         raise CliError(str(exc), EXIT_INVALID_MODEL) from None
 
 
-def _fraction_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _class_repr(cls: GradedClass) -> str:
-    if cls.is_zero():
-        return "0"
-    bits = []
-    for i in sorted(cls.coords):
-        lab = cls.ring.labels[i]
-        c = _fraction_str(cls.coords[i])
-        bits.append(c if lab == "1" else f"{c}*{lab}")
-    return " + ".join(bits)
-
-
 def _class_json(cls: GradedClass) -> dict:
-    return {cls.ring.labels[i]: _fraction_str(c) for i, c in sorted(cls.coords.items())}
+    return {cls.ring.labels[i]: str(c) for i, c in sorted(cls.coords.items())}
 
 
 def _parse_quantity(text: str) -> Tuple[str, Optional[Tuple[int, ...]]]:
@@ -154,16 +139,16 @@ def cmd_compute(args) -> int:
            "route": args.route}
     try:
         if kind == "signature":
-            out["value"] = _fraction_str(signature(model, k, route=args.route))
+            out["value"] = str(signature(model, k, route=args.route))
             text = out["value"]
         elif kind == "bk":
             cls = virtual_signature_class(model, k)
             out["value"] = _class_json(cls)
-            text = _class_repr(cls)
+            text = repr(cls)
         else:
             res = (pontrjagin_number if kind == "pontrjagin" else chern_number)(model, k, J)
             warnings.extend(res.warnings)
-            out["value"] = _fraction_str(res.value)
+            out["value"] = str(res.value)
             text = out["value"]
     except RouteDisagreement as exc:
         print(f"route disagreement: {exc}", file=sys.stderr)

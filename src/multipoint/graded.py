@@ -140,52 +140,82 @@ class GradedRing:
         key = (i, j) if i <= j else (j, i)
         return self.products.get(key, {})
 
+    def mul_coords(self, a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> Coords:
+        """The product of two coordinate dicts, by the structure constants.
+
+        Sums over the nonzero table entries of the pairs of support indices
+        only; the result has no zero coordinates.
+        """
+        products = self.products
+        out: Coords = {}
+        for i, ci in a.items():
+            for j, cj in b.items():
+                s = products.get((i, j) if i <= j else (j, i))
+                if s:
+                    c = ci * cj
+                    for idx, v in s.items():
+                        out[idx] = out.get(idx, 0) + c * v
+        return {idx: c for idx, c in out.items() if c}
+
     def component_of(self, index: int) -> RingComponent:
         return self._component_of[index]
 
     # ---- checks -------------------------------------------------------------
 
     def check_axioms(self) -> List[str]:
-        """Return a list of human-readable axiom violations (empty if none)."""
+        """Return a list of human-readable axiom violations (empty if none).
+
+        Associativity is compared on the structure constants, over the
+        triples (i, j, l) where e_i e_j or e_j e_l is nonzero; on every
+        other triple both sides vanish.  The table is commutative, so the
+        two sides at (l, j, i) are those at (i, j, l) swapped, and they
+        agree when i = l; only i < l is computed.
+        """
         issues: List[str] = []
         n = len(self.labels)
-        unit = self.unit()
+        labels = self.labels
+        basis = [{i: Fraction(1)} for i in range(n)]
         for i in range(n):
-            b = self.basis_class(i)
-            if unit * b != b:
-                issues.append(f"unit law fails on basis element {self.labels[i]}")
-        for i in range(n):
-            for j in range(i, n):
-                d = self.degrees[i] + self.degrees[j]
-                comp_i, comp_j = self._component_of[i], self._component_of[j]
-                for idx, c in self.basis_product(i, j).items():
-                    if self.degrees[idx] != d:
-                        issues.append(
-                            f"product {self.labels[i]}*{self.labels[j]} has a term "
-                            f"in degree {self.degrees[idx]}, expected {d}")
-                    if self._component_of[idx] is not comp_i:
-                        issues.append(
-                            f"product {self.labels[i]}*{self.labels[j]} leaves its component")
-                if comp_i is not comp_j and self.basis_product(i, j):
+            if self.mul_coords(self.unit_coords, basis[i]) != basis[i]:
+                issues.append(f"unit law fails on basis element {labels[i]}")
+        for i, j in sorted(self.products):
+            d = self.degrees[i] + self.degrees[j]
+            comp_i, comp_j = self._component_of[i], self._component_of[j]
+            for idx in self.products[(i, j)]:
+                if self.degrees[idx] != d:
                     issues.append(
-                        f"cross-component product {self.labels[i]}*{self.labels[j]} is nonzero")
-                if d > comp_i.top_degree and self.basis_product(i, j):
-                    issues.append(
-                        f"product {self.labels[i]}*{self.labels[j]} exceeds the top degree")
+                        f"product {labels[i]}*{labels[j]} has a term "
+                        f"in degree {self.degrees[idx]}, expected {d}")
+                if self._component_of[idx] is not comp_i:
+                    issues.append(f"product {labels[i]}*{labels[j]} leaves its component")
+            if comp_i is not comp_j:
+                issues.append(f"cross-component product {labels[i]}*{labels[j]} is nonzero")
+            if d > comp_i.top_degree:
+                issues.append(f"product {labels[i]}*{labels[j]} exceeds the top degree")
+        partners: List[set] = [set() for _ in range(n)]
+        for i, j in self.products:
+            partners[i].add(j)
+            partners[j].add(i)
+        failing = set()
         for i in range(n):
             for j in range(n):
-                for l in range(n):
-                    lhs = (self.basis_class(i) * self.basis_class(j)) * self.basis_class(l)
-                    rhs = self.basis_class(i) * (self.basis_class(j) * self.basis_class(l))
-                    if lhs != rhs:
-                        issues.append(
-                            f"associativity fails on "
-                            f"({self.labels[i]},{self.labels[j]},{self.labels[l]})")
+                ij = self.basis_product(i, j)
+                # (e_i e_j) e_l can be nonzero only where some p in the support
+                # of e_i e_j has e_p e_l != 0; e_i (e_j e_l) only where e_j e_l != 0
+                candidates = set(partners[j])
+                for p in ij:
+                    candidates |= partners[p]
+                for l in candidates:
+                    if l > i and (self.mul_coords(ij, basis[l])
+                                   != self.mul_coords(basis[i], self.basis_product(j, l))):
+                        failing.update(((i, j, l), (l, j, i)))
+        for i, j, l in sorted(failing):
+            issues.append(f"associativity fails on ({labels[i]},{labels[j]},{labels[l]})")
         for idx in self.integral:
             comp = self._component_of[idx]
             if self.degrees[idx] != comp.top_degree:
                 issues.append(
-                    f"integral supported on {self.labels[idx]} of degree "
+                    f"integral supported on {labels[idx]} of degree "
                     f"{self.degrees[idx]}, component top is {comp.top_degree}")
         for idx, c in self.unit_coords.items():
             if self.degrees[idx] != 0:
@@ -242,12 +272,7 @@ class GradedClass:
     def __mul__(self, other):
         if isinstance(other, GradedClass):
             self._check(other)
-            out: Coords = {}
-            for i, ci in self.coords.items():
-                for j, cj in other.coords.items():
-                    for idx, s in self.ring.basis_product(i, j).items():
-                        out[idx] = out.get(idx, Fraction(0)) + ci * cj * s
-            return GradedClass(self.ring, out)
+            return GradedClass(self.ring, self.ring.mul_coords(self.coords, other.coords))
         c = Fraction(other)
         return GradedClass(self.ring, {i: c * v for i, v in self.coords.items()})
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from itertools import product as iproduct
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .graded import (
@@ -40,12 +42,18 @@ class LinearMap:
     def __call__(self, cls: GradedClass) -> GradedClass:
         if cls.ring is not self.domain and cls.ring != self.domain:
             raise ModelError("class is not in the domain of the map")
-        out = self.codomain.zero()
-        for i, c in cls.coords.items():
+        return GradedClass(self.codomain, self.apply_coords(cls.coords))
+
+    def apply_coords(self, coords: Mapping[int, Fraction]) -> Coords:
+        """The image of a domain coordinate dict, as codomain coordinates
+        with no zero entries."""
+        out: Coords = {}
+        for i, c in coords.items():
             img = self.images.get(i)
             if img is not None:
-                out = out + c * img
-        return out
+                for j, v in img.coords.items():
+                    out[j] = out.get(j, 0) + c * v
+        return {j: c for j, c in out.items() if c}
 
     @classmethod
     def from_coords(cls, domain: GradedRing, codomain: GradedRing,
@@ -174,6 +182,10 @@ class ImmersionModel:
         return f"ImmersionModel({self.name or 'unnamed'}, codim={self.codim})"
 
 
+def _same_ring(a: GradedRing, b: GradedRing) -> bool:
+    return a is b or a == b
+
+
 def validate(model: ImmersionModel) -> ValidationReport:
     """Run every consistency check the formulas rely on.
 
@@ -197,44 +209,46 @@ def validate(model: ImmersionModel) -> ValidationReport:
     report.add("pullback preserves degrees", not issues, "; ".join(issues[:3]))
     unital = model.pullback(model.target.unit()) == model.source.unit()
     report.add("pullback is unital", unital)
-    mult_witness = ""
-    mult_ok = True
-    n = len(model.target.labels)
-    for i in range(n):
-        for j in range(i, n):
-            bi, bj = model.target.basis_class(i), model.target.basis_class(j)
-            lhs = model.pullback(bi * bj)
-            rhs = model.pullback(bi) * model.pullback(bj)
-            if lhs != rhs:
-                mult_ok = False
-                mult_witness = (f"on ({model.target.labels[i]}, {model.target.labels[j]}): "
-                                f"{lhs} != {rhs}")
-                break
-        if not mult_ok:
-            break
-    report.add("pullback is multiplicative", mult_ok, mult_witness)
+    # Multiplicativity and the projection formula are compared on coordinate
+    # dicts, and classes are built only for a witness.  Maps whose rings
+    # differ from the model's are refused as the class operations refuse them.
+    source, target = model.source, model.target
+    pull, push = model.pullback, model.pushforward
+    if not _same_ring(pull.codomain, source):
+        raise GradedAlgebraError("classes live in different rings")
+    if not _same_ring(push.domain, source):
+        raise ModelError("class is not in the domain of the map")
+    if not _same_ring(push.codomain, target):
+        raise GradedAlgebraError("classes live in different rings")
+    one = Fraction(1)
+    pulled = [pull.apply_coords({j: one}) for j in range(len(target.labels))]
+    pushed = [push.apply_coords({i: one}) for i in range(len(source.labels))]
 
-    issues = model.pushforward.respects_degrees()
-    shift_ok = model.pushforward.degree_shift == model.codim and not issues
+    mult_witness = ""
+    for i, j in combinations_with_replacement(range(len(target.labels)), 2):
+        lhs = pull.apply_coords(target.basis_product(i, j))
+        rhs = source.mul_coords(pulled[i], pulled[j])
+        if lhs != rhs:
+            mult_witness = (f"on ({target.labels[i]}, {target.labels[j]}): "
+                            f"{source.element(lhs)} != {source.element(rhs)}")
+            break
+    report.add("pullback is multiplicative", not mult_witness, mult_witness)
+
+    issues = push.respects_degrees()
+    shift_ok = push.degree_shift == model.codim and not issues
     report.add("pushforward raises degree by codimension", shift_ok,
-               f"shift={model.pushforward.degree_shift}; " + "; ".join(issues[:3]))
+               f"shift={push.degree_shift}; " + "; ".join(issues[:3]))
 
     # projection formula on all basis pairs
-    proj_ok, proj_witness = True, ""
-    for i in range(len(model.source.labels)):
-        x = model.source.basis_class(i)
-        for j in range(len(model.target.labels)):
-            y = model.target.basis_class(j)
-            lhs = model.pushforward(x * model.pullback(y))
-            rhs = model.pushforward(x) * y
-            if lhs != rhs:
-                proj_ok = False
-                proj_witness = (f"on ({model.source.labels[i]}, {model.target.labels[j]}): "
-                                f"{lhs} != {rhs}")
-                break
-        if not proj_ok:
+    proj_witness = ""
+    for i, j in iproduct(range(len(source.labels)), range(len(target.labels))):
+        lhs = push.apply_coords(source.mul_coords({i: one}, pulled[j]))
+        rhs = target.mul_coords(pushed[i], {j: one})
+        if lhs != rhs:
+            proj_witness = (f"on ({source.labels[i]}, {target.labels[j]}): "
+                            f"{target.element(lhs)} != {target.element(rhs)}")
             break
-    report.add("projection formula", proj_ok, proj_witness)
+    report.add("projection formula", not proj_witness, proj_witness)
 
     # integration compatibility on top-degree source basis elements
     int_ok, int_witness = True, ""

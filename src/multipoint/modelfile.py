@@ -29,10 +29,6 @@ class ModelFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _fraction_to_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _fraction_from(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise ModelFormatError(f"{where}: booleans are not rationals")
@@ -47,7 +43,7 @@ def _fraction_from(value, where: str) -> Fraction:
 
 
 def _coords_to_json(coords: Mapping[int, Fraction]) -> Dict[str, str]:
-    return {str(i): _fraction_to_str(c) for i, c in sorted(coords.items())}
+    return {str(i): str(c) for i, c in sorted(coords.items())}
 
 
 def _coords_from(obj, where: str) -> Dict[int, Fraction]:

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from typing import List
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multipoint.graded import (
     GradedAlgebraError,
@@ -11,6 +14,7 @@ from multipoint.graded import (
     diagonal_pullback,
     signature_class,
 )
+from multipoint.model import product_ring
 from multipoint.models import truncated_polynomial_ring
 from multipoint.partitions import SetPartition, all_partitions
 
@@ -35,6 +39,95 @@ def test_ring_axioms_catch_bad_degree():
                       {1: 1})
     issues = ring.check_axioms()
     assert any("degree" in msg for msg in issues)
+
+
+def test_ring_axioms_catch_non_associative_table():
+    # commutative, degree-correct, but (a*a)*b = p*b = t while a*(a*b) = a*q = 0
+    labels = ["1", "a", "b", "p", "q", "t"]
+    products = {(0, i): {i: 1} for i in range(6)}
+    products.update({(1, 1): {3: 1}, (1, 2): {4: 1}, (2, 3): {5: 1}})
+    ring = GradedRing(labels, [0, 2, 2, 4, 4, 6], products, {5: 1})
+    assert ring.check_axioms() == ["associativity fails on (a,a,b)",
+                                   "associativity fails on (b,a,a)"]
+    assert reference_check_axioms(ring) == ring.check_axioms()
+
+
+def reference_check_axioms(ring: GradedRing) -> List[str]:
+    """The axiom check by class products on every basis pair and triple,
+    kept as the reference for the structure-constant check."""
+    issues: List[str] = []
+    n = len(ring.labels)
+    unit = ring.unit()
+    for i in range(n):
+        b = ring.basis_class(i)
+        if unit * b != b:
+            issues.append(f"unit law fails on basis element {ring.labels[i]}")
+    for i in range(n):
+        for j in range(i, n):
+            d = ring.degrees[i] + ring.degrees[j]
+            comp_i, comp_j = ring.component_of(i), ring.component_of(j)
+            for idx, c in ring.basis_product(i, j).items():
+                if ring.degrees[idx] != d:
+                    issues.append(
+                        f"product {ring.labels[i]}*{ring.labels[j]} has a term "
+                        f"in degree {ring.degrees[idx]}, expected {d}")
+                if ring.component_of(idx) is not comp_i:
+                    issues.append(
+                        f"product {ring.labels[i]}*{ring.labels[j]} leaves its component")
+            if comp_i is not comp_j and ring.basis_product(i, j):
+                issues.append(
+                    f"cross-component product {ring.labels[i]}*{ring.labels[j]} is nonzero")
+            if d > comp_i.top_degree and ring.basis_product(i, j):
+                issues.append(
+                    f"product {ring.labels[i]}*{ring.labels[j]} exceeds the top degree")
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                lhs = (ring.basis_class(i) * ring.basis_class(j)) * ring.basis_class(l)
+                rhs = ring.basis_class(i) * (ring.basis_class(j) * ring.basis_class(l))
+                if lhs != rhs:
+                    issues.append(
+                        f"associativity fails on "
+                        f"({ring.labels[i]},{ring.labels[j]},{ring.labels[l]})")
+    for idx in ring.integral:
+        comp = ring.component_of(idx)
+        if ring.degrees[idx] != comp.top_degree:
+            issues.append(
+                f"integral supported on {ring.labels[idx]} of degree "
+                f"{ring.degrees[idx]}, component top is {comp.top_degree}")
+    for idx, c in ring.unit_coords.items():
+        if ring.degrees[idx] != 0:
+            issues.append("unit has a positive-degree term")
+    return issues
+
+
+@st.composite
+def perturbed_rings(draw):
+    """An associative ring of at most 6 classes (a truncated polynomial ring
+    or a product of two), with some structure constants and integral values
+    overwritten at random; with no overwrite it stays associative."""
+    powers = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)
+                  .filter(lambda ps: sum(p + 1 for p in ps) <= 6))
+    factors = [truncated_polynomial_ring(f"x{f}", p, gen_degree=draw(st.sampled_from([2, 4])))
+               for f, p in enumerate(powers)]
+    base = factors[0] if len(factors) == 1 else product_ring(factors)
+    n = len(base.labels)
+    index = st.integers(0, n - 1)
+    products = {key: dict(coords) for key, coords in base.products.items()}
+    for i, j, idx, value in draw(st.lists(st.tuples(index, index, index, st.integers(-2, 2)),
+                                          max_size=4)):
+        products.setdefault((min(i, j), max(i, j)), {})[idx] = value
+    integral = dict(base.integral)
+    for idx, value in draw(st.lists(st.tuples(index, st.integers(-1, 1)), max_size=1)):
+        integral[idx] = value
+    return GradedRing(base.labels, base.degrees, products, integral, top_degree=base.top_degree,
+                      unit=base.unit_coords, components=base.components)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_rings())
+def test_check_axioms_matches_class_product_reference(ring):
+    assert ring.check_axioms() == reference_check_axioms(ring)
 
 
 def test_ring_rejects_odd_degree():

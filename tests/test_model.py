@@ -54,8 +54,10 @@ def test_validation_catches_broken_projection_formula():
                             m.euler, m.pontrjagin_source, m.pontrjagin_target)
     report = validate(broken)
     assert not report.ok
-    names = [c.name for c in report.failures()]
-    assert "projection formula" in names
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        ("projection formula", "on (1, h): 0 != 1*h^2"),
+        ("integration compatibility", "on t: 0 != 1"),
+    ]
 
 
 def test_validation_catches_bad_euler_degree():
@@ -73,7 +75,10 @@ def test_validation_catches_nonmultiplicative_pullback():
     broken = ImmersionModel(m.source, m.target, bad_pull, m.pushforward, 2,
                             m.euler, m.pontrjagin_source, m.pontrjagin_target)
     report = validate(broken)
-    assert any(c.name == "pullback is multiplicative" for c in report.failures())
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        ("pullback is multiplicative", "on (h, h): 2*T != 8*T"),
+        ("projection formula", "on (1, h): 4*h^2 != 2*h^2"),
+    ]
 
 
 def test_derived_normal_classes():
@@ -123,6 +128,14 @@ def test_union_components_validate():
         comps = random_union_components(rng, rng.randint(2, 3))
         u = disjoint_union(comps)
         assert validate(u).ok
+
+
+def test_union_of_forty_source_classes_validates():
+    # the source is a product ring of ten 4-class factors
+    u = disjoint_union(random_union_components(random.Random(5), 10))
+    assert len(u.source.labels) == 40
+    assert u.source.check_axioms() == []
+    assert validate(u).ok
 
 
 def test_solve_linear_consistent_and_inconsistent():
