@@ -30,7 +30,7 @@ from .model import ImmersionModel, validate
 from .modelfile import ModelFormatError, load_model
 from .models import BUNDLED, bundled_model
 from .oracle import compose_enumerated, signature_enumerated, virtual_class_enumerated
-from .partitions import all_partitions, count_by_type, type_vectors
+from .partitions import BELL, all_partitions, count_by_type, type_vectors
 from .series import (
     compose,
     composed_derivative,
@@ -44,8 +44,6 @@ EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
 EXIT_INVALID_MODEL = 2
 EXIT_USAGE = 3
-
-BELL = (1, 2, 5, 15, 52, 203)
 
 MODEL_NOTES = {
     "line-in-plane": "projective line embedded in the projective plane",

@@ -2,8 +2,8 @@
 numbers, the virtual signature class, and the special-case evaluators.
 
 Partition sums run over the full partition lattice when the tensor argument
-is arbitrary, and are collected per type vector (with exact multinomial
-counts) when the argument is symmetric.  Everything is exact rational
+is arbitrary.  When it is symmetric they collapse, by the exponential
+formula, to a recursion over the block sizes.  Everything is exact rational
 arithmetic; agreement checks are equalities, not tolerances.
 """
 
@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graded import GradedAlgebraError, GradedClass, TensorClass, cross, diagonal_pullback
 from .model import ImmersionModel, ModelError, preimage_under
-from .partitions import all_partitions, marked_type_vectors, type_vectors
+from .partitions import all_partitions
 from .series import log_coefficient
 
 
@@ -144,11 +144,38 @@ def transfer_to_target(model: ImmersionModel, k: int, x: TensorClass) -> GradedC
 # ---------------------------------------------------------------------------
 
 
-def _pushed_block_classes(model: ImmersionModel, k: int) -> List[GradedClass]:
-    """pushforward(e^(i-1) * L(normal)^(-i)) for i = 1..k, on the target."""
+def _pushed_block_classes(model: ImmersionModel, k: int,
+                          image_of: Callable[[GradedClass], GradedClass]) -> List[GradedClass]:
+    """image_of(e^(i-1) * L(normal)^(-i)) for i = 1..k, where image_of is
+    the pushforward (blocks on the target) or pullback(pushforward(.))
+    (blocks on the source)."""
     u = model.l_normal_inverse
-    e = model.euler
-    return [model.pushforward(e ** (i - 1) * u ** i) for i in range(1, k + 1)]
+    eu = model.euler * u
+    classes = [u]
+    for _ in range(k - 1):
+        classes.append(classes[-1] * eu)
+    return [image_of(cls) for cls in classes[:k]]
+
+
+def _exponential_coefficients(unit: GradedClass,
+                              blocks: Sequence[GradedClass]) -> List[GradedClass]:
+    """E_0..E_k, the coefficients of exp(sum_i (-1)^(i-1) b_i t^i / i) for
+    the blocks b_1..b_k.
+
+    By the exponential formula, n! * E_n is the sum over the partitions of
+    n points of the products of the block classes b_|B|, each weighted by
+    the log coefficient of |B|.  Differentiating the exponential gives
+    n * E_n = sum_{i=1..n} (-1)^(i-1) b_i E_{n-i}, so E_k costs O(k^2)
+    ring products and no partition or type vector is visited.
+    """
+    coeffs = [unit]
+    for n in range(1, len(blocks) + 1):
+        acc = unit.ring.zero()
+        for i in range(1, n + 1):
+            term = blocks[i - 1] * coeffs[n - i]
+            acc = acc + term if i % 2 else acc - term
+        coeffs.append(Fraction(1, n) * acc)
+    return coeffs
 
 
 def signature_via_source(model: ImmersionModel, k: int) -> Fraction:
@@ -169,42 +196,29 @@ def signature_via_target(model: ImmersionModel, k: int) -> Fraction:
 
 
 def signature_collected(model: ImmersionModel, k: int) -> Fraction:
-    """Collected form: sum over type vectors with multinomial weights of
-    products of pushed normal-class blocks, paired on the target."""
+    """Collected form: L(target) paired with E_k of the pushed normal
+    blocks, the partition sum collected by the exponential formula."""
     _check_k(k)
-    blocks = _pushed_block_classes(model, k)
-    l_target = model.l_target
-    total = Fraction(0)
-    for tv in type_vectors(k):
-        nblocks = sum(tv)
-        coeff = Fraction((-1) ** (k - nblocks))
-        cls = l_target
-        for i, mult in enumerate(tv, start=1):
-            if mult:
-                coeff /= i ** mult * factorial(mult)
-                cls = cls * blocks[i - 1] ** mult
-        total += coeff * cls.integrate()
-    return total
+    blocks = _pushed_block_classes(model, k, model.pushforward)
+    return (model.l_target * _exponential_coefficients(model.target.unit(), blocks)[k]).integrate()
 
 
 def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
     """Collected form on the source, where the block containing the first
-    point is marked and keeps its Euler-power weight."""
+    point is marked and keeps its Euler-power weight.
+
+    With F the exponential coefficients of the pulled-back blocks, this is
+    (1/k) sum_{l=1..k} (-1)^(l-1) <L(source) (e u)^(l-1) F_{k-l}>, u the
+    inverse normal L-class; the sum over l is evaluated by Horner's rule.
+    """
     _check_k(k)
-    u = model.l_normal_inverse
-    e = model.euler
-    pushed = [model.pushpull(e ** (i - 1) * u ** i) for i in range(1, k + 1)]
-    total = Fraction(0)
-    for first_size, tv in marked_type_vectors(k):
-        nblocks = sum(tv)
-        coeff = Fraction((-1) ** (k - 1 - nblocks), k)
-        cls = model.l_source * e ** (first_size - 1) * u ** (first_size - 1)
-        for i, mult in enumerate(tv, start=1):
-            if mult:
-                coeff /= i ** mult * factorial(mult)
-                cls = cls * pushed[i - 1] ** mult
-        total += coeff * cls.integrate()
-    return total
+    F = _exponential_coefficients(model.source.unit(),
+                                  _pushed_block_classes(model, k - 1, model.pushpull))
+    eu = model.euler * model.l_normal_inverse
+    acc = F[0]
+    for f in F[1:]:
+        acc = f - eu * acc
+    return (model.l_source * acc).integrate() / k
 
 
 SIGNATURE_ROUTES = {
@@ -286,21 +300,12 @@ def chern_number(model: ImmersionModel, k: int, J: Sequence[int]) -> MultipointR
 def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
     """The target class whose pairing with L(target)/k! is the signature.
 
-    Computed both by full partition enumeration and by the collected
-    type-vector sum; the two must agree exactly.
+    Computed both by full partition enumeration and as k! * E_k of the
+    pushed normal blocks; the two must agree exactly.
     """
     _check_k(k)
-    blocks = _pushed_block_classes(model, k)
-    collected = model.target.zero()
-    for tv in type_vectors(k):
-        nblocks = sum(tv)
-        coeff = Fraction(factorial(k) * (-1) ** (k - nblocks))
-        cls = model.target.unit()
-        for i, mult in enumerate(tv, start=1):
-            if mult:
-                coeff /= i ** mult * factorial(mult)
-                cls = cls * blocks[i - 1] ** mult
-        collected = collected + coeff * cls
+    blocks = _pushed_block_classes(model, k, model.pushforward)
+    collected = factorial(k) * _exponential_coefficients(model.target.unit(), blocks)[k]
     enumerated = _transfer(model, [model.l_normal_inverse] * k, to_target=True)
     if collected != enumerated:
         raise RouteDisagreement(
@@ -318,9 +323,11 @@ def signature_via_class(model: ImmersionModel, k: int) -> Fraction:
 def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> GradedClass:
     """Multinomial convolution of per-component virtual signature classes.
 
-    Sheets are distributed over the components in every way; a component
-    receiving no sheet contributes the empty factor 1, so that the k = 1
-    class stays additive over components.
+    Sheets are distributed over the components in every way: the class is
+    k! times the t^k coefficient of the product, over the components, of
+    the series 1 + sum_i B_i t^i / i!, B_i the component's class for i
+    sheets.  A component receiving no sheet contributes the empty factor 1,
+    so that the k = 1 class stays additive over components.
     """
     _check_k(k)
     if not models:
@@ -329,25 +336,13 @@ def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> G
     for m in models[1:]:
         if m.target != target:
             raise ModelError("component models must share the target")
-    per_component: List[Dict[int, GradedClass]] = [
-        {ki: virtual_signature_class(m, ki) for ki in range(1, k + 1)} for m in models
-    ]
-
-    total = target.zero()
-
-    def rec(idx: int, remaining: int, coeff: Fraction, cls: GradedClass):
-        nonlocal total
-        if idx == len(models):
-            if remaining == 0:
-                total = total + coeff * cls
-            return
-        for ki in range(remaining + 1):
-            factor = per_component[idx][ki] if ki else None
-            rec(idx + 1, remaining - ki,
-                coeff / factorial(ki), cls if factor is None else cls * factor)
-
-    rec(0, k, Fraction(factorial(k)), target.unit())
-    return total
+    product = [target.unit()] + [target.zero()] * k
+    for m in models:
+        series = [target.unit()] + [Fraction(1, factorial(i)) * virtual_signature_class(m, i)
+                                    for i in range(1, k + 1)]
+        product = [sum((product[j] * series[n - j] for j in range(n + 1)), target.zero())
+                   for n in range(k + 1)]
+    return factorial(k) * product[k]
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +369,11 @@ def _require(condition: bool, witness: str) -> None:
         raise PreconditionError(witness)
 
 
-def _euler_in_pullback_image(model: ImmersionModel) -> bool:
-    return preimage_under(model.pullback, model.euler) is not None
-
-
-def _l_normal_in_pullback_image(model: ImmersionModel) -> bool:
-    return preimage_under(model.pullback, model.l_normal) is not None
+def _require_pulled_from_target(model: ImmersionModel) -> None:
+    _require(preimage_under(model.pullback, model.euler) is not None,
+             f"euler class {model.euler} is not pulled back from the target")
+    _require(preimage_under(model.pullback, model.l_normal) is not None,
+             "L(normal) is not pulled back from the target")
 
 
 def pulled_from_target_class(model: ImmersionModel, k: int, y: TensorClass) -> GradedClass:
@@ -390,10 +384,7 @@ def pulled_from_target_class(model: ImmersionModel, k: int, y: TensorClass) -> G
     _check_k(k)
     if y.arity != k or y.ring != model.target:
         raise GradedAlgebraError("argument must be an arity-k tensor on the target ring")
-    _require(_euler_in_pullback_image(model),
-             f"euler class {model.euler} is not pulled back from the target")
-    _require(_l_normal_in_pullback_image(model),
-             "L(normal) is not pulled back from the target")
+    _require_pulled_from_target(model)
     out = model.source.zero()
     for idx, coeff in y.terms.items():
         cls = model.source.unit()
@@ -405,28 +396,16 @@ def pulled_from_target_class(model: ImmersionModel, k: int, y: TensorClass) -> G
 
 def signature_pulled_from_target(model: ImmersionModel, k: int) -> Fraction:
     """Signature under the pulled-from-target hypothesis."""
-    _require(_euler_in_pullback_image(model), "euler class is not pulled back from the target")
-    _require(_l_normal_in_pullback_image(model), "L(normal) is not pulled back from the target")
+    _require_pulled_from_target(model)
     u = model.l_normal_inverse
     cls = model.l_source * u ** (k - 1) * transfer_of_unit(model, k)
     return cls.integrate() / factorial(k)
 
 
 def pontrjagin_pulled_from_target(model: ImmersionModel, k: int, J: Sequence[int]) -> Fraction:
-    _require(_euler_in_pullback_image(model), "euler class is not pulled back from the target")
-    _require(_l_normal_in_pullback_image(model), "L(normal) is not pulled back from the target")
+    _require_pulled_from_target(model)
     inv = model.normal_pontrjagin.invert_unital()
     core = (model.pontrjagin_source * inv ** (k - 1)).select_degrees(J)
-    return (core * transfer_of_unit(model, k)).integrate() / factorial(k)
-
-
-def chern_pulled_from_target(model: ImmersionModel, k: int, J: Sequence[int]) -> Fraction:
-    if model.chern_source is None:
-        raise ModelError("model carries no Chern data")
-    _require(_euler_in_pullback_image(model), "euler class is not pulled back from the target")
-    _require(_l_normal_in_pullback_image(model), "L(normal) is not pulled back from the target")
-    inv = model.normal_chern.invert_unital()
-    core = (model.chern_source * inv ** (k - 1)).select_degrees(J)
     return (core * transfer_of_unit(model, k)).integrate() / factorial(k)
 
 
@@ -462,32 +441,20 @@ def pontrjagin_pushpull_zero(model: ImmersionModel, k: int, J: Sequence[int]) ->
     return Fraction((-1) ** (k - 1), k) * (model.euler ** (k - 1) * core).integrate()
 
 
-def chern_pushpull_zero(model: ImmersionModel, k: int, J: Sequence[int]) -> Fraction:
-    if model.chern_source is None:
-        raise ModelError("model carries no Chern data")
-    _require(_pushpull_is_zero(model), "pullback(pushforward(.)) is not identically zero")
-    inv = model.normal_chern.invert_unital()
-    core = (model.chern_source * inv ** (k - 1)).select_degrees(J)
-    return Fraction((-1) ** (k - 1), k) * (model.euler ** (k - 1) * core).integrate()
-
-
 def signature_nullhomotopic(model: ImmersionModel, k: int) -> Fraction:
     """Signature in the nullhomotopic normalization, where the inverse
-    L(normal) equals L(source): a pure Euler-power formula."""
+    L(normal) equals L(source), so the pushpull-zero formula becomes a pure
+    Euler-power formula."""
     _check_k(k)
-    _require(_pushpull_is_zero(model), "pullback(pushforward(.)) is not identically zero")
     _require(model.l_normal_inverse == model.l_source,
              f"L(normal)^(-1) = {model.l_normal_inverse} differs from L(source) = {model.l_source}")
-    cls = model.euler ** (k - 1) * model.l_source ** k
-    return Fraction((-1) ** (k - 1), k) * cls.integrate()
+    return signature_pushpull_zero(model, k)
 
 
 def pontrjagin_nullhomotopic(model: ImmersionModel, k: int, J: Sequence[int]) -> Fraction:
-    _require(_pushpull_is_zero(model), "pullback(pushforward(.)) is not identically zero")
     _require(model.normal_pontrjagin.invert_unital() == model.pontrjagin_source,
              "P(normal)^(-1) differs from P(source)")
-    core = (model.pontrjagin_source ** k).select_degrees(J)
-    return Fraction((-1) ** (k - 1), k) * (model.euler ** (k - 1) * core).integrate()
+    return pontrjagin_pushpull_zero(model, k, J)
 
 
 # ---------------------------------------------------------------------------

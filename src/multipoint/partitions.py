@@ -82,6 +82,9 @@ def universal_partition(k: int) -> SetPartition:
 # hold about 9 MB for k = 9 and ten times that for k = 10.
 CACHED_UP_TO = 8
 
+# BELL[k - 1] is the number of partitions of {1,...,k}, for k up to CACHED_UP_TO.
+BELL = (1, 2, 5, 15, 52, 203, 877, 4140)
+
 
 def all_partitions(k: int) -> Iterator[SetPartition]:
     """Yield every partition of {1,...,k} exactly once.
@@ -202,30 +205,15 @@ def type_vectors(k: int) -> Iterator[Tuple[int, ...]]:
 
 
 def marked_type_vectors(k: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """All (l, (l_1,...,l_{k-1})) with l >= 1 and l + sum of i*l_i = k."""
+    """All (l, (l_1,...,l_{k-1})) with l >= 1 and l + sum of i*l_i = k.
+
+    The marked types of count_by_type_marked.  No signature route walks them
+    (the collected routes use the exponential formula); the benchmark tracer
+    (benchmarks/tracing.py) wraps this generator by name.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k == 1:
-        yield 1, ()
-        return
     for first_size in range(1, k + 1):
         rest = k - first_size
-
-        def rec(remaining: int, i: int, acc: list):
-            if i == k:  # sizes of unmarked blocks run up to k-1
-                if remaining == 0:
-                    yield tuple(acc)
-                return
-            for c in range(remaining // i + 1):
-                acc.append(c)
-                yield from rec(remaining - c * i, i + 1, acc)
-                acc.pop()
-
-        def pad(v):
-            return tuple(v) + (0,) * (k - 1 - len(v))
-
-        if rest == 0:
-            yield first_size, (0,) * (k - 1)
-        else:
-            for v in rec(rest, 1, []):
-                yield first_size, pad(v)
+        for tv in type_vectors(rest) if rest else [()]:
+            yield first_size, tv + (0,) * (first_size - 1)

@@ -44,6 +44,7 @@ from multipoint.models import (
 )
 from multipoint.oracle import virtual_class_enumerated
 from multipoint.partitions import (
+    BELL,
     all_partitions,
     count_by_type,
     count_by_type_marked,
@@ -58,8 +59,6 @@ from multipoint.series import (
     invert,
     scaled_exp_series,
 )
-
-BELL = (1, 2, 5, 15, 52, 203)
 
 
 @pytest.fixture(scope="module")

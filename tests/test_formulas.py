@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from multipoint import formulas
 from multipoint.formulas import (
     SIGNATURE_ROUTES,
     PreconditionError,
@@ -46,6 +47,7 @@ from multipoint.oracle import (
     transfer_to_target_enumerated,
     virtual_class_enumerated,
 )
+from multipoint.partitions import marked_type_vectors, type_vectors
 
 
 def _random_tensor(rng, ring, k, nterms=2):
@@ -172,6 +174,73 @@ def test_signature_routes_and_oracle_agree_at_high_k(k):
                 (name, k)
 
 
+def reference_signature_collected(m, k):
+    """The collected target route as the explicit sum over type vectors."""
+    u, e = m.l_normal_inverse, m.euler
+    blocks = [m.pushforward(e ** (i - 1) * u ** i) for i in range(1, k + 1)]
+    total = Fraction(0)
+    for tv in type_vectors(k):
+        coeff = Fraction((-1) ** (k - sum(tv)))
+        cls = m.l_target
+        for i, mult in enumerate(tv, start=1):
+            if mult:
+                coeff /= i ** mult * factorial(mult)
+                cls = cls * blocks[i - 1] ** mult
+        total += coeff * cls.integrate()
+    return total
+
+
+def reference_signature_collected_source(m, k):
+    """The collected source route as the explicit sum over marked type
+    vectors: the block of the first point keeps its Euler-power weight."""
+    u, e = m.l_normal_inverse, m.euler
+    pushed = [m.pushpull(e ** (i - 1) * u ** i) for i in range(1, k + 1)]
+    total = Fraction(0)
+    for first_size, tv in marked_type_vectors(k):
+        coeff = Fraction((-1) ** (k - 1 - sum(tv)), k)
+        cls = m.l_source * e ** (first_size - 1) * u ** (first_size - 1)
+        for i, mult in enumerate(tv, start=1):
+            if mult:
+                coeff /= i ** mult * factorial(mult)
+                cls = cls * pushed[i - 1] ** mult
+        total += coeff * cls.integrate()
+    return total
+
+
+def test_collected_routes_match_type_vector_sums():
+    # the bundled signatures vanish for degree reasons from k = 4 on; two of
+    # these random models (sources of degree 20 and 22, nonzero Euler class)
+    # have nonzero signatures at k = 9 and at k = 10
+    rng = random.Random(58)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=12, allow_zero_euler=False)
+               for _ in range(4)]
+    nonzero = set()
+    for m in models:
+        for k in range(1, 11):
+            collected = signature_collected(m, k)
+            assert collected == reference_signature_collected(m, k), (m.name, k)
+            assert signature_collected_source(m, k) == collected, (m.name, k)
+            assert reference_signature_collected_source(m, k) == collected, (m.name, k)
+            if collected:
+                nonzero.add(k)
+    assert {9, 10} <= nonzero
+
+
+def test_collected_routes_need_no_partitions_or_transfer(monkeypatch):
+    m = bundled_model("hypersurface-d3")
+    expected = [signature(m, k, route="general") for k in range(1, 5)]
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the collected routes must not enumerate partitions")
+
+    monkeypatch.setattr(formulas, "all_partitions", unavailable)
+    monkeypatch.setattr(formulas, "_transfer", unavailable)
+    for k in range(1, 5):
+        assert signature_collected(m, k) == expected[k - 1]
+        assert signature_collected_source(m, k) == expected[k - 1]
+
+
 def test_signature_two_lines_double_point():
     # one transverse intersection point: sigma of a point is 1
     assert signature(bundled_model("two-lines"), 2, route="auto") == 1
@@ -244,7 +313,7 @@ def test_union_convolution_matches_direct():
     for _ in range(4):
         comps = random_union_components(rng, rng.randint(2, 3))
         u = disjoint_union(comps)
-        for k in range(1, 5):
+        for k in range(1, 6):
             assert virtual_signature_class_union(comps, k) == virtual_signature_class(u, k)
 
 

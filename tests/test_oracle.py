@@ -20,8 +20,7 @@ from multipoint.oracle import (
     transfer_to_target_enumerated,
     virtual_class_enumerated,
 )
-
-BELL = (1, 2, 5, 15, 52, 203)
+from multipoint.partitions import BELL
 
 
 def test_cap_enforced():

@@ -3,6 +3,7 @@ from math import factorial
 import pytest
 
 from multipoint.partitions import (
+    BELL,
     SetPartition,
     all_partitions,
     count_by_type,
@@ -15,11 +16,8 @@ from multipoint.partitions import (
     universal_partition,
 )
 
-BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
-
-
 def test_enumeration_counts():
-    for k, bell in BELL.items():
+    for k, bell in enumerate(BELL, start=1):
         parts = list(all_partitions(k))
         assert len(parts) == bell
         assert len(set(parts)) == bell
@@ -97,7 +95,7 @@ def test_quotient_block_count_consistency():
 
 
 def test_type_vector_counts_sum_to_bell():
-    for k, bell in BELL.items():
+    for k, bell in enumerate(BELL, start=1):
         total = sum(count_by_type(k, tv) for tv in type_vectors(k))
         assert total == bell
 
@@ -128,7 +126,7 @@ def test_marked_counts_match_filtered_enumeration():
 
 def test_marked_counts_total():
     # summing over marked types recovers Bell numbers
-    for k, bell in BELL.items():
+    for k, bell in enumerate(BELL, start=1):
         total = sum(count_by_type_marked(k, first, rest)
                     for first, rest in marked_type_vectors(k))
         assert total == bell
