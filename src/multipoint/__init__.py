@@ -5,49 +5,44 @@ target rings, pullback, Gysin pushforward, normal Euler class and total
 Pontrjagin classes), this package computes signatures and characteristic
 numbers of the k-tuple point manifolds by exact partition-sum formulas,
 cross-checked against a brute-force enumeration oracle.
+
+The names below are imported from their submodule on first use, so that
+``import multipoint`` (and every CLI command) loads only what it needs.
 """
 
-from .formulas import (
-    MultipointResult,
-    PreconditionError,
-    RouteDisagreement,
-    chern_number,
-    multiple_point_dimension,
-    pontrjagin_number,
-    recursion_identity_holds,
-    signature,
-    signature_collected,
-    signature_via_source,
-    signature_via_target,
-    transfer_of_unit,
-    transfer_to_source,
-    transfer_to_target,
-    virtual_signature_class,
-    virtual_signature_class_union,
-)
-from .graded import (
-    GradedAlgebraError,
-    GradedClass,
-    GradedRing,
-    NonUnitalClassError,
-    RingComponent,
-    TensorClass,
-    cross,
-    diagonal_pullback,
-    signature_class,
-)
-from .model import (
-    ImmersionModel,
-    LinearMap,
-    ModelError,
-    ValidationReport,
-    disjoint_union,
-    embedding_consistent,
-    validate,
-)
-from .modelfile import ModelFormatError, load_model, model_from_dict, model_to_dict, save_model
-from .models import BUNDLED, bundled_model, random_truncated_model, truncated_polynomial_ring
-from .partitions import SetPartition, all_partitions, count_by_type, refines, type_vectors
-from .series import SpecialSeries, compose, identity_series, invert, scaled_exp_series, scaled_log_series
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "formulas": """MultipointResult PreconditionError RouteDisagreement chern_number
+        multiple_point_dimension pontrjagin_number recursion_identity_holds signature
+        signature_collected signature_via_source signature_via_target transfer_of_unit
+        transfer_to_source transfer_to_target virtual_signature_class
+        virtual_signature_class_union""",
+    "graded": """GradedAlgebraError GradedClass GradedRing NonUnitalClassError RingComponent
+        TensorClass cross diagonal_pullback signature_class""",
+    "model": """ImmersionModel LinearMap ModelError ValidationReport disjoint_union
+        embedding_consistent validate""",
+    "modelfile": "ModelFormatError load_model model_from_dict model_to_dict save_model",
+    "models": "BUNDLED bundled_model random_truncated_model truncated_polynomial_ring",
+    "partitions": "SetPartition all_partitions count_by_type refines type_vectors",
+    "series": """SpecialSeries compose identity_series invert scaled_exp_series
+        scaled_log_series""",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

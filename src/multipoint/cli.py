@@ -8,37 +8,25 @@ disagreement, 2 invalid model, 3 usage error.
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
+# Only what validate, compute and examples run is imported here; the model
+# file reader, the identity checks (oracle, series algebra) and json load
+# where they are used, so each command compiles only the modules it runs.
 from .formulas import (
     SIGNATURE_ROUTES,
     RouteDisagreement,
     chern_number,
     multiple_point_dimension,
     pontrjagin_number,
-    recursion_identity_holds,
     signature,
     virtual_signature_class,
 )
-from .graded import GradedClass, cross
+from .graded import GradedClass
 from .model import ImmersionModel, validate
-from .modelfile import ModelFormatError, load_model
 from .models import BUNDLED, bundled_model
-from .oracle import compose_enumerated, signature_enumerated, virtual_class_enumerated
-from .partitions import BELL, all_partitions, count_by_type, type_vectors
-from .series import (
-    compose,
-    composed_derivative,
-    identity_series,
-    invert,
-    log_coefficient,
-    scaled_exp_series,
-)
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -77,10 +65,16 @@ def _resolve_model(ref: str) -> ImmersionModel:
     path = Path(ref)
     if not path.exists():
         raise CliError(f"{ref}: not a bundled model name or an existing file", EXIT_INVALID_MODEL)
+    from .modelfile import ModelFormatError, load_model
     try:
         return load_model(path)
     except ModelFormatError as exc:
         raise CliError(str(exc), EXIT_INVALID_MODEL) from None
+
+
+def _print_json(obj) -> None:
+    import json  # only --json output needs it
+    print(json.dumps(obj, indent=2))
 
 
 def _class_json(cls: GradedClass) -> dict:
@@ -112,12 +106,12 @@ def cmd_validate(args) -> int:
     model = _resolve_model(args.model)
     report = validate(model)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "model": model.name,
             "ok": report.ok,
             "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
                        for c in report.checks],
-        }, indent=2))
+        })
     else:
         print(report)
     return EXIT_OK if report.ok else EXIT_INVALID_MODEL
@@ -160,13 +154,23 @@ def cmd_compute(args) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.json:
-        print(json.dumps(out, indent=2))
+        _print_json(out)
     else:
         print(text)
     return EXIT_OK
 
 
 def _identity_failures(max_k: int) -> List[str]:
+    import random
+    from fractions import Fraction
+    from math import prod
+
+    from .formulas import recursion_identity_holds
+    from .graded import cross
+    from .oracle import compose_enumerated, signature_enumerated, virtual_class_enumerated
+    from .partitions import BELL, all_partitions, count_by_type, log_coefficient, type_vectors
+    from .series import compose, composed_derivative, identity_series, invert, scaled_exp_series
+
     failures: List[str] = []
     order = max(8, max_k)
 
@@ -200,7 +204,7 @@ def _identity_failures(max_k: int) -> List[str]:
     for k in range(1, poly_order + 1):
         enum = compose_enumerated(a, b, k).value
         coll = sum(count_by_type(k, tv) * a[sum(tv) - 1]
-                   * _product(b[i - 1] ** m for i, m in enumerate(tv, start=1) if m)
+                   * prod(b[i - 1] ** m for i, m in enumerate(tv, start=1) if m)
                    for tv in type_vectors(k))
         if enum != coll:
             failures.append(f"composition oracle mismatch at k={k}: {enum} != {coll}")
@@ -223,17 +227,12 @@ def _identity_failures(max_k: int) -> List[str]:
     return failures
 
 
-def _product(items):
-    out = Fraction(1)
-    for item in items:
-        out *= item
-    return out
-
-
 def cmd_identities(args) -> int:
+    if args.max_k < 1:
+        raise CliError(f"--max-k must be at least 1, got {args.max_k}", EXIT_USAGE)
     failures = _identity_failures(args.max_k)
     if args.json:
-        print(json.dumps({"ok": not failures, "failures": failures}, indent=2))
+        _print_json({"ok": not failures, "failures": failures})
     else:
         for f in failures:
             print(f"FAIL: {f}")
@@ -244,8 +243,7 @@ def cmd_identities(args) -> int:
 
 def cmd_examples(args) -> int:
     if args.json:
-        print(json.dumps({name: MODEL_NOTES.get(name, "") for name in sorted(BUNDLED)},
-                         indent=2))
+        _print_json({name: MODEL_NOTES.get(name, "") for name in sorted(BUNDLED)})
     else:
         for name in sorted(BUNDLED):
             print(f"{name:28s} {MODEL_NOTES.get(name, '')}")

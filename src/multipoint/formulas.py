@@ -9,15 +9,14 @@ arithmetic; agreement checks are equalities, not tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graded import GradedAlgebraError, GradedClass, TensorClass, cross, diagonal_pullback
 from .model import ImmersionModel, ModelError, preimage_under
-from .partitions import all_partitions
-from .series import log_coefficient
+from .partitions import all_partitions, log_coefficient
+from .records import Record
 
 
 class RouteDisagreement(ArithmeticError):
@@ -28,15 +27,18 @@ class PreconditionError(ModelError):
     """A special-case evaluator was invoked outside its hypothesis."""
 
 
-@dataclass
-class MultipointResult:
+class MultipointResult(Record):
     """One computed multiple-point quantity, with bookkeeping for reports."""
 
-    k: int
-    kind: str
-    value: object  # Fraction or GradedClass
-    dimension: Optional[int] = None
-    warnings: List[str] = field(default_factory=list)
+    __slots__ = ("k", "kind", "value", "dimension", "warnings")
+
+    def __init__(self, k: int, kind: str, value: object, dimension: Optional[int] = None,
+                 warnings: Optional[List[str]] = None):
+        self.k = k
+        self.kind = kind
+        self.value = value  # Fraction or GradedClass
+        self.dimension = dimension
+        self.warnings = [] if warnings is None else warnings
 
 
 def multiple_point_dimension(model: ImmersionModel, k: int) -> Tuple[int, ...]:

@@ -8,10 +8,9 @@ admitted, so there are no Koszul signs anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .partitions import SetPartition
 from .polynomials import exp_coeffs, signature_genus_log_coeffs
@@ -44,8 +43,7 @@ def _clean_in_basis(coords: Mapping[int, object], n: int, what: str) -> Coords:
     return out
 
 
-@dataclass(frozen=True)
-class RingComponent:
+class RingComponent(NamedTuple):
     """One connected component of the underlying space: a basis index
     range with its own top degree (the dimension of that component)."""
 

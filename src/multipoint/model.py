@@ -10,11 +10,10 @@ point formulas use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .graded import (
     Coords,
@@ -24,20 +23,24 @@ from .graded import (
     RingComponent,
     signature_class,
 )
+from .records import FrozenRecord, Record
 
 
 class ModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(FrozenRecord):
     """Linear map between graded rings, given by images of basis elements."""
 
-    domain: GradedRing
-    codomain: GradedRing
-    images: Mapping[int, GradedClass]
-    degree_shift: int = 0
+    __slots__ = ("domain", "codomain", "images", "degree_shift")
+
+    def __init__(self, domain: GradedRing, codomain: GradedRing,
+                 images: Mapping[int, GradedClass], degree_shift: int = 0):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "degree_shift", degree_shift)
 
     def __call__(self, cls: GradedClass) -> GradedClass:
         if cls.ring is not self.domain and cls.ring != self.domain:
@@ -74,16 +77,17 @@ class LinearMap:
         return issues
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
-class ValidationReport:
-    checks: List[Check] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: Optional[List[Check]] = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

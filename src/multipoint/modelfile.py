@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 from .graded import GradedClass, GradedRing, RingComponent
 from .model import ImmersionModel, LinearMap, disjoint_union
@@ -244,7 +244,10 @@ def save_model(model: ImmersionModel, path: Union[str, Path]) -> None:
 
 
 def load_model(path: Union[str, Path]) -> ImmersionModel:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(f"{path}: cannot read a model file: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

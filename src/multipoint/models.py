@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .graded import Coords, GradedRing
 from .model import ImmersionModel, LinearMap, disjoint_union

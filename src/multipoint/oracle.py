@@ -9,10 +9,9 @@ freeze expected values in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .graded import TensorClass
 from .model import ImmersionModel
@@ -37,8 +36,7 @@ def _weight(alpha: SetPartition) -> int:
     return w
 
 
-@dataclass
-class OracleRun:
+class OracleRun(NamedTuple):
     """Result of one oracle evaluation, with the work done made visible."""
 
     value: object

@@ -7,24 +7,25 @@ and safe for concurrent reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence, Tuple
 
+from .records import FrozenRecord
 
-@dataclass(frozen=True)
-class SetPartition:
+
+class SetPartition(FrozenRecord):
     """A partition of {1,...,k} into ordered, internally sorted blocks."""
 
-    k: int
-    blocks: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("k", "blocks")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int, blocks: Tuple[Tuple[int, ...], ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "blocks", blocks)
+        if k < 1:
             raise ValueError("ground set size must be at least 1")
         seen = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("empty block")
             if tuple(sorted(block)) != block:
@@ -32,9 +33,9 @@ class SetPartition:
             if seen & set(block):
                 raise ValueError("blocks are not disjoint")
             seen.update(block)
-        if seen != set(range(1, self.k + 1)):
-            raise ValueError(f"blocks do not cover 1..{self.k}")
-        mins = [b[0] for b in self.blocks]
+        if seen != set(range(1, k + 1)):
+            raise ValueError(f"blocks do not cover 1..{k}")
+        mins = [b[0] for b in blocks]
         if mins != sorted(mins):
             raise ValueError("blocks not ordered by smallest element")
 
@@ -78,8 +79,16 @@ def universal_partition(k: int) -> SetPartition:
     return SetPartition(k, (tuple(range(1, k + 1)),))
 
 
-# The Bell(8) = 4140 partitions of k = 8 take under 2 MB; the cache would
-# hold about 9 MB for k = 9 and ten times that for k = 10.
+def log_coefficient(k: int) -> int:
+    """The weight (-1)^(k-1) (k-1)! of a block of size k: the k-th
+    exponential coefficient of log(1+y)."""
+    if k < 1:
+        raise ValueError("coefficient index must be positive")
+    return (-1) ** (k - 1) * factorial(k - 1)
+
+
+# The Bell(8) = 4140 partitions of k = 8 take about 1.5 MB; the cache would
+# hold about 8 MB for k = 9 and ten times that for k = 10.
 CACHED_UP_TO = 8
 
 # BELL[k - 1] is the number of partitions of {1,...,k}, for k up to CACHED_UP_TO.

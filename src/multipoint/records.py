@@ -1,0 +1,44 @@
+"""Small value-record base classes over ``__slots__``.
+
+A record's fields are its ``__slots__``, in constructor order; equality
+(same class only), the repr ``Name(field=value, ...)`` and pickling follow
+from them.  Mutable records are unhashable; frozen ones hash by their field
+values and refuse assignment.  Subclasses write their own ``__init__``.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class FrozenRecord(Record):
+    """A record whose fields are set once, in ``__init__``, through
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

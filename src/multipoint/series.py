@@ -8,27 +8,17 @@ Faa di Bruno composite of exponential power series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
-from typing import Sequence, Tuple
+from typing import Tuple
 
-from .partitions import count_by_type, type_vectors
+from .partitions import count_by_type, log_coefficient, type_vectors
 from .polynomials import Poly
+from .records import FrozenRecord
 
 NILPOTENT_SYMBOL = ("e",)
 DEFAULT_ORDER = 12
 
 
-def log_coefficient(k: int) -> int:
-    """The k-th exponential coefficient of log(1+y): (-1)^(k-1) (k-1)!."""
-    if k < 1:
-        raise ValueError("coefficient index must be positive")
-    return (-1) ** (k - 1) * factorial(k - 1)
-
-
-@dataclass(frozen=True)
-class SpecialSeries:
+class SpecialSeries(FrozenRecord):
     """A classical partition series: coefficients a_1..a_K as polynomials.
 
     All coefficients share one variable tuple (by default the nilpotent
@@ -36,13 +26,14 @@ class SpecialSeries:
     request.
     """
 
-    coeffs: Tuple[Poly, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: Tuple[Poly, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+        if not coeffs:
             raise ValueError("a series needs at least its linear coefficient")
-        variables = self.coeffs[0].variables
-        for c in self.coeffs:
+        variables = coeffs[0].variables
+        for c in coeffs:
             if c.variables != variables:
                 raise ValueError("series coefficients use inconsistent variables")
 
@@ -59,11 +50,6 @@ class SpecialSeries:
         if not 1 <= k <= self.order:
             raise ValueError(f"coefficient {k} outside working order {self.order}")
         return self.coeffs[k - 1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpecialSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
 
 def identity_series(order: int = DEFAULT_ORDER, variables=NILPOTENT_SYMBOL) -> SpecialSeries:

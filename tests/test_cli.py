@@ -173,3 +173,25 @@ def test_malformed_ring_exits_2(tmp_path, capsys, edit):
         assert code == 2, (argv, err)
         assert "Traceback" not in err
         assert "source" in err
+
+
+@pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+def test_unreadable_model_file_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "model.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"name": "\xff\xfe"}')
+    for argv in (["validate", str(path)],
+                 ["compute", str(path), "--k", "1", "--quantity", "signature"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, (argv, err)
+        assert "cannot read a model file" in err
+
+
+@pytest.mark.parametrize("max_k", ["0", "-1"])
+def test_identities_nonpositive_max_k_exits_3(capsys, max_k):
+    code, out, err = run(capsys, "identities", "--max-k", max_k)
+    assert code == 3
+    assert "--max-k must be at least 1" in err
+    assert "all identities hold" not in out

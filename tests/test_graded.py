@@ -9,14 +9,13 @@ from multipoint.graded import (
     GradedAlgebraError,
     GradedRing,
     NonUnitalClassError,
-    TensorClass,
     cross,
     diagonal_pullback,
     signature_class,
 )
 from multipoint.model import product_ring
 from multipoint.models import truncated_polynomial_ring
-from multipoint.partitions import SetPartition, all_partitions
+from multipoint.partitions import SetPartition
 
 
 @pytest.fixture

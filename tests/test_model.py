@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from multipoint.graded import GradedRing
 from multipoint.model import (
     ImmersionModel,
     LinearMap,
@@ -11,7 +10,6 @@ from multipoint.model import (
     disjoint_union,
     embedding_consistent,
     preimage_under,
-    product_ring,
     solve_linear,
     validate,
 )
@@ -20,7 +18,6 @@ from multipoint.models import (
     bundled_model,
     random_truncated_model,
     random_union_components,
-    truncated_polynomial_ring,
 )
 
 

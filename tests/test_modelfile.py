@@ -112,3 +112,12 @@ def test_unsupported_version():
     obj["format_version"] = 99
     with pytest.raises(ModelFormatError):
         model_from_dict(obj)
+
+
+def test_unreadable_file_is_a_format_error(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"name": "Möbius"}'.encode("latin-1"))
+    with pytest.raises(ModelFormatError, match="cannot read"):
+        load_model(bad)
+    with pytest.raises(ModelFormatError, match="cannot read"):
+        load_model(tmp_path)

@@ -1,5 +1,3 @@
-from math import factorial
-
 import pytest
 
 from multipoint.partitions import (

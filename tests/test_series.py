@@ -1,6 +1,3 @@
-from fractions import Fraction
-from math import factorial
-
 import pytest
 
 from multipoint.polynomials import Poly
@@ -20,6 +17,8 @@ from multipoint.series import (
 
 def test_log_coefficients():
     assert [log_coefficient(k) for k in range(1, 7)] == [1, -1, 2, -6, 24, -120]
+    from multipoint import partitions
+    assert log_coefficient is partitions.log_coefficient  # re-exported from its home
 
 
 def test_identity_series_is_neutral():
