@@ -4,18 +4,25 @@ A ring is given by an explicit basis with even degrees, a structure-constant
 table for the product, an integration functional supported in the top
 degree of each component, and a distinguished unit.  Only even degrees are
 admitted, so there are no Koszul signs anywhere.
+
+Coordinates are exact rationals in one normal form: an ``int`` when the
+value is integral and a ``Fraction`` only when its denominator exceeds 1.
+Almost all model data is integral, and int arithmetic is many times faster
+than ``Fraction`` arithmetic; int * Fraction and int + Fraction stay exact.
+Floats are refused, since they are not exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .partitions import SetPartition
 from .polynomials import exp_coeffs, signature_genus_log_coeffs
 
-Coords = Dict[int, Fraction]
+Scalar = Union[int, Fraction]
+Coords = Dict[int, Scalar]
 
 
 class GradedAlgebraError(ValueError):
@@ -26,10 +33,23 @@ class NonUnitalClassError(GradedAlgebraError):
     pass
 
 
+def exact(c: object) -> Scalar:
+    """The normal form of an exact rational: an int if integral, else a
+    Fraction.  Raises GradedAlgebraError on a float."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise GradedAlgebraError(f"float coordinate {c!r}; use an int, a Fraction or a string")
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _clean(coords: Mapping[int, object]) -> Coords:
     out: Coords = {}
     for i, c in coords.items():
-        c = Fraction(c)
+        if type(c) is not int:
+            c = exact(c)
         if c:
             out[int(i)] = c
     return out
@@ -81,6 +101,9 @@ class GradedRing:
                 raise GradedAlgebraError(f"basis degree {d} is not a nonnegative even integer")
         self.name = name
         self.top_degree = max(self.degrees) if top_degree is None else int(top_degree)
+        if self.degrees and self.top_degree < max(self.degrees):
+            raise GradedAlgebraError(f"top degree {self.top_degree} is below the largest "
+                                     f"basis degree {max(self.degrees)}")
 
         n = len(self.labels)
         table: Dict[Tuple[int, int], Coords] = {}
@@ -127,7 +150,7 @@ class GradedRing:
         return GradedClass(self, self.unit_coords)
 
     def basis_class(self, i: int) -> "GradedClass":
-        return GradedClass(self, {i: Fraction(1)})
+        return GradedClass(self, {i: 1})
 
     def element(self, coords: Mapping[int, object]) -> "GradedClass":
         return GradedClass(self, _clean(coords))
@@ -138,7 +161,7 @@ class GradedRing:
         key = (i, j) if i <= j else (j, i)
         return self.products.get(key, {})
 
-    def mul_coords(self, a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> Coords:
+    def mul_coords(self, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Coords:
         """The product of two coordinate dicts, by the structure constants.
 
         Sums over the nonzero table entries of the pairs of support indices
@@ -172,7 +195,7 @@ class GradedRing:
         issues: List[str] = []
         n = len(self.labels)
         labels = self.labels
-        basis = [{i: Fraction(1)} for i in range(n)]
+        basis = [{i: 1} for i in range(n)]
         for i in range(n):
             if self.mul_coords(self.unit_coords, basis[i]) != basis[i]:
                 issues.append(f"unit law fails on basis element {labels[i]}")
@@ -258,7 +281,7 @@ class GradedClass:
         self._check(other)
         out = dict(self.coords)
         for i, c in other.coords.items():
-            out[i] = out.get(i, Fraction(0)) + c
+            out[i] = out.get(i, 0) + c
         return GradedClass(self.ring, out)
 
     def __neg__(self) -> "GradedClass":
@@ -271,7 +294,7 @@ class GradedClass:
         if isinstance(other, GradedClass):
             self._check(other)
             return GradedClass(self.ring, self.ring.mul_coords(self.coords, other.coords))
-        c = Fraction(other)
+        c = exact(other)
         return GradedClass(self.ring, {i: c * v for i, v in self.coords.items()})
 
     def __rmul__(self, other) -> "GradedClass":
@@ -333,7 +356,7 @@ class GradedClass:
             out = out - term if _ % 2 == 0 else out + term
         return out
 
-    def eval_series(self, coeffs: Sequence[Fraction]) -> "GradedClass":
+    def eval_series(self, coeffs: Sequence[Scalar]) -> "GradedClass":
         """Evaluate a formal power series at this nilpotent class.
 
         coeffs[j] is the coefficient of the j-th power; the constant term
@@ -342,13 +365,13 @@ class GradedClass:
         """
         if not self.degree_part(0).is_zero():
             raise GradedAlgebraError("series evaluation needs a nilpotent argument")
-        out = Fraction(coeffs[0]) * self.ring.unit()
+        out = coeffs[0] * self.ring.unit()
         power = self.ring.unit()
         for j in range(1, len(coeffs)):
             power = power * self
             if power.is_zero():
                 break
-            out = out + Fraction(coeffs[j]) * power
+            out = out + coeffs[j] * power
         else:
             if not (power * self).is_zero():
                 raise GradedAlgebraError("series coefficients exhausted before nilpotency")
@@ -357,12 +380,12 @@ class GradedClass:
     def integrate(self) -> Fraction:
         """Pair against the fundamental class: apply the integration
         functional (supported in top degrees) to the coordinates."""
-        total = Fraction(0)
+        total = 0
         for i, c in self.coords.items():
             w = self.ring.integral.get(i)
             if w:
                 total += c * w
-        return total
+        return Fraction(total)
 
     def __repr__(self) -> str:
         if not self.coords:
@@ -400,9 +423,9 @@ def signature_class(P: GradedClass) -> GradedClass:
     elem = [ring.zero()] + [P.degree_part(4 * j) for j in range(1, w + 1)]
     power_sums = [ring.zero()] * (w + 1)
     for j in range(1, w + 1):
-        acc = Fraction((-1) ** (j - 1) * j) * elem[j]
+        acc = (-1) ** (j - 1) * j * elem[j]
         for i in range(1, j):
-            acc = acc + Fraction((-1) ** (i - 1)) * (elem[i] * power_sums[j - i])
+            acc = acc + (-1) ** (i - 1) * (elem[i] * power_sums[j - i])
         power_sums[j] = acc
     c = signature_genus_log_coeffs(w)
     log_l = ring.zero()
@@ -425,9 +448,9 @@ class TensorClass:
             raise GradedAlgebraError("tensor arity must be at least 1")
         self.ring = ring
         self.arity = arity
-        clean: Dict[Tuple[int, ...], Fraction] = {}
+        clean: Dict[Tuple[int, ...], Scalar] = {}
         for idx, c in terms.items():
-            c = Fraction(c)
+            c = exact(c)
             if not c:
                 continue
             idx = tuple(int(i) for i in idx)
@@ -444,7 +467,7 @@ class TensorClass:
         self._check(other)
         out = dict(self.terms)
         for idx, c in other.terms.items():
-            out[idx] = out.get(idx, Fraction(0)) + c
+            out[idx] = out.get(idx, 0) + c
         return TensorClass(self.ring, self.arity, out)
 
     def __neg__(self) -> "TensorClass":
@@ -456,7 +479,7 @@ class TensorClass:
     def __mul__(self, other):
         if isinstance(other, TensorClass):
             self._check(other)
-            out: Dict[Tuple[int, ...], Fraction] = {}
+            out: Dict[Tuple[int, ...], Scalar] = {}
             for idx1, c1 in self.terms.items():
                 for idx2, c2 in other.terms.items():
                     slot_coords = [self.ring.basis_product(a, b) for a, b in zip(idx1, idx2)]
@@ -467,9 +490,9 @@ class TensorClass:
                         coeff = c1 * c2
                         for _, s in combo:
                             coeff *= s
-                        out[idx] = out.get(idx, Fraction(0)) + coeff
+                        out[idx] = out.get(idx, 0) + coeff
             return TensorClass(self.ring, self.arity, out)
-        c = Fraction(other)
+        c = exact(other)
         return TensorClass(self.ring, self.arity, {i: c * v for i, v in self.terms.items()})
 
     def __rmul__(self, other) -> "TensorClass":
@@ -502,12 +525,12 @@ class TensorClass:
 
     def scale_slot(self, slot: int, cls: GradedClass) -> "TensorClass":
         """Multiply the given tensor slot by a class of the base ring."""
-        out: Dict[Tuple[int, ...], Fraction] = {}
+        out: Dict[Tuple[int, ...], Scalar] = {}
         for idx, c in self.terms.items():
             base = self.ring.basis_class(idx[slot]) * cls
             for i, s in base.coords.items():
                 new = idx[:slot] + (i,) + idx[slot + 1:]
-                out[new] = out.get(new, Fraction(0)) + c * s
+                out[new] = out.get(new, 0) + c * s
         return TensorClass(self.ring, self.arity, out)
 
     def __repr__(self) -> str:
@@ -528,13 +551,13 @@ def cross(classes: Sequence[GradedClass]) -> TensorClass:
     for cls in classes[1:]:
         if cls.ring is not ring and cls.ring != ring:
             raise GradedAlgebraError("cross product factors live in different rings")
-    terms: Dict[Tuple[int, ...], Fraction] = {}
+    terms: Dict[Tuple[int, ...], Scalar] = {}
     for combo in iproduct(*(cls.coords.items() for cls in classes)):
         idx = tuple(i for i, _ in combo)
-        coeff = Fraction(1)
+        coeff = 1
         for _, c in combo:
             coeff *= c
-        terms[idx] = terms.get(idx, Fraction(0)) + coeff
+        terms[idx] = terms.get(idx, 0) + coeff
     return TensorClass(ring, len(classes), terms)
 
 
@@ -547,7 +570,7 @@ def diagonal_pullback(alpha: SetPartition, x: TensorClass) -> TensorClass:
     """
     if alpha.k != x.arity:
         raise GradedAlgebraError(f"partition on {alpha.k} elements applied to arity {x.arity}")
-    out_terms: Dict[Tuple[int, ...], Fraction] = {}
+    out_terms: Dict[Tuple[int, ...], Scalar] = {}
     ring = x.ring
     for idx, c in x.terms.items():
         block_classes = []
@@ -563,5 +586,5 @@ def diagonal_pullback(alpha: SetPartition, x: TensorClass) -> TensorClass:
             coeff = c
             for _, s in combo:
                 coeff *= s
-            out_terms[new] = out_terms.get(new, Fraction(0)) + coeff
+            out_terms[new] = out_terms.get(new, 0) + coeff
     return TensorClass(ring, len(alpha.blocks), out_terms)

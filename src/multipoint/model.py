@@ -21,6 +21,7 @@ from .graded import (
     GradedClass,
     GradedRing,
     RingComponent,
+    Scalar,
     signature_class,
 )
 from .records import FrozenRecord, Record
@@ -47,7 +48,7 @@ class LinearMap(FrozenRecord):
             raise ModelError("class is not in the domain of the map")
         return GradedClass(self.codomain, self.apply_coords(cls.coords))
 
-    def apply_coords(self, coords: Mapping[int, Fraction]) -> Coords:
+    def apply_coords(self, coords: Mapping[int, Scalar]) -> Coords:
         """The image of a domain coordinate dict, as codomain coordinates
         with no zero entries."""
         out: Coords = {}
@@ -224,7 +225,7 @@ def validate(model: ImmersionModel) -> ValidationReport:
         raise ModelError("class is not in the domain of the map")
     if not _same_ring(push.codomain, target):
         raise GradedAlgebraError("classes live in different rings")
-    one = Fraction(1)
+    one = 1
     pulled = [pull.apply_coords({j: one}) for j in range(len(target.labels))]
     pushed = [push.apply_coords({i: one}) for i in range(len(source.labels))]
 
@@ -415,6 +416,8 @@ def solve_linear(columns: Sequence[Coords], target: Coords) -> Optional[List[Fra
     """Solve sum_j v_j * columns[j] = target over the rationals.
 
     Returns one solution vector or None when the system is inconsistent.
+    The entries of columns and target may be ints or Fractions; every
+    division is by a Fraction, so the solution is exact.
     """
     rows = sorted({i for col in columns for i in col} | set(target))
     row_pos = {r: i for i, r in enumerate(rows)}
@@ -433,7 +436,7 @@ def solve_linear(columns: Sequence[Coords], target: Coords) -> Optional[List[Fra
         if pivot is None:
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
+        inv = Fraction(1, mat[row][col])
         mat[row] = [v * inv for v in mat[row]]
         for r in range(nrows):
             if r != row and mat[r][col]:

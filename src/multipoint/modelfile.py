@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Mapping, Tuple, Union
 
-from .graded import GradedClass, GradedRing, RingComponent
+from .graded import GradedClass, GradedRing, RingComponent, Scalar, exact
 from .model import ImmersionModel, LinearMap, disjoint_union
 
 FORMAT_VERSION = 1
@@ -29,27 +29,32 @@ class ModelFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _fraction_from(value, where: str) -> Fraction:
+def _fraction_from(value, where: str) -> Scalar:
+    """A JSON rational as a coordinate: an int if integral, else a Fraction."""
     if isinstance(value, bool):
         raise ModelFormatError(f"{where}: booleans are not rationals")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
+        # an ASCII decimal integer reads the same by int() as by Fraction()
+        digits = value[1:] if value[:1] == "-" else value
         try:
-            return Fraction(value)
+            if digits.isascii() and digits.isdigit():
+                return int(value)
+            return exact(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelFormatError(f"{where}: bad rational {value!r}: {exc}") from None
     raise ModelFormatError(f"{where}: expected a rational string, got {type(value).__name__}")
 
 
-def _coords_to_json(coords: Mapping[int, Fraction]) -> Dict[str, str]:
+def _coords_to_json(coords: Mapping[int, Scalar]) -> Dict[str, str]:
     return {str(i): str(c) for i, c in sorted(coords.items())}
 
 
-def _coords_from(obj, where: str) -> Dict[int, Fraction]:
+def _coords_from(obj, where: str) -> Dict[int, Scalar]:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where}: expected an object of index -> rational")
-    out: Dict[int, Fraction] = {}
+    out: Dict[int, Scalar] = {}
     for key, value in obj.items():
         try:
             idx = int(key)
@@ -103,7 +108,7 @@ def ring_from_dict(obj, where: str = "ring") -> GradedRing:
     raw_products = _require(obj, "products", where)
     if not isinstance(raw_products, dict):
         raise ModelFormatError(f"{where}: products must be an object")
-    products: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    products: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
     for key, coords in raw_products.items():
         parts = key.split(",")
         if len(parts) != 2:
@@ -132,9 +137,12 @@ def ring_from_dict(obj, where: str = "ring") -> GradedRing:
             if not _is_int(top):
                 raise ModelFormatError(f"{cwhere}: top_degree must be an integer")
             components.append(RingComponent(str(c.get("name", f"c{n}")), tuple(indices), top))
+    top_degree = obj.get("top_degree")
+    if "top_degree" in obj and not _is_int(top_degree):
+        raise ModelFormatError(f"{where}: top_degree must be an integer")
     try:
         return GradedRing(labels, degrees, products, integral,
-                          top_degree=obj.get("top_degree"), unit=unit,
+                          top_degree=top_degree, unit=unit,
                           components=components, name=str(obj.get("name", "")))
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
@@ -250,6 +258,8 @@ def load_model(path: Union[str, Path]) -> ImmersionModel:
         raise ModelFormatError(f"{path}: cannot read a model file: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, or an integer literal over the
+        # interpreter's digit limit; RecursionError: nesting too deep
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
     return model_from_dict(obj, where=str(path))

@@ -9,7 +9,6 @@ nullhomotopic immersion, and a zero-Euler-class embedding.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .graded import Coords, GradedRing
@@ -31,9 +30,10 @@ def truncated_polynomial_ring(symbol: str, powers: int, gen_degree: int = 2,
     for i in range(powers + 1):
         for j in range(i, powers + 1):
             if i + j <= powers:
-                products[(i, j)] = {i + j: Fraction(1)}
-    integral = {powers: Fraction(integral_value)} if Fraction(integral_value) else {}
-    return GradedRing(labels, degrees, products, integral, name=name or f"Q[{symbol}]")
+                products[(i, j)] = {i + j: 1}
+    # the ring drops a zero integral value
+    return GradedRing(labels, degrees, products, {powers: integral_value},
+                      name=name or f"Q[{symbol}]")
 
 
 def _line_in_plane() -> ImmersionModel:
@@ -185,9 +185,9 @@ def random_truncated_model(rng: random.Random, max_powers: int = 4,
     # codim 4 needs a degree-4 source class for the Euler slot
     c = rng.choice([2, 4]) if m >= 2 else 2
     half = c // 2
-    mu = Fraction(rng.randint(-3, 3))
-    iota = Fraction(rng.choice([1, 1, 2, -1]))
-    lam = Fraction(rng.randint(-2, 2)) if allow_zero_euler else Fraction(rng.choice([1, 2, -1]))
+    mu = rng.randint(-3, 3)
+    iota = rng.choice([1, 1, 2, -1])
+    lam = rng.randint(-2, 2) if allow_zero_euler else rng.choice([1, 2, -1])
 
     M = truncated_polynomial_ring("t", m, integral_value=mu * iota, name="rand-src")
     N = truncated_polynomial_ring("h", m + half, integral_value=iota, name="rand-tgt")
@@ -203,7 +203,7 @@ def random_truncated_model(rng: random.Random, max_powers: int = 4,
             if d > 0 and d % step == 0:
                 v = rng.randint(-4, 4)
                 if v:
-                    coords[i] = Fraction(v)
+                    coords[i] = v
         return coords
 
     p_src = M.element(random_unital(M, 4))
@@ -230,31 +230,31 @@ def random_union_components(rng: random.Random, count: int,
     m = rng.randint(1, max_powers)
     c = rng.choice([2, 4]) if m >= 2 else 2
     half = c // 2
-    iota = Fraction(rng.choice([1, 1, 2, -1]))
+    iota = rng.choice([1, 1, 2, -1])
     N = truncated_polynomial_ring("h", m + half, integral_value=iota, name="rand-tgt")
-    p_tgt_coords: Dict[int, Fraction] = dict(N.unit_coords)
+    p_tgt_coords: Coords = dict(N.unit_coords)
     for i, d in enumerate(N.degrees):
         if d > 0 and d % 4 == 0:
             v = rng.randint(-4, 4)
             if v:
-                p_tgt_coords[i] = Fraction(v)
+                p_tgt_coords[i] = v
     p_tgt = N.element(p_tgt_coords)
 
     out: List[ImmersionModel] = []
     for n in range(count):
-        mu = Fraction(rng.randint(-3, 3))
-        lam = Fraction(rng.randint(-2, 2))
+        mu = rng.randint(-3, 3)
+        lam = rng.randint(-2, 2)
         M = truncated_polynomial_ring("t", m, integral_value=mu * iota, name=f"rand-src{n}")
         pull_images = {j: ({j: 1} if j <= m else {}) for j in range(m + half + 1)}
         pullback = LinearMap.from_coords(N, M, pull_images)
         push_images = {i: {i + half: mu} for i in range(m + 1)}
         pushforward = LinearMap.from_coords(M, N, push_images, degree_shift=c)
-        p_src_coords: Dict[int, Fraction] = dict(M.unit_coords)
+        p_src_coords: Coords = dict(M.unit_coords)
         for i, d in enumerate(M.degrees):
             if d > 0 and d % 4 == 0:
                 v = rng.randint(-4, 4)
                 if v:
-                    p_src_coords[i] = Fraction(v)
+                    p_src_coords[i] = v
         out.append(ImmersionModel(
             source=M, target=N, pullback=pullback, pushforward=pushforward,
             codim=c,

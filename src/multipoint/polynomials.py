@@ -7,6 +7,7 @@ point anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
@@ -210,14 +211,17 @@ def tanh_coeffs(order: int) -> list:
     return series_mul(sinh, series_inverse(cosh, order), order)
 
 
-def signature_genus_log_coeffs(order: int) -> list:
+@lru_cache(maxsize=None)
+def signature_genus_log_coeffs(order: int) -> Tuple[Fraction, ...]:
     """Coefficients c_1..c_order of log(sqrt(x)/tanh(sqrt(x))) in x.
 
     The index-0 entry is 0.  These drive the multiplicative sequence that
     turns a total Pontrjagin class into the signature-computing L-class.
+    The series is a constant, so it is computed once per order and returned
+    as a tuple, which no caller can change.
     """
     # tanh(t)/t is even in t, hence a series u(x) in x = t^2.
     th = tanh_coeffs(2 * order + 1)
     u = [th[2 * j + 1] for j in range(order + 1)]
     logu = series_log(u, order)
-    return [-c for c in logu]
+    return tuple(-c for c in logu)

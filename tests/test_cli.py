@@ -175,6 +175,30 @@ def test_malformed_ring_exits_2(tmp_path, capsys, edit):
         assert "source" in err
 
 
+@pytest.mark.parametrize("name,ring,top", [
+    ("two-lines", "target", []),
+    ("two-lines", "target", {}),
+    ("two-lines", "target", -2),
+    ("two-lines", "target", 1.5),
+    ("two-lines", "target", True),
+    ("two-lines", "target", "4"),
+    ("two-lines", "source", -2),
+    ("hypersurface-d3", "target", 2),
+], ids=["list", "object", "negative", "float", "bool", "string", "source-negative",
+        "below-basis"])
+def test_bad_ring_top_degree_exits_2(tmp_path, capsys, name, ring, top):
+    obj = model_to_dict(bundled_model(name))
+    obj[ring]["top_degree"] = top
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["validate", str(path)],
+                 ["compute", str(path), "--k", "1", "--quantity", "signature"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, (argv, err)
+        assert "Traceback" not in err
+        assert f"{ring}: top" in err
+
+
 @pytest.mark.parametrize("kind", ["non-utf8", "directory"])
 def test_unreadable_model_file_exits_2(tmp_path, capsys, kind):
     path = tmp_path / "model.json"

@@ -134,6 +134,13 @@ def test_ring_rejects_odd_degree():
         GradedRing(["1", "x"], [0, 3], {(0, 0): {0: 1}}, {})
 
 
+@pytest.mark.parametrize("top", [2, 0, -2])
+def test_ring_rejects_top_degree_below_basis(top):
+    with pytest.raises(GradedAlgebraError, match="below the largest basis degree 4"):
+        GradedRing(["1", "h", "h2"], [0, 2, 4], {}, {2: 1}, top_degree=top)
+    assert GradedRing(["1", "h", "h2"], [0, 2, 4], {}, {2: 1}, top_degree=6).top_degree == 6
+
+
 def test_truncation(cp2):
     h = cp2.basis_class(1)
     assert (h * h * h).is_zero()

@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from multipoint.model import validate
 from multipoint.modelfile import (
     ModelFormatError,
+    _fraction_from,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -55,7 +57,6 @@ def test_fraction_strings_parsed_exactly():
         "products": {"0,0": {"0": "1"}, "0,1": {"1": "1"}, "1,1": {}},
         "integral": {"1": "-3/7"},
     })
-    from fractions import Fraction
     assert ring.integral[1] == Fraction(-3, 7)
     assert ring_from_dict(ring_to_dict(ring)) == ring
 
@@ -86,6 +87,25 @@ def test_bad_rational_rejected():
         model_from_dict(obj)
 
 
+@pytest.mark.parametrize("text", [
+    "5", "-5", "+5", " 5 ", "007", "-0", "4/2", "1_000", "1e3", "1.0", "\u0665",
+    "1/2", " -3/6 ", "2.5",
+    "", "-", "--5", "abc", "1/0", "0x10", "\u00b2", "9" * 5000,
+])
+def test_rational_strings_read_as_fraction_reads_them(text):
+    """Integral strings give ints, others Fractions; the strings accepted are
+    exactly those Fraction() accepts."""
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ModelFormatError, match="bad rational"):
+            _fraction_from(text, "x")
+        return
+    got = _fraction_from(text, "x")
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
 def test_bad_product_key_rejected():
     obj = model_to_dict(bundled_model("line-in-plane"))
     obj["source"]["products"]["nonsense"] = {}
@@ -104,6 +124,17 @@ def test_invalid_json_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("text", [
+    '{"codim": ' + "9" * 5000 + "}",
+    "[" * 100000,
+], ids=["long-integer", "deep-nesting"])
+def test_json_the_decoder_refuses_is_a_format_error(tmp_path, text):
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    with pytest.raises(ModelFormatError, match="not valid JSON"):
         load_model(path)
 
 
