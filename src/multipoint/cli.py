@@ -125,6 +125,9 @@ def cmd_compute(args) -> int:
             print(f"invalid model: {check.name}: {check.detail}", file=sys.stderr)
         return EXIT_INVALID_MODEL
     kind, J = _parse_quantity(args.quantity)
+    if kind != "signature" and args.route != "auto":
+        raise CliError(f"--route {args.route} applies to the signature only, "
+                       f"not to --quantity {args.quantity}", EXIT_USAGE)
     k = args.k
     warnings: List[str] = []
     out = {"model": model.name or args.model, "k": k, "quantity": args.quantity,

@@ -100,10 +100,13 @@ class GradedRing:
             if d < 0 or d % 2:
                 raise GradedAlgebraError(f"basis degree {d} is not a nonnegative even integer")
         self.name = name
-        self.top_degree = max(self.degrees) if top_degree is None else int(top_degree)
-        if self.degrees and self.top_degree < max(self.degrees):
+        # the classes vanish above the largest basis degree, so series are
+        # sized by it, whatever top degree the ring declares
+        self.max_degree = max(self.degrees, default=0)
+        self.top_degree = self.max_degree if top_degree is None else int(top_degree)
+        if self.degrees and self.top_degree < self.max_degree:
             raise GradedAlgebraError(f"top degree {self.top_degree} is below the largest "
-                                     f"basis degree {max(self.degrees)}")
+                                     f"basis degree {self.max_degree}")
 
         n = len(self.labels)
         table: Dict[Tuple[int, int], Coords] = {}
@@ -118,6 +121,10 @@ class GradedRing:
             if coords:
                 table[key] = coords
         self.products = table
+        # the same table by rows: rows[i][j] = e_i e_j, nonzero entries only
+        self.rows: Tuple[Dict[int, Coords], ...] = tuple({} for _ in range(n))
+        for (i, j), coords in table.items():
+            self.rows[i][j] = self.rows[j][i] = coords
 
         self.integral = _clean_in_basis(integral, n, "integral")
 
@@ -158,8 +165,7 @@ class GradedRing:
     # ---- products ---------------------------------------------------------
 
     def basis_product(self, i: int, j: int) -> Coords:
-        key = (i, j) if i <= j else (j, i)
-        return self.products.get(key, {})
+        return self.rows[i].get(j, {})
 
     def mul_coords(self, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Coords:
         """The product of two coordinate dicts, by the structure constants.
@@ -167,16 +173,32 @@ class GradedRing:
         Sums over the nonzero table entries of the pairs of support indices
         only; the result has no zero coordinates.
         """
-        products = self.products
+        rows = self.rows
         out: Coords = {}
         for i, ci in a.items():
+            row = rows[i]
             for j, cj in b.items():
-                s = products.get((i, j) if i <= j else (j, i))
+                s = row.get(j)
                 if s:
                     c = ci * cj
                     for idx, v in s.items():
                         out[idx] = out.get(idx, 0) + c * v
         return {idx: c for idx, c in out.items() if c}
+
+    def products_by_basis(self, a: Mapping[int, Scalar]) -> Dict[int, Coords]:
+        """{l: a * e_l} over the l where that product is nonzero.  For a = e_p
+        this is the ring's own row p, which callers must not mutate."""
+        if len(a) == 1:
+            (p, c), = a.items()
+            if c == 1:
+                return self.rows[p]
+            return {l: {idx: c * v for idx, v in s.items()} for l, s in self.rows[p].items()}
+        out: Dict[int, Coords] = {}
+        for p in a:
+            for l in self.rows[p]:
+                if l not in out:
+                    out[l] = self.mul_coords(a, {l: 1})
+        return {l: t for l, t in out.items() if t}
 
     def component_of(self, index: int) -> RingComponent:
         return self._component_of[index]
@@ -186,18 +208,17 @@ class GradedRing:
     def check_axioms(self) -> List[str]:
         """Return a list of human-readable axiom violations (empty if none).
 
-        Associativity is compared on the structure constants, over the
-        triples (i, j, l) where e_i e_j or e_j e_l is nonzero; on every
-        other triple both sides vanish.  The table is commutative, so the
-        two sides at (l, j, i) are those at (i, j, l) swapped, and they
-        agree when i = l; only i < l is computed.
+        Associativity is compared on the structure constants.  With
+        A(i, j, l) = (e_i e_j) e_l, computed once per nonzero product e_i e_j,
+        commutativity gives e_i (e_j e_l) = A(j, l, i), so the law at
+        (i, j, l) reads A(i, j, l) == A(j, l, i).  Both sides vanish unless
+        one of them is a nonzero entry, so only those entries are compared.
         """
         issues: List[str] = []
         n = len(self.labels)
         labels = self.labels
-        basis = [{i: 1} for i in range(n)]
         for i in range(n):
-            if self.mul_coords(self.unit_coords, basis[i]) != basis[i]:
+            if self.mul_coords(self.unit_coords, {i: 1}) != {i: 1}:
                 issues.append(f"unit law fails on basis element {labels[i]}")
         for i, j in sorted(self.products):
             d = self.degrees[i] + self.degrees[j]
@@ -213,23 +234,19 @@ class GradedRing:
                 issues.append(f"cross-component product {labels[i]}*{labels[j]} is nonzero")
             if d > comp_i.top_degree:
                 issues.append(f"product {labels[i]}*{labels[j]} exceeds the top degree")
-        partners: List[set] = [set() for _ in range(n)]
-        for i, j in self.products:
-            partners[i].add(j)
-            partners[j].add(i)
+        triple: List[Dict[int, Dict[int, Coords]]] = [{} for _ in range(n)]
+        for (i, j), ij in self.products.items():
+            triple[i][j] = triple[j][i] = self.products_by_basis(ij)
         failing = set()
-        for i in range(n):
-            for j in range(n):
-                ij = self.basis_product(i, j)
-                # (e_i e_j) e_l can be nonzero only where some p in the support
-                # of e_i e_j has e_p e_l != 0; e_i (e_j e_l) only where e_j e_l != 0
-                candidates = set(partners[j])
-                for p in ij:
-                    candidates |= partners[p]
-                for l in candidates:
-                    if l > i and (self.mul_coords(ij, basis[l])
-                                   != self.mul_coords(basis[i], self.basis_product(j, l))):
-                        failing.update(((i, j, l), (l, j, i)))
+        empty: Dict[int, Coords] = {}
+        for i, j in self.products:
+            for l, x in triple[i][j].items():
+                # the law at (i, j, l) and at its mirror (l, j, i) compare x
+                # with A(j, l, i); at (j, i, l) and (l, i, j), with A(i, l, j)
+                if x != triple[j].get(l, empty).get(i):
+                    failing.update(((i, j, l), (l, j, i)))
+                if i != j and x != triple[i].get(l, empty).get(j):
+                    failing.update(((j, i, l), (l, i, j)))
         for i, j, l in sorted(failing):
             issues.append(f"associativity fails on ({labels[i]},{labels[j]},{labels[l]})")
         for idx in self.integral:
@@ -349,7 +366,7 @@ class GradedClass:
         nil = self - self.ring.unit()
         out = self.ring.unit()
         term = self.ring.unit()
-        for _ in range(self.ring.top_degree // 2 + 1):
+        for _ in range(self.ring.max_degree // 2 + 1):
             term = term * nil
             if term.is_zero():
                 break
@@ -400,7 +417,7 @@ class GradedClass:
 
 def nilpotency_order(ring: GradedRing) -> int:
     """Safe series-truncation length for nilpotent classes of the ring."""
-    return ring.top_degree // 2 + 2
+    return ring.max_degree // 2 + 2
 
 
 def signature_class(P: GradedClass) -> GradedClass:
@@ -417,7 +434,7 @@ def signature_class(P: GradedClass) -> GradedClass:
     for d, part in P.homogeneous_parts().items():
         if d % 4 and d != 0:
             raise GradedAlgebraError(f"Pontrjagin-type class has a degree-{d} part")
-    w = ring.top_degree // 4
+    w = ring.max_degree // 4
     if w == 0:
         return ring.unit()
     elem = [ring.zero()] + [P.degree_part(4 * j) for j in range(1, w + 1)]

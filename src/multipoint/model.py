@@ -225,9 +225,8 @@ def validate(model: ImmersionModel) -> ValidationReport:
         raise ModelError("class is not in the domain of the map")
     if not _same_ring(push.codomain, target):
         raise GradedAlgebraError("classes live in different rings")
-    one = 1
-    pulled = [pull.apply_coords({j: one}) for j in range(len(target.labels))]
-    pushed = [push.apply_coords({i: one}) for i in range(len(source.labels))]
+    pulled = [pull.apply_coords({j: 1}) for j in range(len(target.labels))]
+    pushed = [push.apply_coords({i: 1}) for i in range(len(source.labels))]
 
     mult_witness = ""
     for i, j in combinations_with_replacement(range(len(target.labels)), 2):
@@ -244,11 +243,17 @@ def validate(model: ImmersionModel) -> ValidationReport:
     report.add("pushforward raises degree by codimension", shift_ok,
                f"shift={push.degree_shift}; " + "; ".join(issues[:3]))
 
-    # projection formula on all basis pairs
+    # projection formula on all basis pairs, from the products by one basis
+    # element: by_source[j] = {i: e_i f*(e_j)}, by_target[i] = {j: f_!(e_i) e_j}
+    by_source = [source.products_by_basis(c) for c in pulled]
+    by_target = [target.products_by_basis(c) for c in pushed]
     proj_witness = ""
     for i, j in iproduct(range(len(source.labels)), range(len(target.labels))):
-        lhs = push.apply_coords(source.mul_coords({i: one}, pulled[j]))
-        rhs = target.mul_coords(pushed[i], {j: one})
+        prod = by_source[j].get(i)
+        rhs = by_target[i].get(j, {})
+        if prod is None and not rhs:
+            continue  # both sides vanish
+        lhs = push.apply_coords(prod or {})
         if lhs != rhs:
             proj_witness = (f"on ({source.labels[i]}, {target.labels[j]}): "
                             f"{target.element(lhs)} != {target.element(rhs)}")

@@ -108,6 +108,18 @@ def test_compute_bad_quantity_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("quantity", ["bk", "pontrjagin=4", "chern=2"])
+def test_compute_route_with_other_quantity_exits_3(capsys, quantity):
+    code, out, err = run(capsys, "compute", "two-lines", "--k", "2",
+                         "--quantity", quantity, "--route", "general")
+    assert code == 3
+    assert f"not to --quantity {quantity}" in err
+    assert out == ""
+    code, _, _ = run(capsys, "compute", "two-lines", "--k", "2",
+                     "--quantity", quantity, "--route", "auto")
+    assert code == 0
+
+
 def test_compute_invalid_model_exits_2(tmp_path, capsys):
     obj = model_to_dict(bundled_model("line-in-plane"))
     obj["euler"] = {"0": "1"}

@@ -102,23 +102,31 @@ def reference_check_axioms(ring: GradedRing) -> List[str]:
 
 @st.composite
 def perturbed_rings(draw):
-    """An associative ring of at most 6 classes (a truncated polynomial ring
-    or a product of two), with some structure constants and integral values
-    overwritten at random; with no overwrite it stays associative."""
-    powers = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)
-                  .filter(lambda ps: sum(p + 1 for p in ps) <= 6))
+    """An associative ring of at most 10 classes (a truncated polynomial ring
+    or a product of up to three), with some structure constants and integral
+    values overwritten at random: integers and fractions, zeros that delete
+    an entry, and entries between two components of a product.  With no
+    overwrite it stays associative."""
+    powers = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)
+                  .filter(lambda ps: sum(p + 1 for p in ps) <= 10))
     factors = [truncated_polynomial_ring(f"x{f}", p, gen_degree=draw(st.sampled_from([2, 4])))
                for f, p in enumerate(powers)]
     base = factors[0] if len(factors) == 1 else product_ring(factors)
     n = len(base.labels)
     index = st.integers(0, n - 1)
+    value = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    overwrites = draw(st.lists(st.tuples(index, index, index, value), max_size=4))
+    comps = [c.indices for c in base.components]
+    for _ in range(draw(st.integers(0, 2)) if len(comps) > 1 else 0):
+        a, b = draw(st.permutations(comps))[:2]
+        overwrites.append((draw(st.sampled_from(a)), draw(st.sampled_from(b)), draw(index),
+                           draw(value)))
     products = {key: dict(coords) for key, coords in base.products.items()}
-    for i, j, idx, value in draw(st.lists(st.tuples(index, index, index, st.integers(-2, 2)),
-                                          max_size=4)):
-        products.setdefault((min(i, j), max(i, j)), {})[idx] = value
+    for i, j, idx, v in overwrites:
+        products.setdefault((min(i, j), max(i, j)), {})[idx] = v
     integral = dict(base.integral)
-    for idx, value in draw(st.lists(st.tuples(index, st.integers(-1, 1)), max_size=1)):
-        integral[idx] = value
+    for idx, v in draw(st.lists(st.tuples(index, value), max_size=1)):
+        integral[idx] = v
     return GradedRing(base.labels, base.degrees, products, integral, top_degree=base.top_degree,
                       unit=base.unit_coords, components=base.components)
 

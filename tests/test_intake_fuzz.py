@@ -1,0 +1,80 @@
+"""Seeded fuzz of model-file intake: random mutations of the bundled models'
+JSON, each run through the CLI's validate and compute in-process.  Every
+malformed file must end as exit 2 (invalid model) or 3 (usage error), a
+well-formed one as exit 0; nothing may raise, and exit 1 (route
+disagreement) must not appear."""
+
+import json
+import random
+
+import pytest
+
+from multipoint import cli
+from multipoint.modelfile import model_to_dict
+from multipoint.models import BUNDLED, bundled_model
+
+MUTATIONS = 300
+VALUES = [None, True, False, 0, 1, -1, 2, 3, 4, 2000, 10**30, -(10**30), 1.5, "", "x",
+          "0", "1", "-1", "2", "4", "1/2", "-3/4", "1/0", "1e3", " 1", [], [0, 1], {},
+          {"0": "1"}, {"1": "1"}, {"9": "1"}, {"-1": "1"}, {"0,9": {"1": "1"}}]
+KEYS = ["0", "1", "2", "9", "-1", "0,0", "0,1", "1,1", "0,9", "x", "top_degree",
+        "components", "codim", "format_version"]
+
+
+def _slots(node, out):
+    """Every (container, key) pair in a JSON tree, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        out.append((node, key))
+        if isinstance(child, (dict, list)):
+            _slots(child, out)
+    return out
+
+
+def _mutate(obj, rng):
+    container, key = rng.choice(_slots(obj, []))
+    roll = rng.random()
+    if roll < 0.6:
+        container[key] = rng.choice(VALUES)
+    elif roll < 0.8:
+        del container[key]
+    elif isinstance(container, dict):
+        container[rng.choice(KEYS)] = rng.choice(VALUES)
+    else:
+        container.append(rng.choice(VALUES))
+
+
+def test_mutated_model_files_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(20261018)
+    originals = [json.dumps(model_to_dict(bundled_model(name))) for name in sorted(BUNDLED)]
+    path = tmp_path / "mutated.json"
+    for _ in range(MUTATIONS):
+        obj = json.loads(rng.choice(originals))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(obj, rng)
+        path.write_text(json.dumps(obj))
+        k = str(rng.randint(1, 3))
+        for argv in (["validate", str(path)],
+                     ["compute", str(path), "--k", k, "--quantity", "signature"]):
+            code = cli.main(argv)
+            capsys.readouterr()
+            assert code in (0, 2, 3), (argv, code, path.read_text()[:2000])
+
+
+@pytest.mark.parametrize("top", [2000, 10**30])
+@pytest.mark.parametrize("ring", ["source", "target"])
+def test_declared_top_degree_does_not_size_the_series(tmp_path, capsys, ring, top):
+    # the classes vanish above the largest basis degree, so a large declared
+    # top degree changes neither the cost nor the answers
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    obj[ring]["top_degree"] = top
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(obj))
+    for argv, want in ((["validate", str(path)], None),
+                       (["compute", str(path), "--k", "1", "--quantity", "signature"], "0"),
+                       (["compute", str(path), "--k", "1", "--quantity", "bk"], None)):
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert "[FAIL]" not in out
+        if want is not None:
+            assert out.strip() == want

@@ -1,9 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from itertools import product as iproduct
+from typing import List
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multipoint.model import (
+    Check,
     ImmersionModel,
     LinearMap,
     ModelError,
@@ -76,6 +82,72 @@ def test_validation_catches_nonmultiplicative_pullback():
         ("pullback is multiplicative", "on (h, h): 2*T != 8*T"),
         ("projection formula", "on (1, h): 4*h^2 != 2*h^2"),
     ]
+
+
+def reference_map_checks(m: ImmersionModel) -> List[Check]:
+    """The multiplicativity and projection-formula checks by the generic
+    product on every basis pair, kept as the reference for validate's
+    row-table checks."""
+    source, target = m.source, m.target
+    pull, push = m.pullback, m.pushforward
+    pulled = [pull.apply_coords({j: 1}) for j in range(len(target.labels))]
+    pushed = [push.apply_coords({i: 1}) for i in range(len(source.labels))]
+    mult = ""
+    for i, j in combinations_with_replacement(range(len(target.labels)), 2):
+        lhs = pull.apply_coords(target.basis_product(i, j))
+        rhs = source.mul_coords(pulled[i], pulled[j])
+        if lhs != rhs:
+            mult = (f"on ({target.labels[i]}, {target.labels[j]}): "
+                    f"{source.element(lhs)} != {source.element(rhs)}")
+            break
+    proj = ""
+    for i, j in iproduct(range(len(source.labels)), range(len(target.labels))):
+        lhs = push.apply_coords(source.mul_coords({i: 1}, pulled[j]))
+        rhs = target.mul_coords(pushed[i], {j: 1})
+        if lhs != rhs:
+            proj = (f"on ({source.labels[i]}, {target.labels[j]}): "
+                    f"{target.element(lhs)} != {target.element(rhs)}")
+            break
+    return [Check("pullback is multiplicative", not mult, mult),
+            Check("projection formula", not proj, proj)]
+
+
+@st.composite
+def perturbed_maps(draw):
+    """A bundled, random or union model with some pullback and pushforward
+    image coordinates overwritten by integers or fractions (a zero deletes
+    the coordinate)."""
+    kind = draw(st.sampled_from(["bundled", "random", "union"]))
+    if kind == "bundled":
+        m = bundled_model(draw(st.sampled_from(sorted(BUNDLED))))
+    elif kind == "random":
+        m = random_truncated_model(random.Random(draw(st.integers(0, 99))), max_powers=6)
+    else:
+        rng = random.Random(draw(st.integers(0, 99)))
+        m = disjoint_union(random_union_components(rng, rng.randint(2, 3)))
+    source, target = m.source, m.target
+    value = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+
+    def overwritten(linmap, domain, codomain):
+        images = {i: dict(linmap.images[i].coords) if i in linmap.images else {}
+                  for i in range(len(domain.labels))}
+        for i, idx, v in draw(st.lists(st.tuples(st.integers(0, len(domain.labels) - 1),
+                                                 st.integers(0, len(codomain.labels) - 1),
+                                                 value), max_size=3)):
+            images[i][idx] = v
+        return LinearMap.from_coords(domain, codomain, images, linmap.degree_shift)
+
+    return ImmersionModel(source, target, overwritten(m.pullback, target, source),
+                          overwritten(m.pushforward, source, target), m.codim, m.euler,
+                          m.pontrjagin_source, m.pontrjagin_target, name=m.name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_maps())
+def test_map_checks_match_generic_product_reference(m):
+    reference = reference_map_checks(m)
+    names = {c.name for c in reference}
+    assert [c for c in validate(m).checks if c.name in names] == reference
 
 
 def test_derived_normal_classes():
