@@ -118,16 +118,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compute(args) -> int:
+    kind, J = _parse_quantity(args.quantity)
+    if kind != "signature" and args.route != "auto":
+        raise CliError(f"--route {args.route} applies to the signature only, "
+                       f"not to --quantity {args.quantity}", EXIT_USAGE)
     model = _resolve_model(args.model)
     report = validate(model)
     if not report.ok:
         for check in report.failures():
             print(f"invalid model: {check.name}: {check.detail}", file=sys.stderr)
         return EXIT_INVALID_MODEL
-    kind, J = _parse_quantity(args.quantity)
-    if kind != "signature" and args.route != "auto":
-        raise CliError(f"--route {args.route} applies to the signature only, "
-                       f"not to --quantity {args.quantity}", EXIT_USAGE)
     k = args.k
     warnings: List[str] = []
     out = {"model": model.name or args.model, "k": k, "quantity": args.quantity,

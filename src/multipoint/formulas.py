@@ -1,10 +1,12 @@
 """Multiple-point formulas: transfer operators, signatures, characteristic
 numbers, the virtual signature class, and the special-case evaluators.
 
-Partition sums run over the full partition lattice when the tensor argument
-is arbitrary.  When it is symmetric they collapse, by the exponential
-formula, to a recursion over the block sizes.  Everything is exact rational
-arithmetic; agreement checks are equalities, not tolerances.
+Partition sums over an arbitrary tensor argument run as a recursion over
+the subsets of {1,...,k} that splits off the block of the smallest point,
+so no route enumerates partitions.  When the argument is symmetric they
+collapse, by the exponential formula, to a recursion over the block sizes.
+Everything is exact rational arithmetic; agreement checks are equalities,
+not tolerances.
 """
 
 from __future__ import annotations
@@ -69,46 +71,48 @@ def _transfer(model: ImmersionModel, factors: Sequence[GradedClass],
               to_target: bool) -> GradedClass:
     """Transfer of the elementary tensor c_1 x ... x c_k of source classes.
 
-    Sums, over the partitions of {1,...,k}, the product of the log
-    coefficients of the block sizes times the product of the block classes
-    e^(|B|-1) * prod_{i in B} c_i.  On the target every block passes
-    through the pushforward; on the source the block containing 1 is kept
-    as it is and every other block passes through pullback(pushforward(.)).
-    The sum is multilinear in the factors, so no cross product is expanded:
-    each of the 2^k - 1 block classes, and its image, is built at most once
-    per call however many partitions share it.
+    The sum, over the partitions of {1,...,k}, of the products of the block
+    terms l(|B|) * img(B): l(|B|) is the log coefficient and img(B) the
+    image of the block class e^(|B|-1) * prod_{i in B} c_i, its pushforward
+    on the target and pullback(pushforward(.)) on the source, where the
+    block containing 1 is kept as it is.  Splitting off the block of the
+    smallest point gives the subset recursion
+
+        T(S) = sum over the B in S that contain min S of term(B) * T(S - B),
+
+    with T of the empty set the unit and T({1,...,k}) the transfer.  Subsets
+    are bit masks, and every block class, term and T(S) is built once: a call
+    takes 2^k - 2 ring products for the block classes and at most
+    (3^(k-1) - 1)/2 for the recursion, and visits no partition.
     """
-    e = model.euler
+    full = (1 << len(factors)) - 1
     image_of = model.pushforward if to_target else model.pushpull
-    blocks: Dict[Tuple[int, ...], GradedClass] = {}
-    images: Dict[Tuple[int, ...], GradedClass] = {}
+    # c_i * e for i >= 2: the point 1 is never the largest of a block of two or more
+    times_e = [c * model.euler for c in factors[1:]]
+    blocks: Dict[int, GradedClass] = {}
+    terms: Dict[int, GradedClass] = {}
+    for b in range(1, full + 1):
+        top = b.bit_length() - 1
+        rest = b ^ (1 << top)
+        cls = blocks[b] = blocks[rest] * times_e[top - 1] if rest else factors[top]
+        if to_target or not b & 1:
+            cls = image_of(cls)
+        terms[b] = log_coefficient(b.bit_count()) * cls
 
-    def block(b: Tuple[int, ...]) -> GradedClass:
-        cls = blocks.get(b)
-        if cls is None:
-            cls = factors[b[0] - 1] if len(b) == 1 else block(b[:-1]) * factors[b[-1] - 1] * e
-            blocks[b] = cls
-        return cls
-
-    def image(b: Tuple[int, ...]) -> GradedClass:
-        cls = images.get(b)
-        if cls is None:
-            cls = images[b] = image_of(block(b))
-        return cls
-
-    out = (model.target if to_target else model.source).zero()
-    for alpha in all_partitions(len(factors)):
-        first, *rest = alpha.blocks
-        cls = image(first) if to_target else block(first)
-        weight = log_coefficient(len(first))
-        for b in rest:
-            if cls.is_zero():
-                break
-            cls = cls * image(b)
-            weight *= log_coefficient(len(b))
-        if not cls.is_zero():
-            out = out + weight * cls
-    return out
+    # T(S) for every S without the point 1 (the even masks, each after its
+    # subsets), then for the full set; the B = S term needs no product
+    T: Dict[int, GradedClass] = {}
+    for S in (*range(2, full, 2), full):
+        rest = S & (S - 1)
+        acc = terms[S]
+        sub = rest
+        while sub:
+            term, t = terms[S ^ sub], T[sub]
+            if not (term.is_zero() or t.is_zero()):
+                acc = acc + term * t
+            sub = (sub - 1) & rest
+        T[S] = acc
+    return T[full]
 
 
 def _transfer_tensor(model: ImmersionModel, k: int, x: TensorClass,
@@ -302,8 +306,8 @@ def chern_number(model: ImmersionModel, k: int, J: Sequence[int]) -> MultipointR
 def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
     """The target class whose pairing with L(target)/k! is the signature.
 
-    Computed both by full partition enumeration and as k! * E_k of the
-    pushed normal blocks; the two must agree exactly.
+    Computed both by the subset recursion of the transfer kernel and as
+    k! * E_k of the pushed normal blocks; the two must agree exactly.
     """
     _check_k(k)
     blocks = _pushed_block_classes(model, k, model.pushforward)
@@ -396,19 +400,33 @@ def pulled_from_target_class(model: ImmersionModel, k: int, y: TensorClass) -> G
     return out * transfer_of_unit(model, k)
 
 
+def _signature_core(model: ImmersionModel, k: int) -> GradedClass:
+    """L(source) * L(normal)^-(k-1), the source class the signature pairs."""
+    _check_k(k)
+    return model.l_source * model.l_normal_inverse ** (k - 1)
+
+
+def _pontrjagin_core(model: ImmersionModel, k: int, J: Sequence[int]) -> GradedClass:
+    """(P(source) * P(normal)^-(k-1)) restricted to the degrees J, the
+    source class a Pontrjagin number pairs."""
+    _check_k(k)
+    inv = model.normal_pontrjagin.invert_unital()
+    return (model.pontrjagin_source * inv ** (k - 1)).select_degrees(J)
+
+
+def _pulled_from_target(model: ImmersionModel, k: int, core: GradedClass) -> Fraction:
+    return (core * transfer_of_unit(model, k)).integrate() / factorial(k)
+
+
 def signature_pulled_from_target(model: ImmersionModel, k: int) -> Fraction:
     """Signature under the pulled-from-target hypothesis."""
     _require_pulled_from_target(model)
-    u = model.l_normal_inverse
-    cls = model.l_source * u ** (k - 1) * transfer_of_unit(model, k)
-    return cls.integrate() / factorial(k)
+    return _pulled_from_target(model, k, _signature_core(model, k))
 
 
 def pontrjagin_pulled_from_target(model: ImmersionModel, k: int, J: Sequence[int]) -> Fraction:
     _require_pulled_from_target(model)
-    inv = model.normal_pontrjagin.invert_unital()
-    core = (model.pontrjagin_source * inv ** (k - 1)).select_degrees(J)
-    return (core * transfer_of_unit(model, k)).integrate() / factorial(k)
+    return _pulled_from_target(model, k, _pontrjagin_core(model, k, J))
 
 
 def signature_euler_zero(model: ImmersionModel, k: int) -> Fraction:
@@ -421,26 +439,27 @@ def signature_euler_zero(model: ImmersionModel, k: int) -> Fraction:
     return (model.l_target * pushed ** k).integrate() / factorial(k)
 
 
-def _pushpull_is_zero(model: ImmersionModel) -> bool:
-    return all(model.pushpull(model.source.basis_class(i)).is_zero()
-               for i in range(len(model.source.labels)))
+def _require_pushpull_zero(model: ImmersionModel) -> None:
+    _require(all(model.pushpull(model.source.basis_class(i)).is_zero()
+                 for i in range(len(model.source.labels))),
+             "pullback(pushforward(.)) is not identically zero")
+
+
+def _pushpull_zero(model: ImmersionModel, k: int, core: GradedClass) -> Fraction:
+    return Fraction((-1) ** (k - 1), k) * (model.euler ** (k - 1) * core).integrate()
 
 
 def signature_pushpull_zero(model: ImmersionModel, k: int) -> Fraction:
     """Signature when pullback(pushforward(.)) vanishes identically: only
     the one-block partition survives."""
     _check_k(k)
-    _require(_pushpull_is_zero(model), "pullback(pushforward(.)) is not identically zero")
-    u_pow = model.l_normal_inverse ** (k - 1)
-    cls = model.euler ** (k - 1) * model.l_source * u_pow
-    return Fraction((-1) ** (k - 1), k) * cls.integrate()
+    _require_pushpull_zero(model)
+    return _pushpull_zero(model, k, _signature_core(model, k))
 
 
 def pontrjagin_pushpull_zero(model: ImmersionModel, k: int, J: Sequence[int]) -> Fraction:
-    _require(_pushpull_is_zero(model), "pullback(pushforward(.)) is not identically zero")
-    inv = model.normal_pontrjagin.invert_unital()
-    core = (model.pontrjagin_source * inv ** (k - 1)).select_degrees(J)
-    return Fraction((-1) ** (k - 1), k) * (model.euler ** (k - 1) * core).integrate()
+    _require_pushpull_zero(model)
+    return _pushpull_zero(model, k, _pontrjagin_core(model, k, J))
 
 
 def signature_nullhomotopic(model: ImmersionModel, k: int) -> Fraction:

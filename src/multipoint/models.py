@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Tuple
 
-from .graded import Coords, GradedRing
+from .graded import Coords, GradedClass, GradedRing
 from .model import ImmersionModel, LinearMap, disjoint_union
 
 
@@ -171,6 +171,41 @@ def bundled_model(name: str) -> ImmersionModel:
     return factory()
 
 
+def _random_unital(rng: random.Random, ring: GradedRing, step: int) -> GradedClass:
+    """1 plus a random multiple, in -4..4, of each basis class whose
+    positive degree is a multiple of step."""
+    coords: Coords = dict(ring.unit_coords)
+    for i, d in enumerate(ring.degrees):
+        if d > 0 and d % step == 0:
+            v = rng.randint(-4, 4)
+            if v:
+                coords[i] = v
+    return ring.element(coords)
+
+
+def _truncated_model(name: str, M: GradedRing, N: GradedRing, mu: int, lam: int,
+                     pontrjagin_source: GradedClass, pontrjagin_target: GradedClass,
+                     chern_source=None, chern_target=None) -> ImmersionModel:
+    """The model with f*(h) = t, pushforward t^i -> mu * h^(i+c/2) and
+    Euler class lam * t^(c/2) between Q[t]/(t^(m+1)) and Q[h]/(h^(m+c/2+1))."""
+    m = len(M.labels) - 1
+    half = len(N.labels) - 1 - m
+    pullback = LinearMap.from_coords(
+        N, M, {j: ({j: 1} if j <= m else {}) for j in range(m + half + 1)})
+    pushforward = LinearMap.from_coords(
+        M, N, {i: {i + half: mu} for i in range(m + 1)}, degree_shift=2 * half)
+    return ImmersionModel(
+        source=M, target=N, pullback=pullback, pushforward=pushforward,
+        codim=2 * half,
+        euler=M.element({half: lam} if lam else {}),
+        pontrjagin_source=pontrjagin_source,
+        pontrjagin_target=pontrjagin_target,
+        chern_source=chern_source,
+        chern_target=chern_target,
+        name=name,
+    )
+
+
 def random_truncated_model(rng: random.Random, max_powers: int = 4,
                            with_chern: bool = False,
                            allow_zero_euler: bool = True) -> ImmersionModel:
@@ -184,43 +219,17 @@ def random_truncated_model(rng: random.Random, max_powers: int = 4,
     m = rng.randint(1, max_powers)
     # codim 4 needs a degree-4 source class for the Euler slot
     c = rng.choice([2, 4]) if m >= 2 else 2
-    half = c // 2
     mu = rng.randint(-3, 3)
     iota = rng.choice([1, 1, 2, -1])
     lam = rng.randint(-2, 2) if allow_zero_euler else rng.choice([1, 2, -1])
 
     M = truncated_polynomial_ring("t", m, integral_value=mu * iota, name="rand-src")
-    N = truncated_polynomial_ring("h", m + half, integral_value=iota, name="rand-tgt")
-
-    pull_images = {j: ({j: 1} if j <= m else {}) for j in range(m + half + 1)}
-    pullback = LinearMap.from_coords(N, M, pull_images)
-    push_images = {i: {i + half: mu} for i in range(m + 1)}
-    pushforward = LinearMap.from_coords(M, N, push_images, degree_shift=c)
-
-    def random_unital(ring: GradedRing, step: int) -> Coords:
-        coords: Coords = dict(ring.unit_coords)
-        for i, d in enumerate(ring.degrees):
-            if d > 0 and d % step == 0:
-                v = rng.randint(-4, 4)
-                if v:
-                    coords[i] = v
-        return coords
-
-    p_src = M.element(random_unital(M, 4))
-    p_tgt = N.element(random_unital(N, 4))
-    chern_src = M.element(random_unital(M, 2)) if with_chern else None
-    chern_tgt = N.element(random_unital(N, 2)) if with_chern else None
-
-    return ImmersionModel(
-        source=M, target=N, pullback=pullback, pushforward=pushforward,
-        codim=c,
-        euler=M.element({half: lam} if lam else {}),
-        pontrjagin_source=p_src,
-        pontrjagin_target=p_tgt,
-        chern_source=chern_src,
-        chern_target=chern_tgt,
-        name=f"random(m={m},c={c},mu={mu},lambda={lam})",
-    )
+    N = truncated_polynomial_ring("h", m + c // 2, integral_value=iota, name="rand-tgt")
+    p_src = _random_unital(rng, M, 4)
+    p_tgt = _random_unital(rng, N, 4)
+    chern = (_random_unital(rng, M, 2), _random_unital(rng, N, 2)) if with_chern else ()
+    return _truncated_model(f"random(m={m},c={c},mu={mu},lambda={lam})", M, N, mu, lam,
+                            p_src, p_tgt, *chern)
 
 
 def random_union_components(rng: random.Random, count: int,
@@ -229,38 +238,15 @@ def random_union_components(rng: random.Random, count: int,
     suitable for disjoint unions; source-side data varies per component."""
     m = rng.randint(1, max_powers)
     c = rng.choice([2, 4]) if m >= 2 else 2
-    half = c // 2
     iota = rng.choice([1, 1, 2, -1])
-    N = truncated_polynomial_ring("h", m + half, integral_value=iota, name="rand-tgt")
-    p_tgt_coords: Coords = dict(N.unit_coords)
-    for i, d in enumerate(N.degrees):
-        if d > 0 and d % 4 == 0:
-            v = rng.randint(-4, 4)
-            if v:
-                p_tgt_coords[i] = v
-    p_tgt = N.element(p_tgt_coords)
+    N = truncated_polynomial_ring("h", m + c // 2, integral_value=iota, name="rand-tgt")
+    p_tgt = _random_unital(rng, N, 4)
 
     out: List[ImmersionModel] = []
     for n in range(count):
         mu = rng.randint(-3, 3)
         lam = rng.randint(-2, 2)
         M = truncated_polynomial_ring("t", m, integral_value=mu * iota, name=f"rand-src{n}")
-        pull_images = {j: ({j: 1} if j <= m else {}) for j in range(m + half + 1)}
-        pullback = LinearMap.from_coords(N, M, pull_images)
-        push_images = {i: {i + half: mu} for i in range(m + 1)}
-        pushforward = LinearMap.from_coords(M, N, push_images, degree_shift=c)
-        p_src_coords: Coords = dict(M.unit_coords)
-        for i, d in enumerate(M.degrees):
-            if d > 0 and d % 4 == 0:
-                v = rng.randint(-4, 4)
-                if v:
-                    p_src_coords[i] = v
-        out.append(ImmersionModel(
-            source=M, target=N, pullback=pullback, pushforward=pushforward,
-            codim=c,
-            euler=M.element({half: lam} if lam else {}),
-            pontrjagin_source=M.element(p_src_coords),
-            pontrjagin_target=p_tgt,
-            name=f"rand-comp{n}(m={m},c={c},mu={mu},lambda={lam})",
-        ))
+        out.append(_truncated_model(f"rand-comp{n}(m={m},c={c},mu={mu},lambda={lam})",
+                                    M, N, mu, lam, _random_unital(rng, M, 4), p_tgt))
     return out

@@ -7,7 +7,6 @@ and safe for concurrent reads.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence, Tuple
 
@@ -87,11 +86,7 @@ def log_coefficient(k: int) -> int:
     return (-1) ** (k - 1) * factorial(k - 1)
 
 
-# The Bell(8) = 4140 partitions of k = 8 take about 1.5 MB; the cache would
-# hold about 8 MB for k = 9 and ten times that for k = 10.
-CACHED_UP_TO = 8
-
-# BELL[k - 1] is the number of partitions of {1,...,k}, for k up to CACHED_UP_TO.
+# BELL[k - 1] is the number of partitions of {1,...,k}, for k up to 8.
 BELL = (1, 2, 5, 15, 52, 203, 877, 4140)
 
 
@@ -99,21 +94,12 @@ def all_partitions(k: int) -> Iterator[SetPartition]:
     """Yield every partition of {1,...,k} exactly once.
 
     Enumeration follows restricted-growth strings in lexicographic order,
-    which is deterministic and cheap to split into chunks.  For k up to
-    CACHED_UP_TO the partitions are built and validated once per process
-    and yielded from that cache.
+    which is deterministic and cheap to split into chunks.  Partitions are
+    built as they are yielded; only the oracle and the identity checks walk
+    them, no production route does.
     """
     if k < 1:
         raise ValueError("ground set size must be at least 1")
-    yield from (_cached_partitions(k) if k <= CACHED_UP_TO else _enumerate_partitions(k))
-
-
-@lru_cache(maxsize=None)
-def _cached_partitions(k: int) -> Tuple[SetPartition, ...]:
-    return tuple(_enumerate_partitions(k))
-
-
-def _enumerate_partitions(k: int) -> Iterator[SetPartition]:
     rgs = [0] * k
 
     def rec(pos: int, maxval: int) -> Iterator[SetPartition]:

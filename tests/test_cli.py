@@ -130,6 +130,20 @@ def test_compute_invalid_model_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra", [["--quantity", "bogus"],
+                                   ["--quantity", "bk", "--route", "general"]])
+def test_compute_usage_error_precedes_validation(tmp_path, capsys, extra):
+    # the usage error is reported, not the invalid model behind it
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    obj["euler"] = {"0": "1"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "compute", str(path), "--k", "1", *extra)
+    assert code == 3
+    assert "invalid model" not in err
+    assert out == ""
+
+
 def test_compute_route_disagreement_exits_1(capsys, monkeypatch):
     from fractions import Fraction
     monkeypatch.setitem(formulas.SIGNATURE_ROUTES, "via-N", lambda m, k: Fraction(999))

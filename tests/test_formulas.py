@@ -47,7 +47,12 @@ from multipoint.oracle import (
     transfer_to_target_enumerated,
     virtual_class_enumerated,
 )
-from multipoint.partitions import marked_type_vectors, type_vectors
+from multipoint.partitions import (
+    all_partitions,
+    log_coefficient,
+    marked_type_vectors,
+    type_vectors,
+)
 
 
 def _random_tensor(rng, ring, k, nterms=2):
@@ -57,6 +62,11 @@ def _random_tensor(rng, ring, k, nterms=2):
         x = x + rng.choice([1, -1, 2]) * cross(
             [ring.basis_class(rng.randrange(n)) for _ in range(k)])
     return x
+
+
+def _random_class(rng, ring):
+    """A class with a random small coefficient on each basis element."""
+    return ring.element({i: rng.randint(-3, 3) for i in range(len(ring.labels))})
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +138,78 @@ def test_transfers_match_oracle_on_general_factors():
                 transfer_to_source_enumerated(m, k, x).value, (m.name, x)
             assert transfer_to_target(m, k, x) == \
                 transfer_to_target_enumerated(m, k, x).value, (m.name, x)
+
+
+def reference_transfer(m, factors, to_target):
+    """The transfer kernel as the explicit sum over the Bell(k) partitions:
+    each block class e^(|B|-1) * prod_{i in B} c_i and its image is built
+    once, and each partition costs one ring product per further block."""
+    image_of = m.pushforward if to_target else m.pushpull
+    blocks, images = {}, {}
+
+    def block(b):
+        if b not in blocks:
+            blocks[b] = factors[b[0] - 1] if len(b) == 1 else \
+                block(b[:-1]) * factors[b[-1] - 1] * m.euler
+        return blocks[b]
+
+    def image(b):
+        if b not in images:
+            images[b] = image_of(block(b))
+        return images[b]
+
+    out = (m.target if to_target else m.source).zero()
+    for alpha in all_partitions(len(factors)):
+        first, *rest = alpha.blocks
+        cls = image(first) if to_target else block(first)
+        weight = log_coefficient(len(first))
+        for b in rest:
+            cls = cls * image(b)
+            weight *= log_coefficient(len(b))
+        out = out + weight * cls
+    return out
+
+
+def test_transfer_kernel_matches_partition_sum():
+    # a different random class in each slot, so no symmetry of the tensor helps
+    rng = random.Random(23)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=8, allow_zero_euler=False)
+               for _ in range(3)]
+    models.append(disjoint_union(random_union_components(rng, 2)))
+    nonzero = 0
+    for m in models:
+        for k in range(1, 8):
+            factors = [_random_class(rng, m.source) for _ in range(k)]
+            for to_target in (False, True):
+                value = formulas._transfer(m, factors, to_target)
+                assert value == reference_transfer(m, factors, to_target), \
+                    (m.name, k, to_target)
+                nonzero += k >= 5 and not value.is_zero()
+    assert nonzero >= 6
+
+
+def test_general_and_via_n_visit_no_partition(monkeypatch):
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the transfer kernel must not enumerate partitions")
+
+    monkeypatch.setattr(formulas, "all_partitions", unavailable)
+    models = [bundled_model("two-lines"), bundled_model("hypersurface-d3"),
+              random_truncated_model(random.Random(19), max_powers=6, allow_zero_euler=False)]
+    for m in models:
+        for k in range(1, 7):
+            collected = signature_collected(m, k)
+            assert signature_via_source(m, k) == collected, (m.name, k)
+            assert signature_via_target(m, k) == collected, (m.name, k)
+            virtual_signature_class(m, k)
+
+
+def test_general_via_n_and_collected_agree_at_k10():
+    # m = 11, codim 2: Bell(10) = 115,975 partitions, (3^9 - 1)/2 recursion products
+    m = random_truncated_model(random.Random(19), max_powers=12, allow_zero_euler=False)
+    assert (len(m.source.labels) - 1, m.codim) == (11, 2)
+    assert signature_via_source(m, 10) == signature_via_target(m, 10) \
+        == signature_collected(m, 10) == 176
 
 
 def test_transfer_arity_mismatch():
@@ -435,6 +517,14 @@ def test_pushpull_zero_special_case():
     m2 = bundled_model("nullhomotopic-cp2-in-s6")
     for k in range(1, 5):
         assert signature_pushpull_zero(m2, k) == signature(m2, k, route="auto")
+
+
+def test_pontrjagin_special_routes_check_k():
+    m = random_truncated_model(random.Random(15))
+    with pytest.raises(ValueError, match="multiplicity k must be at least 1"):
+        pontrjagin_pulled_from_target(m, 0, [0])
+    with pytest.raises(ValueError, match="multiplicity k must be at least 1"):
+        pontrjagin_pushpull_zero(bundled_model("null-pushforward"), 0, [0])
 
 
 def test_pushpull_zero_precondition():

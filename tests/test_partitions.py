@@ -21,17 +21,16 @@ def test_enumeration_counts():
         assert len(set(parts)) == bell
 
 
-def test_cached_and_streamed_enumeration_agree():
-    # k <= CACHED_UP_TO is served from the per-k cache, larger k is streamed;
-    # dropping the singleton block {k+1} maps the latter onto the former
-    from multipoint.partitions import CACHED_UP_TO
-    k = CACHED_UP_TO
-    cached = list(all_partitions(k))
-    assert list(all_partitions(k)) == cached
-    streamed = list(all_partitions(k + 1))
-    assert len(streamed) == len(set(streamed)) == 21147  # Bell(9)
-    assert [p.blocks[:-1] for p in streamed if p.blocks[-1] == (k + 1,)] \
-        == [q.blocks for q in cached]
+def test_enumeration_extends_by_a_singleton():
+    # dropping the singleton block {9} from the partitions of 9 points that
+    # have it gives the partitions of 8 points, in enumeration order
+    k = 8
+    smaller = list(all_partitions(k))
+    assert list(all_partitions(k)) == smaller
+    larger = list(all_partitions(k + 1))
+    assert len(larger) == len(set(larger)) == 21147  # Bell(9)
+    assert [p.blocks[:-1] for p in larger if p.blocks[-1] == (k + 1,)] \
+        == [q.blocks for q in smaller]
 
 
 def test_block_ordering_invariant():
