@@ -152,6 +152,10 @@ def cmd_compute(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     dims = multiple_point_dimension(model, k)
+    if all(d < 0 for d in dims):
+        warnings.append(
+            f"the {k}-tuple point manifold is empty: (k-1)*codim = {(k - 1) * model.codim} "
+            f"exceeds the source dimension(s) {model.source_dimensions()}; the value is 0")
     out["dimension"] = list(dims)
     out["warnings"] = warnings
     for w in warnings:

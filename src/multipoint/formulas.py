@@ -13,9 +13,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .graded import GradedAlgebraError, GradedClass, TensorClass, cross, diagonal_pullback
+from .graded import (
+    Coords,
+    GradedAlgebraError,
+    GradedClass,
+    TensorClass,
+    cross,
+    diagonal_pullback,
+)
 from .model import ImmersionModel, ModelError, preimage_under
 from .partitions import all_partitions, log_coefficient
 from .records import Record
@@ -81,38 +88,97 @@ def _transfer(model: ImmersionModel, factors: Sequence[GradedClass],
         T(S) = sum over the B in S that contain min S of term(B) * T(S - B),
 
     with T of the empty set the unit and T({1,...,k}) the transfer.  Subsets
-    are bit masks, and every block class, term and T(S) is built once: a call
-    takes 2^k - 2 ring products for the block classes and at most
-    (3^(k-1) - 1)/2 for the recursion, and visits no partition.
+    are bit masks, and every block class, term and T(S) is a coordinate dict
+    built at most once: a call takes at most 2^k - 2 ring products for the
+    block classes and (3^(k-1) - 1)/2 for the recursion, visits no
+    partition, and builds one GradedClass, the result.
+
+    Degree pruning.  In a valid model the Euler class has degree codim, the
+    pushforward raises degrees by codim, the pullback keeps them and
+    products add them.  With w(S) = |S| * codim plus the lowest degrees of
+    the c_i, i in S, a mapped block and a T(S) have degree at least w(S),
+    so every partition term has degree at least w({1,...,k}), less codim on
+    the source (whose block of 1 is unmapped).  Above the top degree of the
+    result's ring (on the source: (k-1) * codim above it, an empty k-tuple
+    manifold) the transfer is zero before any product or map call.  Else
+    the slack is the room left under the top degree: every block, c_i * e
+    and T(S) keeps only its coordinates within the slack of its bound, a
+    block to be pushed forward only those whose image has a target degree,
+    and an empty block is neither mapped nor grown.  No product is taken
+    with a zero factor.
     """
-    full = (1 << len(factors)) - 1
-    image_of = model.pushforward if to_target else model.pushpull
+    source = model.source
+    ring = model.target if to_target else source
+    if not all(c.coords for c in factors):
+        return ring.zero()
+    k, codim = len(factors), model.codim
+    full = (1 << k) - 1
+    sdeg, rdeg = source.degrees, ring.degrees
+    low = [min(map(sdeg.__getitem__, c.coords)) for c in factors]
+    w = [0] * (full + 1)  # w[S], the degree bound of a mapped block or T(S)
+    for b in range(1, full + 1):
+        top = b.bit_length() - 1
+        w[b] = w[b ^ (1 << top)] + codim + low[top]
+    slack = ring.max_degree - w[full] + (0 if to_target else codim)
+    if slack < 0:  # every partition term lies above the top degree
+        return ring.zero()
+
+    def within(coords: Coords, cap: int) -> Coords:
+        return {i: v for i, v in coords.items() if sdeg[i] <= cap}
+
+    mul = source.mul_coords
+    push, pull = model.pushforward.apply_coords, model.pullback.apply_coords
+    reach = model.target.max_degree - codim  # blocks above it push forward to zero
     # c_i * e for i >= 2: the point 1 is never the largest of a block of two or more
-    times_e = [c * model.euler for c in factors[1:]]
-    blocks: Dict[int, GradedClass] = {}
-    terms: Dict[int, GradedClass] = {}
+    times_e: List[Optional[Coords]] = [None] * k
+    if model.euler.coords:
+        for t in range(1, k):
+            cls = mul(within(factors[t].coords, low[t] + slack), model.euler.coords)
+            times_e[t] = within(cls, low[t] + codim + slack) or None
+
+    blocks: List[Optional[Coords]] = [None] * (full + 1)
+    terms: List[Optional[Coords]] = [None] * (full + 1)
     for b in range(1, full + 1):
         top = b.bit_length() - 1
         rest = b ^ (1 << top)
-        cls = blocks[b] = blocks[rest] * times_e[top - 1] if rest else factors[top]
-        if to_target or not b & 1:
-            cls = image_of(cls)
-        terms[b] = log_coefficient(b.bit_count()) * cls
+        mapped = to_target or not b & 1
+        cap = min(w[b] - codim + slack, reach) if mapped else w[b] - codim + slack
+        if not rest:
+            cls = within(factors[top].coords, cap)
+        elif blocks[rest] is not None and times_e[top] is not None:
+            cls = within(mul(blocks[rest], times_e[top]), cap)
+        else:
+            continue
+        if not cls:
+            continue
+        blocks[b] = cls
+        if mapped:
+            cls = push(cls)
+            if cls and not to_target:
+                cls = pull(cls)
+            if not cls:
+                continue
+        weight = log_coefficient(b.bit_count())
+        terms[b] = cls if weight == 1 else {i: weight * v for i, v in cls.items()}
 
     # T(S) for every S without the point 1 (the even masks, each after its
     # subsets), then for the full set; the B = S term needs no product
-    T: Dict[int, GradedClass] = {}
+    T: List[Optional[Coords]] = [None] * (full + 1)
+    mul = ring.mul_coords
     for S in (*range(2, full, 2), full):
+        cap = w[S] + slack
         rest = S & (S - 1)
-        acc = terms[S]
+        acc = dict(terms[S] or ())
         sub = rest
         while sub:
             term, t = terms[S ^ sub], T[sub]
-            if not (term.is_zero() or t.is_zero()):
-                acc = acc + term * t
+            if term is not None and t is not None:
+                for i, v in mul(term, t).items():
+                    if rdeg[i] <= cap:
+                        acc[i] = acc.get(i, 0) + v
             sub = (sub - 1) & rest
-        T[S] = acc
-    return T[full]
+        T[S] = {i: v for i, v in acc.items() if v} or None
+    return GradedClass(ring, T[full] or {})
 
 
 def _transfer_tensor(model: ImmersionModel, k: int, x: TensorClass,

@@ -95,6 +95,40 @@ def test_compute_degree_mismatch_warns(capsys):
     assert "warning" in err
 
 
+@pytest.mark.parametrize("model, quantity", [("hypersurface-d3", "signature"),
+                                             ("hypersurface-d3", "bk"),
+                                             ("hypersurface-d3", "pontrjagin=4"),
+                                             ("two-lines", "chern=2")])
+def test_compute_empty_locus_warns(capsys, model, quantity):
+    # (k-1)*codim = 6 exceeds each source dimension (4 and 2): no 4-tuple points
+    code, out, err = run(capsys, "compute", model, "--k", "4", "--quantity", quantity)
+    assert code == 0
+    assert out.strip() == "0"
+    empty = [line for line in err.splitlines() if "point manifold is empty" in line]
+    assert len(empty) == 1
+    assert "(k-1)*codim = 6" in empty[0] and "the value is 0" in empty[0]
+    assert str(bundled_model(model).source_dimensions()) in empty[0]
+    if quantity.startswith("pontrjagin"):
+        assert "degree sum 4 does not match" in err
+    code, out, _ = run(capsys, "compute", model, "--k", "4", "--quantity", quantity, "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["value"] == ({} if quantity == "bk" else "0")
+    assert [w for w in payload["warnings"] if "point manifold is empty" in w] == \
+        [empty[0][len("warning: "):]]
+
+
+def test_compute_nonempty_locus_does_not_warn(capsys):
+    # (k-1)*codim = 4 equals the source dimension: the triple points are finite
+    code, out, err = run(capsys, "compute", "hypersurface-d3", "--k", "3",
+                         "--quantity", "signature", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dimension"] == [0]
+    assert payload["warnings"] == []
+    assert err == ""
+
+
 def test_compute_chern_without_data_errors(capsys):
     code, _, err = run(capsys, "compute", "hypersurface-d3", "--k", "1",
                        "--quantity", "chern=4")

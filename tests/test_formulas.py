@@ -32,8 +32,8 @@ from multipoint.formulas import (
     virtual_signature_class,
     virtual_signature_class_union,
 )
-from multipoint.graded import cross
-from multipoint.model import disjoint_union
+from multipoint.graded import GradedRing, cross
+from multipoint.model import LinearMap, disjoint_union
 from multipoint.models import (
     BUNDLED,
     bundled_model,
@@ -210,6 +210,97 @@ def test_general_via_n_and_collected_agree_at_k10():
     assert (len(m.source.labels) - 1, m.codim) == (11, 2)
     assert signature_via_source(m, 10) == signature_via_target(m, 10) \
         == signature_collected(m, 10) == 176
+
+
+def _m12_model():
+    # the largest of six draws: m = 12, codim 4, source top degree 24
+    rng = random.Random(58)
+    draws = [random_truncated_model(rng, max_powers=12, allow_zero_euler=False)
+             for _ in range(6)]
+    m = max(draws, key=lambda d: len(d.source.labels))
+    assert (len(m.source.labels) - 1, m.codim, m.source.max_degree) == (12, 4, 24)
+    return m
+
+
+def _kernel_calls(monkeypatch):
+    """Count the ring products and map calls from here on, and fail any map
+    call on a zero dict or on one whose image lies above the codomain's
+    largest degree."""
+    calls = {"mul": 0, "map": 0}
+    mul_coords, apply_coords = GradedRing.mul_coords, LinearMap.apply_coords
+
+    def counted_mul(ring, a, b):
+        calls["mul"] += 1
+        return mul_coords(ring, a, b)
+
+    def checked_map(linmap, coords):
+        calls["map"] += 1
+        assert coords, "a zero class was mapped"
+        lowest = min(linmap.domain.degrees[i] for i in coords)
+        assert lowest + linmap.degree_shift <= linmap.codomain.max_degree, \
+            "a class was mapped whose image lies above the top degree"
+        return apply_coords(linmap, coords)
+
+    monkeypatch.setattr(GradedRing, "mul_coords", counted_mul)
+    monkeypatch.setattr(LinearMap, "apply_coords", checked_map)
+    return calls
+
+
+def test_transfer_on_an_empty_locus_does_no_work(monkeypatch):
+    # (k-1)*codim above the source's top degree and k*codim above the
+    # target's: zero at once, with no ring product and no map call
+    cases = []
+    for m in [bundled_model(name) for name in BUNDLED] + [_m12_model()]:
+        k = max(m.source.max_degree, m.target.max_degree) // m.codim + 2
+        cases.append((m, k, [m.l_source] + [m.l_normal_inverse] * (k - 1)))
+    calls = _kernel_calls(monkeypatch)
+    for m, k, factors in cases:
+        assert all(d < 0 for d in multiple_point_dimension(m, k))
+        for to_target in (False, True):
+            assert formulas._transfer(m, factors, to_target).is_zero(), (m.name, k)
+    assert calls == {"mul": 0, "map": 0}
+    for m, k, _ in cases:
+        assert signature_via_source(m, k) == signature_via_target(m, k) == 0
+
+
+def test_transfer_maps_no_zero_or_vanishing_block(monkeypatch):
+    rng = random.Random(29)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=8) for _ in range(4)]
+    models.append(disjoint_union(random_union_components(rng, 2)))
+    cases = [(m, [_random_class(rng, m.source) for _ in range(k)])
+             for m in models for k in range(1, 8)]
+    cases += [(m, [m.l_source] + [m.l_normal_inverse] * (k - 1))
+              for m in models for k in range(1, 8)]
+    calls = _kernel_calls(monkeypatch)
+    for m, factors in cases:
+        for to_target in (False, True):
+            formulas._transfer(m, factors, to_target)
+    assert calls["map"] > 0
+
+
+def test_transfer_products_stay_within_the_subset_bound(monkeypatch):
+    # m = 11, codim 2: every k up to 8 leaves room under the top degree
+    m = random_truncated_model(random.Random(19), max_powers=12, allow_zero_euler=False)
+    rng = random.Random(31)
+    cases = [[_random_class(rng, m.source) for _ in range(k)] for k in range(1, 9)]
+    cases += [[m.l_source] + [m.l_normal_inverse] * (k - 1) for k in range(1, 9)]
+    calls = _kernel_calls(monkeypatch)
+    for factors in cases:
+        k = len(factors)
+        for to_target in (False, True):
+            calls["mul"] = 0
+            formulas._transfer(m, factors, to_target)
+            assert calls["mul"] <= 2 ** k - 2 + (3 ** (k - 1) - 1) // 2, (k, to_target)
+            assert k == 1 or calls["mul"] > 0
+
+
+def test_general_via_n_and_collected_vanish_on_the_m12_model():
+    # (k-1)*codim = 28, 36, 44 exceeds the source's top degree 24
+    m = _m12_model()
+    for k in (8, 10, 12):
+        assert signature_via_source(m, k) == signature_via_target(m, k) \
+            == signature_collected(m, k) == 0, k
 
 
 def test_transfer_arity_mismatch():

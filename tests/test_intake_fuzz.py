@@ -1,8 +1,9 @@
 """Seeded fuzz of model-file intake: random mutations of the bundled models'
-JSON, each run through the CLI's validate and compute in-process.  Every
-malformed file must end as exit 2 (invalid model) or 3 (usage error), a
-well-formed one as exit 0; nothing may raise, and exit 1 (route
-disagreement) must not appear."""
+JSON.  Through the CLI's validate and compute, in-process, every malformed
+file must end as exit 2 (invalid model) or 3 (usage error), a well-formed
+one as exit 0; nothing may raise, and exit 1 (route disagreement) must not
+appear.  Through the library's `load_model` alone, a file must load or
+raise `ModelFormatError`, never another exception."""
 
 import json
 import random
@@ -10,10 +11,11 @@ import random
 import pytest
 
 from multipoint import cli
-from multipoint.modelfile import model_to_dict
+from multipoint.modelfile import ModelFormatError, load_model, model_to_dict
 from multipoint.models import BUNDLED, bundled_model
 
 MUTATIONS = 300
+LOAD_MUTATIONS = 1000
 VALUES = [None, True, False, 0, 1, -1, 2, 3, 4, 2000, 10**30, -(10**30), 1.5, "", "x",
           "0", "1", "-1", "2", "4", "1/2", "-3/4", "1/0", "1e3", " 1", [], [0, 1], {},
           {"0": "1"}, {"1": "1"}, {"9": "1"}, {"-1": "1"}, {"0,9": {"1": "1"}}]
@@ -44,21 +46,44 @@ def _mutate(obj, rng):
         container.append(rng.choice(VALUES))
 
 
-def test_mutated_model_files_exit_cleanly(tmp_path, capsys):
-    rng = random.Random(20261018)
+def _mutated_files(rng, path, count):
+    """Write `count` mutated model files to `path` in turn, yielding after each."""
     originals = [json.dumps(model_to_dict(bundled_model(name))) for name in sorted(BUNDLED)]
-    path = tmp_path / "mutated.json"
-    for _ in range(MUTATIONS):
+    for _ in range(count):
         obj = json.loads(rng.choice(originals))
         for _ in range(rng.randint(1, 3)):
             _mutate(obj, rng)
         path.write_text(json.dumps(obj))
+        yield
+
+
+def test_mutated_model_files_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(20261018)
+    path = tmp_path / "mutated.json"
+    for _ in _mutated_files(rng, path, MUTATIONS):
         k = str(rng.randint(1, 3))
         for argv in (["validate", str(path)],
                      ["compute", str(path), "--k", k, "--quantity", "signature"]):
             code = cli.main(argv)
             capsys.readouterr()
             assert code in (0, 2, 3), (argv, code, path.read_text()[:2000])
+
+
+def test_mutated_model_files_load_or_raise_a_format_error(tmp_path):
+    # the library side alone: no validation or CLI catches what the reader lets through
+    rng = random.Random(20261019)
+    path = tmp_path / "mutated.json"
+    loaded = refused = 0
+    for _ in _mutated_files(rng, path, LOAD_MUTATIONS):
+        try:
+            load_model(path)
+        except ModelFormatError:
+            refused += 1
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__}: {exc} on {path.read_text()[:2000]}")
+        else:
+            loaded += 1
+    assert loaded and refused
 
 
 @pytest.mark.parametrize("top", [2000, 10**30])
