@@ -19,6 +19,7 @@ from .formulas import (
     SIGNATURE_ROUTES,
     RouteDisagreement,
     chern_number,
+    empty_locus_warning,
     multiple_point_dimension,
     pontrjagin_number,
     signature,
@@ -151,12 +152,10 @@ def cmd_compute(args) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    dims = multiple_point_dimension(model, k)
-    if all(d < 0 for d in dims):
-        warnings.append(
-            f"the {k}-tuple point manifold is empty: (k-1)*codim = {(k - 1) * model.codim} "
-            f"exceeds the source dimension(s) {model.source_dimensions()}; the value is 0")
-    out["dimension"] = list(dims)
+    empty = empty_locus_warning(model, k)
+    if empty is not None and empty not in warnings:  # a characteristic number carries it
+        warnings.append(empty)
+    out["dimension"] = list(multiple_point_dimension(model, k))
     out["warnings"] = warnings
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)

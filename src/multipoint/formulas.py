@@ -13,15 +13,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .graded import (
     Coords,
     GradedAlgebraError,
     GradedClass,
+    GradedRing,
+    Scalar,
     TensorClass,
     cross,
     diagonal_pullback,
+    exact,
 )
 from .model import ImmersionModel, ModelError, preimage_under
 from .partitions import all_partitions, log_coefficient
@@ -54,6 +57,15 @@ def multiple_point_dimension(model: ImmersionModel, k: int) -> Tuple[int, ...]:
     """Expected dimension of the k-tuple point manifold, per source component."""
     return tuple(sorted({c.top_degree - (k - 1) * model.codim
                          for c in model.source.components}))
+
+
+def empty_locus_warning(model: ImmersionModel, k: int) -> Optional[str]:
+    """The warning that the k-tuple point manifold is empty, when (k-1)*codim
+    exceeds the dimension of every source component; else None."""
+    if any(d >= 0 for d in multiple_point_dimension(model, k)):
+        return None
+    return (f"the {k}-tuple point manifold is empty: (k-1)*codim = {(k - 1) * model.codim} "
+            f"exceeds the source dimension(s) {model.source_dimensions()}; the value is 0")
 
 
 def _check_k(k: int) -> None:
@@ -216,38 +228,75 @@ def transfer_to_target(model: ImmersionModel, k: int, x: TensorClass) -> GradedC
 # ---------------------------------------------------------------------------
 
 
-def _pushed_block_classes(model: ImmersionModel, k: int,
-                          image_of: Callable[[GradedClass], GradedClass]) -> List[GradedClass]:
-    """image_of(e^(i-1) * L(normal)^(-i)) for i = 1..k, where image_of is
-    the pushforward (blocks on the target) or pullback(pushforward(.))
-    (blocks on the source)."""
-    u = model.l_normal_inverse
-    eu = model.euler * u
-    classes = [u]
-    for _ in range(k - 1):
-        classes.append(classes[-1] * eu)
-    return [image_of(cls) for cls in classes[:k]]
+class _Chain:
+    """The memo of one collected recursion: e * u, the chain class
+    e^(n-1) * u^n of the last block, the blocks b_1..b_n and E_0..E_n, all
+    coordinate dicts."""
+
+    __slots__ = ("eu", "last", "blocks", "coeffs")
+
+    def __init__(self, model: ImmersionModel, u: GradedClass, ring: GradedRing):
+        self.eu = model.source.mul_coords(model.euler.coords, u.coords)
+        self.last = u.coords
+        self.blocks: List[Coords] = []
+        self.coeffs: List[Coords] = [ring.unit_coords]
 
 
-def _exponential_coefficients(unit: GradedClass,
-                              blocks: Sequence[GradedClass]) -> List[GradedClass]:
-    """E_0..E_k, the coefficients of exp(sum_i (-1)^(i-1) b_i t^i / i) for
-    the blocks b_1..b_k.
+def _exponential_coefficients(model: ImmersionModel, u: GradedClass, k: int,
+                              to_target: bool) -> _Chain:
+    """The memo holding E_0..E_k, the coefficients of
+    exp(sum_i (-1)^(i-1) b_i t^i / i) for the blocks
+    b_i = img(e^(i-1) * u^i), u a normal class: img is the
+    pushforward (blocks on the target) or pullback(pushforward(.)) (blocks
+    on the source).
 
     By the exponential formula, n! * E_n is the sum over the partitions of
     n points of the products of the block classes b_|B|, each weighted by
     the log coefficient of |B|.  Differentiating the exponential gives
     n * E_n = sum_{i=1..n} (-1)^(i-1) b_i E_{n-i}, so E_k costs O(k^2)
     ring products and no partition or type vector is visited.
+
+    Everything is a coordinate dict, and the recursion is memoised in the
+    model's cache under the side and u: a call for a larger k extends the
+    chain, the blocks and the coefficients, and a call for a smaller k
+    reads them.  The returned memo holds at least E_0..E_k; callers must
+    not mutate it.
     """
-    coeffs = [unit]
-    for n in range(1, len(blocks) + 1):
-        acc = unit.ring.zero()
-        for i in range(1, n + 1):
-            term = blocks[i - 1] * coeffs[n - i]
-            acc = acc + term if i % 2 else acc - term
-        coeffs.append(Fraction(1, n) * acc)
-    return coeffs
+    ring = model.target if to_target else model.source
+    memo = model._cached(("collected", to_target, u), lambda: _Chain(model, u, ring))
+    blocks, coeffs = memo.blocks, memo.coeffs
+    push, pull = model.pushforward.apply_coords, model.pullback.apply_coords
+    mul = ring.mul_coords
+    for n in range(len(coeffs), k + 1):
+        if n > 1 and memo.last:
+            memo.last = model.source.mul_coords(memo.last, memo.eu)
+        block = memo.last and push(memo.last)
+        if block and not to_target:
+            block = pull(block)
+        blocks.append(block)
+        acc = _sum_coords((1 if i % 2 else -1, mul(blocks[i - 1], coeffs[n - i]))
+                          for i in range(1, n + 1) if blocks[i - 1] and coeffs[n - i])
+        coeffs.append(_divided(acc, n))
+    return memo
+
+
+def _divided(coords: Coords, n: int) -> Coords:
+    """coords / n, each entry in the int-or-Fraction normal form."""
+    return {i: exact(Fraction(v, n)) for i, v in coords.items()}
+
+
+def _sum_coords(terms: Iterable[Tuple[Scalar, Coords]]) -> Coords:
+    """sum c * x over the (c, x) of terms, with no zero entries."""
+    acc: Coords = {}
+    for c, coords in terms:
+        for i, v in coords.items():
+            acc[i] = acc.get(i, 0) + c * v
+    return {i: v for i, v in acc.items() if v}
+
+
+def _pairing(a: GradedClass, b: Coords) -> Fraction:
+    """The integral of a * b, for b a coordinate dict on a's ring."""
+    return a.ring.integrate_coords(a.ring.mul_coords(a.coords, b))
 
 
 def signature_via_source(model: ImmersionModel, k: int) -> Fraction:
@@ -271,8 +320,8 @@ def signature_collected(model: ImmersionModel, k: int) -> Fraction:
     """Collected form: L(target) paired with E_k of the pushed normal
     blocks, the partition sum collected by the exponential formula."""
     _check_k(k)
-    blocks = _pushed_block_classes(model, k, model.pushforward)
-    return (model.l_target * _exponential_coefficients(model.target.unit(), blocks)[k]).integrate()
+    E = _exponential_coefficients(model, model.l_normal_inverse, k, to_target=True).coeffs[k]
+    return _pairing(model.l_target, E)
 
 
 def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
@@ -284,13 +333,12 @@ def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
     inverse normal L-class; the sum over l is evaluated by Horner's rule.
     """
     _check_k(k)
-    F = _exponential_coefficients(model.source.unit(),
-                                  _pushed_block_classes(model, k - 1, model.pushpull))
-    eu = model.euler * model.l_normal_inverse
-    acc = F[0]
-    for f in F[1:]:
-        acc = f - eu * acc
-    return (model.l_source * acc).integrate() / k
+    memo = _exponential_coefficients(model, model.l_normal_inverse, k - 1, to_target=False)
+    mul = model.source.mul_coords
+    acc = memo.coeffs[0]
+    for f in memo.coeffs[1:k]:
+        acc = _sum_coords([(1, f), (-1, mul(memo.eu, acc))])
+    return _pairing(model.l_source, acc) / k
 
 
 SIGNATURE_ROUTES = {
@@ -338,6 +386,9 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
         warnings.append(
             f"degree sum {sum(J)} does not match the k-tuple dimension(s) {dims}; "
             "the pairing vanishes")
+    empty = empty_locus_warning(model, k)
+    if empty is not None:
+        warnings.append(empty)
     inv = normal_total.invert_unital()
     x = cross([total_source] + [inv] * (k - 1))
     selected = x.select_degrees(J)
@@ -376,8 +427,8 @@ def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
     k! * E_k of the pushed normal blocks; the two must agree exactly.
     """
     _check_k(k)
-    blocks = _pushed_block_classes(model, k, model.pushforward)
-    collected = factorial(k) * _exponential_coefficients(model.target.unit(), blocks)[k]
+    E = _exponential_coefficients(model, model.l_normal_inverse, k, to_target=True).coeffs[k]
+    collected = GradedClass(model.target, {i: factorial(k) * v for i, v in E.items()})
     enumerated = _transfer(model, [model.l_normal_inverse] * k, to_target=True)
     if collected != enumerated:
         raise RouteDisagreement(
@@ -408,13 +459,15 @@ def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> G
     for m in models[1:]:
         if m.target != target:
             raise ModelError("component models must share the target")
-    product = [target.unit()] + [target.zero()] * k
+    mul = target.mul_coords
+    product: List[Coords] = [target.unit_coords] + [{}] * k
     for m in models:
-        series = [target.unit()] + [Fraction(1, factorial(i)) * virtual_signature_class(m, i)
-                                    for i in range(1, k + 1)]
-        product = [sum((product[j] * series[n - j] for j in range(n + 1)), target.zero())
+        series = [target.unit_coords] + [
+            _divided(virtual_signature_class(m, i).coords, factorial(i)) for i in range(1, k + 1)]
+        product = [_sum_coords((1, mul(product[j], series[n - j]))
+                               for j in range(n + 1) if product[j] and series[n - j])
                    for n in range(k + 1)]
-    return factorial(k) * product[k]
+    return GradedClass(target, {i: factorial(k) * v for i, v in product[k].items()})
 
 
 # ---------------------------------------------------------------------------

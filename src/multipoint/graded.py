@@ -200,6 +200,16 @@ class GradedRing:
                     out[l] = self.mul_coords(a, {l: 1})
         return {l: t for l, t in out.items() if t}
 
+    def integrate_coords(self, coords: Mapping[int, Scalar]) -> Fraction:
+        """Apply the integration functional (supported in top degrees) to
+        a coordinate dict."""
+        total = 0
+        for i, c in coords.items():
+            w = self.integral.get(i)
+            if w:
+                total += c * w
+        return Fraction(total)
+
     def component_of(self, index: int) -> RingComponent:
         return self._component_of[index]
 
@@ -366,11 +376,11 @@ class GradedClass:
         nil = self - self.ring.unit()
         out = self.ring.unit()
         term = self.ring.unit()
-        for _ in range(self.ring.max_degree // 2 + 1):
+        for j in range(nilpotency_order(self.ring)):
             term = term * nil
             if term.is_zero():
                 break
-            out = out - term if _ % 2 == 0 else out + term
+            out = out - term if j % 2 == 0 else out + term
         return out
 
     def eval_series(self, coeffs: Sequence[Scalar]) -> "GradedClass":
@@ -397,12 +407,7 @@ class GradedClass:
     def integrate(self) -> Fraction:
         """Pair against the fundamental class: apply the integration
         functional (supported in top degrees) to the coordinates."""
-        total = 0
-        for i, c in self.coords.items():
-            w = self.ring.integral.get(i)
-            if w:
-                total += c * w
-        return Fraction(total)
+        return self.ring.integrate_coords(self.coords)
 
     def __repr__(self) -> str:
         if not self.coords:
@@ -416,8 +421,16 @@ class GradedClass:
 
 
 def nilpotency_order(ring: GradedRing) -> int:
-    """Safe series-truncation length for nilpotent classes of the ring."""
-    return ring.max_degree // 2 + 2
+    """The least m with x^m = 0 for every class x of the ring whose
+    degree-0 part is zero: one more than the number of distinct positive
+    basis degrees.
+
+    Products are homogeneous, so the partial products of a nonzero product
+    of m positive-degree basis elements have m distinct positive basis
+    degrees.  The bound is at most the basis size, however large the
+    degrees are.
+    """
+    return len({d for d in ring.degrees if d}) + 1
 
 
 def signature_class(P: GradedClass) -> GradedClass:
@@ -426,7 +439,10 @@ def signature_class(P: GradedClass) -> GradedClass:
     Computed from the logarithm of the characteristic series: the degree-4j
     components of P are treated as elementary symmetric functions of formal
     Chern roots, converted to power sums by Newton's identities, and fed
-    into exp(sum c_j s_j).  Exact, and multiplicative by construction.
+    into exp(sum c_j s_j).  Exact, and multiplicative by construction.  The
+    Newton loop runs over the distinct basis degrees and the series is cut
+    at the ring's nilpotency order, so the work grows with the number of
+    distinct degrees, not with their size.
     """
     ring = P.ring
     if not P.is_unital():
@@ -434,20 +450,26 @@ def signature_class(P: GradedClass) -> GradedClass:
     for d, part in P.homogeneous_parts().items():
         if d % 4 and d != 0:
             raise GradedAlgebraError(f"Pontrjagin-type class has a degree-{d} part")
-    w = ring.max_degree // 4
-    if w == 0:
-        return ring.unit()
-    elem = [ring.zero()] + [P.degree_part(4 * j) for j in range(1, w + 1)]
-    power_sums = [ring.zero()] * (w + 1)
-    for j in range(1, w + 1):
+    # Newton's identities, over the j with a basis element of degree 4j only:
+    # every other elementary symmetric function and power sum is zero
+    js = sorted({d // 4 for d in ring.degrees if d and d % 4 == 0})
+    elem = {j: P.degree_part(4 * j) for j in js}
+    power_sums: Dict[int, GradedClass] = {}
+    for j in js:
         acc = (-1) ** (j - 1) * j * elem[j]
-        for i in range(1, j):
-            acc = acc + (-1) ** (i - 1) * (elem[i] * power_sums[j - i])
-        power_sums[j] = acc
-    c = signature_genus_log_coeffs(w)
+        for i in js:
+            if i >= j:
+                break
+            if j - i in power_sums:
+                acc = acc + (-1) ** (i - 1) * (elem[i] * power_sums[j - i])
+        if not acc.is_zero():
+            power_sums[j] = acc
+    if not power_sums:
+        return ring.unit()
+    c = signature_genus_log_coeffs(max(power_sums))
     log_l = ring.zero()
-    for j in range(1, w + 1):
-        log_l = log_l + c[j] * power_sums[j]
+    for j, power_sum in power_sums.items():
+        log_l = log_l + c[j] * power_sum
     return log_l.eval_series(exp_coeffs(nilpotency_order(ring)))
 
 

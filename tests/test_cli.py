@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -49,6 +50,24 @@ def test_validate_invalid_model_exits_2(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 2
     assert "[FAIL]" in out
+
+
+def test_validate_with_a_huge_basis_degree_finishes(tmp_path, capsys):
+    # the series behind the L-classes follow the two distinct source degrees,
+    # not the 10^30 / 4 degree slots below the declared top degree
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    obj["source"]["degrees"] = [0, 10 ** 30]
+    obj["source"]["top_degree"] = 10 ** 30
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    result = {}
+    worker = threading.Thread(target=lambda: result.update(code=cli.main(["validate", str(path)])),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=20)
+    assert not worker.is_alive(), "validate did not finish within 20 s"
+    assert result["code"] in (0, 2)
+    assert "[FAIL] euler class degree equals codimension" in capsys.readouterr().out
 
 
 def test_missing_file_exits_2(capsys):
@@ -116,6 +135,17 @@ def test_compute_empty_locus_warns(capsys, model, quantity):
     assert payload["value"] == ({} if quantity == "bk" else "0")
     assert [w for w in payload["warnings"] if "point manifold is empty" in w] == \
         [empty[0][len("warning: "):]]
+
+
+def test_compute_reports_a_characteristic_number_warnings_once(capsys):
+    m = bundled_model("hypersurface-d3")
+    library = formulas.pontrjagin_number(m, 4, [4]).warnings
+    assert len(library) == 2  # the degree sum and the empty locus
+    code, out, err = run(capsys, "compute", "hypersurface-d3", "--k", "4",
+                         "--quantity", "pontrjagin=4", "--json")
+    assert code == 0
+    assert json.loads(out)["warnings"] == library
+    assert err.splitlines() == [f"warning: {w}" for w in library]
 
 
 def test_compute_nonempty_locus_does_not_warn(capsys):

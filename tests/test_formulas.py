@@ -34,6 +34,7 @@ from multipoint.formulas import (
 )
 from multipoint.graded import GradedRing, cross
 from multipoint.model import LinearMap, disjoint_union
+from multipoint.modelfile import load_model, model_from_dict, model_to_dict, save_model
 from multipoint.models import (
     BUNDLED,
     bundled_model,
@@ -414,6 +415,120 @@ def test_collected_routes_need_no_partitions_or_transfer(monkeypatch):
         assert signature_collected_source(m, k) == expected[k - 1]
 
 
+def reference_exponential_coefficients(m, k, to_target):
+    """E_0..E_k of the normal blocks as GradedClass objects, built afresh on
+    every call: b_i = img(e^(i-1) * u^i), u = L(normal)^-1, img the
+    pushforward or pullback(pushforward(.)), and n * E_n = sum_{i=1..n}
+    (-1)^(i-1) b_i E_{n-i}."""
+    image_of = m.pushforward if to_target else m.pushpull
+    u = m.l_normal_inverse
+    eu = m.euler * u
+    classes = [u]
+    for _ in range(k - 1):
+        classes.append(classes[-1] * eu)
+    blocks = [image_of(cls) for cls in classes[:k]]
+    unit = (m.target if to_target else m.source).unit()
+    coeffs = [unit]
+    for n in range(1, k + 1):
+        acc = unit.ring.zero()
+        for i in range(1, n + 1):
+            term = blocks[i - 1] * coeffs[n - i]
+            acc = acc + term if i % 2 else acc - term
+        coeffs.append(Fraction(1, n) * acc)
+    return coeffs
+
+
+def reference_collected_values(m, k):
+    """The collected signature, the collected-source signature and the
+    collected virtual class from the GradedClass recursion."""
+    E = reference_exponential_coefficients(m, k, to_target=True)[k]
+    F = reference_exponential_coefficients(m, k - 1, to_target=False)
+    eu = m.euler * m.l_normal_inverse
+    acc = F[0]
+    for f in F[1:]:
+        acc = f - eu * acc
+    return ((m.l_target * E).integrate(), (m.l_source * acc).integrate() / k,
+            factorial(k) * E)
+
+
+def _collected_values(m, k):
+    return (signature_collected(m, k), signature_collected_source(m, k),
+            virtual_signature_class(m, k))
+
+
+def _copy(m):
+    return model_from_dict(model_to_dict(m))
+
+
+def _memo_models():
+    rng = random.Random(41)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=8, allow_zero_euler=False)
+               for _ in range(3)]
+    models += [random_truncated_model(rng) for _ in range(2)]
+    models.append(disjoint_union(random_union_components(rng, 2)))
+    return models
+
+
+def test_collected_kernel_matches_the_graded_class_recursion():
+    # queried in descending and in interleaved k order on copies of one
+    # model, and at one k only on a fresh copy: the memo must not matter
+    nonzero = 0
+    for m in _memo_models():
+        descending, interleaved = _copy(m), _copy(m)
+        expected = {k: reference_collected_values(_copy(m), k) for k in range(1, 9)}
+        for k in range(8, 0, -1):
+            assert _collected_values(descending, k) == expected[k], (m.name, k)
+        for k in (3, 8, 1, 5, 2, 7, 4, 6, 3, 8):
+            assert _collected_values(interleaved, k) == expected[k], (m.name, k)
+        for k in range(1, 9):
+            assert _collected_values(_copy(m), k) == expected[k], (m.name, k)
+            nonzero += k >= 3 and expected[k][0] != 0
+    assert nonzero >= 4
+
+
+def test_models_loaded_from_one_file_share_no_memo(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(random_truncated_model(random.Random(43), max_powers=8,
+                                      allow_zero_euler=False), path)
+    a, b = load_model(path), load_model(path)
+    values = _collected_values(a, 6)
+    assert not any(isinstance(key, tuple) for key in b._cache)
+    assert _collected_values(b, 6) == values
+    memo_keys = [key for key in a._cache if isinstance(key, tuple)]
+    assert len(memo_keys) == 2  # one chain on each side
+    for key in memo_keys:
+        ma, mb = a._cache[key], b._cache[key]
+        assert ma is not mb
+        assert ma.coeffs == mb.coeffs and ma.blocks == mb.blocks
+        assert ma.coeffs is not mb.coeffs and ma.blocks is not mb.blocks
+        assert all(x is not y for x, y in zip(ma.coeffs[1:], mb.coeffs[1:]))
+
+
+def test_repeated_collected_calls_map_nothing(monkeypatch):
+    models = [bundled_model("hypersurface-d3"), bundled_model("two-lines"),
+              random_truncated_model(random.Random(19), max_powers=6, allow_zero_euler=False)]
+    for m in models:
+        m.l_target, m.l_source, m.l_normal_inverse  # derived classes map too
+    calls = {"map": 0}
+    apply_coords = LinearMap.apply_coords
+
+    def counted_map(linmap, coords):
+        calls["map"] += 1
+        return apply_coords(linmap, coords)
+
+    monkeypatch.setattr(LinearMap, "apply_coords", counted_map)
+    for m in models:
+        for k in range(1, 7):
+            signature_collected(m, k), signature_collected_source(m, k)
+    assert calls["map"] > 0
+    calls["map"] = 0
+    for m in models:
+        for k in range(6, 0, -1):
+            signature_collected(m, k), signature_collected_source(m, k)
+    assert calls["map"] == 0
+
+
 def test_signature_two_lines_double_point():
     # one transverse intersection point: sigma of a point is 1
     assert signature(bundled_model("two-lines"), 2, route="auto") == 1
@@ -519,6 +634,19 @@ def test_pontrjagin_degree_mismatch_warns_and_vanishes():
     res = pontrjagin_number(m, 2, [4])  # double-point surface is 2-dimensional
     assert res.value == 0
     assert res.warnings
+
+
+def test_characteristic_numbers_warn_on_an_empty_locus():
+    # (k-1)*codim = 6 exceeds the source dimensions 4 and 2
+    d3, lines = bundled_model("hypersurface-d3"), bundled_model("two-lines")
+    for m, res in ((d3, pontrjagin_number(d3, 4, [4])), (lines, chern_number(lines, 4, [2])),
+                   (lines, chern_number(lines, 4, []))):
+        assert res.value == 0
+        assert [w for w in res.warnings if "point manifold is empty" in w] == \
+            [formulas.empty_locus_warning(m, 4)]
+        assert "(k-1)*codim = 6" in formulas.empty_locus_warning(m, 4)
+    assert formulas.empty_locus_warning(d3, 3) is None
+    assert pontrjagin_number(d3, 3, [0]).warnings == []
 
 
 def test_chern_requires_data():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from typing import List
 
@@ -11,10 +12,18 @@ from multipoint.graded import (
     NonUnitalClassError,
     cross,
     diagonal_pullback,
+    nilpotency_order,
     signature_class,
 )
-from multipoint.model import product_ring
-from multipoint.models import truncated_polynomial_ring
+from multipoint.model import disjoint_union, product_ring
+from multipoint.models import (
+    BUNDLED,
+    bundled_model,
+    random_truncated_model,
+    random_union_components,
+    truncated_polynomial_ring,
+)
+from multipoint.polynomials import exp_coeffs, signature_genus_log_coeffs
 from multipoint.partitions import SetPartition
 
 
@@ -223,6 +232,59 @@ def test_signature_class_multiplicative():
     A = ring.unit() + 2 * t2
     B = ring.unit() + 5 * t2
     assert signature_class(A * B) == signature_class(A) * signature_class(B)
+
+
+def reference_signature_class(P):
+    """The L-class with Newton's identities over every j up to a quarter of
+    the largest basis degree, and the series cut at half that degree."""
+    ring = P.ring
+    w = ring.max_degree // 4
+    if w == 0:
+        return ring.unit()
+    elem = [ring.zero()] + [P.degree_part(4 * j) for j in range(1, w + 1)]
+    power_sums = [ring.zero()] * (w + 1)
+    for j in range(1, w + 1):
+        acc = (-1) ** (j - 1) * j * elem[j]
+        for i in range(1, j):
+            acc = acc + (-1) ** (i - 1) * (elem[i] * power_sums[j - i])
+        power_sums[j] = acc
+    c = signature_genus_log_coeffs(w)
+    log_l = ring.zero()
+    for j in range(1, w + 1):
+        log_l = log_l + c[j] * power_sums[j]
+    return log_l.eval_series(exp_coeffs(ring.max_degree // 2 + 2))
+
+
+def test_signature_class_matches_the_degree_sized_reference():
+    rng = random.Random(61)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=rng.randint(1, 12)) for _ in range(40)]
+    models += [disjoint_union(random_union_components(rng, 3)) for _ in range(3)]
+    for m in models:
+        for P in (m.pontrjagin_source, m.pontrjagin_target, m.normal_pontrjagin):
+            assert signature_class(P) == reference_signature_class(P), m.name
+
+
+def test_nilpotency_order_counts_distinct_degrees(cp4):
+    assert nilpotency_order(cp4) == 5
+    h = cp4.basis_class(1) + cp4.basis_class(3)
+    assert not (h ** 4).is_zero() and (h ** 5).is_zero()
+    huge = GradedRing(["1", "a", "b", "c"], [0, 4, 4, 10 ** 30],
+                      {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1}},
+                      {3: 1})
+    assert nilpotency_order(huge) == 3
+
+
+def test_signature_class_with_a_huge_basis_degree():
+    # one basis element of degree 10^30: the work follows the three distinct
+    # positive degrees, not the quarter of 10^30 degree slots below the top
+    ring = GradedRing(["1", "a", "a2", "z"], [0, 4, 8, 10 ** 30],
+                      {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1},
+                       (1, 1): {2: 1}}, {3: 1})
+    P = ring.element({0: 1, 1: 3})
+    L = signature_class(P)
+    assert L == ring.element({0: 1, 1: 1, 2: Fraction(-1, 5)})
+    assert L.invert_unital() * L == ring.unit()
 
 
 def test_signature_class_rejects_bad_input(cp2):
