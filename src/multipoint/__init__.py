@@ -15,17 +15,17 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "formulas": """MultipointResult PreconditionError RouteDisagreement chern_number
-        multiple_point_dimension pontrjagin_number recursion_identity_holds signature
-        signature_collected signature_via_source signature_via_target transfer_of_unit
-        transfer_to_source transfer_to_target virtual_signature_class
-        virtual_signature_class_union""",
+    "formulas": """MultipointResult PreconditionError RouteDisagreement chern_number genus
+        multiple_point_dimension pontrjagin_number signature signature_collected
+        signature_via_source signature_via_target transfer_of_unit transfer_to_source
+        transfer_to_target virtual_signature_class virtual_signature_class_union""",
     "graded": """GradedAlgebraError GradedClass GradedRing NonUnitalClassError RingComponent
-        TensorClass cross diagonal_pullback signature_class""",
+        TensorClass cross diagonal_pullback genus_class power_sums signature_class""",
     "model": """ImmersionModel LinearMap ModelError ValidationReport disjoint_union
         embedding_consistent validate""",
     "modelfile": "ModelFormatError load_model model_from_dict model_to_dict save_model",
     "models": "BUNDLED bundled_model random_truncated_model truncated_polynomial_ring",
+    "oracle": "recursion_identity_holds",
     "partitions": "SetPartition all_partitions count_by_type refines type_vectors",
     "series": """SpecialSeries compose identity_series invert scaled_exp_series
         scaled_log_series""",

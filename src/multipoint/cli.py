@@ -171,9 +171,9 @@ def _identity_failures(max_k: int) -> List[str]:
     from fractions import Fraction
     from math import prod
 
-    from .formulas import recursion_identity_holds
     from .graded import cross
-    from .oracle import compose_enumerated, signature_enumerated, virtual_class_enumerated
+    from .oracle import (compose_enumerated, recursion_identity_holds, signature_enumerated,
+                         virtual_class_enumerated)
     from .partitions import BELL, all_partitions, count_by_type, log_coefficient, type_vectors
     from .series import compose, composed_derivative, identity_series, invert, scaled_exp_series
 

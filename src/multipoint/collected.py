@@ -1,0 +1,223 @@
+"""The collected kernel: the exponential coefficients of the normal
+blocks, and the genera and characteristic numbers of the k-tuple point
+manifold read from them.
+
+By the exponential formula the partition sum of the transfer collapses,
+for a tensor power of one normal class u, to the coefficients E_n of
+exp(sum_i (-1)^(i-1) b_i t^i / i), b_i the image of e^(i-1) * u^i.  For
+a multiplicative class K the genus of the k-tuple point manifold is the
+integral of K(target) * E_k with u = K(normal)^-1, and the characteristic
+numbers are read from genera at integer points.  Everything is exact.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial, prod
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+from .graded import (
+    Coords,
+    GradedClass,
+    GradedRing,
+    Scalar,
+    exact,
+    nilpotency_order,
+    power_sums,
+)
+from .model import ImmersionModel, solve_linear
+from .polynomials import (
+    elementary_in_power_sums,
+    exp_coeffs,
+    interpolate_on_lower_set,
+    lower_set,
+    lower_set_size,
+)
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"multiplicity k must be at least 1, got {k}")
+
+
+class _Chain:
+    """The memo of one collected recursion: e * u, the chain class
+    e^(n-1) * u^n of the last block, the blocks b_1..b_n and E_0..E_n, all
+    coordinate dicts."""
+
+    __slots__ = ("eu", "last", "blocks", "coeffs")
+
+    def __init__(self, model: ImmersionModel, u: Coords, ring: GradedRing):
+        self.eu = model.source.mul_coords(model.euler.coords, u)
+        self.last = u
+        self.blocks: List[Coords] = []
+        self.coeffs: List[Coords] = [ring.unit_coords]
+
+
+def _exponential_coefficients(model: ImmersionModel, u: GradedClass, k: int,
+                              to_target: bool) -> _Chain:
+    """The memo holding E_0..E_k, the coefficients of
+    exp(sum_i (-1)^(i-1) b_i t^i / i) for the blocks
+    b_i = img(e^(i-1) * u^i), u a normal class: img is the
+    pushforward (blocks on the target) or pullback(pushforward(.)) (blocks
+    on the source).
+
+    By the exponential formula, n! * E_n is the sum over the partitions of
+    n points of the products of the block classes b_|B|, each weighted by
+    the log coefficient of |B|.  Differentiating the exponential gives
+    n * E_n = sum_{i=1..n} (-1)^(i-1) b_i E_{n-i}, so E_k costs O(k^2)
+    ring products and no partition or type vector is visited.
+
+    Everything is a coordinate dict, and the recursion is memoised in the
+    model's cache under the side and u: a call for a larger k extends the
+    chain, the blocks and the coefficients, and a call for a smaller k
+    reads them.  The returned memo holds at least E_0..E_k; callers must
+    not mutate it.
+    """
+    ring = model.target if to_target else model.source
+    memo = model._cached(("collected", to_target, u), lambda: _Chain(model, u.coords, ring))
+    _extend(model, memo, k, to_target)
+    return memo
+
+
+def _extend(model: ImmersionModel, chain: _Chain, k: int, to_target: bool) -> None:
+    """Extend the chain's blocks and coefficients up to E_k."""
+    ring = model.target if to_target else model.source
+    blocks, coeffs = chain.blocks, chain.coeffs
+    push, pull = model.pushforward.apply_coords, model.pullback.apply_coords
+    mul = ring.mul_coords
+    for n in range(len(coeffs), k + 1):
+        if n > 1 and chain.last:
+            chain.last = model.source.mul_coords(chain.last, chain.eu)
+        block = chain.last and push(chain.last)
+        if block and not to_target:
+            block = pull(block)
+        blocks.append(block)
+        acc = _sum_coords((1 if i % 2 else -1, mul(blocks[i - 1], coeffs[n - i]))
+                          for i in range(1, n + 1) if blocks[i - 1] and coeffs[n - i])
+        coeffs.append(_divided(acc, n))
+
+
+def _divided(coords: Coords, n: int) -> Coords:
+    """coords / n, each entry in the int-or-Fraction normal form."""
+    return {i: exact(Fraction(v, n)) for i, v in coords.items()}
+
+
+def _sum_coords(terms: Iterable[Tuple[Scalar, Coords]]) -> Coords:
+    """sum c * x over the (c, x) of terms, with no zero entries."""
+    acc: Coords = {}
+    for c, coords in terms:
+        for i, v in coords.items():
+            acc[i] = acc.get(i, 0) + c * v
+    return {i: v for i, v in acc.items() if v}
+
+
+def _pairing(a: GradedClass, b: Coords) -> Fraction:
+    """The integral of a * b, for b a coordinate dict on a's ring."""
+    return a.ring.integrate_coords(a.ring.mul_coords(a.coords, b))
+
+
+def _genus(model: ImmersionModel, k: int, target_class: GradedClass,
+           u: GradedClass) -> Fraction:
+    """The integral of K(target) * E_k, E_k the collected kernel's
+    coefficient on the target for the normal class u = K(normal)^-1."""
+    return _pairing(target_class, _exponential_coefficients(model, u, k, to_target=True).coeffs[k])
+
+
+def _genus_point_count(J: Sequence[int], step: int, dims: Sequence[int], chern: bool) -> int:
+    """The number of genus evaluations _number_from_genera makes (the L
+    point, which the signature queries share, counts as 1)."""
+    w = sum(J) // step
+    weights = {d // step for d in dims if d >= 0 and d % step == 0}
+    if not chern and weights == {w} and w <= 1:
+        return 1
+    top = max((j // step for j in J if j), default=1)
+    return lower_set_size(range(2, top + 1), w) * len(weights)
+
+
+def _number_from_genera(model: ImmersionModel, k: int, J: Sequence[int], chern: bool,
+                        dims: Sequence[int]) -> Fraction:
+    """The characteristic number, read from genera.
+
+    Over a component of dimension step * u, the genus with log
+    coefficients c is G_u(c) = sum over the partitions lambda of u of
+    prod_i c_(lambda_i) / prod_j m_j(lambda)! * S_lambda, S_lambda the
+    integral of prod_i s_(lambda_i).  By Newton's identities the number is
+    a combination of the S_lambda of weight w = sum(J) / step whose parts
+    are at most top = max(J) / step, so c_j = 0 for j > top.  With c_1 = 1
+    the genus is then a polynomial in c_2..c_top on the lower set of the
+    (m_2, ..., m_top) with sum_j j * m_j <= w, one vector per such lambda,
+    and interpolate_on_lower_set reads it from its values at those integer
+    points: a triangular system, no elimination.  Other weights (sources
+    with components of other dimensions) are split off by also evaluating
+    at s^j * c_j for s = 1, 2, ..., which multiplies G_u by s^u.
+
+    At a point, K(target) = exp(sum_j c_j s_j) is a product of powers of
+    exp(s^j * s_j(target)), and likewise u = K(normal)^-1; the genus is the
+    collected kernel on a chain of its own, so no point is memoised.  A
+    Pontrjagin number of one weight w <= 1 needs no point: G_1 = S_(1) / 3
+    on the L-genus, whose chain the signature queries share.
+    """
+    step = 2 if chern else 4
+    w = sum(J) // step
+    weights = sorted({d // step for d in dims if d >= 0 and d % step == 0})
+    parts = [j // step for j in J if j]
+    if not chern and weights == [w] and w <= 1:
+        return 3 ** w * _genus(model, k, model.l_target, model.l_normal_inverse)
+    top = max(parts, default=1)
+    total, normal = ((model.chern_target, model.normal_chern) if chern
+                     else (model.pontrjagin_target, model.normal_pontrjagin))
+    points = lower_set(range(2, top + 1), w)
+    values: Dict[Tuple[int, ...], Fraction] = dict.fromkeys(points, Fraction(0))
+    # G_w = sum_s beta_s G(s . c), from a Vandermonde system in the scales
+    # (distinct positive scales and exponents: nonsingular)
+    scales = range(1, len(weights) + 1)
+    beta = solve_linear([{u: s ** u for u in weights} for s in scales], {w: 1})
+    sides = [(total.ring, power_sums(total, step), 1), (normal.ring, power_sums(normal, step), -1)]
+    for s, b in zip(scales, beta):
+        # tables[side][j][x] = exp(x * s^j * s_j) on the target, and the
+        # inverse for the normal class on the source
+        tables = []
+        for ring, sums, sign in sides:
+            series = exp_coeffs(nilpotency_order(ring))
+            side = [[]]
+            for j in range(1, top + 1):
+                powers = [ring.unit_coords]
+                if j in sums:
+                    e = (sign * s ** j * sums[j]).eval_series(series).coords
+                    for _ in range(w // j if j > 1 else 1):  # c_1 = 1 at every point
+                        powers.append(ring.mul_coords(powers[-1], e))
+                side.append(powers)
+            tables.append(side)
+        for m in points:
+            at = []
+            for side, ring in zip(tables, (model.target, model.source)):
+                acc = side[1][-1]
+                for j, x in enumerate(m, start=2):
+                    if x and len(side[j]) > 1:
+                        acc = ring.mul_coords(acc, side[j][x])
+                at.append(acc)
+            values[m] += b * _genus_at(model, k, *at)
+    numbers: Dict[Tuple[int, ...], Fraction] = {}  # S_lambda = a_m * prod_j m_j!
+    for m, a in interpolate_on_lower_set(values).items():
+        mult = (w - sum(j * x for j, x in enumerate(m, start=2)),) + m
+        lam = tuple(j for j in range(top, 0, -1) for _ in range(mult[j - 1]))
+        numbers[lam] = a * prod(map(factorial, mult))
+    e = elementary_in_power_sums(top)
+    product: Dict[Tuple[int, ...], Fraction] = {(): Fraction(1)}  # prod e_v in s
+    for v in parts:
+        terms: Dict[Tuple[int, ...], Fraction] = {}
+        for a, x in product.items():
+            for lam, y in e[v].items():
+                key = tuple(sorted(a + lam, reverse=True))
+                terms[key] = terms.get(key, 0) + x * y
+        product = terms
+    return sum((v * numbers.get(lam, 0) for lam, v in product.items()), Fraction(0))
+
+
+def _genus_at(model: ImmersionModel, k: int, target: Coords, u: Coords) -> Fraction:
+    """The integral of target * E_k, E_k from the normal class u on a
+    chain built for this call only."""
+    chain = _Chain(model, u, model.target)
+    _extend(model, chain, k, to_target=True)
+    return model.target.integrate_coords(model.target.mul_coords(target, chain.coeffs[k]))

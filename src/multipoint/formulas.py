@@ -13,21 +13,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from .collected import (
+    _check_k,
+    _exponential_coefficients,
+    _genus,
+    _genus_point_count,
+    _number_from_genera,
+    _pairing,
+    _sum_coords,
+)
 from .graded import (
     Coords,
     GradedAlgebraError,
     GradedClass,
-    GradedRing,
     Scalar,
     TensorClass,
     cross,
-    diagonal_pullback,
-    exact,
+    genus_class,
 )
-from .model import ImmersionModel, ModelError, preimage_under
-from .partitions import all_partitions, log_coefficient
+from .model import ImmersionModel, ModelError, disjoint_union, preimage_under
+from .partitions import log_coefficient
 from .records import Record
 
 
@@ -66,11 +73,6 @@ def empty_locus_warning(model: ImmersionModel, k: int) -> Optional[str]:
         return None
     return (f"the {k}-tuple point manifold is empty: (k-1)*codim = {(k - 1) * model.codim} "
             f"exceeds the source dimension(s) {model.source_dimensions()}; the value is 0")
-
-
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"multiplicity k must be at least 1, got {k}")
 
 
 def _check_tensor(model: ImmersionModel, k: int, x: TensorClass) -> None:
@@ -124,16 +126,17 @@ def _transfer(model: ImmersionModel, factors: Sequence[GradedClass],
     if not all(c.coords for c in factors):
         return ring.zero()
     k, codim = len(factors), model.codim
-    full = (1 << k) - 1
     sdeg, rdeg = source.degrees, ring.degrees
     low = [min(map(sdeg.__getitem__, c.coords)) for c in factors]
+    # w({1,...,k}) is a plain sum, so the empty case costs no 2^k table
+    slack = ring.max_degree - k * codim - sum(low) + (0 if to_target else codim)
+    if slack < 0:  # every partition term lies above the top degree
+        return ring.zero()
+    full = (1 << k) - 1
     w = [0] * (full + 1)  # w[S], the degree bound of a mapped block or T(S)
     for b in range(1, full + 1):
         top = b.bit_length() - 1
         w[b] = w[b ^ (1 << top)] + codim + low[top]
-    slack = ring.max_degree - w[full] + (0 if to_target else codim)
-    if slack < 0:  # every partition term lies above the top degree
-        return ring.zero()
 
     def within(coords: Coords, cap: int) -> Coords:
         return {i: v for i, v in coords.items() if sdeg[i] <= cap}
@@ -228,77 +231,6 @@ def transfer_to_target(model: ImmersionModel, k: int, x: TensorClass) -> GradedC
 # ---------------------------------------------------------------------------
 
 
-class _Chain:
-    """The memo of one collected recursion: e * u, the chain class
-    e^(n-1) * u^n of the last block, the blocks b_1..b_n and E_0..E_n, all
-    coordinate dicts."""
-
-    __slots__ = ("eu", "last", "blocks", "coeffs")
-
-    def __init__(self, model: ImmersionModel, u: GradedClass, ring: GradedRing):
-        self.eu = model.source.mul_coords(model.euler.coords, u.coords)
-        self.last = u.coords
-        self.blocks: List[Coords] = []
-        self.coeffs: List[Coords] = [ring.unit_coords]
-
-
-def _exponential_coefficients(model: ImmersionModel, u: GradedClass, k: int,
-                              to_target: bool) -> _Chain:
-    """The memo holding E_0..E_k, the coefficients of
-    exp(sum_i (-1)^(i-1) b_i t^i / i) for the blocks
-    b_i = img(e^(i-1) * u^i), u a normal class: img is the
-    pushforward (blocks on the target) or pullback(pushforward(.)) (blocks
-    on the source).
-
-    By the exponential formula, n! * E_n is the sum over the partitions of
-    n points of the products of the block classes b_|B|, each weighted by
-    the log coefficient of |B|.  Differentiating the exponential gives
-    n * E_n = sum_{i=1..n} (-1)^(i-1) b_i E_{n-i}, so E_k costs O(k^2)
-    ring products and no partition or type vector is visited.
-
-    Everything is a coordinate dict, and the recursion is memoised in the
-    model's cache under the side and u: a call for a larger k extends the
-    chain, the blocks and the coefficients, and a call for a smaller k
-    reads them.  The returned memo holds at least E_0..E_k; callers must
-    not mutate it.
-    """
-    ring = model.target if to_target else model.source
-    memo = model._cached(("collected", to_target, u), lambda: _Chain(model, u, ring))
-    blocks, coeffs = memo.blocks, memo.coeffs
-    push, pull = model.pushforward.apply_coords, model.pullback.apply_coords
-    mul = ring.mul_coords
-    for n in range(len(coeffs), k + 1):
-        if n > 1 and memo.last:
-            memo.last = model.source.mul_coords(memo.last, memo.eu)
-        block = memo.last and push(memo.last)
-        if block and not to_target:
-            block = pull(block)
-        blocks.append(block)
-        acc = _sum_coords((1 if i % 2 else -1, mul(blocks[i - 1], coeffs[n - i]))
-                          for i in range(1, n + 1) if blocks[i - 1] and coeffs[n - i])
-        coeffs.append(_divided(acc, n))
-    return memo
-
-
-def _divided(coords: Coords, n: int) -> Coords:
-    """coords / n, each entry in the int-or-Fraction normal form."""
-    return {i: exact(Fraction(v, n)) for i, v in coords.items()}
-
-
-def _sum_coords(terms: Iterable[Tuple[Scalar, Coords]]) -> Coords:
-    """sum c * x over the (c, x) of terms, with no zero entries."""
-    acc: Coords = {}
-    for c, coords in terms:
-        for i, v in coords.items():
-            acc[i] = acc.get(i, 0) + c * v
-    return {i: v for i, v in acc.items() if v}
-
-
-def _pairing(a: GradedClass, b: Coords) -> Fraction:
-    """The integral of a * b, for b a coordinate dict on a's ring."""
-    return a.ring.integrate_coords(a.ring.mul_coords(a.coords, b))
-
-
 def signature_via_source(model: ImmersionModel, k: int) -> Fraction:
     """Signature of the k-tuple point manifold, evaluated on the source:
     transfer of L(source) x L(normal)^{-1} x ... x L(normal)^{-1}."""
@@ -320,8 +252,7 @@ def signature_collected(model: ImmersionModel, k: int) -> Fraction:
     """Collected form: L(target) paired with E_k of the pushed normal
     blocks, the partition sum collected by the exponential formula."""
     _check_k(k)
-    E = _exponential_coefficients(model, model.l_normal_inverse, k, to_target=True).coeffs[k]
-    return _pairing(model.l_target, E)
+    return _genus(model, k, model.l_target, model.l_normal_inverse)
 
 
 def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
@@ -372,9 +303,57 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def genus(model: ImmersionModel, k: int, log_coeffs: Sequence[Scalar],
+          chern: bool = False) -> Fraction:
+    """The genus of the k-tuple point manifold for the multiplicative class
+    K with log K = sum_j c_j s_j, s_j the power sums of the squared
+    Pontrjagin roots (of the Chern roots if chern is set) and c_j the
+    entries of log_coeffs (c_0 is not read; entries past the end are 0).
+
+    The model defines the normal class as f*(P(target)) * P(source)^-1
+    (likewise C) and K is multiplicative, so the genus is the integral of
+    K(target) * E_k with u = K(normal)^-1, as the collected signature
+    route pairs L(target) with it.  The classes are memoised per model.
+    """
+    _check_k(k)
+    c = tuple(log_coeffs)
+
+    def build():
+        total, normal = ((model.chern_target, model.normal_chern) if chern
+                         else (model.pontrjagin_target, model.normal_pontrjagin))
+        step = 2 if chern else 4
+        return (genus_class(total, lambda n: c, step),
+                genus_class(normal, lambda n: c, step).invert_unital())
+    return _genus(model, k, *model._cached(("genus", chern, c), build))
+
+
+def _number_by_expansion(model: ImmersionModel, k: int, J: Sequence[int],
+                         chern: bool) -> Fraction:
+    """The transfer of the degree-J part of the expanded tensor
+    C x C(normal)^-1 x ... x C(normal)^-1, C the source's total
+    Pontrjagin (or Chern) class: n^k tensor terms for n source classes."""
+    total, normal = ((model.chern_source, model.normal_chern) if chern
+                     else (model.pontrjagin_source, model.normal_pontrjagin))
+    x = cross([total] + [normal.invert_unital()] * (k - 1)).select_degrees(J)
+    return transfer_to_source(model, k, x).integrate() / factorial(k)
+
+
 def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
-                           total_source: GradedClass, normal_total: GradedClass,
-                           ) -> MultipointResult:
+                           chern: bool) -> MultipointResult:
+    """The number, or 0 before any class is built when the degrees alone
+    decide it: with a warning when sum(J) is not a k-tuple dimension or
+    the manifold is empty, without one when a j is not a multiple of the
+    degree step of the classes.
+
+    Otherwise _number_from_genera and _number_by_expansion both give it
+    exactly, and the one with the smaller estimated cost runs, counted in
+    products of two coordinates: (k + 1)^2 products of classes of n
+    coordinates per genus point, so (k + 1)^2 * n^2, against 3^(k-1)
+    products of basis classes per tensor term, of which there are at most
+    n^k for n source classes.  The expansion runs where n^k is small and
+    the genera where the weight is: a large k leaves the k-tuple manifold
+    a small dimension.
+    """
     _check_k(k)
     J = tuple(int(j) for j in J)
     for j in J:
@@ -389,30 +368,42 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     empty = empty_locus_warning(model, k)
     if empty is not None:
         warnings.append(empty)
-    inv = normal_total.invert_unital()
-    x = cross([total_source] + [inv] * (k - 1))
-    selected = x.select_degrees(J)
-    value = transfer_to_source(model, k, selected).integrate() / factorial(k)
-    return MultipointResult(k=k, kind="characteristic", value=value,
+    value = Fraction(0)
+    step = 2 if chern else 4
+    # a part of a Pontrjagin class has degree 0 mod 4, so any other j selects 0
+    if not warnings and all(j % step == 0 for j in J):
+        n = len(model.source.labels)
+        if n ** k * 3 ** (k - 1) < _genus_point_count(J, step, dims, chern) * (k + 1) ** 2 * n * n:
+            value = _number_by_expansion(model, k, J, chern)
+        else:
+            value = _number_from_genera(model, k, J, chern, dims)
+    return MultipointResult(k=k, kind="chern" if chern else "pontrjagin", value=value,
                             dimension=dims[0] if len(dims) == 1 else None,
                             warnings=warnings)
 
 
 def pontrjagin_number(model: ImmersionModel, k: int, J: Sequence[int]) -> MultipointResult:
     """Pontrjagin number of the k-tuple point manifold for the index
-    sequence J (degrees of the selected graded parts)."""
-    res = _characteristic_number(model, k, J, model.pontrjagin_source, model.normal_pontrjagin)
-    res.kind = "pontrjagin"
-    return res
+    sequence J (degrees of the selected graded parts): the integral of
+    the product of the p_(j/4) of its tangent bundle.
+
+    It is 0, with a warning, when sum(J) is not a k-tuple dimension or
+    the manifold is empty, and 0 when some j is not a multiple of 4; no
+    class is built then.  Otherwise it is computed by the cheaper of two
+    exact routes (see _characteristic_number): read from genera, which
+    is the signature alone when sum(J) <= 4 and the manifold has one
+    dimension, or the transfer of the expanded tensor, at small k.
+    """
+    return _characteristic_number(model, k, J, chern=False)
 
 
 def chern_number(model: ImmersionModel, k: int, J: Sequence[int]) -> MultipointResult:
-    """Chern number of the k-tuple point manifold; requires Chern data."""
+    """Chern number of the k-tuple point manifold for the index sequence J,
+    computed as pontrjagin_number is, from the Chern roots (with no L
+    point, and step 2 for 4); requires Chern data."""
     if model.chern_source is None or model.chern_target is None:
         raise ModelError("model carries no Chern data")
-    res = _characteristic_number(model, k, J, model.chern_source, model.normal_chern)
-    res.kind = "chern"
-    return res
+    return _characteristic_number(model, k, J, chern=True)
 
 
 # ---------------------------------------------------------------------------
@@ -450,24 +441,31 @@ def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> G
     k! times the t^k coefficient of the product, over the components, of
     the series 1 + sum_i B_i t^i / i!, B_i the component's class for i
     sheets.  A component receiving no sheet contributes the empty factor 1,
-    so that the k = 1 class stays additive over components.
+    so that the k = 1 class stays additive over components.  B_i / i! is
+    the component's E_i, read from its collected memo.  The result is
+    checked once against the transfer kernel on the disjoint union, which
+    also refuses components that do not share the target data and
+    codimension.
     """
     _check_k(k)
     if not models:
         raise ModelError("no component models")
-    target = models[0].target
-    for m in models[1:]:
-        if m.target != target:
-            raise ModelError("component models must share the target")
+    union = disjoint_union(models)
+    target = union.target
     mul = target.mul_coords
     product: List[Coords] = [target.unit_coords] + [{}] * k
     for m in models:
-        series = [target.unit_coords] + [
-            _divided(virtual_signature_class(m, i).coords, factorial(i)) for i in range(1, k + 1)]
+        series = _exponential_coefficients(m, m.l_normal_inverse, k, to_target=True).coeffs
         product = [_sum_coords((1, mul(product[j], series[n - j]))
                                for j in range(n + 1) if product[j] and series[n - j])
                    for n in range(k + 1)]
-    return GradedClass(target, {i: factorial(k) * v for i, v in product[k].items()})
+    collected = GradedClass(target, {i: factorial(k) * v for i, v in product[k].items()})
+    enumerated = _transfer(union, [union.l_normal_inverse] * k, to_target=True)
+    if collected != enumerated:
+        raise RouteDisagreement(
+            f"virtual signature class mismatch for k={k} on the union: "
+            f"collected {collected} vs enumerated {enumerated}")
+    return collected
 
 
 # ---------------------------------------------------------------------------
@@ -595,34 +593,3 @@ def pontrjagin_nullhomotopic(model: ImmersionModel, k: int, J: Sequence[int]) ->
     _require(model.normal_pontrjagin.invert_unital() == model.pontrjagin_source,
              "P(normal)^(-1) differs from P(source)")
     return pontrjagin_pushpull_zero(model, k, J)
-
-
-# ---------------------------------------------------------------------------
-# The clean-intersection recursion as a testable identity
-# ---------------------------------------------------------------------------
-
-
-def recursion_identity_holds(model: ImmersionModel, k: int, x: TensorClass) -> bool:
-    """Check the recursion the solved formula came from.
-
-    Left side: the first factor times the pulled-back pushforwards of the
-    others.  Right side: the partition sum of Euler-weighted transfers of
-    the diagonal restrictions.  Returns exact equality.
-    """
-    _check_k(k)
-    _check_tensor(model, k, x)
-    lhs = model.source.zero()
-    for idx, coeff in x.terms.items():
-        cls = model.source.basis_class(idx[0])
-        for i in idx[1:]:
-            cls = cls * model.pushpull(model.source.basis_class(i))
-        lhs = lhs + coeff * cls
-
-    rhs = model.source.zero()
-    for alpha in all_partitions(k):
-        y = diagonal_pullback(alpha, x)
-        for slot, block in enumerate(alpha.blocks):
-            if len(block) > 1:
-                y = y.scale_slot(slot, model.euler ** (len(block) - 1))
-        rhs = rhs + transfer_to_source(model, len(alpha.blocks), y)
-    return lhs == rhs

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .partitions import SetPartition
 from .polynomials import exp_coeffs, signature_genus_log_coeffs
@@ -433,44 +433,65 @@ def nilpotency_order(ring: GradedRing) -> int:
     return len({d for d in ring.degrees if d}) + 1
 
 
-def signature_class(P: GradedClass) -> GradedClass:
-    """The Hirzebruch L-class of a total Pontrjagin class.
+def power_sums(P: GradedClass, step: int = 4) -> Dict[int, GradedClass]:
+    """The nonzero power sums s_j of the formal roots of a total class P.
 
-    Computed from the logarithm of the characteristic series: the degree-4j
-    components of P are treated as elementary symmetric functions of formal
-    Chern roots, converted to power sums by Newton's identities, and fed
-    into exp(sum c_j s_j).  Exact, and multiplicative by construction.  The
-    Newton loop runs over the distinct basis degrees and the series is cut
-    at the ring's nilpotency order, so the work grows with the number of
-    distinct degrees, not with their size.
+    The degree-(step * j) part of P is read as the j-th elementary
+    symmetric function of formal roots (squared roots for Pontrjagin
+    classes, step 4; roots for Chern classes, step 2) and turned into
+    power sums by Newton's identities.  The loop runs over the distinct
+    basis degrees only, so the work does not grow with their size.
     """
     ring = P.ring
     if not P.is_unital():
-        raise NonUnitalClassError("total Pontrjagin class must be unital")
-    for d, part in P.homogeneous_parts().items():
-        if d % 4 and d != 0:
-            raise GradedAlgebraError(f"Pontrjagin-type class has a degree-{d} part")
-    # Newton's identities, over the j with a basis element of degree 4j only:
-    # every other elementary symmetric function and power sum is zero
-    js = sorted({d // 4 for d in ring.degrees if d and d % 4 == 0})
-    elem = {j: P.degree_part(4 * j) for j in js}
-    power_sums: Dict[int, GradedClass] = {}
+        raise NonUnitalClassError("total class must be unital")
+    for d in P.homogeneous_parts():
+        if d % step:
+            raise GradedAlgebraError(f"total class has a degree-{d} part, "
+                                     f"not a multiple of {step}")
+    # Newton's identities, over the j with a basis element of degree step*j
+    # only: every other elementary symmetric function and power sum is zero
+    js = sorted({d // step for d in ring.degrees if d and d % step == 0})
+    elem = {j: P.degree_part(step * j) for j in js}
+    sums: Dict[int, GradedClass] = {}
     for j in js:
         acc = (-1) ** (j - 1) * j * elem[j]
         for i in js:
             if i >= j:
                 break
-            if j - i in power_sums:
-                acc = acc + (-1) ** (i - 1) * (elem[i] * power_sums[j - i])
+            if j - i in sums:
+                acc = acc + (-1) ** (i - 1) * (elem[i] * sums[j - i])
         if not acc.is_zero():
-            power_sums[j] = acc
-    if not power_sums:
+            sums[j] = acc
+    return sums
+
+
+def genus_class(P: GradedClass, log_coeffs: Callable[[int], Sequence[Scalar]],
+                step: int = 4) -> GradedClass:
+    """The multiplicative class exp(sum_j c_j s_j) of a total class P, s_j
+    its power sums (see power_sums).  Exact, and multiplicative by
+    construction, since the power sums of a product of total classes add.
+
+    log_coeffs(n) returns c_0, c_1, ... at least up to c_n, for n the
+    largest j with a nonzero power sum (c_0 is not read, and entries past
+    the end are 0).  The series is cut at the ring's nilpotency order.
+    """
+    ring = P.ring
+    sums = power_sums(P, step)
+    if not sums:
         return ring.unit()
-    c = signature_genus_log_coeffs(max(power_sums))
-    log_l = ring.zero()
-    for j, power_sum in power_sums.items():
-        log_l = log_l + c[j] * power_sum
-    return log_l.eval_series(exp_coeffs(nilpotency_order(ring)))
+    c = log_coeffs(max(sums))
+    log_k = ring.zero()
+    for j, power_sum in sums.items():
+        if j < len(c) and c[j]:
+            log_k = log_k + c[j] * power_sum
+    return log_k.eval_series(exp_coeffs(nilpotency_order(ring)))
+
+
+def signature_class(P: GradedClass) -> GradedClass:
+    """The Hirzebruch L-class of a total Pontrjagin class: the genus class
+    of log(sqrt(x)/tanh(sqrt(x)))."""
+    return genus_class(P, signature_genus_log_coeffs)
 
 
 class TensorClass:

@@ -22,6 +22,7 @@ from .graded import (
     GradedRing,
     RingComponent,
     Scalar,
+    power_sums,
     signature_class,
 )
 from .records import FrozenRecord, Record
@@ -29,6 +30,12 @@ from .records import FrozenRecord, Record
 
 class ModelError(ValueError):
     pass
+
+
+# The L-class of a total Pontrjagin class whose power sums reach degree d
+# needs the log series of the L-genus to order d/4; validation refuses
+# power sums above this degree (order 64 of the series).
+MAX_CLASS_DEGREE = 256
 
 
 class LinearMap(FrozenRecord):
@@ -283,6 +290,30 @@ def validate(model: ImmersionModel) -> ValidationReport:
     for label, cls in (("source", model.chern_source), ("target", model.chern_target)):
         if cls is not None:
             report.add(f"{label} Chern class is unital", cls.is_unital(), f"{cls}")
+
+    # the L-class of a total class needs its log series up to the largest
+    # power sum, at a cost that grows faster than the square of its order:
+    # bound that degree before any L-class is built, from power sums (which
+    # cost no series) on a ring that holds a degree above the bound
+    try:
+        high = []
+        for label, ring, cls in (
+                ("source", model.source, lambda: model.pontrjagin_source),
+                ("target", model.target, lambda: model.pontrjagin_target),
+                ("pulled-back target", model.source,
+                 lambda: model.pullback(model.pontrjagin_target)),
+                ("normal", model.source, lambda: model.normal_pontrjagin)):
+            if max(d for d in ring.degrees if d % 4 == 0) > MAX_CLASS_DEGREE:
+                top = 4 * max(power_sums(cls()), default=0)
+                if top > MAX_CLASS_DEGREE:
+                    high.append(f"{label} Pontrjagin class has a power sum in degree {top}")
+    except GradedAlgebraError as exc:
+        report.add("normal class derivation", False, str(exc))
+        return report
+    if high:
+        report.add(f"Pontrjagin power sums within degree {MAX_CLASS_DEGREE}", False,
+                   "; ".join(high))
+        return report
 
     # derived-class relations (hold by construction; checked as regression)
     try:

@@ -1,10 +1,14 @@
 """Brute-force oracle: literal partition enumeration with no shortcuts.
 
-Everything here recomputes the multiple-point quantities from first
+The enumerations here recompute the multiple-point quantities from first
 principles, sharing only the partition and ring value types with the
 production code.  No collected sums, no pull-out identity, no closed
 forms; weights come straight from the factorial definition.  Used to
 freeze expected values in the test suite.
+
+The clean-intersection recursion that the solved transfer formula comes
+from sits here too, as a check of the production transfer, which it
+calls: its right side enumerates partitions and diagonal pullbacks.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from fractions import Fraction
 from math import factorial
 from typing import List, NamedTuple, Tuple
 
-from .graded import TensorClass
+from .formulas import _check_k, _check_tensor, transfer_to_source
+from .graded import TensorClass, diagonal_pullback
 from .model import ImmersionModel
 from .partitions import SetPartition, all_partitions, quotient, refines
 
@@ -181,3 +186,29 @@ def double_composition_enumerated(a, b, c, k: int, cap: int = DEFAULT_CAP) -> Or
             term = term * c[len(block) - 1]
         out = term if out is None else out + term
     return OracleRun(out, npairs, npairs)
+
+
+def recursion_identity_holds(model: ImmersionModel, k: int, x: TensorClass) -> bool:
+    """Check the recursion the solved formula came from.
+
+    Left side: the first factor times the pulled-back pushforwards of the
+    others.  Right side: the partition sum of Euler-weighted transfers of
+    the diagonal restrictions.  Returns exact equality.
+    """
+    _check_k(k)
+    _check_tensor(model, k, x)
+    lhs = model.source.zero()
+    for idx, coeff in x.terms.items():
+        cls = model.source.basis_class(idx[0])
+        for i in idx[1:]:
+            cls = cls * model.pushpull(model.source.basis_class(i))
+        lhs = lhs + coeff * cls
+
+    rhs = model.source.zero()
+    for alpha in all_partitions(k):
+        y = diagonal_pullback(alpha, x)
+        for slot, block in enumerate(alpha.blocks):
+            if len(block) > 1:
+                y = y.scale_slot(slot, model.euler ** (len(block) - 1))
+        rhs = rhs + transfer_to_source(model, len(alpha.blocks), y)
+    return lhs == rhs

@@ -18,7 +18,6 @@ from multipoint.formulas import (
     pontrjagin_number,
     pontrjagin_pushpull_zero,
     pulled_from_target_class,
-    recursion_identity_holds,
     signature,
     signature_collected,
     signature_collected_source,
@@ -42,7 +41,7 @@ from multipoint.models import (
     random_truncated_model,
     random_union_components,
 )
-from multipoint.oracle import virtual_class_enumerated
+from multipoint.oracle import recursion_identity_holds, virtual_class_enumerated
 from multipoint.partitions import (
     BELL,
     all_partitions,

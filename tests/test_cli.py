@@ -4,8 +4,9 @@ import threading
 import pytest
 
 from multipoint import cli, formulas
+from multipoint.model import ImmersionModel, LinearMap
 from multipoint.modelfile import model_to_dict, save_model
-from multipoint.models import BUNDLED, bundled_model
+from multipoint.models import BUNDLED, bundled_model, truncated_polynomial_ring
 
 
 def run(capsys, *argv):
@@ -68,6 +69,70 @@ def test_validate_with_a_huge_basis_degree_finishes(tmp_path, capsys):
     assert not worker.is_alive(), "validate did not finish within 20 s"
     assert result["code"] in (0, 2)
     assert "[FAIL] euler class degree equals codimension" in capsys.readouterr().out
+
+
+def _line_in_plane_scaled(degree):
+    """line-in-plane with every degree times degree / 2 and a source
+    Pontrjagin part in the degree of the line, as a JSON object."""
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    obj["codim"] = degree
+    for ring, top in (("source", degree), ("target", 2 * degree)):
+        obj[ring]["degrees"] = [degree * d // 2 for d in obj[ring]["degrees"]]
+        obj[ring]["top_degree"] = top
+        for comp in obj[ring]["components"]:
+            comp["top_degree"] = top
+    obj["pontrjagin_source"] = {"0": "1", "1": "1"}
+    return obj
+
+
+def _finishes(argvs, seconds=10):
+    """The exit codes of cli.main on each argv, run in a thread that must
+    finish within the given time."""
+    codes = []
+    worker = threading.Thread(daemon=True, target=lambda: codes.extend(
+        cli.main(argv) for argv in argvs))
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"did not finish within {seconds} s"
+    return codes
+
+
+@pytest.mark.parametrize("degree", [4, 260, 4 * 10 ** 29])
+def test_characteristic_class_in_a_huge_degree_fails_validation(tmp_path, capsys, degree):
+    # a power sum in degree d needs the L-class series to order d/4: above
+    # the bound, validate states it and builds no L-class, and compute exits 2
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(_line_in_plane_scaled(degree)))
+    codes = _finishes([["validate", str(path)],
+                       ["compute", str(path), "--k", "1", "--quantity", "signature"]])
+    out = capsys.readouterr().out
+    if degree == 4:
+        assert codes == [0, 0]
+    else:
+        assert codes == [2, 2]
+        assert f"[FAIL] Pontrjagin power sums within degree 256: source Pontrjagin class " \
+               f"has a power sum in degree {degree}; target Pontrjagin class has a power sum " \
+               f"in degree {2 * degree}; normal Pontrjagin class has a power sum in degree " \
+               f"{degree}" in out
+        assert "normal signature-class relation" not in out
+
+
+def test_power_sums_beyond_the_class_degrees_fail_validation(tmp_path, capsys):
+    # P = 1 + a with deg a = 256 passes a bound on the degrees of its parts,
+    # but its power sums (-1)^(j-1) a^j reach a^20, in degree 5120
+    M = truncated_polynomial_ring("a", 20, gen_degree=256)
+    N = truncated_polynomial_ring("H", 21, gen_degree=256)
+    pull = LinearMap.from_coords(N, M, {j: ({j: 1} if j <= 20 else {}) for j in range(22)})
+    push = LinearMap.from_coords(M, N, {i: {i + 1: 1} for i in range(21)}, degree_shift=256)
+    m = ImmersionModel(M, N, pull, push, 256, M.element({1: 1}), M.element({0: 1, 1: 1}),
+                       N.unit(), name="deep")
+    path = tmp_path / "deep.json"
+    save_model(m, path)
+    assert _finishes([["validate", str(path)],
+                      ["compute", str(path), "--k", "2", "--quantity", "signature"]]) == [2, 2]
+    assert "[FAIL] Pontrjagin power sums within degree 256: source Pontrjagin class has a " \
+           "power sum in degree 5120; normal Pontrjagin class has a power sum in degree " \
+           "5120" in capsys.readouterr().out
 
 
 def test_missing_file_exits_2(capsys):

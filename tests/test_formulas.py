@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from multipoint import formulas
+from multipoint import collected, formulas, graded, partitions
 from multipoint.formulas import (
     SIGNATURE_ROUTES,
     PreconditionError,
@@ -15,7 +16,6 @@ from multipoint.formulas import (
     pontrjagin_pulled_from_target,
     pontrjagin_pushpull_zero,
     pulled_from_target_class,
-    recursion_identity_holds,
     signature,
     signature_collected,
     signature_collected_source,
@@ -33,16 +33,25 @@ from multipoint.formulas import (
     virtual_signature_class_union,
 )
 from multipoint.graded import GradedRing, cross
-from multipoint.model import LinearMap, disjoint_union
+from multipoint.model import (
+    ImmersionModel,
+    LinearMap,
+    ModelError,
+    disjoint_union,
+    product_ring,
+    validate,
+)
 from multipoint.modelfile import load_model, model_from_dict, model_to_dict, save_model
 from multipoint.models import (
     BUNDLED,
     bundled_model,
     random_truncated_model,
     random_union_components,
+    truncated_polynomial_ring,
 )
 from multipoint.oracle import (
     DEFAULT_CAP,
+    recursion_identity_holds,
     signature_enumerated,
     transfer_to_source_enumerated,
     transfer_to_target_enumerated,
@@ -54,6 +63,7 @@ from multipoint.partitions import (
     marked_type_vectors,
     type_vectors,
 )
+from multipoint.polynomials import signature_genus_log_coeffs
 
 
 def _random_tensor(rng, ring, k, nterms=2):
@@ -194,7 +204,8 @@ def test_general_and_via_n_visit_no_partition(monkeypatch):
     def unavailable(*args, **kwargs):
         raise AssertionError("the transfer kernel must not enumerate partitions")
 
-    monkeypatch.setattr(formulas, "all_partitions", unavailable)
+    assert not hasattr(formulas, "all_partitions")  # the oracle holds the one enumerating check
+    monkeypatch.setattr(partitions, "all_partitions", unavailable)
     models = [bundled_model("two-lines"), bundled_model("hypersurface-d3"),
               random_truncated_model(random.Random(19), max_powers=6, allow_zero_euler=False)]
     for m in models:
@@ -211,6 +222,16 @@ def test_general_via_n_and_collected_agree_at_k10():
     assert (len(m.source.labels) - 1, m.codim) == (11, 2)
     assert signature_via_source(m, 10) == signature_via_target(m, 10) \
         == signature_collected(m, 10) == 176
+
+
+def test_every_route_returns_zero_on_an_empty_locus_at_k64():
+    # the 2^64-entry degree table of the transfer kernel is never built
+    m = random_truncated_model(random.Random(19), max_powers=12, allow_zero_euler=False)
+    start = time.perf_counter()
+    for route in ("auto", "general", "via-N"):
+        assert signature(m, 64, route=route) == 0, route
+    assert signature_via_source(m, 20) == 0
+    assert time.perf_counter() - start < 2
 
 
 def _m12_model():
@@ -408,7 +429,7 @@ def test_collected_routes_need_no_partitions_or_transfer(monkeypatch):
     def unavailable(*args, **kwargs):
         raise AssertionError("the collected routes must not enumerate partitions")
 
-    monkeypatch.setattr(formulas, "all_partitions", unavailable)
+    monkeypatch.setattr(partitions, "all_partitions", unavailable)
     monkeypatch.setattr(formulas, "_transfer", unavailable)
     for k in range(1, 5):
         assert signature_collected(m, k) == expected[k - 1]
@@ -611,6 +632,27 @@ def test_union_convolution_single_component_degenerates():
         assert virtual_signature_class_union([m], k) == virtual_signature_class(m, k)
 
 
+def test_union_convolution_checks_once_on_the_union(monkeypatch):
+    comps = random_union_components(random.Random(8), 3)
+    expected = virtual_signature_class(disjoint_union(comps), 6)
+    calls = []
+    transfer = formulas._transfer
+    monkeypatch.setattr(formulas, "_transfer",
+                        lambda *a, **kw: calls.append(a) or transfer(*a, **kw))
+    assert virtual_signature_class_union(comps, 6) == expected
+    assert len(calls) == 1
+
+
+def test_union_convolution_refuses_what_the_disjoint_union_refuses():
+    m = bundled_model("hypersurface-d2")
+    other = ImmersionModel(m.source, m.target, m.pullback, m.pushforward, m.codim, m.euler,
+                           m.pontrjagin_source, m.target.unit())
+    with pytest.raises(ModelError, match="Pontrjagin"):
+        virtual_signature_class_union([m, other], 2)
+    with pytest.raises(ModelError, match="target"):
+        virtual_signature_class_union([m, bundled_model("line-in-plane")], 2)
+
+
 def test_union_k1_is_additive():
     comps = [bundled_model("line-in-plane"), bundled_model("line-in-plane")]
     total = virtual_signature_class_union(comps, 1)
@@ -666,6 +708,214 @@ def test_characteristic_rejects_odd_degrees():
     m = bundled_model("line-in-plane")
     with pytest.raises(Exception):
         pontrjagin_number(m, 1, [3])
+
+
+def reference_characteristic_number(m, k, J, chern=False, transfer=transfer_to_source):
+    """The cross route, production's before the genus route: the transfer
+    of the degree-J part of the expanded tensor C x C(normal)^-1 x ... x
+    C(normal)^-1, C the source's total Pontrjagin (or Chern) class."""
+    total, normal = ((m.chern_source, m.normal_chern) if chern
+                     else (m.pontrjagin_source, m.normal_pontrjagin))
+    x = cross([total] + [normal.invert_unital()] * (k - 1)).select_degrees(J)
+    value = transfer(m, k, x)
+    return getattr(value, "value", value).integrate() / factorial(k)
+
+
+def index_sequences(total):
+    """Every J of positive even entries, in descending order, summing to total."""
+    if total == 0:
+        return [()]
+    return [(j,) + rest for j in range(total, 0, -2)
+            for rest in index_sequences(total - j) if not rest or rest[0] <= j]
+
+
+def juxtaposed(models):
+    """The model of several immersions into disjoint targets: source and
+    target are product rings and every map and class is block-diagonal.
+    Sources of different dimensions give k-tuple manifolds whose
+    components have different dimensions."""
+    source = product_ring([m.source for m in models])
+    target = product_ring([m.target for m in models])
+    pull, push = {}, {}
+    blocks = {"euler": {}, "pontrjagin_source": {}, "pontrjagin_target": {},
+              "chern_source": {}, "chern_target": {}}
+    s = t = 0
+    for m in models:
+        for j, img in m.pullback.images.items():
+            pull[j + t] = {i + s: v for i, v in img.coords.items()}
+        for i, img in m.pushforward.images.items():
+            push[i + s] = {j + t: v for j, v in img.coords.items()}
+        for name, coords in blocks.items():
+            off = t if name.endswith("target") else s
+            coords.update({i + off: v for i, v in getattr(m, name).coords.items()})
+        s, t = s + len(m.source.labels), t + len(m.target.labels)
+    ring_of = {name: target if name.endswith("target") else source for name in blocks}
+    classes = {name: ring_of[name].element(coords) for name, coords in blocks.items()}
+    return ImmersionModel(source, target, LinearMap.from_coords(target, source, pull),
+                          LinearMap.from_coords(source, target, push, models[0].codim),
+                          models[0].codim, name="juxtaposed", **classes)
+
+
+def _pin_numbers(m, ks, reference):
+    """Compare every Pontrjagin (and Chern) number with sum(J) a k-tuple
+    dimension against the reference, both as the cost rule computes it
+    and by the genus route alone; the count of numbers compared."""
+    checked = 0
+    for k in ks:
+        dims = multiple_point_dimension(m, k)
+        for d in dims:
+            for J in index_sequences(d) if d >= 0 else ():
+                for chern in (False, True) if m.chern_source is not None else (False,):
+                    number = chern_number if chern else pontrjagin_number
+                    want = reference(m, k, J, chern)
+                    assert number(m, k, J).value == want, (m.name, k, J, chern)
+                    if all(j % (2 if chern else 4) == 0 for j in J):
+                        assert formulas._number_from_genera(m, k, J, chern, dims) == want, \
+                            (m.name, k, J, chern)
+                    checked += 1
+    return checked
+
+
+def test_characteristic_numbers_match_the_cross_route():
+    rng = random.Random(21)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=p, with_chern=True) for p in (4, 4, 4, 6, 6, 6)]
+    checked = sum(_pin_numbers(m, range(1, 7), reference_characteristic_number) for m in models)
+    assert checked >= 140
+
+
+def test_characteristic_numbers_match_the_oracle():
+    # two draws have m = 5 and codim 2, so their k-tuple manifolds are
+    # nonempty up to k = 6
+    rng = random.Random(2)
+    models = [bundled_model("two-lines"), bundled_model("hypersurface-d3")]
+    models += [random_truncated_model(rng, max_powers=6, with_chern=True) for _ in range(3)]
+
+    def oracle(m, k, J, chern):
+        return reference_characteristic_number(m, k, J, chern, transfer_to_source_enumerated)
+    assert sum(_pin_numbers(m, range(1, DEFAULT_CAP + 1), oracle) for m in models) >= 20
+
+
+def test_characteristic_numbers_on_components_of_different_dimensions():
+    # the k-tuple manifold has components of dimensions 4 and 8 (or more),
+    # so its genera mix weights and the L point alone does not decide them
+    rng = random.Random(23)
+    mixed = 0
+    while mixed < 3:
+        a, b = (random_truncated_model(rng, max_powers=6, with_chern=True) for _ in range(2))
+        if a.codim != b.codim or a.source.top_degree == b.source.top_degree:
+            continue
+        m = juxtaposed([a, b])
+        assert validate(m).ok
+        for k in (1, 2):
+            weights = {d // 4 for d in multiple_point_dimension(m, k) if d >= 0 and d % 4 == 0}
+            mixed += len(weights) > 1
+        _pin_numbers(m, (1, 2, 3), reference_characteristic_number)
+
+
+def test_characteristic_numbers_on_the_m12_model():
+    m = _m12_model()
+    start = time.perf_counter()
+    assert pontrjagin_number(m, 6, (4,)).value == Fraction(1155, 4)
+    assert time.perf_counter() - start < 0.1
+    assert pontrjagin_number(m, 5, (4, 4)).value == 2016
+    assert pontrjagin_number(m, 5, (8,)).value == Fraction(11277, 8)
+
+
+def _unavailable(what):
+    def unavailable(*args, **kwargs):
+        raise AssertionError(f"this number must not {what}")
+    return unavailable
+
+
+def test_characteristic_numbers_at_large_k_use_no_cross_expansion(monkeypatch):
+    # at k >= 3 the tensor expansion has n^k terms and the genus route runs
+    rng = random.Random(24)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=5, with_chern=True) for _ in range(4)]
+    expected = {(m.name, k, J, chern): reference_characteristic_number(m, k, J, chern)
+                for m in models for k in (3, 4, 5, 6) for d in multiple_point_dimension(m, k)
+                for J in {0: [()], 4: [(4,)]}.get(d, [])
+                for chern in ((False, True) if m.chern_source is not None else (False,))}
+    assert len(expected) >= 12
+    expand = _unavailable("expand a cross product")
+    monkeypatch.setattr(formulas, "cross", expand)
+    monkeypatch.setattr(graded.TensorClass, "select_degrees", expand)
+    monkeypatch.setattr(formulas, "_transfer", expand)
+    by_name = {m.name: m for m in models}
+    for (name, k, J, chern), value in expected.items():
+        number = chern_number if chern else pontrjagin_number
+        assert number(by_name[name], k, J).value == value, (name, k, J, chern)
+
+
+def _complex_dimension_20_model():
+    """Source Q[t]/t^21 in degree 2 immersed with codim 2, Chern data."""
+    rng = random.Random(26)
+    M = truncated_polynomial_ring("t", 20, integral_value=1)
+    N = truncated_polynomial_ring("h", 21, integral_value=1)
+    pull = LinearMap.from_coords(N, M, {j: ({j: 1} if j <= 20 else {}) for j in range(22)})
+    push = LinearMap.from_coords(M, N, {i: {i + 1: 1} for i in range(21)}, degree_shift=2)
+
+    def total(ring, step):
+        return ring.element({0: 1, **{i: rng.randint(-4, 4) for i, d in enumerate(ring.degrees)
+                                      if d and d % step == 0}})
+    return ImmersionModel(M, N, pull, push, 2, M.element({1: 1}), total(M, 4), total(N, 4),
+                          chern_source=total(M, 2), chern_target=total(N, 2), name="dim-20")
+
+
+def test_characteristic_numbers_of_large_weight_at_small_k_expand(monkeypatch):
+    # p(20) = 627 power-sum numbers would decide a weight-20 number from
+    # genera; at k = 1 and 2 the expansion has at most n^k terms and runs
+    m = _complex_dimension_20_model()
+    assert validate(m).ok
+    cases = [(1, (2,) * 20), (1, (40,)), (1, (22, 18)), (2, (38,)), (2, (20, 10, 8)),
+             (3, (36,))]
+    expected = {(k, J): reference_characteristic_number(m, k, J, chern=True) for k, J in cases}
+    monkeypatch.setattr(formulas, "_number_from_genera", _unavailable("interpolate genera"))
+    start = time.perf_counter()
+    for (k, J), value in expected.items():
+        assert chern_number(m, k, J).value == value, (k, J)
+    assert time.perf_counter() - start < 1
+
+
+def test_degree_known_zeros_build_no_class(monkeypatch):
+    def unavailable(*args, **kwargs):
+        raise AssertionError("a zero known from the degrees must build no class")
+
+    m = random_truncated_model(random.Random(19), max_powers=12, allow_zero_euler=False)
+    monkeypatch.setattr(graded.GradedClass, "invert_unital", unavailable)
+    for name in ("power_sums", "_exponential_coefficients", "_Chain"):
+        monkeypatch.setattr(collected, name, unavailable)
+    monkeypatch.setattr(formulas, "cross", unavailable)
+    monkeypatch.setattr(formulas, "genus_class", unavailable)
+    start = time.perf_counter()
+    res = pontrjagin_number(m, 20, (4,))  # a cross expansion would have 12^20 terms
+    assert time.perf_counter() - start < 0.5
+    assert res.value == 0
+    assert res.warnings == [
+        "degree sum 4 does not match the k-tuple dimension(s) (-16,); the pairing vanishes",
+        formulas.empty_locus_warning(m, 20)]
+    d = multiple_point_dimension(m, 3)[0]
+    assert d == 18
+    for J in ((d,), (d - 2, 2)):  # a Pontrjagin part has degree 0 mod 4
+        res = pontrjagin_number(m, 3, J)
+        assert res.value == 0 and res.warnings == []
+
+
+def test_genus_of_the_k_tuple_manifold():
+    # the L-genus is the signature; the A-hat genus of the K3 surface is 2
+    # and of the projective plane -1/8; the Todd genus of a line is 1
+    rng = random.Random(25)
+    for m in [bundled_model("hypersurface-d3")] + [random_truncated_model(rng) for _ in range(4)]:
+        for k in range(1, 5):
+            c = signature_genus_log_coeffs(max(0, *multiple_point_dimension(m, k)) // 4)
+            assert formulas.genus(m, k, c) == signature(m, k), (m.name, k)
+    a_hat = (0, Fraction(-1, 24))
+    assert formulas.genus(bundled_model("hypersurface-d4"), 1, a_hat) == 2
+    assert formulas.genus(bundled_model("hypersurface-d1"), 1, a_hat) == Fraction(-1, 8)
+    assert formulas.genus(bundled_model("line-in-quadric"), 1, (0, Fraction(1, 2)), chern=True) == 1
+    with pytest.raises(Exception, match="no Chern data"):
+        formulas.genus(bundled_model("hypersurface-d4"), 1, a_hat, chern=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 from typing import List
 
 import pytest
@@ -12,7 +13,9 @@ from multipoint.graded import (
     NonUnitalClassError,
     cross,
     diagonal_pullback,
+    genus_class,
     nilpotency_order,
+    power_sums,
     signature_class,
 )
 from multipoint.model import disjoint_union, product_ring
@@ -292,6 +295,60 @@ def test_signature_class_rejects_bad_input(cp2):
         signature_class(cp2.basis_class(1))
     with pytest.raises(GradedAlgebraError):
         signature_class(cp2.unit() + cp2.basis_class(1))  # degree-2 part
+
+
+def _random_total(rng, ring, step):
+    return ring.element({0: 1, **{i: rng.randint(-3, 3) for i, d in enumerate(ring.degrees)
+                                  if d and d % step == 0}})
+
+
+def test_genus_class_of_log_one_plus_x_is_the_total_class():
+    # K(x) = 1 + x has log coefficients (-1)^(j-1) / j, so K of a total
+    # class (of squared roots for step 4) is that class itself
+    log1p = [0] + [Fraction((-1) ** (j - 1), j) for j in range(1, 9)]
+    rng = random.Random(31)
+    ring = truncated_polynomial_ring("t", 8)
+    for step in (2, 4):
+        for _ in range(5):
+            P = _random_total(rng, ring, step)
+            assert genus_class(P, lambda n: log1p, step) == P
+
+
+def test_genus_class_is_multiplicative_for_any_log_coefficients():
+    rng = random.Random(32)
+    ring = truncated_polynomial_ring("t", 6)
+    for step in (2, 4):
+        for _ in range(5):
+            c = [0] + [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)]
+            A, B = _random_total(rng, ring, step), _random_total(rng, ring, step)
+            K = lambda P: genus_class(P, lambda n: c, step)  # noqa: E731
+            assert K(A * B) == K(A) * K(B)
+
+
+def test_genus_class_reads_a_finite_sequence_as_a_polynomial_log():
+    ring = truncated_polynomial_ring("t", 4)
+    P = ring.element({0: 1, 2: 3, 4: 5})
+    assert genus_class(P, lambda n: (0,)) == ring.unit()
+    # the L-class series and its first two coefficients agree up to degree 8
+    L = genus_class(P, lambda n: signature_genus_log_coeffs(2))
+    assert L == signature_class(P) and genus_class(P, signature_genus_log_coeffs) == L
+    assert genus_class(P, lambda n: signature_genus_log_coeffs(1)).degree_part(8) != \
+        L.degree_part(8)
+    with pytest.raises(GradedAlgebraError, match="multiple of 4"):
+        genus_class(ring.element({0: 1, 1: 1}), lambda n: (0, 1))
+    assert genus_class(ring.element({0: 1, 1: 1}), lambda n: (0, 1), step=2) == ring.element(
+        {i: Fraction(1, factorial(i)) for i in range(5)})
+
+
+def test_power_sums_of_a_total_class():
+    # 1 + x + 2x^2 by Newton: s_1 = x, s_2 = x^2 - 4x^2, s_3 = -3x^3 - 2x^3, s_4 = -5x^4 + 6x^4
+    ring = truncated_polynomial_ring("t", 4)
+    P = ring.element({0: 1, 1: 1, 2: 2})
+    assert power_sums(P, 2) == {1: ring.element({1: 1}), 2: ring.element({2: -3}),
+                                3: ring.element({3: -5}), 4: ring.element({4: 1})}
+    assert power_sums(ring.unit()) == {}
+    with pytest.raises(NonUnitalClassError):
+        power_sums(2 * P, 2)
 
 
 def test_cross_and_tensor_product(cp2):

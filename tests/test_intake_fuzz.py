@@ -7,6 +7,7 @@ raise `ModelFormatError`, never another exception."""
 
 import json
 import random
+import threading
 
 import pytest
 
@@ -103,3 +104,35 @@ def test_declared_top_degree_does_not_size_the_series(tmp_path, capsys, ring, to
         assert "[FAIL]" not in out
         if want is not None:
             assert out.strip() == want
+
+
+def test_huge_pontrjagin_degrees_exit_cleanly_and_quickly(tmp_path, capsys):
+    # a Pontrjagin or Chern part in a huge basis degree must not size the
+    # L-class series: validate refuses it, and compute exits 2, in time
+    rng = random.Random(20261020)
+    path = tmp_path / "huge.json"
+    codes = []
+
+    def run():
+        for _ in range(40):
+            obj = model_to_dict(bundled_model(rng.choice(sorted(BUNDLED))))
+            ring = rng.choice(["source", "target"])
+            i = rng.randrange(1, len(obj[ring]["degrees"]))
+            obj[ring]["degrees"][i] = rng.choice([2000, 4 * 10 ** 6, 10 ** 30])
+            obj[ring]["top_degree"] = max(obj[ring]["degrees"])
+            key = rng.choice(["pontrjagin", "pontrjagin", "chern"]) + "_" + ring
+            if obj.get(key) is not None:
+                obj[key][str(i)] = rng.choice(["1", "-2", "1/3"])
+            path.write_text(json.dumps(obj))
+            k = str(rng.randint(1, 3))
+            for argv in (["validate", str(path)],
+                         ["compute", str(path), "--k", k, "--quantity", "signature"],
+                         ["compute", str(path), "--k", k, "--quantity", "pontrjagin=4"]):
+                codes.append((argv[0], cli.main(argv)))
+                capsys.readouterr()
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), f"stalled after {len(codes)} commands"
+    assert len(codes) == 120 and {code for _, code in codes} <= {2, 3}

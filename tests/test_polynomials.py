@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from multipoint.polynomials import (
     Poly,
+    elementary_in_power_sums,
     exp_coeffs,
+    interpolate_on_lower_set,
     log1p_coeffs,
+    lower_set,
+    lower_set_size,
     series_inverse,
     series_log,
     series_mul,
@@ -74,3 +79,36 @@ def test_signature_genus_log_coefficients():
 def test_poly_rejects_unknown_variable():
     with pytest.raises(ValueError):
         Poly.var(V, "z")
+
+
+@pytest.mark.parametrize("weights, bound", [((), 5), ((1,), 6), ((2, 3), 10), ((1, 1, 1), 4),
+                                            ((2, 3, 4, 5), 12)])
+def test_interpolation_on_a_lower_set_recovers_the_coefficients(weights, bound):
+    rng = random.Random(bound)
+    points = lower_set(weights, bound)
+    assert len(points) == len(set(points)) == lower_set_size(weights, bound)
+    assert all(sum(w * x for w, x in zip(weights, m)) <= bound for m in points)
+    coeffs = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for m in points}
+
+    def value(x):
+        total = Fraction(0)
+        for m, c in coeffs.items():
+            for xi, mi in zip(x, m):
+                c *= xi ** mi
+            total += c
+        return total
+    assert interpolate_on_lower_set({m: value(m) for m in points}) == \
+        {m: c for m, c in coeffs.items() if c}
+
+
+def test_lower_set_sizes_count_partitions():
+    # the partitions of 20 with parts at most 10, by their multiplicities of 2..10
+    assert lower_set_size(range(2, 11), 20) == 530
+    assert lower_set_size(range(2, 21), 20) == 627  # p(20)
+
+
+def test_elementary_functions_in_power_sums():
+    e = elementary_in_power_sums(3)
+    assert e[1] == {(1,): 1}
+    assert e[2] == {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)}
+    assert e[3] == {(1, 1, 1): Fraction(1, 6), (2, 1): Fraction(-1, 2), (3,): Fraction(1, 3)}
