@@ -175,10 +175,11 @@ def _identity_failures(max_k: int) -> List[str]:
     from .oracle import (compose_enumerated, recursion_identity_holds, signature_enumerated,
                          virtual_class_enumerated)
     from .partitions import BELL, all_partitions, count_by_type, log_coefficient, type_vectors
-    from .series import compose, composed_derivative, identity_series, invert, scaled_exp_series
+    from .series import (DEFAULT_ORDER, compose, composed_derivative, identity_series, invert,
+                         scaled_exp_series)
 
     failures: List[str] = []
-    order = max(8, max_k)
+    order = min(max(8, max_k), DEFAULT_ORDER)
 
     H = scaled_exp_series(order)
     G = invert(H)
@@ -276,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("identities", help="run the internal identity and oracle suites")
-    p.add_argument("--max-k", type=int, default=5)
+    p.add_argument("--max-k", type=int, default=5,
+                   help="largest multiplicity checked; every suite caps it, the oracle "
+                        "suites at 6 or below and the series order at 12")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_identities)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .graded import (
     Coords,
@@ -124,19 +124,43 @@ def _genus(model: ImmersionModel, k: int, target_class: GradedClass,
     return _pairing(target_class, _exponential_coefficients(model, u, k, to_target=True).coeffs[k])
 
 
-def _genus_point_count(J: Sequence[int], step: int, dims: Sequence[int], chern: bool) -> int:
-    """The number of genus evaluations _number_from_genera makes (the L
-    point, which the signature queries share, counts as 1)."""
-    w = sum(J) // step
-    weights = {d // step for d in dims if d >= 0 and d % step == 0}
-    if not chern and weights == {w} and w <= 1:
-        return 1
-    top = max((j // step for j in J if j), default=1)
-    return lower_set_size(range(2, top + 1), w) * len(weights)
+class Characteristic(NamedTuple):
+    """Pontrjagin or Chern classes: the name, the degree step of their
+    parts, whether the L-genus is a genus, and the total classes of a
+    model's source, target and normal bundle."""
+
+    name: str
+    step: int
+    l_genus: bool
+    classes: Callable[[ImmersionModel], Tuple[GradedClass, GradedClass, GradedClass]]
 
 
-def _number_from_genera(model: ImmersionModel, k: int, J: Sequence[int], chern: bool,
-                        dims: Sequence[int]) -> Fraction:
+CHARACTERISTIC = {
+    False: Characteristic("pontrjagin", 4, True, lambda m: (
+        m.pontrjagin_source, m.pontrjagin_target, m.normal_pontrjagin)),
+    True: Characteristic("chern", 2, False, lambda m: (m.chern_source, m.chern_target, m.normal_chern)),
+}
+
+
+def _genus_plan(J: Sequence[int], kind: Characteristic, dims: Sequence[int]) -> tuple:
+    """What _number_from_genera evaluates for J: the kind, the weight
+    w = sum(J) / step, the weights of the dimensions dims, the nonzero
+    parts j / step of J and the largest, and whether the L point alone
+    decides the number."""
+    w = sum(J) // kind.step
+    weights = sorted({d // kind.step for d in dims if d >= 0 and d % kind.step == 0})
+    parts = [j // kind.step for j in J if j]
+    return kind, w, weights, parts, max(parts, default=1), kind.l_genus and weights == [w] and w <= 1
+
+
+def _genus_point_count(plan: tuple) -> int:
+    """The number of genus evaluations _number_from_genera makes on the
+    plan (the L point, which the signature queries share, counts as 1)."""
+    _, w, weights, _, top, l_point = plan
+    return 1 if l_point else lower_set_size(range(2, top + 1), w) * len(weights)
+
+
+def _number_from_genera(model: ImmersionModel, k: int, plan: tuple) -> Fraction:
     """The characteristic number, read from genera.
 
     Over a component of dimension step * u, the genus with log
@@ -158,22 +182,18 @@ def _number_from_genera(model: ImmersionModel, k: int, J: Sequence[int], chern: 
     Pontrjagin number of one weight w <= 1 needs no point: G_1 = S_(1) / 3
     on the L-genus, whose chain the signature queries share.
     """
-    step = 2 if chern else 4
-    w = sum(J) // step
-    weights = sorted({d // step for d in dims if d >= 0 and d % step == 0})
-    parts = [j // step for j in J if j]
-    if not chern and weights == [w] and w <= 1:
+    kind, w, weights, parts, top, l_point = plan
+    if l_point:
         return 3 ** w * _genus(model, k, model.l_target, model.l_normal_inverse)
-    top = max(parts, default=1)
-    total, normal = ((model.chern_target, model.normal_chern) if chern
-                     else (model.pontrjagin_target, model.normal_pontrjagin))
+    _, total, normal = kind.classes(model)
     points = lower_set(range(2, top + 1), w)
     values: Dict[Tuple[int, ...], Fraction] = dict.fromkeys(points, Fraction(0))
     # G_w = sum_s beta_s G(s . c), from a Vandermonde system in the scales
     # (distinct positive scales and exponents: nonsingular)
     scales = range(1, len(weights) + 1)
     beta = solve_linear([{u: s ** u for u in weights} for s in scales], {w: 1})
-    sides = [(total.ring, power_sums(total, step), 1), (normal.ring, power_sums(normal, step), -1)]
+    sides = [(total.ring, power_sums(total, kind.step), 1),
+             (normal.ring, power_sums(normal, kind.step), -1)]
     for s, b in zip(scales, beta):
         # tables[side][j][x] = exp(x * s^j * s_j) on the target, and the
         # inverse for the normal class on the source

@@ -16,9 +16,12 @@ from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
 from .collected import (
+    CHARACTERISTIC,
+    Characteristic,
     _check_k,
     _exponential_coefficients,
     _genus,
+    _genus_plan,
     _genus_point_count,
     _number_from_genera,
     _pairing,
@@ -281,15 +284,17 @@ SIGNATURE_ROUTES = {
 
 
 def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
-    """Signature of the k-tuple point manifold.
+    """Signature of the k-tuple point manifold, 0 on an empty one.
 
     route 'auto' evaluates every route and insists on exact agreement.
     """
     _check_k(k)
+    if route != "auto" and route not in SIGNATURE_ROUTES:
+        raise ValueError(f"unknown signature route {route!r}")
+    if empty_locus_warning(model, k) is not None:
+        return Fraction(0)
     if route in SIGNATURE_ROUTES:
         return SIGNATURE_ROUTES[route](model, k)
-    if route != "auto":
-        raise ValueError(f"unknown signature route {route!r}")
     values = {name: fn(model, k) for name, fn in SIGNATURE_ROUTES.items()}
     distinct = set(values.values())
     if len(distinct) != 1:
@@ -317,23 +322,21 @@ def genus(model: ImmersionModel, k: int, log_coeffs: Sequence[Scalar],
     """
     _check_k(k)
     c = tuple(log_coeffs)
+    kind = CHARACTERISTIC[chern]
 
     def build():
-        total, normal = ((model.chern_target, model.normal_chern) if chern
-                         else (model.pontrjagin_target, model.normal_pontrjagin))
-        step = 2 if chern else 4
-        return (genus_class(total, lambda n: c, step),
-                genus_class(normal, lambda n: c, step).invert_unital())
+        _, total, normal = kind.classes(model)
+        return (genus_class(total, lambda n: c, kind.step),
+                genus_class(normal, lambda n: c, kind.step).invert_unital())
     return _genus(model, k, *model._cached(("genus", chern, c), build))
 
 
 def _number_by_expansion(model: ImmersionModel, k: int, J: Sequence[int],
-                         chern: bool) -> Fraction:
+                         kind: Characteristic) -> Fraction:
     """The transfer of the degree-J part of the expanded tensor
     C x C(normal)^-1 x ... x C(normal)^-1, C the source's total
     Pontrjagin (or Chern) class: n^k tensor terms for n source classes."""
-    total, normal = ((model.chern_source, model.normal_chern) if chern
-                     else (model.pontrjagin_source, model.normal_pontrjagin))
+    total, _, normal = kind.classes(model)
     x = cross([total] + [normal.invert_unital()] * (k - 1)).select_degrees(J)
     return transfer_to_source(model, k, x).integrate() / factorial(k)
 
@@ -355,10 +358,11 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     a small dimension.
     """
     _check_k(k)
-    J = tuple(int(j) for j in J)
-    for j in J:
-        if j < 0 or j % 2:
-            raise GradedAlgebraError(f"index sequence entry {j} is not a nonnegative even integer")
+    J = tuple(J)
+    for j in J:  # a Fraction, float or string is refused, not truncated
+        if not isinstance(j, int) or j < 0 or j % 2:
+            raise GradedAlgebraError(f"index sequence entry {j!r} is not a nonnegative even integer")
+    kind = CHARACTERISTIC[chern]
     warnings: List[str] = []
     dims = multiple_point_dimension(model, k)
     if sum(J) not in dims:
@@ -369,15 +373,15 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     if empty is not None:
         warnings.append(empty)
     value = Fraction(0)
-    step = 2 if chern else 4
     # a part of a Pontrjagin class has degree 0 mod 4, so any other j selects 0
-    if not warnings and all(j % step == 0 for j in J):
+    if not warnings and all(j % kind.step == 0 for j in J):
+        plan = _genus_plan(J, kind, dims)
         n = len(model.source.labels)
-        if n ** k * 3 ** (k - 1) < _genus_point_count(J, step, dims, chern) * (k + 1) ** 2 * n * n:
-            value = _number_by_expansion(model, k, J, chern)
+        if n ** k * 3 ** (k - 1) < _genus_point_count(plan) * (k + 1) ** 2 * n * n:
+            value = _number_by_expansion(model, k, J, kind)
         else:
-            value = _number_from_genera(model, k, J, chern, dims)
-    return MultipointResult(k=k, kind="chern" if chern else "pontrjagin", value=value,
+            value = _number_from_genera(model, k, plan)
+    return MultipointResult(k=k, kind=kind.name, value=value,
                             dimension=dims[0] if len(dims) == 1 else None,
                             warnings=warnings)
 
@@ -412,30 +416,14 @@ def chern_number(model: ImmersionModel, k: int, J: Sequence[int]) -> MultipointR
 
 
 def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
-    """The target class whose pairing with L(target)/k! is the signature.
-
-    Computed both by the subset recursion of the transfer kernel and as
-    k! * E_k of the pushed normal blocks; the two must agree exactly.
-    """
-    _check_k(k)
-    E = _exponential_coefficients(model, model.l_normal_inverse, k, to_target=True).coeffs[k]
-    collected = GradedClass(model.target, {i: factorial(k) * v for i, v in E.items()})
-    enumerated = _transfer(model, [model.l_normal_inverse] * k, to_target=True)
-    if collected != enumerated:
-        raise RouteDisagreement(
-            f"virtual signature class mismatch for k={k}: "
-            f"collected {collected} vs enumerated {enumerated}")
-    return collected
-
-
-def signature_via_class(model: ImmersionModel, k: int) -> Fraction:
-    """Signature through the virtual signature class pairing."""
-    cls = virtual_signature_class(model, k)
-    return (model.l_target * cls).integrate() / factorial(k)
+    """The target class whose pairing with L(target)/k! is the signature:
+    virtual_signature_class_union([model], k)."""
+    return virtual_signature_class_union([model], k)
 
 
 def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> GradedClass:
-    """Multinomial convolution of per-component virtual signature classes.
+    """The virtual signature class of the disjoint union of the models, by
+    a multinomial convolution of per-component classes.
 
     Sheets are distributed over the components in every way: the class is
     k! times the t^k coefficient of the product, over the components, of
@@ -443,19 +431,21 @@ def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> G
     sheets.  A component receiving no sheet contributes the empty factor 1,
     so that the k = 1 class stays additive over components.  B_i / i! is
     the component's E_i, read from its collected memo.  The result is
-    checked once against the transfer kernel on the disjoint union, which
-    also refuses components that do not share the target data and
-    codimension.
+    checked once against the transfer kernel on the disjoint union, built
+    first, which refuses components that do not share the target data and
+    codimension; on an empty k-tuple manifold the class is 0 at once.
     """
     _check_k(k)
     if not models:
         raise ModelError("no component models")
     union = disjoint_union(models)
     target = union.target
+    if empty_locus_warning(union, k) is not None:
+        return target.zero()
     mul = target.mul_coords
-    product: List[Coords] = [target.unit_coords] + [{}] * k
-    for m in models:
-        series = _exponential_coefficients(m, m.l_normal_inverse, k, to_target=True).coeffs
+    product, *others = [_exponential_coefficients(m, m.l_normal_inverse, k, to_target=True).coeffs
+                        for m in models]
+    for series in others:
         product = [_sum_coords((1, mul(product[j], series[n - j]))
                                for j in range(n + 1) if product[j] and series[n - j])
                    for n in range(k + 1)]
@@ -469,7 +459,7 @@ def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> G
 
 
 # ---------------------------------------------------------------------------
-# Special-case evaluators
+# Special-case evaluators of the signature (J None) or p_J
 # ---------------------------------------------------------------------------
 
 
@@ -517,36 +507,26 @@ def pulled_from_target_class(model: ImmersionModel, k: int, y: TensorClass) -> G
     return out * transfer_of_unit(model, k)
 
 
-def _signature_core(model: ImmersionModel, k: int) -> GradedClass:
-    """L(source) * L(normal)^-(k-1), the source class the signature pairs."""
-    _check_k(k)
-    return model.l_source * model.l_normal_inverse ** (k - 1)
-
-
-def _pontrjagin_core(model: ImmersionModel, k: int, J: Sequence[int]) -> GradedClass:
-    """(P(source) * P(normal)^-(k-1)) restricted to the degrees J, the
-    source class a Pontrjagin number pairs."""
-    _check_k(k)
+def _core(model: ImmersionModel, k: int, J: Optional[Sequence[int]]) -> GradedClass:
+    """The source class the number pairs: L(source) * L(normal)^-(k-1) for
+    the signature (J None), else the degree-J part of
+    P(source) * P(normal)^-(k-1)."""
+    if J is None:
+        return model.l_source * model.l_normal_inverse ** (k - 1)
     inv = model.normal_pontrjagin.invert_unital()
     return (model.pontrjagin_source * inv ** (k - 1)).select_degrees(J)
 
 
-def _pulled_from_target(model: ImmersionModel, k: int, core: GradedClass) -> Fraction:
-    return (core * transfer_of_unit(model, k)).integrate() / factorial(k)
-
-
-def signature_pulled_from_target(model: ImmersionModel, k: int) -> Fraction:
-    """Signature under the pulled-from-target hypothesis."""
+def pulled_from_target(model: ImmersionModel, k: int,
+                       J: Optional[Sequence[int]] = None) -> Fraction:
+    """The signature or p_J when euler and L(normal) come from the target:
+    the core paired with the closed-form unit transfer, over k!."""
+    _check_k(k)
     _require_pulled_from_target(model)
-    return _pulled_from_target(model, k, _signature_core(model, k))
+    return (_core(model, k, J) * transfer_of_unit(model, k)).integrate() / factorial(k)
 
 
-def pontrjagin_pulled_from_target(model: ImmersionModel, k: int, J: Sequence[int]) -> Fraction:
-    _require_pulled_from_target(model)
-    return _pulled_from_target(model, k, _pontrjagin_core(model, k, J))
-
-
-def signature_euler_zero(model: ImmersionModel, k: int) -> Fraction:
+def euler_zero(model: ImmersionModel, k: int) -> Fraction:
     """Signature when the normal Euler class vanishes: only the finest
     partition survives, leaving a k-th power of the pushed normal class
     on the target."""
@@ -556,40 +536,23 @@ def signature_euler_zero(model: ImmersionModel, k: int) -> Fraction:
     return (model.l_target * pushed ** k).integrate() / factorial(k)
 
 
-def _require_pushpull_zero(model: ImmersionModel) -> None:
+def pushpull_zero(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
+    """The signature or p_J when pullback(pushforward(.)) vanishes
+    identically: only the one-block partition survives, leaving
+    (-1)^(k-1) / k times the integral of euler^(k-1) * core."""
+    _check_k(k)
     _require(all(model.pushpull(model.source.basis_class(i)).is_zero()
                  for i in range(len(model.source.labels))),
              "pullback(pushforward(.)) is not identically zero")
+    return Fraction((-1) ** (k - 1), k) * (model.euler ** (k - 1) * _core(model, k, J)).integrate()
 
 
-def _pushpull_zero(model: ImmersionModel, k: int, core: GradedClass) -> Fraction:
-    return Fraction((-1) ** (k - 1), k) * (model.euler ** (k - 1) * core).integrate()
-
-
-def signature_pushpull_zero(model: ImmersionModel, k: int) -> Fraction:
-    """Signature when pullback(pushforward(.)) vanishes identically: only
-    the one-block partition survives."""
+def nullhomotopic(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
+    """The signature or p_J in the nullhomotopic normalization
+    P(normal)^-1 = P(source), which gives L(normal)^-1 = L(source) (every
+    log coefficient of L is nonzero), so the pushpull-zero formula becomes
+    a pure Euler-power formula."""
     _check_k(k)
-    _require_pushpull_zero(model)
-    return _pushpull_zero(model, k, _signature_core(model, k))
-
-
-def pontrjagin_pushpull_zero(model: ImmersionModel, k: int, J: Sequence[int]) -> Fraction:
-    _require_pushpull_zero(model)
-    return _pushpull_zero(model, k, _pontrjagin_core(model, k, J))
-
-
-def signature_nullhomotopic(model: ImmersionModel, k: int) -> Fraction:
-    """Signature in the nullhomotopic normalization, where the inverse
-    L(normal) equals L(source), so the pushpull-zero formula becomes a pure
-    Euler-power formula."""
-    _check_k(k)
-    _require(model.l_normal_inverse == model.l_source,
-             f"L(normal)^(-1) = {model.l_normal_inverse} differs from L(source) = {model.l_source}")
-    return signature_pushpull_zero(model, k)
-
-
-def pontrjagin_nullhomotopic(model: ImmersionModel, k: int, J: Sequence[int]) -> Fraction:
     _require(model.normal_pontrjagin.invert_unital() == model.pontrjagin_source,
              "P(normal)^(-1) differs from P(source)")
-    return pontrjagin_pushpull_zero(model, k, J)
+    return pushpull_zero(model, k, J)

@@ -13,18 +13,16 @@ from math import factorial
 import pytest
 
 from multipoint.formulas import (
+    euler_zero,
     multiple_point_dimension,
-    pontrjagin_nullhomotopic,
+    nullhomotopic,
     pontrjagin_number,
-    pontrjagin_pushpull_zero,
+    pulled_from_target,
     pulled_from_target_class,
+    pushpull_zero,
     signature,
     signature_collected,
     signature_collected_source,
-    signature_euler_zero,
-    signature_nullhomotopic,
-    signature_pulled_from_target,
-    signature_pushpull_zero,
     signature_via_source,
     signature_via_target,
     transfer_of_unit,
@@ -201,7 +199,7 @@ def test_criterion_8_special_cases(random_models, bundled_models):
     for m in random_models:
         try:
             for k in range(1, 5):
-                assert signature_pulled_from_target(m, k) == signature(m, k, route="general")
+                assert pulled_from_target(m, k) == signature(m, k, route="general")
                 assert pulled_from_target_class(m, k, cross([m.target.unit()] * k)) \
                     == transfer_to_source(m, k, cross([m.source.unit()] * k))
                 assert transfer_of_unit(m, k) == transfer_to_source(
@@ -217,13 +215,13 @@ def test_criterion_8_special_cases(random_models, bundled_models):
     assert len(zero_e) >= 3
     for m in zero_e:
         for k in range(1, 5):
-            assert signature_euler_zero(m, k) == signature(m, k, route="auto")
+            assert euler_zero(m, k) == signature(m, k, route="auto")
 
     # vanishing pushpull: closed form, and it is the one-block-partition term
     for name in ("null-pushforward", "nullhomotopic-cp2-in-s6"):
         m = bundled_models[name]
         for k in range(1, 5):
-            assert signature_pushpull_zero(m, k) == signature(m, k, route="auto")
+            assert pushpull_zero(m, k) == signature(m, k, route="auto")
             x = cross([m.source.unit()] * k)
             single_block_term = Fraction((-1) ** (k - 1) * factorial(k - 1)) \
                 * m.euler ** (k - 1)
@@ -231,27 +229,27 @@ def test_criterion_8_special_cases(random_models, bundled_models):
         dims = multiple_point_dimension(m, 2)
         if dims[0] >= 0 and dims[0] % 4 == 0:
             J = [dims[0]]
-            assert pontrjagin_pushpull_zero(m, 2, J) == pontrjagin_number(m, 2, J).value
+            assert pushpull_zero(m, 2, J) == pontrjagin_number(m, 2, J).value
 
     # nullhomotopic normalization
     m = bundled_models["nullhomotopic-cp2-in-s6"]
     for k in range(1, 5):
-        assert signature_nullhomotopic(m, k) == signature(m, k, route="auto")
-    assert signature_nullhomotopic(m, 3) == 3
+        assert nullhomotopic(m, k) == signature(m, k, route="auto")
+    assert nullhomotopic(m, 3) == 3
     dims = multiple_point_dimension(m, 2)
     if dims[0] >= 0 and dims[0] % 4 == 0:
-        assert pontrjagin_nullhomotopic(m, 2, [dims[0]]) == pontrjagin_number(
+        assert nullhomotopic(m, 2, [dims[0]]) == pontrjagin_number(
             m, 2, [dims[0]]).value
 
     # every precondition is actually enforced
     with pytest.raises(PreconditionError):
-        signature_euler_zero(bundled_models["line-in-plane"], 2)
+        euler_zero(bundled_models["line-in-plane"], 2)
     with pytest.raises(PreconditionError):
-        signature_pushpull_zero(bundled_models["line-in-plane"], 2)
+        pushpull_zero(bundled_models["line-in-plane"], 2)
     with pytest.raises(PreconditionError):
-        signature_nullhomotopic(bundled_models["line-in-plane"], 2)
+        nullhomotopic(bundled_models["line-in-plane"], 2)
     with pytest.raises(PreconditionError):
-        signature_pulled_from_target(bundled_models["nullhomotopic-cp2-in-s6"], 2)
+        pulled_from_target(bundled_models["nullhomotopic-cp2-in-s6"], 2)
     print(f"PASS: criterion 8 - special-case evaluators agree with the general "
           f"route under their preconditions (k <= 4; {pulled} pulled-back models)")
 

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 
 import pytest
 
@@ -294,6 +295,30 @@ def test_identities_pass(capsys):
     code, out, _ = run(capsys, "identities", "--max-k", "3")
     assert code == 0
     assert "all identities hold" in out
+
+
+def test_identities_caps_the_series_order(capsys):
+    # uncapped, order max(8, max_k) took minutes at --max-k 40
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "identities", "--max-k", "40")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert "all identities hold" in out
+
+
+def test_compute_on_an_empty_locus_at_k_one_million(capsys):
+    # (k-1)*codim far above the source dimension: 0 before any route or
+    # factorial(k) runs
+    start = time.perf_counter()
+    for quantity, routes in (("signature", (*formulas.SIGNATURE_ROUTES, "auto")),
+                             ("bk", ("auto",))):
+        for route in routes:
+            code, out, err = run(capsys, "compute", "line-in-plane", "--k", "1000000",
+                                 "--quantity", quantity, "--route", route, "--json")
+            assert code == 0, (quantity, route, err)
+            assert json.loads(out)["value"] in ("0", {}), (quantity, route)
+            assert "point manifold is empty" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_usage_error_exits_3(capsys):

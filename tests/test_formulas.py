@@ -10,20 +10,16 @@ from multipoint.formulas import (
     SIGNATURE_ROUTES,
     PreconditionError,
     chern_number,
+    euler_zero,
     multiple_point_dimension,
-    pontrjagin_nullhomotopic,
+    nullhomotopic,
     pontrjagin_number,
-    pontrjagin_pulled_from_target,
-    pontrjagin_pushpull_zero,
+    pulled_from_target,
     pulled_from_target_class,
+    pushpull_zero,
     signature,
     signature_collected,
     signature_collected_source,
-    signature_euler_zero,
-    signature_nullhomotopic,
-    signature_pulled_from_target,
-    signature_pushpull_zero,
-    signature_via_class,
     signature_via_source,
     signature_via_target,
     transfer_of_unit,
@@ -231,7 +227,31 @@ def test_every_route_returns_zero_on_an_empty_locus_at_k64():
     for route in ("auto", "general", "via-N"):
         assert signature(m, 64, route=route) == 0, route
     assert signature_via_source(m, 20) == 0
+    assert signature_via_source(m, 64) == signature_via_target(m, 64) == 0
     assert time.perf_counter() - start < 2
+
+
+def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch):
+    # at k = 10^6 the routes would spend seconds in the collected recursion
+    # and in factorial(k), only to divide 0
+    def unavailable(*args, **kwargs):
+        raise AssertionError("an empty k-tuple manifold must run no route")
+
+    m = bundled_model("line-in-plane")
+    for name in SIGNATURE_ROUTES:
+        monkeypatch.setitem(SIGNATURE_ROUTES, name, unavailable)
+    monkeypatch.setattr(formulas, "_transfer", unavailable)
+    monkeypatch.setattr(formulas, "_exponential_coefficients", unavailable)
+    start = time.perf_counter()
+    for route in (*SIGNATURE_ROUTES, "auto"):
+        assert signature(m, 10 ** 6, route=route) == 0, route
+    assert virtual_signature_class(m, 10 ** 6) == m.target.zero()
+    assert virtual_signature_class_union([m] * 3, 10 ** 6) == m.target.zero()
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match="unknown signature route"):
+        signature(m, 10 ** 6, route="nonesuch")
+    with pytest.raises(ModelError, match="target"):
+        virtual_signature_class_union([m, bundled_model("hypersurface-d2")], 10 ** 6)
 
 
 def _m12_model():
@@ -353,7 +373,7 @@ def test_signature_routes_agree_on_bundled():
         for k in range(1, 5):
             vals = {signature_via_source(m, k), signature_via_target(m, k),
                     signature_collected(m, k), signature_collected_source(m, k),
-                    signature_via_class(m, k)}
+                    (m.l_target * virtual_signature_class(m, k)).integrate() / factorial(k)}
             assert len(vals) == 1, (name, k, vals)
 
 
@@ -573,7 +593,7 @@ def test_signature_nullhomotopic_triple_point():
     # frozen: enumeration oracle and the closed Euler-power formula agree
     m = bundled_model("nullhomotopic-cp2-in-s6")
     assert signature(m, 3, route="auto") == 3
-    assert signature_nullhomotopic(m, 3) == 3
+    assert nullhomotopic(m, 3) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -633,13 +653,17 @@ def test_union_convolution_single_component_degenerates():
 
 
 def test_union_convolution_checks_once_on_the_union(monkeypatch):
+    # source dimension 2, codim 2: the double-point manifold is a point and
+    # the 6-tuple one is empty, so its class is 0 with no check at all
     comps = random_union_components(random.Random(8), 3)
-    expected = virtual_signature_class(disjoint_union(comps), 6)
+    expected = virtual_signature_class(disjoint_union(comps), 2)
     calls = []
     transfer = formulas._transfer
     monkeypatch.setattr(formulas, "_transfer",
                         lambda *a, **kw: calls.append(a) or transfer(*a, **kw))
-    assert virtual_signature_class_union(comps, 6) == expected
+    assert virtual_signature_class_union(comps, 2) == expected
+    assert len(calls) == 1
+    assert virtual_signature_class_union(comps, 6).is_zero()
     assert len(calls) == 1
 
 
@@ -710,6 +734,15 @@ def test_characteristic_rejects_odd_degrees():
         pontrjagin_number(m, 1, [3])
 
 
+@pytest.mark.parametrize("entry", [Fraction(9, 2), 4.9, "4"])
+def test_characteristic_refuses_non_integer_entries(entry):
+    # int(j) would truncate each of these to 4
+    m = bundled_model("hypersurface-d3")
+    assert pontrjagin_number(m, 1, [4]).value == -15
+    with pytest.raises(graded.GradedAlgebraError, match="not a nonnegative even integer"):
+        pontrjagin_number(m, 1, [entry])
+
+
 def reference_characteristic_number(m, k, J, chern=False, transfer=transfer_to_source):
     """The cross route, production's before the genus route: the transfer
     of the degree-J part of the expanded tensor C x C(normal)^-1 x ... x
@@ -770,7 +803,8 @@ def _pin_numbers(m, ks, reference):
                     want = reference(m, k, J, chern)
                     assert number(m, k, J).value == want, (m.name, k, J, chern)
                     if all(j % (2 if chern else 4) == 0 for j in J):
-                        assert formulas._number_from_genera(m, k, J, chern, dims) == want, \
+                        plan = collected._genus_plan(J, collected.CHARACTERISTIC[chern], dims)
+                        assert formulas._number_from_genera(m, k, plan) == want, \
                             (m.name, k, J, chern)
                     checked += 1
     return checked
@@ -943,7 +977,7 @@ def test_pulled_from_target_class_and_signature():
         m = random_truncated_model(rng)
         try:
             for k in range(1, 5):
-                assert signature_pulled_from_target(m, k) == signature(m, k, route="general")
+                assert pulled_from_target(m, k) == signature(m, k, route="general")
                 y = cross([m.target.unit()] * k)
                 assert pulled_from_target_class(m, k, y) == transfer_to_source(
                     m, k, cross([m.source.unit()] * k))
@@ -956,13 +990,13 @@ def test_pulled_from_target_class_and_signature():
 def test_pulled_from_target_precondition_enforced():
     m = bundled_model("nullhomotopic-cp2-in-s6")  # L(nu) not pulled back
     with pytest.raises(PreconditionError):
-        signature_pulled_from_target(m, 2)
+        pulled_from_target(m, 2)
 
 
 def test_euler_zero_special_case():
     m = bundled_model("line-in-quadric")
     for k in range(1, 5):
-        assert signature_euler_zero(m, k) == signature(m, k, route="auto")
+        assert euler_zero(m, k) == signature(m, k, route="auto")
     rng = random.Random(14)
     checked = 0
     while checked < 4:
@@ -971,52 +1005,83 @@ def test_euler_zero_special_case():
             continue
         checked += 1
         for k in range(1, 5):
-            assert signature_euler_zero(m, k) == signature(m, k, route="auto")
+            assert euler_zero(m, k) == signature(m, k, route="auto")
 
 
 def test_euler_zero_precondition():
     with pytest.raises(PreconditionError):
-        signature_euler_zero(bundled_model("line-in-plane"), 2)
+        euler_zero(bundled_model("line-in-plane"), 2)
 
 
 def test_pushpull_zero_special_case():
     m = bundled_model("null-pushforward")
     for k in range(1, 5):
-        assert signature_pushpull_zero(m, k) == signature(m, k, route="auto")
+        assert pushpull_zero(m, k) == signature(m, k, route="auto")
     m2 = bundled_model("nullhomotopic-cp2-in-s6")
     for k in range(1, 5):
-        assert signature_pushpull_zero(m2, k) == signature(m2, k, route="auto")
+        assert pushpull_zero(m2, k) == signature(m2, k, route="auto")
 
 
 def test_pontrjagin_special_routes_check_k():
     m = random_truncated_model(random.Random(15))
     with pytest.raises(ValueError, match="multiplicity k must be at least 1"):
-        pontrjagin_pulled_from_target(m, 0, [0])
+        pulled_from_target(m, 0, [0])
     with pytest.raises(ValueError, match="multiplicity k must be at least 1"):
-        pontrjagin_pushpull_zero(bundled_model("null-pushforward"), 0, [0])
+        pushpull_zero(bundled_model("null-pushforward"), 0, [0])
 
 
 def test_pushpull_zero_precondition():
     with pytest.raises(PreconditionError):
-        signature_pushpull_zero(bundled_model("line-in-plane"), 2)
+        pushpull_zero(bundled_model("line-in-plane"), 2)
 
 
 def test_nullhomotopic_special_case():
     m = bundled_model("nullhomotopic-cp2-in-s6")
     for k in range(1, 5):
-        assert signature_nullhomotopic(m, k) == signature(m, k, route="auto")
+        assert nullhomotopic(m, k) == signature(m, k, route="auto")
     # Pontrjagin variant at the matching dimension
     for k in range(1, 4):
         dims = multiple_point_dimension(m, k)
         if dims[0] >= 0 and dims[0] % 4 == 0:
-            assert pontrjagin_nullhomotopic(m, k, [dims[0]]) == pontrjagin_number(
+            assert nullhomotopic(m, k, [dims[0]]) == pontrjagin_number(
                 m, k, [dims[0]]).value
 
 
 def test_nullhomotopic_precondition():
     # nonzero pushpull fails the first hypothesis
     with pytest.raises(PreconditionError):
-        signature_nullhomotopic(bundled_model("line-in-plane"), 2)
+        nullhomotopic(bundled_model("line-in-plane"), 2)
+
+
+def test_special_cases_match_the_general_values_wherever_they_hold():
+    # every evaluator, for the signature and for every p_J with sum(J) even
+    # up to the source dimension, on the bundled models and 40 draws
+    rng = random.Random(41)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng) for _ in range(40)]
+    held = dict.fromkeys(("pulled_from_target", "pushpull_zero", "nullhomotopic", "euler_zero"), 0)
+    numbers = 0
+    for m in models:
+        # the two forms of the nullhomotopic normalization agree
+        assert (m.l_normal_inverse == m.l_source) == \
+            (m.normal_pontrjagin.invert_unital() == m.pontrjagin_source), m.name
+        for k in (2, 3):
+            general = signature(m, k, route="general")
+            Js = [J for d in range(0, m.source.max_degree + 1, 2) for J in index_sequences(d)]
+            want = {J: pontrjagin_number(m, k, J).value for J in Js}
+            for evaluator in (pulled_from_target, pushpull_zero, nullhomotopic, euler_zero):
+                try:
+                    assert evaluator(m, k) == general, (evaluator.__name__, m.name, k)
+                except PreconditionError:
+                    continue
+                held[evaluator.__name__] += 1
+                if evaluator is euler_zero:
+                    continue
+                for J, value in want.items():
+                    assert evaluator(m, k, J) == value, (evaluator.__name__, m.name, k, J)
+                    numbers += 1
+    assert sum(held.values()) >= 140 and numbers >= 590
+    assert min(held.values()) >= 10, held
 
 
 def test_pontrjagin_special_routes():
@@ -1029,13 +1094,13 @@ def test_pontrjagin_special_routes():
                 continue
             J = [dims[0]]
             general = pontrjagin_number(m, k, J).value
-            assert pontrjagin_pulled_from_target(m, k, J) == general
+            assert pulled_from_target(m, k, J) == general
     m = bundled_model("null-pushforward")
     for k in (2, 3):
         dims = multiple_point_dimension(m, k)
         if dims[0] >= 0 and dims[0] % 4 == 0:
             J = [dims[0]]
-            assert pontrjagin_pushpull_zero(m, k, J) == pontrjagin_number(m, k, J).value
+            assert pushpull_zero(m, k, J) == pontrjagin_number(m, k, J).value
 
 
 # ---------------------------------------------------------------------------
