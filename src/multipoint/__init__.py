@@ -20,13 +20,14 @@ _EXPORTS = {
         signature_via_source signature_via_target transfer_of_unit transfer_to_source
         transfer_to_target virtual_signature_class virtual_signature_class_union""",
     "graded": """GradedAlgebraError GradedClass GradedRing NonUnitalClassError RingComponent
-        TensorClass cross diagonal_pullback genus_class power_sums signature_class""",
+        TensorClass cross genus_class power_sums signature_class""",
     "model": """ImmersionModel LinearMap ModelError ValidationReport disjoint_union
         embedding_consistent validate""",
     "modelfile": "ModelFormatError load_model model_from_dict model_to_dict save_model",
-    "models": "BUNDLED bundled_model random_truncated_model truncated_polynomial_ring",
-    "oracle": "recursion_identity_holds",
+    "models": "BUNDLED bundled_model truncated_polynomial_ring",
+    "oracle": "diagonal_pullback recursion_identity_holds",
     "partitions": "SetPartition all_partitions count_by_type refines type_vectors",
+    "random_models": "random_truncated_model",
     "series": """SpecialSeries compose identity_series invert scaled_exp_series
         scaled_log_series""",
 }

@@ -12,19 +12,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-# Only what validate, compute and examples run is imported here; the model
-# file reader, the identity checks (oracle, series algebra) and json load
-# where they are used, so each command compiles only the modules it runs.
-from .formulas import (
-    SIGNATURE_ROUTES,
-    RouteDisagreement,
-    chern_number,
-    empty_locus_warning,
-    multiple_point_dimension,
-    pontrjagin_number,
-    signature,
-    virtual_signature_class,
-)
+# Only what validate and examples run is imported here.  The formulas load
+# in compute, the model file reader for a file path, the identity checks
+# (oracle, series algebra) in identities and json for --json, so each
+# command compiles only the modules it runs.
 from .graded import GradedClass
 from .model import ImmersionModel, validate
 from .models import BUNDLED, bundled_model
@@ -52,6 +43,23 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+class _RouteNames:
+    """The --route choices, read from the formulas' route registry only when
+    argparse checks or lists them, so that building the parser for validate
+    or examples does not import the formulas."""
+
+    @staticmethod
+    def _names() -> Tuple[str, ...]:
+        from .formulas import SIGNATURE_ROUTES
+        return (*SIGNATURE_ROUTES, "auto")
+
+    def __contains__(self, name) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
 
 
 class CliError(Exception):
@@ -119,6 +127,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compute(args) -> int:
+    from .formulas import (RouteDisagreement, chern_number, empty_locus_warning,
+                           multiple_point_dimension, pontrjagin_number, signature,
+                           virtual_signature_class)
     kind, J = _parse_quantity(args.quantity)
     if kind != "signature" and args.route != "auto":
         raise CliError(f"--route {args.route} applies to the signature only, "
@@ -166,78 +177,11 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _identity_failures(max_k: int) -> List[str]:
-    import random
-    from fractions import Fraction
-    from math import prod
-
-    from .graded import cross
-    from .oracle import (compose_enumerated, recursion_identity_holds, signature_enumerated,
-                         virtual_class_enumerated)
-    from .partitions import BELL, all_partitions, count_by_type, log_coefficient, type_vectors
-    from .series import (DEFAULT_ORDER, compose, composed_derivative, identity_series, invert,
-                         scaled_exp_series)
-
-    failures: List[str] = []
-    order = min(max(8, max_k), DEFAULT_ORDER)
-
-    H = scaled_exp_series(order)
-    G = invert(H)
-    for k in range(1, 7):
-        expected = log_coefficient(k) * H.coefficient(2) ** (k - 1)
-        if G.coefficient(k) != expected:
-            failures.append(f"series inversion coefficient {k}: {G.coefficient(k)}")
-    if compose(H, G) != identity_series(order):
-        failures.append("compose(H, invert(H)) is not the identity series")
-
-    for n in range(1, 7):
-        try:
-            composed_derivative(n)
-        except ArithmeticError as exc:
-            failures.append(str(exc))
-
-    for k in range(1, min(max_k, 6) + 1):
-        count = sum(1 for _ in all_partitions(k))
-        if count != BELL[k - 1]:
-            failures.append(f"partition count for k={k}: {count} != {BELL[k - 1]}")
-        by_type = sum(count_by_type(k, tv) for tv in type_vectors(k))
-        if by_type != BELL[k - 1]:
-            failures.append(f"type-vector counts for k={k} sum to {by_type}")
-
-    rng = random.Random(7)
-    poly_order = min(max_k, 5)
-    a = [Fraction(rng.randint(-3, 3)) for _ in range(poly_order)]
-    b = [Fraction(rng.randint(-3, 3)) for _ in range(poly_order)]
-    for k in range(1, poly_order + 1):
-        enum = compose_enumerated(a, b, k).value
-        coll = sum(count_by_type(k, tv) * a[sum(tv) - 1]
-                   * prod(b[i - 1] ** m for i, m in enumerate(tv, start=1) if m)
-                   for tv in type_vectors(k))
-        if enum != coll:
-            failures.append(f"composition oracle mismatch at k={k}: {enum} != {coll}")
-
-    for name in BUNDLED:
-        model = bundled_model(name)
-        for k in range(1, min(max_k, 3) + 1):
-            n = len(model.source.labels)
-            idx = tuple(rng.randrange(n) for _ in range(k))
-            x = cross([model.source.basis_class(i) for i in idx])
-            if not recursion_identity_holds(model, k, x):
-                failures.append(f"recursion identity fails on {name}, k={k}, x={idx}")
-        for k in range(1, min(max_k, 4) + 1):
-            sig = signature(model, k, route="auto")
-            orc = signature_enumerated(model, k).value
-            if sig != orc:
-                failures.append(f"signature oracle mismatch on {name}, k={k}")
-            if virtual_signature_class(model, k) != virtual_class_enumerated(model, k).value:
-                failures.append(f"virtual class oracle mismatch on {name}, k={k}")
-    return failures
-
-
 def cmd_identities(args) -> int:
     if args.max_k < 1:
         raise CliError(f"--max-k must be at least 1, got {args.max_k}", EXIT_USAGE)
-    failures = _identity_failures(args.max_k)
+    from .oracle import identity_failures
+    failures = identity_failures(args.max_k)
     if args.json:
         _print_json({"ok": not failures, "failures": failures})
     else:
@@ -272,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="multiplicity (k >= 1)")
     p.add_argument("--quantity", required=True,
                    help="signature | bk | pontrjagin=J | chern=J (J comma-separated degrees)")
-    p.add_argument("--route", choices=[*SIGNATURE_ROUTES, "auto"], default="auto")
+    # a metavar, or add_argument would list the choices, importing the formulas
+    p.add_argument("--route", choices=_RouteNames(), default="auto", metavar="ROUTE",
+                   help="signature route: %(choices)s (default %(default)s)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compute)
 

@@ -12,8 +12,9 @@ not tolerances.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from math import factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .collected import (
     CHARACTERISTIC,
@@ -37,7 +38,7 @@ from .graded import (
     genus_class,
 )
 from .model import ImmersionModel, ModelError, disjoint_union, preimage_under
-from .partitions import log_coefficient
+from .polynomials import log_coefficient
 from .records import Record
 
 
@@ -69,13 +70,37 @@ def multiple_point_dimension(model: ImmersionModel, k: int) -> Tuple[int, ...]:
                          for c in model.source.components}))
 
 
+def _empty_locus(model: ImmersionModel, k: int) -> bool:
+    """Whether the k-tuple point manifold is empty: (k-1)*codim exceeds the
+    dimension of every source component."""
+    bound = (k - 1) * model.codim
+    for c in model.source.components:
+        if c.top_degree >= bound:
+            return False
+    return True
+
+
 def empty_locus_warning(model: ImmersionModel, k: int) -> Optional[str]:
-    """The warning that the k-tuple point manifold is empty, when (k-1)*codim
-    exceeds the dimension of every source component; else None."""
-    if any(d >= 0 for d in multiple_point_dimension(model, k)):
+    """The warning that the k-tuple point manifold is empty; None when it is
+    not."""
+    if not _empty_locus(model, k):
         return None
     return (f"the {k}-tuple point manifold is empty: (k-1)*codim = {(k - 1) * model.codim} "
             f"exceeds the source dimension(s) {model.source_dimensions()}; the value is 0")
+
+
+def _check_entry(k: int, J: Optional[Sequence[int]]) -> Optional[Tuple[int, ...]]:
+    """The entry check of a number: k at least 1, and J (None for the
+    signature) as a tuple of nonnegative even ints.  A Fraction, float or
+    string entry is refused, not truncated."""
+    _check_k(k)
+    if J is None:
+        return None
+    J = tuple(J)
+    for j in J:
+        if not isinstance(j, int) or j < 0 or j % 2:
+            raise GradedAlgebraError(f"index sequence entry {j!r} is not a nonnegative even integer")
+    return J
 
 
 def _check_tensor(model: ImmersionModel, k: int, x: TensorClass) -> None:
@@ -233,31 +258,46 @@ def transfer_to_target(model: ImmersionModel, k: int, x: TensorClass) -> GradedC
 # Signature routes
 # ---------------------------------------------------------------------------
 
+Route = Callable[[ImmersionModel, int], Fraction]
 
+
+def _route(fn: Route) -> Route:
+    """A signature route that checks k and returns 0 on an empty k-tuple
+    point manifold before any recursion, whose cost grows with k."""
+    @wraps(fn)
+    def route(model: ImmersionModel, k: int) -> Fraction:
+        _check_k(k)
+        if _empty_locus(model, k):
+            return Fraction(0)
+        return fn(model, k)
+    return route
+
+
+@_route
 def signature_via_source(model: ImmersionModel, k: int) -> Fraction:
     """Signature of the k-tuple point manifold, evaluated on the source:
     transfer of L(source) x L(normal)^{-1} x ... x L(normal)^{-1}."""
-    _check_k(k)
     factors = [model.l_source] + [model.l_normal_inverse] * (k - 1)
     value = _transfer(model, factors, to_target=False).integrate()
     return value / factorial(k)
 
 
+@_route
 def signature_via_target(model: ImmersionModel, k: int) -> Fraction:
     """Same signature, evaluated on the target: pair L(target) with the
     full pushforward transfer of the tensor power of L(normal)^{-1}."""
-    _check_k(k)
     pushed = _transfer(model, [model.l_normal_inverse] * k, to_target=True)
     return (model.l_target * pushed).integrate() / factorial(k)
 
 
+@_route
 def signature_collected(model: ImmersionModel, k: int) -> Fraction:
     """Collected form: L(target) paired with E_k of the pushed normal
     blocks, the partition sum collected by the exponential formula."""
-    _check_k(k)
     return _genus(model, k, model.l_target, model.l_normal_inverse)
 
 
+@_route
 def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
     """Collected form on the source, where the block containing the first
     point is marked and keeps its Euler-power weight.
@@ -266,7 +306,6 @@ def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
     (1/k) sum_{l=1..k} (-1)^(l-1) <L(source) (e u)^(l-1) F_{k-l}>, u the
     inverse normal L-class; the sum over l is evaluated by Horner's rule.
     """
-    _check_k(k)
     memo = _exponential_coefficients(model, model.l_normal_inverse, k - 1, to_target=False)
     mul = model.source.mul_coords
     acc = memo.coeffs[0]
@@ -291,7 +330,7 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
     _check_k(k)
     if route != "auto" and route not in SIGNATURE_ROUTES:
         raise ValueError(f"unknown signature route {route!r}")
-    if empty_locus_warning(model, k) is not None:
+    if _empty_locus(model, k):
         return Fraction(0)
     if route in SIGNATURE_ROUTES:
         return SIGNATURE_ROUTES[route](model, k)
@@ -357,11 +396,7 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     the genera where the weight is: a large k leaves the k-tuple manifold
     a small dimension.
     """
-    _check_k(k)
-    J = tuple(J)
-    for j in J:  # a Fraction, float or string is refused, not truncated
-        if not isinstance(j, int) or j < 0 or j % 2:
-            raise GradedAlgebraError(f"index sequence entry {j!r} is not a nonnegative even integer")
+    J = _check_entry(k, J)
     kind = CHARACTERISTIC[chern]
     warnings: List[str] = []
     dims = multiple_point_dimension(model, k)
@@ -440,7 +475,7 @@ def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> G
         raise ModelError("no component models")
     union = disjoint_union(models)
     target = union.target
-    if empty_locus_warning(union, k) is not None:
+    if _empty_locus(union, k):
         return target.zero()
     mul = target.mul_coords
     product, *others = [_exponential_coefficients(m, m.l_normal_inverse, k, to_target=True).coeffs
@@ -521,7 +556,7 @@ def pulled_from_target(model: ImmersionModel, k: int,
                        J: Optional[Sequence[int]] = None) -> Fraction:
     """The signature or p_J when euler and L(normal) come from the target:
     the core paired with the closed-form unit transfer, over k!."""
-    _check_k(k)
+    J = _check_entry(k, J)
     _require_pulled_from_target(model)
     return (_core(model, k, J) * transfer_of_unit(model, k)).integrate() / factorial(k)
 
@@ -540,7 +575,7 @@ def pushpull_zero(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = No
     """The signature or p_J when pullback(pushforward(.)) vanishes
     identically: only the one-block partition survives, leaving
     (-1)^(k-1) / k times the integral of euler^(k-1) * core."""
-    _check_k(k)
+    J = _check_entry(k, J)
     _require(all(model.pushpull(model.source.basis_class(i)).is_zero()
                  for i in range(len(model.source.labels))),
              "pullback(pushforward(.)) is not identically zero")
@@ -552,7 +587,7 @@ def nullhomotopic(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = No
     P(normal)^-1 = P(source), which gives L(normal)^-1 = L(source) (every
     log coefficient of L is nonzero), so the pushpull-zero formula becomes
     a pure Euler-power formula."""
-    _check_k(k)
+    J = _check_entry(k, J)
     _require(model.normal_pontrjagin.invert_unital() == model.pontrjagin_source,
              "P(normal)^(-1) differs from P(source)")
     return pushpull_zero(model, k, J)

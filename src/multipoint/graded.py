@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .partitions import SetPartition
 from .polynomials import exp_coeffs, signature_genus_log_coeffs
 
 Scalar = Union[int, Fraction]
@@ -620,31 +619,3 @@ def cross(classes: Sequence[GradedClass]) -> TensorClass:
         terms[idx] = terms.get(idx, 0) + coeff
     return TensorClass(ring, len(classes), terms)
 
-
-def diagonal_pullback(alpha: SetPartition, x: TensorClass) -> TensorClass:
-    """Pull back along the partial diagonal of a set partition.
-
-    For an elementary tensor the factors indexed by each block of alpha
-    are multiplied in the base ring; the resulting factors are arranged
-    in the canonical block order.
-    """
-    if alpha.k != x.arity:
-        raise GradedAlgebraError(f"partition on {alpha.k} elements applied to arity {x.arity}")
-    out_terms: Dict[Tuple[int, ...], Scalar] = {}
-    ring = x.ring
-    for idx, c in x.terms.items():
-        block_classes = []
-        for block in alpha.blocks:
-            cls = ring.basis_class(idx[block[0] - 1])
-            for i in block[1:]:
-                cls = cls * ring.basis_class(idx[i - 1])
-            block_classes.append(cls)
-        if any(cls.is_zero() for cls in block_classes):
-            continue
-        for combo in iproduct(*(cls.coords.items() for cls in block_classes)):
-            new = tuple(i for i, _ in combo)
-            coeff = c
-            for _, s in combo:
-                coeff *= s
-            out_terms[new] = out_terms.get(new, 0) + coeff
-    return TensorClass(ring, len(alpha.blocks), out_terms)

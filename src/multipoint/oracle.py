@@ -8,19 +8,30 @@ freeze expected values in the test suite.
 
 The clean-intersection recursion that the solved transfer formula comes
 from sits here too, as a check of the production transfer, which it
-calls: its right side enumerates partitions and diagonal pullbacks.
+calls: its right side enumerates partitions and diagonal pullbacks.  So
+do the identity checks that the ``identities`` command runs: the series
+algebra, the partition counts, the recursion and the production
+signature routes against the enumerations.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from math import factorial
-from typing import List, NamedTuple, Tuple
+from itertools import product as iproduct
+from math import factorial, prod
+from typing import Dict, List, NamedTuple, Tuple
 
-from .formulas import _check_k, _check_tensor, transfer_to_source
-from .graded import TensorClass, diagonal_pullback
+from .formulas import (_check_k, _check_tensor, signature, transfer_to_source,
+                       virtual_signature_class)
+from .graded import GradedAlgebraError, Scalar, TensorClass, cross
 from .model import ImmersionModel
-from .partitions import SetPartition, all_partitions, quotient, refines
+from .models import BUNDLED, bundled_model
+from .partitions import (BELL, SetPartition, all_partitions, count_by_type, quotient, refines,
+                         type_vectors)
+from .polynomials import log_coefficient
+from .series import (DEFAULT_ORDER, compose, composed_derivative, identity_series, invert,
+                     scaled_exp_series)
 
 DEFAULT_CAP = 7
 
@@ -188,6 +199,35 @@ def double_composition_enumerated(a, b, c, k: int, cap: int = DEFAULT_CAP) -> Or
     return OracleRun(out, npairs, npairs)
 
 
+def diagonal_pullback(alpha: SetPartition, x: TensorClass) -> TensorClass:
+    """Pull back along the partial diagonal of a set partition.
+
+    For an elementary tensor the factors indexed by each block of alpha
+    are multiplied in the base ring; the resulting factors are arranged
+    in the canonical block order.
+    """
+    if alpha.k != x.arity:
+        raise GradedAlgebraError(f"partition on {alpha.k} elements applied to arity {x.arity}")
+    out_terms: Dict[Tuple[int, ...], Scalar] = {}
+    ring = x.ring
+    for idx, c in x.terms.items():
+        block_classes = []
+        for block in alpha.blocks:
+            cls = ring.basis_class(idx[block[0] - 1])
+            for i in block[1:]:
+                cls = cls * ring.basis_class(idx[i - 1])
+            block_classes.append(cls)
+        if any(cls.is_zero() for cls in block_classes):
+            continue
+        for combo in iproduct(*(cls.coords.items() for cls in block_classes)):
+            new = tuple(i for i, _ in combo)
+            coeff = c
+            for _, s in combo:
+                coeff *= s
+            out_terms[new] = out_terms.get(new, 0) + coeff
+    return TensorClass(ring, len(alpha.blocks), out_terms)
+
+
 def recursion_identity_holds(model: ImmersionModel, k: int, x: TensorClass) -> bool:
     """Check the recursion the solved formula came from.
 
@@ -212,3 +252,63 @@ def recursion_identity_holds(model: ImmersionModel, k: int, x: TensorClass) -> b
                 y = y.scale_slot(slot, model.euler ** (len(block) - 1))
         rhs = rhs + transfer_to_source(model, len(alpha.blocks), y)
     return lhs == rhs
+
+
+def identity_failures(max_k: int) -> List[str]:
+    """Run the identity suites up to multiplicity max_k, each capped (the
+    oracle suites at 6 or below, the series order at DEFAULT_ORDER), and
+    return a description of each identity that fails; empty if all hold."""
+    failures: List[str] = []
+    order = min(max(8, max_k), DEFAULT_ORDER)
+
+    H = scaled_exp_series(order)
+    G = invert(H)
+    for k in range(1, 7):
+        expected = log_coefficient(k) * H.coefficient(2) ** (k - 1)
+        if G.coefficient(k) != expected:
+            failures.append(f"series inversion coefficient {k}: {G.coefficient(k)}")
+    if compose(H, G) != identity_series(order):
+        failures.append("compose(H, invert(H)) is not the identity series")
+
+    for n in range(1, 7):
+        try:
+            composed_derivative(n)
+        except ArithmeticError as exc:
+            failures.append(str(exc))
+
+    for k in range(1, min(max_k, 6) + 1):
+        count = sum(1 for _ in all_partitions(k))
+        if count != BELL[k - 1]:
+            failures.append(f"partition count for k={k}: {count} != {BELL[k - 1]}")
+        by_type = sum(count_by_type(k, tv) for tv in type_vectors(k))
+        if by_type != BELL[k - 1]:
+            failures.append(f"type-vector counts for k={k} sum to {by_type}")
+
+    rng = random.Random(7)
+    poly_order = min(max_k, 5)
+    a = [Fraction(rng.randint(-3, 3)) for _ in range(poly_order)]
+    b = [Fraction(rng.randint(-3, 3)) for _ in range(poly_order)]
+    for k in range(1, poly_order + 1):
+        enum = compose_enumerated(a, b, k).value
+        coll = sum(count_by_type(k, tv) * a[sum(tv) - 1]
+                   * prod(b[i - 1] ** m for i, m in enumerate(tv, start=1) if m)
+                   for tv in type_vectors(k))
+        if enum != coll:
+            failures.append(f"composition oracle mismatch at k={k}: {enum} != {coll}")
+
+    for name in BUNDLED:
+        model = bundled_model(name)
+        for k in range(1, min(max_k, 3) + 1):
+            n = len(model.source.labels)
+            idx = tuple(rng.randrange(n) for _ in range(k))
+            x = cross([model.source.basis_class(i) for i in idx])
+            if not recursion_identity_holds(model, k, x):
+                failures.append(f"recursion identity fails on {name}, k={k}, x={idx}")
+        for k in range(1, min(max_k, 4) + 1):
+            sig = signature(model, k, route="auto")
+            orc = signature_enumerated(model, k).value
+            if sig != orc:
+                failures.append(f"signature oracle mismatch on {name}, k={k}")
+            if virtual_signature_class(model, k) != virtual_class_enumerated(model, k).value:
+                failures.append(f"virtual class oracle mismatch on {name}, k={k}")
+    return failures

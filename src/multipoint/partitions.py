@@ -10,6 +10,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Iterator, Sequence, Tuple
 
+from . import polynomials
 from .records import FrozenRecord
 
 
@@ -78,13 +79,9 @@ def universal_partition(k: int) -> SetPartition:
     return SetPartition(k, (tuple(range(1, k + 1)),))
 
 
-def log_coefficient(k: int) -> int:
-    """The weight (-1)^(k-1) (k-1)! of a block of size k: the k-th
-    exponential coefficient of log(1+y)."""
-    if k < 1:
-        raise ValueError("coefficient index must be positive")
-    return (-1) ** (k - 1) * factorial(k - 1)
-
+# the weight of a block of size k; it lives with the series coefficient
+# tables, which the production kernels load, and is the same object here
+log_coefficient = polynomials.log_coefficient
 
 # BELL[k - 1] is the number of partitions of {1,...,k}, for k up to 8.
 BELL = (1, 2, 5, 15, 52, 203, 877, 4140)

@@ -1,4 +1,5 @@
-"""Exact polynomials and rational power-series coefficient tables.
+"""Exact rational power-series coefficient tables, the symmetric-function
+change of basis and interpolation on a lower set of exponent vectors.
 
 Everything here works over ``fractions.Fraction``; there is no floating
 point anywhere in the package.
@@ -9,144 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
-
-
-class Poly:
-    """Multivariate polynomial with exact rational coefficients.
-
-    Exponent vectors are tuples aligned with ``variables``.  Instances are
-    immutable; all arithmetic returns new objects.  Binary operations
-    require both operands to share the same variable tuple.
-    """
-
-    __slots__ = ("variables", "coeffs")
-
-    def __init__(self, variables: Iterable[str], coeffs: Mapping[Tuple[int, ...], object] | None = None):
-        object.__setattr__(self, "variables", tuple(variables))
-        clean: Dict[Tuple[int, ...], Fraction] = {}
-        for exps, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(self.variables):
-                raise ValueError(f"exponent tuple {exps} does not match variables {self.variables}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            clean[exps] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def const(cls, variables: Iterable[str], value) -> "Poly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
-
-    @classmethod
-    def var(cls, variables: Iterable[str], name: str, power: int = 1) -> "Poly":
-        variables = tuple(variables)
-        if name not in variables:
-            raise ValueError(f"unknown variable {name!r}")
-        exps = tuple(power if v == name else 0 for v in variables)
-        return cls(variables, {exps: Fraction(1)})
-
-    # ---- queries -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_constant(self) -> bool:
-        zero = (0,) * len(self.variables)
-        return all(e == zero for e in self.coeffs)
-
-    def constant_value(self) -> Fraction:
-        zero = (0,) * len(self.variables)
-        return self.coeffs.get(zero, Fraction(0))
-
-    def evaluate(self, **values) -> Fraction:
-        """Evaluate at rational values given for every variable."""
-        missing = [v for v in self.variables if v not in values]
-        if missing:
-            raise ValueError(f"missing values for {missing}")
-        total = Fraction(0)
-        for exps, c in self.coeffs.items():
-            term = c
-            for v, e in zip(self.variables, exps):
-                term *= Fraction(values[v]) ** e
-            total += term
-        return total
-
-    # ---- arithmetic ----------------------------------------------------
-
-    def _check(self, other: "Poly") -> None:
-        if self.variables != other.variables:
-            raise ValueError(f"variable mismatch: {self.variables} vs {other.variables}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.variables, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.variables, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._check(other)
-            out: Dict[Tuple[int, ...], Fraction] = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-            return Poly(self.variables, out)
-        return Poly(self.variables, {e: c * Fraction(other) for e, c in self.coeffs.items()})
-
-    def __rmul__(self, other) -> "Poly":
-        return self * other
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Poly.const(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.variables == other.variables and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.coeffs.items())))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for exps in sorted(self.coeffs):
-            c = self.coeffs[exps]
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.variables, exps)
-                if e
-            )
-            bits.append(f"{c}*{mono}" if mono else f"{c}")
-        return " + ".join(bits)
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +56,14 @@ def series_log(a: Sequence[Fraction], order: int) -> list:
     for k in range(1, order + 1):
         out[k] = quot[k - 1] / k
     return out
+
+
+def log_coefficient(k: int) -> int:
+    """The weight (-1)^(k-1) (k-1)! of a block of size k: the k-th
+    exponential coefficient of log(1+y)."""
+    if k < 1:
+        raise ValueError("coefficient index must be positive")
+    return (-1) ** (k - 1) * factorial(k - 1)
 
 
 def exp_coeffs(order: int) -> list:

@@ -33,12 +33,7 @@ from multipoint.formulas import (
 from multipoint.formulas import PreconditionError
 from multipoint.graded import cross
 from multipoint.model import disjoint_union, embedding_consistent, validate
-from multipoint.models import (
-    BUNDLED,
-    bundled_model,
-    random_truncated_model,
-    random_union_components,
-)
+from multipoint.models import BUNDLED, bundled_model
 from multipoint.oracle import recursion_identity_holds, virtual_class_enumerated
 from multipoint.partitions import (
     BELL,
@@ -48,6 +43,7 @@ from multipoint.partitions import (
     type_vectors,
 )
 from multipoint.polynomials import tanh_coeffs
+from multipoint.random_models import random_truncated_model, random_union_components
 from multipoint.series import (
     compose,
     composed_derivative,

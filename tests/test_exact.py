@@ -13,11 +13,10 @@ from multipoint.model import disjoint_union, solve_linear, validate
 from multipoint.models import (
     BUNDLED,
     bundled_model,
-    random_truncated_model,
-    random_union_components,
     truncated_polynomial_ring,
 )
 from multipoint.polynomials import signature_genus_log_coeffs
+from multipoint.random_models import random_truncated_model, random_union_components
 
 
 def _normal(c) -> bool:

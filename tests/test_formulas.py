@@ -41,8 +41,6 @@ from multipoint.modelfile import load_model, model_from_dict, model_to_dict, sav
 from multipoint.models import (
     BUNDLED,
     bundled_model,
-    random_truncated_model,
-    random_union_components,
     truncated_polynomial_ring,
 )
 from multipoint.oracle import (
@@ -55,11 +53,11 @@ from multipoint.oracle import (
 )
 from multipoint.partitions import (
     all_partitions,
-    log_coefficient,
     marked_type_vectors,
     type_vectors,
 )
-from multipoint.polynomials import signature_genus_log_coeffs
+from multipoint.polynomials import log_coefficient, signature_genus_log_coeffs
+from multipoint.random_models import random_truncated_model, random_union_components
 
 
 def _random_tensor(rng, ring, k, nterms=2):
@@ -229,6 +227,16 @@ def test_every_route_returns_zero_on_an_empty_locus_at_k64():
     assert signature_via_source(m, 20) == 0
     assert signature_via_source(m, 64) == signature_via_target(m, 64) == 0
     assert time.perf_counter() - start < 2
+
+
+def test_each_route_called_directly_returns_zero_on_an_empty_locus_at_k4000():
+    # the collected recursions are quadratic in k: about 0.6 s each here
+    # when they run to their 0
+    m = bundled_model("line-in-plane")
+    start = time.perf_counter()
+    for name, route in SIGNATURE_ROUTES.items():
+        assert route(m, 4000) == 0, name
+    assert time.perf_counter() - start < 0.25
 
 
 def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch):
@@ -533,9 +541,11 @@ def test_models_loaded_from_one_file_share_no_memo(tmp_path):
     save_model(random_truncated_model(random.Random(43), max_powers=8,
                                       allow_zero_euler=False), path)
     a, b = load_model(path), load_model(path)
-    values = _collected_values(a, 6)
+    # k = 2 is the largest k with a nonempty k-tuple manifold on this m = 1
+    # model; above it the routes return 0 before building any chain
+    values = _collected_values(a, 2)
     assert not any(isinstance(key, tuple) for key in b._cache)
-    assert _collected_values(b, 6) == values
+    assert _collected_values(b, 2) == values
     memo_keys = [key for key in a._cache if isinstance(key, tuple)]
     assert len(memo_keys) == 2  # one chain on each side
     for key in memo_keys:
@@ -1028,6 +1038,18 @@ def test_pontrjagin_special_routes_check_k():
         pulled_from_target(m, 0, [0])
     with pytest.raises(ValueError, match="multiplicity k must be at least 1"):
         pushpull_zero(bundled_model("null-pushforward"), 0, [0])
+
+
+@pytest.mark.parametrize("entry", ["4", 4.0, Fraction(4), -4])
+def test_special_cases_refuse_what_the_characteristic_numbers_refuse(entry):
+    # each model satisfies the evaluator's hypothesis, so only J is at fault
+    for evaluator, name in ((pulled_from_target, "line-in-plane"),
+                            (pushpull_zero, "null-pushforward"),
+                            (nullhomotopic, "nullhomotopic-cp2-in-s6")):
+        m = bundled_model(name)
+        evaluator(m, 1, [4])
+        with pytest.raises(graded.GradedAlgebraError, match="not a nonnegative even integer"):
+            evaluator(m, 1, [entry])
 
 
 def test_pushpull_zero_precondition():

@@ -12,7 +12,6 @@ from multipoint.graded import (
     GradedRing,
     NonUnitalClassError,
     cross,
-    diagonal_pullback,
     genus_class,
     nilpotency_order,
     power_sums,
@@ -22,12 +21,12 @@ from multipoint.model import disjoint_union, product_ring
 from multipoint.models import (
     BUNDLED,
     bundled_model,
-    random_truncated_model,
-    random_union_components,
     truncated_polynomial_ring,
 )
-from multipoint.polynomials import exp_coeffs, signature_genus_log_coeffs
+from multipoint.oracle import diagonal_pullback
 from multipoint.partitions import SetPartition
+from multipoint.polynomials import exp_coeffs, signature_genus_log_coeffs
+from multipoint.random_models import random_truncated_model, random_union_components
 
 
 @pytest.fixture

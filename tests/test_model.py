@@ -19,12 +19,8 @@ from multipoint.model import (
     solve_linear,
     validate,
 )
-from multipoint.models import (
-    BUNDLED,
-    bundled_model,
-    random_truncated_model,
-    random_union_components,
-)
+from multipoint.models import BUNDLED, bundled_model
+from multipoint.random_models import random_truncated_model, random_union_components
 
 
 def test_all_bundled_models_validate():

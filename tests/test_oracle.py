@@ -10,7 +10,7 @@ from multipoint.formulas import (
     virtual_signature_class,
 )
 from multipoint.graded import cross
-from multipoint.models import BUNDLED, bundled_model, random_truncated_model
+from multipoint.models import BUNDLED, bundled_model
 from multipoint.oracle import (
     compose_enumerated,
     double_composition_enumerated,
@@ -21,6 +21,7 @@ from multipoint.oracle import (
     virtual_class_enumerated,
 )
 from multipoint.partitions import BELL
+from multipoint.random_models import random_truncated_model
 
 
 def test_cap_enforced():
@@ -81,8 +82,7 @@ def test_refinement_pair_counts():
 
 def test_double_composition_associativity():
     # (a o b) o c = a o (b o c), witnessed on the refinement pairs
-    from multipoint.polynomials import Poly
-    from multipoint.series import SpecialSeries, compose
+    from multipoint.series import Poly, SpecialSeries, compose
 
     rng = random.Random(22)
     variables = ("e",)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from multipoint.polynomials import (
-    Poly,
     elementary_in_power_sums,
     exp_coeffs,
     interpolate_on_lower_set,
@@ -17,6 +16,7 @@ from multipoint.polynomials import (
     signature_genus_log_coeffs,
     tanh_coeffs,
 )
+from multipoint.series import Poly
 
 V = ("x", "y")
 

@@ -12,8 +12,7 @@ from multipoint.model import Check, LinearMap, ValidationReport
 from multipoint.models import bundled_model
 from multipoint.oracle import OracleRun
 from multipoint.partitions import SetPartition
-from multipoint.polynomials import Poly
-from multipoint.series import SpecialSeries
+from multipoint.series import Poly, SpecialSeries
 
 E = Poly.var(("e",), "e")
 

@@ -1,8 +1,8 @@
 import pytest
 
-from multipoint.polynomials import Poly
 from multipoint.series import (
     BIVARIATE,
+    Poly,
     SpecialSeries,
     compose,
     composed_derivative,

@@ -1,6 +1,8 @@
-"""What a fresh interpreter loads: the package exports lazily, and a
-bundled-model compute never compiles the model-file reader, the oracle or
-the series algebra, nor imports dataclasses."""
+"""What a fresh interpreter loads: the package exports lazily, a
+bundled-model compute never compiles the model-file reader, the oracle,
+the partitions, the random models or the series algebra, nor imports
+dataclasses, and a validate compiles no formula.  The names the benchmark
+harness reads keep resolving wherever their code lives."""
 
 import importlib
 import os
@@ -13,6 +15,7 @@ import pytest
 import multipoint
 
 SRC = str(Path(multipoint.__file__).resolve().parent.parent)
+BENCHMARKS = str(Path(__file__).resolve().parent.parent / "benchmarks")
 
 
 def _loaded_modules(code: str) -> set:
@@ -33,10 +36,56 @@ def test_bundled_compute_loads_only_what_it_runs():
         "assert cli.main(['compute', 'line-in-plane', '--k', '2',"
         " '--quantity', 'signature']) == 0")
     assert "multipoint.formulas" in loaded
-    for name in ("multipoint.oracle", "multipoint.modelfile", "multipoint.series"):
-        assert name not in loaded, name
+    for name in ("oracle", "modelfile", "series", "partitions", "random_models"):
+        assert f"multipoint.{name}" not in loaded, name
     for name in ("dataclasses", "inspect"):
         assert name in bare or name not in loaded, name
+
+
+def test_bundled_validate_loads_no_formula():
+    loaded = _loaded_modules(
+        "from multipoint import cli\n"
+        "assert cli.main(['validate', 'line-in-plane']) == 0")
+    assert "multipoint.model" in loaded
+    for name in ("formulas", "collected", "partitions", "random_models"):
+        assert f"multipoint.{name}" not in loaded, name
+
+
+def test_poly_lives_with_the_series_only():
+    from multipoint import polynomials, series
+    assert not hasattr(polynomials, "Poly")
+    assert series.Poly.__module__ == "multipoint.series"
+
+
+# module -> {name: the module that defines it}, for each module attribute
+# the benchmark harness (workloads, reference and tracer) reads
+HARNESS_READS = {
+    "models": {"random_truncated_model": "random_models", "BUNDLED": "models",
+               "bundled_model": "models", "truncated_polynomial_ring": "models"},
+    "graded": {"cross": "graded"},
+    "formulas": {"_characteristic_number": "formulas", "cross": "graded"},
+    "partitions": {"all_partitions": "partitions", "type_vectors": "partitions",
+                   "marked_type_vectors": "partitions", "log_coefficient": "polynomials"},
+    "series": {"log_coefficient": "polynomials"},
+}
+
+
+def test_names_the_benchmark_reads_resolve_to_their_home():
+    for module, names in HARNESS_READS.items():
+        mod = importlib.import_module(f"multipoint.{module}")
+        for name, home in names.items():
+            value = getattr(importlib.import_module(f"multipoint.{home}"), name)
+            assert getattr(mod, name) is value, (module, name)
+    with pytest.raises(AttributeError, match="no_such_model"):
+        importlib.import_module("multipoint.models").no_such_model
+
+
+def test_the_benchmark_tracer_installs():
+    # the tracer reads its names unconditionally: a moved one fails here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, BENCHMARKS]))
+    proc = subprocess.run([sys.executable, "-c", "from tracing import Tracer\nTracer().install()"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_module_imports_dataclasses():
