@@ -22,13 +22,11 @@ from .graded import (
     GradedRing,
     Scalar,
     exact,
-    nilpotency_order,
-    power_sums,
+    genus_class,
 )
 from .model import ImmersionModel, solve_linear
 from .polynomials import (
     elementary_in_power_sums,
-    exp_coeffs,
     interpolate_on_lower_set,
     lower_set,
     lower_set_size,
@@ -142,6 +140,16 @@ CHARACTERISTIC = {
 }
 
 
+def _genus_classes(model: ImmersionModel, kind: Characteristic,
+                   c: Sequence[Scalar]) -> Tuple[GradedClass, GradedClass]:
+    """K(target) and K(normal)^-1 for log K = sum_j c_j s_j, s_j the power
+    sums of the kind's roots; exp(-x) = exp(x)^-1 exactly in a nilpotent
+    ring, so the inverse is the genus class of -c."""
+    _, target, normal = kind.classes(model)
+    return (genus_class(target, lambda n: c, kind.step),
+            genus_class(normal, lambda n: [-x for x in c], kind.step))
+
+
 def _genus_plan(J: Sequence[int], kind: Characteristic, dims: Sequence[int]) -> tuple:
     """What _number_from_genera evaluates for J: the kind, the weight
     w = sum(J) / step, the weights of the dimensions dims, the nonzero
@@ -176,48 +184,26 @@ def _number_from_genera(model: ImmersionModel, k: int, plan: tuple) -> Fraction:
     with components of other dimensions) are split off by also evaluating
     at s^j * c_j for s = 1, 2, ..., which multiplies G_u by s^u.
 
-    At a point, K(target) = exp(sum_j c_j s_j) is a product of powers of
-    exp(s^j * s_j(target)), and likewise u = K(normal)^-1; the genus is the
-    collected kernel on a chain of its own, so no point is memoised.  A
+    At a point, _genus_classes builds K(target) and u = K(normal)^-1 for
+    c = (0, s, m_2 * s^2, ..., m_top * s^top); the genus is the collected
+    kernel on a chain of its own, so no point is memoised.  A
     Pontrjagin number of one weight w <= 1 needs no point: G_1 = S_(1) / 3
     on the L-genus, whose chain the signature queries share.
     """
     kind, w, weights, parts, top, l_point = plan
     if l_point:
         return 3 ** w * _genus(model, k, model.l_target, model.l_normal_inverse)
-    _, total, normal = kind.classes(model)
     points = lower_set(range(2, top + 1), w)
     values: Dict[Tuple[int, ...], Fraction] = dict.fromkeys(points, Fraction(0))
     # G_w = sum_s beta_s G(s . c), from a Vandermonde system in the scales
     # (distinct positive scales and exponents: nonsingular)
     scales = range(1, len(weights) + 1)
     beta = solve_linear([{u: s ** u for u in weights} for s in scales], {w: 1})
-    sides = [(total.ring, power_sums(total, kind.step), 1),
-             (normal.ring, power_sums(normal, kind.step), -1)]
     for s, b in zip(scales, beta):
-        # tables[side][j][x] = exp(x * s^j * s_j) on the target, and the
-        # inverse for the normal class on the source
-        tables = []
-        for ring, sums, sign in sides:
-            series = exp_coeffs(nilpotency_order(ring))
-            side = [[]]
-            for j in range(1, top + 1):
-                powers = [ring.unit_coords]
-                if j in sums:
-                    e = (sign * s ** j * sums[j]).eval_series(series).coords
-                    for _ in range(w // j if j > 1 else 1):  # c_1 = 1 at every point
-                        powers.append(ring.mul_coords(powers[-1], e))
-                side.append(powers)
-            tables.append(side)
         for m in points:
-            at = []
-            for side, ring in zip(tables, (model.target, model.source)):
-                acc = side[1][-1]
-                for j, x in enumerate(m, start=2):
-                    if x and len(side[j]) > 1:
-                        acc = ring.mul_coords(acc, side[j][x])
-                at.append(acc)
-            values[m] += b * _genus_at(model, k, *at)
+            c = (0, s, *(x * s ** j for j, x in enumerate(m, start=2)))
+            target, u = _genus_classes(model, kind, c)
+            values[m] += b * _genus_at(model, k, target.coords, u.coords)
     numbers: Dict[Tuple[int, ...], Fraction] = {}  # S_lambda = a_m * prod_j m_j!
     for m, a in interpolate_on_lower_set(values).items():
         mult = (w - sum(j * x for j, x in enumerate(m, start=2)),) + m

@@ -22,6 +22,7 @@ from .collected import (
     _check_k,
     _exponential_coefficients,
     _genus,
+    _genus_classes,
     _genus_plan,
     _genus_point_count,
     _number_from_genera,
@@ -35,7 +36,6 @@ from .graded import (
     Scalar,
     TensorClass,
     cross,
-    genus_class,
 )
 from .model import ImmersionModel, ModelError, disjoint_union, preimage_under
 from .polynomials import log_coefficient
@@ -258,18 +258,15 @@ def transfer_to_target(model: ImmersionModel, k: int, x: TensorClass) -> GradedC
 # Signature routes
 # ---------------------------------------------------------------------------
 
-Route = Callable[[ImmersionModel, int], Fraction]
-
-
-def _route(fn: Route) -> Route:
-    """A signature route that checks k and returns 0 on an empty k-tuple
-    point manifold before any recursion, whose cost grows with k."""
+def _route(fn: Callable[..., Fraction]) -> Callable[..., Fraction]:
+    """A signature route or genus that checks k and returns 0 on an empty
+    k-tuple point manifold before any recursion, whose cost grows with k."""
     @wraps(fn)
-    def route(model: ImmersionModel, k: int) -> Fraction:
+    def route(model: ImmersionModel, k: int, *args, **kwargs) -> Fraction:
         _check_k(k)
         if _empty_locus(model, k):
             return Fraction(0)
-        return fn(model, k)
+        return fn(model, k, *args, **kwargs)
     return route
 
 
@@ -347,27 +344,23 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+@_route
 def genus(model: ImmersionModel, k: int, log_coeffs: Sequence[Scalar],
           chern: bool = False) -> Fraction:
     """The genus of the k-tuple point manifold for the multiplicative class
     K with log K = sum_j c_j s_j, s_j the power sums of the squared
     Pontrjagin roots (of the Chern roots if chern is set) and c_j the
-    entries of log_coeffs (c_0 is not read; entries past the end are 0).
+    entries of log_coeffs (c_0 is not read; entries past the end are 0);
+    0 on an empty k-tuple point manifold.
 
     The model defines the normal class as f*(P(target)) * P(source)^-1
     (likewise C) and K is multiplicative, so the genus is the integral of
     K(target) * E_k with u = K(normal)^-1, as the collected signature
     route pairs L(target) with it.  The classes are memoised per model.
     """
-    _check_k(k)
     c = tuple(log_coeffs)
-    kind = CHARACTERISTIC[chern]
-
-    def build():
-        _, total, normal = kind.classes(model)
-        return (genus_class(total, lambda n: c, kind.step),
-                genus_class(normal, lambda n: c, kind.step).invert_unital())
-    return _genus(model, k, *model._cached(("genus", chern, c), build))
+    return _genus(model, k, *model._cached(
+        ("genus", chern, c), lambda: _genus_classes(model, CHARACTERISTIC[chern], c)))
 
 
 def _number_by_expansion(model: ImmersionModel, k: int, J: Sequence[int],
@@ -494,7 +487,8 @@ def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> G
 
 
 # ---------------------------------------------------------------------------
-# Special-case evaluators of the signature (J None) or p_J
+# Special-case evaluators of the signature (J None) or p_J: after the
+# entry check and the hypothesis, 0 on an empty k-tuple point manifold
 # ---------------------------------------------------------------------------
 
 
@@ -505,6 +499,8 @@ def transfer_of_unit(model: ImmersionModel, k: int) -> GradedClass:
     Valid whenever the Euler class lies in the image of the pullback.
     """
     _check_k(k)
+    if _empty_locus(model, k):
+        return model.source.zero()
     base = model.pushpull(model.source.unit())
     out = model.source.unit()
     for i in range(1, k):
@@ -558,6 +554,8 @@ def pulled_from_target(model: ImmersionModel, k: int,
     the core paired with the closed-form unit transfer, over k!."""
     J = _check_entry(k, J)
     _require_pulled_from_target(model)
+    if _empty_locus(model, k):
+        return Fraction(0)
     return (_core(model, k, J) * transfer_of_unit(model, k)).integrate() / factorial(k)
 
 
@@ -567,6 +565,8 @@ def euler_zero(model: ImmersionModel, k: int) -> Fraction:
     on the target."""
     _check_k(k)
     _require(model.euler.is_zero(), f"euler class {model.euler} is nonzero")
+    if _empty_locus(model, k):
+        return Fraction(0)
     pushed = model.pushforward(model.l_normal_inverse)
     return (model.l_target * pushed ** k).integrate() / factorial(k)
 
@@ -579,6 +579,8 @@ def pushpull_zero(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = No
     _require(all(model.pushpull(model.source.basis_class(i)).is_zero()
                  for i in range(len(model.source.labels))),
              "pullback(pushforward(.)) is not identically zero")
+    if _empty_locus(model, k):
+        return Fraction(0)
     return Fraction((-1) ** (k - 1), k) * (model.euler ** (k - 1) * _core(model, k, J)).integrate()
 
 

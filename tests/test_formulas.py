@@ -240,12 +240,15 @@ def test_each_route_called_directly_returns_zero_on_an_empty_locus_at_k4000():
 
 
 def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch):
-    # at k = 10^6 the routes would spend seconds in the collected recursion
-    # and in factorial(k), only to divide 0
+    # at k = 10^6 the routes, the genus and the special cases would spend
+    # seconds in the collected recursion, in k-fold products and in
+    # factorial(k), only to divide 0
     def unavailable(*args, **kwargs):
         raise AssertionError("an empty k-tuple manifold must run no route")
 
     m = bundled_model("line-in-plane")
+    nullhomotopic_cp2, null_push, line_in_quadric = map(
+        bundled_model, ("nullhomotopic-cp2-in-s6", "null-pushforward", "line-in-quadric"))
     for name in SIGNATURE_ROUTES:
         monkeypatch.setitem(SIGNATURE_ROUTES, name, unavailable)
     monkeypatch.setattr(formulas, "_transfer", unavailable)
@@ -255,9 +258,23 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
         assert signature(m, 10 ** 6, route=route) == 0, route
     assert virtual_signature_class(m, 10 ** 6) == m.target.zero()
     assert virtual_signature_class_union([m] * 3, 10 ** 6) == m.target.zero()
+    assert formulas.genus(m, 10 ** 6, (0, 1)) == formulas.genus(m, 10 ** 6, (0, 1), chern=True) == 0
+    assert transfer_of_unit(m, 10 ** 6) == m.source.zero()
+    assert pulled_from_target(m, 10 ** 6) == pulled_from_target(m, 10 ** 6, (4,)) == 0
+    assert nullhomotopic(nullhomotopic_cp2, 10 ** 6) == nullhomotopic(nullhomotopic_cp2, 10 ** 6, (4,)) == 0
+    assert pushpull_zero(null_push, 10 ** 6) == pushpull_zero(null_push, 10 ** 6, (4,)) == 0
+    assert euler_zero(line_in_quadric, 10 ** 6) == 0
     assert time.perf_counter() - start < 1
     with pytest.raises(ValueError, match="unknown signature route"):
         signature(m, 10 ** 6, route="nonesuch")
+    # the refusals still come first: the entry check, then the hypothesis
+    with pytest.raises(graded.GradedAlgebraError, match="not a nonnegative even integer"):
+        pushpull_zero(null_push, 10 ** 6, (3,))
+    with pytest.raises(ValueError, match="multiplicity"):
+        formulas.genus(m, 0, (0, 1))
+    for special in (euler_zero, pushpull_zero, nullhomotopic):
+        with pytest.raises(PreconditionError):
+            special(m, 10 ** 6)
     with pytest.raises(ModelError, match="target"):
         virtual_signature_class_union([m, bundled_model("hypersurface-d2")], 10 ** 6)
 
@@ -928,10 +945,10 @@ def test_degree_known_zeros_build_no_class(monkeypatch):
 
     m = random_truncated_model(random.Random(19), max_powers=12, allow_zero_euler=False)
     monkeypatch.setattr(graded.GradedClass, "invert_unital", unavailable)
-    for name in ("power_sums", "_exponential_coefficients", "_Chain"):
+    for name in ("_genus_classes", "_exponential_coefficients", "_Chain"):
         monkeypatch.setattr(collected, name, unavailable)
     monkeypatch.setattr(formulas, "cross", unavailable)
-    monkeypatch.setattr(formulas, "genus_class", unavailable)
+    monkeypatch.setattr(formulas, "_genus_classes", unavailable)
     start = time.perf_counter()
     res = pontrjagin_number(m, 20, (4,))  # a cross expansion would have 12^20 terms
     assert time.perf_counter() - start < 0.5
@@ -944,6 +961,27 @@ def test_degree_known_zeros_build_no_class(monkeypatch):
     for J in ((d,), (d - 2, 2)):  # a Pontrjagin part has degree 0 mod 4
         res = pontrjagin_number(m, 3, J)
         assert res.value == 0 and res.warnings == []
+
+
+def test_genus_classes_invert_by_negating_the_log_coefficients():
+    # exp(-x) = exp(x)^-1 in a nilpotent ring: the genus route and genus
+    # build K(normal)^-1 as the genus class of -c, with no inversion
+    rng = random.Random(27)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=8, with_chern=True) for _ in range(10)]
+    checked = 0
+    for m in models:
+        order = max(m.source.max_degree, m.target.max_degree) // 2
+        for chern in (False, True) if m.chern_source is not None else (False,):
+            kind = collected.CHARACTERISTIC[chern]
+            _, total, normal = kind.classes(m)
+            for c in (signature_genus_log_coeffs(order), (0, Fraction(-1, 24)), (0, 1, 2, -3)):
+                target, inverse = collected._genus_classes(m, kind, c)
+                assert target == graded.genus_class(total, lambda n: c, kind.step), (m.name, chern, c)
+                assert inverse == graded.genus_class(normal, lambda n: c, kind.step).invert_unital(), \
+                    (m.name, chern, c)
+                checked += 1
+    assert checked >= 3 * (len(BUNDLED) + 3 + 2 * 10)
 
 
 def test_genus_of_the_k_tuple_manifold():
