@@ -4,10 +4,11 @@ manifold read from them.
 
 By the exponential formula the partition sum of the transfer collapses,
 for a tensor power of one normal class u, to the coefficients E_n of
-exp(sum_i (-1)^(i-1) b_i t^i / i), b_i the image of e^(i-1) * u^i.  For
-a multiplicative class K the genus of the k-tuple point manifold is the
-integral of K(target) * E_k with u = K(normal)^-1, and the characteristic
-numbers are read from genera at integer points.  Everything is exact.
+exp(sum_i (-1)^(i-1) b_i t^i / i), b_i the pushforward of e^(i-1) * u^i.
+For a multiplicative class K the genus of the k-tuple point manifold is
+the integral of K(target) * E_k with u = K(normal)^-1, and the
+characteristic numbers are read from genera at integer points.
+Everything is exact.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .graded import (
-    Coords,
-    GradedClass,
-    GradedRing,
-    Scalar,
-    exact,
-    genus_class,
-)
+from .graded import Coords, GradedClass, Scalar, exact, genus_class
 from .model import ImmersionModel, solve_linear
 from .polynomials import (
     elementary_in_power_sums,
@@ -33,64 +27,54 @@ from .polynomials import (
 )
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"multiplicity k must be at least 1, got {k}")
-
-
 class _Chain:
-    """The memo of one collected recursion: e * u, the chain class
-    e^(n-1) * u^n of the last block, the blocks b_1..b_n and E_0..E_n, all
+    """The memo of one collected recursion on the target: e * u, the chain
+    class e^(n-1) * u^n of the last block, the blocks b_1..b_n, E_0..E_n
+    and the source classes F_0..F_m read so far, F_n = f*(E_n), all
     coordinate dicts."""
 
-    __slots__ = ("eu", "last", "blocks", "coeffs")
+    __slots__ = ("eu", "last", "blocks", "coeffs", "pulled")
 
-    def __init__(self, model: ImmersionModel, u: Coords, ring: GradedRing):
+    def __init__(self, model: ImmersionModel, u: Coords):
         self.eu = model.source.mul_coords(model.euler.coords, u)
         self.last = u
         self.blocks: List[Coords] = []
-        self.coeffs: List[Coords] = [ring.unit_coords]
+        self.coeffs: List[Coords] = [model.target.unit_coords]
+        self.pulled: List[Coords] = []
 
 
-def _exponential_coefficients(model: ImmersionModel, u: GradedClass, k: int,
-                              to_target: bool) -> _Chain:
+def _exponential_coefficients(model: ImmersionModel, u: GradedClass, k: int) -> _Chain:
     """The memo holding E_0..E_k, the coefficients of
     exp(sum_i (-1)^(i-1) b_i t^i / i) for the blocks
-    b_i = img(e^(i-1) * u^i), u a normal class: img is the
-    pushforward (blocks on the target) or pullback(pushforward(.)) (blocks
-    on the source).
+    b_i = f_!(e^(i-1) * u^i) on the target, u a normal class.
 
     By the exponential formula, n! * E_n is the sum over the partitions of
     n points of the products of the block classes b_|B|, each weighted by
     the log coefficient of |B|.  Differentiating the exponential gives
     n * E_n = sum_{i=1..n} (-1)^(i-1) b_i E_{n-i}, so E_k costs O(k^2)
-    ring products and no partition or type vector is visited.
+    ring products and no partition or type vector is visited.  The
+    coefficients of the pulled-back blocks are f*(E_n), f* being a unital
+    ring homomorphism, so the source side needs no recursion of its own.
 
     Everything is a coordinate dict, and the recursion is memoised in the
-    model's cache under the side and u: a call for a larger k extends the
-    chain, the blocks and the coefficients, and a call for a smaller k
-    reads them.  The returned memo holds at least E_0..E_k; callers must
-    not mutate it.
+    model's cache under u: a call for a larger k extends the chain, the
+    blocks and the coefficients, and a call for a smaller k reads them.
+    The returned memo holds at least E_0..E_k; callers must not mutate it
+    except to extend its pulled list.
     """
-    ring = model.target if to_target else model.source
-    memo = model._cached(("collected", to_target, u), lambda: _Chain(model, u.coords, ring))
-    _extend(model, memo, k, to_target)
+    memo = model._cached(("collected", u), lambda: _Chain(model, u.coords))
+    _extend(model, memo, k)
     return memo
 
 
-def _extend(model: ImmersionModel, chain: _Chain, k: int, to_target: bool) -> None:
+def _extend(model: ImmersionModel, chain: _Chain, k: int) -> None:
     """Extend the chain's blocks and coefficients up to E_k."""
-    ring = model.target if to_target else model.source
     blocks, coeffs = chain.blocks, chain.coeffs
-    push, pull = model.pushforward.apply_coords, model.pullback.apply_coords
-    mul = ring.mul_coords
+    push, mul = model.pushforward.apply_coords, model.target.mul_coords
     for n in range(len(coeffs), k + 1):
         if n > 1 and chain.last:
             chain.last = model.source.mul_coords(chain.last, chain.eu)
-        block = chain.last and push(chain.last)
-        if block and not to_target:
-            block = pull(block)
-        blocks.append(block)
+        blocks.append(chain.last and push(chain.last))
         acc = _sum_coords((1 if i % 2 else -1, mul(blocks[i - 1], coeffs[n - i]))
                           for i in range(1, n + 1) if blocks[i - 1] and coeffs[n - i])
         coeffs.append(_divided(acc, n))
@@ -119,7 +103,7 @@ def _genus(model: ImmersionModel, k: int, target_class: GradedClass,
            u: GradedClass) -> Fraction:
     """The integral of K(target) * E_k, E_k the collected kernel's
     coefficient on the target for the normal class u = K(normal)^-1."""
-    return _pairing(target_class, _exponential_coefficients(model, u, k, to_target=True).coeffs[k])
+    return _pairing(target_class, _exponential_coefficients(model, u, k).coeffs[k])
 
 
 class Characteristic(NamedTuple):
@@ -224,6 +208,6 @@ def _number_from_genera(model: ImmersionModel, k: int, plan: tuple) -> Fraction:
 def _genus_at(model: ImmersionModel, k: int, target: Coords, u: Coords) -> Fraction:
     """The integral of target * E_k, E_k from the normal class u on a
     chain built for this call only."""
-    chain = _Chain(model, u, model.target)
-    _extend(model, chain, k, to_target=True)
+    chain = _Chain(model, u)
+    _extend(model, chain, k)
     return model.target.integrate_coords(model.target.mul_coords(target, chain.coeffs[k]))

@@ -19,7 +19,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .collected import (
     CHARACTERISTIC,
     Characteristic,
-    _check_k,
     _exponential_coefficients,
     _genus,
     _genus_classes,
@@ -66,6 +65,7 @@ class MultipointResult(Record):
 
 def multiple_point_dimension(model: ImmersionModel, k: int) -> Tuple[int, ...]:
     """Expected dimension of the k-tuple point manifold, per source component."""
+    _check_k(k)
     return tuple(sorted({c.top_degree - (k - 1) * model.codim
                          for c in model.source.components}))
 
@@ -89,10 +89,19 @@ def empty_locus_warning(model: ImmersionModel, k: int) -> Optional[str]:
             f"exceeds the source dimension(s) {model.source_dimensions()}; the value is 0")
 
 
+def _check_k(k: int) -> None:
+    """Refuse a multiplicity that is not an int of at least 1: a bool,
+    float, Fraction or string is refused, not truncated."""
+    if type(k) is not int:
+        raise ValueError(f"multiplicity k must be an int, got {k!r}")
+    if k < 1:
+        raise ValueError(f"multiplicity k must be at least 1, got {k}")
+
+
 def _check_entry(k: int, J: Optional[Sequence[int]]) -> Optional[Tuple[int, ...]]:
-    """The entry check of a number: k at least 1, and J (None for the
-    signature) as a tuple of nonnegative even ints.  A Fraction, float or
-    string entry is refused, not truncated."""
+    """The entry check of a number: k an int of at least 1, and J (None for
+    the signature) as a tuple of nonnegative even ints.  A Fraction, float
+    or string entry is refused, not truncated."""
     _check_k(k)
     if J is None:
         return None
@@ -299,15 +308,19 @@ def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
     """Collected form on the source, where the block containing the first
     point is marked and keeps its Euler-power weight.
 
-    With F the exponential coefficients of the pulled-back blocks, this is
-    (1/k) sum_{l=1..k} (-1)^(l-1) <L(source) (e u)^(l-1) F_{k-l}>, u the
-    inverse normal L-class; the sum over l is evaluated by Horner's rule.
+    With F_n = f*(E_n) the exponential coefficients of the pulled-back
+    blocks, this is (1/k) sum_{l=1..k} (-1)^(l-1) <L(source) (e u)^(l-1)
+    F_{k-l}>, u the inverse normal L-class; the sum over l is evaluated by
+    Horner's rule.  The F_n are pulled back from the target chain once
+    each and kept on it.
     """
-    memo = _exponential_coefficients(model, model.l_normal_inverse, k - 1, to_target=False)
+    chain = _exponential_coefficients(model, model.l_normal_inverse, k - 1)
+    pulled = chain.pulled
+    pulled.extend(map(model.pullback.apply_coords, chain.coeffs[len(pulled):k]))
     mul = model.source.mul_coords
-    acc = memo.coeffs[0]
-    for f in memo.coeffs[1:k]:
-        acc = _sum_coords([(1, f), (-1, mul(memo.eu, acc))])
+    acc = pulled[0]
+    for f in pulled[1:k]:
+        acc = _sum_coords([(1, f), (-1, mul(chain.eu, acc))])
     return _pairing(model.l_source, acc) / k
 
 
@@ -471,7 +484,7 @@ def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> G
     if _empty_locus(union, k):
         return target.zero()
     mul = target.mul_coords
-    product, *others = [_exponential_coefficients(m, m.l_normal_inverse, k, to_target=True).coeffs
+    product, *others = [_exponential_coefficients(m, m.l_normal_inverse, k).coeffs
                         for m in models]
     for series in others:
         product = [_sum_coords((1, mul(product[j], series[n - j]))

@@ -37,8 +37,7 @@ DEFAULT_CAP = 7
 
 
 def _check_cap(k: int, cap: int) -> None:
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     if k > cap:
         raise ValueError(f"oracle refuses k={k} beyond its cap {cap}")
 

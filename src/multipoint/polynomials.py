@@ -71,11 +71,6 @@ def exp_coeffs(order: int) -> list:
     return [Fraction(1, factorial(k)) for k in range(order + 1)]
 
 
-def log1p_coeffs(order: int) -> list:
-    """Taylor coefficients of log(1+x) up to x^order."""
-    return [Fraction(0)] + [Fraction((-1) ** (k - 1), k) for k in range(1, order + 1)]
-
-
 def tanh_coeffs(order: int) -> list:
     """Taylor coefficients of tanh up to x^order, via sinh/cosh."""
     sinh = [Fraction(1, factorial(k)) if k % 2 else Fraction(0) for k in range(order + 1)]

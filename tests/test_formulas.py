@@ -564,13 +564,29 @@ def test_models_loaded_from_one_file_share_no_memo(tmp_path):
     assert not any(isinstance(key, tuple) for key in b._cache)
     assert _collected_values(b, 2) == values
     memo_keys = [key for key in a._cache if isinstance(key, tuple)]
-    assert len(memo_keys) == 2  # one chain on each side
+    assert len(memo_keys) == 1  # one chain per normal class
     for key in memo_keys:
         ma, mb = a._cache[key], b._cache[key]
         assert ma is not mb
-        assert ma.coeffs == mb.coeffs and ma.blocks == mb.blocks
+        assert ma.coeffs == mb.coeffs and ma.blocks == mb.blocks and ma.pulled == mb.pulled
         assert ma.coeffs is not mb.coeffs and ma.blocks is not mb.blocks
+        assert ma.pulled is not mb.pulled
         assert all(x is not y for x, y in zip(ma.coeffs[1:], mb.coeffs[1:]))
+
+
+def test_signature_keeps_one_collected_chain_per_normal_class():
+    # the source route reads F_n = f*(E_n) from the target chain: no chain
+    # of its own, and every F_n it read is kept on the target chain
+    for m in _memo_models():
+        for k in range(1, 6):
+            signature(m, k)
+        keys = [key for key in m._cache if isinstance(key, tuple) and key[0] == "collected"]
+        assert keys == [("collected", m.l_normal_inverse)], m.name
+        chain = m._cache[keys[0]]
+        assert len(chain.pulled) == len(chain.coeffs) - 1 >= 1, m.name
+        for n, f in enumerate(chain.pulled):
+            assert graded.GradedClass(m.source, f) == \
+                m.pullback(graded.GradedClass(m.target, chain.coeffs[n])), (m.name, n)
 
 
 def test_repeated_collected_calls_map_nothing(monkeypatch):
@@ -614,6 +630,44 @@ def test_signature_invalid_k():
         signature(bundled_model("line-in-plane"), 0)
     with pytest.raises(ValueError):
         signature(bundled_model("line-in-plane"), 1, route="bogus")
+
+
+def _k_entry_points():
+    """Every public evaluator taking a multiplicity k, and the oracle's
+    signature, as (name, call(k))."""
+    d3, quadric = bundled_model("hypersurface-d3"), bundled_model("line-in-quadric")
+    plane = bundled_model("line-in-plane")
+    x = graded.TensorClass(d3.source, 2, {(0, 0): 1})
+    y = graded.TensorClass(plane.target, 2, {(0, 0): 1})
+    calls = {name: (lambda k, fn=fn: fn(d3, k)) for name, fn in SIGNATURE_ROUTES.items()}
+    calls.update({
+        "signature": lambda k: signature(d3, k),
+        "multiple_point_dimension": lambda k: multiple_point_dimension(d3, k),
+        "genus": lambda k: formulas.genus(d3, k, (0, 1)),
+        "pontrjagin_number": lambda k: pontrjagin_number(d3, k, (4,)),
+        "chern_number": lambda k: chern_number(quadric, k, (2,)),
+        "virtual_signature_class": lambda k: virtual_signature_class(d3, k),
+        "virtual_signature_class_union": lambda k: virtual_signature_class_union([d3, d3], k),
+        "transfer_to_source": lambda k: transfer_to_source(d3, k, x),
+        "transfer_to_target": lambda k: transfer_to_target(d3, k, x),
+        "transfer_of_unit": lambda k: transfer_of_unit(d3, k),
+        "pulled_from_target_class": lambda k: pulled_from_target_class(plane, k, y),
+        "pulled_from_target": lambda k: pulled_from_target(plane, k),
+        "euler_zero": lambda k: euler_zero(quadric, k),
+        "pushpull_zero": lambda k: pushpull_zero(bundled_model("null-pushforward"), k),
+        "nullhomotopic": lambda k: nullhomotopic(bundled_model("nullhomotopic-cp2-in-s6"), k),
+        "signature_enumerated": lambda k: signature_enumerated(d3, k),
+    })
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_k_entry_points()))
+@pytest.mark.parametrize("k", [1.5, 2.0, Fraction(2), True, "2"], ids=repr)
+def test_a_multiplicity_that_is_not_an_int_is_refused(name, k):
+    call = _k_entry_points()[name]
+    call(2)  # the entry point accepts the int k = 2
+    with pytest.raises(ValueError, match="multiplicity k must be an int"):
+        call(k)
 
 
 def test_signature_nullhomotopic_triple_point():

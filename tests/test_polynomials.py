@@ -7,7 +7,6 @@ from multipoint.polynomials import (
     elementary_in_power_sums,
     exp_coeffs,
     interpolate_on_lower_set,
-    log1p_coeffs,
     lower_set,
     lower_set_size,
     series_inverse,
@@ -43,8 +42,6 @@ def test_exp_log_inverse_pair():
     n = 10
     e = exp_coeffs(n)
     assert e[0] == 1 and e[1] == 1 and e[2] == Fraction(1, 2)
-    l = log1p_coeffs(n)
-    assert l[1] == 1 and l[2] == Fraction(-1, 2) and l[3] == Fraction(1, 3)
 
 
 def test_series_mul_inverse():
