@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .graded import Coords, GradedClass, Scalar, exact, genus_class
+from .graded import Coords, GradedClass, Scalar, exact
 from .model import ImmersionModel, solve_linear
 from .polynomials import (
     elementary_in_power_sums,
@@ -127,11 +127,11 @@ CHARACTERISTIC = {
 def _genus_classes(model: ImmersionModel, kind: Characteristic,
                    c: Sequence[Scalar]) -> Tuple[GradedClass, GradedClass]:
     """K(target) and K(normal)^-1 for log K = sum_j c_j s_j, s_j the power
-    sums of the kind's roots; exp(-x) = exp(x)^-1 exactly in a nilpotent
-    ring, so the inverse is the genus class of -c."""
+    sums of the kind's roots, memoised on the model; exp(-x) = exp(x)^-1
+    exactly in a nilpotent ring, so the inverse is the genus class of -c."""
     _, target, normal = kind.classes(model)
-    return (genus_class(target, lambda n: c, kind.step),
-            genus_class(normal, lambda n: [-x for x in c], kind.step))
+    return (model.genus_class(target, lambda n: c, kind.step),
+            model.genus_class(normal, lambda n: [-x for x in c], kind.step))
 
 
 def _genus_plan(J: Sequence[int], kind: Characteristic, dims: Sequence[int]) -> tuple:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import factorial, gcd, lcm
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .polynomials import exp_coeffs, signature_genus_log_coeffs
+from .polynomials import signature_genus_log_coeffs
 
 Scalar = Union[int, Fraction]
 Coords = Dict[int, Scalar]
@@ -382,27 +383,6 @@ class GradedClass:
             out = out - term if j % 2 == 0 else out + term
         return out
 
-    def eval_series(self, coeffs: Sequence[Scalar]) -> "GradedClass":
-        """Evaluate a formal power series at this nilpotent class.
-
-        coeffs[j] is the coefficient of the j-th power; the constant term
-        contributes coeffs[0] times the unit.  Requires a zero degree-0
-        part so the sum terminates.
-        """
-        if not self.degree_part(0).is_zero():
-            raise GradedAlgebraError("series evaluation needs a nilpotent argument")
-        out = coeffs[0] * self.ring.unit()
-        power = self.ring.unit()
-        for j in range(1, len(coeffs)):
-            power = power * self
-            if power.is_zero():
-                break
-            out = out + coeffs[j] * power
-        else:
-            if not (power * self).is_zero():
-                raise GradedAlgebraError("series coefficients exhausted before nilpotency")
-        return out
-
     def integrate(self) -> Fraction:
         """Pair against the fundamental class: apply the integration
         functional (supported in top degrees) to the coordinates."""
@@ -432,8 +412,9 @@ def nilpotency_order(ring: GradedRing) -> int:
     return len({d for d in ring.degrees if d}) + 1
 
 
-def power_sums(P: GradedClass, step: int = 4) -> Dict[int, GradedClass]:
-    """The nonzero power sums s_j of the formal roots of a total class P.
+def power_sum_coords(P: GradedClass, step: int = 4) -> Dict[int, Coords]:
+    """The nonzero power sums s_j of the formal roots of a total class P,
+    as coordinate dicts.
 
     The degree-(step * j) part of P is read as the j-th elementary
     symmetric function of formal roots (squared roots for Pontrjagin
@@ -444,25 +425,89 @@ def power_sums(P: GradedClass, step: int = 4) -> Dict[int, GradedClass]:
     ring = P.ring
     if not P.is_unital():
         raise NonUnitalClassError("total class must be unital")
-    for d in P.homogeneous_parts():
+    degrees = ring.degrees
+    for d in sorted({degrees[i] for i in P.coords}):
         if d % step:
             raise GradedAlgebraError(f"total class has a degree-{d} part, "
                                      f"not a multiple of {step}")
     # Newton's identities, over the j with a basis element of degree step*j
     # only: every other elementary symmetric function and power sum is zero
-    js = sorted({d // step for d in ring.degrees if d and d % step == 0})
-    elem = {j: P.degree_part(step * j) for j in js}
-    sums: Dict[int, GradedClass] = {}
+    js = sorted({d // step for d in degrees if d and d % step == 0})
+    elem: Dict[int, Coords] = {j: {} for j in js}
+    for i, c in P.coords.items():
+        if degrees[i]:
+            elem[degrees[i] // step][i] = c
+    sums: Dict[int, Coords] = {}
     for j in js:
-        acc = (-1) ** (j - 1) * j * elem[j]
+        acc = {i: (-1) ** (j - 1) * j * c for i, c in elem[j].items()}
         for i in js:
             if i >= j:
                 break
-            if j - i in sums:
-                acc = acc + (-1) ** (i - 1) * (elem[i] * sums[j - i])
-        if not acc.is_zero():
+            if elem[i] and j - i in sums:
+                sign = 1 if i % 2 else -1
+                for idx, v in ring.mul_coords(elem[i], sums[j - i]).items():
+                    acc[idx] = acc.get(idx, 0) + sign * v
+        acc = {idx: v for idx, v in acc.items() if v}
+        if acc:
             sums[j] = acc
     return sums
+
+
+def power_sums(P: GradedClass, step: int = 4) -> Dict[int, GradedClass]:
+    """The nonzero power sums of a total class P, as classes (see
+    power_sum_coords)."""
+    return {j: GradedClass(P.ring, s) for j, s in power_sum_coords(P, step).items()}
+
+
+def genus_coords(ring: GradedRing, sums: Mapping[int, Coords],
+                 log_coeffs: Callable[[int], Sequence[object]]) -> Coords:
+    """exp(sum_j c_j s_j) for power sums s_j from power_sum_coords, the c_j
+    read from log_coeffs as genus_class reads them.
+
+    For D the common denominator of sum_j c_j s_j, y = D * sum_j c_j s_j
+    is integral, and with M the largest m where y^m is nonzero (below the
+    nilpotency order) the class is sum_m y^m D^(M-m) M!/m! / (D^M M!).
+    For integral structure constants every power and sum is an int, and
+    each coordinate is divided once, at the end.
+    """
+    c = log_coeffs(max(sums, default=0))
+    terms = [(exact(c[j]), s) for j, s in sums.items() if j < len(c) and c[j]]
+    scale = lcm(*(x.denominator for x, _ in terms))
+    y: Coords = {}
+    for x, s in terms:
+        w = x.numerator * (scale // x.denominator)
+        for i, v in s.items():
+            y[i] = y.get(i, 0) + w * v
+    extra = lcm(*(v.denominator for v in y.values()))  # 1 unless the data has denominators
+    y = {i: v.numerator * (extra // v.denominator) for i, v in y.items() if v}
+    common = gcd(scale * extra, *y.values())
+    y = {i: v // common for i, v in y.items()}
+    scale = scale * extra // common
+    powers = [ring.unit_coords]
+    for _ in range(nilpotency_order(ring) + 1):
+        power = ring.mul_coords(powers[-1], y)
+        if not power:
+            break
+        powers.append(power)
+    else:  # only a ring whose products break the axioms gets here
+        raise GradedAlgebraError("series coefficients exhausted before nilpotency")
+    top = len(powers) - 1
+    total: Coords = {}
+    weight = 1  # D^(M-m) M!/m!, from m = M down
+    for m in range(top, -1, -1):
+        for i, v in powers[m].items():
+            total[i] = total.get(i, 0) + weight * v
+        weight *= scale * m
+    denominator = scale ** top * factorial(top)
+    return {i: _divide(v, denominator) for i, v in total.items() if v}
+
+
+def _divide(v: Scalar, n: int) -> Scalar:
+    """v / n in the int-or-Fraction normal form."""
+    if type(v) is int:
+        q, r = divmod(v, n)
+        return Fraction(v, n) if r else q
+    return exact(v / n)
 
 
 def genus_class(P: GradedClass, log_coeffs: Callable[[int], Sequence[Scalar]],
@@ -473,18 +518,10 @@ def genus_class(P: GradedClass, log_coeffs: Callable[[int], Sequence[Scalar]],
 
     log_coeffs(n) returns c_0, c_1, ... at least up to c_n, for n the
     largest j with a nonzero power sum (c_0 is not read, and entries past
-    the end are 0).  The series is cut at the ring's nilpotency order.
+    the end are 0).  The series is cut at the ring's nilpotency order; see
+    genus_coords for the integer kernel.
     """
-    ring = P.ring
-    sums = power_sums(P, step)
-    if not sums:
-        return ring.unit()
-    c = log_coeffs(max(sums))
-    log_k = ring.zero()
-    for j, power_sum in sums.items():
-        if j < len(c) and c[j]:
-            log_k = log_k + c[j] * power_sum
-    return log_k.eval_series(exp_coeffs(nilpotency_order(ring)))
+    return GradedClass(P.ring, genus_coords(P.ring, power_sum_coords(P, step), log_coeffs))
 
 
 def signature_class(P: GradedClass) -> GradedClass:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .graded import (
     Coords,
@@ -22,9 +22,11 @@ from .graded import (
     GradedRing,
     RingComponent,
     Scalar,
-    power_sums,
+    genus_coords,
+    power_sum_coords,
     signature_class,
 )
+from .polynomials import signature_genus_log_coeffs
 from .records import FrozenRecord, Record
 
 
@@ -181,7 +183,26 @@ class ImmersionModel:
 
     @property
     def l_normal_inverse(self) -> GradedClass:
-        return self._cached("L_nu_inv", lambda: self.l_normal.invert_unital())
+        """L(normal)^-1: exp(-x) = exp(x)^-1 in a nilpotent ring, so it is
+        the genus class of the negated L-genus log coefficients, with no
+        inversion."""
+        return self._cached("L_nu_inv", lambda: self.genus_class(
+            self.normal_pontrjagin, lambda n: [-x for x in signature_genus_log_coeffs(n)]))
+
+    def power_sum_coords(self, P: GradedClass, step: int = 4) -> Dict[int, Coords]:
+        """graded.power_sum_coords of a class of this model, memoised per
+        class and step; callers must not mutate the result."""
+        memo = self._cached("power_sums", dict)
+        key = (P, step)
+        if key not in memo:
+            memo[key] = power_sum_coords(P, step)
+        return memo[key]
+
+    def genus_class(self, P: GradedClass, log_coeffs: Callable[[int], Sequence[Scalar]],
+                    step: int = 4) -> GradedClass:
+        """graded.genus_class on the memoised power sums of P."""
+        return GradedClass(P.ring, genus_coords(P.ring, self.power_sum_coords(P, step),
+                                                log_coeffs))
 
     def pushpull(self, cls: GradedClass) -> GradedClass:
         """The composite pullback(pushforward(x)) on the source ring."""
@@ -304,7 +325,7 @@ def validate(model: ImmersionModel) -> ValidationReport:
                  lambda: model.pullback(model.pontrjagin_target)),
                 ("normal", model.source, lambda: model.normal_pontrjagin)):
             if max(d for d in ring.degrees if d % 4 == 0) > MAX_CLASS_DEGREE:
-                top = 4 * max(power_sums(cls()), default=0)
+                top = 4 * max(model.power_sum_coords(cls()), default=0)
                 if top > MAX_CLASS_DEGREE:
                     high.append(f"{label} Pontrjagin class has a power sum in degree {top}")
     except GradedAlgebraError as exc:

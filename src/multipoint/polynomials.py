@@ -66,11 +66,6 @@ def log_coefficient(k: int) -> int:
     return (-1) ** (k - 1) * factorial(k - 1)
 
 
-def exp_coeffs(order: int) -> list:
-    """Taylor coefficients of exp up to x^order."""
-    return [Fraction(1, factorial(k)) for k in range(order + 1)]
-
-
 def tanh_coeffs(order: int) -> list:
     """Taylor coefficients of tanh up to x^order, via sinh/cosh."""
     sinh = [Fraction(1, factorial(k)) if k % 2 else Fraction(0) for k in range(order + 1)]

@@ -52,6 +52,7 @@ from multipoint.series import (
     invert,
     scaled_exp_series,
 )
+from series_reference import eval_series
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +155,7 @@ def test_criterion_6_hirzebruch_recovery(bundled_models):
         expected = Fraction(4 * d - d ** 3, 3)
         # classical virtual-signature evaluation in the target ring alone
         en = m.pushforward(m.source.unit())
-        tanh = en.eval_series(tanh_coeffs(m.target.top_degree // 2 + 1))
+        tanh = eval_series(en, tanh_coeffs(m.target.top_degree // 2 + 1))
         assert (m.l_target * tanh).integrate() == expected
         # the k=1 collected route on the hypersurface's own model
         assert signature_collected(m, 1) == expected
@@ -260,3 +261,12 @@ def test_criterion_9_trivial_degenerations(random_models, bundled_models):
                 assert got == m.pontrjagin_source.degree_part(top).integrate()
     print("PASS: criterion 9 - k = 1 returns the ordinary signature and "
           "ordinary Pontrjagin numbers on every model")
+
+
+def test_inverse_normal_l_class_is_the_genus_class_of_minus_c(random_models, bundled_models):
+    # L(normal)^-1 is built from the memoised power sums of P(normal) with
+    # the negated log coefficients; the geometric series in L(normal) agrees
+    for m in list(bundled_models.values()) + random_models:
+        assert m.l_normal_inverse == m.l_normal.invert_unital(), m.name
+    print("PASS: the inverse normal L-class equals the inverted L-class on "
+          f"{len(bundled_models) + len(random_models)} models")

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from multipoint import collected, formulas, graded, partitions
+from multipoint import model as model_mod
 from multipoint.formulas import (
     SIGNATURE_ROUTES,
     PreconditionError,
@@ -58,6 +59,7 @@ from multipoint.partitions import (
 )
 from multipoint.polynomials import log_coefficient, signature_genus_log_coeffs
 from multipoint.random_models import random_truncated_model, random_union_components
+from series_reference import eval_series
 
 
 def _random_tensor(rng, ring, k, nterms=2):
@@ -715,7 +717,7 @@ def test_hypersurface_virtual_class_is_tanh_of_pushed_unit():
         m = bundled_model(f"hypersurface-d{d}")
         en = m.pushforward(m.source.unit())
         coeffs = tanh_coeffs(m.target.top_degree // 2 + 1)
-        assert virtual_signature_class(m, 1) == en.eval_series(coeffs)
+        assert virtual_signature_class(m, 1) == eval_series(en, coeffs)
 
 
 def test_union_convolution_matches_direct():
@@ -1036,6 +1038,35 @@ def test_genus_classes_invert_by_negating_the_log_coefficients():
                     (m.name, chern, c)
                 checked += 1
     assert checked >= 3 * (len(BUNDLED) + 3 + 2 * 10)
+
+
+def test_genus_route_computes_each_power_sum_once(monkeypatch):
+    # the interpolation points of the genus route, genus and the inverse
+    # normal L-class all read the power sums memoised per class and step
+    calls = []
+    newton = model_mod.power_sum_coords
+
+    def counted(P, step=4):
+        calls.append((P, step))
+        return newton(P, step)
+
+    monkeypatch.setattr(model_mod, "power_sum_coords", counted)
+    m = random_truncated_model(random.Random(23), max_powers=8, with_chern=True)
+    points = 0
+    for k in range(1, 4):
+        dims = multiple_point_dimension(m, k)
+        for chern in (False, True):
+            kind = collected.CHARACTERISTIC[chern]
+            for J in index_sequences(max(dims)):
+                if all(j % kind.step == 0 for j in J):
+                    plan = collected._genus_plan(J, kind, dims)
+                    formulas._number_from_genera(m, k, plan)
+                    points += collected._genus_point_count(plan)
+            formulas.genus(m, k, (0, 1, Fraction(-1, 7)), chern=chern)
+    m.l_normal_inverse
+    assert points > 20
+    assert sorted(step for _, step in calls) == [2, 2, 4, 4]
+    assert len({(P, step) for P, step in calls}) == 4
 
 
 def test_genus_of_the_k_tuple_manifold():

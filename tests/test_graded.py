@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multipoint import graded
 from multipoint.graded import (
     GradedAlgebraError,
     GradedRing,
@@ -25,8 +26,14 @@ from multipoint.models import (
 )
 from multipoint.oracle import diagonal_pullback
 from multipoint.partitions import SetPartition
-from multipoint.polynomials import exp_coeffs, signature_genus_log_coeffs
-from multipoint.random_models import random_truncated_model, random_union_components
+from multipoint.polynomials import signature_genus_log_coeffs
+from multipoint.random_models import (
+    _random_unital,
+    _truncated_model,
+    random_truncated_model,
+    random_union_components,
+)
+from series_reference import eval_series, exp_coeffs, reference_genus_class
 
 
 @pytest.fixture
@@ -199,7 +206,7 @@ def test_invert_requires_unital(cp2):
 
 def test_eval_series_requires_nilpotent(cp2):
     with pytest.raises(GradedAlgebraError):
-        cp2.unit().eval_series([Fraction(1), Fraction(1)])
+        eval_series(cp2.unit(), [Fraction(1), Fraction(1)])
 
 
 def test_integration(cp2):
@@ -254,7 +261,7 @@ def reference_signature_class(P):
     log_l = ring.zero()
     for j in range(1, w + 1):
         log_l = log_l + c[j] * power_sums[j]
-    return log_l.eval_series(exp_coeffs(ring.max_degree // 2 + 2))
+    return eval_series(log_l, exp_coeffs(ring.max_degree // 2 + 2))
 
 
 def test_signature_class_matches_the_degree_sized_reference():
@@ -337,6 +344,112 @@ def test_genus_class_reads_a_finite_sequence_as_a_polynomial_log():
         genus_class(ring.element({0: 1, 1: 1}), lambda n: (0, 1))
     assert genus_class(ring.element({0: 1, 1: 1}), lambda n: (0, 1), step=2) == ring.element(
         {i: Fraction(1, factorial(i)) for i in range(5)})
+
+
+def _rescaled_polynomial_ring(powers: int, gen_degree: int, scales) -> GradedRing:
+    """Q[x]/(x^(powers+1)) on the basis f_i = scales[i] * x^i, scales[0] = 1:
+    f_i f_j = scales[i] scales[j] / scales[i+j] f_(i+j), structure constants
+    with denominators."""
+    products = {(i, j): {i + j: Fraction(scales[i] * scales[j], scales[i + j])}
+                for i in range(powers + 1) for j in range(i, powers + 1 - i)}
+    return GradedRing([f"f{i}" for i in range(powers + 1)],
+                      [gen_degree * i for i in range(powers + 1)], products, {powers: 1})
+
+
+@st.composite
+def genus_cases(draw):
+    """A unital total class with int and Fraction coordinates on a truncated
+    ring (its structure constants rescaled or not) or a two-component
+    product of such rings, a degree step and rational log coefficients,
+    some with large denominators."""
+    step = draw(st.sampled_from([2, 4]))
+
+    def factor():
+        powers = draw(st.integers(1, 6))
+        gen_degree = draw(st.sampled_from([2, 4]))
+        if draw(st.booleans()):
+            return truncated_polynomial_ring("x", powers, gen_degree)
+        scale = st.fractions(Fraction(1, 4), 4, max_denominator=4)
+        scales = [1] + [draw(scale) for _ in range(powers)]
+        return _rescaled_polynomial_ring(powers, gen_degree, scales)
+
+    rings = [factor() for _ in range(draw(st.integers(1, 2)))]
+    ring = rings[0] if len(rings) == 1 else product_ring(rings)
+    value = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+    coords = dict(ring.unit_coords)
+    for i, d in enumerate(ring.degrees):
+        if d and d % step == 0:
+            coords[i] = draw(value)
+    log_coefficient = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6),
+                                st.fractions(-3, 3, max_denominator=10 ** 12))
+    c = draw(st.lists(log_coefficient, max_size=8))
+    return ring.element(coords), c, step
+
+
+@settings(max_examples=150, deadline=None)
+@given(genus_cases())
+def test_integer_genus_kernel_matches_the_fraction_reference(case):
+    P, c, step = case
+    assert genus_class(P, lambda n: c, step) == reference_genus_class(P, c, step)
+
+
+def test_signature_class_on_the_codim_2_model_matches_the_reference():
+    # source t^0..t^40, target h^0..h^41: 40 distinct positive degrees, so
+    # y^m runs up to m = 40 and the one division is by D^M * M!
+    rng = random.Random(1)
+    M = truncated_polynomial_ring("t", 40, integral_value=2)
+    N = truncated_polynomial_ring("h", 41)
+    m = _truncated_model("codim-2", M, N, 3, 2, _random_unital(rng, M, 4), _random_unital(rng, N, 4))
+    classes = (m.pontrjagin_source, m.pontrjagin_target, m.normal_pontrjagin,
+               m.pullback(m.pontrjagin_target))
+    for P in classes:
+        L = signature_class(P)
+        assert L == reference_signature_class(P)
+        assert L.degree_part(4) == Fraction(1, 3) * P.degree_part(4)
+    assert m.l_normal * m.l_source == signature_class(classes[3])
+
+
+def test_genus_kernel_runs_in_ints_and_divides_once(monkeypatch):
+    # integral data and integer log coefficients: every product of the
+    # kernel (Newton's identities and the powers y^m) takes and gives ints,
+    # and the sum it divides at the end is int; no class product runs
+    def unavailable(*args):
+        raise AssertionError("the genus kernel multiplies no GradedClass")
+
+    def all_int(coords):
+        return all(type(v) is int for v in coords.values())
+
+    mul_coords, divide = graded.GradedRing.mul_coords, graded._divide
+    seen = {"products": 0, "divisions": 0}
+
+    def int_product(ring, a, b):
+        out = mul_coords(ring, a, b)
+        assert all_int(a) and all_int(b) and all_int(out)
+        seen["products"] += 1
+        return out
+
+    def int_division(v, n):
+        assert type(v) is int and type(n) is int
+        seen["divisions"] += 1
+        return divide(v, n)
+
+    rng = random.Random(16)
+    models = [random_truncated_model(rng, max_powers=8, with_chern=True) for _ in range(5)]
+    expected = {}
+    for m in models:
+        for P, step in ((m.pontrjagin_target, 4), (m.normal_chern, 2)):
+            for c in ((0, 1), (0, 2, -3, 1), (0, -1, 0, 5, 7)):
+                expected[m.name, step, c] = (P, step, c, reference_genus_class(P, c, step))
+    monkeypatch.setattr(graded.GradedClass, "__mul__", unavailable)
+    monkeypatch.setattr(graded.GradedRing, "mul_coords", int_product)
+    monkeypatch.setattr(graded, "_divide", int_division)
+    assert not hasattr(graded.GradedClass, "eval_series")
+    for key, (P, step, c, want) in expected.items():
+        divisions = seen["divisions"]
+        K = genus_class(P, lambda n: c, step)
+        assert K.coords == want.coords, key
+        assert seen["divisions"] - divisions == len(K.coords), key  # one per coordinate
+    assert seen["products"] > len(expected)
 
 
 def test_power_sums_of_a_total_class():
