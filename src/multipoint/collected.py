@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .graded import Coords, GradedClass, Scalar, exact
+from .graded import Coords, GradedClass, Scalar, _divide, exact
 from .model import ImmersionModel, solve_linear
 from .polynomials import (
     elementary_in_power_sums,
@@ -82,7 +82,7 @@ def _extend(model: ImmersionModel, chain: _Chain, k: int) -> None:
 
 def _divided(coords: Coords, n: int) -> Coords:
     """coords / n, each entry in the int-or-Fraction normal form."""
-    return {i: exact(Fraction(v, n)) for i, v in coords.items()}
+    return {i: _divide(v, n) for i, v in coords.items()}
 
 
 def _sum_coords(terms: Iterable[Tuple[Scalar, Coords]]) -> Coords:
@@ -127,11 +127,17 @@ CHARACTERISTIC = {
 def _genus_classes(model: ImmersionModel, kind: Characteristic,
                    c: Sequence[Scalar]) -> Tuple[GradedClass, GradedClass]:
     """K(target) and K(normal)^-1 for log K = sum_j c_j s_j, s_j the power
-    sums of the kind's roots, memoised on the model; exp(-x) = exp(x)^-1
-    exactly in a nilpotent ring, so the inverse is the genus class of -c."""
-    _, target, normal = kind.classes(model)
-    return (model.genus_class(target, lambda n: c, kind.step),
-            model.genus_class(normal, lambda n: [-x for x in c], kind.step))
+    sums of the kind's roots, memoised on the model per kind and c (c_0 is
+    not read, and each c_j is taken in the int-or-Fraction normal form, so
+    every spelling of one c shares an entry); exp(-x) = exp(x)^-1 exactly
+    in a nilpotent ring, so the inverse is the genus class of -c."""
+    c = (0, *map(exact, tuple(c)[1:]))
+
+    def build() -> Tuple[GradedClass, GradedClass]:
+        _, target, normal = kind.classes(model)
+        return (model.genus_class(target, lambda n: c, kind.step),
+                model.genus_class(normal, lambda n: [-x for x in c], kind.step))
+    return model._cached(("genus", kind.name, c), build)
 
 
 def _genus_plan(J: Sequence[int], kind: Characteristic, dims: Sequence[int]) -> tuple:
@@ -168,9 +174,10 @@ def _number_from_genera(model: ImmersionModel, k: int, plan: tuple) -> Fraction:
     with components of other dimensions) are split off by also evaluating
     at s^j * c_j for s = 1, 2, ..., which multiplies G_u by s^u.
 
-    At a point, _genus_classes builds K(target) and u = K(normal)^-1 for
-    c = (0, s, m_2 * s^2, ..., m_top * s^top); the genus is the collected
-    kernel on a chain of its own, so no point is memoised.  A
+    At a point, _genus_classes gives K(target) and u = K(normal)^-1 for
+    c = (0, s, m_2 * s^2, ..., m_top * s^top), and _genus pairs them on
+    the collected chain of u; both are memoised on the model, so a repeated
+    number reads every point.  A
     Pontrjagin number of one weight w <= 1 needs no point: G_1 = S_(1) / 3
     on the L-genus, whose chain the signature queries share.
     """
@@ -186,8 +193,7 @@ def _number_from_genera(model: ImmersionModel, k: int, plan: tuple) -> Fraction:
     for s, b in zip(scales, beta):
         for m in points:
             c = (0, s, *(x * s ** j for j, x in enumerate(m, start=2)))
-            target, u = _genus_classes(model, kind, c)
-            values[m] += b * _genus_at(model, k, target.coords, u.coords)
+            values[m] += b * _genus(model, k, *_genus_classes(model, kind, c))
     numbers: Dict[Tuple[int, ...], Fraction] = {}  # S_lambda = a_m * prod_j m_j!
     for m, a in interpolate_on_lower_set(values).items():
         mult = (w - sum(j * x for j, x in enumerate(m, start=2)),) + m
@@ -204,10 +210,3 @@ def _number_from_genera(model: ImmersionModel, k: int, plan: tuple) -> Fraction:
         product = terms
     return sum((v * numbers.get(lam, 0) for lam, v in product.items()), Fraction(0))
 
-
-def _genus_at(model: ImmersionModel, k: int, target: Coords, u: Coords) -> Fraction:
-    """The integral of target * E_k, E_k from the normal class u on a
-    chain built for this call only."""
-    chain = _Chain(model, u)
-    _extend(model, chain, k)
-    return model.target.integrate_coords(model.target.mul_coords(target, chain.coeffs[k]))

@@ -100,14 +100,14 @@ def _check_k(k: int) -> None:
 
 def _check_entry(k: int, J: Optional[Sequence[int]]) -> Optional[Tuple[int, ...]]:
     """The entry check of a number: k an int of at least 1, and J (None for
-    the signature) as a tuple of nonnegative even ints.  A Fraction, float
-    or string entry is refused, not truncated."""
+    the signature) as a tuple of nonnegative even ints.  A bool, Fraction,
+    float or string entry is refused, not truncated."""
     _check_k(k)
     if J is None:
         return None
     J = tuple(J)
     for j in J:
-        if not isinstance(j, int) or j < 0 or j % 2:
+        if type(j) is not int or j < 0 or j % 2:
             raise GradedAlgebraError(f"index sequence entry {j!r} is not a nonnegative even integer")
     return J
 
@@ -371,9 +371,7 @@ def genus(model: ImmersionModel, k: int, log_coeffs: Sequence[Scalar],
     K(target) * E_k with u = K(normal)^-1, as the collected signature
     route pairs L(target) with it.  The classes are memoised per model.
     """
-    c = tuple(log_coeffs)
-    return _genus(model, k, *model._cached(
-        ("genus", chern, c), lambda: _genus_classes(model, CHARACTERISTIC[chern], c)))
+    return _genus(model, k, *_genus_classes(model, CHARACTERISTIC[chern], log_coeffs))
 
 
 def _number_by_expansion(model: ImmersionModel, k: int, J: Sequence[int],

@@ -352,10 +352,6 @@ class GradedClass:
         return GradedClass(self.ring,
                            {i: c for i, c in self.coords.items() if self.ring.degrees[i] == d})
 
-    def homogeneous_parts(self) -> Dict[int, "GradedClass"]:
-        degs = sorted({self.ring.degrees[i] for i in self.coords})
-        return {d: self.degree_part(d) for d in degs}
-
     def select_degrees(self, J: Sequence[int]) -> "GradedClass":
         """The product of the degree-j parts of this class, over j in J."""
         out = self.ring.unit()

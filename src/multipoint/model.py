@@ -24,7 +24,6 @@ from .graded import (
     Scalar,
     genus_coords,
     power_sum_coords,
-    signature_class,
 )
 from .polynomials import signature_genus_log_coeffs
 from .records import FrozenRecord, Record
@@ -171,15 +170,18 @@ class ImmersionModel:
 
     @property
     def l_source(self) -> GradedClass:
-        return self._cached("L_M", lambda: signature_class(self.pontrjagin_source))
+        return self._cached("L_M", lambda: self.genus_class(
+            self.pontrjagin_source, signature_genus_log_coeffs))
 
     @property
     def l_target(self) -> GradedClass:
-        return self._cached("L_N", lambda: signature_class(self.pontrjagin_target))
+        return self._cached("L_N", lambda: self.genus_class(
+            self.pontrjagin_target, signature_genus_log_coeffs))
 
     @property
     def l_normal(self) -> GradedClass:
-        return self._cached("L_nu", lambda: signature_class(self.normal_pontrjagin))
+        return self._cached("L_nu", lambda: self.genus_class(
+            self.normal_pontrjagin, signature_genus_log_coeffs))
 
     @property
     def l_normal_inverse(self) -> GradedClass:
@@ -340,8 +342,8 @@ def validate(model: ImmersionModel) -> ValidationReport:
     try:
         rel_p = model.normal_pontrjagin * model.pontrjagin_source == model.pullback(
             model.pontrjagin_target)
-        rel_l = model.l_normal * model.l_source == signature_class(
-            model.pullback(model.pontrjagin_target))
+        rel_l = model.l_normal * model.l_source == model.genus_class(
+            model.pullback(model.pontrjagin_target), signature_genus_log_coeffs)
         report.add("normal Pontrjagin relation", rel_p)
         report.add("normal signature-class relation", rel_l)
     except GradedAlgebraError as exc:

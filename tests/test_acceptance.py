@@ -31,7 +31,7 @@ from multipoint.formulas import (
     virtual_signature_class_union,
 )
 from multipoint.formulas import PreconditionError
-from multipoint.graded import cross
+from multipoint.graded import cross, signature_class
 from multipoint.model import disjoint_union, embedding_consistent, validate
 from multipoint.models import BUNDLED, bundled_model
 from multipoint.oracle import recursion_identity_holds, virtual_class_enumerated
@@ -270,3 +270,16 @@ def test_inverse_normal_l_class_is_the_genus_class_of_minus_c(random_models, bun
         assert m.l_normal_inverse == m.l_normal.invert_unital(), m.name
     print("PASS: the inverse normal L-class equals the inverted L-class on "
           f"{len(bundled_models) + len(random_models)} models")
+
+
+def test_l_classes_are_signature_classes(random_models, bundled_models):
+    # the L-classes read from the memoised power sums equal
+    # graded.signature_class of their classes, and the normal
+    # signature-class relation L(normal) * L(source) = L(f*P(target)) holds
+    models = list(bundled_models.values()) + random_models
+    for m in models:
+        assert m.l_source == signature_class(m.pontrjagin_source), m.name
+        assert m.l_target == signature_class(m.pontrjagin_target), m.name
+        assert m.l_normal == signature_class(m.normal_pontrjagin), m.name
+        assert m.l_normal * m.l_source == signature_class(m.pullback(m.pontrjagin_target)), m.name
+    print(f"PASS: the L-classes are signature classes on {len(models)} models")

@@ -817,13 +817,15 @@ def test_characteristic_rejects_odd_degrees():
         pontrjagin_number(m, 1, [3])
 
 
-@pytest.mark.parametrize("entry", [Fraction(9, 2), 4.9, "4"])
+@pytest.mark.parametrize("entry", [Fraction(9, 2), 4.9, "4", False])
 def test_characteristic_refuses_non_integer_entries(entry):
-    # int(j) would truncate each of these to 4
+    # int(j) would truncate each of these to 4, or read False as 0
     m = bundled_model("hypersurface-d3")
     assert pontrjagin_number(m, 1, [4]).value == -15
     with pytest.raises(graded.GradedAlgebraError, match="not a nonnegative even integer"):
         pontrjagin_number(m, 1, [entry])
+    with pytest.raises(graded.GradedAlgebraError, match="not a nonnegative even integer"):
+        chern_number(bundled_model("line-in-plane"), 1, [entry])
 
 
 def reference_characteristic_number(m, k, J, chern=False, transfer=transfer_to_source):
@@ -1069,6 +1071,73 @@ def test_genus_route_computes_each_power_sum_once(monkeypatch):
     assert len({(P, step) for P, step in calls}) == 4
 
 
+def test_validate_l_classes_and_signature_run_one_newton_loop_per_class(monkeypatch):
+    # every L-class reads the power sums memoised per class and step, so
+    # each distinct class among P(source), P(target), P(normal) and
+    # f*P(target) runs Newton's identities once
+    calls = []
+    newton = model_mod.power_sum_coords
+
+    def counted(P, step=4):
+        calls.append((P, step))
+        return newton(P, step)
+
+    monkeypatch.setattr(model_mod, "power_sum_coords", counted)
+    monkeypatch.setattr(graded, "power_sum_coords", counted)
+    rng = random.Random(29)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=8, with_chern=True) for _ in range(5)]
+    for m in models:
+        calls.clear()
+        assert validate(m).ok, m.name
+        m.l_source, m.l_target, m.l_normal, m.l_normal_inverse
+        for k in range(1, 4):
+            signature(m, k)
+        classes = (m.pontrjagin_source, m.pontrjagin_target, m.normal_pontrjagin,
+                   m.pullback(m.pontrjagin_target))
+        assert len(calls) == len(set(calls)), m.name
+        assert set(calls) == {(P, 4) for P in classes}, m.name
+
+
+def test_a_repeated_number_on_the_genus_route_builds_nothing(monkeypatch):
+    # every point's classes and collected chain are memoised on the model
+    m = random_truncated_model(random.Random(40), max_powers=8, with_chern=True)
+    k, J = 3, (8, 4)
+    plan = collected._genus_plan(J, collected.CHARACTERISTIC[False], multiple_point_dimension(m, k))
+    assert collected._genus_point_count(plan) == 2
+    monkeypatch.setattr(formulas, "_number_by_expansion", _unavailable("expand the tensor"))
+    built = []
+    chain, genus_class = collected._Chain, model_mod.ImmersionModel.genus_class
+
+    def counted_chain(*args):
+        built.append("chain")
+        return chain(*args)
+
+    def counted_genus_class(*args, **kwargs):
+        built.append("genus class")
+        return genus_class(*args, **kwargs)
+
+    monkeypatch.setattr(collected, "_Chain", counted_chain)
+    monkeypatch.setattr(model_mod.ImmersionModel, "genus_class", counted_genus_class)
+    first = pontrjagin_number(m, k, J).value
+    assert first == reference_characteristic_number(m, k, J)
+    assert "chain" in built and "genus class" in built
+    built.clear()
+    assert pontrjagin_number(m, k, J).value == first
+    assert built == []
+
+
+def test_genus_reads_every_spelling_of_one_log_series_alike():
+    m = bundled_model("hypersurface-d3")
+    for spellings, value in (
+            ([("0", "1/3"), (0, Fraction(1, 3)), [Fraction(0), Fraction(2, 6)]], signature(m, 1)),
+            ([("0", "1"), (0, 1), (Fraction(0), Fraction(3, 3))], 3 * signature(m, 1))):
+        assert {formulas.genus(m, 1, c) for c in spellings} == {value}
+    assert len([key for key in m._cache if key[0] == "genus"]) == 2
+    with pytest.raises(graded.GradedAlgebraError, match="float"):
+        formulas.genus(m, 1, (0, 0.5))
+
+
 def test_genus_of_the_k_tuple_manifold():
     # the L-genus is the signature; the A-hat genus of the K3 surface is 2
     # and of the projective plane -1/8; the Todd genus of a line is 1
@@ -1163,7 +1232,7 @@ def test_pontrjagin_special_routes_check_k():
         pushpull_zero(bundled_model("null-pushforward"), 0, [0])
 
 
-@pytest.mark.parametrize("entry", ["4", 4.0, Fraction(4), -4])
+@pytest.mark.parametrize("entry", ["4", 4.0, Fraction(4), -4, False])
 def test_special_cases_refuse_what_the_characteristic_numbers_refuse(entry):
     # each model satisfies the evaluator's hypothesis, so only J is at fault
     for evaluator, name in ((pulled_from_target, "line-in-plane"),

@@ -184,7 +184,6 @@ def test_unit_and_scalars(cp2):
 def test_degree_parts(cp2):
     x = cp2.unit() + 3 * cp2.basis_class(1) + 5 * cp2.basis_class(2)
     assert x.degree_part(2) == 3 * cp2.basis_class(1)
-    assert sorted(x.homogeneous_parts()) == [0, 2, 4]
     assert x.select_degrees([2, 2]) == 9 * cp2.basis_class(2)
 
 

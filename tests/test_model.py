@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multipoint.graded import signature_class
 from multipoint.model import (
     Check,
     ImmersionModel,
@@ -152,6 +153,19 @@ def test_derived_normal_classes():
     assert m.normal_pontrjagin * m.pontrjagin_source == m.pullback(m.pontrjagin_target)
     # L(nu) inverse is a genuine inverse
     assert m.l_normal * m.l_normal_inverse == m.source.unit()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 8), st.booleans())
+def test_l_classes_of_random_models(seed, max_powers, with_chern):
+    # the L-classes read from the model's memoised power sums are
+    # graded.signature_class of their classes, and L is multiplicative:
+    # L(normal) * L(source) = L(f*P(target)), since power sums add
+    m = random_truncated_model(random.Random(seed), max_powers=max_powers, with_chern=with_chern)
+    assert m.l_source == signature_class(m.pontrjagin_source)
+    assert m.l_target == signature_class(m.pontrjagin_target)
+    assert m.l_normal == signature_class(m.normal_pontrjagin)
+    assert m.l_normal * m.l_source == signature_class(m.pullback(m.pontrjagin_target))
 
 
 def test_embedding_consistency():
