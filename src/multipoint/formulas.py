@@ -101,11 +101,15 @@ def _check_k(k: int) -> None:
 def _check_entry(k: int, J: Optional[Sequence[int]]) -> Optional[Tuple[int, ...]]:
     """The entry check of a number: k an int of at least 1, and J (None for
     the signature) as a tuple of nonnegative even ints.  A bool, Fraction,
-    float or string entry is refused, not truncated."""
+    float or string entry is refused, not truncated, and so is a J that is
+    not iterable."""
     _check_k(k)
     if J is None:
         return None
-    J = tuple(J)
+    try:
+        J = tuple(J)
+    except TypeError:
+        raise GradedAlgebraError(f"index sequence {J!r} is not a sequence of integers") from None
     for j in J:
         if type(j) is not int or j < 0 or j % 2:
             raise GradedAlgebraError(f"index sequence entry {j!r} is not a nonnegative even integer")
@@ -268,7 +272,7 @@ def transfer_to_target(model: ImmersionModel, k: int, x: TensorClass) -> GradedC
 # ---------------------------------------------------------------------------
 
 def _route(fn: Callable[..., Fraction]) -> Callable[..., Fraction]:
-    """A signature route or genus that checks k and returns 0 on an empty
+    """A signature route that checks k and returns 0 on an empty
     k-tuple point manifold before any recursion, whose cost grows with k."""
     @wraps(fn)
     def route(model: ImmersionModel, k: int, *args, **kwargs) -> Fraction:
@@ -338,7 +342,7 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
     route 'auto' evaluates every route and insists on exact agreement.
     """
     _check_k(k)
-    if route != "auto" and route not in SIGNATURE_ROUTES:
+    if not isinstance(route, str) or (route != "auto" and route not in SIGNATURE_ROUTES):
         raise ValueError(f"unknown signature route {route!r}")
     if _empty_locus(model, k):
         return Fraction(0)
@@ -357,7 +361,6 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@_route
 def genus(model: ImmersionModel, k: int, log_coeffs: Sequence[Scalar],
           chern: bool = False) -> Fraction:
     """The genus of the k-tuple point manifold for the multiplicative class
@@ -371,6 +374,11 @@ def genus(model: ImmersionModel, k: int, log_coeffs: Sequence[Scalar],
     K(target) * E_k with u = K(normal)^-1, as the collected signature
     route pairs L(target) with it.  The classes are memoised per model.
     """
+    _check_k(k)
+    if type(chern) is not bool:
+        raise ValueError(f"chern must be a bool, got {chern!r}")
+    if _empty_locus(model, k):
+        return Fraction(0)
     return _genus(model, k, *_genus_classes(model, CHARACTERISTIC[chern], log_coeffs))
 
 
@@ -401,6 +409,8 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     a small dimension.
     """
     J = _check_entry(k, J)
+    if J is None:
+        raise GradedAlgebraError("a characteristic number needs an index sequence J")
     kind = CHARACTERISTIC[chern]
     warnings: List[str] = []
     dims = multiple_point_dimension(model, k)

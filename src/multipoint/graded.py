@@ -35,11 +35,12 @@ class NonUnitalClassError(GradedAlgebraError):
 
 def exact(c: object) -> Scalar:
     """The normal form of an exact rational: an int if integral, else a
-    Fraction.  Raises GradedAlgebraError on a float."""
+    Fraction.  Raises GradedAlgebraError on a float or a bool."""
     if type(c) is int:
         return c
-    if isinstance(c, float):
-        raise GradedAlgebraError(f"float coordinate {c!r}; use an int, a Fraction or a string")
+    if isinstance(c, (float, bool)):
+        raise GradedAlgebraError(f"{type(c).__name__} coordinate {c!r}; "
+                                 "use an int, a Fraction or a string")
     if type(c) is not Fraction:
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c

@@ -1,5 +1,6 @@
-"""Exact rational power-series coefficient tables, the symmetric-function
-change of basis and interpolation on a lower set of exponent vectors.
+"""Exact rational coefficient tables (the block weights and the L-class
+log series), the symmetric-function change of basis and interpolation on
+a lower set of exponent vectors.
 
 Everything here works over ``fractions.Fraction``; there is no floating
 point anywhere in the package.
@@ -9,53 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Dict, List, Mapping, Sequence, Tuple
-
-
-# ---------------------------------------------------------------------------
-# Univariate power series, represented as coefficient lists c[0], c[1], ...
-# ---------------------------------------------------------------------------
-
-
-def series_mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list:
-    """Product of two coefficient lists, truncated at ``order`` (inclusive)."""
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def series_inverse(a: Sequence[Fraction], order: int) -> list:
-    """Multiplicative inverse of a series with nonzero constant term."""
-    a0 = Fraction(a[0])
-    if not a0:
-        raise ValueError("series has zero constant term")
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = 1 / a0
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, n + 1):
-            ai = Fraction(a[i]) if i < len(a) else Fraction(0)
-            acc += ai * inv[n - i]
-        inv[n] = -acc / a0
-    return inv
-
-
-def series_log(a: Sequence[Fraction], order: int) -> list:
-    """log of a series with constant term 1, via (log a)' = a'/a."""
-    if Fraction(a[0]) != 1:
-        raise ValueError("series_log needs constant term 1")
-    deriv = [Fraction(k + 1) * (Fraction(a[k + 1]) if k + 1 < len(a) else Fraction(0))
-             for k in range(order)]
-    quot = series_mul(deriv, series_inverse(a, order), order - 1) if order else []
-    out = [Fraction(0)] * (order + 1)
-    for k in range(1, order + 1):
-        out[k] = quot[k - 1] / k
-    return out
 
 
 def log_coefficient(k: int) -> int:
@@ -66,27 +22,20 @@ def log_coefficient(k: int) -> int:
     return (-1) ** (k - 1) * factorial(k - 1)
 
 
-def tanh_coeffs(order: int) -> list:
-    """Taylor coefficients of tanh up to x^order, via sinh/cosh."""
-    sinh = [Fraction(1, factorial(k)) if k % 2 else Fraction(0) for k in range(order + 1)]
-    cosh = [Fraction(1, factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(order + 1)]
-    return series_mul(sinh, series_inverse(cosh, order), order)
-
-
 @lru_cache(maxsize=None)
 def signature_genus_log_coeffs(order: int) -> Tuple[Fraction, ...]:
-    """Coefficients c_1..c_order of log(sqrt(x)/tanh(sqrt(x))) in x.
-
-    The index-0 entry is 0.  These drive the multiplicative sequence that
-    turns a total Pontrjagin class into the signature-computing L-class.
-    The series is a constant, so it is computed once per order and returned
-    as a tuple, which no caller can change.
-    """
-    # tanh(t)/t is even in t, hence a series u(x) in x = t^2.
-    th = tanh_coeffs(2 * order + 1)
-    u = [th[2 * j + 1] for j in range(order + 1)]
-    logu = series_log(u, order)
-    return tuple(-c for c in logu)
+    """c_0..c_order of log(sqrt(x)/tanh(sqrt(x))) = sum_n c_n x^n, the log
+    series of the L-class: c_0 = 0 and c_n = 2^(2n) (2^(2n-1) - 1) B_(2n) /
+    (n (2n)!), B the Bernoulli numbers.  Computed once per order, as a
+    tuple that no caller can change."""
+    # B_m = -sum_{j<m} C(m+1, j) B_j / (m+1); every odd B_m past B_1 is 0
+    bernoulli = [Fraction(1), Fraction(-1, 2)]
+    for m in range(2, 2 * order + 1):
+        bernoulli.append(Fraction(0) if m % 2 else -sum(
+            comb(m + 1, j) * b for j, b in enumerate(bernoulli) if b) / (m + 1))
+    return (Fraction(0),) + tuple(
+        4 ** n * (2 ** (2 * n - 1) - 1) * bernoulli[2 * n] / (n * factorial(2 * n))
+        for n in range(1, order + 1))
 
 
 def elementary_in_power_sums(n: int) -> List[Dict[Tuple[int, ...], Fraction]]:

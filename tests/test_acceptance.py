@@ -42,7 +42,6 @@ from multipoint.partitions import (
     count_by_type_marked,
     type_vectors,
 )
-from multipoint.polynomials import tanh_coeffs
 from multipoint.random_models import random_truncated_model, random_union_components
 from multipoint.series import (
     compose,
@@ -52,7 +51,7 @@ from multipoint.series import (
     invert,
     scaled_exp_series,
 )
-from series_reference import eval_series
+from series_reference import eval_series, tanh_coeffs
 
 
 @pytest.fixture(scope="module")

@@ -91,6 +91,18 @@ def test_float_coordinates_rejected(build):
         build(ring)
 
 
+@pytest.mark.parametrize("build", [
+    lambda ring: ring.element({0: True}),
+    lambda ring: ring.unit() * True,
+    lambda ring: formulas.genus(bundled_model("hypersurface-d3"), 1, (0, True)),
+], ids=["element", "scalar", "genus-log-coefficient"])
+def test_bool_coordinates_rejected(build):
+    # True is an int to Python, but exact refuses it as _check_k does
+    ring = truncated_polynomial_ring("h", 2)
+    with pytest.raises(GradedAlgebraError, match="bool"):
+        build(ring)
+
+
 def test_solve_linear_on_integer_columns_is_exact():
     sol = solve_linear([{0: 2}], {0: 1})
     assert sol == [Fraction(1, 2)]

@@ -59,7 +59,7 @@ from multipoint.partitions import (
 )
 from multipoint.polynomials import log_coefficient, signature_genus_log_coeffs
 from multipoint.random_models import random_truncated_model, random_union_components
-from series_reference import eval_series
+from series_reference import eval_series, tanh_coeffs
 
 
 def _random_tensor(rng, ring, k, nterms=2):
@@ -267,8 +267,14 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
     assert pushpull_zero(null_push, 10 ** 6) == pushpull_zero(null_push, 10 ** 6, (4,)) == 0
     assert euler_zero(line_in_quadric, 10 ** 6) == 0
     assert time.perf_counter() - start < 1
-    with pytest.raises(ValueError, match="unknown signature route"):
-        signature(m, 10 ** 6, route="nonesuch")
+    for k in (2, 10 ** 6):
+        for route in ("nonesuch", [], None, 1):
+            with pytest.raises(ValueError, match="unknown signature route"):
+                signature(m, k, route=route)
+    for k in (1, 10 ** 6):
+        for chern in ("yes", 1, None):
+            with pytest.raises(ValueError, match="chern must be a bool"):
+                formulas.genus(m, k, (0, 1), chern=chern)
     # the refusals still come first: the entry check, then the hypothesis
     with pytest.raises(graded.GradedAlgebraError, match="not a nonnegative even integer"):
         pushpull_zero(null_push, 10 ** 6, (3,))
@@ -712,7 +718,6 @@ def test_virtual_class_pairs_to_signature():
 
 def test_hypersurface_virtual_class_is_tanh_of_pushed_unit():
     # codim-2 embedding: B_1 = tanh(f_!(1)) as a nilpotent series
-    from multipoint.polynomials import tanh_coeffs
     for d in range(1, 5):
         m = bundled_model(f"hypersurface-d{d}")
         en = m.pushforward(m.source.unit())
@@ -826,6 +831,15 @@ def test_characteristic_refuses_non_integer_entries(entry):
         pontrjagin_number(m, 1, [entry])
     with pytest.raises(graded.GradedAlgebraError, match="not a nonnegative even integer"):
         chern_number(bundled_model("line-in-plane"), 1, [entry])
+
+
+@pytest.mark.parametrize("J", [None, 4], ids=repr)
+def test_characteristic_refuses_a_missing_or_non_iterable_index_sequence(J):
+    # neither may reach sum(J) or tuple(J) as a stray TypeError
+    with pytest.raises(graded.GradedAlgebraError, match="index sequence"):
+        pontrjagin_number(bundled_model("hypersurface-d3"), 1, J)
+    with pytest.raises(graded.GradedAlgebraError, match="index sequence"):
+        chern_number(bundled_model("line-in-plane"), 1, J)
 
 
 def reference_characteristic_number(m, k, J, chern=False, transfer=transfer_to_source):

@@ -3,19 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from multipoint.model import MAX_CLASS_DEGREE
 from multipoint.polynomials import (
     elementary_in_power_sums,
     interpolate_on_lower_set,
     lower_set,
     lower_set_size,
-    series_inverse,
-    series_log,
-    series_mul,
     signature_genus_log_coeffs,
-    tanh_coeffs,
 )
 from multipoint.series import Poly
-from series_reference import exp_coeffs
+from series_reference import exp_coeffs, series_inverse, series_log, series_mul, tanh_coeffs
 
 V = ("x", "y")
 
@@ -71,6 +68,21 @@ def test_signature_genus_log_coefficients():
     assert c[1] == Fraction(1, 3)
     assert c[2] == Fraction(-7, 90)
     assert c[3] == Fraction(62, 2835)
+
+
+def test_signature_log_coefficients_match_the_tanh_series():
+    # log(sqrt(x)/tanh(sqrt(x))) = -log u(x), u(x) = tanh(sqrt(x))/sqrt(x), to
+    # the largest order that validate lets through
+    order = MAX_CLASS_DEGREE // 4
+    th = tanh_coeffs(2 * order + 1)
+    reference = [-c for c in series_log([th[2 * j + 1] for j in range(order + 1)], order)]
+    for n in range(order + 1):
+        assert signature_genus_log_coeffs(n) == tuple(reference[:n + 1])
+
+
+def test_signature_log_coefficients_of_one_order_prefix_the_next():
+    for n in range(MAX_CLASS_DEGREE // 4):
+        assert signature_genus_log_coeffs(n + 1)[:n + 1] == signature_genus_log_coeffs(n)
 
 
 def test_poly_rejects_unknown_variable():
