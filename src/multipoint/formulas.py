@@ -35,6 +35,7 @@ from .graded import (
     Scalar,
     TensorClass,
     cross,
+    exact,
 )
 from .model import ImmersionModel, ModelError, disjoint_union, preimage_under
 from .polynomials import log_coefficient
@@ -63,9 +64,114 @@ class MultipointResult(Record):
         self.warnings = [] if warnings is None else warnings
 
 
+# ---------------------------------------------------------------------------
+# Entry checks: one per parameter name, run by @_checked before the body
+# ---------------------------------------------------------------------------
+
+
+def _model(model: object) -> None:
+    if not isinstance(model, ImmersionModel):
+        raise ModelError(f"model must be an ImmersionModel, got {model!r}")
+
+
+def _models(models: object) -> None:
+    if not (isinstance(models, (list, tuple)) and models
+            and all(isinstance(m, ImmersionModel) for m in models)):
+        raise ModelError(f"models must be a non-empty list or tuple of ImmersionModels, got {models!r}")
+
+
+def _k(k: object) -> None:
+    # a bool, float, Fraction or string is refused, not truncated
+    if type(k) is not int:
+        raise ValueError(f"multiplicity k must be an int, got {k!r}")
+    if k < 1:
+        raise ValueError(f"multiplicity k must be at least 1, got {k}")
+
+
+def _J(J: object) -> None:
+    if not isinstance(J, (list, tuple)):
+        raise GradedAlgebraError(f"index sequence {J!r} is not a sequence of integers")
+    for j in J:
+        if type(j) is not int or j < 0 or j % 2:
+            raise GradedAlgebraError(f"index sequence entry {j!r} is not a nonnegative even integer")
+
+
+def _tensor(name: str, t: object, k: int, ring: object, side: str) -> None:
+    if not (isinstance(t, TensorClass) and t.arity == k and (t.ring is ring or t.ring == ring)):
+        raise GradedAlgebraError(f"{name} must be an arity-{k} TensorClass on the {side} ring")
+
+
+def _route_name(route: object) -> None:
+    if not isinstance(route, str) or (route != "auto" and route not in SIGNATURE_ROUTES):
+        raise ValueError(f"unknown signature route {route!r}")
+
+
+def _chern(chern: object) -> None:
+    if type(chern) is not bool:
+        raise ValueError(f"chern must be a bool, got {chern!r}")
+
+
+def _log_coeffs(log_coeffs: object) -> None:
+    if not isinstance(log_coeffs, (list, tuple)):
+        raise GradedAlgebraError(f"log_coeffs must be a list or tuple of rationals, got {log_coeffs!r}")
+    for c in log_coeffs:
+        exact(c)
+
+
+def _cap(cap: object, k: int) -> None:
+    if type(cap) is not int:
+        raise ValueError(f"oracle cap must be an int, got {cap!r}")
+    if k > cap:
+        raise ValueError(f"oracle refuses k={k} beyond its cap {cap}")
+
+
+# a check's parameters after the first name the arguments it also reads
+_ENTRY_CHECKS = {
+    "model": _model, "models": _models, "k": _k, "J": _J, "route": _route_name,
+    "chern": _chern, "log_coeffs": _log_coeffs, "cap": _cap,
+    "x": lambda x, model, k: _tensor("x", x, k, model.source, "source"),
+    "y": lambda y, model, k: _tensor("y", y, k, model.target, "target"),
+}
+_REQUIRED = object()
+
+
+def _checked(fn: Callable) -> Callable:
+    """fn, running the entry check of each of its parameters that
+    _ENTRY_CHECKS names, in parameter order, before its body.  fn's own
+    default needs no check unless the check reads other arguments (the
+    oracle's cap is checked against k), so None passes where fn's default
+    is None.  The positions are read from fn once, here, so a call indexes
+    args and builds no dict."""
+    def params(f: Callable) -> Tuple[str, ...]:
+        return f.__code__.co_varnames[:f.__code__.co_argcount]
+
+    names = params(fn)
+    defaults = ((_REQUIRED,) * len(names) + (fn.__defaults__ or ()))[-len(names):]
+    spec = {n: (i, n, d) for i, (n, d) in enumerate(zip(names, defaults))}
+    plan = [(*spec[n], check, tuple(spec[r] for r in params(check)[1:]))
+            for n in names if (check := _ENTRY_CHECKS.get(n))]
+
+    @wraps(fn)
+    def checked(*args, **kwargs):
+        n = len(args)
+        for i, name, default, check, reads in plan:
+            value = args[i] if i < n else kwargs.get(name, default)
+            if value is default:
+                if value is _REQUIRED:
+                    break  # fn names the missing argument
+                if not reads:
+                    continue
+            if reads:
+                check(value, *[args[j] if j < n else kwargs.get(r, d) for j, r, d in reads])
+            else:
+                check(value)
+        return fn(*args, **kwargs)
+    return checked
+
+
+@_checked
 def multiple_point_dimension(model: ImmersionModel, k: int) -> Tuple[int, ...]:
     """Expected dimension of the k-tuple point manifold, per source component."""
-    _check_k(k)
     return tuple(sorted({c.top_degree - (k - 1) * model.codim
                          for c in model.source.components}))
 
@@ -80,6 +186,7 @@ def _empty_locus(model: ImmersionModel, k: int) -> bool:
     return True
 
 
+@_checked
 def empty_locus_warning(model: ImmersionModel, k: int) -> Optional[str]:
     """The warning that the k-tuple point manifold is empty; None when it is
     not."""
@@ -87,40 +194,6 @@ def empty_locus_warning(model: ImmersionModel, k: int) -> Optional[str]:
         return None
     return (f"the {k}-tuple point manifold is empty: (k-1)*codim = {(k - 1) * model.codim} "
             f"exceeds the source dimension(s) {model.source_dimensions()}; the value is 0")
-
-
-def _check_k(k: int) -> None:
-    """Refuse a multiplicity that is not an int of at least 1: a bool,
-    float, Fraction or string is refused, not truncated."""
-    if type(k) is not int:
-        raise ValueError(f"multiplicity k must be an int, got {k!r}")
-    if k < 1:
-        raise ValueError(f"multiplicity k must be at least 1, got {k}")
-
-
-def _check_entry(k: int, J: Optional[Sequence[int]]) -> Optional[Tuple[int, ...]]:
-    """The entry check of a number: k an int of at least 1, and J (None for
-    the signature) as a tuple of nonnegative even ints.  A bool, Fraction,
-    float or string entry is refused, not truncated, and so is a J that is
-    not iterable."""
-    _check_k(k)
-    if J is None:
-        return None
-    try:
-        J = tuple(J)
-    except TypeError:
-        raise GradedAlgebraError(f"index sequence {J!r} is not a sequence of integers") from None
-    for j in J:
-        if type(j) is not int or j < 0 or j % 2:
-            raise GradedAlgebraError(f"index sequence entry {j!r} is not a nonnegative even integer")
-    return J
-
-
-def _check_tensor(model: ImmersionModel, k: int, x: TensorClass) -> None:
-    if x.arity != k:
-        raise GradedAlgebraError(f"tensor arity {x.arity} does not match k={k}")
-    if x.ring != model.source:
-        raise GradedAlgebraError("tensor argument must live on the source ring")
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +312,6 @@ def _transfer(model: ImmersionModel, factors: Sequence[GradedClass],
 
 def _transfer_tensor(model: ImmersionModel, k: int, x: TensorClass,
                      to_target: bool) -> GradedClass:
-    _check_k(k)
-    _check_tensor(model, k, x)
     out = (model.target if to_target else model.source).zero()
     for idx, coeff in x.terms.items():
         factors = [model.source.basis_class(i) for i in idx]
@@ -248,6 +319,7 @@ def _transfer_tensor(model: ImmersionModel, k: int, x: TensorClass,
     return out
 
 
+@_checked
 def transfer_to_source(model: ImmersionModel, k: int, x: TensorClass) -> GradedClass:
     """Push the restriction of a class on the k-fold source power down to
     the source, by the solved partition-sum formula.
@@ -261,6 +333,7 @@ def transfer_to_source(model: ImmersionModel, k: int, x: TensorClass) -> GradedC
     return _transfer_tensor(model, k, x, to_target=False)
 
 
+@_checked
 def transfer_to_target(model: ImmersionModel, k: int, x: TensorClass) -> GradedClass:
     """Pushforward of the k-tuple restriction all the way to the target:
     every block contributes a pushed-forward factor."""
@@ -271,43 +344,37 @@ def transfer_to_target(model: ImmersionModel, k: int, x: TensorClass) -> GradedC
 # Signature routes
 # ---------------------------------------------------------------------------
 
-def _route(fn: Callable[..., Fraction]) -> Callable[..., Fraction]:
-    """A signature route that checks k and returns 0 on an empty
-    k-tuple point manifold before any recursion, whose cost grows with k."""
-    @wraps(fn)
-    def route(model: ImmersionModel, k: int, *args, **kwargs) -> Fraction:
-        _check_k(k)
-        if _empty_locus(model, k):
-            return Fraction(0)
-        return fn(model, k, *args, **kwargs)
-    return route
-
-
-@_route
+@_checked
 def signature_via_source(model: ImmersionModel, k: int) -> Fraction:
     """Signature of the k-tuple point manifold, evaluated on the source:
     transfer of L(source) x L(normal)^{-1} x ... x L(normal)^{-1}."""
+    if _empty_locus(model, k):
+        return Fraction(0)
     factors = [model.l_source] + [model.l_normal_inverse] * (k - 1)
     value = _transfer(model, factors, to_target=False).integrate()
     return value / factorial(k)
 
 
-@_route
+@_checked
 def signature_via_target(model: ImmersionModel, k: int) -> Fraction:
     """Same signature, evaluated on the target: pair L(target) with the
     full pushforward transfer of the tensor power of L(normal)^{-1}."""
+    if _empty_locus(model, k):
+        return Fraction(0)
     pushed = _transfer(model, [model.l_normal_inverse] * k, to_target=True)
     return (model.l_target * pushed).integrate() / factorial(k)
 
 
-@_route
+@_checked
 def signature_collected(model: ImmersionModel, k: int) -> Fraction:
     """Collected form: L(target) paired with E_k of the pushed normal
     blocks, the partition sum collected by the exponential formula."""
+    if _empty_locus(model, k):
+        return Fraction(0)
     return _genus(model, k, model.l_target, model.l_normal_inverse)
 
 
-@_route
+@_checked
 def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
     """Collected form on the source, where the block containing the first
     point is marked and keeps its Euler-power weight.
@@ -318,6 +385,8 @@ def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
     Horner's rule.  The F_n are pulled back from the target chain once
     each and kept on it.
     """
+    if _empty_locus(model, k):
+        return Fraction(0)
     chain = _exponential_coefficients(model, model.l_normal_inverse, k - 1)
     pulled = chain.pulled
     pulled.extend(map(model.pullback.apply_coords, chain.coeffs[len(pulled):k]))
@@ -336,15 +405,20 @@ SIGNATURE_ROUTES = {
 }
 
 
+@_checked
 def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
-    """Signature of the k-tuple point manifold, 0 on an empty one.
+    """Signature of the k-tuple point manifold, 0 before any route runs
+    when none of its dimensions is 0 mod 4 (an empty one has none): every
+    L-class of a valid model has degrees 0 mod 4, so the pairing cannot
+    reach the top degree.
 
     route 'auto' evaluates every route and insists on exact agreement.
     """
-    _check_k(k)
-    if not isinstance(route, str) or (route != "auto" and route not in SIGNATURE_ROUTES):
-        raise ValueError(f"unknown signature route {route!r}")
-    if _empty_locus(model, k):
+    bound = (k - 1) * model.codim
+    for c in model.source.components:
+        if c.top_degree >= bound and (c.top_degree - bound) % 4 == 0:
+            break
+    else:
         return Fraction(0)
     if route in SIGNATURE_ROUTES:
         return SIGNATURE_ROUTES[route](model, k)
@@ -361,6 +435,7 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+@_checked
 def genus(model: ImmersionModel, k: int, log_coeffs: Sequence[Scalar],
           chern: bool = False) -> Fraction:
     """The genus of the k-tuple point manifold for the multiplicative class
@@ -374,9 +449,6 @@ def genus(model: ImmersionModel, k: int, log_coeffs: Sequence[Scalar],
     K(target) * E_k with u = K(normal)^-1, as the collected signature
     route pairs L(target) with it.  The classes are memoised per model.
     """
-    _check_k(k)
-    if type(chern) is not bool:
-        raise ValueError(f"chern must be a bool, got {chern!r}")
     if _empty_locus(model, k):
         return Fraction(0)
     return _genus(model, k, *_genus_classes(model, CHARACTERISTIC[chern], log_coeffs))
@@ -408,17 +480,15 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     the genera where the weight is: a large k leaves the k-tuple manifold
     a small dimension.
     """
-    J = _check_entry(k, J)
-    if J is None:
-        raise GradedAlgebraError("a characteristic number needs an index sequence J")
     kind = CHARACTERISTIC[chern]
     warnings: List[str] = []
-    dims = multiple_point_dimension(model, k)
+    # the arguments are checked: __wrapped__ runs no entry check again
+    dims = multiple_point_dimension.__wrapped__(model, k)
     if sum(J) not in dims:
         warnings.append(
             f"degree sum {sum(J)} does not match the k-tuple dimension(s) {dims}; "
             "the pairing vanishes")
-    empty = empty_locus_warning(model, k)
+    empty = empty_locus_warning.__wrapped__(model, k)
     if empty is not None:
         warnings.append(empty)
     value = Fraction(0)
@@ -435,6 +505,7 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
                             warnings=warnings)
 
 
+@_checked
 def pontrjagin_number(model: ImmersionModel, k: int, J: Sequence[int]) -> MultipointResult:
     """Pontrjagin number of the k-tuple point manifold for the index
     sequence J (degrees of the selected graded parts): the integral of
@@ -450,6 +521,7 @@ def pontrjagin_number(model: ImmersionModel, k: int, J: Sequence[int]) -> Multip
     return _characteristic_number(model, k, J, chern=False)
 
 
+@_checked
 def chern_number(model: ImmersionModel, k: int, J: Sequence[int]) -> MultipointResult:
     """Chern number of the k-tuple point manifold for the index sequence J,
     computed as pontrjagin_number is, from the Chern roots (with no L
@@ -464,12 +536,14 @@ def chern_number(model: ImmersionModel, k: int, J: Sequence[int]) -> MultipointR
 # ---------------------------------------------------------------------------
 
 
+@_checked
 def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
     """The target class whose pairing with L(target)/k! is the signature:
     virtual_signature_class_union([model], k)."""
-    return virtual_signature_class_union([model], k)
+    return virtual_signature_class_union.__wrapped__([model], k)
 
 
+@_checked
 def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> GradedClass:
     """The virtual signature class of the disjoint union of the models, by
     a multinomial convolution of per-component classes.
@@ -484,9 +558,6 @@ def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> G
     first, which refuses components that do not share the target data and
     codimension; on an empty k-tuple manifold the class is 0 at once.
     """
-    _check_k(k)
-    if not models:
-        raise ModelError("no component models")
     union = disjoint_union(models)
     target = union.target
     if _empty_locus(union, k):
@@ -513,13 +584,13 @@ def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> G
 # ---------------------------------------------------------------------------
 
 
+@_checked
 def transfer_of_unit(model: ImmersionModel, k: int) -> GradedClass:
     """Closed form of the transfer of the unit tensor:
     prod_{i=1}^{k-1} (pullback(pushforward(1)) - i*euler).
 
     Valid whenever the Euler class lies in the image of the pullback.
     """
-    _check_k(k)
     if _empty_locus(model, k):
         return model.source.zero()
     base = model.pushpull(model.source.unit())
@@ -541,14 +612,12 @@ def _require_pulled_from_target(model: ImmersionModel) -> None:
              "L(normal) is not pulled back from the target")
 
 
+@_checked
 def pulled_from_target_class(model: ImmersionModel, k: int, y: TensorClass) -> GradedClass:
     """Transfer of a class pulled back from the k-fold target power:
     the product of the slotwise pullbacks times the closed-form unit
     transfer.  Requires euler and L(normal) to come from the target.
     """
-    _check_k(k)
-    if y.arity != k or y.ring != model.target:
-        raise GradedAlgebraError("argument must be an arity-k tensor on the target ring")
     _require_pulled_from_target(model)
     out = model.source.zero()
     for idx, coeff in y.terms.items():
@@ -569,22 +638,22 @@ def _core(model: ImmersionModel, k: int, J: Optional[Sequence[int]]) -> GradedCl
     return (model.pontrjagin_source * inv ** (k - 1)).select_degrees(J)
 
 
+@_checked
 def pulled_from_target(model: ImmersionModel, k: int,
                        J: Optional[Sequence[int]] = None) -> Fraction:
     """The signature or p_J when euler and L(normal) come from the target:
     the core paired with the closed-form unit transfer, over k!."""
-    J = _check_entry(k, J)
     _require_pulled_from_target(model)
     if _empty_locus(model, k):
         return Fraction(0)
     return (_core(model, k, J) * transfer_of_unit(model, k)).integrate() / factorial(k)
 
 
+@_checked
 def euler_zero(model: ImmersionModel, k: int) -> Fraction:
     """Signature when the normal Euler class vanishes: only the finest
     partition survives, leaving a k-th power of the pushed normal class
     on the target."""
-    _check_k(k)
     _require(model.euler.is_zero(), f"euler class {model.euler} is nonzero")
     if _empty_locus(model, k):
         return Fraction(0)
@@ -592,11 +661,11 @@ def euler_zero(model: ImmersionModel, k: int) -> Fraction:
     return (model.l_target * pushed ** k).integrate() / factorial(k)
 
 
+@_checked
 def pushpull_zero(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
     """The signature or p_J when pullback(pushforward(.)) vanishes
     identically: only the one-block partition survives, leaving
     (-1)^(k-1) / k times the integral of euler^(k-1) * core."""
-    J = _check_entry(k, J)
     _require(all(model.pushpull(model.source.basis_class(i)).is_zero()
                  for i in range(len(model.source.labels))),
              "pullback(pushforward(.)) is not identically zero")
@@ -605,12 +674,12 @@ def pushpull_zero(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = No
     return Fraction((-1) ** (k - 1), k) * (model.euler ** (k - 1) * _core(model, k, J)).integrate()
 
 
+@_checked
 def nullhomotopic(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
     """The signature or p_J in the nullhomotopic normalization
     P(normal)^-1 = P(source), which gives L(normal)^-1 = L(source) (every
     log coefficient of L is nonzero), so the pushpull-zero formula becomes
     a pure Euler-power formula."""
-    J = _check_entry(k, J)
     _require(model.normal_pontrjagin.invert_unital() == model.pontrjagin_source,
              "P(normal)^(-1) differs from P(source)")
     return pushpull_zero(model, k, J)

@@ -35,14 +35,19 @@ class NonUnitalClassError(GradedAlgebraError):
 
 def exact(c: object) -> Scalar:
     """The normal form of an exact rational: an int if integral, else a
-    Fraction.  Raises GradedAlgebraError on a float or a bool."""
+    Fraction.  Raises GradedAlgebraError on a float, a bool or anything
+    else that Fraction does not read as a finite rational."""
     if type(c) is int:
         return c
     if isinstance(c, (float, bool)):
         raise GradedAlgebraError(f"{type(c).__name__} coordinate {c!r}; "
                                  "use an int, a Fraction or a string")
     if type(c) is not Fraction:
-        c = Fraction(c)
+        try:
+            c = Fraction(c)
+        except (TypeError, ValueError, ArithmeticError):
+            raise GradedAlgebraError(f"coordinate {c!r} is not an exact rational; "
+                                     "use an int, a Fraction or a string") from None
     return c.numerator if c.denominator == 1 else c
 
 

@@ -22,9 +22,8 @@ from itertools import product as iproduct
 from math import factorial, prod
 from typing import Dict, List, NamedTuple, Tuple
 
-from .formulas import (_check_k, _check_tensor, signature, transfer_to_source,
-                       virtual_signature_class)
-from .graded import GradedAlgebraError, Scalar, TensorClass, cross
+from .formulas import _checked, signature, transfer_to_source, virtual_signature_class
+from .graded import GradedAlgebraError, GradedClass, Scalar, TensorClass, cross
 from .model import ImmersionModel
 from .models import BUNDLED, bundled_model
 from .partitions import (BELL, SetPartition, all_partitions, count_by_type, quotient, refines,
@@ -34,12 +33,6 @@ from .series import (DEFAULT_ORDER, compose, composed_derivative, identity_serie
                      scaled_exp_series)
 
 DEFAULT_CAP = 7
-
-
-def _check_cap(k: int, cap: int) -> None:
-    _check_k(k)
-    if k > cap:
-        raise ValueError(f"oracle refuses k={k} beyond its cap {cap}")
 
 
 def _weight(alpha: SetPartition) -> int:
@@ -59,99 +52,73 @@ class OracleRun(NamedTuple):
     terms_evaluated: int
 
 
+def _block(model: ImmersionModel, block: Tuple[int, ...], classes: List[GradedClass]) -> GradedClass:
+    """e^(|B|-1) times the classes at the points of the block B, on the source."""
+    cls = model.source.unit()
+    for _ in range(len(block) - 1):
+        cls = cls * model.euler
+    for i in block:
+        cls = cls * classes[i - 1]
+    return cls
+
+
+def _transfer_enumerated(model: ImmersionModel, k: int,
+                         terms: List[Tuple[Scalar, List[GradedClass]]], to_target: bool) -> OracleRun:
+    """The transfer of sum c * (c_1 x ... x c_k) over the (c, [c_1, ..., c_k])
+    of terms, by direct summation over every partition and term: each block
+    pushed forward, on the source pulled back too except the block of 1,
+    which is kept verbatim."""
+    out = (model.target if to_target else model.source).zero()
+    nparts = 0
+    nterms = 0
+    for alpha in all_partitions(k):
+        nparts += 1
+        for coeff, factors in terms:
+            nterms += 1
+            blocks = [_block(model, block, factors) for block in alpha.blocks]
+            cls = model.target.unit() if to_target else blocks.pop(0)
+            for block in blocks:
+                pushed = model.pushforward(block)
+                cls = cls * (pushed if to_target else model.pullback(pushed))
+            out = out + (coeff * Fraction(_weight(alpha))) * cls
+    return OracleRun(out, nparts, nterms)
+
+
+def _basis_terms(model: ImmersionModel, x: TensorClass) -> List[Tuple[Scalar, List[GradedClass]]]:
+    return [(coeff, [model.source.basis_class(i) for i in idx]) for idx, coeff in x.terms.items()]
+
+
+@_checked
 def transfer_to_target_enumerated(model: ImmersionModel, k: int, x: TensorClass,
                                   cap: int = DEFAULT_CAP) -> OracleRun:
     """Pushed transfer by direct summation over every partition and term."""
-    _check_cap(k, cap)
-    out = model.target.zero()
-    nparts = 0
-    nterms = 0
-    for alpha in all_partitions(k):
-        nparts += 1
-        for idx, coeff in x.terms.items():
-            nterms += 1
-            cls = model.target.unit()
-            for block in alpha.blocks:
-                inner = model.source.unit()
-                for _ in range(len(block) - 1):
-                    inner = inner * model.euler
-                for i in block:
-                    inner = inner * model.source.basis_class(idx[i - 1])
-                cls = cls * model.pushforward(inner)
-            out = out + (coeff * Fraction(_weight(alpha))) * cls
-    return OracleRun(out, nparts, nterms)
+    return _transfer_enumerated(model, k, _basis_terms(model, x), to_target=True)
 
 
+@_checked
 def transfer_to_source_enumerated(model: ImmersionModel, k: int, x: TensorClass,
                                   cap: int = DEFAULT_CAP) -> OracleRun:
     """Source-level transfer by direct summation, first block kept verbatim."""
-    _check_cap(k, cap)
-    out = model.source.zero()
-    nparts = 0
-    nterms = 0
-    for alpha in all_partitions(k):
-        nparts += 1
-        for idx, coeff in x.terms.items():
-            nterms += 1
-            first = alpha.blocks[0]
-            cls = model.source.unit()
-            for _ in range(len(first) - 1):
-                cls = cls * model.euler
-            for i in first:
-                cls = cls * model.source.basis_class(idx[i - 1])
-            for block in alpha.blocks[1:]:
-                inner = model.source.unit()
-                for _ in range(len(block) - 1):
-                    inner = inner * model.euler
-                for i in block:
-                    inner = inner * model.source.basis_class(idx[i - 1])
-                cls = cls * model.pullback(model.pushforward(inner))
-            out = out + (coeff * Fraction(_weight(alpha))) * cls
-    return OracleRun(out, nparts, nterms)
+    return _transfer_enumerated(model, k, _basis_terms(model, x), to_target=False)
 
 
+@_checked
 def signature_enumerated(model: ImmersionModel, k: int, cap: int = DEFAULT_CAP) -> OracleRun:
     """Signature of the k-tuple point manifold by raw enumeration on the
-    target: 1/k! times the pairing of L(target) with the pushed transfer
-    of the k-fold tensor power of L(normal)^(-1)."""
-    _check_cap(k, cap)
-    u = model.l_normal_inverse
-    nparts = 0
-    total = Fraction(0)
-    for alpha in all_partitions(k):
-        nparts += 1
-        cls = model.target.unit()
-        for block in alpha.blocks:
-            inner = model.source.unit()
-            for _ in range(len(block) - 1):
-                inner = inner * model.euler
-            for _ in block:
-                inner = inner * u
-            cls = cls * model.pushforward(inner)
-        total += Fraction(_weight(alpha)) * (model.l_target * cls).integrate()
-    return OracleRun(total / factorial(k), nparts, nparts)
+    target: 1/k! times the pairing of L(target) with the enumerated
+    virtual signature class."""
+    run = virtual_class_enumerated(model, k, cap)
+    return run._replace(value=(model.l_target * run.value).integrate() / factorial(k))
 
 
+@_checked
 def virtual_class_enumerated(model: ImmersionModel, k: int, cap: int = DEFAULT_CAP) -> OracleRun:
-    """The virtual signature class on the target by raw enumeration."""
-    _check_cap(k, cap)
-    u = model.l_normal_inverse
-    out = model.target.zero()
-    nparts = 0
-    for alpha in all_partitions(k):
-        nparts += 1
-        cls = model.target.unit()
-        for block in alpha.blocks:
-            inner = model.source.unit()
-            for _ in range(len(block) - 1):
-                inner = inner * model.euler
-            for _ in block:
-                inner = inner * u
-            cls = cls * model.pushforward(inner)
-        out = out + Fraction(_weight(alpha)) * cls
-    return OracleRun(out, nparts, nparts)
+    """The virtual signature class on the target by raw enumeration: the
+    pushed transfer of the k-fold tensor power of L(normal)^(-1)."""
+    return _transfer_enumerated(model, k, [(1, [model.l_normal_inverse] * k)], to_target=True)
 
 
+@_checked
 def compose_enumerated(outer_coeffs, inner_coeffs, k: int,
                        cap: int = DEFAULT_CAP) -> OracleRun:
     """Partition-sum composition coefficient, summed partition by partition.
@@ -161,7 +128,6 @@ def compose_enumerated(outer_coeffs, inner_coeffs, k: int,
     with + and * (polynomials, ring classes).  Checks the collected
     composition in the series module.
     """
-    _check_cap(k, cap)
     out = None
     nparts = 0
     for alpha in all_partitions(k):
@@ -179,11 +145,11 @@ def refinement_pairs(k: int) -> List[Tuple[SetPartition, SetPartition]]:
     return [(b, a) for b in parts for a in parts if refines(b, a)]
 
 
+@_checked
 def double_composition_enumerated(a, b, c, k: int, cap: int = DEFAULT_CAP) -> OracleRun:
     """Associativity witness: sum over refinement pairs beta <= alpha of
     a at the alpha block count, b at the quotient block sizes, c at the
     beta block sizes.  Must equal composing in either order."""
-    _check_cap(k, cap)
     out = None
     npairs = 0
     for beta, alpha in refinement_pairs(k):
@@ -227,6 +193,7 @@ def diagonal_pullback(alpha: SetPartition, x: TensorClass) -> TensorClass:
     return TensorClass(ring, len(alpha.blocks), out_terms)
 
 
+@_checked
 def recursion_identity_holds(model: ImmersionModel, k: int, x: TensorClass) -> bool:
     """Check the recursion the solved formula came from.
 
@@ -234,8 +201,6 @@ def recursion_identity_holds(model: ImmersionModel, k: int, x: TensorClass) -> b
     others.  Right side: the partition sum of Euler-weighted transfers of
     the diagonal restrictions.  Returns exact equality.
     """
-    _check_k(k)
-    _check_tensor(model, k, x)
     lhs = model.source.zero()
     for idx, coeff in x.terms.items():
         cls = model.source.basis_class(idx[0])

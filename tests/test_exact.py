@@ -97,10 +97,26 @@ def test_float_coordinates_rejected(build):
     lambda ring: formulas.genus(bundled_model("hypersurface-d3"), 1, (0, True)),
 ], ids=["element", "scalar", "genus-log-coefficient"])
 def test_bool_coordinates_rejected(build):
-    # True is an int to Python, but exact refuses it as _check_k does
+    # True is an int to Python, but exact refuses it as the entry check of k does
     ring = truncated_polynomial_ring("h", 2)
     with pytest.raises(GradedAlgebraError, match="bool"):
         build(ring)
+
+
+@pytest.mark.parametrize("value", [None, [1], "x", "1/0", {1: 2}, 1j], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda ring, v: exact(v),
+    lambda ring, v: ring.element({0: v}),
+    lambda ring, v: ring.unit() * v,
+    lambda ring, v: cross([ring.unit()]) * v,
+    lambda ring, v: formulas.genus(bundled_model("hypersurface-d3"), 1, (0, v)),
+], ids=["exact", "element", "scalar", "tensor-scalar", "genus-log-coefficient"])
+def test_non_rational_coordinates_rejected(build, value):
+    # Fraction raises TypeError, ValueError or ZeroDivisionError on these;
+    # each must end as the documented GradedAlgebraError
+    ring = truncated_polynomial_ring("h", 2)
+    with pytest.raises(GradedAlgebraError, match="not an exact rational"):
+        build(ring, value)
 
 
 def test_solve_linear_on_integer_columns_is_exact():

@@ -4,8 +4,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multipoint import collected, formulas, graded, partitions
+from multipoint import collected, formulas, graded, oracle, partitions
 from multipoint import model as model_mod
 from multipoint.formulas import (
     SIGNATURE_ROUTES,
@@ -58,7 +60,12 @@ from multipoint.partitions import (
     type_vectors,
 )
 from multipoint.polynomials import log_coefficient, signature_genus_log_coeffs
-from multipoint.random_models import random_truncated_model, random_union_components
+from multipoint.random_models import (
+    _random_unital,
+    _truncated_model,
+    random_truncated_model,
+    random_union_components,
+)
 from series_reference import eval_series, tanh_coeffs
 
 
@@ -285,6 +292,48 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
             special(m, 10 ** 6)
     with pytest.raises(ModelError, match="target"):
         virtual_signature_class_union([m, bundled_model("hypersurface-d2")], 10 ** 6)
+
+
+def _codim_2_model():
+    # source t^0..t^40 with integral mu = 3, target h^0..h^41, mu = 3,
+    # lambda = 2: k-tuple manifolds of dimension 80 - 2(k-1), nonempty to k = 41
+    rng = random.Random(1)
+    M = truncated_polynomial_ring("t", 40, integral_value=3)
+    N = truncated_polynomial_ring("h", 41)
+    return _truncated_model("codim-2", M, N, 3, 2, _random_unital(rng, M, 4),
+                            _random_unital(rng, N, 4))
+
+
+def test_signature_is_zero_by_degrees_before_any_route(monkeypatch):
+    # the signature of a manifold whose dimensions are not 0 mod 4 is 0;
+    # on the codim-2 model M_8 has dimension 66, and the subset routes
+    # take (3^7 - 1)/2 products to return that 0
+    m = _codim_2_model()
+    assert validate(m).ok and multiple_point_dimension(m, 8) == (66,)
+    assert signature_collected(m, 8) == signature_collected_source(m, 8) == 0
+    # called directly, every route still computes, and gives the same 0
+    rng = random.Random(23)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=6) for _ in range(6)]
+    dims = {(d, k): multiple_point_dimension(d, k) for d in models for k in range(1, 5)}
+    cases = [(d, k) for (d, k), ns in dims.items()
+             if max(ns) >= 0 and all(n < 0 or n % 4 for n in ns)]
+    assert len(cases) >= 10
+    for d, k in cases:
+        assert all(route(d, k) == 0 for route in SIGNATURE_ROUTES.values()), (d.name, k)
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("no route runs when the degrees decide the signature")
+
+    for name in SIGNATURE_ROUTES:
+        monkeypatch.setitem(SIGNATURE_ROUTES, name, unavailable)
+    monkeypatch.setattr(formulas, "_transfer", unavailable)
+    start = time.perf_counter()
+    for route in (*SIGNATURE_ROUTES, "auto"):
+        assert signature(m, 8, route=route) == 0, route
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(AssertionError, match="no route runs"):
+        signature(m, 7, route="collected")  # dimension 68: the route runs
 
 
 def _m12_model():
@@ -584,10 +633,13 @@ def test_models_loaded_from_one_file_share_no_memo(tmp_path):
 
 def test_signature_keeps_one_collected_chain_per_normal_class():
     # the source route reads F_n = f*(E_n) from the target chain: no chain
-    # of its own, and every F_n it read is kept on the target chain
+    # of its own, and every F_n it read is kept on the target chain; the
+    # routes are called directly, since signature returns 0 before any route
+    # when no k-tuple dimension is 0 mod 4
     for m in _memo_models():
         for k in range(1, 6):
-            signature(m, k)
+            for route in SIGNATURE_ROUTES.values():
+                route(m, k)
         keys = [key for key in m._cache if isinstance(key, tuple) and key[0] == "collected"]
         assert keys == [("collected", m.l_normal_inverse)], m.name
         chain = m._cache[keys[0]]
@@ -641,41 +693,147 @@ def test_signature_invalid_k():
 
 
 def _k_entry_points():
-    """Every public evaluator taking a multiplicity k, and the oracle's
-    signature, as (name, call(k))."""
+    """Every public function of formulas and every oracle entry point that
+    runs the entry checks, as name -> (function, its valid arguments at
+    k = 2 by parameter name, in parameter order)."""
     d3, quadric = bundled_model("hypersurface-d3"), bundled_model("line-in-quadric")
-    plane = bundled_model("line-in-plane")
+    plane, null_push, cp2 = map(bundled_model, ("line-in-plane", "null-pushforward",
+                                                "nullhomotopic-cp2-in-s6"))
     x = graded.TensorClass(d3.source, 2, {(0, 0): 1})
     y = graded.TensorClass(plane.target, 2, {(0, 0): 1})
-    calls = {name: (lambda k, fn=fn: fn(d3, k)) for name, fn in SIGNATURE_ROUTES.items()}
+    coeffs = [Fraction(1), Fraction(-1, 2)]
+    on_d3 = {"model": d3, "k": 2}
+    calls = {name: (fn, on_d3) for name, fn in SIGNATURE_ROUTES.items()}
     calls.update({
-        "signature": lambda k: signature(d3, k),
-        "multiple_point_dimension": lambda k: multiple_point_dimension(d3, k),
-        "genus": lambda k: formulas.genus(d3, k, (0, 1)),
-        "pontrjagin_number": lambda k: pontrjagin_number(d3, k, (4,)),
-        "chern_number": lambda k: chern_number(quadric, k, (2,)),
-        "virtual_signature_class": lambda k: virtual_signature_class(d3, k),
-        "virtual_signature_class_union": lambda k: virtual_signature_class_union([d3, d3], k),
-        "transfer_to_source": lambda k: transfer_to_source(d3, k, x),
-        "transfer_to_target": lambda k: transfer_to_target(d3, k, x),
-        "transfer_of_unit": lambda k: transfer_of_unit(d3, k),
-        "pulled_from_target_class": lambda k: pulled_from_target_class(plane, k, y),
-        "pulled_from_target": lambda k: pulled_from_target(plane, k),
-        "euler_zero": lambda k: euler_zero(quadric, k),
-        "pushpull_zero": lambda k: pushpull_zero(bundled_model("null-pushforward"), k),
-        "nullhomotopic": lambda k: nullhomotopic(bundled_model("nullhomotopic-cp2-in-s6"), k),
-        "signature_enumerated": lambda k: signature_enumerated(d3, k),
+        "signature": (signature, {**on_d3, "route": "auto"}),
+        "multiple_point_dimension": (multiple_point_dimension, on_d3),
+        "empty_locus_warning": (formulas.empty_locus_warning, on_d3),
+        "genus": (formulas.genus, {**on_d3, "log_coeffs": (0, 1), "chern": False}),
+        "pontrjagin_number": (pontrjagin_number, {**on_d3, "J": (4,)}),
+        "chern_number": (chern_number, {"model": quadric, "k": 2, "J": (2,)}),
+        "virtual_signature_class": (virtual_signature_class, on_d3),
+        "virtual_signature_class_union": (virtual_signature_class_union,
+                                          {"models": [d3, d3], "k": 2}),
+        "transfer_to_source": (transfer_to_source, {**on_d3, "x": x}),
+        "transfer_to_target": (transfer_to_target, {**on_d3, "x": x}),
+        "transfer_of_unit": (transfer_of_unit, on_d3),
+        "pulled_from_target_class": (pulled_from_target_class, {"model": plane, "k": 2, "y": y}),
+        "pulled_from_target": (pulled_from_target, {"model": plane, "k": 2, "J": None}),
+        "euler_zero": (euler_zero, {"model": quadric, "k": 2}),
+        "pushpull_zero": (pushpull_zero, {"model": null_push, "k": 2, "J": None}),
+        "nullhomotopic": (nullhomotopic, {"model": cp2, "k": 2, "J": None}),
+        "signature_enumerated": (signature_enumerated, {**on_d3, "cap": DEFAULT_CAP}),
+        "virtual_class_enumerated": (virtual_class_enumerated, {**on_d3, "cap": DEFAULT_CAP}),
+        "transfer_to_source_enumerated": (transfer_to_source_enumerated,
+                                          {**on_d3, "x": x, "cap": DEFAULT_CAP}),
+        "transfer_to_target_enumerated": (transfer_to_target_enumerated,
+                                          {**on_d3, "x": x, "cap": DEFAULT_CAP}),
+        "compose_enumerated": (oracle.compose_enumerated, {
+            "outer_coeffs": coeffs, "inner_coeffs": coeffs, "k": 2, "cap": DEFAULT_CAP}),
+        "double_composition_enumerated": (oracle.double_composition_enumerated, {
+            "a": coeffs, "b": coeffs, "c": coeffs, "k": 2, "cap": DEFAULT_CAP}),
+        "recursion_identity_holds": (recursion_identity_holds, {**on_d3, "x": x}),
     })
     return calls
+
+
+def test_every_public_function_runs_the_entry_checks():
+    public = {name for name, fn in vars(formulas).items()
+              if callable(fn) and not isinstance(fn, type) and not name.startswith("_")
+              and fn.__module__ == formulas.__name__}
+    table = {fn.__name__ for fn, _ in _k_entry_points().values()}
+    assert public <= table, public - table
+    for fn, args in _k_entry_points().values():
+        assert fn.__wrapped__.__code__.co_varnames[:len(args)] == tuple(args), fn.__name__
 
 
 @pytest.mark.parametrize("name", sorted(_k_entry_points()))
 @pytest.mark.parametrize("k", [1.5, 2.0, Fraction(2), True, "2"], ids=repr)
 def test_a_multiplicity_that_is_not_an_int_is_refused(name, k):
-    call = _k_entry_points()[name]
-    call(2)  # the entry point accepts the int k = 2
+    fn, args = _k_entry_points()[name]
+    fn(*args.values())  # the entry point accepts the int k = 2
     with pytest.raises(ValueError, match="multiplicity k must be an int"):
-        call(k)
+        fn(*{**args, "k": k}.values())
+
+
+# values of the kinds no entry check may let through as a stray exception
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=6),
+    st.dictionaries(st.integers(-4, 4), st.integers(-4, 4), max_size=3),
+    st.recursive(st.integers(-4, 8), lambda inner: st.lists(inner, max_size=3)
+                 | st.tuples(inner, inner), max_leaves=6),
+    st.integers(-2 ** 4000, 2 ** 4000).filter(lambda n: abs(n) > 2 ** 64),
+)
+
+
+@pytest.mark.parametrize("name", sorted(_k_entry_points()))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_each_checked_argument_returns_or_raises_value_error(name, data):
+    # one argument at a time is replaced, the others stay valid; the
+    # oracle's coefficient lists take any values with + and *, so only the
+    # parameters that the entry checks name are drawn
+    fn, args = _k_entry_points()[name]
+    param = data.draw(st.sampled_from([p for p in args if p in formulas._ENTRY_CHECKS]))
+    value = data.draw(_JUNK)
+    call = {**args, param: value}
+    start = time.perf_counter()
+    try:
+        if data.draw(st.booleans()):
+            fn(**call)
+        else:
+            fn(*call.values())
+    except ValueError:
+        pass
+    assert time.perf_counter() - start < 2, (param, value)
+
+
+def _d3():
+    return bundled_model("hypersurface-d3")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: formulas.genus(_d3(), 1, None), graded.GradedAlgebraError, "^log_coeffs must"),
+    (lambda: formulas.genus(_d3(), 1, 5), graded.GradedAlgebraError, "^log_coeffs must"),
+    (lambda: formulas.genus(_d3(), 1, "ab"), graded.GradedAlgebraError, "^log_coeffs must"),
+    (lambda: formulas.genus(_d3(), 1, {1: 2}), graded.GradedAlgebraError, "^log_coeffs must"),
+    (lambda: signature(None, 2), ModelError, "^model must"),
+    (lambda: pontrjagin_number(None, 2, (4,)), ModelError, "^model must"),
+    (lambda: multiple_point_dimension(None, 2), ModelError, "^model must"),
+    (lambda: transfer_of_unit(None, 2), ModelError, "^model must"),
+    (lambda: virtual_signature_class(None, 2), ModelError, "^model must"),
+    (lambda: virtual_signature_class_union([_d3(), 5], 2), ModelError, "^models must"),
+    (lambda: virtual_signature_class_union(_d3(), 2), ModelError, "^models must"),
+    (lambda: transfer_to_source(_d3(), 2, None), graded.GradedAlgebraError, "^x must"),
+    (lambda: pulled_from_target_class(_d3(), 2, None), graded.GradedAlgebraError, "^y must"),
+    (lambda: formulas.empty_locus_warning(_d3(), 0), ValueError, "multiplicity k must be at least 1"),
+    (lambda: formulas.empty_locus_warning(_d3(), "a"), ValueError, "multiplicity k must be an int"),
+], ids=["genus-None", "genus-int", "genus-str", "genus-dict", "signature-None",
+        "pontrjagin-None", "dimension-None", "unit-transfer-None", "virtual-class-None",
+        "union-with-an-int", "union-of-a-model", "transfer-x-None", "pulled-y-None",
+        "warning-k-0", "warning-k-str"])
+def test_an_argument_that_escaped_before_is_refused_by_name(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_entry_checks_read_keywords_and_defaults_and_leave_a_missing_argument_to_python():
+    d3, plane = _d3(), bundled_model("line-in-plane")
+    with pytest.raises(ValueError, match="unknown signature route"):
+        signature(model=d3, k=2, route="nonesuch")
+    with pytest.raises(ModelError, match="^model must"):
+        signature(None, "a", route=5)  # parameter order: model first
+    with pytest.raises(ValueError, match="oracle refuses k=8"):
+        signature_enumerated(d3, k=8)  # the default cap is checked too
+    # None passes only where the function's default for J is None
+    assert pulled_from_target(plane, 2, None) == pulled_from_target(plane, k=2)
+    with pytest.raises(graded.GradedAlgebraError, match="index sequence"):
+        pontrjagin_number(d3, 2, J=None)
+    with pytest.raises(TypeError, match="missing"):
+        signature(d3)
+    with pytest.raises(TypeError, match="missing"):
+        transfer_to_source(d3, x=graded.TensorClass(d3.source, 2, {(0, 0): 1}))
+    assert signature.__name__ == "signature" and signature.__wrapped__.__name__ == "signature"
 
 
 def test_signature_nullhomotopic_triple_point():

@@ -18,7 +18,7 @@ from multipoint.graded import (
     power_sums,
     signature_class,
 )
-from multipoint.model import disjoint_union, product_ring
+from multipoint.model import disjoint_union, product_ring, validate
 from multipoint.models import (
     BUNDLED,
     bundled_model,
@@ -396,9 +396,10 @@ def test_signature_class_on_the_codim_2_model_matches_the_reference():
     # source t^0..t^40, target h^0..h^41: 40 distinct positive degrees, so
     # y^m runs up to m = 40 and the one division is by D^M * M!
     rng = random.Random(1)
-    M = truncated_polynomial_ring("t", 40, integral_value=2)
+    M = truncated_polynomial_ring("t", 40, integral_value=3)
     N = truncated_polynomial_ring("h", 41)
     m = _truncated_model("codim-2", M, N, 3, 2, _random_unital(rng, M, 4), _random_unital(rng, N, 4))
+    assert validate(m).ok
     classes = (m.pontrjagin_source, m.pontrjagin_target, m.normal_pontrjagin,
                m.pullback(m.pontrjagin_target))
     for P in classes:
