@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from math import factorial
+from math import factorial, log10
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .collected import (
@@ -80,12 +80,34 @@ def _models(models: object) -> None:
         raise ModelError(f"models must be a non-empty list or tuple of ImmersionModels, got {models!r}")
 
 
+def _shown(x) -> str:
+    """str(x) for an int or a tuple of ints, with an int that str() refuses
+    (past the interpreter's int-to-str digit limit) shown by its digit count."""
+    if isinstance(x, tuple):
+        return f"({', '.join(map(_shown, x))}{',' if len(x) == 1 else ''})"
+    try:
+        return str(x)
+    except ValueError:
+        n = abs(x)
+        d = int(log10(n))  # floor(log10(n)), or one off it
+        d += (10 ** (d + 1) <= n) - (10 ** d > n)
+        return f"{'-' if x < 0 else ''}<{d + 1}-digit integer>"
+
+
+def _text(template: str, *values) -> str:
+    """template % values, each value shown by _shown if str() refuses one."""
+    try:
+        return template % values
+    except ValueError:
+        return template % tuple(map(_shown, values))
+
+
 def _k(k: object) -> None:
     # a bool, float, Fraction or string is refused, not truncated
     if type(k) is not int:
         raise ValueError(f"multiplicity k must be an int, got {k!r}")
     if k < 1:
-        raise ValueError(f"multiplicity k must be at least 1, got {k}")
+        raise ValueError(f"multiplicity k must be at least 1, got {_shown(k)}")
 
 
 def _J(J: object) -> None:
@@ -122,7 +144,7 @@ def _cap(cap: object, k: int) -> None:
     if type(cap) is not int:
         raise ValueError(f"oracle cap must be an int, got {cap!r}")
     if k > cap:
-        raise ValueError(f"oracle refuses k={k} beyond its cap {cap}")
+        raise ValueError(f"oracle refuses k={_shown(k)} beyond its cap {cap}")
 
 
 # a check's parameters after the first name the arguments it also reads
@@ -192,8 +214,9 @@ def empty_locus_warning(model: ImmersionModel, k: int) -> Optional[str]:
     not."""
     if not _empty_locus(model, k):
         return None
-    return (f"the {k}-tuple point manifold is empty: (k-1)*codim = {(k - 1) * model.codim} "
-            f"exceeds the source dimension(s) {model.source_dimensions()}; the value is 0")
+    return _text("the %s-tuple point manifold is empty: (k-1)*codim = %s exceeds the source "
+                 "dimension(s) %s; the value is 0", k, (k - 1) * model.codim,
+                 model.source_dimensions())
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +508,8 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     # the arguments are checked: __wrapped__ runs no entry check again
     dims = multiple_point_dimension.__wrapped__(model, k)
     if sum(J) not in dims:
-        warnings.append(
-            f"degree sum {sum(J)} does not match the k-tuple dimension(s) {dims}; "
-            "the pairing vanishes")
+        warnings.append(_text("degree sum %s does not match the k-tuple dimension(s) %s; "
+                              "the pairing vanishes", sum(J), dims))
     empty = empty_locus_warning.__wrapped__(model, k)
     if empty is not None:
         warnings.append(empty)

@@ -61,11 +61,12 @@ def _clean(coords: Mapping[int, object]) -> Coords:
     return out
 
 
-def _clean_in_basis(coords: Mapping[int, object], n: int, what: str) -> Coords:
+def _clean_in_basis(coords: Mapping[int, object], n: int, *what: object) -> Coords:
     out = _clean(coords)
     for i in out:
         if not 0 <= i < n:
-            raise GradedAlgebraError(f"{what} index {i} outside the basis 0..{n - 1}")
+            raise GradedAlgebraError(f"{' '.join(map(str, what))} index {i} "
+                                     f"outside the basis 0..{n - 1}")
     return out
 
 
@@ -116,21 +117,19 @@ class GradedRing:
 
         n = len(self.labels)
         table: Dict[Tuple[int, int], Coords] = {}
+        # the same table by rows: rows[i][j] = e_i e_j, nonzero entries only
+        self.rows: Tuple[Dict[int, Coords], ...] = tuple({} for _ in range(n))
         for (i, j), coords in products.items():
             i, j = int(i), int(j)
             if not (0 <= i < n and 0 <= j < n):
                 raise GradedAlgebraError(f"product key ({i}, {j}) outside the basis 0..{n - 1}")
             key = (i, j) if i <= j else (j, i)
-            coords = _clean_in_basis(coords, n, f"product {key} value")
+            coords = _clean_in_basis(coords, n, "product", key, "value")
             if key in table and table[key] != coords:
                 raise GradedAlgebraError(f"conflicting product entries for {key}")
             if coords:
-                table[key] = coords
+                table[key] = self.rows[i][j] = self.rows[j][i] = coords
         self.products = table
-        # the same table by rows: rows[i][j] = e_i e_j, nonzero entries only
-        self.rows: Tuple[Dict[int, Coords], ...] = tuple({} for _ in range(n))
-        for (i, j), coords in table.items():
-            self.rows[i][j] = self.rows[j][i] = coords
 
         self.integral = _clean_in_basis(integral, n, "integral")
 
@@ -166,7 +165,7 @@ class GradedRing:
         return GradedClass(self, {i: 1})
 
     def element(self, coords: Mapping[int, object]) -> "GradedClass":
-        return GradedClass(self, _clean(coords))
+        return GradedClass(self, coords)
 
     # ---- products ---------------------------------------------------------
 
@@ -190,21 +189,6 @@ class GradedRing:
                     for idx, v in s.items():
                         out[idx] = out.get(idx, 0) + c * v
         return {idx: c for idx, c in out.items() if c}
-
-    def products_by_basis(self, a: Mapping[int, Scalar]) -> Dict[int, Coords]:
-        """{l: a * e_l} over the l where that product is nonzero.  For a = e_p
-        this is the ring's own row p, which callers must not mutate."""
-        if len(a) == 1:
-            (p, c), = a.items()
-            if c == 1:
-                return self.rows[p]
-            return {l: {idx: c * v for idx, v in s.items()} for l, s in self.rows[p].items()}
-        out: Dict[int, Coords] = {}
-        for p in a:
-            for l in self.rows[p]:
-                if l not in out:
-                    out[l] = self.mul_coords(a, {l: 1})
-        return {l: t for l, t in out.items() if t}
 
     def integrate_coords(self, coords: Mapping[int, Scalar]) -> Fraction:
         """Apply the integration functional (supported in top degrees) to
@@ -230,38 +214,43 @@ class GradedRing:
         (i, j, l) reads A(i, j, l) == A(j, l, i).  Both sides vanish unless
         one of them is a nonzero entry, so only those entries are compared.
         """
-        issues: List[str] = []
         n = len(self.labels)
-        labels = self.labels
-        for i in range(n):
-            if self.mul_coords(self.unit_coords, {i: 1}) != {i: 1}:
-                issues.append(f"unit law fails on basis element {labels[i]}")
-        for i, j in sorted(self.products):
-            d = self.degrees[i] + self.degrees[j]
-            comp_i, comp_j = self._component_of[i], self._component_of[j]
-            for idx in self.products[(i, j)]:
-                if self.degrees[idx] != d:
+        labels, degrees, rows = self.labels, self.degrees, self.rows
+        component_of = self._component_of
+        unit_row = combine_rows(self.unit_coords, rows)
+        issues = [f"unit law fails on basis element {labels[i]}"
+                  for i in range(n) if unit_row.get(i) != {i: 1}]
+        # a unit e_p that passes the unit law makes every triple holding p associative
+        unit = (next(iter(self.unit_coords))
+                if not issues and [*self.unit_coords.values()] == [1] else None)
+        triple: List[Dict[int, Dict[int, Coords]]] = [{} for _ in range(n)]
+        for (i, j), ij in sorted(self.products.items()):
+            d = degrees[i] + degrees[j]
+            comp_i, comp_j = component_of[i], component_of[j]
+            for idx in ij:
+                if degrees[idx] != d:
                     issues.append(
                         f"product {labels[i]}*{labels[j]} has a term "
-                        f"in degree {self.degrees[idx]}, expected {d}")
-                if self._component_of[idx] is not comp_i:
+                        f"in degree {degrees[idx]}, expected {d}")
+                if component_of[idx] is not comp_i:
                     issues.append(f"product {labels[i]}*{labels[j]} leaves its component")
             if comp_i is not comp_j:
                 issues.append(f"cross-component product {labels[i]}*{labels[j]} is nonzero")
             if d > comp_i.top_degree:
                 issues.append(f"product {labels[i]}*{labels[j]} exceeds the top degree")
-        triple: List[Dict[int, Dict[int, Coords]]] = [{} for _ in range(n)]
-        for (i, j), ij in self.products.items():
-            triple[i][j] = triple[j][i] = self.products_by_basis(ij)
+            triple[i][j] = triple[j][i] = combine_rows(ij, rows)
         failing = set()
         empty: Dict[int, Coords] = {}
         for i, j in self.products:
-            for l, x in triple[i][j].items():
+            if unit in (i, j):
+                continue
+            ti, tj = triple[i], triple[j]
+            for l, x in ti[j].items():
                 # the law at (i, j, l) and at its mirror (l, j, i) compare x
                 # with A(j, l, i); at (j, i, l) and (l, i, j), with A(i, l, j)
-                if x != triple[j].get(l, empty).get(i):
+                if x != tj.get(l, empty).get(i):
                     failing.update(((i, j, l), (l, j, i)))
-                if i != j and x != triple[i].get(l, empty).get(j):
+                if i != j and x != ti.get(l, empty).get(j):
                     failing.update(((j, i, l), (l, i, j)))
         for i, j, l in sorted(failing):
             issues.append(f"associativity fails on ({labels[i]},{labels[j]},{labels[l]})")
@@ -399,6 +388,25 @@ class GradedClass:
             lab = self.ring.labels[i]
             bits.append(f"{c}*{lab}" if lab != "1" else f"{c}")
         return " + ".join(bits)
+
+
+def combine_rows(a: Mapping[int, Scalar],
+                 rows: Sequence[Mapping[int, Coords]]) -> Dict[int, Coords]:
+    """sum_p a_p rows[p] for tables rows[p] = {l: coordinate dict}, over
+    the l where the sum is nonzero.  For a = e_p this is rows[p] itself,
+    which callers must not mutate."""
+    if len(a) == 1:
+        (p, c), = a.items()
+        if c == 1:
+            return rows[p]
+        return {l: {i: c * v for i, v in s.items()} for l, s in rows[p].items()}
+    out: Dict[int, Coords] = {}
+    for p, c in a.items():
+        for l, s in rows[p].items():
+            acc = out.setdefault(l, {})
+            for i, v in s.items():
+                acc[i] = acc.get(i, 0) + c * v
+    return {l: t for l, s in out.items() if (t := {i: v for i, v in s.items() if v})}
 
 
 def nilpotency_order(ring: GradedRing) -> int:

@@ -11,8 +11,6 @@ point formulas use.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from itertools import product as iproduct
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .graded import (
@@ -22,6 +20,7 @@ from .graded import (
     GradedRing,
     RingComponent,
     Scalar,
+    combine_rows,
     genus_coords,
     power_sum_coords,
 )
@@ -221,6 +220,33 @@ def _same_ring(a: GradedRing, b: GradedRing) -> bool:
     return a is b or a == b
 
 
+def _mapped(table: Mapping[int, Coords], images: Mapping[int, Coords],
+            linmap: LinearMap) -> Dict[int, Coords]:
+    """{j: linmap(table[j])} over the j where that is nonzero; the image of
+    a basis element is read from images = {m: linmap(e_m)}."""
+    out = {}
+    for j, x in table.items():
+        if len(x) == 1 and 1 in x.values():
+            m, = x
+            y = images.get(m)
+        else:
+            y = linmap.apply_coords(x)
+        if y:
+            out[j] = y
+    return out
+
+
+def _row_witness(ring: GradedRing, left: Sequence[str], right: Sequence[str], rows) -> str:
+    """The witness at the first column of the first pair of rows {j: class
+    coordinates in ring} that differ, or "" when every pair agrees."""
+    for i, (lhs, rhs) in enumerate(rows):
+        if lhs != rhs:
+            j = min(j for j in lhs.keys() | rhs.keys() if lhs.get(j) != rhs.get(j))
+            return (f"on ({left[i]}, {right[j]}): "
+                    f"{ring.element(lhs.get(j, {}))} != {ring.element(rhs.get(j, {}))}")
+    return ""
+
+
 def validate(model: ImmersionModel) -> ValidationReport:
     """Run every consistency check the formulas rely on.
 
@@ -244,9 +270,9 @@ def validate(model: ImmersionModel) -> ValidationReport:
     report.add("pullback preserves degrees", not issues, "; ".join(issues[:3]))
     unital = model.pullback(model.target.unit()) == model.source.unit()
     report.add("pullback is unital", unital)
-    # Multiplicativity and the projection formula are compared on coordinate
-    # dicts, and classes are built only for a witness.  Maps whose rings
-    # differ from the model's are refused as the class operations refuse them.
+    # Multiplicativity and the projection formula are compared a row of basis
+    # pairs at a time, on coordinate dicts; classes are built only for a witness.
+    # Maps whose rings differ from the model's are refused as class operations would.
     source, target = model.source, model.target
     pull, push = model.pullback, model.pushforward
     if not _same_ring(pull.codomain, source):
@@ -255,17 +281,21 @@ def validate(model: ImmersionModel) -> ValidationReport:
         raise ModelError("class is not in the domain of the map")
     if not _same_ring(push.codomain, target):
         raise GradedAlgebraError("classes live in different rings")
-    pulled = [pull.apply_coords({j: 1}) for j in range(len(target.labels))]
-    pushed = [push.apply_coords({i: 1}) for i in range(len(source.labels))]
+    ns, nt = len(source.labels), len(target.labels)
+    pulled = {j: pull.images[j].coords for j in range(nt) if j in pull.images}
+    pushed = {i: push.images[i].coords for i in range(ns) if i in push.images}
+    # by_basis[l] = {j: e_l f*(e_j)}, the one table both checks read
+    by_basis: List[Dict[int, Coords]] = [{} for _ in range(ns)]
+    for j, img in pulled.items():
+        for l, x in combine_rows(img, source.rows).items():
+            by_basis[l][j] = x
 
-    mult_witness = ""
-    for i, j in combinations_with_replacement(range(len(target.labels)), 2):
-        lhs = pull.apply_coords(target.basis_product(i, j))
-        rhs = source.mul_coords(pulled[i], pulled[j])
-        if lhs != rhs:
-            mult_witness = (f"on ({target.labels[i]}, {target.labels[j]}): "
-                            f"{source.element(lhs)} != {source.element(rhs)}")
-            break
+    # f*(e_i e_j) against f*(e_i) f*(e_j) = sum_l c_l e_l f*(e_j) over
+    # f*(e_i) = sum_l c_l e_l; both sides are symmetric in (i, j), so the
+    # first row that differs differs first at some j >= i
+    mult_witness = _row_witness(source, target.labels, target.labels, (
+        (_mapped(row, pulled, pull), combine_rows(pulled.get(i, {}), by_basis))
+        for i, row in enumerate(target.rows)))
     report.add("pullback is multiplicative", not mult_witness, mult_witness)
 
     issues = push.respects_degrees()
@@ -273,37 +303,22 @@ def validate(model: ImmersionModel) -> ValidationReport:
     report.add("pushforward raises degree by codimension", shift_ok,
                f"shift={push.degree_shift}; " + "; ".join(issues[:3]))
 
-    # projection formula on all basis pairs, from the products by one basis
-    # element: by_source[j] = {i: e_i f*(e_j)}, by_target[i] = {j: f_!(e_i) e_j}
-    by_source = [source.products_by_basis(c) for c in pulled]
-    by_target = [target.products_by_basis(c) for c in pushed]
-    proj_witness = ""
-    for i, j in iproduct(range(len(source.labels)), range(len(target.labels))):
-        prod = by_source[j].get(i)
-        rhs = by_target[i].get(j, {})
-        if prod is None and not rhs:
-            continue  # both sides vanish
-        lhs = push.apply_coords(prod or {})
-        if lhs != rhs:
-            proj_witness = (f"on ({source.labels[i]}, {target.labels[j]}): "
-                            f"{target.element(lhs)} != {target.element(rhs)}")
-            break
+    # f_!(e_i f*(e_j)) against f_!(e_i) e_j
+    proj_witness = _row_witness(target, source.labels, target.labels, (
+        (_mapped(row, pushed, push), combine_rows(pushed.get(i, {}), target.rows))
+        for i, row in enumerate(by_basis)))
     report.add("projection formula", not proj_witness, proj_witness)
 
     # integration compatibility on top-degree source basis elements
-    int_ok, int_witness = True, ""
-    for i in range(len(model.source.labels)):
-        comp = model.source.component_of(i)
-        if model.source.degrees[i] != comp.top_degree:
-            continue
-        x = model.source.basis_class(i)
-        lhs = model.pushforward(x).integrate()
-        rhs = x.integrate()
-        if lhs != rhs:
-            int_ok = False
-            int_witness = f"on {model.source.labels[i]}: {lhs} != {rhs}"
-            break
-    report.add("integration compatibility", int_ok, int_witness)
+    int_witness = ""
+    for i in range(ns):
+        if source.degrees[i] == source.component_of(i).top_degree:
+            lhs = target.integrate_coords(pushed.get(i, {}))
+            rhs = source.integrate_coords({i: 1})
+            if lhs != rhs:
+                int_witness = f"on {source.labels[i]}: {lhs} != {rhs}"
+                break
+    report.add("integration compatibility", not int_witness, int_witness)
 
     for label, cls in (("source", model.pontrjagin_source), ("target", model.pontrjagin_target)):
         ok = cls.is_unital() and all(

@@ -36,36 +36,58 @@ def _fraction_from(value, where: str) -> Scalar:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        # an ASCII decimal integer reads the same by int() as by Fraction()
-        digits = value[1:] if value[:1] == "-" else value
         try:
-            if digits.isascii() and digits.isdigit():
-                return int(value)
             return exact(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelFormatError(f"{where}: bad rational {value!r}: {exc}") from None
     raise ModelFormatError(f"{where}: expected a rational string, got {type(value).__name__}")
 
 
+def _at(where: str, keys) -> str:
+    return where + "".join(f"[{k}]" for k in keys)
+
+
 def _coords_to_json(coords: Mapping[int, Scalar]) -> Dict[str, str]:
     return {str(i): str(c) for i, c in sorted(coords.items())}
 
 
-def _coords_from(obj, where: str) -> Dict[int, Scalar]:
+# the canonical decimal key of each basis index below 256, read with no check
+_INDICES = {str(i): i for i in range(256)}
+
+
+def _index(key, where: str, *keys) -> int:
+    """The basis index a JSON key names.  Only a canonical decimal ("0",
+    "12") names one, so no two keys name the same index; anything else is
+    a ModelFormatError at where[key]..."""
+    idx = _INDICES.get(key)
+    if idx is None:
+        if not (type(key) is str and key.isdecimal() and key.isascii()
+                and (key[0] != "0" or key == "0") and len(key) < 640):
+            raise ModelFormatError(f"{_at(where, keys)}: bad basis index {key!r}; "
+                                   "an index is a canonical decimal such as '0' or '12'")
+        idx = int(key)
+    return idx
+
+
+def _coords_from(obj, where: str, *keys) -> Dict[int, Scalar]:
+    """{index: rational} from the JSON object at where[key]...  A decimal
+    integer is read here, and the location is put together only for an
+    error or for another value, which _fraction_from reads."""
     if not isinstance(obj, dict):
-        raise ModelFormatError(f"{where}: expected an object of index -> rational")
+        raise ModelFormatError(f"{_at(where, keys)}: expected an object of index -> rational")
     out: Dict[int, Scalar] = {}
     for key, value in obj.items():
-        try:
-            idx = int(key)
-        except ValueError:
-            raise ModelFormatError(f"{where}: bad basis index {key!r}") from None
-        out[idx] = _fraction_from(value, f"{where}[{key}]")
+        idx = _INDICES.get(key)
+        if idx is None:
+            idx = _index(key, where, *keys)
+        # an ASCII decimal integer reads the same by int() as by Fraction(), and
+        # int() reads 640 digits under any int-to-str limit the interpreter takes
+        if (type(value) is str and len(value) < 640 and value.isascii()
+                and value.removeprefix("-").isdecimal()):
+            out[idx] = int(value)
+        else:
+            out[idx] = _fraction_from(value, f"{_at(where, keys)}[{key}]")
     return out
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(obj: Mapping, key: str, where: str):
@@ -102,22 +124,19 @@ def ring_from_dict(obj, where: str = "ring") -> GradedRing:
     degrees = _require(obj, "degrees", where)
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ModelFormatError(f"{where}: labels must be a list of strings")
-    if not isinstance(degrees, list) or not all(_is_int(x) for x in degrees):
+    if not isinstance(degrees, list) or not all(type(x) is int for x in degrees):
         raise ModelFormatError(f"{where}: degrees must be a list of integers")
 
     raw_products = _require(obj, "products", where)
     if not isinstance(raw_products, dict):
         raise ModelFormatError(f"{where}: products must be an object")
     products: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+    at = f"{where}.products"
     for key, coords in raw_products.items():
-        parts = key.split(",")
-        if len(parts) != 2:
+        i, comma, j = key.partition(",") if type(key) is str else ("", "", "")
+        if not comma:
             raise ModelFormatError(f"{where}: product key {key!r} is not 'i,j'")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ModelFormatError(f"{where}: product key {key!r} is not 'i,j'") from None
-        products[(i, j)] = _coords_from(coords, f"{where}.products[{key}]")
+        products[(_index(i, at, key), _index(j, at, key))] = _coords_from(coords, at, key)
 
     integral = _coords_from(_require(obj, "integral", where), f"{where}.integral")
     unit = _coords_from(obj["unit"], f"{where}.unit") if "unit" in obj else None
@@ -131,14 +150,14 @@ def ring_from_dict(obj, where: str = "ring") -> GradedRing:
             if not isinstance(c, dict):
                 raise ModelFormatError(f"{cwhere}: expected an object")
             indices = _require(c, "indices", cwhere)
-            if not isinstance(indices, list) or not all(_is_int(i) for i in indices):
+            if not isinstance(indices, list) or not all(type(i) is int for i in indices):
                 raise ModelFormatError(f"{cwhere}: indices must be a list of integers")
             top = _require(c, "top_degree", cwhere)
-            if not _is_int(top):
+            if type(top) is not int:
                 raise ModelFormatError(f"{cwhere}: top_degree must be an integer")
             components.append(RingComponent(str(c.get("name", f"c{n}")), tuple(indices), top))
     top_degree = obj.get("top_degree")
-    if "top_degree" in obj and not _is_int(top_degree):
+    if "top_degree" in obj and type(top_degree) is not int:
         raise ModelFormatError(f"{where}: top_degree must be an integer")
     try:
         return GradedRing(labels, degrees, products, integral,
@@ -163,13 +182,10 @@ def _map_from(obj, domain: GradedRing, codomain: GradedRing,
         raise ModelFormatError(f"{where}: expected an object of index -> class")
     images = {}
     for key, coords in obj.items():
-        try:
-            idx = int(key)
-        except ValueError:
-            raise ModelFormatError(f"{where}: bad basis index {key!r}") from None
-        if not 0 <= idx < len(domain.labels):
+        idx = _index(key, where)
+        if idx >= len(domain.labels):
             raise ModelFormatError(f"{where}: index {idx} outside the domain basis")
-        images[idx] = _coords_from(coords, f"{where}[{key}]")
+        images[idx] = _coords_from(coords, where, key)
     try:
         return LinearMap.from_coords(domain, codomain, images, degree_shift=shift)
     except ValueError as exc:
@@ -183,6 +199,10 @@ def _class_from(obj, ring: GradedRing, where: str) -> GradedClass:
         raise ModelFormatError(f"{where}: {exc}") from None
 
 
+# the classes of a model, each keyed by its argument name; the Chern classes may be absent
+_CLASSES = ("euler", "pontrjagin_source", "pontrjagin_target", "chern_source", "chern_target")
+
+
 def model_to_dict(model: ImmersionModel) -> dict:
     out = {
         "format_version": FORMAT_VERSION,
@@ -192,14 +212,10 @@ def model_to_dict(model: ImmersionModel) -> dict:
         "target": ring_to_dict(model.target),
         "pullback": _map_to_dict(model.pullback),
         "pushforward": _map_to_dict(model.pushforward),
-        "euler": _coords_to_json(model.euler.coords),
-        "pontrjagin_source": _coords_to_json(model.pontrjagin_source.coords),
-        "pontrjagin_target": _coords_to_json(model.pontrjagin_target.coords),
     }
-    if model.chern_source is not None:
-        out["chern_source"] = _coords_to_json(model.chern_source.coords)
-    if model.chern_target is not None:
-        out["chern_target"] = _coords_to_json(model.chern_target.coords)
+    for key in _CLASSES:
+        if getattr(model, key) is not None:
+            out[key] = _coords_to_json(getattr(model, key).coords)
     return out
 
 
@@ -220,7 +236,7 @@ def model_from_dict(obj, where: str = "model") -> ImmersionModel:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"{where}: unsupported format_version {version}")
     codim = _require(obj, "codim", where)
-    if not _is_int(codim):
+    if type(codim) is not int:
         raise ModelFormatError(f"{where}: codim must be an integer")
     source = ring_from_dict(_require(obj, "source", where), f"{where}.source")
     target = ring_from_dict(_require(obj, "target", where), f"{where}.target")
@@ -228,21 +244,13 @@ def model_from_dict(obj, where: str = "model") -> ImmersionModel:
                          f"{where}.pullback")
     pushforward = _map_from(_require(obj, "pushforward", where), source, target, codim,
                             f"{where}.pushforward")
-    euler = _class_from(_require(obj, "euler", where), source, f"{where}.euler")
-    p_src = _class_from(_require(obj, "pontrjagin_source", where), source,
-                        f"{where}.pontrjagin_source")
-    p_tgt = _class_from(_require(obj, "pontrjagin_target", where), target,
-                        f"{where}.pontrjagin_target")
-    chern_src = (_class_from(obj["chern_source"], source, f"{where}.chern_source")
-                 if "chern_source" in obj else None)
-    chern_tgt = (_class_from(obj["chern_target"], target, f"{where}.chern_target")
-                 if "chern_target" in obj else None)
+    classes = {key: _class_from(_require(obj, key, where),
+                                target if key.endswith("target") else source, f"{where}.{key}")
+               for key in _CLASSES if key in obj or not key.startswith("chern")}
     try:
-        return ImmersionModel(
-            source=source, target=target, pullback=pullback, pushforward=pushforward,
-            codim=codim, euler=euler, pontrjagin_source=p_src, pontrjagin_target=p_tgt,
-            chern_source=chern_src, chern_target=chern_tgt,
-            name=str(obj.get("name", "")))
+        return ImmersionModel(source=source, target=target, pullback=pullback,
+                              pushforward=pushforward, codim=codim,
+                              name=str(obj.get("name", "")), **classes)
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
 

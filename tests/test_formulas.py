@@ -961,6 +961,37 @@ def test_characteristic_numbers_warn_on_an_empty_locus():
     assert pontrjagin_number(d3, 3, [0]).warnings == []
 
 
+HUGE = 10 ** 5000  # past the interpreter's 4,300-digit int-to-str limit
+
+
+def test_a_k_past_the_digit_limit_warns_by_digit_count():
+    d3 = _d3()
+    warning = formulas.empty_locus_warning(d3, HUGE)
+    assert warning == ("the <5001-digit integer>-tuple point manifold is empty: (k-1)*codim = "
+                       "<5001-digit integer> exceeds the source dimension(s) (4,); the value is 0")
+    res = pontrjagin_number(d3, HUGE, (4,))
+    assert res.value == 0
+    assert res.warnings == [
+        "degree sum 4 does not match the k-tuple dimension(s) (-<5001-digit integer>,); "
+        "the pairing vanishes", warning]
+    with pytest.raises(ValueError, match="^oracle refuses k=<5001-digit integer> beyond its cap"):
+        signature_enumerated(d3, HUGE)
+    with pytest.raises(ValueError, match="at least 1, got -<5001-digit integer>$"):
+        signature(d3, -HUGE)
+
+
+def test_an_int_is_shown_by_str_or_by_its_digit_count():
+    # an int str() can render is rendered by it, so the warnings of every
+    # usable k are unchanged; past the limit, near powers of ten too, the
+    # digit count is exact
+    for n, shown in ((10 ** 4300 - 1, str(10 ** 4300 - 1)),
+                     (10 ** 4300, "<4301-digit integer>"),
+                     (1 - 10 ** 4301, "-<4301-digit integer>"),
+                     (-(10 ** 4301), "-<4302-digit integer>"),
+                     (-7, "-7"), ((3,), "(3,)"), ((2, -6), "(2, -6)")):
+        assert formulas._shown(n) == shown
+
+
 def test_chern_requires_data():
     m = bundled_model("hypersurface-d3")
     with pytest.raises(Exception):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -19,6 +20,7 @@ from multipoint.graded import (
     signature_class,
 )
 from multipoint.model import disjoint_union, product_ring, validate
+from multipoint.modelfile import ring_from_dict, ring_to_dict
 from multipoint.models import (
     BUNDLED,
     bundled_model,
@@ -121,10 +123,10 @@ def reference_check_axioms(ring: GradedRing) -> List[str]:
 @st.composite
 def perturbed_rings(draw):
     """An associative ring of at most 10 classes (a truncated polynomial ring
-    or a product of up to three), with some structure constants and integral
-    values overwritten at random: integers and fractions, zeros that delete
-    an entry, and entries between two components of a product.  With no
-    overwrite it stays associative."""
+    or a product of up to three), with some structure constants, integral
+    values and unit coordinates overwritten at random: integers and
+    fractions, zeros that delete an entry, and entries between two
+    components of a product.  With no overwrite it stays associative."""
     powers = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)
                   .filter(lambda ps: sum(p + 1 for p in ps) <= 10))
     factors = [truncated_polynomial_ring(f"x{f}", p, gen_degree=draw(st.sampled_from([2, 4])))
@@ -145,14 +147,38 @@ def perturbed_rings(draw):
     integral = dict(base.integral)
     for idx, v in draw(st.lists(st.tuples(index, value), max_size=1)):
         integral[idx] = v
+    # the unit of a product already has a term per factor; an overwrite
+    # rescales a term, adds one in any degree or deletes one
+    unit = dict(base.unit_coords)
+    for idx, v in draw(st.lists(st.tuples(index, value), max_size=2)):
+        unit[idx] = v
     return GradedRing(base.labels, base.degrees, products, integral, top_degree=base.top_degree,
-                      unit=base.unit_coords, components=base.components)
+                      unit=unit, components=base.components)
 
 
 @settings(max_examples=150, deadline=None)
 @given(perturbed_rings())
 def test_check_axioms_matches_class_product_reference(ring):
     assert ring.check_axioms() == reference_check_axioms(ring)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_rings())
+def test_rings_round_trip_through_the_model_file_format(ring):
+    assert ring_from_dict(json.loads(json.dumps(ring_to_dict(ring)))) == ring
+
+
+def test_check_axioms_makes_no_ring_product(monkeypatch):
+    # the unit law is read from the unit's own product row, and
+    # associativity from the structure constants
+    rings = [r for m in map(bundled_model, BUNDLED) for r in (m.source, m.target)]
+
+    def refuse(*args):
+        raise AssertionError("check_axioms multiplied two classes")
+
+    monkeypatch.setattr(GradedRing, "mul_coords", refuse)
+    for ring in rings:
+        assert ring.check_axioms() == []
 
 
 def test_ring_rejects_odd_degree():

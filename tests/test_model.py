@@ -1,14 +1,16 @@
 import random
+import tempfile
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
-from typing import List
+from pathlib import Path
+from typing import Dict, List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipoint.graded import signature_class
+from multipoint.graded import GradedRing, RingComponent, signature_class
 from multipoint.model import (
     Check,
     ImmersionModel,
@@ -20,7 +22,9 @@ from multipoint.model import (
     solve_linear,
     validate,
 )
+from multipoint.modelfile import load_model, save_model
 from multipoint.models import BUNDLED, bundled_model
+from multipoint.polynomials import signature_genus_log_coeffs
 from multipoint.random_models import random_truncated_model, random_union_components
 
 
@@ -109,11 +113,55 @@ def reference_map_checks(m: ImmersionModel) -> List[Check]:
             Check("projection formula", not proj, proj)]
 
 
-@st.composite
-def perturbed_maps(draw):
-    """A bundled, random or union model with some pullback and pushforward
-    image coordinates overwritten by integers or fractions (a zero deletes
-    the coordinate)."""
+def _rebased_ring(ring: GradedRing, basis: List[Dict[int, Fraction]]):
+    """The ring on the basis e'_i = sum_k basis[i][k] e_k, for a basis change
+    that keeps degrees and is triangular with a nonzero diagonal, as one
+    component (every ring rebased here has one top degree), and the map
+    from old coordinates to new ones."""
+    n = len(ring.labels)
+
+    def new(coords):
+        return {i: v for i, v in enumerate(solve_linear(basis, coords)) if v}
+
+    products = {(i, j): new(ring.mul_coords(basis[i], basis[j]))
+                for i in range(n) for j in range(i, n)}
+    integral = {i: sum(c * ring.integral.get(k, 0) for k, c in basis[i].items()) for i in range(n)}
+    return GradedRing(ring.labels, ring.degrees, products, integral, top_degree=ring.top_degree,
+                      unit=new(ring.unit_coords),
+                      components=[RingComponent("all", tuple(range(n)), ring.top_degree)]), new
+
+
+def _rebased(m: ImmersionModel, draw) -> ImmersionModel:
+    """m on new bases of both rings: each basis element rescaled, and a
+    multiple of an earlier one of the same degree added to it, so that
+    products and basis images have several terms and coefficients other
+    than 1.  The model is isomorphic to m, so it validates as m does."""
+    def basis(ring):
+        out = []
+        for i, d in enumerate(ring.degrees):
+            b = {i: draw(st.sampled_from([1, 1, 2, -1, 3, Fraction(1, 2)]))}
+            same = [k for k in range(i) if ring.degrees[k] == d]
+            if same:
+                b[draw(st.sampled_from(same))] = draw(st.sampled_from([1, -1, 2, Fraction(2, 3)]))
+            out.append(b)
+        return out
+
+    S, T = basis(m.source), basis(m.target)
+    source, on_source = _rebased_ring(m.source, S)
+    target, on_target = _rebased_ring(m.target, T)
+    pullback = LinearMap.from_coords(
+        target, source, {j: on_source(m.pullback.apply_coords(t)) for j, t in enumerate(T)})
+    pushforward = LinearMap.from_coords(
+        source, target, {i: on_target(m.pushforward.apply_coords(b)) for i, b in enumerate(S)},
+        m.pushforward.degree_shift)
+    return ImmersionModel(source, target, pullback, pushforward, m.codim,
+                          source.element(on_source(m.euler.coords)),
+                          source.element(on_source(m.pontrjagin_source.coords)),
+                          target.element(on_target(m.pontrjagin_target.coords)), name=m.name)
+
+
+def _base_model(draw) -> ImmersionModel:
+    """A bundled, random or union model."""
     kind = draw(st.sampled_from(["bundled", "random", "union"]))
     if kind == "bundled":
         m = bundled_model(draw(st.sampled_from(sorted(BUNDLED))))
@@ -122,6 +170,31 @@ def perturbed_maps(draw):
     else:
         rng = random.Random(draw(st.integers(0, 99)))
         m = disjoint_union(random_union_components(rng, rng.randint(2, 3)))
+    return m
+
+
+@st.composite
+def rebased_models(draw):
+    return _rebased(_base_model(draw), draw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rebased_models())
+def test_rebased_models_validate(m):
+    # a check of the rebasing, and of validate on products and basis
+    # images with several terms and coefficients other than 1
+    report = validate(m)
+    assert report.ok, f"{m.name}:\n{report}"
+
+
+@st.composite
+def perturbed_maps(draw):
+    """A bundled, random or union model, rebased or not, with some pullback
+    and pushforward image coordinates overwritten by integers or fractions
+    (a zero deletes the coordinate)."""
+    m = _base_model(draw)
+    if draw(st.booleans()):
+        m = _rebased(m, draw)
     source, target = m.source, m.target
     value = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
 
@@ -145,6 +218,42 @@ def test_map_checks_match_generic_product_reference(m):
     reference = reference_map_checks(m)
     names = {c.name for c in reference}
     assert [c for c in validate(m).checks if c.name in names] == reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_maps())
+def test_models_round_trip_through_a_file(m):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(m, path)
+        back = load_model(path)
+    assert ((back.source, back.target, back.codim, back.name)
+            == (m.source, m.target, m.codim, m.name))
+    for a, b in ((back.pullback, m.pullback), (back.pushforward, m.pushforward)):
+        assert (dict(a.images), a.degree_shift) == (dict(b.images), b.degree_shift)
+    assert ((back.euler, back.pontrjagin_source, back.pontrjagin_target)
+            == (m.euler, m.pontrjagin_source, m.pontrjagin_target))
+
+
+def test_validate_multiplies_only_for_the_derived_relations(monkeypatch):
+    # the map checks and the ring axioms read product tables; the ring
+    # products left are those of the two derived-class relations
+    calls = []
+    mul = GradedRing.mul_coords
+
+    def counted(ring, a, b):
+        calls.append(ring)
+        return mul(ring, a, b)
+
+    monkeypatch.setattr(GradedRing, "mul_coords", counted)
+    m = bundled_model("hypersurface-d3")
+    assert m.normal_pontrjagin * m.pontrjagin_source == m.pullback(m.pontrjagin_target)
+    assert m.l_normal * m.l_source == m.genus_class(m.pullback(m.pontrjagin_target),
+                                                    signature_genus_log_coeffs)
+    relations = len(calls)
+    calls.clear()
+    assert validate(bundled_model("hypersurface-d3")).ok
+    assert 0 < len(calls) <= relations
 
 
 def test_derived_normal_classes():

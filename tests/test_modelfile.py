@@ -1,8 +1,10 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
+from multipoint import cli
 from multipoint.model import validate
 from multipoint.modelfile import (
     ModelFormatError,
@@ -14,7 +16,7 @@ from multipoint.modelfile import (
     ring_to_dict,
     save_model,
 )
-from multipoint.models import BUNDLED, bundled_model
+from multipoint.models import BUNDLED, bundled_model, truncated_polynomial_ring
 
 
 def _assert_same_model(a, b):
@@ -113,6 +115,13 @@ def test_bad_product_key_rejected():
         model_from_dict(obj)
 
 
+@pytest.mark.parametrize("key", [0, (0, 1), None])
+def test_a_product_key_that_is_not_a_string_is_a_format_error(key):
+    with pytest.raises(ModelFormatError, match="is not 'i,j'"):
+        ring_from_dict({"labels": ["1"], "degrees": [0], "products": {key: {"0": "1"}},
+                        "integral": {}})
+
+
 def test_out_of_range_map_index_rejected():
     obj = model_to_dict(bundled_model("line-in-plane"))
     obj["pushforward"]["9"] = {"0": "1"}
@@ -152,3 +161,56 @@ def test_unreadable_file_is_a_format_error(tmp_path):
         load_model(bad)
     with pytest.raises(ModelFormatError, match="cannot read"):
         load_model(tmp_path)
+
+
+ALIASES = ["01", "00", " 1 ", "+1", "1_0", "-0", "١", ""]
+
+
+@pytest.mark.parametrize("alias", ALIASES)
+@pytest.mark.parametrize("place", ["coordinate", "map", "product-left", "product-right"])
+def test_basis_index_aliases_are_refused(alias, place):
+    # int() reads each alias as a basis index, so a later key could overwrite
+    # an earlier one; only a canonical decimal names an index
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    if place == "coordinate":
+        obj["euler"][alias] = "1"
+    elif place == "map":
+        obj["pushforward"][alias] = {"1": "1"}
+    else:
+        coords = obj["target"]["products"].pop("0,1")
+        key = f"{alias},1" if place == "product-left" else f"0,{alias}"
+        obj["target"]["products"][key] = coords
+    with pytest.raises(ModelFormatError, match="bad basis index " + re.escape(repr(alias))):
+        model_from_dict(obj)
+
+
+def test_an_alias_does_not_overwrite_a_coordinate_or_an_image():
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    obj["euler"] = {"1": "1", "01": "7"}
+    with pytest.raises(ModelFormatError, match=r"euler: bad basis index '01'"):
+        model_from_dict(obj)
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    obj["pushforward"]["00"] = {"2": "5"}
+    with pytest.raises(ModelFormatError, match=r"pushforward: bad basis index '00'"):
+        model_from_dict(obj)
+
+
+@pytest.mark.parametrize("alias", ALIASES)
+def test_the_cli_exits_2_on_an_alias(tmp_path, capsys, alias):
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    obj["euler"] = {"1": "1", alias: "7"}
+    path = tmp_path / "alias.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["validate", str(path)]) == 2
+    assert repr(alias) in capsys.readouterr().err
+
+
+def test_canonical_indices_past_256_load_and_past_the_basis_are_refused():
+    # indices below 256 are read from a table, the others parsed and checked
+    ring = truncated_polynomial_ring("h", 299)
+    assert ring_from_dict(json.loads(json.dumps(ring_to_dict(ring)))) == ring
+    for key in ("256", "10000", "1" + "0" * 700):
+        obj = model_to_dict(bundled_model("line-in-plane"))
+        obj["euler"][key] = "1"
+        with pytest.raises(ModelFormatError):
+            model_from_dict(obj)
