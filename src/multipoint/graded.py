@@ -117,8 +117,6 @@ class GradedRing:
 
         n = len(self.labels)
         table: Dict[Tuple[int, int], Coords] = {}
-        # the same table by rows: rows[i][j] = e_i e_j, nonzero entries only
-        self.rows: Tuple[Dict[int, Coords], ...] = tuple({} for _ in range(n))
         for (i, j), coords in products.items():
             i, j = int(i), int(j)
             if not (0 <= i < n and 0 <= j < n):
@@ -128,8 +126,12 @@ class GradedRing:
             if key in table and table[key] != coords:
                 raise GradedAlgebraError(f"conflicting product entries for {key}")
             if coords:
-                table[key] = self.rows[i][j] = self.rows[j][i] = coords
+                table[key] = coords
         self.products = table
+        # the same table by rows: rows[i][j] = e_i e_j, nonzero entries only
+        self.rows: Tuple[Dict[int, Coords], ...] = tuple({} for _ in range(n))
+        for (i, j), coords in table.items():
+            self.rows[i][j] = self.rows[j][i] = coords
 
         self.integral = _clean_in_basis(integral, n, "integral")
 
@@ -220,9 +222,6 @@ class GradedRing:
         unit_row = combine_rows(self.unit_coords, rows)
         issues = [f"unit law fails on basis element {labels[i]}"
                   for i in range(n) if unit_row.get(i) != {i: 1}]
-        # a unit e_p that passes the unit law makes every triple holding p associative
-        unit = (next(iter(self.unit_coords))
-                if not issues and [*self.unit_coords.values()] == [1] else None)
         triple: List[Dict[int, Dict[int, Coords]]] = [{} for _ in range(n)]
         for (i, j), ij in sorted(self.products.items()):
             d = degrees[i] + degrees[j]
@@ -242,15 +241,12 @@ class GradedRing:
         failing = set()
         empty: Dict[int, Coords] = {}
         for i, j in self.products:
-            if unit in (i, j):
-                continue
-            ti, tj = triple[i], triple[j]
-            for l, x in ti[j].items():
+            for l, x in triple[i][j].items():
                 # the law at (i, j, l) and at its mirror (l, j, i) compare x
                 # with A(j, l, i); at (j, i, l) and (l, i, j), with A(i, l, j)
-                if x != tj.get(l, empty).get(i):
+                if x != triple[j].get(l, empty).get(i):
                     failing.update(((i, j, l), (l, j, i)))
-                if i != j and x != ti.get(l, empty).get(j):
+                if i != j and x != triple[i].get(l, empty).get(j):
                     failing.update(((j, i, l), (l, i, j)))
         for i, j, l in sorted(failing):
             issues.append(f"associativity fails on ({labels[i]},{labels[j]},{labels[l]})")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Mapping, Tuple, Union
 
@@ -51,35 +52,32 @@ def _coords_to_json(coords: Mapping[int, Scalar]) -> Dict[str, str]:
     return {str(i): str(c) for i, c in sorted(coords.items())}
 
 
-# the canonical decimal key of each basis index below 256, read with no check
-_INDICES = {str(i): i for i in range(256)}
+@lru_cache(maxsize=None)
+def _basis_keys(n: int) -> Dict[str, int]:
+    """{key: index} for a basis of n classes, shared by every caller, which
+    must not mutate it.  A key is the canonical decimal of an index below n
+    ("0", "12"), so no two keys name the same index."""
+    return {str(i): i for i in range(n)}
 
 
-def _index(key, where: str, *keys) -> int:
-    """The basis index a JSON key names.  Only a canonical decimal ("0",
-    "12") names one, so no two keys name the same index; anything else is
-    a ModelFormatError at where[key]..."""
-    idx = _INDICES.get(key)
-    if idx is None:
-        if not (type(key) is str and key.isdecimal() and key.isascii()
-                and (key[0] != "0" or key == "0") and len(key) < 640):
-            raise ModelFormatError(f"{_at(where, keys)}: bad basis index {key!r}; "
-                                   "an index is a canonical decimal such as '0' or '12'")
-        idx = int(key)
-    return idx
+def _bad_index(key, basis: Mapping[str, int], where: str, *keys) -> ModelFormatError:
+    return ModelFormatError(f"{_at(where, keys)}: bad basis index {key!r}; an index "
+                            f"is a canonical decimal below {len(basis)}, such as '0'")
 
 
-def _coords_from(obj, where: str, *keys) -> Dict[int, Scalar]:
-    """{index: rational} from the JSON object at where[key]...  A decimal
-    integer is read here, and the location is put together only for an
-    error or for another value, which _fraction_from reads."""
+def _coords_from(obj, n: int, where: str, *keys) -> Dict[int, Scalar]:
+    """{index: rational} from the JSON object at where[key]... on a basis of
+    n classes.  A decimal integer is read here, and the location is put
+    together only for an error or for another value, which _fraction_from
+    reads."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{_at(where, keys)}: expected an object of index -> rational")
+    basis = _basis_keys(n)
     out: Dict[int, Scalar] = {}
     for key, value in obj.items():
-        idx = _INDICES.get(key)
+        idx = basis.get(key)
         if idx is None:
-            idx = _index(key, where, *keys)
+            raise _bad_index(key, basis, where, *keys)
         # an ASCII decimal integer reads the same by int() as by Fraction(), and
         # int() reads 640 digits under any int-to-str limit the interpreter takes
         if (type(value) is str and len(value) < 640 and value.isascii()
@@ -88,6 +86,10 @@ def _coords_from(obj, where: str, *keys) -> Dict[int, Scalar]:
         else:
             out[idx] = _fraction_from(value, f"{_at(where, keys)}[{key}]")
     return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(obj: Mapping, key: str, where: str):
@@ -124,22 +126,26 @@ def ring_from_dict(obj, where: str = "ring") -> GradedRing:
     degrees = _require(obj, "degrees", where)
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ModelFormatError(f"{where}: labels must be a list of strings")
-    if not isinstance(degrees, list) or not all(type(x) is int for x in degrees):
+    if not isinstance(degrees, list) or not all(_is_int(x) for x in degrees):
         raise ModelFormatError(f"{where}: degrees must be a list of integers")
 
     raw_products = _require(obj, "products", where)
     if not isinstance(raw_products, dict):
         raise ModelFormatError(f"{where}: products must be an object")
     products: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    at = f"{where}.products"
+    n, at = len(labels), f"{where}.products"
+    basis = _basis_keys(n)
     for key, coords in raw_products.items():
         i, comma, j = key.partition(",") if type(key) is str else ("", "", "")
         if not comma:
             raise ModelFormatError(f"{where}: product key {key!r} is not 'i,j'")
-        products[(_index(i, at, key), _index(j, at, key))] = _coords_from(coords, at, key)
+        for part in (i, j):
+            if part not in basis:
+                raise _bad_index(part, basis, at, key)
+        products[(basis[i], basis[j])] = _coords_from(coords, n, at, key)
 
-    integral = _coords_from(_require(obj, "integral", where), f"{where}.integral")
-    unit = _coords_from(obj["unit"], f"{where}.unit") if "unit" in obj else None
+    integral = _coords_from(_require(obj, "integral", where), n, f"{where}.integral")
+    unit = _coords_from(obj["unit"], n, f"{where}.unit") if "unit" in obj else None
     components = None
     if "components" in obj:
         if not isinstance(obj["components"], list):
@@ -150,14 +156,14 @@ def ring_from_dict(obj, where: str = "ring") -> GradedRing:
             if not isinstance(c, dict):
                 raise ModelFormatError(f"{cwhere}: expected an object")
             indices = _require(c, "indices", cwhere)
-            if not isinstance(indices, list) or not all(type(i) is int for i in indices):
+            if not isinstance(indices, list) or not all(_is_int(i) for i in indices):
                 raise ModelFormatError(f"{cwhere}: indices must be a list of integers")
             top = _require(c, "top_degree", cwhere)
-            if type(top) is not int:
+            if not _is_int(top):
                 raise ModelFormatError(f"{cwhere}: top_degree must be an integer")
             components.append(RingComponent(str(c.get("name", f"c{n}")), tuple(indices), top))
     top_degree = obj.get("top_degree")
-    if "top_degree" in obj and type(top_degree) is not int:
+    if "top_degree" in obj and not _is_int(top_degree):
         raise ModelFormatError(f"{where}: top_degree must be an integer")
     try:
         return GradedRing(labels, degrees, products, integral,
@@ -181,11 +187,11 @@ def _map_from(obj, domain: GradedRing, codomain: GradedRing,
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where}: expected an object of index -> class")
     images = {}
+    basis = _basis_keys(len(domain.labels))
     for key, coords in obj.items():
-        idx = _index(key, where)
-        if idx >= len(domain.labels):
-            raise ModelFormatError(f"{where}: index {idx} outside the domain basis")
-        images[idx] = _coords_from(coords, where, key)
+        if key not in basis:
+            raise _bad_index(key, basis, where)
+        images[basis[key]] = _coords_from(coords, len(codomain.labels), where, key)
     try:
         return LinearMap.from_coords(domain, codomain, images, degree_shift=shift)
     except ValueError as exc:
@@ -194,13 +200,9 @@ def _map_from(obj, domain: GradedRing, codomain: GradedRing,
 
 def _class_from(obj, ring: GradedRing, where: str) -> GradedClass:
     try:
-        return ring.element(_coords_from(obj, where))
+        return ring.element(_coords_from(obj, len(ring.labels), where))
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
-
-
-# the classes of a model, each keyed by its argument name; the Chern classes may be absent
-_CLASSES = ("euler", "pontrjagin_source", "pontrjagin_target", "chern_source", "chern_target")
 
 
 def model_to_dict(model: ImmersionModel) -> dict:
@@ -212,10 +214,14 @@ def model_to_dict(model: ImmersionModel) -> dict:
         "target": ring_to_dict(model.target),
         "pullback": _map_to_dict(model.pullback),
         "pushforward": _map_to_dict(model.pushforward),
+        "euler": _coords_to_json(model.euler.coords),
+        "pontrjagin_source": _coords_to_json(model.pontrjagin_source.coords),
+        "pontrjagin_target": _coords_to_json(model.pontrjagin_target.coords),
     }
-    for key in _CLASSES:
-        if getattr(model, key) is not None:
-            out[key] = _coords_to_json(getattr(model, key).coords)
+    if model.chern_source is not None:
+        out["chern_source"] = _coords_to_json(model.chern_source.coords)
+    if model.chern_target is not None:
+        out["chern_target"] = _coords_to_json(model.chern_target.coords)
     return out
 
 
@@ -236,7 +242,7 @@ def model_from_dict(obj, where: str = "model") -> ImmersionModel:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"{where}: unsupported format_version {version}")
     codim = _require(obj, "codim", where)
-    if type(codim) is not int:
+    if not _is_int(codim):
         raise ModelFormatError(f"{where}: codim must be an integer")
     source = ring_from_dict(_require(obj, "source", where), f"{where}.source")
     target = ring_from_dict(_require(obj, "target", where), f"{where}.target")
@@ -244,13 +250,21 @@ def model_from_dict(obj, where: str = "model") -> ImmersionModel:
                          f"{where}.pullback")
     pushforward = _map_from(_require(obj, "pushforward", where), source, target, codim,
                             f"{where}.pushforward")
-    classes = {key: _class_from(_require(obj, key, where),
-                                target if key.endswith("target") else source, f"{where}.{key}")
-               for key in _CLASSES if key in obj or not key.startswith("chern")}
+    euler = _class_from(_require(obj, "euler", where), source, f"{where}.euler")
+    p_src = _class_from(_require(obj, "pontrjagin_source", where), source,
+                        f"{where}.pontrjagin_source")
+    p_tgt = _class_from(_require(obj, "pontrjagin_target", where), target,
+                        f"{where}.pontrjagin_target")
+    chern_src = (_class_from(obj["chern_source"], source, f"{where}.chern_source")
+                 if "chern_source" in obj else None)
+    chern_tgt = (_class_from(obj["chern_target"], target, f"{where}.chern_target")
+                 if "chern_target" in obj else None)
     try:
-        return ImmersionModel(source=source, target=target, pullback=pullback,
-                              pushforward=pushforward, codim=codim,
-                              name=str(obj.get("name", "")), **classes)
+        return ImmersionModel(
+            source=source, target=target, pullback=pullback, pushforward=pushforward,
+            codim=codim, euler=euler, pontrjagin_source=p_src, pontrjagin_target=p_tgt,
+            chern_source=chern_src, chern_target=chern_tgt,
+            name=str(obj.get("name", "")))
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
 

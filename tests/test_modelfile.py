@@ -8,6 +8,7 @@ from multipoint import cli
 from multipoint.model import validate
 from multipoint.modelfile import (
     ModelFormatError,
+    _coords_from,
     _fraction_from,
     load_model,
     model_from_dict,
@@ -96,16 +97,17 @@ def test_bad_rational_rejected():
 ])
 def test_rational_strings_read_as_fraction_reads_them(text):
     """Integral strings give ints, others Fractions; the strings accepted are
-    exactly those Fraction() accepts."""
-    try:
-        want = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        with pytest.raises(ModelFormatError, match="bad rational"):
-            _fraction_from(text, "x")
-        return
-    got = _fraction_from(text, "x")
-    assert got == want
-    assert type(got) is (int if want.denominator == 1 else Fraction)
+    exactly those Fraction() accepts, read alone or as a coordinate."""
+    for read in (lambda: _fraction_from(text, "x"), lambda: _coords_from({"0": text}, 1, "x")[0]):
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ModelFormatError, match="bad rational"):
+                read()
+            continue
+        got = read()
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
 def test_bad_product_key_rejected():
@@ -205,12 +207,12 @@ def test_the_cli_exits_2_on_an_alias(tmp_path, capsys, alias):
     assert repr(alias) in capsys.readouterr().err
 
 
-def test_canonical_indices_past_256_load_and_past_the_basis_are_refused():
-    # indices below 256 are read from a table, the others parsed and checked
+def test_a_large_basis_loads_and_an_index_past_the_basis_is_refused():
+    # the keys of a basis are the canonical decimals below its size
     ring = truncated_polynomial_ring("h", 299)
     assert ring_from_dict(json.loads(json.dumps(ring_to_dict(ring)))) == ring
-    for key in ("256", "10000", "1" + "0" * 700):
+    for key in ("2", "256", "10000", "1" + "0" * 700):
         obj = model_to_dict(bundled_model("line-in-plane"))
         obj["euler"][key] = "1"
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match="bad basis index " + re.escape(repr(key))):
             model_from_dict(obj)
