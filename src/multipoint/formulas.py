@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from math import factorial, log10
+from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .collected import (
@@ -39,7 +39,7 @@ from .graded import (
 )
 from .model import ImmersionModel, ModelError, disjoint_union, preimage_under
 from .polynomials import log_coefficient
-from .records import Record
+from .records import Record, _shown
 
 
 class RouteDisagreement(ArithmeticError):
@@ -78,20 +78,6 @@ def _models(models: object) -> None:
     if not (isinstance(models, (list, tuple)) and models
             and all(isinstance(m, ImmersionModel) for m in models)):
         raise ModelError(f"models must be a non-empty list or tuple of ImmersionModels, got {models!r}")
-
-
-def _shown(x) -> str:
-    """str(x) for an int or a tuple of ints, with an int that str() refuses
-    (past the interpreter's int-to-str digit limit) shown by its digit count."""
-    if isinstance(x, tuple):
-        return f"({', '.join(map(_shown, x))}{',' if len(x) == 1 else ''})"
-    try:
-        return str(x)
-    except ValueError:
-        n = abs(x)
-        d = int(log10(n))  # floor(log10(n)), or one off it
-        d += (10 ** (d + 1) <= n) - (10 ** d > n)
-        return f"{'-' if x < 0 else ''}<{d + 1}-digit integer>"
 
 
 def _text(template: str, *values) -> str:
@@ -647,7 +633,7 @@ def pulled_from_target_class(model: ImmersionModel, k: int, y: TensorClass) -> G
         for j in idx:
             cls = cls * model.pullback(model.target.basis_class(j))
         out = out + coeff * cls
-    return out * transfer_of_unit(model, k)
+    return out * transfer_of_unit.__wrapped__(model, k)
 
 
 def _core(model: ImmersionModel, k: int, J: Optional[Sequence[int]]) -> GradedClass:
@@ -668,7 +654,7 @@ def pulled_from_target(model: ImmersionModel, k: int,
     _require_pulled_from_target(model)
     if _empty_locus(model, k):
         return Fraction(0)
-    return (_core(model, k, J) * transfer_of_unit(model, k)).integrate() / factorial(k)
+    return (_core(model, k, J) * transfer_of_unit.__wrapped__(model, k)).integrate() / factorial(k)
 
 
 @_checked
@@ -704,4 +690,5 @@ def nullhomotopic(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = No
     a pure Euler-power formula."""
     _require(model.normal_pontrjagin.invert_unital() == model.pontrjagin_source,
              "P(normal)^(-1) differs from P(source)")
-    return pushpull_zero(model, k, J)
+    # the arguments are checked: __wrapped__ runs no entry check again
+    return pushpull_zero.__wrapped__(model, k, J)

@@ -125,7 +125,7 @@ def compose_enumerated(outer_coeffs, inner_coeffs, k: int,
 
     outer_coeffs[n-1] is consumed at the block count n of each partition,
     inner_coeffs[s-1] at each block size s; coefficients may be any values
-    with + and * (polynomials, ring classes).  Checks the collected
+    with + and * (rationals, ring classes).  Checks the collected
     composition in the series module.
     """
     out = None

@@ -2,11 +2,31 @@
 
 A record's fields are its ``__slots__``, in constructor order; equality
 (same class only), the repr ``Name(field=value, ...)`` and pickling follow
-from them.  Mutable records are unhashable; frozen ones hash by their field
-values and refuse assignment.  Subclasses write their own ``__init__``.
+from them; the repr shows an int past the interpreter's int-to-str digit
+limit by its digit count.  Mutable records are unhashable; frozen ones
+hash by their field values and refuse assignment.  Subclasses write their
+own ``__init__``.
 """
 
 from __future__ import annotations
+
+from math import log10
+
+
+def _shown(x) -> str:
+    """repr(x), with an int that repr() refuses (past the interpreter's
+    int-to-str digit limit), alone or in a tuple, shown by its digit count."""
+    if type(x) is tuple:
+        return f"({', '.join(map(_shown, x))}{',' if len(x) == 1 else ''})"
+    try:
+        return repr(x)
+    except ValueError:
+        if type(x) is not int:
+            raise
+        n = abs(x)
+        d = int(log10(n))  # floor(log10(n)), or one off it
+        d += (10 ** (d + 1) <= n) - (10 ** d > n)
+        return f"{'-' if x < 0 else ''}<{d + 1}-digit integer>"
 
 
 class Record:
@@ -21,7 +41,7 @@ class Record:
         return self._values() == other._values()
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        body = ", ".join(f"{f}={_shown(getattr(self, f))}" for f in self.__slots__)
         return f"{type(self).__name__}({body})"
 
     def __reduce__(self):

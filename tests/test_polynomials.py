@@ -11,29 +11,7 @@ from multipoint.polynomials import (
     lower_set_size,
     signature_genus_log_coeffs,
 )
-from multipoint.series import Poly
 from series_reference import exp_coeffs, series_inverse, series_log, series_mul, tanh_coeffs
-
-V = ("x", "y")
-
-
-def test_poly_arithmetic():
-    x = Poly.var(V, "x")
-    y = Poly.var(V, "y")
-    p = (x + y) ** 2
-    assert p == x ** 2 + 2 * x * y + y ** 2
-    assert (p - p).is_constant()
-    assert (x * y).evaluate(x=2, y=3) == 6
-    with pytest.raises(ValueError):
-        (x * y).evaluate(x=2)
-
-
-def test_poly_constant_detection():
-    c = Poly.const(V, Fraction(5, 3))
-    assert c.is_constant()
-    assert c.constant_value() == Fraction(5, 3)
-    assert not Poly.var(V, "x").is_constant()
-
 
 def test_exp_log_inverse_pair():
     n = 10
@@ -83,11 +61,6 @@ def test_signature_log_coefficients_match_the_tanh_series():
 def test_signature_log_coefficients_of_one_order_prefix_the_next():
     for n in range(MAX_CLASS_DEGREE // 4):
         assert signature_genus_log_coeffs(n + 1)[:n + 1] == signature_genus_log_coeffs(n)
-
-
-def test_poly_rejects_unknown_variable():
-    with pytest.raises(ValueError):
-        Poly.var(V, "z")
 
 
 @pytest.mark.parametrize("weights, bound", [((), 5), ((1,), 6), ((2, 3), 10), ((1, 1, 1), 4),

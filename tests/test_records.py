@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from multipoint.formulas import MultipointResult
+from multipoint.formulas import MultipointResult, pontrjagin_number
 from multipoint.graded import RingComponent
 from multipoint.model import Check, LinearMap, ValidationReport
 from multipoint.models import bundled_model
 from multipoint.oracle import OracleRun
 from multipoint.partitions import SetPartition
-from multipoint.series import Poly, SpecialSeries
+from multipoint.series import SpecialSeries, identity_series
 
-E = Poly.var(("e",), "e")
+E = identity_series(3).ring.basis_class(1)
 
 
 def test_set_partition():
@@ -44,8 +44,8 @@ def test_special_series():
         a.coeffs = ()
     with pytest.raises(ValueError, match="linear coefficient"):
         SpecialSeries(())
-    with pytest.raises(ValueError, match="inconsistent variables"):
-        SpecialSeries((E, Poly.var(("x", "y"), "x")))
+    with pytest.raises(ValueError, match="different rings"):
+        SpecialSeries((E, identity_series(4).ring.basis_class(1)))
 
 
 def test_linear_map():
@@ -75,6 +75,13 @@ def test_multipoint_result():
     assert a != b
     with pytest.raises(TypeError):
         hash(a)
+
+
+def test_multipoint_result_repr_past_the_int_to_str_limit():
+    result = pontrjagin_number(bundled_model("hypersurface-d3"), 10 ** 5000, (4,))
+    for text in (repr(result), str(result)):
+        assert "k=<5001-digit integer>" in text
+        assert "value=Fraction(0, 1)" in text and "dimension=-<5001-digit integer>" in text
 
 
 def test_validation_report():

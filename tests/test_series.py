@@ -1,9 +1,9 @@
 import pytest
 
+from multipoint.models import truncated_polynomial_ring
 from multipoint.series import (
-    BIVARIATE,
-    Poly,
     SpecialSeries,
+    _monomial_ring,
     compose,
     composed_derivative,
     falling_product,
@@ -45,19 +45,17 @@ def test_invert_matches_closed_form():
 
 
 def test_invert_random_series_roundtrip():
-    variables = ("e",)
-    coeffs = [Poly.const(variables, 1)]
-    vals = [2, -1, 3, 0, 5, -2, 1]
-    coeffs += [Poly.const(variables, v) for v in vals]
-    S = SpecialSeries(tuple(coeffs))
+    vals = [1, 2, -1, 3, 0, 5, -2, 1]
+    ring = identity_series(len(vals)).ring
+    S = SpecialSeries(tuple(v * ring.unit() for v in vals))
     G = invert(S)
     assert compose(S, G) == identity_series(S.order)
     assert compose(G, S) == identity_series(S.order)
 
 
 def test_invert_requires_invertible_linear_coefficient():
-    variables = ("e",)
-    bad = SpecialSeries((Poly.var(variables, "e"), Poly.const(variables, 1)))
+    ring = identity_series(2).ring
+    bad = SpecialSeries((ring.basis_class(1), ring.unit()))
     with pytest.raises(ValueError):
         invert(bad)
 
@@ -76,11 +74,12 @@ def test_compose_order_mismatch():
 
 
 def test_falling_product_closed_form():
-    x = Poly.var(BIVARIATE, "x")
-    y = Poly.var(BIVARIATE, "y")
-    assert falling_product(1) == Poly.const(BIVARIATE, 1)
-    assert falling_product(2) == y - x
-    assert falling_product(3) == (y - x) * (y - 2 * x)
+    assert falling_product(1) == falling_product(1).ring.unit()
+    for n, closed in ((2, lambda x, y: y - x), (3, lambda x, y: (y - x) * (y - 2 * x))):
+        ring = falling_product(n).ring
+        x, y = (ring.basis_class(ring.labels.index(v)) for v in ("x", "y"))
+        assert falling_product(n) == closed(x, y)
+    assert repr(falling_product(3)) == "1*y^2 + -3*x*y + 2*x^2"
 
 
 def test_bivariate_composition_identity():
@@ -96,12 +95,27 @@ def test_composition_against_partition_oracle():
     from multipoint.oracle import compose_enumerated
 
     rng = random.Random(11)
-    variables = ("e",)
+    one = identity_series(5).ring.unit()
     for _ in range(3):
-        a = [Poly.const(variables, rng.randint(-3, 3)) for _ in range(5)]
-        b = [Poly.const(variables, rng.randint(-3, 3)) for _ in range(5)]
+        a = [rng.randint(-3, 3) * one for _ in range(5)]
+        b = [rng.randint(-3, 3) * one for _ in range(5)]
         A = SpecialSeries(tuple(a))
         B = SpecialSeries(tuple(b))
         comp = compose(A, B)
         for k in range(1, 6):
             assert comp.coefficient(k) == compose_enumerated(a, b, k).value
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+def test_one_variable_coefficient_ring_is_the_truncated_polynomial_ring(K):
+    ring, reference = _monomial_ring(("e",), K), truncated_polynomial_ring("e", K)
+    assert ring.labels == reference.labels
+    assert ring.degrees == reference.degrees
+    assert ring.products == reference.products
+    assert _monomial_ring(("e",), K) is ring  # memoised
+
+
+def test_order_one_series_build():
+    assert scaled_exp_series(1).coeffs == identity_series(1).coeffs
+    assert repr(identity_series(1)) == "SpecialSeries(coeffs=(1,))"
+    assert invert(scaled_exp_series(1)) == identity_series(1)

@@ -51,12 +51,6 @@ def test_bundled_validate_loads_no_formula():
         assert f"multipoint.{name}" not in loaded, name
 
 
-def test_poly_lives_with_the_series_only():
-    from multipoint import polynomials, series
-    assert not hasattr(polynomials, "Poly")
-    assert series.Poly.__module__ == "multipoint.series"
-
-
 # module -> {name: the module that defines it}, for each module attribute
 # the benchmark harness (workloads, reference and tracer) reads
 HARNESS_READS = {
