@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .polynomials import signature_genus_log_coeffs
+from .records import _shown
 
 Scalar = Union[int, Fraction]
 Coords = Dict[int, Scalar]
@@ -51,23 +52,33 @@ def exact(c: object) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-def _clean(coords: Mapping[int, object]) -> Coords:
+def _bad_index(i: object, n: int, what: tuple) -> GradedAlgebraError:
+    return GradedAlgebraError(f"{' '.join(map(str, what))} {_shown(i)} "
+                              f"outside the basis 0..{n - 1}")
+
+
+def clean_coords(coords: Mapping[int, object], n: int, *what: object) -> Coords:
+    """coords on a basis of n, each value through exact, zeros dropped; a
+    key that is not an int (a bool is not) in 0..n-1 is refused."""
     out: Coords = {}
     for i, c in coords.items():
+        if type(i) is not int or not 0 <= i < n:
+            raise _bad_index(i, n, what)
         if type(c) is not int:
             c = exact(c)
         if c:
-            out[int(i)] = c
+            out[i] = c
     return out
 
 
-def _clean_in_basis(coords: Mapping[int, object], n: int, *what: object) -> Coords:
-    out = _clean(coords)
-    for i in out:
-        if not 0 <= i < n:
-            raise GradedAlgebraError(f"{' '.join(map(str, what))} index {i} "
-                                     f"outside the basis 0..{n - 1}")
-    return out
+def basis_indices(indices: Sequence[object], n: int, *what: object) -> Tuple[int, ...]:
+    """A tuple or list of indices as a tuple, checked as clean_coords checks keys."""
+    if type(indices) not in (tuple, list):
+        raise _bad_index(indices, n, what)
+    for i in indices:
+        if type(i) is not int or not 0 <= i < n:
+            raise _bad_index(i, n, what)
+    return tuple(indices)
 
 
 class RingComponent(NamedTuple):
@@ -100,29 +111,29 @@ class GradedRing:
         name: str = "",
     ):
         self.labels = tuple(labels)
-        self.degrees = tuple(int(d) for d in degrees)
+        self.degrees = tuple(degrees)
         if len(self.labels) != len(self.degrees):
             raise GradedAlgebraError("labels and degrees differ in length")
         for d in self.degrees:
-            if d < 0 or d % 2:
-                raise GradedAlgebraError(f"basis degree {d} is not a nonnegative even integer")
+            if type(d) is not int or d < 0 or d % 2:
+                raise GradedAlgebraError(f"basis degree {_shown(d)} is not a nonnegative even integer")
         self.name = name
         # the classes vanish above the largest basis degree, so series are
         # sized by it, whatever top degree the ring declares
         self.max_degree = max(self.degrees, default=0)
-        self.top_degree = self.max_degree if top_degree is None else int(top_degree)
-        if self.degrees and self.top_degree < self.max_degree:
-            raise GradedAlgebraError(f"top degree {self.top_degree} is below the largest "
-                                     f"basis degree {self.max_degree}")
+        top = self.top_degree = self.max_degree if top_degree is None else top_degree
+        if type(top) is not int or self.degrees and top < self.max_degree:
+            raise GradedAlgebraError(f"top degree {_shown(top)} is not an int, or is below "
+                                     f"the largest basis degree {self.max_degree}")
 
         n = len(self.labels)
         table: Dict[Tuple[int, int], Coords] = {}
-        for (i, j), coords in products.items():
-            i, j = int(i), int(j)
-            if not (0 <= i < n and 0 <= j < n):
-                raise GradedAlgebraError(f"product key ({i}, {j}) outside the basis 0..{n - 1}")
+        for key, coords in products.items():
+            i, j = key if type(key) is tuple and len(key) == 2 else (None, None)
+            if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n):
+                raise _bad_index(key, n, ("product key",))
             key = (i, j) if i <= j else (j, i)
-            coords = _clean_in_basis(coords, n, "product", key, "value")
+            coords = clean_coords(coords, n, "product", key, "value index")
             if key in table and table[key] != coords:
                 raise GradedAlgebraError(f"conflicting product entries for {key}")
             if coords:
@@ -133,7 +144,7 @@ class GradedRing:
         for (i, j), coords in table.items():
             self.rows[i][j] = self.rows[j][i] = coords
 
-        self.integral = _clean_in_basis(integral, n, "integral")
+        self.integral = clean_coords(integral, n, "integral index")
 
         if unit is None:
             zero_deg = [i for i, d in enumerate(self.degrees) if d == 0]
@@ -141,18 +152,20 @@ class GradedRing:
                 raise GradedAlgebraError("unit must be given explicitly for rings "
                                          "with several degree-0 basis elements")
             unit = {zero_deg[0]: 1}
-        self.unit_coords = _clean_in_basis(unit, n, "unit")
+        self.unit_coords = clean_coords(unit, n, "unit index")
 
         if components is None:
             components = [RingComponent("all", tuple(range(n)), self.top_degree)]
         self.components = tuple(components)
         self._component_of = {}
         for comp in self.components:
-            for i in comp.indices:
+            if type(comp.top_degree) is not int:
+                raise GradedAlgebraError(f"component top degree {comp.top_degree!r} is not an int")
+            for i in basis_indices(comp.indices, n, "component", comp.name, "index"):
                 if i in self._component_of:
                     raise GradedAlgebraError("components overlap")
                 self._component_of[i] = comp
-        if set(self._component_of) != set(range(n)):
+        if len(self._component_of) != n:
             raise GradedAlgebraError("components do not cover the basis")
 
     # ---- element constructors -------------------------------------------
@@ -195,12 +208,8 @@ class GradedRing:
     def integrate_coords(self, coords: Mapping[int, Scalar]) -> Fraction:
         """Apply the integration functional (supported in top degrees) to
         a coordinate dict."""
-        total = 0
-        for i, c in coords.items():
-            w = self.integral.get(i)
-            if w:
-                total += c * w
-        return Fraction(total)
+        integral = self.integral
+        return Fraction(sum(c * integral[i] for i, c in coords.items() if i in integral))
 
     def component_of(self, index: int) -> RingComponent:
         return self._component_of[index]
@@ -251,13 +260,13 @@ class GradedRing:
         for i, j, l in sorted(failing):
             issues.append(f"associativity fails on ({labels[i]},{labels[j]},{labels[l]})")
         for idx in self.integral:
-            comp = self._component_of[idx]
-            if self.degrees[idx] != comp.top_degree:
+            comp = component_of[idx]
+            if degrees[idx] != comp.top_degree:
                 issues.append(
                     f"integral supported on {labels[idx]} of degree "
-                    f"{self.degrees[idx]}, component top is {comp.top_degree}")
-        for idx, c in self.unit_coords.items():
-            if self.degrees[idx] != 0:
+                    f"{degrees[idx]}, component top is {comp.top_degree}")
+        for idx in self.unit_coords:
+            if degrees[idx] != 0:
                 issues.append("unit has a positive-degree term")
         return issues
 
@@ -277,17 +286,35 @@ class GradedRing:
         return f"GradedRing({self.name or self.labels}, top={self.top_degree})"
 
 
-class GradedClass:
+class _Element:
+    """What GradedClass and TensorClass share; _one() is their unit."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, other):
+        return self * other
+
+    def select_degrees(self, J: Sequence[int]):
+        """The product of the degree-j parts of this class, over j in J."""
+        out = self._one()
+        for j in J:
+            if j % 2:
+                raise GradedAlgebraError(f"odd degree {j} in index sequence")
+            out = out * self.degree_part(j)
+        return out
+
+
+class GradedClass(_Element):
     """Element of a GradedRing, stored as a sparse rational coordinate map."""
 
     __slots__ = ("ring", "coords")
 
     def __init__(self, ring: GradedRing, coords: Mapping[int, object]):
         self.ring = ring
-        self.coords = _clean(coords)
-        for i in self.coords:
-            if not 0 <= i < len(ring.labels):
-                raise GradedAlgebraError(f"coordinate index {i} out of range")
+        self.coords = clean_coords(coords, len(ring.labels), "coordinate index")
 
     # ---- ring operations ---------------------------------------------------
 
@@ -305,18 +332,12 @@ class GradedClass:
     def __neg__(self) -> "GradedClass":
         return GradedClass(self.ring, {i: -c for i, c in self.coords.items()})
 
-    def __sub__(self, other: "GradedClass") -> "GradedClass":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, GradedClass):
             self._check(other)
             return GradedClass(self.ring, self.ring.mul_coords(self.coords, other.coords))
         c = exact(other)
         return GradedClass(self.ring, {i: c * v for i, v in self.coords.items()})
-
-    def __rmul__(self, other) -> "GradedClass":
-        return self * other
 
     def __pow__(self, n: int) -> "GradedClass":
         if n < 0:
@@ -343,14 +364,8 @@ class GradedClass:
         return GradedClass(self.ring,
                            {i: c for i, c in self.coords.items() if self.ring.degrees[i] == d})
 
-    def select_degrees(self, J: Sequence[int]) -> "GradedClass":
-        """The product of the degree-j parts of this class, over j in J."""
-        out = self.ring.unit()
-        for j in J:
-            if j % 2:
-                raise GradedAlgebraError(f"odd degree {j} in index sequence")
-            out = out * self.degree_part(j)
-        return out
+    def _one(self):
+        return self.ring.unit()
 
     def is_unital(self) -> bool:
         return self.degree_part(0) == self.ring.unit()
@@ -361,8 +376,7 @@ class GradedClass:
         if not self.is_unital():
             raise NonUnitalClassError("non-unital total class")
         nil = self - self.ring.unit()
-        out = self.ring.unit()
-        term = self.ring.unit()
+        out = term = self.ring.unit()
         for j in range(nilpotency_order(self.ring)):
             term = term * nil
             if term.is_zero():
@@ -376,14 +390,9 @@ class GradedClass:
         return self.ring.integrate_coords(self.coords)
 
     def __repr__(self) -> str:
-        if not self.coords:
-            return "0"
-        bits = []
-        for i in sorted(self.coords):
-            c = self.coords[i]
-            lab = self.ring.labels[i]
-            bits.append(f"{c}*{lab}" if lab != "1" else f"{c}")
-        return " + ".join(bits)
+        labels = self.ring.labels
+        return " + ".join(f"{c}*{labels[i]}" if labels[i] != "1" else f"{c}"
+                          for i, c in sorted(self.coords.items())) or "0"
 
 
 def combine_rows(a: Mapping[int, Scalar],
@@ -519,7 +528,7 @@ def _divide(v: Scalar, n: int) -> Scalar:
 def genus_class(P: GradedClass, log_coeffs: Callable[[int], Sequence[Scalar]],
                 step: int = 4) -> GradedClass:
     """The multiplicative class exp(sum_j c_j s_j) of a total class P, s_j
-    its power sums (see power_sums).  Exact, and multiplicative by
+    its power sums.  Exact, and multiplicative by
     construction, since the power sums of a product of total classes add.
 
     log_coeffs(n) returns c_0, c_1, ... at least up to c_n, for n the
@@ -536,7 +545,7 @@ def signature_class(P: GradedClass) -> GradedClass:
     return genus_class(P, signature_genus_log_coeffs)
 
 
-class TensorClass:
+class TensorClass(_Element):
     """Element of the k-fold tensor power of a GradedRing.
 
     Terms are kept in canonical merged form: a map from k-tuples of basis
@@ -546,17 +555,17 @@ class TensorClass:
     __slots__ = ("ring", "arity", "terms")
 
     def __init__(self, ring: GradedRing, arity: int, terms: Mapping[Tuple[int, ...], object]):
-        if arity < 1:
-            raise GradedAlgebraError("tensor arity must be at least 1")
+        if type(arity) is not int or arity < 1:
+            raise GradedAlgebraError("tensor arity must be an int of at least 1")
         self.ring = ring
         self.arity = arity
+        n = len(ring.labels)
         clean: Dict[Tuple[int, ...], Scalar] = {}
         for idx, c in terms.items():
             c = exact(c)
             if not c:
                 continue
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != arity:
+            if len(basis_indices(idx, n, "tensor slot index")) != arity:
                 raise GradedAlgebraError(f"term {idx} has wrong arity")
             clean[idx] = c
         self.terms = clean
@@ -575,9 +584,6 @@ class TensorClass:
     def __neg__(self) -> "TensorClass":
         return TensorClass(self.ring, self.arity, {i: -c for i, c in self.terms.items()})
 
-    def __sub__(self, other: "TensorClass") -> "TensorClass":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, TensorClass):
             self._check(other)
@@ -585,20 +591,14 @@ class TensorClass:
             for idx1, c1 in self.terms.items():
                 for idx2, c2 in other.terms.items():
                     slot_coords = [self.ring.basis_product(a, b) for a, b in zip(idx1, idx2)]
-                    if any(not s for s in slot_coords):
+                    if not all(slot_coords):
                         continue
                     for combo in iproduct(*(s.items() for s in slot_coords)):
                         idx = tuple(i for i, _ in combo)
-                        coeff = c1 * c2
-                        for _, s in combo:
-                            coeff *= s
-                        out[idx] = out.get(idx, 0) + coeff
+                        out[idx] = out.get(idx, 0) + c1 * c2 * prod(s for _, s in combo)
             return TensorClass(self.ring, self.arity, out)
         c = exact(other)
         return TensorClass(self.ring, self.arity, {i: c * v for i, v in self.terms.items()})
-
-    def __rmul__(self, other) -> "TensorClass":
-        return self * other
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorClass):
@@ -609,21 +609,13 @@ class TensorClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def term_degree(self, idx: Tuple[int, ...]) -> int:
-        return sum(self.ring.degrees[i] for i in idx)
-
     def degree_part(self, d: int) -> "TensorClass":
-        return TensorClass(self.ring, self.arity,
-                           {idx: c for idx, c in self.terms.items() if self.term_degree(idx) == d})
+        degrees = self.ring.degrees
+        return TensorClass(self.ring, self.arity, {idx: c for idx, c in self.terms.items()
+                                                   if sum(degrees[i] for i in idx) == d})
 
-    def select_degrees(self, J: Sequence[int]) -> "TensorClass":
-        """Product of total-degree parts, one factor per entry of J."""
-        out = cross([self.ring.unit()] * self.arity)
-        for j in J:
-            if j % 2:
-                raise GradedAlgebraError(f"odd degree {j} in index sequence")
-            out = out * self.degree_part(j)
-        return out
+    def _one(self):
+        return cross([self.ring.unit()] * self.arity)
 
     def scale_slot(self, slot: int, cls: GradedClass) -> "TensorClass":
         """Multiply the given tensor slot by a class of the base ring."""
@@ -636,13 +628,9 @@ class TensorClass:
         return TensorClass(self.ring, self.arity, out)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for idx in sorted(self.terms):
-            mono = " x ".join(self.ring.labels[i] for i in idx)
-            bits.append(f"{self.terms[idx]}*({mono})")
-        return " + ".join(bits)
+        labels = self.ring.labels
+        return " + ".join(f"{c}*({' x '.join(labels[i] for i in idx)})"
+                          for idx, c in sorted(self.terms.items())) or "0"
 
 
 def cross(classes: Sequence[GradedClass]) -> TensorClass:
@@ -656,9 +644,6 @@ def cross(classes: Sequence[GradedClass]) -> TensorClass:
     terms: Dict[Tuple[int, ...], Scalar] = {}
     for combo in iproduct(*(cls.coords.items() for cls in classes)):
         idx = tuple(i for i, _ in combo)
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        terms[idx] = terms.get(idx, 0) + coeff
+        terms[idx] = terms.get(idx, 0) + prod(c for _, c in combo)
     return TensorClass(ring, len(classes), terms)
 

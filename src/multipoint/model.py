@@ -20,12 +20,13 @@ from .graded import (
     GradedRing,
     RingComponent,
     Scalar,
+    basis_indices,
     combine_rows,
     genus_coords,
     power_sum_coords,
 )
 from .polynomials import signature_genus_log_coeffs
-from .records import FrozenRecord, Record
+from .records import FrozenRecord, Record, _shown
 
 
 class ModelError(ValueError):
@@ -45,6 +46,9 @@ class LinearMap(FrozenRecord):
 
     def __init__(self, domain: GradedRing, codomain: GradedRing,
                  images: Mapping[int, GradedClass], degree_shift: int = 0):
+        basis_indices(list(images), len(domain.labels), "map domain index")
+        if any(img.ring is not codomain and img.ring != codomain for img in images.values()):
+            raise ModelError("an image is not in the codomain of the map")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "images", images)
@@ -70,7 +74,7 @@ class LinearMap(FrozenRecord):
     def from_coords(cls, domain: GradedRing, codomain: GradedRing,
                     images: Mapping[int, Mapping[int, object]],
                     degree_shift: int = 0) -> "LinearMap":
-        built = {int(i): codomain.element(coords) for i, coords in images.items()}
+        built = {i: codomain.element(coords) for i, coords in images.items()}
         return cls(domain, codomain, built, degree_shift)
 
     def respects_degrees(self) -> List[str]:
@@ -132,8 +136,18 @@ class ImmersionModel:
         chern_target: Optional[GradedClass] = None,
         name: str = "",
     ):
-        if codim <= 0 or codim % 2:
-            raise ModelError(f"codimension must be a positive even integer, got {codim}")
+        if type(codim) is not int or codim <= 0 or codim % 2:
+            raise ModelError(f"codimension must be a positive even integer, got {_shown(codim)}")
+        # each map and class on its ring, refused as the map call or the
+        # class product that would meet it first
+        if (pullback.domain, pushforward.domain) != (target, source) or any(
+                c is not None and c.ring is not target and c.ring != target
+                for c in (pontrjagin_target, chern_target)):
+            raise ModelError("class is not in the domain of the map")
+        if (pullback.codomain, pushforward.codomain) != (source, target) or any(
+                c is not None and c.ring is not source and c.ring != source
+                for c in (euler, pontrjagin_source, chern_source)):
+            raise GradedAlgebraError("classes live in different rings")
         self.source = source
         self.target = target
         self.pullback = pullback
@@ -216,10 +230,6 @@ class ImmersionModel:
         return f"ImmersionModel({self.name or 'unnamed'}, codim={self.codim})"
 
 
-def _same_ring(a: GradedRing, b: GradedRing) -> bool:
-    return a is b or a == b
-
-
 def _mapped(table: Mapping[int, Coords], images: Mapping[int, Coords],
             linmap: LinearMap) -> Dict[int, Coords]:
     """{j: linmap(table[j])} over the j where that is nonzero; the image of
@@ -272,15 +282,8 @@ def validate(model: ImmersionModel) -> ValidationReport:
     report.add("pullback is unital", unital)
     # Multiplicativity and the projection formula are compared a row of basis
     # pairs at a time, on coordinate dicts; classes are built only for a witness.
-    # Maps whose rings differ from the model's are refused as class operations would.
     source, target = model.source, model.target
     pull, push = model.pullback, model.pushforward
-    if not _same_ring(pull.codomain, source):
-        raise GradedAlgebraError("classes live in different rings")
-    if not _same_ring(push.domain, source):
-        raise ModelError("class is not in the domain of the map")
-    if not _same_ring(push.codomain, target):
-        raise GradedAlgebraError("classes live in different rings")
     ns, nt = len(source.labels), len(target.labels)
     pulled = {j: pull.images[j].coords for j in range(nt) if j in pull.images}
     pushed = {i: push.images[i].coords for i in range(ns) if i in push.images}

@@ -88,10 +88,6 @@ def _coords_from(obj, n: int, where: str, *keys) -> Dict[int, Scalar]:
     return out
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _require(obj: Mapping, key: str, where: str):
     if key not in obj:
         raise ModelFormatError(f"{where}: missing required field {key!r}")
@@ -126,8 +122,8 @@ def ring_from_dict(obj, where: str = "ring") -> GradedRing:
     degrees = _require(obj, "degrees", where)
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ModelFormatError(f"{where}: labels must be a list of strings")
-    if not isinstance(degrees, list) or not all(_is_int(x) for x in degrees):
-        raise ModelFormatError(f"{where}: degrees must be a list of integers")
+    if not isinstance(degrees, list):
+        raise ModelFormatError(f"{where}: degrees must be a list")
 
     raw_products = _require(obj, "products", where)
     if not isinstance(raw_products, dict):
@@ -156,18 +152,13 @@ def ring_from_dict(obj, where: str = "ring") -> GradedRing:
             if not isinstance(c, dict):
                 raise ModelFormatError(f"{cwhere}: expected an object")
             indices = _require(c, "indices", cwhere)
-            if not isinstance(indices, list) or not all(_is_int(i) for i in indices):
-                raise ModelFormatError(f"{cwhere}: indices must be a list of integers")
+            if not isinstance(indices, list):
+                raise ModelFormatError(f"{cwhere}: indices must be a list")
             top = _require(c, "top_degree", cwhere)
-            if not _is_int(top):
-                raise ModelFormatError(f"{cwhere}: top_degree must be an integer")
             components.append(RingComponent(str(c.get("name", f"c{n}")), tuple(indices), top))
-    top_degree = obj.get("top_degree")
-    if "top_degree" in obj and not _is_int(top_degree):
-        raise ModelFormatError(f"{where}: top_degree must be an integer")
     try:
         return GradedRing(labels, degrees, products, integral,
-                          top_degree=top_degree, unit=unit,
+                          top_degree=obj.get("top_degree"), unit=unit,
                           components=components, name=str(obj.get("name", "")))
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
@@ -242,8 +233,6 @@ def model_from_dict(obj, where: str = "model") -> ImmersionModel:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"{where}: unsupported format_version {version}")
     codim = _require(obj, "codim", where)
-    if not _is_int(codim):
-        raise ModelFormatError(f"{where}: codim must be an integer")
     source = ring_from_dict(_require(obj, "source", where), f"{where}.source")
     target = ring_from_dict(_require(obj, "target", where), f"{where}.target")
     pullback = _map_from(_require(obj, "pullback", where), target, source, 0,

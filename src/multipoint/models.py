@@ -12,10 +12,34 @@ no CLI command loads; ``models.random_truncated_model`` and
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from itertools import product as iproduct
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .graded import Coords, GradedRing
 from .model import ImmersionModel, LinearMap, disjoint_union
+
+
+def truncated_monomial_ring(variables: Sequence[str], cut: int, gen_degree: int = 2,
+                            integral: Optional[Mapping[int, object]] = None,
+                            name: str = "") -> GradedRing:
+    """Q[variables] cut above total degree ``cut``, each variable in degree
+    gen_degree: the monomials of degree at most cut, in the lexicographic
+    order of their exponent vectors, labelled ``1``, ``x``, ``x^2``,
+    ``x*y``, ...  With no integral given the integral is zero."""
+    if cut < 0:
+        raise ValueError("the degree cut must be nonnegative")
+    monomials = [m for m in iproduct(range(cut + 1), repeat=len(variables)) if sum(m) <= cut]
+    index = {m: i for i, m in enumerate(monomials)}
+    labels = ["*".join(v if p == 1 else f"{v}^{p}" for v, p in zip(variables, m) if p) or "1"
+              for m in monomials]
+    products: Dict[Tuple[int, int], Coords] = {}
+    for i, a in enumerate(monomials):
+        for j in range(i, len(monomials)):
+            m = tuple(p + q for p, q in zip(a, monomials[j]))
+            if m in index:
+                products[(i, j)] = {index[m]: 1}
+    return GradedRing(labels, [gen_degree * sum(m) for m in monomials], products, integral or {},
+                      name=name or f"Q[{','.join(variables)}]")
 
 
 def truncated_polynomial_ring(symbol: str, powers: int, gen_degree: int = 2,
@@ -25,18 +49,8 @@ def truncated_polynomial_ring(symbol: str, powers: int, gen_degree: int = 2,
     Basis 1, x, ..., x^powers; the integral sends the top power to
     ``integral_value``.
     """
-    if powers < 0:
-        raise ValueError("powers must be nonnegative")
-    labels = ["1"] + [symbol if p == 1 else f"{symbol}^{p}" for p in range(1, powers + 1)]
-    degrees = [p * gen_degree for p in range(powers + 1)]
-    products: Dict[Tuple[int, int], Coords] = {}
-    for i in range(powers + 1):
-        for j in range(i, powers + 1):
-            if i + j <= powers:
-                products[(i, j)] = {i + j: 1}
     # the ring drops a zero integral value
-    return GradedRing(labels, degrees, products, {powers: integral_value},
-                      name=name or f"Q[{symbol}]")
+    return truncated_monomial_ring((symbol,), powers, gen_degree, {powers: integral_value}, name)
 
 
 def _line_in_plane() -> ImmersionModel:

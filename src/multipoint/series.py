@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .graded import Coords, GradedClass, GradedRing
+from .graded import GradedClass, GradedRing
+from .models import truncated_monomial_ring
 from .partitions import count_by_type, type_vectors
 from .polynomials import log_coefficient
 from .records import FrozenRecord
@@ -34,29 +34,10 @@ DEFAULT_ORDER = 12
 
 
 @lru_cache(maxsize=None)
-def _monomial_ring(variables: Tuple[str, ...], cut: int) -> GradedRing:
-    """Q[variables] cut above total degree ``cut``, each variable in degree
-    2: the monomials of degree at most cut, in the lexicographic order of
-    their exponent vectors, labelled ``1``, ``x``, ``x^2``, ``x*y``, ...
-    With one variable this is ``truncated_polynomial_ring(symbol, cut)``
-    without its integral."""
-    monomials = [m for m in iproduct(range(cut + 1), repeat=len(variables)) if sum(m) <= cut]
-    index = {m: i for i, m in enumerate(monomials)}
-    labels = ["*".join(v if p == 1 else f"{v}^{p}" for v, p in zip(variables, m) if p) or "1"
-              for m in monomials]
-    products: Dict[Tuple[int, int], Coords] = {}
-    for i, a in enumerate(monomials):
-        for j in range(i, len(monomials)):
-            m = tuple(p + q for p, q in zip(a, monomials[j]))
-            if m in index:
-                products[(i, j)] = {index[m]: 1}
-    return GradedRing(labels, [2 * sum(m) for m in monomials], products, {},
-                      name=f"Q[{','.join(variables)}]")
-
-
 def _ring(variables: Tuple[str, ...], order: int) -> GradedRing:
-    """The coefficient ring of a series of the given order."""
-    return _monomial_ring(variables, max(order - 1, 1))
+    """The coefficient ring of a series of the given order: Q[variables]
+    cut above total degree max(order - 1, 1)."""
+    return truncated_monomial_ring(variables, max(order - 1, 1))
 
 
 class SpecialSeries(FrozenRecord):

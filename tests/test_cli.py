@@ -23,6 +23,12 @@ def test_examples_lists_bundled(capsys):
         assert name in out
 
 
+def test_every_bundled_model_has_a_note():
+    # examples prints MODEL_NOTES beside each bundled name; the benchmark
+    # reference reads the notes from the cli module too
+    assert set(cli.MODEL_NOTES) == set(BUNDLED)
+
+
 def test_validate_bundled_ok(capsys):
     code, out, _ = run(capsys, "validate", "line-in-plane")
     assert code == 0

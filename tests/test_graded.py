@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 from multipoint import graded
 from multipoint.graded import (
     GradedAlgebraError,
+    GradedClass,
     GradedRing,
     NonUnitalClassError,
+    RingComponent,
+    TensorClass,
     cross,
     genus_class,
     nilpotency_order,
     power_sums,
     signature_class,
 )
-from multipoint.model import disjoint_union, product_ring, validate
+from multipoint.model import LinearMap, disjoint_union, product_ring, validate
 from multipoint.modelfile import ring_from_dict, ring_to_dict
 from multipoint.models import (
     BUNDLED,
@@ -184,10 +187,19 @@ def test_check_axioms_makes_no_ring_product(monkeypatch):
 def test_ring_rejects_odd_degree():
     with pytest.raises(GradedAlgebraError):
         GradedRing(["1", "x"], [0, 3], {(0, 0): {0: 1}}, {})
+    # a degree is an int as given, never truncated: int() read 2.9 as 2 and True as 1
+    for degree in (2.9, 2.0, "2", True, None, -2, 10 ** 5000 + 1):
+        with pytest.raises(GradedAlgebraError, match="not a nonnegative even integer"):
+            GradedRing(["1", "x"], [0, degree], {(0, 0): {0: 1}}, {})
+    for top in (2.0, "2", True):
+        with pytest.raises(GradedAlgebraError, match=f"component top degree {top!r} is not an int"):
+            GradedRing(["1", "x"], [0, 2], {(0, 0): {0: 1}}, {},
+                       components=[RingComponent("all", (0, 1), top)])
 
 
-@pytest.mark.parametrize("top", [2, 0, -2])
+@pytest.mark.parametrize("top", [2, 0, -2, 4.5, 6.0, "6"])
 def test_ring_rejects_top_degree_below_basis(top):
+    # a top degree that is not an int is refused in the same words
     with pytest.raises(GradedAlgebraError, match="below the largest basis degree 4"):
         GradedRing(["1", "h", "h2"], [0, 2, 4], {}, {2: 1}, top_degree=top)
     assert GradedRing(["1", "h", "h2"], [0, 2, 4], {}, {2: 1}, top_degree=6).top_degree == 6
@@ -560,12 +572,52 @@ def test_equal_classes_on_equal_rings_hash_equal():
     assert len({x, y}) == 1
 
 
-@pytest.mark.parametrize("products,integral,unit", [
-    ({(0, 9): {1: 1}}, {2: 1}, {0: 1}),
-    ({(0, 1): {7: 1}}, {2: 1}, {0: 1}),
-    ({}, {9: 1}, {0: 1}),
-    ({}, {2: 1}, {5: 1}),
-], ids=["product-key", "product-value", "integral-key", "unit-key"])
-def test_ring_rejects_indices_outside_basis(products, integral, unit):
+def _ring(products=None, integral=None, unit=None, components=None):
+    return GradedRing(["1", "h", "h2"], [0, 2, 4], {} if products is None else products,
+                      {2: 1} if integral is None else integral,
+                      unit={0: 1} if unit is None else unit, components=components)
+
+
+def _cp2():
+    return truncated_polynomial_ring("h", 2)
+
+
+# every basis index, in a ring, a class, a tensor class or a map, is an int
+# below the basis size as given: a float, bool or string is not read as one
+@pytest.mark.parametrize("build", [
+    lambda: _ring(products={(0, 9): {1: 1}}),
+    lambda: _ring(products={(0, 1): {7: 1}}),
+    lambda: _ring(integral={9: 1}),
+    lambda: _ring(unit={5: 1}),
+    lambda: _ring(products={(0, 1.5): {1: 1}}),
+    lambda: _ring(products={1.5: {1: 1}}),
+    lambda: _ring(products={(True, 1): {1: 1}}),
+    lambda: _ring(products={"01": {1: 1}}),
+    lambda: _ring(products={(0, 1): {1.0: 1}}),
+    lambda: _ring(integral={2.0: 1}),
+    lambda: _ring(unit={True: 1}),
+    lambda: _ring(unit={"0": 1}),
+    lambda: _ring(components=[RingComponent("all", (0, 1, 2.0), 4)]),
+    lambda: _ring(components=[RingComponent("all", (0, 1, 2, 3), 4)]),
+    lambda: _ring(components=[RingComponent("all", 3, 4)]),
+    lambda: GradedClass(_cp2(), {1.7: 3}),
+    lambda: GradedClass(_cp2(), {True: 3}),
+    lambda: GradedClass(_cp2(), {"1": 3}),
+    lambda: GradedClass(_cp2(), {-1: 3}),
+    lambda: GradedClass(_cp2(), {10 ** 5000: 3}),
+    lambda: TensorClass(_cp2(), 2, {(5, 99): 1}),
+    lambda: TensorClass(_cp2(), 1, {(1.0,): 1}),
+    lambda: TensorClass(_cp2(), 1, {1: 1}),
+    lambda: LinearMap.from_coords(_cp2(), _cp2(), {99: {0: 1}}),
+    lambda: LinearMap.from_coords(_cp2(), _cp2(), {"0": {0: 1}}),
+    lambda: LinearMap.from_coords(_cp2(), _cp2(), {0: {3: 1}}),
+], ids=["product-key", "product-value", "integral-key", "unit-key", "product-key-float-slot",
+        "product-key-float", "product-key-bool-slot", "product-key-str", "product-value-float",
+        "integral-key-float", "unit-key-bool", "unit-key-str", "component-index-float",
+        "component-index-past", "component-indices-int", "class-key-float", "class-key-bool",
+        "class-key-str", "class-key-negative", "class-key-huge", "tensor-slots-past",
+        "tensor-slot-float", "tensor-key-int", "map-domain-key-past", "map-domain-key-str",
+        "map-image-key-past"])
+def test_ring_rejects_indices_outside_basis(build):
     with pytest.raises(GradedAlgebraError, match="outside the basis"):
-        GradedRing(["1", "h", "h2"], [0, 2, 4], products, integral, unit=unit)
+        build()

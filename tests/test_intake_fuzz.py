@@ -3,15 +3,21 @@ JSON.  Through the CLI's validate and compute, in-process, every malformed
 file must end as exit 2 (invalid model) or 3 (usage error), a well-formed
 one as exit 0; nothing may raise, and exit 1 (route disagreement) must not
 appear.  Through the library's `load_model` alone, a file must load or
-raise `ModelFormatError`, never another exception."""
+raise `ModelFormatError`, never another exception.  Through the ring, class,
+map and model constructors, a junk index, degree, codimension or ring must
+be refused with `GradedAlgebraError` or `ModelError`."""
 
 import json
 import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multipoint import cli
+from multipoint.graded import GradedAlgebraError, GradedClass, GradedRing, TensorClass
+from multipoint.model import ImmersionModel, LinearMap, ModelError, validate
 from multipoint.modelfile import ModelFormatError, load_model, model_to_dict
 from multipoint.models import BUNDLED, bundled_model
 
@@ -136,3 +142,131 @@ def test_huge_pontrjagin_degrees_exit_cleanly_and_quickly(tmp_path, capsys):
     worker.join(timeout=30)
     assert not worker.is_alive(), f"stalled after {len(codes)} commands"
     assert len(codes) == 120 and {code for _, code in codes} <= {2, 3}
+
+
+# ---------------------------------------------------------------------------
+# Constructor fuzz
+# ---------------------------------------------------------------------------
+
+# None is left out: it is the default of a ring's top degree
+NOT_INT = st.one_of(st.floats(allow_nan=False), st.booleans(), st.text(max_size=3),
+                    st.fractions(max_denominator=3))
+
+
+def _bad_index(n):
+    """Anything that is not a basis index of a basis of n."""
+    return st.one_of(NOT_INT, st.integers(max_value=-1), st.integers(min_value=n))
+
+
+BAD_DEGREE = st.one_of(NOT_INT, st.none(), st.integers(max_value=-1),
+                       st.integers().map(lambda d: 2 * d + 1))
+BAD_CODIM = st.one_of(BAD_DEGREE, st.just(0))
+
+
+def _ring_args(m):
+    """The constructor arguments of the target ring of m, to be corrupted."""
+    ring = m.target
+    return dict(labels=list(ring.labels), degrees=list(ring.degrees),
+                products={k: dict(v) for k, v in ring.products.items()},
+                integral=dict(ring.integral), top_degree=ring.top_degree,
+                unit=dict(ring.unit_coords), components=list(ring.components))
+
+
+@st.composite
+def junk_calls(draw):
+    """A constructor call with one argument corrupted: (the argument, the
+    junk put in it, the call)."""
+    m = bundled_model(draw(st.sampled_from(["line-in-plane", "two-lines", "line-in-quadric"])))
+    other = bundled_model("hypersurface-d3")  # rings unequal to every ring of m
+    ring, n = m.target, len(m.target.labels)
+    bad = _bad_index(n)
+    kind = draw(st.sampled_from([
+        "degree", "top_degree", "component_top", "component_index", "product_key",
+        "product_slot", "product_value", "integral", "unit", "class", "tensor_slot",
+        "tensor_arity", "map_domain", "map_codomain", "map_image_ring", "codim",
+        "model_class_ring", "model_map_ring"]))
+    args = _ring_args(m)
+    fields = dict(source=m.source, target=m.target, pullback=m.pullback,
+                  pushforward=m.pushforward, codim=m.codim, euler=m.euler,
+                  pontrjagin_source=m.pontrjagin_source, pontrjagin_target=m.pontrjagin_target,
+                  chern_source=m.chern_source, chern_target=m.chern_target)
+    if kind == "degree":
+        junk = draw(BAD_DEGREE)
+        args["degrees"][draw(st.integers(0, n - 1))] = junk
+    elif kind == "top_degree":
+        junk = args["top_degree"] = draw(NOT_INT)
+    elif kind == "component_top":
+        junk = draw(NOT_INT)
+        args["components"][0] = args["components"][0]._replace(top_degree=junk)
+    elif kind == "component_index":
+        junk, comp = draw(bad), args["components"][0]
+        args["components"][0] = comp._replace(indices=comp.indices[1:] + (junk,))
+    # a junk key equal to a valid one (0.0, True) would only overwrite the
+    # valid key's value, so a corrupted map holds the junk key alone
+    elif kind == "product_key":
+        junk = draw(st.one_of(bad, st.tuples(bad, st.integers(0, n - 1))))
+        args["products"] = {junk: {0: 1}}
+    elif kind == "product_slot":
+        junk = (draw(st.integers(0, n - 1)), draw(bad))
+        args["products"] = {junk: {0: 1}}
+    elif kind == "product_value":
+        junk = draw(bad)
+        args["products"] = {(0, 0): {junk: 1}}
+    elif kind in ("integral", "unit"):
+        junk = draw(bad)
+        args[kind] = {junk: 1}
+    elif kind == "class":
+        junk = draw(bad)
+        return kind, junk, lambda: GradedClass(ring, {junk: 1})
+    elif kind == "tensor_slot":
+        arity = draw(st.integers(1, 3))
+        junk = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity))
+        junk[draw(st.integers(0, arity - 1))] = draw(bad)
+        junk = tuple(junk)
+        return kind, junk, lambda: TensorClass(ring, arity, {junk: 1})
+    elif kind == "tensor_arity":
+        junk = draw(st.one_of(NOT_INT, st.integers(max_value=0)))
+        return kind, junk, lambda: TensorClass(ring, junk, {})
+    elif kind == "map_domain":
+        junk = draw(bad)
+        return kind, junk, lambda: LinearMap.from_coords(ring, ring, {junk: {0: 1}})
+    elif kind == "map_codomain":
+        junk = draw(bad)
+        return kind, junk, lambda: LinearMap.from_coords(ring, ring, {0: {junk: 1}})
+    elif kind == "map_image_ring":
+        junk = draw(st.sampled_from([other.target, other.source, m.source]))
+        return kind, junk, lambda: LinearMap(ring, ring, {0: junk.unit()})
+    elif kind == "codim":
+        junk = fields["codim"] = draw(BAD_CODIM)
+    elif kind == "model_class_ring":
+        name = draw(st.sampled_from(["euler", "pontrjagin_source", "pontrjagin_target",
+                                     "chern_source", "chern_target"]))
+        wrong = m.target if name.endswith("source") or name == "euler" else m.source
+        junk = draw(st.sampled_from([wrong, other.source, other.target]))
+        # a basis element past the right ring's basis where the wrong ring has one
+        fields[name] = junk.basis_class(len(junk.labels) - 1)
+    else:
+        name = draw(st.sampled_from(["pullback", "pushforward"]))
+        junk = fields[name] = draw(st.sampled_from([
+            other.pullback, other.pushforward, m.pushforward if name == "pullback" else m.pullback]))
+    if kind in fields or kind.startswith("model"):
+        return kind, junk, lambda: ImmersionModel(**fields)
+    return kind, junk, lambda: GradedRing(**args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(junk_calls())
+def test_constructors_refuse_junk_with_their_own_errors(call):
+    # a float, bool, string, negative or past-the-basis index, a degree or
+    # codimension that is not an int of the right parity, and a class, image
+    # or map of another ring are each refused by the constructor; whatever
+    # one let through is printed and validated, as a user of it would
+    kind, junk, build = call
+    try:
+        built = build()
+    except (GradedAlgebraError, ModelError):
+        return
+    repr(built)
+    if isinstance(built, ImmersionModel):
+        str(validate(built))
+    pytest.fail(f"{kind}: {junk!r} was accepted")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipoint.graded import GradedRing, RingComponent, signature_class
+from multipoint.graded import GradedAlgebraError, GradedRing, RingComponent, signature_class
 from multipoint.model import (
     Check,
     ImmersionModel,
@@ -47,6 +47,48 @@ def test_odd_codimension_rejected():
     with pytest.raises(ModelError):
         ImmersionModel(m.source, m.target, m.pullback, m.pushforward, 3,
                        m.euler, m.pontrjagin_source, m.pontrjagin_target)
+    # a codimension is an int as given: "2" raised TypeError and 2.0 was kept
+    for codim in ("2", 2.0, True, None, -(10 ** 5000)):
+        with pytest.raises(ModelError, match="codimension must be a positive even integer"):
+            ImmersionModel(m.source, m.target, m.pullback, m.pushforward, codim,
+                           m.euler, m.pontrjagin_source, m.pontrjagin_target)
+
+
+def _swapped(m, **changes):
+    """The constructor arguments of m with some replaced."""
+    args = dict(source=m.source, target=m.target, pullback=m.pullback,
+                pushforward=m.pushforward, codim=m.codim, euler=m.euler,
+                pontrjagin_source=m.pontrjagin_source, pontrjagin_target=m.pontrjagin_target,
+                chern_source=m.chern_source, chern_target=m.chern_target)
+    return ImmersionModel(**{**args, **changes})
+
+
+# the constructors refuse each map, image and class off its ring, the model
+# with the error the first map call or class product on it would raise;
+# validate raised IndexError on a target-ring Euler class, or reported nothing
+@pytest.mark.parametrize("change, error, match", [
+    (lambda m, o: dict(euler=m.target.element({2: 1})), GradedAlgebraError, "different rings"),
+    (lambda m, o: dict(pontrjagin_source=o.source.unit()), GradedAlgebraError, "different rings"),
+    (lambda m, o: dict(chern_source=m.target.unit()), GradedAlgebraError, "different rings"),
+    (lambda m, o: dict(pontrjagin_target=m.source.unit()), ModelError, "not in the domain"),
+    (lambda m, o: dict(chern_target=o.target.unit()), ModelError, "not in the domain"),
+    (lambda m, o: dict(pullback=o.pullback), ModelError, "not in the domain"),
+    (lambda m, o: dict(pushforward=o.pushforward), ModelError, "not in the domain"),
+    (lambda m, o: dict(target=o.target), ModelError, "not in the domain"),
+    (lambda m, o: dict(pullback=LinearMap(m.target, o.source, {})), GradedAlgebraError,
+     "different rings"),
+    (lambda m, o: dict(pushforward=LinearMap(m.source, o.target, {}, 2)), GradedAlgebraError,
+     "different rings"),
+    (lambda m, o: dict(pullback=LinearMap(m.target, m.source, {0: m.target.unit()})),
+     ModelError, "not in the codomain"),
+], ids=["euler-on-target", "source-pontrjagin-elsewhere", "source-chern-on-target",
+        "target-pontrjagin-on-source", "target-chern-elsewhere", "pullback-elsewhere",
+        "pushforward-elsewhere", "target-swapped", "pullback-codomain", "pushforward-codomain",
+        "pullback-image"])
+def test_maps_and_classes_off_their_ring_are_refused(change, error, match):
+    m, other = bundled_model("line-in-plane"), bundled_model("hypersurface-d3")
+    with pytest.raises(error, match=match):
+        _swapped(m, **change(m, other))
 
 
 def test_validation_catches_broken_projection_formula():

@@ -216,3 +216,30 @@ def test_a_large_basis_loads_and_an_index_past_the_basis_is_refused():
         obj["euler"][key] = "1"
         with pytest.raises(ModelFormatError, match="bad basis index " + re.escape(repr(key))):
             model_from_dict(obj)
+
+
+@pytest.mark.parametrize("place, value, where", [
+    (("source", "degrees", 1), 2.0, "source: basis degree 2.0"),
+    (("source", "degrees", 1), "2", "source: basis degree '2'"),
+    (("source", "components", 0, "indices", 1), 1.0, "source: component all index 1.0"),
+    (("target", "components", 0, "top_degree"), 4.0, "target: component top degree 4.0"),
+    (("target", "top_degree"), 4.0, "target: top degree 4.0"),
+    (("codim",), 2.0, "codimension must be a positive even integer, got 2.0"),
+    (("codim",), True, "codimension must be a positive even integer, got True"),
+], ids=["degree-float", "degree-str", "component-index", "component-top", "top", "codim",
+        "codim-bool"])
+def test_a_value_the_constructors_refuse_exits_2_at_its_location(tmp_path, capsys, place,
+                                                                 value, where):
+    # the reader checks JSON shape only; the constructors refuse each of these,
+    # and the reader puts the file and field in front of their message
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    node = obj
+    for key in place[:-1]:
+        node = node[key]
+    node[place[-1]] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["validate", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+    with pytest.raises(ModelFormatError, match=re.escape(where)):
+        load_model(path)
