@@ -564,9 +564,12 @@ def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> G
     the component's E_i, read from its collected memo.  The result is
     checked once against the transfer kernel on the disjoint union, built
     first, which refuses components that do not share the target data and
-    codimension; on an empty k-tuple manifold the class is 0 at once.
+    codimension; on an empty k-tuple manifold the class is 0 at once.  The
+    union of several components is memoised on the first, with its classes.
     """
-    union = disjoint_union(models)
+    models = tuple(models)
+    union = (models[0]._cached(("union", models), lambda: disjoint_union(models))
+             if len(models) > 1 else models[0])
     target = union.target
     if _empty_locus(union, k):
         return target.zero()

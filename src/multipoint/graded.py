@@ -301,8 +301,9 @@ class _Element:
         """The product of the degree-j parts of this class, over j in J."""
         out = self._one()
         for j in J:
-            if j % 2:
-                raise GradedAlgebraError(f"odd degree {j} in index sequence")
+            if type(j) is not int or j < 0 or j % 2:
+                raise GradedAlgebraError(f"degree {_shown(j)} in index sequence is not "
+                                         "a nonnegative even integer")
             out = out * self.degree_part(j)
         return out
 
@@ -340,8 +341,10 @@ class GradedClass(_Element):
         return GradedClass(self.ring, {i: c * v for i, v in self.coords.items()})
 
     def __pow__(self, n: int) -> "GradedClass":
+        if type(n) is not int:
+            raise GradedAlgebraError(f"power {_shown(n)} is not an int")
         if n < 0:
-            raise ValueError("negative power; use invert_unital first")
+            raise GradedAlgebraError("negative power; use invert_unital first")
         out = self.ring.unit()
         for _ in range(n):
             out = out * self

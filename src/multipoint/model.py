@@ -26,7 +26,7 @@ from .graded import (
     power_sum_coords,
 )
 from .polynomials import signature_genus_log_coeffs
-from .records import FrozenRecord, Record, _shown
+from .records import Frozen, FrozenRecord, Record, _shown
 
 
 class ModelError(ValueError):
@@ -47,6 +47,8 @@ class LinearMap(FrozenRecord):
     def __init__(self, domain: GradedRing, codomain: GradedRing,
                  images: Mapping[int, GradedClass], degree_shift: int = 0):
         basis_indices(list(images), len(domain.labels), "map domain index")
+        if type(degree_shift) is not int:
+            raise ModelError(f"degree shift must be an int, got {_shown(degree_shift)}")
         if any(img.ring is not codomain and img.ring != codomain for img in images.values()):
             raise ModelError("an image is not in the codomain of the map")
         object.__setattr__(self, "domain", domain)
@@ -119,8 +121,20 @@ class ValidationReport(Record):
         return "\n".join(lines)
 
 
-class ImmersionModel:
-    """The full cohomological datum of an even-codimension immersion."""
+def check_codim(codim: object) -> None:
+    """Refuse a codimension that is not a positive even int."""
+    if type(codim) is not int or codim <= 0 or codim % 2:
+        raise ModelError(f"codimension must be a positive even integer, got {_shown(codim)}")
+
+
+class ImmersionModel(Frozen):
+    """The full cohomological datum of an even-codimension immersion.
+
+    A model is a value: its fields are set once, here, and refused after,
+    so what _cache memoises for it (derived classes, the validation report,
+    the formulas' chains) never goes stale."""
+
+    _cache: Dict[object, object]
 
     def __init__(
         self,
@@ -136,8 +150,7 @@ class ImmersionModel:
         chern_target: Optional[GradedClass] = None,
         name: str = "",
     ):
-        if type(codim) is not int or codim <= 0 or codim % 2:
-            raise ModelError(f"codimension must be a positive even integer, got {_shown(codim)}")
+        check_codim(codim)
         # each map and class on its ring, refused as the map call or the
         # class product that would meet it first
         if (pullback.domain, pushforward.domain) != (target, source) or any(
@@ -148,18 +161,11 @@ class ImmersionModel:
                 c is not None and c.ring is not source and c.ring != source
                 for c in (euler, pontrjagin_source, chern_source)):
             raise GradedAlgebraError("classes live in different rings")
-        self.source = source
-        self.target = target
-        self.pullback = pullback
-        self.pushforward = pushforward
-        self.codim = codim
-        self.euler = euler
-        self.pontrjagin_source = pontrjagin_source
-        self.pontrjagin_target = pontrjagin_target
-        self.chern_source = chern_source
-        self.chern_target = chern_target
-        self.name = name
-        self._cache: Dict[str, object] = {}
+        vars(self).update(
+            source=source, target=target, pullback=pullback, pushforward=pushforward,
+            codim=codim, euler=euler, pontrjagin_source=pontrjagin_source,
+            pontrjagin_target=pontrjagin_target, chern_source=chern_source,
+            chern_target=chern_target, name=name, _cache={})
 
     # ---- derived classes --------------------------------------------------
 
@@ -258,10 +264,18 @@ def _row_witness(ring: GradedRing, left: Sequence[str], right: Sequence[str], ro
 
 
 def validate(model: ImmersionModel) -> ValidationReport:
-    """Run every consistency check the formulas rely on.
+    """Run every consistency check the formulas rely on, once per model:
+    the report is memoised on the model, and callers must not mutate it.
 
     Report-valued: failures carry a witness, nothing raises.
     """
+    report = model._cache.get("validation")
+    if report is None:
+        report = model._cache.setdefault("validation", _checks(model))
+    return report
+
+
+def _checks(model: ImmersionModel) -> ValidationReport:
     report = ValidationReport()
 
     src_issues = model.source.check_axioms()

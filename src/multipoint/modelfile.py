@@ -4,19 +4,21 @@ Rationals are strings like "3/4" (or "5"); ring products and linear maps
 are sparse nested maps keyed by stringified basis indices.  A file holding
 {"components": [...]} is read as a disjoint union over a shared target.
 Validation is structural only; mathematical consistency is the job of
-model validation.
+model validation.  ``load_model`` returns one model per file text, so a
+reload of an unchanged file keeps the validation and memos of the first.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .graded import GradedClass, GradedRing, RingComponent, Scalar, exact
-from .model import ImmersionModel, LinearMap, disjoint_union
+from .model import ImmersionModel, LinearMap, check_codim, disjoint_union
 
 FORMAT_VERSION = 1
 
@@ -233,6 +235,10 @@ def model_from_dict(obj, where: str = "model") -> ImmersionModel:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"{where}: unsupported format_version {version}")
     codim = _require(obj, "codim", where)
+    try:
+        check_codim(codim)  # before the pushforward takes it as its shift
+    except ValueError as exc:
+        raise ModelFormatError(f"{where}: {exc}") from None
     source = ring_from_dict(_require(obj, "source", where), f"{where}.source")
     target = ring_from_dict(_require(obj, "target", where), f"{where}.target")
     pullback = _map_from(_require(obj, "pullback", where), target, source, 0,
@@ -262,15 +268,40 @@ def save_model(model: ImmersionModel, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
 
 
+# The models of the most recently loaded file texts, oldest first: at most
+# LOADED_MODELS, each with the memos its queries built.
+LOADED_MODELS = 64
+_loaded: Dict[str, ImmersionModel] = {}
+_loaded_lock = threading.Lock()
+
+
+def _remember(text: str, model: Optional[ImmersionModel] = None) -> Optional[ImmersionModel]:
+    """The model held for text, now the most recent; model is stored for
+    text when none is held, the oldest dropped past the bound."""
+    with _loaded_lock:
+        held = _loaded.pop(text, None) or model
+        if held is not None:
+            _loaded[text] = held
+            if len(_loaded) > LOADED_MODELS:
+                del _loaded[next(iter(_loaded))]
+        return held
+
+
 def load_model(path: Union[str, Path]) -> ImmersionModel:
+    """The model in a model file, read on every call.  A text loaded before,
+    among the last LOADED_MODELS distinct ones, gives the same model object;
+    model_from_dict(model_to_dict(m)) builds an independent copy."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: cannot read a model file: {exc}") from None
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # ValueError: malformed JSON, or an integer literal over the
-        # interpreter's digit limit; RecursionError: nesting too deep
-        raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
-    return model_from_dict(obj, where=str(path))
+    model = _remember(text)
+    if model is None:
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            # ValueError: malformed JSON, or an integer literal over the
+            # interpreter's digit limit; RecursionError: nesting too deep
+            raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
+        model = _remember(text, model_from_dict(obj, where=str(path)))
+    return model

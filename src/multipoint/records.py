@@ -4,8 +4,8 @@ A record's fields are its ``__slots__``, in constructor order; equality
 (same class only), the repr ``Name(field=value, ...)`` and pickling follow
 from them; the repr shows an int past the interpreter's int-to-str digit
 limit by its digit count.  Mutable records are unhashable; frozen ones
-hash by their field values and refuse assignment.  Subclasses write their
-own ``__init__``.
+hash by their field values and refuse assignment, as any ``Frozen`` object
+does.  Subclasses write their own ``__init__``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,20 @@ class Record:
         return type(self), self._values()
 
 
-class FrozenRecord(Record):
+class Frozen:
+    """An object whose fields are set once, in ``__init__``, through
+    ``object.__setattr__`` or its instance dict, and refused after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FrozenRecord(Frozen, Record):
     """A record whose fields are set once, in ``__init__``, through
     ``object.__setattr__``."""
 
@@ -56,9 +69,3 @@ class FrozenRecord(Record):
 
     def __hash__(self) -> int:
         return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")

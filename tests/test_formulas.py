@@ -40,7 +40,7 @@ from multipoint.model import (
     product_ring,
     validate,
 )
-from multipoint.modelfile import load_model, model_from_dict, model_to_dict, save_model
+from multipoint.modelfile import model_from_dict, model_to_dict
 from multipoint.models import (
     BUNDLED,
     bundled_model,
@@ -292,6 +292,27 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
             special(m, 10 ** 6)
     with pytest.raises(ModelError, match="target"):
         virtual_signature_class_union([m, bundled_model("hypersurface-d2")], 10 ** 6)
+
+
+def test_the_union_is_built_once_per_tuple_of_components(monkeypatch):
+    components = random_union_components(random.Random(8), 3)
+    first = virtual_signature_class_union(components, 6)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return product_ring(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "product_ring", counted)
+    assert virtual_signature_class_union(components, 6) == first
+    assert virtual_signature_class_union(tuple(components), 6) == first
+    assert built == []
+    # a union that is refused is refused again, and nothing is stored for it
+    m, keys = components[0], set(components[0]._cache)
+    for _ in range(2):
+        with pytest.raises(ModelError, match="target"):
+            virtual_signature_class_union([m, bundled_model("hypersurface-d2")], 2)
+    assert set(m._cache) == keys
 
 
 def _codim_2_model():
@@ -610,11 +631,11 @@ def test_collected_kernel_matches_the_graded_class_recursion():
     assert nonzero >= 4
 
 
-def test_models_loaded_from_one_file_share_no_memo(tmp_path):
-    path = tmp_path / "m.json"
-    save_model(random_truncated_model(random.Random(43), max_powers=8,
-                                      allow_zero_euler=False), path)
-    a, b = load_model(path), load_model(path)
+def test_models_built_from_one_dict_share_no_memo():
+    # load_model shares one model per file text; model_from_dict builds anew
+    obj = model_to_dict(random_truncated_model(random.Random(43), max_powers=8,
+                                               allow_zero_euler=False))
+    a, b = model_from_dict(obj), model_from_dict(obj)
     # k = 2 is the largest k with a nonempty k-tuple manifold on this m = 1
     # model; above it the routes return 0 before building any chain
     values = _collected_values(a, 2)

@@ -225,6 +225,26 @@ def test_degree_parts(cp2):
     assert x.select_degrees([2, 2]) == 9 * cp2.basis_class(2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: x.select_degrees(["4"]),
+    lambda x: x.select_degrees([4.0]),
+    lambda x: x.select_degrees([-2]),
+    lambda x: cross([x, x]).select_degrees(["4"]),
+    lambda x: cross([x, x]).select_degrees([2, 2.0]),
+    lambda x: x ** 2.0,
+    lambda x: x ** "2",
+    lambda x: x ** True,
+    lambda x: x ** -1,
+], ids=["select-str", "select-float", "select-negative", "tensor-select-str",
+        "tensor-select-float", "power-float", "power-str", "power-bool", "power-negative"])
+def test_degree_selection_and_powers_refuse_junk(cp2, call):
+    # a string degree or power raised TypeError, a float degree was read as
+    # an int, a negative degree as an empty part and a bool power as 1, and a
+    # negative power raised ValueError
+    with pytest.raises(GradedAlgebraError):
+        call(cp2.unit() + cp2.basis_class(1))
+
+
 def test_invert_unital(cp4):
     h = cp4.basis_class(1)
     x = cp4.unit() + h

@@ -4,8 +4,9 @@ file must end as exit 2 (invalid model) or 3 (usage error), a well-formed
 one as exit 0; nothing may raise, and exit 1 (route disagreement) must not
 appear.  Through the library's `load_model` alone, a file must load or
 raise `ModelFormatError`, never another exception.  Through the ring, class,
-map and model constructors, a junk index, degree, codimension or ring must
-be refused with `GradedAlgebraError` or `ModelError`."""
+map and model constructors, and a class's degree selection and power, a junk
+index, degree, shift, power, codimension or ring must be refused with
+`GradedAlgebraError` or `ModelError`."""
 
 import json
 import random
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipoint import cli
-from multipoint.graded import GradedAlgebraError, GradedClass, GradedRing, TensorClass
+from multipoint.graded import GradedAlgebraError, GradedClass, GradedRing, TensorClass, cross
 from multipoint.model import ImmersionModel, LinearMap, ModelError, validate
 from multipoint.modelfile import ModelFormatError, load_model, model_to_dict
 from multipoint.models import BUNDLED, bundled_model
@@ -174,8 +175,8 @@ def _ring_args(m):
 
 @st.composite
 def junk_calls(draw):
-    """A constructor call with one argument corrupted: (the argument, the
-    junk put in it, the call)."""
+    """A constructor or operator call with one argument corrupted: (the
+    argument, the junk put in it, the call)."""
     m = bundled_model(draw(st.sampled_from(["line-in-plane", "two-lines", "line-in-quadric"])))
     other = bundled_model("hypersurface-d3")  # rings unequal to every ring of m
     ring, n = m.target, len(m.target.labels)
@@ -183,8 +184,8 @@ def junk_calls(draw):
     kind = draw(st.sampled_from([
         "degree", "top_degree", "component_top", "component_index", "product_key",
         "product_slot", "product_value", "integral", "unit", "class", "tensor_slot",
-        "tensor_arity", "map_domain", "map_codomain", "map_image_ring", "codim",
-        "model_class_ring", "model_map_ring"]))
+        "tensor_arity", "map_domain", "map_codomain", "map_image_ring", "map_shift", "codim",
+        "model_class_ring", "model_map_ring", "select_degrees", "power"]))
     args = _ring_args(m)
     fields = dict(source=m.source, target=m.target, pullback=m.pullback,
                   pushforward=m.pushforward, codim=m.codim, euler=m.euler,
@@ -236,6 +237,18 @@ def junk_calls(draw):
     elif kind == "map_image_ring":
         junk = draw(st.sampled_from([other.target, other.source, m.source]))
         return kind, junk, lambda: LinearMap(ring, ring, {0: junk.unit()})
+    elif kind == "map_shift":
+        junk = draw(NOT_INT)
+        return kind, junk, lambda: LinearMap(ring, ring, {}, junk)
+    elif kind == "select_degrees":
+        junk = draw(BAD_DEGREE.filter(lambda d: d is not None))
+        x = draw(st.sampled_from([m.pontrjagin_target, cross([m.pontrjagin_target] * 2)]))
+        J = draw(st.lists(st.sampled_from([0, 2, 4]), max_size=2))
+        J.insert(draw(st.integers(0, len(J))), junk)
+        return kind, junk, lambda: x.select_degrees(J)
+    elif kind == "power":
+        junk = draw(st.one_of(NOT_INT, st.integers(max_value=-1)))
+        return kind, junk, lambda: m.pontrjagin_target ** junk
     elif kind == "codim":
         junk = fields["codim"] = draw(BAD_CODIM)
     elif kind == "model_class_ring":
@@ -258,9 +271,10 @@ def junk_calls(draw):
 @given(junk_calls())
 def test_constructors_refuse_junk_with_their_own_errors(call):
     # a float, bool, string, negative or past-the-basis index, a degree or
-    # codimension that is not an int of the right parity, and a class, image
-    # or map of another ring are each refused by the constructor; whatever
-    # one let through is printed and validated, as a user of it would
+    # codimension that is not an int of the right parity, a shift or power
+    # that is not an int, and a class, image or map of another ring are each
+    # refused by the constructor or operator; whatever one let through is
+    # printed and validated, as a user of it would
     kind, junk, build = call
     try:
         built = build()

@@ -1,3 +1,4 @@
+import inspect
 import random
 import tempfile
 from fractions import Fraction
@@ -52,6 +53,34 @@ def test_odd_codimension_rejected():
         with pytest.raises(ModelError, match="codimension must be a positive even integer"):
             ImmersionModel(m.source, m.target, m.pullback, m.pushforward, codim,
                            m.euler, m.pontrjagin_source, m.pontrjagin_target)
+
+
+@pytest.mark.parametrize("shift", ["2", 2.0, True, None, Fraction(2)],
+                         ids=["str", "float", "bool", "none", "fraction"])
+def test_a_degree_shift_that_is_not_an_int_is_refused(shift):
+    # validate raised TypeError on it, in LinearMap.respects_degrees
+    m = bundled_model("line-in-plane")
+    with pytest.raises(ModelError, match="degree shift must be an int"):
+        LinearMap(m.source, m.target, m.pushforward.images, shift)
+    with pytest.raises(ModelError, match="degree shift must be an int"):
+        LinearMap.from_coords(m.source, m.target, {}, shift)
+
+
+def test_a_model_refuses_field_assignment():
+    # a model is a value: the classes memoised for it, and the one model
+    # load_model shares between the loaders of a file, stay true of it
+    m = bundled_model("hypersurface-d3")
+    fields = [*inspect.signature(ImmersionModel).parameters, "_cache"]
+    for field in fields:
+        before = getattr(m, field)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(m, field, before)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(m, field)
+        assert getattr(m, field) is before
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        m.extra = 1
+    assert len(fields) == 12 and validate(m).ok
 
 
 def _swapped(m, **changes):

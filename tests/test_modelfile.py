@@ -1,12 +1,17 @@
 import json
+import random
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from multipoint import cli
+from multipoint import cli, modelfile
+from multipoint.graded import GradedRing
 from multipoint.model import validate
 from multipoint.modelfile import (
+    LOADED_MODELS,
     ModelFormatError,
     _coords_from,
     _fraction_from,
@@ -226,8 +231,9 @@ def test_a_large_basis_loads_and_an_index_past_the_basis_is_refused():
     (("target", "top_degree"), 4.0, "target: top degree 4.0"),
     (("codim",), 2.0, "codimension must be a positive even integer, got 2.0"),
     (("codim",), True, "codimension must be a positive even integer, got True"),
+    (("codim",), "2", "codimension must be a positive even integer, got '2'"),
 ], ids=["degree-float", "degree-str", "component-index", "component-top", "top", "codim",
-        "codim-bool"])
+        "codim-bool", "codim-str"])
 def test_a_value_the_constructors_refuse_exits_2_at_its_location(tmp_path, capsys, place,
                                                                  value, where):
     # the reader checks JSON shape only; the constructors refuse each of these,
@@ -243,3 +249,142 @@ def test_a_value_the_constructors_refuse_exits_2_at_its_location(tmp_path, capsy
     assert str(path) in capsys.readouterr().err
     with pytest.raises(ModelFormatError, match=re.escape(where)):
         load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# One model per file text
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def loaded(monkeypatch):
+    """An empty table of loaded models, so that no other test's file text is
+    found in it."""
+    table = {}
+    monkeypatch.setattr(modelfile, "_loaded", table)
+    return table
+
+
+def _write(path, bundled="line-in-plane", **changes):
+    obj = {**model_to_dict(bundled_model(bundled)), **changes}
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _counters(monkeypatch):
+    """Lists that record each GradedRing built and each ring axiom check."""
+    rings, checks = [], []
+    init, check_axioms = GradedRing.__init__, GradedRing.check_axioms
+
+    def counted_init(ring, *args, **kwargs):
+        rings.append(ring)
+        init(ring, *args, **kwargs)
+
+    def counted_check(ring):
+        checks.append(ring)
+        return check_axioms(ring)
+
+    monkeypatch.setattr(GradedRing, "__init__", counted_init)
+    monkeypatch.setattr(GradedRing, "check_axioms", counted_check)
+    return rings, checks
+
+
+def test_two_loads_of_one_file_return_one_model(tmp_path, monkeypatch, loaded):
+    path = _write(tmp_path / "m.json", "hypersurface-d3")
+    first = load_model(path)
+    report = validate(first)
+    rings, checks = _counters(monkeypatch)
+    again = load_model(path)
+    # a reload of an unchanged file builds no ring and runs no axiom check
+    assert again is first and validate(again) is report and report.ok
+    assert rings == [] and checks == []
+    # the same text at another path is the same model; model_from_dict copies
+    assert load_model(_write(tmp_path / "n.json", "hypersurface-d3")) is first
+    copy = model_from_dict(model_to_dict(first))
+    assert copy is not first and model_to_dict(copy) == model_to_dict(first)
+    assert list(loaded.values()) == [first]
+
+
+def test_an_edited_file_loads_a_new_model(tmp_path, loaded):
+    path = _write(tmp_path / "m.json")
+    first = load_model(path)
+    before = model_to_dict(first)
+    edited = _write(path, euler={"1": "3"}, name="edited")
+    again = load_model(path)
+    assert again is not first and (again.name, again.euler) == ("edited", 3 * first.euler)
+    assert model_to_dict(again) == json.loads(edited.read_text())
+    assert model_to_dict(first) == before  # the first loader's model is unchanged
+    assert validate(again) is not validate(first)
+
+
+@pytest.mark.parametrize("text", [
+    "{ not json",
+    json.dumps({**model_to_dict(bundled_model("line-in-plane")), "euler": {"9": "1"}}),
+], ids=["not-json", "bad-index"])
+def test_a_malformed_file_raises_on_every_load(tmp_path, monkeypatch, loaded, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    parses = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: parses.append(text) or loads(text))
+    errors = set()
+    for _ in range(3):
+        with pytest.raises(ModelFormatError, match=re.escape(str(path))) as exc:
+            load_model(path)
+        errors.add(str(exc.value))
+    assert len(errors) == 1 and len(parses) == 3 and loaded == {}
+
+
+def test_one_file_past_the_bound_evicts_the_oldest(tmp_path, loaded):
+    paths = [_write(tmp_path / f"m{i}.json", name=f"m{i}") for i in range(LOADED_MODELS + 1)]
+    models = [load_model(path) for path in paths]
+    assert len(loaded) == LOADED_MODELS >= 33  # the wide benchmark has 33 files
+    assert load_model(paths[-1]) is models[-1]
+    assert load_model(paths[1]) is models[1]  # now the most recent
+    rebuilt = load_model(paths[0])  # evicted by the last file
+    assert rebuilt is not models[0] and model_to_dict(rebuilt) == model_to_dict(models[0])
+    assert load_model(paths[2]) is not models[2]  # the oldest when paths[0] came back
+    assert len(loaded) == LOADED_MODELS
+
+
+def test_threads_loading_files_share_one_model_per_text(tmp_path, loaded):
+    # more threads than cores, switching often: loads of one text that race
+    # still end with one model, and the table stays within its bound
+    few = [_write(tmp_path / f"few{i}.json", name=f"few{i}") for i in range(8)]
+    many = [_write(tmp_path / f"many{i}.json", name=f"many{i}")
+            for i in range(LOADED_MODELS + 6)]
+    got, errors = [], []
+
+    def run(seed, paths):
+        rng = random.Random(seed)
+        try:
+            for _ in range(3):
+                for path in rng.sample(paths, len(paths)):
+                    got.append((path, load_model(path)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for paths in (few, many):
+            got.clear()
+            workers = [threading.Thread(target=run, args=(seed, paths)) for seed in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers) and errors == []
+            if paths is few:
+                assert len({(path, id(m)) for path, m in got}) == len(few)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 6 * 3 * len(many) and len(loaded) == LOADED_MODELS
+    assert all(m.name == json.loads(text)["name"] for text, m in loaded.items())
+
+
+def test_validate_checks_the_ring_axioms_once_per_model(monkeypatch):
+    m = bundled_model("line-in-quadric")
+    rings, checks = _counters(monkeypatch)
+    assert validate(m) is validate(m)
+    assert checks == [m.source, m.target] and rings == []
