@@ -15,14 +15,11 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "formulas": """MultipointResult PreconditionError RouteDisagreement chern_number genus
-        multiple_point_dimension pontrjagin_number signature signature_collected
-        signature_via_source signature_via_target transfer_of_unit transfer_to_source
-        transfer_to_target virtual_signature_class virtual_signature_class_union""",
+    "formulas": """MultipointResult PreconditionError chern_number genus pontrjagin_number
+        transfer_of_unit transfer_to_source transfer_to_target""",
     "graded": """GradedAlgebraError GradedClass GradedRing NonUnitalClassError RingComponent
         TensorClass cross genus_class power_sums signature_class""",
-    "model": """ImmersionModel LinearMap ModelError ValidationReport disjoint_union
-        embedding_consistent validate""",
+    "model": "ImmersionModel LinearMap ModelError ValidationReport embedding_consistent validate",
     "modelfile": "ModelFormatError load_model model_from_dict model_to_dict save_model",
     "models": "BUNDLED bundled_model truncated_polynomial_ring",
     "oracle": "diagonal_pullback recursion_identity_holds",
@@ -30,6 +27,10 @@ _EXPORTS = {
     "random_models": "random_truncated_model",
     "series": """SpecialSeries compose identity_series invert scaled_exp_series
         scaled_log_series""",
+    "signatures": """RouteDisagreement multiple_point_dimension signature signature_collected
+        signature_via_source signature_via_target virtual_signature_class
+        virtual_signature_class_union""",
+    "union": "disjoint_union",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -10,15 +10,17 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-# Only what validate and examples run is imported here.  The formulas load
-# in compute, the model file reader for a file path, the identity checks
-# (oracle, series algebra) in identities and json for --json, so each
-# command compiles only the modules it runs.
-from .graded import GradedClass
-from .model import ImmersionModel, validate
-from .models import BUNDLED, bundled_model
+# No package module is imported here, so that each command compiles only
+# the modules it runs: examples none (it prints MODEL_NOTES), validate the
+# rings and models, a signature or bk compute also the signature kernel,
+# and a Pontrjagin or Chern number also the formulas.  A file path adds the
+# model file reader, identities the oracle and the series algebra, and
+# --json adds json.
+if TYPE_CHECKING:
+    from .graded import GradedClass
+    from .model import ImmersionModel
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -46,13 +48,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _RouteNames:
-    """The --route choices, read from the formulas' route registry only when
+    """The --route choices, read from the signature route registry only when
     argparse checks or lists them, so that building the parser for validate
-    or examples does not import the formulas."""
+    or examples does not import the signature kernel."""
 
     @staticmethod
     def _names() -> Tuple[str, ...]:
-        from .formulas import SIGNATURE_ROUTES
+        from .signatures import SIGNATURE_ROUTES
         return (*SIGNATURE_ROUTES, "auto")
 
     def __contains__(self, name) -> bool:
@@ -69,6 +71,7 @@ class CliError(Exception):
 
 
 def _resolve_model(ref: str) -> ImmersionModel:
+    from .models import BUNDLED, bundled_model
     if ref in BUNDLED:
         return bundled_model(ref)
     path = Path(ref)
@@ -112,6 +115,7 @@ def _parse_quantity(text: str) -> Tuple[str, Optional[Tuple[int, ...]]]:
 
 
 def cmd_validate(args) -> int:
+    from .model import validate
     model = _resolve_model(args.model)
     report = validate(model)
     if args.json:
@@ -127,9 +131,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compute(args) -> int:
-    from .formulas import (RouteDisagreement, chern_number, empty_locus_warning,
-                           multiple_point_dimension, pontrjagin_number, signature,
-                           virtual_signature_class)
+    from .model import validate
+    from .signatures import RouteDisagreement, empty_locus_warning, multiple_point_dimension
     kind, J = _parse_quantity(args.quantity)
     if kind != "signature" and args.route != "auto":
         raise CliError(f"--route {args.route} applies to the signature only, "
@@ -145,14 +148,19 @@ def cmd_compute(args) -> int:
     out = {"model": model.name or args.model, "k": k, "quantity": args.quantity,
            "route": args.route}
     try:
+        # each evaluator is read from the package's exports, as a library
+        # caller reads it (the benchmark tracer wraps those names)
         if kind == "signature":
+            from . import signature
             out["value"] = str(signature(model, k, route=args.route))
             text = out["value"]
         elif kind == "bk":
+            from . import virtual_signature_class
             cls = virtual_signature_class(model, k)
             out["value"] = _class_json(cls)
             text = repr(cls)
         else:
+            from . import chern_number, pontrjagin_number
             res = (pontrjagin_number if kind == "pontrjagin" else chern_number)(model, k, J)
             warnings.extend(res.warnings)
             out["value"] = str(res.value)
@@ -193,11 +201,13 @@ def cmd_identities(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    # MODEL_NOTES names every bundled model (a test pins its keys), so
+    # listing them builds no model and loads no ring
     if args.json:
-        _print_json({name: MODEL_NOTES.get(name, "") for name in sorted(BUNDLED)})
+        _print_json({name: MODEL_NOTES[name] for name in sorted(MODEL_NOTES)})
     else:
-        for name in sorted(BUNDLED):
-            print(f"{name:28s} {MODEL_NOTES.get(name, '')}")
+        for name in sorted(MODEL_NOTES):
+            print(f"{name:28s} {MODEL_NOTES[name]}")
     return EXIT_OK
 
 

@@ -1,49 +1,38 @@
-"""Multiple-point formulas: transfer operators, signatures, characteristic
-numbers, the virtual signature class, and the special-case evaluators.
+"""Genera, characteristic numbers, tensor transfers and the special-case
+evaluators of the k-tuple point manifolds.
 
-Partition sums over an arbitrary tensor argument run as a recursion over
-the subsets of {1,...,k} that splits off the block of the smallest point,
-so no route enumerates partitions.  When the argument is symmetric they
-collapse, by the exponential formula, to a recursion over the block sizes.
-Everything is exact rational arithmetic; agreement checks are equalities,
-not tolerances.
+The signature kernel (the entry checks, the transfer kernel, the four
+signature routes and the virtual signature class) lives in
+``signatures``, so that a signature query compiles none of this module;
+every name that moved there still resolves here, as the same object.
+Everything is exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import wraps
-from math import factorial
-from typing import Callable, List, Optional, Sequence, Tuple
+from math import factorial, prod
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .collected import (
-    CHARACTERISTIC,
-    Characteristic,
-    _exponential_coefficients,
-    _genus,
-    _genus_classes,
-    _genus_plan,
-    _genus_point_count,
-    _number_from_genera,
-    _pairing,
-    _sum_coords,
+from . import signatures
+from .collected import _genus
+from .graded import Coords, GradedClass, Scalar, TensorClass, cross, exact
+from .model import ImmersionModel, LinearMap, ModelError
+from .records import Record
+from .signatures import (
+    _checked,
+    _empty_locus,
+    _text,
+    _transfer,
+    empty_locus_warning,
+    multiple_point_dimension,
 )
-from .graded import (
-    Coords,
-    GradedAlgebraError,
-    GradedClass,
-    Scalar,
-    TensorClass,
-    cross,
-    exact,
-)
-from .model import ImmersionModel, ModelError, disjoint_union, preimage_under
-from .polynomials import log_coefficient
-from .records import Record, _shown
 
-
-class RouteDisagreement(ArithmeticError):
-    """Two routes that must agree exactly produced different values."""
+# the names that moved to signatures are bound here too, as the same objects
+globals().update({name: getattr(signatures, name) for name in """RouteDisagreement
+    SIGNATURE_ROUTES _ENTRY_CHECKS _J _cap _chern _k _log_coeffs _model _models _route_name
+    _tensor signature signature_collected signature_collected_source signature_via_source
+    signature_via_target virtual_signature_class virtual_signature_class_union""".split()})
 
 
 class PreconditionError(ModelError):
@@ -65,258 +54,9 @@ class MultipointResult(Record):
 
 
 # ---------------------------------------------------------------------------
-# Entry checks: one per parameter name, run by @_checked before the body
+# The tensor transfers (restriction to the k-tuple locus of a class on the
+# k-fold source power, pushed to the source or the target)
 # ---------------------------------------------------------------------------
-
-
-def _model(model: object) -> None:
-    if not isinstance(model, ImmersionModel):
-        raise ModelError(f"model must be an ImmersionModel, got {model!r}")
-
-
-def _models(models: object) -> None:
-    if not (isinstance(models, (list, tuple)) and models
-            and all(isinstance(m, ImmersionModel) for m in models)):
-        raise ModelError(f"models must be a non-empty list or tuple of ImmersionModels, got {models!r}")
-
-
-def _text(template: str, *values) -> str:
-    """template % values, each value shown by _shown if str() refuses one."""
-    try:
-        return template % values
-    except ValueError:
-        return template % tuple(map(_shown, values))
-
-
-def _k(k: object) -> None:
-    # a bool, float, Fraction or string is refused, not truncated
-    if type(k) is not int:
-        raise ValueError(f"multiplicity k must be an int, got {k!r}")
-    if k < 1:
-        raise ValueError(f"multiplicity k must be at least 1, got {_shown(k)}")
-
-
-def _J(J: object) -> None:
-    if not isinstance(J, (list, tuple)):
-        raise GradedAlgebraError(f"index sequence {J!r} is not a sequence of integers")
-    for j in J:
-        if type(j) is not int or j < 0 or j % 2:
-            raise GradedAlgebraError(f"index sequence entry {j!r} is not a nonnegative even integer")
-
-
-def _tensor(name: str, t: object, k: int, ring: object, side: str) -> None:
-    if not (isinstance(t, TensorClass) and t.arity == k and (t.ring is ring or t.ring == ring)):
-        raise GradedAlgebraError(f"{name} must be an arity-{k} TensorClass on the {side} ring")
-
-
-def _route_name(route: object) -> None:
-    if not isinstance(route, str) or (route != "auto" and route not in SIGNATURE_ROUTES):
-        raise ValueError(f"unknown signature route {route!r}")
-
-
-def _chern(chern: object) -> None:
-    if type(chern) is not bool:
-        raise ValueError(f"chern must be a bool, got {chern!r}")
-
-
-def _log_coeffs(log_coeffs: object) -> None:
-    if not isinstance(log_coeffs, (list, tuple)):
-        raise GradedAlgebraError(f"log_coeffs must be a list or tuple of rationals, got {log_coeffs!r}")
-    for c in log_coeffs:
-        exact(c)
-
-
-def _cap(cap: object, k: int) -> None:
-    if type(cap) is not int:
-        raise ValueError(f"oracle cap must be an int, got {cap!r}")
-    if k > cap:
-        raise ValueError(f"oracle refuses k={_shown(k)} beyond its cap {cap}")
-
-
-# a check's parameters after the first name the arguments it also reads
-_ENTRY_CHECKS = {
-    "model": _model, "models": _models, "k": _k, "J": _J, "route": _route_name,
-    "chern": _chern, "log_coeffs": _log_coeffs, "cap": _cap,
-    "x": lambda x, model, k: _tensor("x", x, k, model.source, "source"),
-    "y": lambda y, model, k: _tensor("y", y, k, model.target, "target"),
-}
-_REQUIRED = object()
-
-
-def _checked(fn: Callable) -> Callable:
-    """fn, running the entry check of each of its parameters that
-    _ENTRY_CHECKS names, in parameter order, before its body.  fn's own
-    default needs no check unless the check reads other arguments (the
-    oracle's cap is checked against k), so None passes where fn's default
-    is None.  The positions are read from fn once, here, so a call indexes
-    args and builds no dict."""
-    def params(f: Callable) -> Tuple[str, ...]:
-        return f.__code__.co_varnames[:f.__code__.co_argcount]
-
-    names = params(fn)
-    defaults = ((_REQUIRED,) * len(names) + (fn.__defaults__ or ()))[-len(names):]
-    spec = {n: (i, n, d) for i, (n, d) in enumerate(zip(names, defaults))}
-    plan = [(*spec[n], check, tuple(spec[r] for r in params(check)[1:]))
-            for n in names if (check := _ENTRY_CHECKS.get(n))]
-
-    @wraps(fn)
-    def checked(*args, **kwargs):
-        n = len(args)
-        for i, name, default, check, reads in plan:
-            value = args[i] if i < n else kwargs.get(name, default)
-            if value is default:
-                if value is _REQUIRED:
-                    break  # fn names the missing argument
-                if not reads:
-                    continue
-            if reads:
-                check(value, *[args[j] if j < n else kwargs.get(r, d) for j, r, d in reads])
-            else:
-                check(value)
-        return fn(*args, **kwargs)
-    return checked
-
-
-@_checked
-def multiple_point_dimension(model: ImmersionModel, k: int) -> Tuple[int, ...]:
-    """Expected dimension of the k-tuple point manifold, per source component."""
-    return tuple(sorted({c.top_degree - (k - 1) * model.codim
-                         for c in model.source.components}))
-
-
-def _empty_locus(model: ImmersionModel, k: int) -> bool:
-    """Whether the k-tuple point manifold is empty: (k-1)*codim exceeds the
-    dimension of every source component."""
-    bound = (k - 1) * model.codim
-    for c in model.source.components:
-        if c.top_degree >= bound:
-            return False
-    return True
-
-
-@_checked
-def empty_locus_warning(model: ImmersionModel, k: int) -> Optional[str]:
-    """The warning that the k-tuple point manifold is empty; None when it is
-    not."""
-    if not _empty_locus(model, k):
-        return None
-    return _text("the %s-tuple point manifold is empty: (k-1)*codim = %s exceeds the source "
-                 "dimension(s) %s; the value is 0", k, (k - 1) * model.codim,
-                 model.source_dimensions())
-
-
-# ---------------------------------------------------------------------------
-# The transfer operators (restriction to the k-tuple locus, pushed to the
-# source or the target)
-# ---------------------------------------------------------------------------
-
-
-def _transfer(model: ImmersionModel, factors: Sequence[GradedClass],
-              to_target: bool) -> GradedClass:
-    """Transfer of the elementary tensor c_1 x ... x c_k of source classes.
-
-    The sum, over the partitions of {1,...,k}, of the products of the block
-    terms l(|B|) * img(B): l(|B|) is the log coefficient and img(B) the
-    image of the block class e^(|B|-1) * prod_{i in B} c_i, its pushforward
-    on the target and pullback(pushforward(.)) on the source, where the
-    block containing 1 is kept as it is.  Splitting off the block of the
-    smallest point gives the subset recursion
-
-        T(S) = sum over the B in S that contain min S of term(B) * T(S - B),
-
-    with T of the empty set the unit and T({1,...,k}) the transfer.  Subsets
-    are bit masks, and every block class, term and T(S) is a coordinate dict
-    built at most once: a call takes at most 2^k - 2 ring products for the
-    block classes and (3^(k-1) - 1)/2 for the recursion, visits no
-    partition, and builds one GradedClass, the result.
-
-    Degree pruning.  In a valid model the Euler class has degree codim, the
-    pushforward raises degrees by codim, the pullback keeps them and
-    products add them.  With w(S) = |S| * codim plus the lowest degrees of
-    the c_i, i in S, a mapped block and a T(S) have degree at least w(S),
-    so every partition term has degree at least w({1,...,k}), less codim on
-    the source (whose block of 1 is unmapped).  Above the top degree of the
-    result's ring (on the source: (k-1) * codim above it, an empty k-tuple
-    manifold) the transfer is zero before any product or map call.  Else
-    the slack is the room left under the top degree: every block, c_i * e
-    and T(S) keeps only its coordinates within the slack of its bound, a
-    block to be pushed forward only those whose image has a target degree,
-    and an empty block is neither mapped nor grown.  No product is taken
-    with a zero factor.
-    """
-    source = model.source
-    ring = model.target if to_target else source
-    if not all(c.coords for c in factors):
-        return ring.zero()
-    k, codim = len(factors), model.codim
-    sdeg, rdeg = source.degrees, ring.degrees
-    low = [min(map(sdeg.__getitem__, c.coords)) for c in factors]
-    # w({1,...,k}) is a plain sum, so the empty case costs no 2^k table
-    slack = ring.max_degree - k * codim - sum(low) + (0 if to_target else codim)
-    if slack < 0:  # every partition term lies above the top degree
-        return ring.zero()
-    full = (1 << k) - 1
-    w = [0] * (full + 1)  # w[S], the degree bound of a mapped block or T(S)
-    for b in range(1, full + 1):
-        top = b.bit_length() - 1
-        w[b] = w[b ^ (1 << top)] + codim + low[top]
-
-    def within(coords: Coords, cap: int) -> Coords:
-        return {i: v for i, v in coords.items() if sdeg[i] <= cap}
-
-    mul = source.mul_coords
-    push, pull = model.pushforward.apply_coords, model.pullback.apply_coords
-    reach = model.target.max_degree - codim  # blocks above it push forward to zero
-    # c_i * e for i >= 2: the point 1 is never the largest of a block of two or more
-    times_e: List[Optional[Coords]] = [None] * k
-    if model.euler.coords:
-        for t in range(1, k):
-            cls = mul(within(factors[t].coords, low[t] + slack), model.euler.coords)
-            times_e[t] = within(cls, low[t] + codim + slack) or None
-
-    blocks: List[Optional[Coords]] = [None] * (full + 1)
-    terms: List[Optional[Coords]] = [None] * (full + 1)
-    for b in range(1, full + 1):
-        top = b.bit_length() - 1
-        rest = b ^ (1 << top)
-        mapped = to_target or not b & 1
-        cap = min(w[b] - codim + slack, reach) if mapped else w[b] - codim + slack
-        if not rest:
-            cls = within(factors[top].coords, cap)
-        elif blocks[rest] is not None and times_e[top] is not None:
-            cls = within(mul(blocks[rest], times_e[top]), cap)
-        else:
-            continue
-        if not cls:
-            continue
-        blocks[b] = cls
-        if mapped:
-            cls = push(cls)
-            if cls and not to_target:
-                cls = pull(cls)
-            if not cls:
-                continue
-        weight = log_coefficient(b.bit_count())
-        terms[b] = cls if weight == 1 else {i: weight * v for i, v in cls.items()}
-
-    # T(S) for every S without the point 1 (the even masks, each after its
-    # subsets), then for the full set; the B = S term needs no product
-    T: List[Optional[Coords]] = [None] * (full + 1)
-    mul = ring.mul_coords
-    for S in (*range(2, full, 2), full):
-        cap = w[S] + slack
-        rest = S & (S - 1)
-        acc = dict(terms[S] or ())
-        sub = rest
-        while sub:
-            term, t = terms[S ^ sub], T[sub]
-            if term is not None and t is not None:
-                for i, v in mul(term, t).items():
-                    if rdeg[i] <= cap:
-                        acc[i] = acc.get(i, 0) + v
-            sub = (sub - 1) & rest
-        T[S] = {i: v for i, v in acc.items() if v} or None
-    return GradedClass(ring, T[full] or {})
 
 
 def _transfer_tensor(model: ImmersionModel, k: int, x: TensorClass,
@@ -350,98 +90,42 @@ def transfer_to_target(model: ImmersionModel, k: int, x: TensorClass) -> GradedC
 
 
 # ---------------------------------------------------------------------------
-# Signature routes
+# Genera
 # ---------------------------------------------------------------------------
 
-@_checked
-def signature_via_source(model: ImmersionModel, k: int) -> Fraction:
-    """Signature of the k-tuple point manifold, evaluated on the source:
-    transfer of L(source) x L(normal)^{-1} x ... x L(normal)^{-1}."""
-    if _empty_locus(model, k):
-        return Fraction(0)
-    factors = [model.l_source] + [model.l_normal_inverse] * (k - 1)
-    value = _transfer(model, factors, to_target=False).integrate()
-    return value / factorial(k)
+
+class Characteristic(NamedTuple):
+    """Pontrjagin or Chern classes: the name, the degree step of their
+    parts, whether the L-genus is a genus, and the total classes of a
+    model's source, target and normal bundle."""
+
+    name: str
+    step: int
+    l_genus: bool
+    classes: Callable[[ImmersionModel], Tuple[GradedClass, GradedClass, GradedClass]]
 
 
-@_checked
-def signature_via_target(model: ImmersionModel, k: int) -> Fraction:
-    """Same signature, evaluated on the target: pair L(target) with the
-    full pushforward transfer of the tensor power of L(normal)^{-1}."""
-    if _empty_locus(model, k):
-        return Fraction(0)
-    pushed = _transfer(model, [model.l_normal_inverse] * k, to_target=True)
-    return (model.l_target * pushed).integrate() / factorial(k)
-
-
-@_checked
-def signature_collected(model: ImmersionModel, k: int) -> Fraction:
-    """Collected form: L(target) paired with E_k of the pushed normal
-    blocks, the partition sum collected by the exponential formula."""
-    if _empty_locus(model, k):
-        return Fraction(0)
-    return _genus(model, k, model.l_target, model.l_normal_inverse)
-
-
-@_checked
-def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
-    """Collected form on the source, where the block containing the first
-    point is marked and keeps its Euler-power weight.
-
-    With F_n = f*(E_n) the exponential coefficients of the pulled-back
-    blocks, this is (1/k) sum_{l=1..k} (-1)^(l-1) <L(source) (e u)^(l-1)
-    F_{k-l}>, u the inverse normal L-class; the sum over l is evaluated by
-    Horner's rule.  The F_n are pulled back from the target chain once
-    each and kept on it.
-    """
-    if _empty_locus(model, k):
-        return Fraction(0)
-    chain = _exponential_coefficients(model, model.l_normal_inverse, k - 1)
-    pulled = chain.pulled
-    pulled.extend(map(model.pullback.apply_coords, chain.coeffs[len(pulled):k]))
-    mul = model.source.mul_coords
-    acc = pulled[0]
-    for f in pulled[1:k]:
-        acc = _sum_coords([(1, f), (-1, mul(chain.eu, acc))])
-    return _pairing(model.l_source, acc) / k
-
-
-SIGNATURE_ROUTES = {
-    "general": signature_via_source,
-    "via-N": signature_via_target,
-    "collected": signature_collected,
-    "collected-source": signature_collected_source,
+CHARACTERISTIC = {
+    False: Characteristic("pontrjagin", 4, True, lambda m: (
+        m.pontrjagin_source, m.pontrjagin_target, m.normal_pontrjagin)),
+    True: Characteristic("chern", 2, False, lambda m: (m.chern_source, m.chern_target, m.normal_chern)),
 }
 
 
-@_checked
-def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
-    """Signature of the k-tuple point manifold, 0 before any route runs
-    when none of its dimensions is 0 mod 4 (an empty one has none): every
-    L-class of a valid model has degrees 0 mod 4, so the pairing cannot
-    reach the top degree.
+def _genus_classes(model: ImmersionModel, kind: Characteristic,
+                   c: Sequence[Scalar]) -> Tuple[GradedClass, GradedClass]:
+    """K(target) and K(normal)^-1 for log K = sum_j c_j s_j, s_j the power
+    sums of the kind's roots, memoised on the model per kind and c (c_0 is
+    not read, and each c_j is taken in the int-or-Fraction normal form, so
+    every spelling of one c shares an entry); exp(-x) = exp(x)^-1 exactly
+    in a nilpotent ring, so the inverse is the genus class of -c."""
+    c = (0, *map(exact, tuple(c)[1:]))
 
-    route 'auto' evaluates every route and insists on exact agreement.
-    """
-    bound = (k - 1) * model.codim
-    for c in model.source.components:
-        if c.top_degree >= bound and (c.top_degree - bound) % 4 == 0:
-            break
-    else:
-        return Fraction(0)
-    if route in SIGNATURE_ROUTES:
-        return SIGNATURE_ROUTES[route](model, k)
-    values = {name: fn(model, k) for name, fn in SIGNATURE_ROUTES.items()}
-    distinct = set(values.values())
-    if len(distinct) != 1:
-        detail = ", ".join(f"{name}={value}" for name, value in values.items())
-        raise RouteDisagreement(f"signature routes disagree for k={k}: {detail}")
-    return distinct.pop()
-
-
-# ---------------------------------------------------------------------------
-# Characteristic numbers
-# ---------------------------------------------------------------------------
+    def build() -> Tuple[GradedClass, GradedClass]:
+        _, target, normal = kind.classes(model)
+        return (model.genus_class(target, lambda n: c, kind.step),
+                model.genus_class(normal, lambda n: [-x for x in c], kind.step))
+    return model._cached(("genus", kind.name, c), build)
 
 
 @_checked
@@ -461,6 +145,82 @@ def genus(model: ImmersionModel, k: int, log_coeffs: Sequence[Scalar],
     if _empty_locus(model, k):
         return Fraction(0)
     return _genus(model, k, *_genus_classes(model, CHARACTERISTIC[chern], log_coeffs))
+
+
+# ---------------------------------------------------------------------------
+# Characteristic numbers
+# ---------------------------------------------------------------------------
+
+
+def _genus_plan(J: Sequence[int], kind: Characteristic, dims: Sequence[int]) -> tuple:
+    """What _number_from_genera evaluates for J: the kind, the weight
+    w = sum(J) / step, the weights of the dimensions dims, the nonzero
+    parts j / step of J and the largest, and whether the L point alone
+    decides the number."""
+    w = sum(J) // kind.step
+    weights = sorted({d // kind.step for d in dims if d >= 0 and d % kind.step == 0})
+    parts = [j // kind.step for j in J if j]
+    return kind, w, weights, parts, max(parts, default=1), kind.l_genus and weights == [w] and w <= 1
+
+
+def _genus_point_count(plan: tuple) -> int:
+    """The number of genus evaluations _number_from_genera makes on the
+    plan (the L point, which the signature queries share, counts as 1)."""
+    _, w, weights, _, top, l_point = plan
+    return 1 if l_point else _lower_set_size(range(2, top + 1), w) * len(weights)
+
+
+def _number_from_genera(model: ImmersionModel, k: int, plan: tuple) -> Fraction:
+    """The characteristic number, read from genera.
+
+    Over a component of dimension step * u, the genus with log
+    coefficients c is G_u(c) = sum over the partitions lambda of u of
+    prod_i c_(lambda_i) / prod_j m_j(lambda)! * S_lambda, S_lambda the
+    integral of prod_i s_(lambda_i).  By Newton's identities the number is
+    a combination of the S_lambda of weight w = sum(J) / step whose parts
+    are at most top = max(J) / step, so c_j = 0 for j > top.  With c_1 = 1
+    the genus is then a polynomial in c_2..c_top on the lower set of the
+    (m_2, ..., m_top) with sum_j j * m_j <= w, one vector per such lambda,
+    and _interpolate_on_lower_set reads it from its values at those integer
+    points: a triangular system, no elimination.  Other weights (sources
+    with components of other dimensions) are split off by also evaluating
+    at s^j * c_j for s = 1, 2, ..., which multiplies G_u by s^u.
+
+    At a point, _genus_classes gives K(target) and u = K(normal)^-1 for
+    c = (0, s, m_2 * s^2, ..., m_top * s^top), and _genus pairs them on
+    the collected chain of u; both are memoised on the model, so a repeated
+    number reads every point.  A
+    Pontrjagin number of one weight w <= 1 needs no point: G_1 = S_(1) / 3
+    on the L-genus, whose chain the signature queries share.
+    """
+    kind, w, weights, parts, top, l_point = plan
+    if l_point:
+        return 3 ** w * _genus(model, k, model.l_target, model.l_normal_inverse)
+    points = _lower_set(range(2, top + 1), w)
+    values: Dict[Tuple[int, ...], Fraction] = dict.fromkeys(points, Fraction(0))
+    # G_w = sum_s beta_s G(s . c), from a Vandermonde system in the scales
+    # (distinct positive scales and exponents: nonsingular)
+    scales = range(1, len(weights) + 1)
+    beta = _solve_linear([{u: s ** u for u in weights} for s in scales], {w: 1})
+    for s, b in zip(scales, beta):
+        for m in points:
+            c = (0, s, *(x * s ** j for j, x in enumerate(m, start=2)))
+            values[m] += b * _genus(model, k, *_genus_classes(model, kind, c))
+    numbers: Dict[Tuple[int, ...], Fraction] = {}  # S_lambda = a_m * prod_j m_j!
+    for m, a in _interpolate_on_lower_set(values).items():
+        mult = (w - sum(j * x for j, x in enumerate(m, start=2)),) + m
+        lam = tuple(j for j in range(top, 0, -1) for _ in range(mult[j - 1]))
+        numbers[lam] = a * prod(map(factorial, mult))
+    e = _elementary_in_power_sums(top)
+    product: Dict[Tuple[int, ...], Fraction] = {(): Fraction(1)}  # prod e_v in s
+    for v in parts:
+        terms: Dict[Tuple[int, ...], Fraction] = {}
+        for a, x in product.items():
+            for lam, y in e[v].items():
+                key = tuple(sorted(a + lam, reverse=True))
+                terms[key] = terms.get(key, 0) + x * y
+        product = terms
+    return sum((v * numbers.get(lam, 0) for lam, v in product.items()), Fraction(0))
 
 
 def _number_by_expansion(model: ImmersionModel, k: int, J: Sequence[int],
@@ -540,53 +300,81 @@ def chern_number(model: ImmersionModel, k: int, J: Sequence[int]) -> MultipointR
 
 
 # ---------------------------------------------------------------------------
-# The virtual signature class
+# The symmetric-function change of basis and interpolation on a lower set
+# of exponent vectors
 # ---------------------------------------------------------------------------
 
 
-@_checked
-def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
-    """The target class whose pairing with L(target)/k! is the signature:
-    virtual_signature_class_union([model], k)."""
-    return virtual_signature_class_union.__wrapped__([model], k)
+def _elementary_in_power_sums(n: int) -> List[Dict[Tuple[int, ...], Fraction]]:
+    """e_0..e_n as polynomials in the power sums, {partition: coefficient}
+    with descending tuples, by n * e_n = sum_i (-1)^(i-1) e_(n-i) s_i."""
+    e: List[Dict[Tuple[int, ...], Fraction]] = [{(): Fraction(1)}]
+    for m in range(1, n + 1):
+        acc: Dict[Tuple[int, ...], Fraction] = {}
+        for i in range(1, m + 1):
+            for lam, v in e[m - i].items():
+                key = tuple(sorted(lam + (i,), reverse=True))
+                acc[key] = acc.get(key, 0) + (v if i % 2 else -v) / m
+        e.append(acc)
+    return e
 
 
-@_checked
-def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> GradedClass:
-    """The virtual signature class of the disjoint union of the models, by
-    a multinomial convolution of per-component classes.
+def _lower_set(weights: Sequence[int], bound: int) -> List[Tuple[int, ...]]:
+    """Every exponent vector m >= 0 with sum_i weights[i] * m_i <= bound
+    (positive weights), in lexicographic order."""
+    points: List[Tuple[Tuple[int, ...], int]] = [((), 0)]
+    for wt in weights:
+        points = [(m + (x,), used + x * wt) for m, used in points
+                  for x in range((bound - used) // wt + 1)]
+    return [m for m, _ in points]
 
-    Sheets are distributed over the components in every way: the class is
-    k! times the t^k coefficient of the product, over the components, of
-    the series 1 + sum_i B_i t^i / i!, B_i the component's class for i
-    sheets.  A component receiving no sheet contributes the empty factor 1,
-    so that the k = 1 class stays additive over components.  B_i / i! is
-    the component's E_i, read from its collected memo.  The result is
-    checked once against the transfer kernel on the disjoint union, built
-    first, which refuses components that do not share the target data and
-    codimension; on an empty k-tuple manifold the class is 0 at once.  The
-    union of several components is memoised on the first, with its classes.
+
+def _lower_set_size(weights: Sequence[int], bound: int) -> int:
+    """len(_lower_set(weights, bound)), without building it."""
+    ways = [1] + [0] * bound  # ways[b]: the vectors of weight exactly b
+    for wt in weights:
+        for b in range(wt, bound + 1):
+            ways[b] += ways[b - wt]
+    return sum(ways)
+
+
+def _interpolate_on_lower_set(values: Mapping[Tuple[int, ...], object]
+                              ) -> Dict[Tuple[int, ...], Fraction]:
+    """The coefficients {m: a_m} of the polynomial sum_m a_m x^m, m over
+    the keys of values (a lower set), that takes values[m] at the integer
+    point x = m.
+
+    Divided differences along each coordinate in turn give the
+    coefficients in the falling-factorial basis prod_i x_i (x_i - 1) ...
+    (x_i - m_i + 1): the basis function of m vanishes at every point not
+    above m, so the system is triangular and has one solution on a lower
+    set.  Stirling numbers of the first kind then give the monomial
+    coefficients.  Exact; no elimination.
     """
-    models = tuple(models)
-    union = (models[0]._cached(("union", models), lambda: disjoint_union(models))
-             if len(models) > 1 else models[0])
-    target = union.target
-    if _empty_locus(union, k):
-        return target.zero()
-    mul = target.mul_coords
-    product, *others = [_exponential_coefficients(m, m.l_normal_inverse, k).coeffs
-                        for m in models]
-    for series in others:
-        product = [_sum_coords((1, mul(product[j], series[n - j]))
-                               for j in range(n + 1) if product[j] and series[n - j])
-                   for n in range(k + 1)]
-    collected = GradedClass(target, {i: factorial(k) * v for i, v in product[k].items()})
-    enumerated = _transfer(union, [union.l_normal_inverse] * k, to_target=True)
-    if collected != enumerated:
-        raise RouteDisagreement(
-            f"virtual signature class mismatch for k={k} on the union: "
-            f"collected {collected} vs enumerated {enumerated}")
-    return collected
+    v: Dict[Tuple[int, ...], Fraction] = {m: Fraction(c) for m, c in values.items()}
+    n = len(next(iter(v), ()))
+    top = max((max(m, default=0) for m in v), default=0)
+    for i in range(n):
+        for level in range(1, top + 1):
+            for m in sorted((m for m in v if m[i] >= level), key=lambda m: -m[i]):
+                v[m] = (v[m] - v[m[:i] + (m[i] - 1,) + m[i + 1:]]) / level
+    # falling[a][b]: the coefficient of x^b in x (x - 1) ... (x - a + 1)
+    falling = [[1]]
+    for a in range(1, top + 1):
+        row = [0] * (a + 1)
+        for b, c in enumerate(falling[-1]):
+            row[b + 1] += c
+            row[b] -= (a - 1) * c
+        falling.append(row)
+    for i in range(n):
+        out: Dict[Tuple[int, ...], Fraction] = {}
+        for m, c in v.items():
+            for b, s in enumerate(falling[m[i]]):
+                if s and c:
+                    key = m[:i] + (b,) + m[i + 1:]
+                    out[key] = out.get(key, 0) + s * c
+        v = out
+    return {m: c for m, c in v.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +405,9 @@ def _require(condition: bool, witness: str) -> None:
 
 
 def _require_pulled_from_target(model: ImmersionModel) -> None:
-    _require(preimage_under(model.pullback, model.euler) is not None,
+    _require(_preimage_under(model.pullback, model.euler) is not None,
              f"euler class {model.euler} is not pulled back from the target")
-    _require(preimage_under(model.pullback, model.l_normal) is not None,
+    _require(_preimage_under(model.pullback, model.l_normal) is not None,
              "L(normal) is not pulled back from the target")
 
 
@@ -695,3 +483,61 @@ def nullhomotopic(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = No
              "P(normal)^(-1) differs from P(source)")
     # the arguments are checked: __wrapped__ runs no entry check again
     return pushpull_zero.__wrapped__(model, k, J)
+
+
+# ---------------------------------------------------------------------------
+# Exact linear solving, used for image-membership preconditions
+# ---------------------------------------------------------------------------
+
+
+def _solve_linear(columns: Sequence[Coords], target: Coords) -> Optional[List[Fraction]]:
+    """Solve sum_j v_j * columns[j] = target over the rationals.
+
+    Returns one solution vector or None when the system is inconsistent.
+    The entries of columns and target may be ints or Fractions; every
+    division is by a Fraction, so the solution is exact.
+    """
+    rows = sorted({i for col in columns for i in col} | set(target))
+    row_pos = {r: i for i, r in enumerate(rows)}
+    nrows, ncols = len(rows), len(columns)
+    mat = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for r, c in col.items():
+            mat[row_pos[r]][j] = c
+    for r, c in target.items():
+        mat[row_pos[r]][ncols] = c
+
+    pivots: List[Tuple[int, int]] = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, nrows) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        inv = Fraction(1, mat[row][col])
+        mat[row] = [v * inv for v in mat[row]]
+        for r in range(nrows):
+            if r != row and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == nrows:
+            break
+    for r in range(row, nrows):
+        if mat[r][ncols]:
+            return None
+    solution = [Fraction(0)] * ncols
+    for r, c in pivots:
+        solution[c] = mat[r][ncols]
+    return solution
+
+
+def _preimage_under(linmap: LinearMap, target: GradedClass) -> Optional[GradedClass]:
+    """A class mapping to ``target`` under the linear map, or None."""
+    indices = sorted(linmap.images)
+    columns = [linmap.images[i].coords for i in indices]
+    solution = _solve_linear(columns, target.coords)
+    if solution is None:
+        return None
+    return linmap.domain.element({i: v for i, v in zip(indices, solution) if v})

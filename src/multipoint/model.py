@@ -10,7 +10,6 @@ point formulas use.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .graded import (
@@ -18,7 +17,6 @@ from .graded import (
     GradedAlgebraError,
     GradedClass,
     GradedRing,
-    RingComponent,
     Scalar,
     basis_indices,
     combine_rows,
@@ -131,7 +129,7 @@ class ImmersionModel(Frozen):
     """The full cohomological datum of an even-codimension immersion.
 
     A model is a value: its fields are set once, here, and refused after,
-    so what _cache memoises for it (derived classes, the validation report,
+    so what _cache memoises for it (derived classes, the validation checks,
     the formulas' chains) never goes stale."""
 
     _cache: Dict[object, object]
@@ -265,14 +263,16 @@ def _row_witness(ring: GradedRing, left: Sequence[str], right: Sequence[str], ro
 
 def validate(model: ImmersionModel) -> ValidationReport:
     """Run every consistency check the formulas rely on, once per model:
-    the report is memoised on the model, and callers must not mutate it.
+    the checks are memoised on the model as a tuple, and each call hands
+    out a report of its own, so a caller that adds to it changes no later
+    report.
 
     Report-valued: failures carry a witness, nothing raises.
     """
-    report = model._cache.get("validation")
-    if report is None:
-        report = model._cache.setdefault("validation", _checks(model))
-    return report
+    checks = model._cache.get("validation")
+    if checks is None:
+        checks = model._cache.setdefault("validation", tuple(_checks(model).checks))
+    return ValidationReport(list(checks))
 
 
 def _checks(model: ImmersionModel) -> ValidationReport:
@@ -395,162 +395,3 @@ def embedding_consistent(model: ImmersionModel) -> bool:
         if model.pushpull(x) != model.euler * x:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Disjoint unions
-# ---------------------------------------------------------------------------
-
-
-def product_ring(rings: Sequence[GradedRing], name: str = "") -> GradedRing:
-    """Direct product of graded rings, one component per factor.
-
-    Basis labels are suffixed with the factor index; products across
-    factors vanish; the unit and integral are the sums of the factors'.
-    """
-    labels: List[str] = []
-    degrees: List[int] = []
-    products: Dict[Tuple[int, int], Coords] = {}
-    integral: Coords = {}
-    unit: Coords = {}
-    components: List[RingComponent] = []
-    offset = 0
-    for fi, ring in enumerate(rings):
-        labels.extend(f"{lab}@{fi}" for lab in ring.labels)
-        degrees.extend(ring.degrees)
-        for (i, j), coords in ring.products.items():
-            products[(i + offset, j + offset)] = {idx + offset: c for idx, c in coords.items()}
-        for idx, c in ring.integral.items():
-            integral[idx + offset] = c
-        for idx, c in ring.unit_coords.items():
-            unit[idx + offset] = c
-        for comp in ring.components:
-            components.append(RingComponent(
-                f"{comp.name}@{fi}", tuple(i + offset for i in comp.indices), comp.top_degree))
-        offset += len(ring.labels)
-    return GradedRing(labels, degrees, products, integral,
-                      top_degree=max(r.top_degree for r in rings),
-                      unit=unit, components=tuple(components), name=name)
-
-
-def _block_class(union: GradedRing, classes: Sequence[GradedClass],
-                 offsets: Sequence[int]) -> GradedClass:
-    coords: Coords = {}
-    for cls, off in zip(classes, offsets):
-        for i, c in cls.coords.items():
-            coords[i + off] = c
-    return union.element(coords)
-
-
-def disjoint_union(models: Sequence[ImmersionModel], name: str = "") -> ImmersionModel:
-    """Combine immersions of disjoint sources into one shared target."""
-    if not models:
-        raise ModelError("disjoint union of zero models")
-    if len(models) == 1:
-        return models[0]
-    target = models[0].target
-    for m in models[1:]:
-        if m.target != target:
-            raise ModelError("disjoint union requires identical target data")
-        if m.codim != models[0].codim:
-            raise ModelError("disjoint union requires equal codimension")
-        if m.pontrjagin_target != models[0].pontrjagin_target:
-            raise ModelError("disjoint union requires one shared target Pontrjagin class")
-    source = product_ring([m.source for m in models],
-                          name=name + ".source" if name else "")
-    offsets = []
-    off = 0
-    for m in models:
-        offsets.append(off)
-        off += len(m.source.labels)
-
-    pull_images = {
-        j: _block_class(source, [m.pullback(target.basis_class(j)) for m in models], offsets)
-        for j in range(len(target.labels))
-    }
-    pullback = LinearMap(target, source, pull_images, degree_shift=0)
-
-    push_images: Dict[int, GradedClass] = {}
-    for m, off in zip(models, offsets):
-        for i, img in m.pushforward.images.items():
-            push_images[i + off] = target.element(img.coords)
-    pushforward = LinearMap(source, target, push_images, degree_shift=models[0].codim)
-
-    euler = _block_class(source, [m.euler for m in models], offsets)
-    p_src = _block_class(source, [m.pontrjagin_source for m in models], offsets)
-    chern_src = None
-    chern_tgt = None
-    if all(m.chern_source is not None and m.chern_target is not None for m in models):
-        chern_src = _block_class(source, [m.chern_source for m in models], offsets)
-        chern_tgt = models[0].chern_target
-    return ImmersionModel(
-        source=source,
-        target=target,
-        pullback=pullback,
-        pushforward=pushforward,
-        codim=models[0].codim,
-        euler=euler,
-        pontrjagin_source=p_src,
-        pontrjagin_target=models[0].pontrjagin_target,
-        chern_source=chern_src,
-        chern_target=chern_tgt,
-        name=name or "union(" + ",".join(m.name or "?" for m in models) + ")",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Exact linear solving, used for image-membership preconditions
-# ---------------------------------------------------------------------------
-
-
-def solve_linear(columns: Sequence[Coords], target: Coords) -> Optional[List[Fraction]]:
-    """Solve sum_j v_j * columns[j] = target over the rationals.
-
-    Returns one solution vector or None when the system is inconsistent.
-    The entries of columns and target may be ints or Fractions; every
-    division is by a Fraction, so the solution is exact.
-    """
-    rows = sorted({i for col in columns for i in col} | set(target))
-    row_pos = {r: i for i, r in enumerate(rows)}
-    nrows, ncols = len(rows), len(columns)
-    mat = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for r, c in col.items():
-            mat[row_pos[r]][j] = c
-    for r, c in target.items():
-        mat[row_pos[r]][ncols] = c
-
-    pivots: List[Tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = Fraction(1, mat[row][col])
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(nrows):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if mat[r][ncols]:
-            return None
-    solution = [Fraction(0)] * ncols
-    for r, c in pivots:
-        solution[c] = mat[r][ncols]
-    return solution
-
-
-def preimage_under(linmap: LinearMap, target: GradedClass) -> Optional[GradedClass]:
-    """A class mapping to ``target`` under the linear map, or None."""
-    indices = sorted(linmap.images)
-    columns = [linmap.images[i].coords for i in indices]
-    solution = solve_linear(columns, target.coords)
-    if solution is None:
-        return None
-    return linmap.domain.element({i: v for i, v in zip(indices, solution) if v})

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .graded import GradedClass, GradedRing, RingComponent, Scalar, exact
-from .model import ImmersionModel, LinearMap, check_codim, disjoint_union
+from .model import ImmersionModel, LinearMap, check_codim
 
 FORMAT_VERSION = 1
 
@@ -226,6 +226,7 @@ def model_from_dict(obj, where: str = "model") -> ImmersionModel:
         if not isinstance(raw, list) or not raw:
             raise ModelFormatError(f"{where}: components must be a nonempty list")
         parts = [model_from_dict(c, f"{where}.components[{n}]") for n, c in enumerate(raw)]
+        from .union import disjoint_union  # a file without components never compiles it
         try:
             return disjoint_union(parts, name=str(obj.get("name", "")))
         except ValueError as exc:

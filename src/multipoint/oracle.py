@@ -22,7 +22,7 @@ from itertools import product as iproduct
 from math import factorial, prod
 from typing import Dict, List, NamedTuple, Tuple
 
-from .formulas import _checked, signature, transfer_to_source, virtual_signature_class
+from .formulas import transfer_to_source
 from .graded import GradedAlgebraError, GradedClass, Scalar, TensorClass, cross
 from .model import ImmersionModel
 from .models import BUNDLED, bundled_model
@@ -31,6 +31,7 @@ from .partitions import (BELL, SetPartition, all_partitions, count_by_type, quot
 from .polynomials import log_coefficient
 from .series import (DEFAULT_ORDER, compose, composed_derivative, identity_series, invert,
                      scaled_exp_series)
+from .signatures import _checked, signature, virtual_signature_class
 
 DEFAULT_CAP = 7
 

@@ -1,0 +1,439 @@
+"""The signature kernel: the entry checks, the transfer kernel, the four
+signature routes and the virtual signature class.
+
+This is all that a signature or virtual-class query runs; the genera,
+characteristic numbers, tensor transfers and special cases live in
+``formulas``, and a disjoint union of components in ``union``, so such a
+query compiles neither.
+
+Partition sums over an arbitrary tensor argument run as a recursion over
+the subsets of {1,...,k} that splits off the block of the smallest point,
+so no route enumerates partitions.  When the argument is symmetric they
+collapse, by the exponential formula, to a recursion over the block sizes.
+Everything is exact rational arithmetic; agreement checks are equalities,
+not tolerances.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import wraps
+from math import factorial
+from typing import Callable, List, Optional, Sequence, Tuple
+
+from .collected import _exponential_coefficients, _genus, _pairing, _sum_coords
+from .graded import Coords, GradedAlgebraError, GradedClass, TensorClass, exact
+from .model import ImmersionModel, ModelError
+from .polynomials import log_coefficient
+from .records import _shown
+
+
+class RouteDisagreement(ArithmeticError):
+    """Two routes that must agree exactly produced different values."""
+
+
+# ---------------------------------------------------------------------------
+# Entry checks: one per parameter name, run by @_checked before the body
+# ---------------------------------------------------------------------------
+
+
+def _model(model: object) -> None:
+    if not isinstance(model, ImmersionModel):
+        raise ModelError(f"model must be an ImmersionModel, got {model!r}")
+
+
+def _models(models: object) -> None:
+    if not (isinstance(models, (list, tuple)) and models
+            and all(isinstance(m, ImmersionModel) for m in models)):
+        raise ModelError(f"models must be a non-empty list or tuple of ImmersionModels, got {models!r}")
+
+
+def _text(template: str, *values) -> str:
+    """template % values, each value shown by _shown if str() refuses one."""
+    try:
+        return template % values
+    except ValueError:
+        return template % tuple(map(_shown, values))
+
+
+def _k(k: object) -> None:
+    # a bool, float, Fraction or string is refused, not truncated
+    if type(k) is not int:
+        raise ValueError(f"multiplicity k must be an int, got {k!r}")
+    if k < 1:
+        raise ValueError(f"multiplicity k must be at least 1, got {_shown(k)}")
+
+
+def _J(J: object) -> None:
+    if not isinstance(J, (list, tuple)):
+        raise GradedAlgebraError(f"index sequence {J!r} is not a sequence of integers")
+    for j in J:
+        if type(j) is not int or j < 0 or j % 2:
+            raise GradedAlgebraError(f"index sequence entry {j!r} is not a nonnegative even integer")
+
+
+def _tensor(name: str, t: object, k: int, ring: object, side: str) -> None:
+    if not (isinstance(t, TensorClass) and t.arity == k and (t.ring is ring or t.ring == ring)):
+        raise GradedAlgebraError(f"{name} must be an arity-{k} TensorClass on the {side} ring")
+
+
+def _route_name(route: object) -> None:
+    if not isinstance(route, str) or (route != "auto" and route not in SIGNATURE_ROUTES):
+        raise ValueError(f"unknown signature route {route!r}")
+
+
+def _chern(chern: object) -> None:
+    if type(chern) is not bool:
+        raise ValueError(f"chern must be a bool, got {chern!r}")
+
+
+def _log_coeffs(log_coeffs: object) -> None:
+    if not isinstance(log_coeffs, (list, tuple)):
+        raise GradedAlgebraError(f"log_coeffs must be a list or tuple of rationals, got {log_coeffs!r}")
+    for c in log_coeffs:
+        exact(c)
+
+
+def _cap(cap: object, k: int) -> None:
+    if type(cap) is not int:
+        raise ValueError(f"oracle cap must be an int, got {cap!r}")
+    if k > cap:
+        raise ValueError(f"oracle refuses k={_shown(k)} beyond its cap {cap}")
+
+
+# a check's parameters after the first name the arguments it also reads
+_ENTRY_CHECKS = {
+    "model": _model, "models": _models, "k": _k, "J": _J, "route": _route_name,
+    "chern": _chern, "log_coeffs": _log_coeffs, "cap": _cap,
+    "x": lambda x, model, k: _tensor("x", x, k, model.source, "source"),
+    "y": lambda y, model, k: _tensor("y", y, k, model.target, "target"),
+}
+_REQUIRED = object()
+
+
+def _checked(fn: Callable) -> Callable:
+    """fn, running the entry check of each of its parameters that
+    _ENTRY_CHECKS names, in parameter order, before its body.  fn's own
+    default needs no check unless the check reads other arguments (the
+    oracle's cap is checked against k), so None passes where fn's default
+    is None.  The positions are read from fn once, here, so a call indexes
+    args and builds no dict."""
+    def params(f: Callable) -> Tuple[str, ...]:
+        return f.__code__.co_varnames[:f.__code__.co_argcount]
+
+    names = params(fn)
+    defaults = ((_REQUIRED,) * len(names) + (fn.__defaults__ or ()))[-len(names):]
+    spec = {n: (i, n, d) for i, (n, d) in enumerate(zip(names, defaults))}
+    plan = [(*spec[n], check, tuple(spec[r] for r in params(check)[1:]))
+            for n in names if (check := _ENTRY_CHECKS.get(n))]
+
+    @wraps(fn)
+    def checked(*args, **kwargs):
+        n = len(args)
+        for i, name, default, check, reads in plan:
+            value = args[i] if i < n else kwargs.get(name, default)
+            if value is default:
+                if value is _REQUIRED:
+                    break  # fn names the missing argument
+                if not reads:
+                    continue
+            if reads:
+                check(value, *[args[j] if j < n else kwargs.get(r, d) for j, r, d in reads])
+            else:
+                check(value)
+        return fn(*args, **kwargs)
+    return checked
+
+
+@_checked
+def multiple_point_dimension(model: ImmersionModel, k: int) -> Tuple[int, ...]:
+    """Expected dimension of the k-tuple point manifold, per source component."""
+    return tuple(sorted({c.top_degree - (k - 1) * model.codim
+                         for c in model.source.components}))
+
+
+def _empty_locus(model: ImmersionModel, k: int) -> bool:
+    """Whether the k-tuple point manifold is empty: (k-1)*codim exceeds the
+    dimension of every source component."""
+    bound = (k - 1) * model.codim
+    for c in model.source.components:
+        if c.top_degree >= bound:
+            return False
+    return True
+
+
+@_checked
+def empty_locus_warning(model: ImmersionModel, k: int) -> Optional[str]:
+    """The warning that the k-tuple point manifold is empty; None when it is
+    not."""
+    if not _empty_locus(model, k):
+        return None
+    return _text("the %s-tuple point manifold is empty: (k-1)*codim = %s exceeds the source "
+                 "dimension(s) %s; the value is 0", k, (k - 1) * model.codim,
+                 model.source_dimensions())
+
+
+# ---------------------------------------------------------------------------
+# The transfer kernel (restriction to the k-tuple locus, pushed to the
+# source or the target)
+# ---------------------------------------------------------------------------
+
+
+def _transfer(model: ImmersionModel, factors: Sequence[GradedClass],
+              to_target: bool) -> GradedClass:
+    """Transfer of the elementary tensor c_1 x ... x c_k of source classes.
+
+    The sum, over the partitions of {1,...,k}, of the products of the block
+    terms l(|B|) * img(B): l(|B|) is the log coefficient and img(B) the
+    image of the block class e^(|B|-1) * prod_{i in B} c_i, its pushforward
+    on the target and pullback(pushforward(.)) on the source, where the
+    block containing 1 is kept as it is.  Splitting off the block of the
+    smallest point gives the subset recursion
+
+        T(S) = sum over the B in S that contain min S of term(B) * T(S - B),
+
+    with T of the empty set the unit and T({1,...,k}) the transfer.  Subsets
+    are bit masks, and every block class, term and T(S) is a coordinate dict
+    built at most once: a call takes at most 2^k - 2 ring products for the
+    block classes and (3^(k-1) - 1)/2 for the recursion, visits no
+    partition, and builds one GradedClass, the result.
+
+    Degree pruning.  In a valid model the Euler class has degree codim, the
+    pushforward raises degrees by codim, the pullback keeps them and
+    products add them.  With w(S) = |S| * codim plus the lowest degrees of
+    the c_i, i in S, a mapped block and a T(S) have degree at least w(S),
+    so every partition term has degree at least w({1,...,k}), less codim on
+    the source (whose block of 1 is unmapped).  Above the top degree of the
+    result's ring (on the source: (k-1) * codim above it, an empty k-tuple
+    manifold) the transfer is zero before any product or map call.  Else
+    the slack is the room left under the top degree: every block, c_i * e
+    and T(S) keeps only its coordinates within the slack of its bound, a
+    block to be pushed forward only those whose image has a target degree,
+    and an empty block is neither mapped nor grown.  No product is taken
+    with a zero factor.
+    """
+    source = model.source
+    ring = model.target if to_target else source
+    if not all(c.coords for c in factors):
+        return ring.zero()
+    k, codim = len(factors), model.codim
+    sdeg, rdeg = source.degrees, ring.degrees
+    low = [min(map(sdeg.__getitem__, c.coords)) for c in factors]
+    # w({1,...,k}) is a plain sum, so the empty case costs no 2^k table
+    slack = ring.max_degree - k * codim - sum(low) + (0 if to_target else codim)
+    if slack < 0:  # every partition term lies above the top degree
+        return ring.zero()
+    full = (1 << k) - 1
+    w = [0] * (full + 1)  # w[S], the degree bound of a mapped block or T(S)
+    for b in range(1, full + 1):
+        top = b.bit_length() - 1
+        w[b] = w[b ^ (1 << top)] + codim + low[top]
+
+    def within(coords: Coords, cap: int) -> Coords:
+        return {i: v for i, v in coords.items() if sdeg[i] <= cap}
+
+    mul = source.mul_coords
+    push, pull = model.pushforward.apply_coords, model.pullback.apply_coords
+    reach = model.target.max_degree - codim  # blocks above it push forward to zero
+    # c_i * e for i >= 2: the point 1 is never the largest of a block of two or more
+    times_e: List[Optional[Coords]] = [None] * k
+    if model.euler.coords:
+        for t in range(1, k):
+            cls = mul(within(factors[t].coords, low[t] + slack), model.euler.coords)
+            times_e[t] = within(cls, low[t] + codim + slack) or None
+
+    blocks: List[Optional[Coords]] = [None] * (full + 1)
+    terms: List[Optional[Coords]] = [None] * (full + 1)
+    for b in range(1, full + 1):
+        top = b.bit_length() - 1
+        rest = b ^ (1 << top)
+        mapped = to_target or not b & 1
+        cap = min(w[b] - codim + slack, reach) if mapped else w[b] - codim + slack
+        if not rest:
+            cls = within(factors[top].coords, cap)
+        elif blocks[rest] is not None and times_e[top] is not None:
+            cls = within(mul(blocks[rest], times_e[top]), cap)
+        else:
+            continue
+        if not cls:
+            continue
+        blocks[b] = cls
+        if mapped:
+            cls = push(cls)
+            if cls and not to_target:
+                cls = pull(cls)
+            if not cls:
+                continue
+        weight = log_coefficient(b.bit_count())
+        terms[b] = cls if weight == 1 else {i: weight * v for i, v in cls.items()}
+
+    # T(S) for every S without the point 1 (the even masks, each after its
+    # subsets), then for the full set; the B = S term needs no product
+    T: List[Optional[Coords]] = [None] * (full + 1)
+    mul = ring.mul_coords
+    for S in (*range(2, full, 2), full):
+        cap = w[S] + slack
+        rest = S & (S - 1)
+        acc = dict(terms[S] or ())
+        sub = rest
+        while sub:
+            term, t = terms[S ^ sub], T[sub]
+            if term is not None and t is not None:
+                for i, v in mul(term, t).items():
+                    if rdeg[i] <= cap:
+                        acc[i] = acc.get(i, 0) + v
+            sub = (sub - 1) & rest
+        T[S] = {i: v for i, v in acc.items() if v} or None
+    return GradedClass(ring, T[full] or {})
+
+
+def _pushed_normal_power(model: ImmersionModel, k: int) -> GradedClass:
+    """The transfer of L(normal)^-1 x ... x L(normal)^-1 (k factors) pushed
+    to the target, which the via-N route pairs and the virtual class checks
+    against: memoised per model and k, beside the collected chain."""
+    return model._cached(("via-N", k), lambda: _transfer(
+        model, [model.l_normal_inverse] * k, to_target=True))
+
+
+# ---------------------------------------------------------------------------
+# Signature routes
+# ---------------------------------------------------------------------------
+
+@_checked
+def signature_via_source(model: ImmersionModel, k: int) -> Fraction:
+    """Signature of the k-tuple point manifold, evaluated on the source:
+    transfer of L(source) x L(normal)^{-1} x ... x L(normal)^{-1}."""
+    if _empty_locus(model, k):
+        return Fraction(0)
+    factors = [model.l_source] + [model.l_normal_inverse] * (k - 1)
+    value = _transfer(model, factors, to_target=False).integrate()
+    return value / factorial(k)
+
+
+@_checked
+def signature_via_target(model: ImmersionModel, k: int) -> Fraction:
+    """Same signature, evaluated on the target: pair L(target) with the
+    full pushforward transfer of the tensor power of L(normal)^{-1}."""
+    if _empty_locus(model, k):
+        return Fraction(0)
+    return (model.l_target * _pushed_normal_power(model, k)).integrate() / factorial(k)
+
+
+@_checked
+def signature_collected(model: ImmersionModel, k: int) -> Fraction:
+    """Collected form: L(target) paired with E_k of the pushed normal
+    blocks, the partition sum collected by the exponential formula."""
+    if _empty_locus(model, k):
+        return Fraction(0)
+    return _genus(model, k, model.l_target, model.l_normal_inverse)
+
+
+@_checked
+def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
+    """Collected form on the source, where the block containing the first
+    point is marked and keeps its Euler-power weight.
+
+    With F_n = f*(E_n) the exponential coefficients of the pulled-back
+    blocks, this is (1/k) sum_{l=1..k} (-1)^(l-1) <L(source) (e u)^(l-1)
+    F_{k-l}>, u the inverse normal L-class; the sum over l is evaluated by
+    Horner's rule.  The F_n are pulled back from the target chain once
+    each and kept on it.
+    """
+    if _empty_locus(model, k):
+        return Fraction(0)
+    chain = _exponential_coefficients(model, model.l_normal_inverse, k - 1)
+    pulled = chain.pulled
+    pulled.extend(map(model.pullback.apply_coords, chain.coeffs[len(pulled):k]))
+    mul = model.source.mul_coords
+    acc = pulled[0]
+    for f in pulled[1:k]:
+        acc = _sum_coords([(1, f), (-1, mul(chain.eu, acc))])
+    return _pairing(model.l_source, acc) / k
+
+
+SIGNATURE_ROUTES = {
+    "general": signature_via_source,
+    "via-N": signature_via_target,
+    "collected": signature_collected,
+    "collected-source": signature_collected_source,
+}
+
+
+@_checked
+def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
+    """Signature of the k-tuple point manifold, 0 before any route runs
+    when none of its dimensions is 0 mod 4 (an empty one has none): every
+    L-class of a valid model has degrees 0 mod 4, so the pairing cannot
+    reach the top degree.
+
+    route 'auto' evaluates every route and insists on exact agreement.
+    """
+    bound = (k - 1) * model.codim
+    for c in model.source.components:
+        if c.top_degree >= bound and (c.top_degree - bound) % 4 == 0:
+            break
+    else:
+        return Fraction(0)
+    if route in SIGNATURE_ROUTES:
+        return SIGNATURE_ROUTES[route](model, k)
+    values = {name: fn(model, k) for name, fn in SIGNATURE_ROUTES.items()}
+    distinct = set(values.values())
+    if len(distinct) != 1:
+        detail = ", ".join(f"{name}={value}" for name, value in values.items())
+        raise RouteDisagreement(f"signature routes disagree for k={k}: {detail}")
+    return distinct.pop()
+
+
+# ---------------------------------------------------------------------------
+# The virtual signature class
+# ---------------------------------------------------------------------------
+
+
+@_checked
+def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
+    """The target class whose pairing with L(target)/k! is the signature:
+    virtual_signature_class_union([model], k)."""
+    return virtual_signature_class_union.__wrapped__([model], k)
+
+
+@_checked
+def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> GradedClass:
+    """The virtual signature class of the disjoint union of the models, by
+    a multinomial convolution of per-component classes.
+
+    Sheets are distributed over the components in every way: the class is
+    k! times the t^k coefficient of the product, over the components, of
+    the series 1 + sum_i B_i t^i / i!, B_i the component's class for i
+    sheets.  A component receiving no sheet contributes the empty factor 1,
+    so that the k = 1 class stays additive over components.  B_i / i! is
+    the component's E_i, read from its collected memo.  The result is
+    checked once against the transfer kernel on the disjoint union, built
+    first, which refuses components that do not share the target data and
+    codimension; on an empty k-tuple manifold the class is 0 at once.  The
+    union of several components is memoised on the first, with its classes,
+    and the transfer it is checked against on the union, which the via-N
+    route of one model shares.
+    """
+    models = tuple(models)
+    if len(models) > 1:
+        from .union import disjoint_union  # one model needs no union
+        union = models[0]._cached(("union", models), lambda: disjoint_union(models))
+    else:
+        union = models[0]
+    target = union.target
+    if _empty_locus(union, k):
+        return target.zero()
+    mul = target.mul_coords
+    product, *others = [_exponential_coefficients(m, m.l_normal_inverse, k).coeffs
+                        for m in models]
+    for series in others:
+        product = [_sum_coords((1, mul(product[j], series[n - j]))
+                               for j in range(n + 1) if product[j] and series[n - j])
+                   for n in range(k + 1)]
+    collected = GradedClass(target, {i: factorial(k) * v for i, v in product[k].items()})
+    enumerated = _pushed_normal_power(union, k)
+    if collected != enumerated:
+        raise RouteDisagreement(
+            f"virtual signature class mismatch for k={k} on the union: "
+            f"collected {collected} vs enumerated {enumerated}")
+    return collected

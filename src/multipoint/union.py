@@ -1,0 +1,110 @@
+"""Disjoint unions of immersion models: several sources immersed in one
+shared target.
+
+Only a model built from components needs this module: the bundled
+``two-lines``, a model file with components, and the virtual signature
+class of several components.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Sequence, Tuple
+
+from .graded import Coords, GradedClass, GradedRing, RingComponent
+from .model import ImmersionModel, LinearMap, ModelError
+
+
+def product_ring(rings: Sequence[GradedRing], name: str = "") -> GradedRing:
+    """Direct product of graded rings, one component per factor.
+
+    Basis labels are suffixed with the factor index; products across
+    factors vanish; the unit and integral are the sums of the factors'.
+    """
+    labels: List[str] = []
+    degrees: List[int] = []
+    products: Dict[Tuple[int, int], Coords] = {}
+    integral: Coords = {}
+    unit: Coords = {}
+    components: List[RingComponent] = []
+    offset = 0
+    for fi, ring in enumerate(rings):
+        labels.extend(f"{lab}@{fi}" for lab in ring.labels)
+        degrees.extend(ring.degrees)
+        for (i, j), coords in ring.products.items():
+            products[(i + offset, j + offset)] = {idx + offset: c for idx, c in coords.items()}
+        for idx, c in ring.integral.items():
+            integral[idx + offset] = c
+        for idx, c in ring.unit_coords.items():
+            unit[idx + offset] = c
+        for comp in ring.components:
+            components.append(RingComponent(
+                f"{comp.name}@{fi}", tuple(i + offset for i in comp.indices), comp.top_degree))
+        offset += len(ring.labels)
+    return GradedRing(labels, degrees, products, integral,
+                      top_degree=max(r.top_degree for r in rings),
+                      unit=unit, components=tuple(components), name=name)
+
+
+def _block_class(union: GradedRing, classes: Sequence[GradedClass],
+                 offsets: Sequence[int]) -> GradedClass:
+    coords: Coords = {}
+    for cls, off in zip(classes, offsets):
+        for i, c in cls.coords.items():
+            coords[i + off] = c
+    return union.element(coords)
+
+
+def disjoint_union(models: Sequence[ImmersionModel], name: str = "") -> ImmersionModel:
+    """Combine immersions of disjoint sources into one shared target."""
+    if not models:
+        raise ModelError("disjoint union of zero models")
+    if len(models) == 1:
+        return models[0]
+    target = models[0].target
+    for m in models[1:]:
+        if m.target != target:
+            raise ModelError("disjoint union requires identical target data")
+        if m.codim != models[0].codim:
+            raise ModelError("disjoint union requires equal codimension")
+        if m.pontrjagin_target != models[0].pontrjagin_target:
+            raise ModelError("disjoint union requires one shared target Pontrjagin class")
+    source = product_ring([m.source for m in models],
+                          name=name + ".source" if name else "")
+    offsets = []
+    off = 0
+    for m in models:
+        offsets.append(off)
+        off += len(m.source.labels)
+
+    pull_images = {
+        j: _block_class(source, [m.pullback(target.basis_class(j)) for m in models], offsets)
+        for j in range(len(target.labels))
+    }
+    pullback = LinearMap(target, source, pull_images, degree_shift=0)
+
+    push_images: Dict[int, GradedClass] = {}
+    for m, off in zip(models, offsets):
+        for i, img in m.pushforward.images.items():
+            push_images[i + off] = target.element(img.coords)
+    pushforward = LinearMap(source, target, push_images, degree_shift=models[0].codim)
+
+    euler = _block_class(source, [m.euler for m in models], offsets)
+    p_src = _block_class(source, [m.pontrjagin_source for m in models], offsets)
+    chern_src = None
+    chern_tgt = None
+    if all(m.chern_source is not None and m.chern_target is not None for m in models):
+        chern_src = _block_class(source, [m.chern_source for m in models], offsets)
+        chern_tgt = models[0].chern_target
+    return ImmersionModel(
+        source=source,
+        target=target,
+        pullback=pullback,
+        pushforward=pushforward,
+        codim=models[0].codim,
+        euler=euler,
+        pontrjagin_source=p_src,
+        pontrjagin_target=models[0].pontrjagin_target,
+        chern_source=chern_src,
+        chern_target=chern_tgt,
+        name=name or "union(" + ",".join(m.name or "?" for m in models) + ")",
+    )

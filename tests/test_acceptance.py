@@ -13,26 +13,18 @@ from math import factorial
 import pytest
 
 from multipoint.formulas import (
+    PreconditionError,
     euler_zero,
-    multiple_point_dimension,
     nullhomotopic,
     pontrjagin_number,
     pulled_from_target,
     pulled_from_target_class,
     pushpull_zero,
-    signature,
-    signature_collected,
-    signature_collected_source,
-    signature_via_source,
-    signature_via_target,
     transfer_of_unit,
     transfer_to_source,
-    virtual_signature_class,
-    virtual_signature_class_union,
 )
-from multipoint.formulas import PreconditionError
 from multipoint.graded import cross, signature_class
-from multipoint.model import disjoint_union, embedding_consistent, validate
+from multipoint.model import embedding_consistent, validate
 from multipoint.models import BUNDLED, bundled_model
 from multipoint.oracle import recursion_identity_holds, virtual_class_enumerated
 from multipoint.partitions import (
@@ -51,6 +43,17 @@ from multipoint.series import (
     invert,
     scaled_exp_series,
 )
+from multipoint.signatures import (
+    multiple_point_dimension,
+    signature,
+    signature_collected,
+    signature_collected_source,
+    signature_via_source,
+    signature_via_target,
+    virtual_signature_class,
+    virtual_signature_class_union,
+)
+from multipoint.union import disjoint_union
 from series_reference import eval_series, tanh_coeffs
 
 

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from multipoint import formulas
+from multipoint import formulas, signatures
+from multipoint.formulas import _solve_linear
 from multipoint.graded import GradedAlgebraError, GradedClass, TensorClass, cross, exact
-from multipoint.model import disjoint_union, solve_linear, validate
+from multipoint.model import validate
 from multipoint.models import (
     BUNDLED,
     bundled_model,
@@ -17,6 +18,7 @@ from multipoint.models import (
 )
 from multipoint.polynomials import signature_genus_log_coeffs
 from multipoint.random_models import random_truncated_model, random_union_components
+from multipoint.union import disjoint_union
 
 
 def _normal(c) -> bool:
@@ -54,10 +56,10 @@ def test_coordinates_are_ints_or_proper_fractions(m, built_coordinates):
         assert all(_normal(c) for c in data), ring
     assert validate(m).ok
     for k in (1, 2, 3):
-        for route in formulas.SIGNATURE_ROUTES:
-            assert type(formulas.signature(m, k, route=route)) is Fraction
-        formulas.virtual_signature_class(m, k)
-        dim = max(formulas.multiple_point_dimension(m, k))
+        for route in signatures.SIGNATURE_ROUTES:
+            assert type(signatures.signature(m, k, route=route)) is Fraction
+        signatures.virtual_signature_class(m, k)
+        dim = max(signatures.multiple_point_dimension(m, k))
         if dim >= 0:
             J = (4,) * (dim // 4)
             assert type(formulas.pontrjagin_number(m, k, J).value) is Fraction
@@ -120,10 +122,10 @@ def test_non_rational_coordinates_rejected(build, value):
 
 
 def test_solve_linear_on_integer_columns_is_exact():
-    sol = solve_linear([{0: 2}], {0: 1})
+    sol = _solve_linear([{0: 2}], {0: 1})
     assert sol == [Fraction(1, 2)]
     assert all(type(v) is Fraction for v in sol)
-    sol = solve_linear([{0: 3, 1: 1}, {1: 2}], {0: 1, 1: 1})
+    sol = _solve_linear([{0: 3, 1: 1}, {1: 2}], {0: 1, 1: 1})
     assert sol == [Fraction(1, 3), Fraction(1, 3)]
     assert all(type(v) is Fraction for v in sol)
 

@@ -7,39 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipoint import collected, formulas, graded, oracle, partitions
+from multipoint import collected, formulas, graded, oracle, partitions, records, signatures, union
 from multipoint import model as model_mod
 from multipoint.formulas import (
-    SIGNATURE_ROUTES,
     PreconditionError,
     chern_number,
     euler_zero,
-    multiple_point_dimension,
     nullhomotopic,
     pontrjagin_number,
     pulled_from_target,
     pulled_from_target_class,
     pushpull_zero,
-    signature,
-    signature_collected,
-    signature_collected_source,
-    signature_via_source,
-    signature_via_target,
     transfer_of_unit,
     transfer_to_source,
     transfer_to_target,
-    virtual_signature_class,
-    virtual_signature_class_union,
 )
 from multipoint.graded import GradedRing, cross
-from multipoint.model import (
-    ImmersionModel,
-    LinearMap,
-    ModelError,
-    disjoint_union,
-    product_ring,
-    validate,
-)
+from multipoint.model import ImmersionModel, LinearMap, ModelError, validate
 from multipoint.modelfile import model_from_dict, model_to_dict
 from multipoint.models import (
     BUNDLED,
@@ -66,6 +50,18 @@ from multipoint.random_models import (
     random_truncated_model,
     random_union_components,
 )
+from multipoint.signatures import (
+    SIGNATURE_ROUTES,
+    multiple_point_dimension,
+    signature,
+    signature_collected,
+    signature_collected_source,
+    signature_via_source,
+    signature_via_target,
+    virtual_signature_class,
+    virtual_signature_class_union,
+)
+from multipoint.union import disjoint_union, product_ring
 from series_reference import eval_series, tanh_coeffs
 
 
@@ -196,7 +192,7 @@ def test_transfer_kernel_matches_partition_sum():
         for k in range(1, 8):
             factors = [_random_class(rng, m.source) for _ in range(k)]
             for to_target in (False, True):
-                value = formulas._transfer(m, factors, to_target)
+                value = signatures._transfer(m, factors, to_target)
                 assert value == reference_transfer(m, factors, to_target), \
                     (m.name, k, to_target)
                 nonzero += k >= 5 and not value.is_zero()
@@ -207,7 +203,8 @@ def test_general_and_via_n_visit_no_partition(monkeypatch):
     def unavailable(*args, **kwargs):
         raise AssertionError("the transfer kernel must not enumerate partitions")
 
-    assert not hasattr(formulas, "all_partitions")  # the oracle holds the one enumerating check
+    # the oracle holds the one enumerating check
+    assert not hasattr(signatures, "all_partitions") and not hasattr(formulas, "all_partitions")
     monkeypatch.setattr(partitions, "all_partitions", unavailable)
     models = [bundled_model("two-lines"), bundled_model("hypersurface-d3"),
               random_truncated_model(random.Random(19), max_powers=6, allow_zero_euler=False)]
@@ -260,8 +257,11 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
         bundled_model, ("nullhomotopic-cp2-in-s6", "null-pushforward", "line-in-quadric"))
     for name in SIGNATURE_ROUTES:
         monkeypatch.setitem(SIGNATURE_ROUTES, name, unavailable)
-    monkeypatch.setattr(formulas, "_transfer", unavailable)
-    monkeypatch.setattr(formulas, "_exponential_coefficients", unavailable)
+    # the virtual class reads the kernels from signatures, genus reads the
+    # chain through collected._genus
+    monkeypatch.setattr(signatures, "_transfer", unavailable)
+    monkeypatch.setattr(signatures, "_exponential_coefficients", unavailable)
+    monkeypatch.setattr(collected, "_exponential_coefficients", unavailable)
     start = time.perf_counter()
     for route in (*SIGNATURE_ROUTES, "auto"):
         assert signature(m, 10 ** 6, route=route) == 0, route
@@ -303,7 +303,7 @@ def test_the_union_is_built_once_per_tuple_of_components(monkeypatch):
         built.append(args)
         return product_ring(*args, **kwargs)
 
-    monkeypatch.setattr(model_mod, "product_ring", counted)
+    monkeypatch.setattr(union, "product_ring", counted)
     assert virtual_signature_class_union(components, 6) == first
     assert virtual_signature_class_union(tuple(components), 6) == first
     assert built == []
@@ -348,7 +348,7 @@ def test_signature_is_zero_by_degrees_before_any_route(monkeypatch):
 
     for name in SIGNATURE_ROUTES:
         monkeypatch.setitem(SIGNATURE_ROUTES, name, unavailable)
-    monkeypatch.setattr(formulas, "_transfer", unavailable)
+    monkeypatch.setattr(signatures, "_transfer", unavailable)
     start = time.perf_counter()
     for route in (*SIGNATURE_ROUTES, "auto"):
         assert signature(m, 8, route=route) == 0, route
@@ -402,7 +402,7 @@ def test_transfer_on_an_empty_locus_does_no_work(monkeypatch):
     for m, k, factors in cases:
         assert all(d < 0 for d in multiple_point_dimension(m, k))
         for to_target in (False, True):
-            assert formulas._transfer(m, factors, to_target).is_zero(), (m.name, k)
+            assert signatures._transfer(m, factors, to_target).is_zero(), (m.name, k)
     assert calls == {"mul": 0, "map": 0}
     for m, k, _ in cases:
         assert signature_via_source(m, k) == signature_via_target(m, k) == 0
@@ -420,7 +420,7 @@ def test_transfer_maps_no_zero_or_vanishing_block(monkeypatch):
     calls = _kernel_calls(monkeypatch)
     for m, factors in cases:
         for to_target in (False, True):
-            formulas._transfer(m, factors, to_target)
+            signatures._transfer(m, factors, to_target)
     assert calls["map"] > 0
 
 
@@ -435,7 +435,7 @@ def test_transfer_products_stay_within_the_subset_bound(monkeypatch):
         k = len(factors)
         for to_target in (False, True):
             calls["mul"] = 0
-            formulas._transfer(m, factors, to_target)
+            signatures._transfer(m, factors, to_target)
             assert calls["mul"] <= 2 ** k - 2 + (3 ** (k - 1) - 1) // 2, (k, to_target)
             assert k == 1 or calls["mul"] > 0
 
@@ -553,7 +553,7 @@ def test_collected_routes_need_no_partitions_or_transfer(monkeypatch):
         raise AssertionError("the collected routes must not enumerate partitions")
 
     monkeypatch.setattr(partitions, "all_partitions", unavailable)
-    monkeypatch.setattr(formulas, "_transfer", unavailable)
+    monkeypatch.setattr(signatures, "_transfer", unavailable)
     for k in range(1, 5):
         assert signature_collected(m, k) == expected[k - 1]
         assert signature_collected_source(m, k) == expected[k - 1]
@@ -638,14 +638,20 @@ def test_models_built_from_one_dict_share_no_memo():
     a, b = model_from_dict(obj), model_from_dict(obj)
     # k = 2 is the largest k with a nonempty k-tuple manifold on this m = 1
     # model; above it the routes return 0 before building any chain
-    values = _collected_values(a, 2)
+    values = _collected_values(a, 2) + (signature_via_target(a, 2),)
     assert not any(isinstance(key, tuple) for key in b._cache)
-    assert _collected_values(b, 2) == values
-    memo_keys = [key for key in a._cache if isinstance(key, tuple)]
-    assert len(memo_keys) == 1  # one chain per normal class
-    for key in memo_keys:
+    assert _collected_values(b, 2) + (signature_via_target(b, 2),) == values
+    memo_keys = sorted(key[0] for key in a._cache if isinstance(key, tuple))
+    # one chain per normal class, and the pushed transfer that the virtual
+    # class checks against and the via-N route pairs, one per k
+    assert memo_keys == ["collected", "via-N"]
+    assert sorted(key[0] for key in b._cache if isinstance(key, tuple)) == memo_keys
+    for key in (key for key in a._cache if isinstance(key, tuple)):
         ma, mb = a._cache[key], b._cache[key]
         assert ma is not mb
+        if key[0] == "via-N":
+            assert ma == mb and ma.coords is not mb.coords
+            continue
         assert ma.coeffs == mb.coeffs and ma.blocks == mb.blocks and ma.pulled == mb.pulled
         assert ma.coeffs is not mb.coeffs and ma.blocks is not mb.blocks
         assert ma.pulled is not mb.pulled
@@ -714,9 +720,9 @@ def test_signature_invalid_k():
 
 
 def _k_entry_points():
-    """Every public function of formulas and every oracle entry point that
-    runs the entry checks, as name -> (function, its valid arguments at
-    k = 2 by parameter name, in parameter order)."""
+    """Every public function of formulas and signatures and every oracle
+    entry point that runs the entry checks, as name -> (function, its valid
+    arguments at k = 2 by parameter name, in parameter order)."""
     d3, quadric = bundled_model("hypersurface-d3"), bundled_model("line-in-quadric")
     plane, null_push, cp2 = map(bundled_model, ("line-in-plane", "null-pushforward",
                                                 "nullhomotopic-cp2-in-s6"))
@@ -759,9 +765,9 @@ def _k_entry_points():
 
 
 def test_every_public_function_runs_the_entry_checks():
-    public = {name for name, fn in vars(formulas).items()
+    public = {name for module in (formulas, signatures) for name, fn in vars(module).items()
               if callable(fn) and not isinstance(fn, type) and not name.startswith("_")
-              and fn.__module__ == formulas.__name__}
+              and fn.__module__ == module.__name__}
     table = {fn.__name__ for fn, _ in _k_entry_points().values()}
     assert public <= table, public - table
     for fn, args in _k_entry_points().values():
@@ -795,7 +801,7 @@ def test_each_checked_argument_returns_or_raises_value_error(name, data):
     # oracle's coefficient lists take any values with + and *, so only the
     # parameters that the entry checks name are drawn
     fn, args = _k_entry_points()[name]
-    param = data.draw(st.sampled_from([p for p in args if p in formulas._ENTRY_CHECKS]))
+    param = data.draw(st.sampled_from([p for p in args if p in signatures._ENTRY_CHECKS]))
     value = data.draw(_JUNK)
     call = {**args, param: value}
     start = time.perf_counter()
@@ -925,13 +931,34 @@ def test_union_convolution_checks_once_on_the_union(monkeypatch):
     comps = random_union_components(random.Random(8), 3)
     expected = virtual_signature_class(disjoint_union(comps), 2)
     calls = []
-    transfer = formulas._transfer
-    monkeypatch.setattr(formulas, "_transfer",
+    transfer = signatures._transfer
+    monkeypatch.setattr(signatures, "_transfer",
                         lambda *a, **kw: calls.append(a) or transfer(*a, **kw))
     assert virtual_signature_class_union(comps, 2) == expected
     assert len(calls) == 1
     assert virtual_signature_class_union(comps, 6).is_zero()
     assert len(calls) == 1
+
+
+def test_signature_then_virtual_class_push_one_transfer(monkeypatch):
+    # the via-N route and the virtual class's check share one pushed
+    # transfer, memoised per model and k
+    calls = []
+    transfer = signatures._transfer
+
+    def counted(model, factors, to_target):
+        calls.append(to_target)
+        return transfer(model, factors, to_target)
+
+    monkeypatch.setattr(signatures, "_transfer", counted)
+    for name, k in (("two-lines", 2), ("hypersurface-d3", 1)):
+        m = bundled_model(name)
+        calls.clear()
+        value = signature(m, k)
+        assert calls == [False, True], name  # the general route, then via-N
+        cls = virtual_signature_class(m, k)
+        assert calls == [False, True], name
+        assert (m.l_target * cls).integrate() / factorial(k) == value, name
 
 
 def test_union_convolution_refuses_what_the_disjoint_union_refuses():
@@ -1010,7 +1037,7 @@ def test_an_int_is_shown_by_str_or_by_its_digit_count():
                      (1 - 10 ** 4301, "-<4301-digit integer>"),
                      (-(10 ** 4301), "-<4302-digit integer>"),
                      (-7, "-7"), ((3,), "(3,)"), ((2, -6), "(2, -6)")):
-        assert formulas._shown(n) == shown
+        assert records._shown(n) == shown
 
 
 def test_chern_requires_data():
@@ -1112,7 +1139,7 @@ def _pin_numbers(m, ks, reference):
                     want = reference(m, k, J, chern)
                     assert number(m, k, J).value == want, (m.name, k, J, chern)
                     if all(j % (2 if chern else 4) == 0 for j in J):
-                        plan = collected._genus_plan(J, collected.CHARACTERISTIC[chern], dims)
+                        plan = formulas._genus_plan(J, formulas.CHARACTERISTIC[chern], dims)
                         assert formulas._number_from_genera(m, k, plan) == want, \
                             (m.name, k, J, chern)
                     checked += 1
@@ -1227,7 +1254,7 @@ def test_degree_known_zeros_build_no_class(monkeypatch):
 
     m = random_truncated_model(random.Random(19), max_powers=12, allow_zero_euler=False)
     monkeypatch.setattr(graded.GradedClass, "invert_unital", unavailable)
-    for name in ("_genus_classes", "_exponential_coefficients", "_Chain"):
+    for name in ("_exponential_coefficients", "_Chain"):
         monkeypatch.setattr(collected, name, unavailable)
     monkeypatch.setattr(formulas, "cross", unavailable)
     monkeypatch.setattr(formulas, "_genus_classes", unavailable)
@@ -1255,10 +1282,10 @@ def test_genus_classes_invert_by_negating_the_log_coefficients():
     for m in models:
         order = max(m.source.max_degree, m.target.max_degree) // 2
         for chern in (False, True) if m.chern_source is not None else (False,):
-            kind = collected.CHARACTERISTIC[chern]
+            kind = formulas.CHARACTERISTIC[chern]
             _, total, normal = kind.classes(m)
             for c in (signature_genus_log_coeffs(order), (0, Fraction(-1, 24)), (0, 1, 2, -3)):
-                target, inverse = collected._genus_classes(m, kind, c)
+                target, inverse = formulas._genus_classes(m, kind, c)
                 assert target == graded.genus_class(total, lambda n: c, kind.step), (m.name, chern, c)
                 assert inverse == graded.genus_class(normal, lambda n: c, kind.step).invert_unital(), \
                     (m.name, chern, c)
@@ -1282,12 +1309,12 @@ def test_genus_route_computes_each_power_sum_once(monkeypatch):
     for k in range(1, 4):
         dims = multiple_point_dimension(m, k)
         for chern in (False, True):
-            kind = collected.CHARACTERISTIC[chern]
+            kind = formulas.CHARACTERISTIC[chern]
             for J in index_sequences(max(dims)):
                 if all(j % kind.step == 0 for j in J):
-                    plan = collected._genus_plan(J, kind, dims)
+                    plan = formulas._genus_plan(J, kind, dims)
                     formulas._number_from_genera(m, k, plan)
-                    points += collected._genus_point_count(plan)
+                    points += formulas._genus_point_count(plan)
             formulas.genus(m, k, (0, 1, Fraction(-1, 7)), chern=chern)
     m.l_normal_inverse
     assert points > 20
@@ -1327,8 +1354,8 @@ def test_a_repeated_number_on_the_genus_route_builds_nothing(monkeypatch):
     # every point's classes and collected chain are memoised on the model
     m = random_truncated_model(random.Random(40), max_powers=8, with_chern=True)
     k, J = 3, (8, 4)
-    plan = collected._genus_plan(J, collected.CHARACTERISTIC[False], multiple_point_dimension(m, k))
-    assert collected._genus_point_count(plan) == 2
+    plan = formulas._genus_plan(J, formulas.CHARACTERISTIC[False], multiple_point_dimension(m, k))
+    assert formulas._genus_point_count(plan) == 2
     monkeypatch.setattr(formulas, "_number_by_expansion", _unavailable("expand the tensor"))
     built = []
     chain, genus_class = collected._Chain, model_mod.ImmersionModel.genus_class

@@ -22,7 +22,7 @@ from multipoint.graded import (
     power_sums,
     signature_class,
 )
-from multipoint.model import LinearMap, disjoint_union, product_ring, validate
+from multipoint.model import LinearMap, validate
 from multipoint.modelfile import ring_from_dict, ring_to_dict
 from multipoint.models import (
     BUNDLED,
@@ -38,6 +38,7 @@ from multipoint.random_models import (
     random_truncated_model,
     random_union_components,
 )
+from multipoint.union import disjoint_union, product_ring
 from series_reference import eval_series, exp_coeffs, reference_genus_class
 
 
@@ -569,7 +570,6 @@ def test_tensor_arity_mismatch(cp2):
 
 
 def test_product_ring_components():
-    from multipoint.model import product_ring
     a = truncated_polynomial_ring("s", 1)
     b = truncated_polynomial_ring("t", 2)
     prod = product_ring([a, b])

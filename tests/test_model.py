@@ -11,22 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multipoint.formulas import _preimage_under, _solve_linear
 from multipoint.graded import GradedAlgebraError, GradedRing, RingComponent, signature_class
 from multipoint.model import (
     Check,
     ImmersionModel,
     LinearMap,
     ModelError,
-    disjoint_union,
     embedding_consistent,
-    preimage_under,
-    solve_linear,
     validate,
 )
 from multipoint.modelfile import load_model, save_model
 from multipoint.models import BUNDLED, bundled_model
 from multipoint.polynomials import signature_genus_log_coeffs
 from multipoint.random_models import random_truncated_model, random_union_components
+from multipoint.union import disjoint_union
 
 
 def test_all_bundled_models_validate():
@@ -192,7 +191,7 @@ def _rebased_ring(ring: GradedRing, basis: List[Dict[int, Fraction]]):
     n = len(ring.labels)
 
     def new(coords):
-        return {i: v for i, v in enumerate(solve_linear(basis, coords)) if v}
+        return {i: v for i, v in enumerate(_solve_linear(basis, coords)) if v}
 
     products = {(i, j): new(ring.mul_coords(basis[i], basis[j]))
                 for i in range(n) for j in range(i, n)}
@@ -327,6 +326,19 @@ def test_validate_multiplies_only_for_the_derived_relations(monkeypatch):
     assert 0 < len(calls) <= relations
 
 
+def test_a_check_added_to_a_report_reaches_no_later_caller():
+    # validate memoises the checks per model and hands each caller a report
+    # of its own
+    m = bundled_model("line-in-plane")
+    report = validate(m)
+    count = len(report.checks)
+    report.add("extra", False)
+    report.checks.clear()
+    again = validate(m)
+    assert again.ok and len(again.checks) == count and again is not report
+    assert again == validate(m) and again.checks is not validate(m).checks
+
+
 def test_derived_normal_classes():
     m = bundled_model("hypersurface-d3")
     # P(nu) * P(M) = f*(P(N)) by construction
@@ -399,19 +411,19 @@ def test_union_of_forty_source_classes_validates():
 
 def test_solve_linear_consistent_and_inconsistent():
     cols = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
-    sol = solve_linear(cols, {0: Fraction(2), 1: Fraction(5)})
+    sol = _solve_linear(cols, {0: Fraction(2), 1: Fraction(5)})
     assert sol == [Fraction(2), Fraction(3)]
-    assert solve_linear([{0: Fraction(1)}], {1: Fraction(1)}) is None
+    assert _solve_linear([{0: Fraction(1)}], {1: Fraction(1)}) is None
 
 
 def test_preimage_under_pullback():
     m = bundled_model("line-in-plane")
-    pre = preimage_under(m.pullback, m.euler)
+    pre = _preimage_under(m.pullback, m.euler)
     assert pre is not None
     assert m.pullback(pre) == m.euler
     # nothing maps onto a class outside the image
     m2 = bundled_model("nullhomotopic-cp2-in-s6")
-    assert preimage_under(m2.pullback, m2.source.basis_class(1)) is None
+    assert _preimage_under(m2.pullback, m2.source.basis_class(1)) is None
 
 
 def test_multiple_point_dimension():

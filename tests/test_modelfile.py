@@ -296,7 +296,7 @@ def test_two_loads_of_one_file_return_one_model(tmp_path, monkeypatch, loaded):
     rings, checks = _counters(monkeypatch)
     again = load_model(path)
     # a reload of an unchanged file builds no ring and runs no axiom check
-    assert again is first and validate(again) is report and report.ok
+    assert again is first and validate(again) == report and report.ok
     assert rings == [] and checks == []
     # the same text at another path is the same model; model_from_dict copies
     assert load_model(_write(tmp_path / "n.json", "hypersurface-d3")) is first
@@ -314,7 +314,8 @@ def test_an_edited_file_loads_a_new_model(tmp_path, loaded):
     assert again is not first and (again.name, again.euler) == ("edited", 3 * first.euler)
     assert model_to_dict(again) == json.loads(edited.read_text())
     assert model_to_dict(first) == before  # the first loader's model is unchanged
-    assert validate(again) is not validate(first)
+    validate(again), validate(first)
+    assert again._cache["validation"] is not first._cache["validation"]
 
 
 @pytest.mark.parametrize("text", [
@@ -386,5 +387,5 @@ def test_threads_loading_files_share_one_model_per_text(tmp_path, loaded):
 def test_validate_checks_the_ring_axioms_once_per_model(monkeypatch):
     m = bundled_model("line-in-quadric")
     rings, checks = _counters(monkeypatch)
-    assert validate(m) is validate(m)
+    assert validate(m) == validate(m)
     assert checks == [m.source, m.target] and rings == []

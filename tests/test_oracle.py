@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from multipoint.formulas import (
-    signature,
-    transfer_to_source,
-    transfer_to_target,
-    virtual_signature_class,
-)
+from multipoint.formulas import transfer_to_source, transfer_to_target
 from multipoint.graded import cross
 from multipoint.models import BUNDLED, bundled_model
 from multipoint.oracle import (
@@ -22,6 +17,7 @@ from multipoint.oracle import (
 )
 from multipoint.partitions import BELL
 from multipoint.random_models import random_truncated_model
+from multipoint.signatures import signature, virtual_signature_class
 
 
 def test_cap_enforced():

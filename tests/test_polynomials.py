@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from multipoint.model import MAX_CLASS_DEGREE
-from multipoint.polynomials import (
-    elementary_in_power_sums,
-    interpolate_on_lower_set,
-    lower_set,
-    lower_set_size,
-    signature_genus_log_coeffs,
+from multipoint.formulas import (
+    _elementary_in_power_sums,
+    _interpolate_on_lower_set,
+    _lower_set,
+    _lower_set_size,
 )
+from multipoint.model import MAX_CLASS_DEGREE
+from multipoint.polynomials import signature_genus_log_coeffs
 from series_reference import exp_coeffs, series_inverse, series_log, series_mul, tanh_coeffs
 
 def test_exp_log_inverse_pair():
@@ -67,8 +67,8 @@ def test_signature_log_coefficients_of_one_order_prefix_the_next():
                                             ((2, 3, 4, 5), 12)])
 def test_interpolation_on_a_lower_set_recovers_the_coefficients(weights, bound):
     rng = random.Random(bound)
-    points = lower_set(weights, bound)
-    assert len(points) == len(set(points)) == lower_set_size(weights, bound)
+    points = _lower_set(weights, bound)
+    assert len(points) == len(set(points)) == _lower_set_size(weights, bound)
     assert all(sum(w * x for w, x in zip(weights, m)) <= bound for m in points)
     coeffs = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for m in points}
 
@@ -79,18 +79,18 @@ def test_interpolation_on_a_lower_set_recovers_the_coefficients(weights, bound):
                 c *= xi ** mi
             total += c
         return total
-    assert interpolate_on_lower_set({m: value(m) for m in points}) == \
+    assert _interpolate_on_lower_set({m: value(m) for m in points}) == \
         {m: c for m, c in coeffs.items() if c}
 
 
 def test_lower_set_sizes_count_partitions():
     # the partitions of 20 with parts at most 10, by their multiplicities of 2..10
-    assert lower_set_size(range(2, 11), 20) == 530
-    assert lower_set_size(range(2, 21), 20) == 627  # p(20)
+    assert _lower_set_size(range(2, 11), 20) == 530
+    assert _lower_set_size(range(2, 21), 20) == 627  # p(20)
 
 
 def test_elementary_functions_in_power_sums():
-    e = elementary_in_power_sums(3)
+    e = _elementary_in_power_sums(3)
     assert e[1] == {(1,): 1}
     assert e[2] == {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)}
     assert e[3] == {(1, 1, 1): Fraction(1, 6), (2, 1): Fraction(-1, 2), (3,): Fraction(1, 3)}

@@ -1,8 +1,10 @@
 """What a fresh interpreter loads: the package exports lazily, a
 bundled-model compute never compiles the model-file reader, the oracle,
 the partitions, the random models or the series algebra, nor imports
-dataclasses, and a validate compiles no formula.  The names the benchmark
-harness reads keep resolving wherever their code lives."""
+dataclasses; a signature or bk compute compiles neither the formulas nor
+the disjoint union, a validate compiles no formula and examples no ring.
+The names the benchmark harness reads keep resolving wherever their code
+lives."""
 
 import importlib
 import os
@@ -35,11 +37,41 @@ def test_bundled_compute_loads_only_what_it_runs():
         "from multipoint import cli\n"
         "assert cli.main(['compute', 'line-in-plane', '--k', '2',"
         " '--quantity', 'signature']) == 0")
-    assert "multipoint.formulas" in loaded
-    for name in ("oracle", "modelfile", "series", "partitions", "random_models"):
+    assert "multipoint.signatures" in loaded
+    for name in ("formulas", "union", "oracle", "modelfile", "series", "partitions",
+                 "random_models"):
         assert f"multipoint.{name}" not in loaded, name
     for name in ("dataclasses", "inspect"):
         assert name in bare or name not in loaded, name
+
+
+def _compute(*argv: str) -> set:
+    """The modules a fresh interpreter loads for one compute through cli.main."""
+    return _loaded_modules("from multipoint import cli\n"
+                           f"assert cli.main(['compute', *{list(argv)!r}]) == 0")
+
+
+@pytest.mark.parametrize("argv", [
+    *(("hypersurface-d3", "--k", "2", "--quantity", "signature", "--route", route)
+      for route in ("auto", "general", "via-N", "collected", "collected-source")),
+    ("hypersurface-d3", "--k", "2", "--quantity", "bk"),
+    ("line-in-plane", "--k", "2", "--quantity", "bk", "--json"),
+], ids=lambda argv: "-".join(argv[4::2]))
+def test_a_signature_or_bk_compute_loads_neither_formulas_nor_union(argv):
+    loaded = _compute(*argv)
+    assert {"multipoint.signatures", "multipoint.collected"} <= loaded
+    assert "multipoint.formulas" not in loaded and "multipoint.union" not in loaded
+
+
+@pytest.mark.parametrize("quantity", ["pontrjagin=4", "chern=2,2"])
+def test_a_characteristic_number_loads_the_formulas(quantity):
+    loaded = _compute("line-in-quadric", "--k", "1", "--quantity", quantity)
+    assert "multipoint.formulas" in loaded and "multipoint.union" not in loaded
+
+
+def test_the_bundled_union_loads_the_union_module_only():
+    loaded = _compute("two-lines", "--k", "2", "--quantity", "bk")
+    assert "multipoint.union" in loaded and "multipoint.formulas" not in loaded
 
 
 def test_bundled_validate_loads_no_formula():
@@ -47,8 +79,21 @@ def test_bundled_validate_loads_no_formula():
         "from multipoint import cli\n"
         "assert cli.main(['validate', 'line-in-plane']) == 0")
     assert "multipoint.model" in loaded
-    for name in ("formulas", "collected", "partitions", "random_models"):
+    for name in ("formulas", "signatures", "collected", "union", "partitions", "random_models"):
         assert f"multipoint.{name}" not in loaded, name
+
+
+def test_examples_loads_no_ring_module():
+    # examples prints cli.MODEL_NOTES, whose keys a test pins to models.BUNDLED
+    for argv in ("['examples']", "['examples', '--json']"):
+        loaded = _loaded_modules(f"from multipoint import cli\nassert cli.main({argv}) == 0")
+        assert sorted(m for m in loaded if m.startswith("multipoint")) == \
+            ["multipoint", "multipoint.cli"], argv
+
+
+def test_the_package_signature_loads_no_formulas():
+    loaded = _loaded_modules("import multipoint\nmultipoint.signature")
+    assert "multipoint.signatures" in loaded and "multipoint.formulas" not in loaded
 
 
 # module -> {name: the module that defines it}, for each module attribute
@@ -56,8 +101,18 @@ def test_bundled_validate_loads_no_formula():
 HARNESS_READS = {
     "models": {"random_truncated_model": "random_models", "BUNDLED": "models",
                "bundled_model": "models", "truncated_polynomial_ring": "models"},
-    "graded": {"cross": "graded"},
-    "formulas": {"_characteristic_number": "formulas", "cross": "graded"},
+    "graded": {"cross": "graded", "signature_class": "graded"},
+    "formulas": {
+        "_characteristic_number": "formulas", "cross": "graded",
+        "transfer_to_source": "formulas", "transfer_to_target": "formulas",
+        "pontrjagin_number": "formulas", "chern_number": "formulas",
+        # moved to the signature kernel, and still read from formulas
+        "SIGNATURE_ROUTES": "signatures", "signature_via_source": "signatures",
+        "signature_via_target": "signatures", "signature_collected": "signatures",
+        "signature_collected_source": "signatures", "signature": "signatures",
+        "virtual_signature_class": "signatures", "multiple_point_dimension": "signatures"},
+    "model": {"validate": "model", "ImmersionModel": "model", "LinearMap": "model"},
+    "cli": {"main": "cli", "MODEL_NOTES": "cli"},
     "partitions": {"all_partitions": "partitions", "type_vectors": "partitions",
                    "marked_type_vectors": "partitions", "log_coefficient": "polynomials"},
     "series": {"log_coefficient": "polynomials"},
