@@ -1,10 +1,12 @@
 """Genera, characteristic numbers, tensor transfers and the special-case
 evaluators of the k-tuple point manifolds.
 
-The signature kernel (the entry checks, the transfer kernel, the four
-signature routes and the virtual signature class) lives in
-``signatures``, so that a signature query compiles none of this module;
-every name that moved there still resolves here, as the same object.
+The signature kernel (the entry checks, the transfer kernel, the
+collected chain, the four signature routes and the virtual signature
+class) lives in ``signatures``, so that a signature query compiles none of
+this module.  The names of it that the benchmark harness reads from here,
+the route table, ``signature``, the four routes and
+``virtual_signature_class``, are bound here too, as the same objects.
 Everything is exact rational arithmetic.
 """
 
@@ -15,24 +17,23 @@ from math import factorial, prod
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import signatures
-from .collected import _genus
 from .graded import Coords, GradedClass, Scalar, TensorClass, cross, exact
 from .model import ImmersionModel, LinearMap, ModelError
 from .records import Record
 from .signatures import (
     _checked,
     _empty_locus,
+    _genus,
     _text,
     _transfer,
     empty_locus_warning,
     multiple_point_dimension,
 )
 
-# the names that moved to signatures are bound here too, as the same objects
-globals().update({name: getattr(signatures, name) for name in """RouteDisagreement
-    SIGNATURE_ROUTES _ENTRY_CHECKS _J _cap _chern _k _log_coeffs _model _models _route_name
-    _tensor signature signature_collected signature_collected_source signature_via_source
-    signature_via_target virtual_signature_class virtual_signature_class_union""".split()})
+# the signature names the benchmark harness reads from here, as the same objects
+globals().update({name: getattr(signatures, name) for name in """SIGNATURE_ROUTES signature
+    signature_collected signature_collected_source signature_via_source signature_via_target
+    virtual_signature_class""".split()})
 
 
 class PreconditionError(ModelError):

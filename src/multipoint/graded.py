@@ -9,17 +9,21 @@ Coordinates are exact rationals in one normal form: an ``int`` when the
 value is integral and a ``Fraction`` only when its denominator exceeds 1.
 Almost all model data is integral, and int arithmetic is many times faster
 than ``Fraction`` arithmetic; int * Fraction and int + Fraction stay exact.
-Floats are refused, since they are not exact.
+Floats are refused, since they are not exact.  The module also holds the
+exact coefficient tables the kernels read: the block weights and the
+L-class log series.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .polynomials import signature_genus_log_coeffs
 from .records import _shown
 
 Scalar = Union[int, Fraction]
@@ -34,16 +38,43 @@ class NonUnitalClassError(GradedAlgebraError):
     pass
 
 
+# a decimal in exponent notation, as Fraction reads one: the digits of the
+# mantissa before and after the point, and the exponent
+_EXPONENT_FORM = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def _too_long(text: str) -> bool:
+    """Whether a decimal string in exponent notation names a numerator or
+    denominator, before reduction, or a power of ten, past the interpreter's
+    int-to-str digit limit: Fraction would build it, however long, where a
+    plain decimal of that many digits is refused by int()."""
+    m = _EXPONENT_FORM.match(text)
+    limit = sys.get_int_max_str_digits()
+    if m is None or not limit:
+        return False
+    whole, point, exponent = (g.replace("_", "") for g in m.groups(""))
+    if len(exponent.lstrip("+-").lstrip("0")) > len(str(limit)):
+        return True
+    e = int(exponent)
+    numerator = len((whole + point).lstrip("0")) + max(e, 0)
+    denominator = 1 + len(point) + max(-e, 0)
+    return max(numerator, denominator, abs(e) + 1) > limit
+
+
 def exact(c: object) -> Scalar:
     """The normal form of an exact rational: an int if integral, else a
     Fraction.  Raises GradedAlgebraError on a float, a bool or anything
-    else that Fraction does not read as a finite rational."""
+    else that Fraction does not read as a finite rational, and on a string
+    whose exponent would take it past the int-to-str digit limit."""
     if type(c) is int:
         return c
     if isinstance(c, (float, bool)):
         raise GradedAlgebraError(f"{type(c).__name__} coordinate {c!r}; "
                                  "use an int, a Fraction or a string")
     if type(c) is not Fraction:
+        if type(c) is str and _too_long(c):
+            raise GradedAlgebraError(f"coordinate {c!r} is not an exact rational within the "
+                                     f"{sys.get_int_max_str_digits()}-digit int limit")
         try:
             c = Fraction(c)
         except (TypeError, ValueError, ArithmeticError):
@@ -394,7 +425,7 @@ class GradedClass(_Element):
 
     def __repr__(self) -> str:
         labels = self.ring.labels
-        return " + ".join(f"{c}*{labels[i]}" if labels[i] != "1" else f"{c}"
+        return " + ".join(f"{_shown(c, str)}*{labels[i]}" if labels[i] != "1" else _shown(c, str)
                           for i, c in sorted(self.coords.items())) or "0"
 
 
@@ -528,6 +559,30 @@ def _divide(v: Scalar, n: int) -> Scalar:
     return exact(v / n)
 
 
+def log_coefficient(k: int) -> int:
+    """The weight (-1)^(k-1) (k-1)! of a block of size k: the k-th
+    exponential coefficient of log(1+y)."""
+    if k < 1:
+        raise ValueError("coefficient index must be positive")
+    return (-1) ** (k - 1) * factorial(k - 1)
+
+
+@lru_cache(maxsize=None)
+def signature_genus_log_coeffs(order: int) -> Tuple[Fraction, ...]:
+    """c_0..c_order of log(sqrt(x)/tanh(sqrt(x))) = sum_n c_n x^n, the log
+    series of the L-class: c_0 = 0 and c_n = 2^(2n) (2^(2n-1) - 1) B_(2n) /
+    (n (2n)!), B the Bernoulli numbers.  Computed once per order, as a
+    tuple that no caller can change."""
+    # B_m = -sum_{j<m} C(m+1, j) B_j / (m+1); every odd B_m past B_1 is 0
+    bernoulli = [Fraction(1), Fraction(-1, 2)]
+    for m in range(2, 2 * order + 1):
+        bernoulli.append(Fraction(0) if m % 2 else -sum(
+            comb(m + 1, j) * b for j, b in enumerate(bernoulli) if b) / (m + 1))
+    return (Fraction(0),) + tuple(
+        4 ** n * (2 ** (2 * n - 1) - 1) * bernoulli[2 * n] / (n * factorial(2 * n))
+        for n in range(1, order + 1))
+
+
 def genus_class(P: GradedClass, log_coeffs: Callable[[int], Sequence[Scalar]],
                 step: int = 4) -> GradedClass:
     """The multiplicative class exp(sum_j c_j s_j) of a total class P, s_j
@@ -632,7 +687,7 @@ class TensorClass(_Element):
 
     def __repr__(self) -> str:
         labels = self.ring.labels
-        return " + ".join(f"{c}*({' x '.join(labels[i] for i in idx)})"
+        return " + ".join(f"{_shown(c, str)}*({' x '.join(labels[i] for i in idx)})"
                           for idx, c in sorted(self.terms.items())) or "0"
 
 

@@ -22,8 +22,8 @@ from .graded import (
     combine_rows,
     genus_coords,
     power_sum_coords,
+    signature_genus_log_coeffs,
 )
-from .polynomials import signature_genus_log_coeffs
 from .records import Frozen, FrozenRecord, Record, _shown
 
 

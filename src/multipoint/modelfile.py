@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import threading
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
-from .graded import GradedClass, GradedRing, RingComponent, Scalar, exact
+from .graded import GradedAlgebraError, GradedClass, GradedRing, RingComponent, Scalar, exact
 from .model import ImmersionModel, LinearMap, check_codim
 
 FORMAT_VERSION = 1
@@ -40,9 +39,9 @@ def _fraction_from(value, where: str) -> Scalar:
         return value
     if isinstance(value, str):
         try:
-            return exact(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ModelFormatError(f"{where}: bad rational {value!r}: {exc}") from None
+            return exact(value)
+        except GradedAlgebraError as exc:
+            raise ModelFormatError(f"{where}: bad rational: {exc}") from None
     raise ModelFormatError(f"{where}: expected a rational string, got {type(value).__name__}")
 
 

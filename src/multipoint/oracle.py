@@ -23,12 +23,11 @@ from math import factorial, prod
 from typing import Dict, List, NamedTuple, Tuple
 
 from .formulas import transfer_to_source
-from .graded import GradedAlgebraError, GradedClass, Scalar, TensorClass, cross
+from .graded import GradedAlgebraError, GradedClass, Scalar, TensorClass, cross, log_coefficient
 from .model import ImmersionModel
 from .models import BUNDLED, bundled_model
 from .partitions import (BELL, SetPartition, all_partitions, count_by_type, quotient, refines,
                          type_vectors)
-from .polynomials import log_coefficient
 from .series import (DEFAULT_ORDER, compose, composed_derivative, identity_series, invert,
                      scaled_exp_series)
 from .signatures import _checked, signature, virtual_signature_class

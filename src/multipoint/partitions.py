@@ -10,7 +10,6 @@ from __future__ import annotations
 from math import factorial
 from typing import Iterator, Sequence, Tuple
 
-from . import polynomials
 from .records import FrozenRecord
 
 
@@ -78,10 +77,6 @@ def universal_partition(k: int) -> SetPartition:
     """A single block (the coarsest partition)."""
     return SetPartition(k, (tuple(range(1, k + 1)),))
 
-
-# the weight of a block of size k; it lives with the series coefficient
-# tables, which the production kernels load, and is the same object here
-log_coefficient = polynomials.log_coefficient
 
 # BELL[k - 1] is the number of partitions of {1,...,k}, for k up to 8.
 BELL = (1, 2, 5, 15, 52, 203, 877, 4140)

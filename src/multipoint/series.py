@@ -24,10 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-from .graded import GradedClass, GradedRing
+from .graded import GradedClass, GradedRing, log_coefficient
 from .models import truncated_monomial_ring
 from .partitions import count_by_type, type_vectors
-from .polynomials import log_coefficient
 from .records import FrozenRecord
 
 DEFAULT_ORDER = 12

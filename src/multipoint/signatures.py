@@ -1,5 +1,5 @@
-"""The signature kernel: the entry checks, the transfer kernel, the four
-signature routes and the virtual signature class.
+"""The signature kernel: the entry checks, the transfer kernel, the
+collected chain, the four signature routes and the virtual signature class.
 
 This is all that a signature or virtual-class query runs; the genera,
 characteristic numbers, tensor transfers and special cases live in
@@ -9,9 +9,14 @@ query compiles neither.
 Partition sums over an arbitrary tensor argument run as a recursion over
 the subsets of {1,...,k} that splits off the block of the smallest point,
 so no route enumerates partitions.  When the argument is symmetric they
-collapse, by the exponential formula, to a recursion over the block sizes.
-Everything is exact rational arithmetic; agreement checks are equalities,
-not tolerances.
+collapse, by the exponential formula, to the collected chain: for a tensor
+power of one normal class u the partition sum is k! E_k, E_n the
+coefficients of exp(sum_i (-1)^(i-1) b_i t^i / i), b_i the pushforward of
+e^(i-1) * u^i.  For a multiplicative class K the genus of the k-tuple
+point manifold is the integral of K(target) * E_k with u = K(normal)^-1;
+the collected routes pair the L-class with it, and ``formulas`` reads the
+characteristic numbers from genera at integer points.  Everything is exact
+rational arithmetic; agreement checks are equalities, not tolerances.
 """
 
 from __future__ import annotations
@@ -19,12 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import wraps
 from math import factorial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .collected import _exponential_coefficients, _genus, _pairing, _sum_coords
-from .graded import Coords, GradedAlgebraError, GradedClass, TensorClass, exact
+from .graded import (Coords, GradedAlgebraError, GradedClass, Scalar, TensorClass, _divide, exact,
+                     log_coefficient)
 from .model import ImmersionModel, ModelError
-from .polynomials import log_coefficient
 from .records import _shown
 
 
@@ -296,6 +300,86 @@ def _pushed_normal_power(model: ImmersionModel, k: int) -> GradedClass:
 
 
 # ---------------------------------------------------------------------------
+# The collected chain (the exponential coefficients of the normal blocks,
+# and the genus of the k-tuple point manifold read from them)
+# ---------------------------------------------------------------------------
+
+
+class _Chain:
+    """The memo of one collected recursion on the target: e * u, the chain
+    class e^(n-1) * u^n of the last block, the blocks b_1..b_n, E_0..E_n
+    and the source classes F_0..F_m read so far, F_n = f*(E_n), all
+    coordinate dicts."""
+
+    __slots__ = ("eu", "last", "blocks", "coeffs", "pulled")
+
+    def __init__(self, model: ImmersionModel, u: Coords):
+        self.eu = model.source.mul_coords(model.euler.coords, u)
+        self.last = u
+        self.blocks: List[Coords] = []
+        self.coeffs: List[Coords] = [model.target.unit_coords]
+        self.pulled: List[Coords] = []
+
+
+def _exponential_coefficients(model: ImmersionModel, u: GradedClass, k: int) -> _Chain:
+    """The memo holding E_0..E_k, the coefficients of
+    exp(sum_i (-1)^(i-1) b_i t^i / i) for the blocks
+    b_i = f_!(e^(i-1) * u^i) on the target, u a normal class.
+
+    By the exponential formula, n! * E_n is the sum over the partitions of
+    n points of the products of the block classes b_|B|, each weighted by
+    the log coefficient of |B|.  Differentiating the exponential gives
+    n * E_n = sum_{i=1..n} (-1)^(i-1) b_i E_{n-i}, so E_k costs O(k^2)
+    ring products and no partition or type vector is visited.  The
+    coefficients of the pulled-back blocks are f*(E_n), f* being a unital
+    ring homomorphism, so the source side needs no recursion of its own.
+
+    Everything is a coordinate dict, and the recursion is memoised in the
+    model's cache under u: a call for a larger k extends the chain, the
+    blocks and the coefficients, and a call for a smaller k reads them.
+    The returned memo holds at least E_0..E_k; callers must not mutate it
+    except to extend its pulled list.
+    """
+    memo = model._cached(("collected", u), lambda: _Chain(model, u.coords))
+    _extend(model, memo, k)
+    return memo
+
+
+def _extend(model: ImmersionModel, chain: _Chain, k: int) -> None:
+    """Extend the chain's blocks and coefficients up to E_k."""
+    blocks, coeffs = chain.blocks, chain.coeffs
+    push, mul = model.pushforward.apply_coords, model.target.mul_coords
+    for n in range(len(coeffs), k + 1):
+        if n > 1 and chain.last:
+            chain.last = model.source.mul_coords(chain.last, chain.eu)
+        blocks.append(chain.last and push(chain.last))
+        acc = _sum_coords((1 if i % 2 else -1, mul(blocks[i - 1], coeffs[n - i]))
+                          for i in range(1, n + 1) if blocks[i - 1] and coeffs[n - i])
+        coeffs.append({i: _divide(v, n) for i, v in acc.items()})
+
+
+def _sum_coords(terms: Iterable[Tuple[Scalar, Coords]]) -> Coords:
+    """sum c * x over the (c, x) of terms, with no zero entries."""
+    acc: Coords = {}
+    for c, coords in terms:
+        for i, v in coords.items():
+            acc[i] = acc.get(i, 0) + c * v
+    return {i: v for i, v in acc.items() if v}
+
+
+def _pairing(a: GradedClass, b: Coords) -> Fraction:
+    """The integral of a * b, for b a coordinate dict on a's ring."""
+    return a.ring.integrate_coords(a.ring.mul_coords(a.coords, b))
+
+
+def _genus(model: ImmersionModel, k: int, target_class: GradedClass,
+           u: GradedClass) -> Fraction:
+    """The integral of K(target) * E_k, E_k the collected chain's
+    coefficient on the target for the normal class u = K(normal)^-1."""
+    return _pairing(target_class, _exponential_coefficients(model, u, k).coeffs[k])
+
+
+# ---------------------------------------------------------------------------
 # Signature routes
 # ---------------------------------------------------------------------------
 
@@ -392,48 +476,38 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
 @_checked
 def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
     """The target class whose pairing with L(target)/k! is the signature:
-    virtual_signature_class_union([model], k)."""
-    return virtual_signature_class_union.__wrapped__([model], k)
+    k! E_k of the model's collected chain for u = L(normal)^-1, checked
+    against the transfer kernel's pushed tensor power of u, which the
+    via-N route shares; 0 at once on an empty k-tuple manifold."""
+    target = model.target
+    if _empty_locus(model, k):
+        return target.zero()
+    coeffs = _exponential_coefficients(model, model.l_normal_inverse, k).coeffs[k]
+    collected = GradedClass(target, {i: factorial(k) * v for i, v in coeffs.items()})
+    enumerated = _pushed_normal_power(model, k)
+    if collected != enumerated:
+        raise RouteDisagreement(
+            f"virtual signature class mismatch for k={k}: "
+            f"collected {collected} vs enumerated {enumerated}")
+    return collected
 
 
 @_checked
 def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> GradedClass:
-    """The virtual signature class of the disjoint union of the models, by
-    a multinomial convolution of per-component classes.
+    """The virtual signature class of the disjoint union of the models:
+    virtual_signature_class of the union.
 
-    Sheets are distributed over the components in every way: the class is
-    k! times the t^k coefficient of the product, over the components, of
-    the series 1 + sum_i B_i t^i / i!, B_i the component's class for i
-    sheets.  A component receiving no sheet contributes the empty factor 1,
-    so that the k = 1 class stays additive over components.  B_i / i! is
-    the component's E_i, read from its collected memo.  The result is
-    checked once against the transfer kernel on the disjoint union, built
-    first, which refuses components that do not share the target data and
-    codimension; on an empty k-tuple manifold the class is 0 at once.  The
-    union of several components is memoised on the first, with its classes,
-    and the transfer it is checked against on the union, which the via-N
-    route of one model shares.
+    Sheets are distributed over the components in every way, and the
+    union's normal blocks are the sums of the components' blocks, so its
+    chain gives the class of every distribution at once.  The union is
+    built by union.disjoint_union, which refuses components that do not
+    share the target data and codimension, and is memoised on the first
+    component per tuple of components, with its chain and the transfer it
+    is checked against.
     """
     models = tuple(models)
+    union = models[0]
     if len(models) > 1:
         from .union import disjoint_union  # one model needs no union
-        union = models[0]._cached(("union", models), lambda: disjoint_union(models))
-    else:
-        union = models[0]
-    target = union.target
-    if _empty_locus(union, k):
-        return target.zero()
-    mul = target.mul_coords
-    product, *others = [_exponential_coefficients(m, m.l_normal_inverse, k).coeffs
-                        for m in models]
-    for series in others:
-        product = [_sum_coords((1, mul(product[j], series[n - j]))
-                               for j in range(n + 1) if product[j] and series[n - j])
-                   for n in range(k + 1)]
-    collected = GradedClass(target, {i: factorial(k) * v for i, v in product[k].items()})
-    enumerated = _pushed_normal_power(union, k)
-    if collected != enumerated:
-        raise RouteDisagreement(
-            f"virtual signature class mismatch for k={k} on the union: "
-            f"collected {collected} vs enumerated {enumerated}")
-    return collected
+        union = union._cached(("union", models), lambda: disjoint_union(models))
+    return virtual_signature_class.__wrapped__(union, k)

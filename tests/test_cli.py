@@ -60,6 +60,21 @@ def test_validate_invalid_model_exits_2(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
+@pytest.mark.parametrize("text", ["1e5000", "1e-5000", "1e99999999999"])
+def test_an_exponent_past_the_digit_limit_exits_2_at_once(tmp_path, capsys, text):
+    # Fraction would build the power of ten, however large, and a numerator
+    # past the int-to-str digit limit would end validate in a traceback
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    obj["euler"] = {"1": text}
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2, err
+    assert "Traceback" not in err and "euler[1]: bad rational" in err
+
+
 def test_validate_with_a_huge_basis_degree_finishes(tmp_path, capsys):
     # the series behind the L-classes follow the two distinct source degrees,
     # not the 10^30 / 4 degree slots below the declared top degree

@@ -9,14 +9,14 @@ import pytest
 
 from multipoint import formulas, signatures
 from multipoint.formulas import _solve_linear
-from multipoint.graded import GradedAlgebraError, GradedClass, TensorClass, cross, exact
+from multipoint.graded import (GradedAlgebraError, GradedClass, TensorClass, cross, exact,
+                               signature_genus_log_coeffs)
 from multipoint.model import validate
 from multipoint.models import (
     BUNDLED,
     bundled_model,
     truncated_polynomial_ring,
 )
-from multipoint.polynomials import signature_genus_log_coeffs
 from multipoint.random_models import random_truncated_model, random_union_components
 from multipoint.union import disjoint_union
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipoint import collected, formulas, graded, oracle, partitions, records, signatures, union
+from multipoint import formulas, graded, oracle, partitions, records, signatures, union
 from multipoint import model as model_mod
 from multipoint.formulas import (
     PreconditionError,
@@ -22,7 +22,7 @@ from multipoint.formulas import (
     transfer_to_source,
     transfer_to_target,
 )
-from multipoint.graded import GradedRing, cross
+from multipoint.graded import GradedRing, cross, log_coefficient, signature_genus_log_coeffs
 from multipoint.model import ImmersionModel, LinearMap, ModelError, validate
 from multipoint.modelfile import model_from_dict, model_to_dict
 from multipoint.models import (
@@ -43,7 +43,6 @@ from multipoint.partitions import (
     marked_type_vectors,
     type_vectors,
 )
-from multipoint.polynomials import log_coefficient, signature_genus_log_coeffs
 from multipoint.random_models import (
     _random_unital,
     _truncated_model,
@@ -257,11 +256,9 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
         bundled_model, ("nullhomotopic-cp2-in-s6", "null-pushforward", "line-in-quadric"))
     for name in SIGNATURE_ROUTES:
         monkeypatch.setitem(SIGNATURE_ROUTES, name, unavailable)
-    # the virtual class reads the kernels from signatures, genus reads the
-    # chain through collected._genus
+    # the virtual class and genus read the kernels from signatures
     monkeypatch.setattr(signatures, "_transfer", unavailable)
     monkeypatch.setattr(signatures, "_exponential_coefficients", unavailable)
-    monkeypatch.setattr(collected, "_exponential_coefficients", unavailable)
     start = time.perf_counter()
     for route in (*SIGNATURE_ROUTES, "auto"):
         assert signature(m, 10 ** 6, route=route) == 0, route
@@ -295,8 +292,17 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
 
 
 def test_the_union_is_built_once_per_tuple_of_components(monkeypatch):
+    # the union's blocks are the sums of the components' blocks, so its one
+    # chain gives the class; at k = 6 the locus (dimension -8) is empty and
+    # no chain is built, at k = 2 it is a point and one chain is built
     components = random_union_components(random.Random(8), 3)
+    chains, chain = [], signatures._Chain
+    monkeypatch.setattr(signatures, "_Chain",
+                        lambda model, u: chains.append(model) or chain(model, u))
     first = virtual_signature_class_union(components, 6)
+    assert chains == []
+    virtual_signature_class_union(components, 2)
+    assert chains == [components[0]._cache[("union", tuple(components))]]
     built = []
 
     def counted(*args, **kwargs):
@@ -1255,7 +1261,7 @@ def test_degree_known_zeros_build_no_class(monkeypatch):
     m = random_truncated_model(random.Random(19), max_powers=12, allow_zero_euler=False)
     monkeypatch.setattr(graded.GradedClass, "invert_unital", unavailable)
     for name in ("_exponential_coefficients", "_Chain"):
-        monkeypatch.setattr(collected, name, unavailable)
+        monkeypatch.setattr(signatures, name, unavailable)
     monkeypatch.setattr(formulas, "cross", unavailable)
     monkeypatch.setattr(formulas, "_genus_classes", unavailable)
     start = time.perf_counter()
@@ -1358,7 +1364,7 @@ def test_a_repeated_number_on_the_genus_route_builds_nothing(monkeypatch):
     assert formulas._genus_point_count(plan) == 2
     monkeypatch.setattr(formulas, "_number_by_expansion", _unavailable("expand the tensor"))
     built = []
-    chain, genus_class = collected._Chain, model_mod.ImmersionModel.genus_class
+    chain, genus_class = signatures._Chain, model_mod.ImmersionModel.genus_class
 
     def counted_chain(*args):
         built.append("chain")
@@ -1368,7 +1374,7 @@ def test_a_repeated_number_on_the_genus_route_builds_nothing(monkeypatch):
         built.append("genus class")
         return genus_class(*args, **kwargs)
 
-    monkeypatch.setattr(collected, "_Chain", counted_chain)
+    monkeypatch.setattr(signatures, "_Chain", counted_chain)
     monkeypatch.setattr(model_mod.ImmersionModel, "genus_class", counted_genus_class)
     first = pontrjagin_number(m, k, J).value
     assert first == reference_characteristic_number(m, k, J)

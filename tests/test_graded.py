@@ -21,6 +21,7 @@ from multipoint.graded import (
     nilpotency_order,
     power_sums,
     signature_class,
+    signature_genus_log_coeffs,
 )
 from multipoint.model import LinearMap, validate
 from multipoint.modelfile import ring_from_dict, ring_to_dict
@@ -31,7 +32,6 @@ from multipoint.models import (
 )
 from multipoint.oracle import diagonal_pullback
 from multipoint.partitions import SetPartition
-from multipoint.polynomials import signature_genus_log_coeffs
 from multipoint.random_models import (
     _random_unital,
     _truncated_model,

@@ -1,6 +1,9 @@
-"""Every module of the package and of the tests reads each name it imports."""
+"""Every module of the package and of the tests reads each name it imports,
+and the README's module table has one row per package module."""
 
 import ast
+import re
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,11 @@ def test_scan_finds_an_unused_import():
               "import os.path\n"
               "reduce(max, [os.path.sep])\n")
     assert unused_imports(source) == [(2, "lru_cache")]
+
+
+def test_readme_module_table_has_one_row_per_module():
+    text = (ROOT / "README.md").read_text().split("Key modules:", 1)[1]
+    table = takewhile(lambda line: line.startswith("|"), text.strip().splitlines())
+    rows = [m.group(1) for line in table if (m := re.match(r"\| `multipoint\.(\w+)` \|", line))]
+    modules = [p.stem for p in (ROOT / "src" / "multipoint").glob("*.py") if p.stem != "__init__"]
+    assert sorted(rows) == sorted(modules)

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipoint.formulas import _preimage_under, _solve_linear
-from multipoint.graded import GradedAlgebraError, GradedRing, RingComponent, signature_class
+from multipoint.graded import (GradedAlgebraError, GradedRing, RingComponent, signature_class,
+                               signature_genus_log_coeffs)
 from multipoint.model import (
     Check,
     ImmersionModel,
@@ -23,7 +24,6 @@ from multipoint.model import (
 )
 from multipoint.modelfile import load_model, save_model
 from multipoint.models import BUNDLED, bundled_model
-from multipoint.polynomials import signature_genus_log_coeffs
 from multipoint.random_models import random_truncated_model, random_union_components
 from multipoint.union import disjoint_union
 
@@ -140,6 +140,21 @@ def test_validation_catches_bad_euler_degree():
                             m.source.unit(), m.pontrjagin_source, m.pontrjagin_target)
     report = validate(broken)
     assert any(c.name == "euler class degree equals codimension" for c in report.failures())
+
+
+def test_validate_reports_a_coefficient_past_the_digit_limit():
+    # the euler check's detail shows the class; a coefficient that str()
+    # refuses is shown by its digit count, alone or in a Fraction, and a
+    # failed check's detail reaches the report's text
+    m = bundled_model("line-in-plane")
+    for coords, shown, ok in (({1: 10 ** 5000}, "<5001-digit integer>*t", True),
+                              ({0: Fraction(-(10 ** 5000), 3)}, "-<5001-digit integer>/3", False)):
+        bad = ImmersionModel(m.source, m.target, m.pullback, m.pushforward, m.codim,
+                             m.source.element(coords), m.pontrjagin_source, m.pontrjagin_target)
+        report = validate(bad)
+        check = next(c for c in report.checks if c.name == "euler class degree equals codimension")
+        assert (check.ok, check.detail) == (ok, f"euler={shown}")
+        assert (f"euler={shown}" in str(report)) is not ok and shown in repr(report)
 
 
 def test_validation_catches_nonmultiplicative_pullback():

@@ -96,13 +96,14 @@ def test_bad_rational_rejected():
 
 
 @pytest.mark.parametrize("text", [
-    "5", "-5", "+5", " 5 ", "007", "-0", "4/2", "1_000", "1e3", "1.0", "\u0665",
+    "5", "-5", "+5", " 5 ", "007", "-0", "4/2", "1_000", "1e3", "1.5e2", "1.0", "\u0665",
     "1/2", " -3/6 ", "2.5",
     "", "-", "--5", "abc", "1/0", "0x10", "\u00b2", "9" * 5000,
 ])
 def test_rational_strings_read_as_fraction_reads_them(text):
     """Integral strings give ints, others Fractions; the strings accepted are
-    exactly those Fraction() accepts, read alone or as a coordinate."""
+    exactly those Fraction() accepts (within the int-to-str digit limit,
+    which an exponent must keep too), read alone or as a coordinate."""
     for read in (lambda: _fraction_from(text, "x"), lambda: _coords_from({"0": text}, 1, "x")[0]):
         try:
             want = Fraction(text)
@@ -113,6 +114,20 @@ def test_rational_strings_read_as_fraction_reads_them(text):
         got = read()
         assert got == want
         assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+def test_an_exponent_is_bounded_as_the_digits_of_a_plain_decimal_are():
+    # the numerator, the denominator and the power of ten each stay within
+    # the int-to-str digit limit, which int() applies to a plain decimal
+    limit = sys.get_int_max_str_digits()
+    assert _fraction_from(f"1e{limit - 1}", "x") == 10 ** (limit - 1)
+    assert _fraction_from(f"1e-{limit - 1}", "x") == Fraction(1, 10 ** (limit - 1))
+    assert _fraction_from(f"0.{'0' * (limit - 2)}1e0", "x") == Fraction(1, 10 ** (limit - 1))
+    for text in (f"1e{limit}", f"1e-{limit}", f"0e{limit}", f"12e{limit - 1}",
+                 f"0.{'0' * (limit - 1)}1e0", "1e99999999999", f"1e{'9' * (limit + 1)}",
+                 "1" + "0" * limit):
+        with pytest.raises(ModelFormatError, match="^x: bad rational"):
+            _fraction_from(text, "x")
 
 
 def test_bad_product_key_rejected():

@@ -9,8 +9,8 @@ from multipoint.formulas import (
     _lower_set,
     _lower_set_size,
 )
+from multipoint.graded import signature_genus_log_coeffs
 from multipoint.model import MAX_CLASS_DEGREE
-from multipoint.polynomials import signature_genus_log_coeffs
 from series_reference import exp_coeffs, series_inverse, series_log, series_mul, tanh_coeffs
 
 def test_exp_log_inverse_pair():

@@ -1,5 +1,6 @@
 import pytest
 
+from multipoint.graded import log_coefficient
 from multipoint.models import truncated_polynomial_ring
 from multipoint.series import (
     SpecialSeries,
@@ -9,7 +10,6 @@ from multipoint.series import (
     falling_product,
     identity_series,
     invert,
-    log_coefficient,
     scaled_exp_series,
     scaled_log_series,
 )
@@ -17,8 +17,6 @@ from multipoint.series import (
 
 def test_log_coefficients():
     assert [log_coefficient(k) for k in range(1, 7)] == [1, -1, 2, -6, 24, -120]
-    from multipoint import partitions
-    assert log_coefficient is partitions.log_coefficient  # re-exported from its home
 
 
 def test_identity_series_is_neutral():

@@ -6,8 +6,10 @@ the disjoint union, a validate compiles no formula and examples no ring.
 The names the benchmark harness reads keep resolving wherever their code
 lives."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,7 +61,7 @@ def _compute(*argv: str) -> set:
 ], ids=lambda argv: "-".join(argv[4::2]))
 def test_a_signature_or_bk_compute_loads_neither_formulas_nor_union(argv):
     loaded = _compute(*argv)
-    assert {"multipoint.signatures", "multipoint.collected"} <= loaded
+    assert "multipoint.signatures" in loaded
     assert "multipoint.formulas" not in loaded and "multipoint.union" not in loaded
 
 
@@ -79,7 +81,7 @@ def test_bundled_validate_loads_no_formula():
         "from multipoint import cli\n"
         "assert cli.main(['validate', 'line-in-plane']) == 0")
     assert "multipoint.model" in loaded
-    for name in ("formulas", "signatures", "collected", "union", "partitions", "random_models"):
+    for name in ("formulas", "signatures", "union", "partitions", "random_models"):
         assert f"multipoint.{name}" not in loaded, name
 
 
@@ -114,8 +116,7 @@ HARNESS_READS = {
     "model": {"validate": "model", "ImmersionModel": "model", "LinearMap": "model"},
     "cli": {"main": "cli", "MODEL_NOTES": "cli"},
     "partitions": {"all_partitions": "partitions", "type_vectors": "partitions",
-                   "marked_type_vectors": "partitions", "log_coefficient": "polynomials"},
-    "series": {"log_coefficient": "polynomials"},
+                   "marked_type_vectors": "partitions"},
 }
 
 
@@ -127,6 +128,28 @@ def test_names_the_benchmark_reads_resolve_to_their_home():
             assert getattr(mod, name) is value, (module, name)
     with pytest.raises(AttributeError, match="no_such_model"):
         importlib.import_module("multipoint.models").no_such_model
+
+
+def test_formulas_rebinds_only_signature_names_the_benchmark_reads():
+    # the names formulas binds from signatures other than by an import are
+    # there for the harness: each is read as formulas.<name> (or through an
+    # alias of formulas), or is a route function named in tracing.ROUTES
+    formulas = importlib.import_module("multipoint.formulas")
+    signatures = importlib.import_module("multipoint.signatures")
+    tree = ast.parse(Path(formulas.__file__).read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    rebound = {name for name, value in vars(formulas).items()
+               if getattr(signatures, name, None) is value
+               and name not in imported and not name.startswith("__")}
+    text = "\n".join(p.read_text() for p in Path(BENCHMARKS).glob("*.py"))
+    aliases = {"formulas", *re.findall(r"^\s*(\w+) = formulas$", text, re.M)}
+    read = set(re.findall(rf"\b(?:{'|'.join(aliases)})\.(\w+)", text))
+    tracing = ast.parse(Path(BENCHMARKS, "tracing.py").read_text())
+    routes = next(node.value for node in tracing.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["ROUTES"])
+    read |= set(ast.literal_eval(routes).values())
+    assert rebound and rebound <= read, sorted(rebound - read)
 
 
 def test_the_benchmark_tracer_installs():
