@@ -38,9 +38,11 @@ class NonUnitalClassError(GradedAlgebraError):
     pass
 
 
-# a decimal in exponent notation, as Fraction reads one: the digits of the
-# mantissa before and after the point, and the exponent
-_EXPONENT_FORM = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*\Z")
+# a decimal in exponent notation, in Fraction's own grammar: the digits of
+# the mantissa before and after the point, and the exponent; a string it
+# does not match is left for Fraction to read or refuse
+_EXPONENT_FORM = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+                            r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def _too_long(text: str) -> bool:

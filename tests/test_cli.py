@@ -60,19 +60,24 @@ def test_validate_invalid_model_exits_2(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
-@pytest.mark.parametrize("text", ["1e5000", "1e-5000", "1e99999999999"])
-def test_an_exponent_past_the_digit_limit_exits_2_at_once(tmp_path, capsys, text):
+@pytest.mark.parametrize("text", ["1e5000", "1e-5000", "1e99999999999", "1e_", "1e+_", "1e-_"])
+@pytest.mark.parametrize("field", ["euler", "integral"])
+def test_an_exponent_past_the_digit_limit_exits_2_at_once(tmp_path, capsys, text, field):
     # Fraction would build the power of ten, however large, and a numerator
-    # past the int-to-str digit limit would end validate in a traceback
+    # past the int-to-str digit limit would end validate in a traceback; an
+    # exponent Fraction does not read is refused as Fraction refuses it
     obj = model_to_dict(bundled_model("line-in-plane"))
-    obj["euler"] = {"1": text}
+    if field == "euler":
+        obj["euler"] = {"1": text}
+    else:
+        obj["source"]["integral"] = {"1": text}
     path = tmp_path / "exponent.json"
     path.write_text(json.dumps(obj))
     start = time.perf_counter()
     code, _, err = run(capsys, "validate", str(path))
     assert time.perf_counter() - start < 1
     assert code == 2, err
-    assert "Traceback" not in err and "euler[1]: bad rational" in err
+    assert "Traceback" not in err and f"{field}[1]: bad rational" in err
 
 
 def test_validate_with_a_huge_basis_degree_finishes(tmp_path, capsys):

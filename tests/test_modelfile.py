@@ -98,7 +98,7 @@ def test_bad_rational_rejected():
 @pytest.mark.parametrize("text", [
     "5", "-5", "+5", " 5 ", "007", "-0", "4/2", "1_000", "1e3", "1.5e2", "1.0", "\u0665",
     "1/2", " -3/6 ", "2.5",
-    "", "-", "--5", "abc", "1/0", "0x10", "\u00b2", "9" * 5000,
+    "", "-", "--5", "abc", "1/0", "0x10", "\u00b2", "9" * 5000, "1e_", "1e+_", "1e-_",
 ])
 def test_rational_strings_read_as_fraction_reads_them(text):
     """Integral strings give ints, others Fractions; the strings accepted are
