@@ -117,10 +117,14 @@ def _genus_classes(model: ImmersionModel, kind: Characteristic,
                    c: Sequence[Scalar]) -> Tuple[GradedClass, GradedClass]:
     """K(target) and K(normal)^-1 for log K = sum_j c_j s_j, s_j the power
     sums of the kind's roots, memoised on the model per kind and c (c_0 is
-    not read, and each c_j is taken in the int-or-Fraction normal form, so
-    every spelling of one c shares an entry); exp(-x) = exp(x)^-1 exactly
-    in a nilpotent ring, so the inverse is the genus class of -c."""
-    c = (0, *map(exact, tuple(c)[1:]))
+    not read, each c_j is taken in the int-or-Fraction normal form, and
+    trailing zeros are dropped, so every spelling of one c shares an entry);
+    exp(-x) = exp(x)^-1 exactly in a nilpotent ring, so the inverse is the
+    genus class of -c."""
+    c = [0, *map(exact, tuple(c)[1:])]
+    while len(c) > 1 and not c[-1]:
+        c.pop()
+    c = tuple(c)
 
     def build() -> Tuple[GradedClass, GradedClass]:
         _, target, normal = kind.classes(model)

@@ -2,7 +2,8 @@
 
 Rationals are strings like "3/4" (or "5"); ring products and linear maps
 are sparse nested maps keyed by stringified basis indices.  A file holding
-{"components": [...]} is read as a disjoint union over a shared target.
+{"components": [...]} is read as a disjoint union over a shared target;
+a component holds no components of its own.
 Validation is structural only; mathematical consistency is the job of
 model validation.  ``load_model`` returns one model per file text, so a
 reload of an unchanged file keeps the validation and memos of the first.
@@ -224,7 +225,13 @@ def model_from_dict(obj, where: str = "model") -> ImmersionModel:
         raw = obj["components"]
         if not isinstance(raw, list) or not raw:
             raise ModelFormatError(f"{where}: components must be a nonempty list")
-        parts = [model_from_dict(c, f"{where}.components[{n}]") for n, c in enumerate(raw)]
+        parts = []
+        for n, c in enumerate(raw):
+            cwhere = f"{where}.components[{n}]"
+            if isinstance(c, dict) and "components" in c:
+                raise ModelFormatError(f"{cwhere}: a component holds no components; "
+                                       "a union is one level deep")
+            parts.append(model_from_dict(c, cwhere))
         from .union import disjoint_union  # a file without components never compiles it
         try:
             return disjoint_union(parts, name=str(obj.get("name", "")))

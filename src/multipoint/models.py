@@ -4,10 +4,12 @@ The named models are small enough to check by hand and cover the special
 cases: an embedding with nonzero self-intersection, a disjoint union, a
 hypersurface family with known signatures, a vanishing pushforward, a
 nullhomotopic immersion, and a zero-Euler-class embedding.
+``truncated_model`` builds all but the last two, whose maps are not of
+its form.
 
-The factories of random validated models live in ``random_models``, which
-no CLI command loads; ``models.random_truncated_model`` and
-``models.random_union_components`` import it on first use.
+The random draws live in ``random_models``, which no CLI command loads;
+``models.random_truncated_model`` and ``models.random_union_components``
+import it on first use.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .graded import Coords, GradedRing
+from .graded import Coords, GradedClass, GradedRing
 from .model import ImmersionModel, LinearMap
 
 
@@ -53,21 +55,34 @@ def truncated_polynomial_ring(symbol: str, powers: int, gen_degree: int = 2,
     return truncated_monomial_ring((symbol,), powers, gen_degree, {powers: integral_value}, name)
 
 
+def truncated_model(name: str, M: GradedRing, N: GradedRing, mu: int, lam: int,
+                    pontrjagin_source: GradedClass, pontrjagin_target: GradedClass,
+                    chern_source=None, chern_target=None) -> ImmersionModel:
+    """The model with f*(h) = t, pushforward t^i -> mu * h^(i+c/2) and
+    Euler class lam * t^(c/2) between Q[t]/(t^(m+1)) and Q[h]/(h^(m+c/2+1))."""
+    m = len(M.labels) - 1
+    half = len(N.labels) - 1 - m
+    pullback = LinearMap.from_coords(
+        N, M, {j: ({j: 1} if j <= m else {}) for j in range(m + half + 1)})
+    pushforward = LinearMap.from_coords(
+        M, N, {i: {i + half: mu} for i in range(m + 1)}, degree_shift=2 * half)
+    return ImmersionModel(
+        source=M, target=N, pullback=pullback, pushforward=pushforward,
+        codim=2 * half,
+        euler=M.element({half: lam}),
+        pontrjagin_source=pontrjagin_source,
+        pontrjagin_target=pontrjagin_target,
+        chern_source=chern_source,
+        chern_target=chern_target,
+        name=name,
+    )
+
+
 def _line_in_plane() -> ImmersionModel:
     M = truncated_polynomial_ring("t", 1, name="CP1")
     N = truncated_polynomial_ring("h", 2, name="CP2")
-    pullback = LinearMap.from_coords(N, M, {0: {0: 1}, 1: {1: 1}, 2: {}})
-    pushforward = LinearMap.from_coords(M, N, {0: {1: 1}, 1: {2: 1}}, degree_shift=2)
-    return ImmersionModel(
-        source=M, target=N, pullback=pullback, pushforward=pushforward,
-        codim=2,
-        euler=M.element({1: 1}),
-        pontrjagin_source=M.unit(),
-        pontrjagin_target=N.element({0: 1, 2: 3}),
-        chern_source=M.element({0: 1, 1: 2}),
-        chern_target=N.element({0: 1, 1: 3, 2: 3}),
-        name="line-in-plane",
-    )
+    return truncated_model("line-in-plane", M, N, 1, 1, M.unit(), N.element({0: 1, 2: 3}),
+                           M.element({0: 1, 1: 2}), N.element({0: 1, 1: 3, 2: 3}))
 
 
 def _two_lines() -> ImmersionModel:
@@ -76,28 +91,13 @@ def _two_lines() -> ImmersionModel:
 
 
 def _hypersurface(d: int) -> ImmersionModel:
-    """Degree-d hypersurface in projective 3-space.
-
-    The source ring has basis 1, t, T with t*t = d*T and integral T -> 1;
-    the top Pontrjagin component is (4 - d^2) t^2 = (4 - d^2) d T.
-    """
-    M = GradedRing(
-        ["1", "t", "T"], [0, 2, 4],
-        {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 1): {2: d},
-         (1, 2): {}, (2, 2): {}},
-        {2: 1}, name=f"V{d}")
+    """Degree-d hypersurface in projective 3-space: source Q[t]/(t^3) with
+    t the hyperplane class and integral t^2 -> d, pushforward t^i -> d h^(i+1),
+    Euler class d t and Pontrjagin class 1 + (4 - d^2) t^2."""
+    M = truncated_polynomial_ring("t", 2, integral_value=d, name=f"V{d}")
     N = truncated_polynomial_ring("h", 3, name="CP3")
-    pullback = LinearMap.from_coords(N, M, {0: {0: 1}, 1: {1: 1}, 2: {2: d}, 3: {}})
-    pushforward = LinearMap.from_coords(
-        M, N, {0: {1: d}, 1: {2: d}, 2: {3: 1}}, degree_shift=2)
-    return ImmersionModel(
-        source=M, target=N, pullback=pullback, pushforward=pushforward,
-        codim=2,
-        euler=M.element({1: d}),
-        pontrjagin_source=M.element({0: 1, 2: (4 - d * d) * d}),
-        pontrjagin_target=N.element({0: 1, 2: 4}),
-        name=f"hypersurface-d{d}",
-    )
+    return truncated_model(f"hypersurface-d{d}", M, N, d, d,
+                           M.element({0: 1, 2: 4 - d * d}), N.element({0: 1, 2: 4}))
 
 
 def _null_pushforward() -> ImmersionModel:
@@ -108,16 +108,7 @@ def _null_pushforward() -> ImmersionModel:
     """
     M = truncated_polynomial_ring("t", 2, integral_value=0, name="null-src")
     N = truncated_polynomial_ring("h", 3, name="CP3")
-    pullback = LinearMap.from_coords(N, M, {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {}})
-    pushforward = LinearMap.from_coords(M, N, {0: {}, 1: {}, 2: {}}, degree_shift=2)
-    return ImmersionModel(
-        source=M, target=N, pullback=pullback, pushforward=pushforward,
-        codim=2,
-        euler=M.element({1: 1}),
-        pontrjagin_source=M.unit(),
-        pontrjagin_target=N.unit(),
-        name="null-pushforward",
-    )
+    return truncated_model("null-pushforward", M, N, 0, 1, M.unit(), N.unit())
 
 
 def _nullhomotopic_cp2() -> ImmersionModel:
@@ -129,8 +120,7 @@ def _nullhomotopic_cp2() -> ImmersionModel:
     formulas apply.
     """
     M = truncated_polynomial_ring("t", 2, name="CP2")
-    N = GradedRing(["1", "s"], [0, 6], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 1): {}},
-                   {1: 1}, name="S6")
+    N = truncated_polynomial_ring("s", 1, gen_degree=6, name="S6")
     pullback = LinearMap.from_coords(N, M, {0: {0: 1}, 1: {}})
     pushforward = LinearMap.from_coords(M, N, {0: {}, 1: {}, 2: {1: 1}}, degree_shift=2)
     return ImmersionModel(

@@ -1,8 +1,9 @@
-"""Factories of random validated models on truncated polynomial rings,
-for the tests, the benchmarks and the property checks.
+"""Random draws of validated models on truncated polynomial rings, for
+the tests, the benchmarks and the property checks.
 
-Every draw satisfies the projection formula and integration
-compatibility by construction.
+Each draw picks the sizes, mu, lambda and the characteristic classes, and
+``models.truncated_model`` builds it, so every draw satisfies the
+projection formula and integration compatibility by construction.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import random
 from typing import List
 
 from .graded import Coords, GradedClass, GradedRing
-from .model import ImmersionModel, LinearMap
-from .models import truncated_polynomial_ring
+from .model import ImmersionModel
+from .models import truncated_model, truncated_polynomial_ring
 
 
 def _random_unital(rng: random.Random, ring: GradedRing, step: int) -> GradedClass:
@@ -25,29 +26,6 @@ def _random_unital(rng: random.Random, ring: GradedRing, step: int) -> GradedCla
             if v:
                 coords[i] = v
     return ring.element(coords)
-
-
-def _truncated_model(name: str, M: GradedRing, N: GradedRing, mu: int, lam: int,
-                     pontrjagin_source: GradedClass, pontrjagin_target: GradedClass,
-                     chern_source=None, chern_target=None) -> ImmersionModel:
-    """The model with f*(h) = t, pushforward t^i -> mu * h^(i+c/2) and
-    Euler class lam * t^(c/2) between Q[t]/(t^(m+1)) and Q[h]/(h^(m+c/2+1))."""
-    m = len(M.labels) - 1
-    half = len(N.labels) - 1 - m
-    pullback = LinearMap.from_coords(
-        N, M, {j: ({j: 1} if j <= m else {}) for j in range(m + half + 1)})
-    pushforward = LinearMap.from_coords(
-        M, N, {i: {i + half: mu} for i in range(m + 1)}, degree_shift=2 * half)
-    return ImmersionModel(
-        source=M, target=N, pullback=pullback, pushforward=pushforward,
-        codim=2 * half,
-        euler=M.element({half: lam} if lam else {}),
-        pontrjagin_source=pontrjagin_source,
-        pontrjagin_target=pontrjagin_target,
-        chern_source=chern_source,
-        chern_target=chern_target,
-        name=name,
-    )
 
 
 def random_truncated_model(rng: random.Random, max_powers: int = 4,
@@ -72,8 +50,8 @@ def random_truncated_model(rng: random.Random, max_powers: int = 4,
     p_src = _random_unital(rng, M, 4)
     p_tgt = _random_unital(rng, N, 4)
     chern = (_random_unital(rng, M, 2), _random_unital(rng, N, 2)) if with_chern else ()
-    return _truncated_model(f"random(m={m},c={c},mu={mu},lambda={lam})", M, N, mu, lam,
-                            p_src, p_tgt, *chern)
+    return truncated_model(f"random(m={m},c={c},mu={mu},lambda={lam})", M, N, mu, lam,
+                           p_src, p_tgt, *chern)
 
 
 def random_union_components(rng: random.Random, count: int,
@@ -91,6 +69,6 @@ def random_union_components(rng: random.Random, count: int,
         mu = rng.randint(-3, 3)
         lam = rng.randint(-2, 2)
         M = truncated_polynomial_ring("t", m, integral_value=mu * iota, name=f"rand-src{n}")
-        out.append(_truncated_model(f"rand-comp{n}(m={m},c={c},mu={mu},lambda={lam})",
-                                    M, N, mu, lam, _random_unital(rng, M, 4), p_tgt))
+        out.append(truncated_model(f"rand-comp{n}(m={m},c={c},mu={mu},lambda={lam})",
+                                   M, N, mu, lam, _random_unital(rng, M, 4), p_tgt))
     return out

@@ -8,12 +8,14 @@ the canonical pass/fail record).
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
 
 from multipoint.formulas import (
     PreconditionError,
+    chern_number,
     euler_zero,
     nullhomotopic,
     pontrjagin_number,
@@ -166,6 +168,30 @@ def test_criterion_6_hirzebruch_recovery(bundled_models):
         == [1, 0, -5, -16]
     print("PASS: criterion 6 - two-lines double point has signature 1 and the "
           "hypersurface family reproduces (4d - d^3)/3 = 1, 0, -5, -16 both ways")
+
+
+def test_bundled_invariants_are_integers(bundled_models):
+    # a genuine immersion has closed oriented k-tuple manifolds, so every
+    # signature and characteristic number of a bundled model is an integer
+    # (a hypersurface model with lambda = d + 1 validates, yet gives
+    # sigma(M_3) = 1/2); J runs over the index sequences of degree dim M_k
+    def sequences(dim, step):
+        return [J for r in range(dim // step + 1)
+                for J in combinations_with_replacement(range(step, dim + 1, step), r)
+                if sum(J) == dim]
+
+    values = []
+    for m in bundled_models.values():
+        values += [(m.name, k, signature(m, k)) for k in range(1, 7)]
+        for k in range(1, 4):
+            for dim in (d for d in multiple_point_dimension(m, k) if d >= 0):
+                values += [(m.name, k, J, pontrjagin_number(m, k, J).value)
+                           for J in sequences(dim, 4)]
+                if m.chern_source is not None:
+                    values += [(m.name, k, J, chern_number(m, k, J).value)
+                               for J in sequences(dim, 2)]
+    assert len(values) == 75
+    assert [v for v in values if v[-1].denominator != 1] == []
 
 
 def test_criterion_7_union_convolution(bundled_models):

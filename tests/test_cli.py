@@ -60,6 +60,16 @@ def test_validate_invalid_model_exits_2(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
+def test_validate_refuses_nested_components_with_exit_2(tmp_path, capsys):
+    # a union of unions would read as three lines; the reader recurses one level only
+    part = model_to_dict(bundled_model("line-in-plane"))
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"components": [{"components": [part, part]}, part]}))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2, err
+    assert "Traceback" not in err and "components[0]: a component holds no components" in err
+
+
 @pytest.mark.parametrize("text", ["1e5000", "1e-5000", "1e99999999999", "1e_", "1e+_", "1e-_"])
 @pytest.mark.parametrize("field", ["euler", "integral"])
 def test_an_exponent_past_the_digit_limit_exits_2_at_once(tmp_path, capsys, text, field):

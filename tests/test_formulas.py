@@ -28,6 +28,7 @@ from multipoint.modelfile import model_from_dict, model_to_dict
 from multipoint.models import (
     BUNDLED,
     bundled_model,
+    truncated_model,
     truncated_polynomial_ring,
 )
 from multipoint.oracle import (
@@ -45,7 +46,6 @@ from multipoint.partitions import (
 )
 from multipoint.random_models import (
     _random_unital,
-    _truncated_model,
     random_truncated_model,
     random_union_components,
 )
@@ -327,8 +327,8 @@ def _codim_2_model():
     rng = random.Random(1)
     M = truncated_polynomial_ring("t", 40, integral_value=3)
     N = truncated_polynomial_ring("h", 41)
-    return _truncated_model("codim-2", M, N, 3, 2, _random_unital(rng, M, 4),
-                            _random_unital(rng, N, 4))
+    return truncated_model("codim-2", M, N, 3, 2, _random_unital(rng, M, 4),
+                           _random_unital(rng, N, 4))
 
 
 def test_signature_is_zero_by_degrees_before_any_route(monkeypatch):
@@ -1390,7 +1390,8 @@ def test_genus_reads_every_spelling_of_one_log_series_alike():
     m = bundled_model("hypersurface-d3")
     for spellings, value in (
             ([("0", "1/3"), (0, Fraction(1, 3)), [Fraction(0), Fraction(2, 6)]], signature(m, 1)),
-            ([("0", "1"), (0, 1), (Fraction(0), Fraction(3, 3))], 3 * signature(m, 1))):
+            ([("0", "1"), (0, 1), (Fraction(0), Fraction(3, 3)), (0, "1", 0), (0, 1, 0, 0)],
+             3 * signature(m, 1))):
         assert {formulas.genus(m, 1, c) for c in spellings} == {value}
     assert len([key for key in m._cache if key[0] == "genus"]) == 2
     with pytest.raises(graded.GradedAlgebraError, match="float"):

@@ -28,13 +28,13 @@ from multipoint.modelfile import ring_from_dict, ring_to_dict
 from multipoint.models import (
     BUNDLED,
     bundled_model,
+    truncated_model,
     truncated_polynomial_ring,
 )
 from multipoint.oracle import diagonal_pullback
 from multipoint.partitions import SetPartition
 from multipoint.random_models import (
     _random_unital,
-    _truncated_model,
     random_truncated_model,
     random_union_components,
 )
@@ -457,7 +457,7 @@ def test_signature_class_on_the_codim_2_model_matches_the_reference():
     rng = random.Random(1)
     M = truncated_polynomial_ring("t", 40, integral_value=3)
     N = truncated_polynomial_ring("h", 41)
-    m = _truncated_model("codim-2", M, N, 3, 2, _random_unital(rng, M, 4), _random_unital(rng, N, 4))
+    m = truncated_model("codim-2", M, N, 3, 2, _random_unital(rng, M, 4), _random_unital(rng, N, 4))
     assert validate(m).ok
     classes = (m.pontrjagin_source, m.pontrjagin_target, m.normal_pontrjagin,
                m.pullback(m.pontrjagin_target))

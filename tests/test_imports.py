@@ -1,5 +1,6 @@
 """Every module of the package and of the tests reads each name it imports,
-and the README's module table has one row per package module."""
+every top-level function and class of the package has a reader, and the
+README's module table has one row per package module."""
 
 import ast
 import re
@@ -7,6 +8,8 @@ from itertools import takewhile
 from pathlib import Path
 
 import pytest
+
+import multipoint
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "multipoint").glob("*.py"), *(ROOT / "tests").glob("*.py")])
@@ -48,3 +51,64 @@ def test_readme_module_table_has_one_row_per_module():
     rows = [m.group(1) for line in table if (m := re.match(r"\| `multipoint\.(\w+)` \|", line))]
     modules = [p.stem for p in (ROOT / "src" / "multipoint").glob("*.py") if p.stem != "__init__"]
     assert sorted(rows) == sorted(modules)
+
+
+# package functions and classes that no code in src/ or benchmarks/ reads,
+# each with the reason it stays
+UNREAD = {
+    "formulas.euler_zero": "special-case evaluator, kept until auto runs the special cases",
+    "formulas.nullhomotopic": "special-case evaluator, kept until auto runs the special cases",
+    "formulas.pulled_from_target": "special-case evaluator, kept until auto runs the special cases",
+    "formulas.pulled_from_target_class":
+        "special-case evaluator, kept until auto runs the special cases",
+    "oracle.transfer_to_target_enumerated": "oracle entry point that tests compare against",
+    "oracle.double_composition_enumerated": "oracle entry point that tests compare against",
+    "partitions.trivial_partition": "partition value that tests build",
+    "partitions.universal_partition": "partition value that tests build",
+    "partitions.count_by_type_marked": "marked type count that tests compare against",
+}
+
+
+def read_names(tree: ast.AST, outside: ast.AST = None) -> set:
+    """The names the code of tree reads, less the code of the node outside:
+    loaded names and attributes, and strings (a getattr by name)."""
+    skip = set(ast.walk(outside)) if outside else set()
+    read = set()
+    for node in ast.walk(tree):
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_every_package_function_and_class_has_a_reader():
+    files = [*(ROOT / "src" / "multipoint").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
+    trees = {p: ast.parse(p.read_text()) for p in files}
+    reads = {p: read_names(tree) for p, tree in trees.items()}
+    unread = set()
+    for path, tree in trees.items():
+        if path.parent.name != "multipoint":
+            continue
+        elsewhere = set().union(*(r for p, r in reads.items() if p != path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")
+                    or multipoint._HOME.get(name) == path.stem
+                    or name in elsewhere or name in read_names(tree, node)):
+                continue
+            unread.add(f"{path.stem}.{name}")
+    assert unread == set(UNREAD)
+
+
+def test_the_reader_scan_skips_the_body_of_the_name_it_reads():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n"
+                     "def g():\n    return getattr(m, 'h')\n")
+    assert "f" not in read_names(tree, tree.body[0])
+    assert {"getattr", "m", "h"} <= read_names(tree, tree.body[0])

@@ -165,7 +165,7 @@ def test_validation_catches_nonmultiplicative_pullback():
                             m.euler, m.pontrjagin_source, m.pontrjagin_target)
     report = validate(broken)
     assert [(c.name, c.detail) for c in report.failures()] == [
-        ("pullback is multiplicative", "on (h, h): 2*T != 8*T"),
+        ("pullback is multiplicative", "on (h, h): 2*t^2 != 4*t^2"),
         ("projection formula", "on (1, h): 4*h^2 != 2*h^2"),
     ]
 

@@ -78,6 +78,14 @@ def test_union_file_builds_disjoint_union():
     assert validate(union).ok
 
 
+def test_deeply_nested_components_are_a_format_error():
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    for _ in range(1000):
+        obj = {"components": [obj]}
+    with pytest.raises(ModelFormatError, match=r"^model\.components\[0\]: "):
+        model_from_dict(obj)
+
+
 def test_missing_field_reports_location():
     obj = model_to_dict(bundled_model("line-in-plane"))
     del obj["euler"]
