@@ -4,6 +4,8 @@ Rationals are strings like "3/4" (or "5"); ring products and linear maps
 are sparse nested maps keyed by stringified basis indices.  A file holding
 {"components": [...]} is read as a disjoint union over a shared target;
 a component holds no components of its own.
+``save_model`` writes one line per top-level field, each value through
+json's C encoder; the reader takes JSON of any layout.
 Validation is structural only; mathematical consistency is the job of
 model validation.  ``load_model`` returns one model per file text, so a
 reload of an unchanged file keeps the validation and memos of the first.
@@ -272,7 +274,11 @@ def model_from_dict(obj, where: str = "model") -> ImmersionModel:
 
 
 def save_model(model: ImmersionModel, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    """One line per top-level field, each value on json's C encoder, which
+    an ``indent`` would bypass for the pure-Python one."""
+    fields = (f"  {json.dumps(key)}: {json.dumps(value)}"
+              for key, value in model_to_dict(model).items())
+    Path(path).write_text("{\n" + ",\n".join(fields) + "\n}\n", encoding="utf-8")
 
 
 # The models of the most recently loaded file texts, oldest first: at most

@@ -8,8 +8,7 @@ nullhomotopic immersion, and a zero-Euler-class embedding.
 its form.
 
 The random draws live in ``random_models``, which no CLI command loads;
-``models.random_truncated_model`` and ``models.random_union_components``
-import it on first use.
+``models.random_truncated_model`` imports it on first use.
 """
 
 from __future__ import annotations
@@ -179,7 +178,7 @@ def bundled_model(name: str) -> ImmersionModel:
     return factory()
 
 
-_RANDOM = ("random_truncated_model", "random_union_components")
+_RANDOM = ("random_truncated_model",)
 
 
 def __getattr__(name):

@@ -66,6 +66,7 @@ UNREAD = {
     "partitions.trivial_partition": "partition value that tests build",
     "partitions.universal_partition": "partition value that tests build",
     "partitions.count_by_type_marked": "marked type count that tests compare against",
+    "random_models.random_union_components": "random union components that tests build",
 }
 
 

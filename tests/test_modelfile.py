@@ -23,6 +23,7 @@ from multipoint.modelfile import (
     save_model,
 )
 from multipoint.models import BUNDLED, bundled_model, truncated_polynomial_ring
+from multipoint.random_models import random_truncated_model
 
 
 def _assert_same_model(a, b):
@@ -47,6 +48,9 @@ def test_roundtrip_all_bundled(tmp_path):
         _assert_same_model(m, m2)
         assert model_to_dict(m) == model_to_dict(m2)
         assert validate(m2).ok
+        again = tmp_path / f"{name}-again.json"
+        save_model(m2, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_rationals_serialized_as_strings(tmp_path):
@@ -57,6 +61,29 @@ def test_rationals_serialized_as_strings(tmp_path):
     for coords in raw["pushforward"].values():
         for v in coords.values():
             assert isinstance(v, str)
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None,
+                    reason="this interpreter has no C json encoder")
+def test_the_writer_never_runs_the_pure_python_encoder(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    models = [bundled_model(name) for name in BUNDLED]
+    models.append(random_truncated_model(random.Random(3), with_chern=True))
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    for n, m in enumerate(models):
+        path = tmp_path / f"{n}.json"
+        save_model(m, path)
+        assert len(path.read_text().splitlines()) == len(model_to_dict(m)) + 2
+
+
+def test_a_file_in_the_indented_layout_still_loads(tmp_path):
+    for name in BUNDLED:
+        expected = model_to_dict(bundled_model(name))
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(expected, indent=2) + "\n", encoding="utf-8")
+        assert model_to_dict(load_model(path)) == expected
 
 
 def test_fraction_strings_parsed_exactly():
