@@ -71,8 +71,10 @@ class CliError(Exception):
 
 
 def _resolve_model(ref: str) -> ImmersionModel:
-    from .models import BUNDLED, bundled_model
-    if ref in BUNDLED:
+    # MODEL_NOTES names every bundled model (a test pins its keys), so a
+    # model file compiles no bundled model
+    if ref in MODEL_NOTES:
+        from .models import bundled_model
         return bundled_model(ref)
     path = Path(ref)
     if not path.exists():

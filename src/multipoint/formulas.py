@@ -170,9 +170,9 @@ def _genus_plan(J: Sequence[int], kind: Characteristic, dims: Sequence[int]) -> 
 
 def _genus_point_count(plan: tuple) -> int:
     """The number of genus evaluations _number_from_genera makes on the
-    plan (the L point, which the signature queries share, counts as 1)."""
-    _, w, weights, _, top, l_point = plan
-    return 1 if l_point else _lower_set_size(range(2, top + 1), w) * len(weights)
+    plan (1 at the L point, which reads the signature's chain)."""
+    _, w, weights, _, top, _ = plan
+    return _lower_set_size(range(2, top + 1), w) * len(weights)
 
 
 def _number_from_genera(model: ImmersionModel, k: int, plan: tuple) -> Fraction:
@@ -246,9 +246,12 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     degree step of the classes.
 
     Otherwise _number_from_genera and _number_by_expansion both give it
-    exactly, and the one with the smaller estimated cost runs, counted in
-    products of two coordinates: (k + 1)^2 products of classes of n
-    coordinates per genus point, so (k + 1)^2 * n^2, against 3^(k-1)
+    exactly.  At the L point (a Pontrjagin number of one weight w <= 1)
+    the genera run: the number is 3^w times the L-genus on the collected
+    chain that the signature and bk queries memoise, so it costs them no
+    chain.  Elsewhere the one with the smaller estimated cost runs,
+    counted in products of two coordinates: (k + 1)^2 products of classes
+    of n coordinates per genus point, so (k + 1)^2 * n^2, against 3^(k-1)
     products of basis classes per tensor term, of which there are at most
     n^k for n source classes.  The expansion runs where n^k is small and
     the genera where the weight is: a large k leaves the k-tuple manifold
@@ -269,7 +272,8 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     if not warnings and all(j % kind.step == 0 for j in J):
         plan = _genus_plan(J, kind, dims)
         n = len(model.source.labels)
-        if n ** k * 3 ** (k - 1) < _genus_point_count(plan) * (k + 1) ** 2 * n * n:
+        if not plan[-1] and (n ** k * 3 ** (k - 1)
+                             < _genus_point_count(plan) * (k + 1) ** 2 * n * n):
             value = _number_by_expansion(model, k, J, kind)
         else:
             value = _number_from_genera(model, k, plan)
@@ -286,10 +290,11 @@ def pontrjagin_number(model: ImmersionModel, k: int, J: Sequence[int]) -> Multip
 
     It is 0, with a warning, when sum(J) is not a k-tuple dimension or
     the manifold is empty, and 0 when some j is not a multiple of 4; no
-    class is built then.  Otherwise it is computed by the cheaper of two
-    exact routes (see _characteristic_number): read from genera, which
-    is the signature alone when sum(J) <= 4 and the manifold has one
-    dimension, or the transfer of the expanded tensor, at small k.
+    class is built then.  When sum(J) <= 4 and the manifold has one
+    dimension it is 3^(sum(J)/4) times the signature, read from the
+    signature's memoised chain.  Otherwise it is computed by the cheaper of
+    two exact routes (see _characteristic_number): read from genera, or the
+    transfer of the expanded tensor, at small k.
     """
     return _characteristic_number(model, k, J, chern=False)
 

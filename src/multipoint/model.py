@@ -370,12 +370,14 @@ def _checks(model: ImmersionModel) -> ValidationReport:
                    "; ".join(high))
         return report
 
-    # derived-class relations (hold by construction; checked as regression)
+    # derived-class relations (hold by construction; checked as regression).
+    # TM + normal = f*TN gives L(source) = f*L(target) * L(normal)^-1: the
+    # three L-classes every signature route reads, so the check builds no
+    # class of its own and covers the inverse
     try:
         rel_p = model.normal_pontrjagin * model.pontrjagin_source == model.pullback(
             model.pontrjagin_target)
-        rel_l = model.l_normal * model.l_source == model.genus_class(
-            model.pullback(model.pontrjagin_target), signature_genus_log_coeffs)
+        rel_l = model.l_source == model.pullback(model.l_target) * model.l_normal_inverse
         report.add("normal Pontrjagin relation", rel_p)
         report.add("normal signature-class relation", rel_l)
     except GradedAlgebraError as exc:

@@ -1332,8 +1332,9 @@ def test_genus_route_computes_each_power_sum_once(monkeypatch):
 
 def test_validate_l_classes_and_signature_run_one_newton_loop_per_class(monkeypatch):
     # every L-class reads the power sums memoised per class and step, so
-    # each distinct class among P(source), P(target), P(normal) and
-    # f*P(target) runs Newton's identities once
+    # each distinct class among P(source), P(target) and P(normal) runs
+    # Newton's identities once; validation's L-class relation reads the
+    # routes' classes, so f*P(target) runs none
     calls = []
     newton = model_mod.power_sum_coords
 
@@ -1352,10 +1353,55 @@ def test_validate_l_classes_and_signature_run_one_newton_loop_per_class(monkeypa
         m.l_source, m.l_target, m.l_normal, m.l_normal_inverse
         for k in range(1, 4):
             signature(m, k)
-        classes = (m.pontrjagin_source, m.pontrjagin_target, m.normal_pontrjagin,
-                   m.pullback(m.pontrjagin_target))
+        classes = (m.pontrjagin_source, m.pontrjagin_target, m.normal_pontrjagin)
         assert len(calls) == len(set(calls)), m.name
         assert set(calls) == {(P, 4) for P in classes}, m.name
+
+
+def test_validation_builds_the_l_classes_the_signature_reads(monkeypatch):
+    # validation's L-class relation reads L(source), L(target) and
+    # L(normal)^-1, the classes the signature routes and the virtual class
+    # read, so no query on a valid model builds another L-class
+    built = []
+    genus_coords = model_mod.genus_coords
+
+    def counted(ring, sums, log_coeffs):
+        built.append(ring)
+        return genus_coords(ring, sums, log_coeffs)
+
+    monkeypatch.setattr(model_mod, "genus_coords", counted)
+    rng = random.Random(31)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=8, with_chern=True) for _ in range(5)]
+    for m in models:
+        built.clear()
+        assert validate(m).ok, m.name
+        for k in range(1, 4):
+            signature(m, k)
+            virtual_signature_class(m, k)
+        assert len(built) == 3, m.name
+
+
+def test_an_l_point_number_reads_the_signature(monkeypatch):
+    # a Pontrjagin number of one weight w <= 1 is 3^w times the signature,
+    # read from its memoised chain whatever the expansion would cost
+    # (hypersurface-d3 at k = 1 with J = (4,): n^k = 3 tensor terms)
+    monkeypatch.setattr(formulas, "_number_by_expansion", _unavailable("expand the tensor"))
+    rng = random.Random(37)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=8, with_chern=True) for _ in range(5)]
+    kind = formulas.CHARACTERISTIC[False]
+    read = []
+    for m in models:
+        for k in range(1, 7):
+            dims = multiple_point_dimension(m, k)
+            for J in ((), (0,), (4,), (4, 0)):
+                if formulas._genus_plan(J, kind, dims)[-1]:
+                    result = pontrjagin_number(m, k, J)
+                    if not result.warnings:
+                        assert result.value == 3 ** (sum(J) // 4) * signature(m, k), (m.name, k, J)
+                        read.append((m.name, k, J))
+    assert len(read) >= len(models) and ("hypersurface-d3", 1, (4,)) in read
 
 
 def test_a_repeated_number_on_the_genus_route_builds_nothing(monkeypatch):

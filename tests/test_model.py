@@ -362,6 +362,15 @@ def test_derived_normal_classes():
     assert m.l_normal * m.l_normal_inverse == m.source.unit()
 
 
+def test_validate_checks_the_inverse_normal_l_class(monkeypatch):
+    # the L-class relation reads L(normal)^-1, which every signature route
+    # reads: an inverse built without negating the log series fails it
+    monkeypatch.setattr(ImmersionModel, "l_normal_inverse", property(
+        lambda m: m.genus_class(m.normal_pontrjagin, signature_genus_log_coeffs)))
+    report = validate(bundled_model("hypersurface-d3"))
+    assert [c.name for c in report.failures()] == ["normal signature-class relation"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(1, 8), st.booleans())
 def test_l_classes_of_random_models(seed, max_powers, with_chern):

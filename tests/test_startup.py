@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import multipoint
+from multipoint.modelfile import save_model
+from multipoint.models import bundled_model
 
 SRC = str(Path(multipoint.__file__).resolve().parent.parent)
 BENCHMARKS = str(Path(__file__).resolve().parent.parent / "benchmarks")
@@ -83,6 +85,17 @@ def test_bundled_validate_loads_no_formula():
     assert "multipoint.model" in loaded
     for name in ("formulas", "signatures", "union", "partitions", "random_models"):
         assert f"multipoint.{name}" not in loaded, name
+
+
+def test_a_model_file_loads_no_bundled_model(tmp_path):
+    # a bundled name is read from cli.MODEL_NOTES, so a file path compiles
+    # the model-file reader and not the bundled models
+    path = tmp_path / "m.json"
+    save_model(bundled_model("hypersurface-d3"), path)
+    for argv in (["validate", str(path)],
+                 ["compute", str(path), "--k", "1", "--quantity", "signature"]):
+        loaded = _loaded_modules(f"from multipoint import cli\nassert cli.main({argv!r}) == 0")
+        assert "multipoint.modelfile" in loaded and "multipoint.models" not in loaded, argv
 
 
 def test_examples_loads_no_ring_module():
