@@ -28,8 +28,7 @@ _EXPORTS = {
     "series": """SpecialSeries compose identity_series invert scaled_exp_series
         scaled_log_series""",
     "signatures": """RouteDisagreement multiple_point_dimension signature signature_collected
-        signature_via_source signature_via_target virtual_signature_class
-        virtual_signature_class_union""",
+        signature_via_source signature_via_target virtual_signature_class""",
     "union": "disjoint_union",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

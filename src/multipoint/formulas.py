@@ -417,7 +417,9 @@ def _require(condition: bool, witness: str) -> None:
 def _require_pulled_from_target(model: ImmersionModel) -> None:
     _require(_preimage_under(model.pullback, model.euler) is not None,
              f"euler class {model.euler} is not pulled back from the target")
-    _require(_preimage_under(model.pullback, model.l_normal) is not None,
+    # f* is a unital ring homomorphism, so L(normal) is pulled back exactly
+    # when its inverse, the class the routes read, is
+    _require(_preimage_under(model.pullback, model.l_normal_inverse) is not None,
              "L(normal) is not pulled back from the target")
 
 

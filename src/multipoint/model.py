@@ -196,11 +196,6 @@ class ImmersionModel(Frozen):
             self.pontrjagin_target, signature_genus_log_coeffs))
 
     @property
-    def l_normal(self) -> GradedClass:
-        return self._cached("L_nu", lambda: self.genus_class(
-            self.normal_pontrjagin, signature_genus_log_coeffs))
-
-    @property
     def l_normal_inverse(self) -> GradedClass:
         """L(normal)^-1: exp(-x) = exp(x)^-1 in a nilpotent ring, so it is
         the genus class of the negated L-genus log coefficients, with no

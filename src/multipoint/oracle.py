@@ -23,16 +23,23 @@ from math import factorial, prod
 from typing import Dict, List, NamedTuple, Tuple
 
 from .formulas import transfer_to_source
-from .graded import GradedAlgebraError, GradedClass, Scalar, TensorClass, cross, log_coefficient
+from .graded import GradedAlgebraError, GradedClass, Scalar, TensorClass, cross
 from .model import ImmersionModel
 from .models import BUNDLED, bundled_model
 from .partitions import (BELL, SetPartition, all_partitions, count_by_type, quotient, refines,
                          type_vectors)
+from .records import _shown
 from .series import (DEFAULT_ORDER, compose, composed_derivative, identity_series, invert,
-                     scaled_exp_series)
+                     scaled_exp_series, scaled_log_series)
 from .signatures import _checked, signature, virtual_signature_class
 
 DEFAULT_CAP = 7
+
+
+def _cap(k: int) -> None:
+    """Refuse k beyond DEFAULT_CAP, before any partition or factor is built."""
+    if k > DEFAULT_CAP:
+        raise ValueError(f"oracle refuses k={_shown(k)} beyond its cap {DEFAULT_CAP}")
 
 
 def _weight(alpha: SetPartition) -> int:
@@ -68,6 +75,7 @@ def _transfer_enumerated(model: ImmersionModel, k: int,
     of terms, by direct summation over every partition and term: each block
     pushed forward, on the source pulled back too except the block of 1,
     which is kept verbatim."""
+    _cap(k)
     out = (model.target if to_target else model.source).zero()
     nparts = 0
     nterms = 0
@@ -89,38 +97,36 @@ def _basis_terms(model: ImmersionModel, x: TensorClass) -> List[Tuple[Scalar, Li
 
 
 @_checked
-def transfer_to_target_enumerated(model: ImmersionModel, k: int, x: TensorClass,
-                                  cap: int = DEFAULT_CAP) -> OracleRun:
+def transfer_to_target_enumerated(model: ImmersionModel, k: int, x: TensorClass) -> OracleRun:
     """Pushed transfer by direct summation over every partition and term."""
     return _transfer_enumerated(model, k, _basis_terms(model, x), to_target=True)
 
 
 @_checked
-def transfer_to_source_enumerated(model: ImmersionModel, k: int, x: TensorClass,
-                                  cap: int = DEFAULT_CAP) -> OracleRun:
+def transfer_to_source_enumerated(model: ImmersionModel, k: int, x: TensorClass) -> OracleRun:
     """Source-level transfer by direct summation, first block kept verbatim."""
     return _transfer_enumerated(model, k, _basis_terms(model, x), to_target=False)
 
 
 @_checked
-def signature_enumerated(model: ImmersionModel, k: int, cap: int = DEFAULT_CAP) -> OracleRun:
+def signature_enumerated(model: ImmersionModel, k: int) -> OracleRun:
     """Signature of the k-tuple point manifold by raw enumeration on the
     target: 1/k! times the pairing of L(target) with the enumerated
     virtual signature class."""
-    run = virtual_class_enumerated(model, k, cap)
+    run = virtual_class_enumerated(model, k)
     return run._replace(value=(model.l_target * run.value).integrate() / factorial(k))
 
 
 @_checked
-def virtual_class_enumerated(model: ImmersionModel, k: int, cap: int = DEFAULT_CAP) -> OracleRun:
+def virtual_class_enumerated(model: ImmersionModel, k: int) -> OracleRun:
     """The virtual signature class on the target by raw enumeration: the
     pushed transfer of the k-fold tensor power of L(normal)^(-1)."""
+    _cap(k)
     return _transfer_enumerated(model, k, [(1, [model.l_normal_inverse] * k)], to_target=True)
 
 
 @_checked
-def compose_enumerated(outer_coeffs, inner_coeffs, k: int,
-                       cap: int = DEFAULT_CAP) -> OracleRun:
+def compose_enumerated(outer_coeffs, inner_coeffs, k: int) -> OracleRun:
     """Partition-sum composition coefficient, summed partition by partition.
 
     outer_coeffs[n-1] is consumed at the block count n of each partition,
@@ -128,6 +134,7 @@ def compose_enumerated(outer_coeffs, inner_coeffs, k: int,
     with + and * (rationals, ring classes).  Checks the collected
     composition in the series module.
     """
+    _cap(k)
     out = None
     nparts = 0
     for alpha in all_partitions(k):
@@ -146,10 +153,11 @@ def refinement_pairs(k: int) -> List[Tuple[SetPartition, SetPartition]]:
 
 
 @_checked
-def double_composition_enumerated(a, b, c, k: int, cap: int = DEFAULT_CAP) -> OracleRun:
+def double_composition_enumerated(a, b, c, k: int) -> OracleRun:
     """Associativity witness: sum over refinement pairs beta <= alpha of
     a at the alpha block count, b at the quotient block sizes, c at the
     beta block sizes.  Must equal composing in either order."""
+    _cap(k)
     out = None
     npairs = 0
     for beta, alpha in refinement_pairs(k):
@@ -226,10 +234,9 @@ def identity_failures(max_k: int) -> List[str]:
     order = min(max(8, max_k), DEFAULT_ORDER)
 
     H = scaled_exp_series(order)
-    G = invert(H)
-    for k in range(1, 7):
-        expected = log_coefficient(k) * H.coefficient(2) ** (k - 1)
-        if G.coefficient(k) != expected:
+    G, log_series = invert(H), scaled_log_series(order)
+    for k in range(1, order + 1):
+        if G.coefficient(k) != log_series.coefficient(k):
             failures.append(f"series inversion coefficient {k}: {G.coefficient(k)}")
     if compose(H, G) != identity_series(order):
         failures.append("compose(H, invert(H)) is not the identity series")

@@ -46,12 +46,6 @@ def _model(model: object) -> None:
         raise ModelError(f"model must be an ImmersionModel, got {model!r}")
 
 
-def _models(models: object) -> None:
-    if not (isinstance(models, (list, tuple)) and models
-            and all(isinstance(m, ImmersionModel) for m in models)):
-        raise ModelError(f"models must be a non-empty list or tuple of ImmersionModels, got {models!r}")
-
-
 def _text(template: str, *values) -> str:
     """template % values, each value shown by _shown if str() refuses one."""
     try:
@@ -98,17 +92,10 @@ def _log_coeffs(log_coeffs: object) -> None:
         exact(c)
 
 
-def _cap(cap: object, k: int) -> None:
-    if type(cap) is not int:
-        raise ValueError(f"oracle cap must be an int, got {cap!r}")
-    if k > cap:
-        raise ValueError(f"oracle refuses k={_shown(k)} beyond its cap {cap}")
-
-
 # a check's parameters after the first name the arguments it also reads
 _ENTRY_CHECKS = {
-    "model": _model, "models": _models, "k": _k, "J": _J, "route": _route_name,
-    "chern": _chern, "log_coeffs": _log_coeffs, "cap": _cap,
+    "model": _model, "k": _k, "J": _J, "route": _route_name,
+    "chern": _chern, "log_coeffs": _log_coeffs,
     "x": lambda x, model, k: _tensor("x", x, k, model.source, "source"),
     "y": lambda y, model, k: _tensor("y", y, k, model.target, "target"),
 }
@@ -117,11 +104,10 @@ _REQUIRED = object()
 
 def _checked(fn: Callable) -> Callable:
     """fn, running the entry check of each of its parameters that
-    _ENTRY_CHECKS names, in parameter order, before its body.  fn's own
-    default needs no check unless the check reads other arguments (the
-    oracle's cap is checked against k), so None passes where fn's default
-    is None.  The positions are read from fn once, here, so a call indexes
-    args and builds no dict."""
+    _ENTRY_CHECKS names, in parameter order, before its body.  An argument
+    left at fn's own default is not checked, so None passes where fn's
+    default is None.  The positions are read from fn once, here, so a call
+    indexes args and builds no dict."""
     def params(f: Callable) -> Tuple[str, ...]:
         return f.__code__.co_varnames[:f.__code__.co_argcount]
 
@@ -139,8 +125,7 @@ def _checked(fn: Callable) -> Callable:
             if value is default:
                 if value is _REQUIRED:
                     break  # fn names the missing argument
-                if not reads:
-                    continue
+                continue
             if reads:
                 check(value, *[args[j] if j < n else kwargs.get(r, d) for j, r, d in reads])
             else:
@@ -491,23 +476,3 @@ def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
             f"collected {collected} vs enumerated {enumerated}")
     return collected
 
-
-@_checked
-def virtual_signature_class_union(models: Sequence[ImmersionModel], k: int) -> GradedClass:
-    """The virtual signature class of the disjoint union of the models:
-    virtual_signature_class of the union.
-
-    Sheets are distributed over the components in every way, and the
-    union's normal blocks are the sums of the components' blocks, so its
-    chain gives the class of every distribution at once.  The union is
-    built by union.disjoint_union, which refuses components that do not
-    share the target data and codimension, and is memoised on the first
-    component per tuple of components, with its chain and the transfer it
-    is checked against.
-    """
-    models = tuple(models)
-    union = models[0]
-    if len(models) > 1:
-        from .union import disjoint_union  # one model needs no union
-        union = union._cached(("union", models), lambda: disjoint_union(models))
-    return virtual_signature_class.__wrapped__(union, k)

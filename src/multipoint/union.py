@@ -3,7 +3,9 @@ shared target.
 
 Only a model built from components needs this module: the bundled
 ``two-lines``, a model file with components, and the virtual signature
-class of several components.
+class of several components, ``virtual_signature_class(disjoint_union(models), k)``:
+the union's normal blocks are the sums of the components' blocks, so its
+one chain gives the class of every distribution of the sheets.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ def _block_class(union: GradedRing, classes: Sequence[GradedClass],
 
 def disjoint_union(models: Sequence[ImmersionModel], name: str = "") -> ImmersionModel:
     """Combine immersions of disjoint sources into one shared target."""
+    if not (isinstance(models, (list, tuple))
+            and all(isinstance(m, ImmersionModel) for m in models)):
+        raise ModelError(f"models must be a list or tuple of ImmersionModels, got {models!r}")
     if not models:
         raise ModelError("disjoint union of zero models")
     if len(models) == 1:

@@ -53,7 +53,6 @@ from multipoint.signatures import (
     signature_via_source,
     signature_via_target,
     virtual_signature_class,
-    virtual_signature_class_union,
 )
 from multipoint.union import disjoint_union
 from series_reference import eval_series, tanh_coeffs
@@ -202,11 +201,11 @@ def test_criterion_7_union_convolution(bundled_models):
         u = disjoint_union(comps)
         assert validate(u).ok
         for k in range(1, 5):
-            assert virtual_signature_class_union(comps, k) == virtual_class_enumerated(u, k).value
+            assert virtual_signature_class(u, k) == virtual_class_enumerated(u, k).value
         cases += 1
     two = [bundled_model("line-in-plane"), bundled_model("line-in-plane")]
     for k in range(1, 5):
-        assert virtual_signature_class_union(two, k) == virtual_signature_class(
+        assert virtual_signature_class(disjoint_union(two), k) == virtual_signature_class(
             bundled_models["two-lines"], k)
     for name in ("line-in-plane", "hypersurface-d2", "line-in-quadric"):
         m = bundled_models[name]
@@ -295,7 +294,7 @@ def test_inverse_normal_l_class_is_the_genus_class_of_minus_c(random_models, bun
     # L(normal)^-1 is built from the memoised power sums of P(normal) with
     # the negated log coefficients; the geometric series in L(normal) agrees
     for m in list(bundled_models.values()) + random_models:
-        assert m.l_normal_inverse == m.l_normal.invert_unital(), m.name
+        assert m.l_normal_inverse == signature_class(m.normal_pontrjagin).invert_unital(), m.name
     print("PASS: the inverse normal L-class equals the inverted L-class on "
           f"{len(bundled_models) + len(random_models)} models")
 
@@ -308,6 +307,7 @@ def test_l_classes_are_signature_classes(random_models, bundled_models):
     for m in models:
         assert m.l_source == signature_class(m.pontrjagin_source), m.name
         assert m.l_target == signature_class(m.pontrjagin_target), m.name
-        assert m.l_normal == signature_class(m.normal_pontrjagin), m.name
-        assert m.l_normal * m.l_source == signature_class(m.pullback(m.pontrjagin_target)), m.name
+        assert m.l_normal_inverse * signature_class(m.normal_pontrjagin) == m.source.unit(), m.name
+        assert signature_class(m.normal_pontrjagin) * m.l_source == signature_class(
+            m.pullback(m.pontrjagin_target)), m.name
     print(f"PASS: the L-classes are signature classes on {len(models)} models")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipoint import formulas, graded, oracle, partitions, records, signatures, union
+from multipoint import formulas, graded, oracle, partitions, records, signatures
 from multipoint import model as model_mod
 from multipoint.formulas import (
     PreconditionError,
@@ -58,7 +58,6 @@ from multipoint.signatures import (
     signature_via_source,
     signature_via_target,
     virtual_signature_class,
-    virtual_signature_class_union,
 )
 from multipoint.union import disjoint_union, product_ring
 from series_reference import eval_series, tanh_coeffs
@@ -263,7 +262,7 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
     for route in (*SIGNATURE_ROUTES, "auto"):
         assert signature(m, 10 ** 6, route=route) == 0, route
     assert virtual_signature_class(m, 10 ** 6) == m.target.zero()
-    assert virtual_signature_class_union([m] * 3, 10 ** 6) == m.target.zero()
+    assert virtual_signature_class(disjoint_union([m] * 3), 10 ** 6) == m.target.zero()
     assert formulas.genus(m, 10 ** 6, (0, 1)) == formulas.genus(m, 10 ** 6, (0, 1), chern=True) == 0
     assert transfer_of_unit(m, 10 ** 6) == m.source.zero()
     assert pulled_from_target(m, 10 ** 6) == pulled_from_target(m, 10 ** 6, (4,)) == 0
@@ -288,7 +287,7 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
         with pytest.raises(PreconditionError):
             special(m, 10 ** 6)
     with pytest.raises(ModelError, match="target"):
-        virtual_signature_class_union([m, bundled_model("hypersurface-d2")], 10 ** 6)
+        virtual_signature_class(disjoint_union([m, bundled_model("hypersurface-d2")]), 10 ** 6)
 
 
 def test_the_union_is_built_once_per_tuple_of_components(monkeypatch):
@@ -296,28 +295,19 @@ def test_the_union_is_built_once_per_tuple_of_components(monkeypatch):
     # chain gives the class; at k = 6 the locus (dimension -8) is empty and
     # no chain is built, at k = 2 it is a point and one chain is built
     components = random_union_components(random.Random(8), 3)
+    u = disjoint_union(components)
     chains, chain = [], signatures._Chain
     monkeypatch.setattr(signatures, "_Chain",
                         lambda model, u: chains.append(model) or chain(model, u))
-    first = virtual_signature_class_union(components, 6)
+    assert virtual_signature_class(u, 6).is_zero()
     assert chains == []
-    virtual_signature_class_union(components, 2)
-    assert chains == [components[0]._cache[("union", tuple(components))]]
-    built = []
-
-    def counted(*args, **kwargs):
-        built.append(args)
-        return product_ring(*args, **kwargs)
-
-    monkeypatch.setattr(union, "product_ring", counted)
-    assert virtual_signature_class_union(components, 6) == first
-    assert virtual_signature_class_union(tuple(components), 6) == first
-    assert built == []
+    virtual_signature_class(u, 2)
+    assert chains == [u]
     # a union that is refused is refused again, and nothing is stored for it
     m, keys = components[0], set(components[0]._cache)
     for _ in range(2):
         with pytest.raises(ModelError, match="target"):
-            virtual_signature_class_union([m, bundled_model("hypersurface-d2")], 2)
+            virtual_signature_class(disjoint_union([m, bundled_model("hypersurface-d2")]), 2)
     assert set(m._cache) == keys
 
 
@@ -734,7 +724,7 @@ def _k_entry_points():
                                                 "nullhomotopic-cp2-in-s6"))
     x = graded.TensorClass(d3.source, 2, {(0, 0): 1})
     y = graded.TensorClass(plane.target, 2, {(0, 0): 1})
-    coeffs = [Fraction(1), Fraction(-1, 2)]
+    coeffs = [Fraction(1, n) for n in range(1, DEFAULT_CAP + 1)]  # one per k the oracle takes
     on_d3 = {"model": d3, "k": 2}
     calls = {name: (fn, on_d3) for name, fn in SIGNATURE_ROUTES.items()}
     calls.update({
@@ -745,8 +735,6 @@ def _k_entry_points():
         "pontrjagin_number": (pontrjagin_number, {**on_d3, "J": (4,)}),
         "chern_number": (chern_number, {"model": quadric, "k": 2, "J": (2,)}),
         "virtual_signature_class": (virtual_signature_class, on_d3),
-        "virtual_signature_class_union": (virtual_signature_class_union,
-                                          {"models": [d3, d3], "k": 2}),
         "transfer_to_source": (transfer_to_source, {**on_d3, "x": x}),
         "transfer_to_target": (transfer_to_target, {**on_d3, "x": x}),
         "transfer_of_unit": (transfer_of_unit, on_d3),
@@ -755,16 +743,14 @@ def _k_entry_points():
         "euler_zero": (euler_zero, {"model": quadric, "k": 2}),
         "pushpull_zero": (pushpull_zero, {"model": null_push, "k": 2, "J": None}),
         "nullhomotopic": (nullhomotopic, {"model": cp2, "k": 2, "J": None}),
-        "signature_enumerated": (signature_enumerated, {**on_d3, "cap": DEFAULT_CAP}),
-        "virtual_class_enumerated": (virtual_class_enumerated, {**on_d3, "cap": DEFAULT_CAP}),
-        "transfer_to_source_enumerated": (transfer_to_source_enumerated,
-                                          {**on_d3, "x": x, "cap": DEFAULT_CAP}),
-        "transfer_to_target_enumerated": (transfer_to_target_enumerated,
-                                          {**on_d3, "x": x, "cap": DEFAULT_CAP}),
+        "signature_enumerated": (signature_enumerated, on_d3),
+        "virtual_class_enumerated": (virtual_class_enumerated, on_d3),
+        "transfer_to_source_enumerated": (transfer_to_source_enumerated, {**on_d3, "x": x}),
+        "transfer_to_target_enumerated": (transfer_to_target_enumerated, {**on_d3, "x": x}),
         "compose_enumerated": (oracle.compose_enumerated, {
-            "outer_coeffs": coeffs, "inner_coeffs": coeffs, "k": 2, "cap": DEFAULT_CAP}),
+            "outer_coeffs": coeffs, "inner_coeffs": coeffs, "k": 2}),
         "double_composition_enumerated": (oracle.double_composition_enumerated, {
-            "a": coeffs, "b": coeffs, "c": coeffs, "k": 2, "cap": DEFAULT_CAP}),
+            "a": coeffs, "b": coeffs, "c": coeffs, "k": 2}),
         "recursion_identity_holds": (recursion_identity_holds, {**on_d3, "x": x}),
     })
     return calls
@@ -835,15 +821,19 @@ def _d3():
     (lambda: multiple_point_dimension(None, 2), ModelError, "^model must"),
     (lambda: transfer_of_unit(None, 2), ModelError, "^model must"),
     (lambda: virtual_signature_class(None, 2), ModelError, "^model must"),
-    (lambda: virtual_signature_class_union([_d3(), 5], 2), ModelError, "^models must"),
-    (lambda: virtual_signature_class_union(_d3(), 2), ModelError, "^models must"),
+    (lambda: disjoint_union([_d3(), 5]), ModelError, "^models must"),
+    (lambda: disjoint_union(_d3()), ModelError, "^models must"),
+    (lambda: disjoint_union(5), ModelError, "^models must"),
+    (lambda: disjoint_union("ab"), ModelError, "^models must"),
+    (lambda: disjoint_union([_d3(), "x"]), ModelError, "^models must"),
     (lambda: transfer_to_source(_d3(), 2, None), graded.GradedAlgebraError, "^x must"),
     (lambda: pulled_from_target_class(_d3(), 2, None), graded.GradedAlgebraError, "^y must"),
     (lambda: formulas.empty_locus_warning(_d3(), 0), ValueError, "multiplicity k must be at least 1"),
     (lambda: formulas.empty_locus_warning(_d3(), "a"), ValueError, "multiplicity k must be an int"),
 ], ids=["genus-None", "genus-int", "genus-str", "genus-dict", "signature-None",
         "pontrjagin-None", "dimension-None", "unit-transfer-None", "virtual-class-None",
-        "union-with-an-int", "union-of-a-model", "transfer-x-None", "pulled-y-None",
+        "union-with-an-int", "union-of-a-model", "union-of-an-int", "union-of-a-string",
+        "union-with-a-string", "transfer-x-None", "pulled-y-None",
         "warning-k-0", "warning-k-str"])
 def test_an_argument_that_escaped_before_is_refused_by_name(call, error, match):
     with pytest.raises(error, match=match):
@@ -857,7 +847,7 @@ def test_entry_checks_read_keywords_and_defaults_and_leave_a_missing_argument_to
     with pytest.raises(ModelError, match="^model must"):
         signature(None, "a", route=5)  # parameter order: model first
     with pytest.raises(ValueError, match="oracle refuses k=8"):
-        signature_enumerated(d3, k=8)  # the default cap is checked too
+        signature_enumerated(d3, k=8)  # the oracle's cap, checked in its body
     # None passes only where the function's default for J is None
     assert pulled_from_target(plane, 2, None) == pulled_from_target(plane, k=2)
     with pytest.raises(graded.GradedAlgebraError, match="index sequence"):
@@ -924,27 +914,28 @@ def test_union_convolution_matches_direct():
         comps = random_union_components(rng, rng.randint(2, 3))
         u = disjoint_union(comps)
         for k in range(1, 6):
-            assert virtual_signature_class_union(comps, k) == virtual_class_enumerated(u, k).value
+            assert virtual_signature_class(u, k) == virtual_class_enumerated(u, k).value
 
 
 def test_union_convolution_single_component_degenerates():
     m = bundled_model("hypersurface-d2")
     for k in range(1, 4):
-        assert virtual_signature_class_union([m], k) == virtual_signature_class(m, k)
+        assert virtual_signature_class(disjoint_union([m]), k) == virtual_signature_class(m, k)
 
 
 def test_union_convolution_checks_once_on_the_union(monkeypatch):
     # source dimension 2, codim 2: the double-point manifold is a point and
     # the 6-tuple one is empty, so its class is 0 with no check at all
-    comps = random_union_components(random.Random(8), 3)
-    expected = virtual_signature_class(disjoint_union(comps), 2)
+    u = disjoint_union(random_union_components(random.Random(8), 3))
     calls = []
     transfer = signatures._transfer
     monkeypatch.setattr(signatures, "_transfer",
                         lambda *a, **kw: calls.append(a) or transfer(*a, **kw))
-    assert virtual_signature_class_union(comps, 2) == expected
+    expected = virtual_class_enumerated(u, 2).value
+    assert virtual_signature_class(u, 2) == expected
     assert len(calls) == 1
-    assert virtual_signature_class_union(comps, 6).is_zero()
+    assert virtual_signature_class(u, 2) == expected
+    assert virtual_signature_class(u, 6).is_zero()
     assert len(calls) == 1
 
 
@@ -974,14 +965,14 @@ def test_union_convolution_refuses_what_the_disjoint_union_refuses():
     other = ImmersionModel(m.source, m.target, m.pullback, m.pushforward, m.codim, m.euler,
                            m.pontrjagin_source, m.target.unit())
     with pytest.raises(ModelError, match="Pontrjagin"):
-        virtual_signature_class_union([m, other], 2)
+        virtual_signature_class(disjoint_union([m, other]), 2)
     with pytest.raises(ModelError, match="target"):
-        virtual_signature_class_union([m, bundled_model("line-in-plane")], 2)
+        virtual_signature_class(disjoint_union([m, bundled_model("line-in-plane")]), 2)
 
 
 def test_union_k1_is_additive():
     comps = [bundled_model("line-in-plane"), bundled_model("line-in-plane")]
-    total = virtual_signature_class_union(comps, 1)
+    total = virtual_signature_class(disjoint_union(comps), 1)
     assert total == virtual_signature_class(comps[0], 1) + virtual_signature_class(comps[1], 1)
 
 
@@ -1350,7 +1341,7 @@ def test_validate_l_classes_and_signature_run_one_newton_loop_per_class(monkeypa
     for m in models:
         calls.clear()
         assert validate(m).ok, m.name
-        m.l_source, m.l_target, m.l_normal, m.l_normal_inverse
+        m.l_source, m.l_target, m.l_normal_inverse
         for k in range(1, 4):
             signature(m, k)
         classes = (m.pontrjagin_source, m.pontrjagin_target, m.normal_pontrjagin)
@@ -1360,8 +1351,9 @@ def test_validate_l_classes_and_signature_run_one_newton_loop_per_class(monkeypa
 
 def test_validation_builds_the_l_classes_the_signature_reads(monkeypatch):
     # validation's L-class relation reads L(source), L(target) and
-    # L(normal)^-1, the classes the signature routes and the virtual class
-    # read, so no query on a valid model builds another L-class
+    # L(normal)^-1, the classes the signature routes, the virtual class and
+    # the precondition that L(normal) is pulled back from the target read,
+    # so no query on a valid model builds another L-class
     built = []
     genus_coords = model_mod.genus_coords
 
@@ -1373,13 +1365,32 @@ def test_validation_builds_the_l_classes_the_signature_reads(monkeypatch):
     rng = random.Random(31)
     models = [bundled_model(name) for name in BUNDLED]
     models += [random_truncated_model(rng, max_powers=8, with_chern=True) for _ in range(5)]
+    held = []
     for m in models:
         built.clear()
         assert validate(m).ok, m.name
         for k in range(1, 4):
             signature(m, k)
             virtual_signature_class(m, k)
+        try:
+            held.append(pulled_from_target(m, 2))
+        except PreconditionError:
+            pass
         assert len(built) == 3, m.name
+    assert len(held) >= 5
+
+
+def test_the_precondition_on_the_inverse_gives_the_verdict_on_l_normal():
+    # f* is a unital ring homomorphism, so L(normal) is pulled back from the
+    # target exactly when L(normal)^-1 is
+    rng = random.Random(3)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=6) for _ in range(200)]
+    verdicts = [(formulas._preimage_under(m.pullback, m.l_normal_inverse) is None,
+                 formulas._preimage_under(m.pullback, graded.signature_class(m.normal_pontrjagin))
+                 is None) for m in models]
+    assert all(inverse == direct for inverse, direct in verdicts)
+    assert 0 < sum(refused for refused, _ in verdicts) < len(models)
 
 
 def test_an_l_point_number_reads_the_signature(monkeypatch):

@@ -465,7 +465,7 @@ def test_signature_class_on_the_codim_2_model_matches_the_reference():
         L = signature_class(P)
         assert L == reference_signature_class(P)
         assert L.degree_part(4) == Fraction(1, 3) * P.degree_part(4)
-    assert m.l_normal * m.l_source == signature_class(classes[3])
+    assert signature_class(classes[2]) * m.l_source == signature_class(classes[3])
 
 
 def test_genus_kernel_runs_in_ints_and_divides_once(monkeypatch):

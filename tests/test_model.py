@@ -333,8 +333,7 @@ def test_validate_multiplies_only_for_the_derived_relations(monkeypatch):
     monkeypatch.setattr(GradedRing, "mul_coords", counted)
     m = bundled_model("hypersurface-d3")
     assert m.normal_pontrjagin * m.pontrjagin_source == m.pullback(m.pontrjagin_target)
-    assert m.l_normal * m.l_source == m.genus_class(m.pullback(m.pontrjagin_target),
-                                                    signature_genus_log_coeffs)
+    assert m.l_source == m.pullback(m.l_target) * m.l_normal_inverse
     relations = len(calls)
     calls.clear()
     assert validate(bundled_model("hypersurface-d3")).ok
@@ -359,7 +358,7 @@ def test_derived_normal_classes():
     # P(nu) * P(M) = f*(P(N)) by construction
     assert m.normal_pontrjagin * m.pontrjagin_source == m.pullback(m.pontrjagin_target)
     # L(nu) inverse is a genuine inverse
-    assert m.l_normal * m.l_normal_inverse == m.source.unit()
+    assert signature_class(m.normal_pontrjagin) * m.l_normal_inverse == m.source.unit()
 
 
 def test_validate_checks_the_inverse_normal_l_class(monkeypatch):
@@ -380,8 +379,9 @@ def test_l_classes_of_random_models(seed, max_powers, with_chern):
     m = random_truncated_model(random.Random(seed), max_powers=max_powers, with_chern=with_chern)
     assert m.l_source == signature_class(m.pontrjagin_source)
     assert m.l_target == signature_class(m.pontrjagin_target)
-    assert m.l_normal == signature_class(m.normal_pontrjagin)
-    assert m.l_normal * m.l_source == signature_class(m.pullback(m.pontrjagin_target))
+    assert m.l_normal_inverse == signature_class(m.normal_pontrjagin).invert_unital()
+    assert signature_class(m.normal_pontrjagin) * m.l_source == signature_class(
+        m.pullback(m.pontrjagin_target))
 
 
 def test_embedding_consistency():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from multipoint import oracle
 from multipoint.formulas import transfer_to_source, transfer_to_target
-from multipoint.graded import cross
+from multipoint.graded import TensorClass, cross
 from multipoint.models import BUNDLED, bundled_model
 from multipoint.oracle import (
     compose_enumerated,
@@ -15,7 +16,7 @@ from multipoint.oracle import (
     transfer_to_target_enumerated,
     virtual_class_enumerated,
 )
-from multipoint.partitions import BELL
+from multipoint.partitions import BELL, all_partitions
 from multipoint.random_models import random_truncated_model
 from multipoint.signatures import signature, virtual_signature_class
 
@@ -24,8 +25,38 @@ def test_cap_enforced():
     m = bundled_model("line-in-plane")
     with pytest.raises(ValueError):
         signature_enumerated(m, 8)
-    with pytest.raises(ValueError):
-        signature_enumerated(m, 3, cap=2)
+
+
+@pytest.mark.parametrize("k, shown", [(8, "8"), (10 ** 5000, "<5001-digit integer>")],
+                         ids=["8", "10**5000"])
+def test_every_oracle_entry_point_refuses_k_beyond_the_cap_before_enumerating(
+        monkeypatch, k, shown):
+    yielded = []
+
+    def counted(n):
+        for alpha in all_partitions(n):
+            yielded.append(alpha)
+            yield alpha
+
+    monkeypatch.setattr(oracle, "all_partitions", counted)
+    m = bundled_model("line-in-plane")
+    x = TensorClass(m.source, k, {})
+    coeffs = [Fraction(1)] * 8
+    calls = [
+        lambda: signature_enumerated(m, k),
+        lambda: virtual_class_enumerated(m, k),
+        lambda: transfer_to_source_enumerated(m, k, x),
+        lambda: transfer_to_target_enumerated(m, k, x),
+        lambda: compose_enumerated(coeffs, coeffs, k),
+        lambda: double_composition_enumerated(coeffs, coeffs, coeffs, k),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^oracle refuses k={shown} beyond its cap 7$"):
+            call()
+    assert yielded == []
+    # the counter sees the partitions of a k at the cap
+    assert compose_enumerated(coeffs, coeffs, oracle.DEFAULT_CAP).partitions_seen == BELL[6]
+    assert yielded
 
 
 def test_partition_counts_reported():
