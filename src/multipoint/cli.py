@@ -134,7 +134,8 @@ def cmd_validate(args) -> int:
 
 def cmd_compute(args) -> int:
     from .model import validate
-    from .signatures import RouteDisagreement, empty_locus_warning, multiple_point_dimension
+    from .signatures import (RouteDisagreement, empty_locus_warning, multiple_point_dimension,
+                             vanishing_warning)
     kind, J = _parse_quantity(args.quantity)
     if kind != "signature" and args.route != "auto":
         raise CliError(f"--route {args.route} applies to the signature only, "
@@ -173,9 +174,11 @@ def cmd_compute(args) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    empty = empty_locus_warning(model, k)
-    if empty is not None and empty not in warnings:  # a characteristic number carries it
-        warnings.append(empty)
+    if kind in ("signature", "bk"):  # a characteristic number carries its warnings
+        why = (empty_locus_warning(model, k)
+               or vanishing_warning(model, k, virtual_class=kind == "bk"))
+        if why is not None:
+            warnings.append(why)
     out["dimension"] = list(multiple_point_dimension(model, k))
     out["warnings"] = warnings
     for w in warnings:

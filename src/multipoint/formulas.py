@@ -28,6 +28,7 @@ from .signatures import (
     _transfer,
     empty_locus_warning,
     multiple_point_dimension,
+    vanishing_warning,
 )
 
 # the signature names the benchmark harness reads from here, as the same objects
@@ -140,14 +141,15 @@ def genus(model: ImmersionModel, k: int, log_coeffs: Sequence[Scalar],
     K with log K = sum_j c_j s_j, s_j the power sums of the squared
     Pontrjagin roots (of the Chern roots if chern is set) and c_j the
     entries of log_coeffs (c_0 is not read; entries past the end are 0);
-    0 on an empty k-tuple point manifold.
+    0 on an empty k-tuple point manifold, and when vanishing_warning names
+    a reason.
 
     The model defines the normal class as f*(P(target)) * P(source)^-1
     (likewise C) and K is multiplicative, so the genus is the integral of
     K(target) * E_k with u = K(normal)^-1, as the collected signature
     route pairs L(target) with it.  The classes are memoised per model.
     """
-    if _empty_locus(model, k):
+    if _empty_locus(model, k) or vanishing_warning.__wrapped__(model, k) is not None:
         return Fraction(0)
     return _genus(model, k, *_genus_classes(model, CHARACTERISTIC[chern], log_coeffs))
 
@@ -243,7 +245,8 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     """The number, or 0 before any class is built when the degrees alone
     decide it: with a warning when sum(J) is not a k-tuple dimension or
     the manifold is empty, without one when a j is not a multiple of the
-    degree step of the classes.
+    degree step of the classes.  Else it is 0, with vanishing_warning's
+    warning, when the model's data prove it.
 
     Otherwise _number_from_genera and _number_by_expansion both give it
     exactly.  At the L point (a Pontrjagin number of one weight w <= 1)
@@ -267,6 +270,8 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     empty = empty_locus_warning.__wrapped__(model, k)
     if empty is not None:
         warnings.append(empty)
+    if not warnings and (vanish := vanishing_warning.__wrapped__(model, k)) is not None:
+        warnings.append(vanish)
     value = Fraction(0)
     # a part of a Pontrjagin class has degree 0 mod 4, so any other j selects 0
     if not warnings and all(j % kind.step == 0 for j in J):
@@ -290,9 +295,10 @@ def pontrjagin_number(model: ImmersionModel, k: int, J: Sequence[int]) -> Multip
 
     It is 0, with a warning, when sum(J) is not a k-tuple dimension or
     the manifold is empty, and 0 when some j is not a multiple of 4; no
-    class is built then.  When sum(J) <= 4 and the manifold has one
-    dimension it is 3^(sum(J)/4) times the signature, read from the
-    signature's memoised chain.  Otherwise it is computed by the cheaper of
+    class is built then.  Else it is 0, with vanishing_warning's warning,
+    when the data of a model that passed validate prove it.  When
+    sum(J) <= 4 and the manifold has one dimension it is 3^(sum(J)/4)
+    times the signature, read from the signature's memoised chain.  Otherwise it is computed by the cheaper of
     two exact routes (see _characteristic_number): read from genera, or the
     transfer of the expanded tensor, at small k.
     """

@@ -382,13 +382,48 @@ def _checks(model: ImmersionModel) -> ValidationReport:
 
 
 def embedding_consistent(model: ImmersionModel) -> bool:
-    """True iff pullback(pushforward(x)) = euler * x on every basis element.
+    """True iff pullback(pushforward(x)) = euler * x on every basis element,
+    compared on coordinate dicts up to the first basis element that fails.
 
     This is the self-intersection identity of embeddings; models satisfying
     it have no multiple points, so their k>1 invariants vanish.
     """
-    for i in range(len(model.source.labels)):
-        x = model.source.basis_class(i)
-        if model.pushpull(x) != model.euler * x:
-            return False
-    return True
+    push, pull = model.pushforward.apply_coords, model.pullback.apply_coords
+    mul, euler = model.source.mul_coords, model.euler.coords
+    return all(pull(push({i: 1})) == mul({i: 1}, euler) for i in range(len(model.source.labels)))
+
+
+class Vanishing(NamedTuple):
+    """What the data of a valid model proves 0 before any kernel runs.
+
+    zero_integral: the integral over the source vanishes, and so does the
+    integral over the target of every class f_!(x).  Every number is the
+    one or the other (a product of pushed classes is pushed, by the
+    projection formula), so every number at k >= 1 is 0.
+    null_pushforward: f_! = 0.  The virtual class at k >= 1 is a sum of
+    products of pushed classes, so it is 0.
+    embedding: f*f_!(x) = e * x.  Each partition term of a transfer is
+    then e^(k-1) times the product of the factors, weighted by
+    prod_B (-1)^(|B|-1) (|B|-1)!, and these weights sum to
+    k! [t^k] exp(log(1 + t)) = 0 for k >= 2: every invariant at k >= 2 is 0.
+    """
+
+    zero_integral: bool
+    null_pushforward: bool
+    embedding: bool
+
+
+def vanishing(model: ImmersionModel) -> Optional[Vanishing]:
+    """The model's Vanishing, memoised beside its validation checks; None
+    until validate has passed on the model, so that on any other model
+    every route still runs and the routes still check each other."""
+    flags = model._cache.get("vanishing")
+    if flags is None:
+        checks = model._cache.get("validation")
+        if checks is None or not all(c.ok for c in checks):
+            return None
+        images = [img.coords for img in model.pushforward.images.values()]
+        flags = model._cache["vanishing"] = Vanishing(
+            not model.source.integral and not any(map(model.target.integrate_coords, images)),
+            not any(images), embedding_consistent(model))
+    return flags

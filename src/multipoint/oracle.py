@@ -42,6 +42,15 @@ def _cap(k: int) -> None:
         raise ValueError(f"oracle refuses k={_shown(k)} beyond its cap {DEFAULT_CAP}")
 
 
+def _coefficients(k: int, **lists) -> None:
+    """Refuse a coefficient list that is not a list or tuple of at least k
+    entries (one per block count or size up to k), before any partition
+    is built."""
+    for name, coeffs in lists.items():
+        if not isinstance(coeffs, (list, tuple)) or len(coeffs) < k:
+            raise ValueError(f"{name} must be a list or tuple of at least k = {k} coefficients")
+
+
 def _weight(alpha: SetPartition) -> int:
     # product over blocks of (-1)^(size-1) (size-1)!
     w = 1
@@ -135,6 +144,7 @@ def compose_enumerated(outer_coeffs, inner_coeffs, k: int) -> OracleRun:
     composition in the series module.
     """
     _cap(k)
+    _coefficients(k, outer_coeffs=outer_coeffs, inner_coeffs=inner_coeffs)
     out = None
     nparts = 0
     for alpha in all_partitions(k):
@@ -158,6 +168,7 @@ def double_composition_enumerated(a, b, c, k: int) -> OracleRun:
     a at the alpha block count, b at the quotient block sizes, c at the
     beta block sizes.  Must equal composing in either order."""
     _cap(k)
+    _coefficients(k, a=a, b=b, c=c)
     out = None
     npairs = 0
     for beta, alpha in refinement_pairs(k):

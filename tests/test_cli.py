@@ -5,9 +5,10 @@ import time
 import pytest
 
 from multipoint import cli, formulas
-from multipoint.model import ImmersionModel, LinearMap
+from multipoint.model import ImmersionModel, LinearMap, validate
 from multipoint.modelfile import model_to_dict, save_model
 from multipoint.models import BUNDLED, bundled_model, truncated_polynomial_ring
+from multipoint.signatures import vanishing_warning
 
 
 def run(capsys, *argv):
@@ -251,14 +252,20 @@ def test_compute_reports_a_characteristic_number_warnings_once(capsys):
 
 
 def test_compute_nonempty_locus_does_not_warn(capsys):
-    # (k-1)*codim = 4 equals the source dimension: the triple points are finite
+    # (k-1)*codim = 4 equals the source dimension: the triple points are
+    # finite, and there are none, as the model is an embedding
     code, out, err = run(capsys, "compute", "hypersurface-d3", "--k", "3",
                          "--quantity", "signature", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["dimension"] == [0]
-    assert payload["warnings"] == []
-    assert err == ""
+    assert payload["value"] == "0"
+    m = bundled_model("hypersurface-d3")
+    assert validate(m).ok
+    embedding = vanishing_warning(m, 3)
+    assert payload["warnings"] == [embedding] and "embedding" in embedding
+    assert err == f"warning: {embedding}\n"
+    assert "point manifold is empty" not in err
 
 
 def test_compute_chern_without_data_errors(capsys):

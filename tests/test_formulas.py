@@ -23,7 +23,8 @@ from multipoint.formulas import (
     transfer_to_target,
 )
 from multipoint.graded import GradedRing, cross, log_coefficient, signature_genus_log_coeffs
-from multipoint.model import ImmersionModel, LinearMap, ModelError, validate
+from multipoint.model import (ImmersionModel, LinearMap, ModelError, embedding_consistent,
+                              validate)
 from multipoint.modelfile import model_from_dict, model_to_dict
 from multipoint.models import (
     BUNDLED,
@@ -51,6 +52,7 @@ from multipoint.random_models import (
 )
 from multipoint.signatures import (
     SIGNATURE_ROUTES,
+    RouteDisagreement,
     multiple_point_dimension,
     signature,
     signature_collected,
@@ -731,6 +733,7 @@ def _k_entry_points():
         "signature": (signature, {**on_d3, "route": "auto"}),
         "multiple_point_dimension": (multiple_point_dimension, on_d3),
         "empty_locus_warning": (formulas.empty_locus_warning, on_d3),
+        "vanishing_warning": (signatures.vanishing_warning, {**on_d3, "virtual_class": False}),
         "genus": (formulas.genus, {**on_d3, "log_coeffs": (0, 1), "chern": False}),
         "pontrjagin_number": (pontrjagin_number, {**on_d3, "J": (4,)}),
         "chern_number": (chern_number, {"model": quadric, "k": 2, "J": (2,)}),
@@ -830,11 +833,19 @@ def _d3():
     (lambda: pulled_from_target_class(_d3(), 2, None), graded.GradedAlgebraError, "^y must"),
     (lambda: formulas.empty_locus_warning(_d3(), 0), ValueError, "multiplicity k must be at least 1"),
     (lambda: formulas.empty_locus_warning(_d3(), "a"), ValueError, "multiplicity k must be an int"),
+    (lambda: signatures.vanishing_warning(_d3(), 2, 1), ValueError, "^virtual_class must be a bool"),
+    (lambda: oracle.compose_enumerated([1, Fraction(-1, 2)], [1, Fraction(-1, 2)], 3),
+     ValueError, "^outer_coeffs must be a list or tuple of at least k = 3 coefficients$"),
+    (lambda: oracle.compose_enumerated([1, 2, 3], 5, 3),
+     ValueError, "^inner_coeffs must be a list or tuple of at least k = 3"),
+    (lambda: oracle.double_composition_enumerated([1] * 3, [1] * 3, [1, 2], 3),
+     ValueError, "^c must be a list or tuple of at least k = 3"),
 ], ids=["genus-None", "genus-int", "genus-str", "genus-dict", "signature-None",
         "pontrjagin-None", "dimension-None", "unit-transfer-None", "virtual-class-None",
         "union-with-an-int", "union-of-a-model", "union-of-an-int", "union-of-a-string",
         "union-with-a-string", "transfer-x-None", "pulled-y-None",
-        "warning-k-0", "warning-k-str"])
+        "warning-k-0", "warning-k-str", "vanishing-flag-int", "compose-short-lists",
+        "compose-int-list", "double-composition-short-list"])
 def test_an_argument_that_escaped_before_is_refused_by_name(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -1006,6 +1017,11 @@ def test_characteristic_numbers_warn_on_an_empty_locus():
         assert "(k-1)*codim = 6" in formulas.empty_locus_warning(m, 4)
     assert formulas.empty_locus_warning(d3, 3) is None
     assert pontrjagin_number(d3, 3, [0]).warnings == []
+    # once validated, the embedding's triple points are a provable 0
+    assert validate(d3).ok
+    res = pontrjagin_number(d3, 3, [0])
+    assert res.value == 0 and res.warnings == [signatures.vanishing_warning(d3, 3)]
+    assert "embedding" in res.warnings[0] and "point manifold is empty" not in res.warnings[0]
 
 
 HUGE = 10 ** 5000  # past the interpreter's 4,300-digit int-to-str limit
@@ -1469,6 +1485,122 @@ def test_genus_of_the_k_tuple_manifold():
     assert formulas.genus(bundled_model("line-in-quadric"), 1, (0, Fraction(1, 2)), chern=True) == 1
     with pytest.raises(Exception, match="no Chern data"):
         formulas.genus(bundled_model("hypersurface-d4"), 1, a_hat, chern=True)
+
+
+# ---------------------------------------------------------------------------
+# Provable zeros: embeddings and a zero source integral
+# ---------------------------------------------------------------------------
+
+EMBEDDINGS = ("line-in-plane", "hypersurface-d1", "hypersurface-d2", "hypersurface-d3",
+              "hypersurface-d4", "line-in-quadric")
+GENUS_LOG = (0, 1, 2, -3, 5)
+
+
+def _provable_zero_cases():
+    """(model, k, whether it is an embedding case): the six embedding
+    bundled models and the first 50 embedding draws at k = 2..6, then
+    null-pushforward and the first 20 draws with f_! = 0 (mu = 0) at
+    k = 1..6; every model built afresh and never validated."""
+    embeddings = [bundled_model(name) for name in EMBEDDINGS]
+    nulls = [bundled_model("null-pushforward")]
+    rng = random.Random(3)
+    while len(embeddings) < 56 or len(nulls) < 21:
+        m = random_truncated_model(rng, max_powers=6)
+        if not any(img.coords for img in m.pushforward.images.values()):
+            nulls.append(m)
+        elif embedding_consistent(m):
+            embeddings.append(m)
+    return ([(m, k, True) for m in embeddings[:56] for k in range(2, 7)]
+            + [(m, k, False) for m in nulls[:21] for k in range(1, 7)])
+
+
+def _sums_to_dimension(m, k):
+    """An index sequence whose degree sum is the k-tuple dimension (4s, then
+    a 2 when it is 2 mod 4), or (4,) when that is negative."""
+    d = multiple_point_dimension(m, k)[0]
+    return (4,) * (d // 4) + (2,) * (d % 4 // 2) if d >= 0 else (4,)
+
+
+def test_the_bundled_provable_zeros():
+    assert [n for n in BUNDLED if embedding_consistent(bundled_model(n))] == list(EMBEDDINGS)
+    for name in BUNDLED:
+        m = bundled_model(name)
+        assert validate(m).ok
+        proved = [k for k in range(1, 7) if signatures.vanishing_warning(m, k) is not None]
+        classes = [k for k in range(1, 7)
+                   if signatures.vanishing_warning(m, k, virtual_class=True) is not None]
+        want = ([1, 2, 3, 4, 5, 6] if name == "null-pushforward"
+                else [2, 3, 4, 5, 6] if name in EMBEDDINGS else [])
+        assert proved == classes == want, name
+
+
+def test_provable_zeros_run_no_kernel_and_warn(monkeypatch):
+    cases = _provable_zero_cases()
+    for m, _, _ in cases:
+        assert validate(m).ok, m.name
+    monkeypatch.setattr(signatures, "_transfer", _unavailable("run a transfer"))
+    monkeypatch.setattr(signatures, "_extend", _unavailable("extend a chain"))
+    monkeypatch.setattr(formulas, "_number_by_expansion", _unavailable("expand the tensor"))
+    nonempty = 0
+    for m, k, embedding in cases:
+        why = signatures.vanishing_warning(m, k)
+        assert why is not None and ("embedding" in why or not embedding), (m.name, k)
+        assert signatures.vanishing_warning(m, k, virtual_class=True) is not None
+        assert signature(m, k) == 0
+        assert virtual_signature_class(m, k).is_zero()
+        assert formulas.genus(m, k, GENUS_LOG) == 0
+        res = pontrjagin_number(m, k, _sums_to_dimension(m, k))
+        assert res.value == 0
+        empty = formulas.empty_locus_warning(m, k)
+        if empty is None:
+            nonempty += 1
+            assert res.warnings == [why], (m.name, k)
+        else:
+            assert empty in res.warnings and why not in res.warnings
+    assert nonempty >= 150
+
+
+def test_provable_zeros_agree_with_every_route_and_the_oracle():
+    # on fresh, never validated models every route runs, so a wrong proof
+    # of a zero shows as a nonzero value here
+    for m, k, _ in _provable_zero_cases():
+        assert signatures.vanishing_warning(m, k) is None
+        assert signature(m, k) == 0
+        assert all(signature(m, k, route=route) == 0 for route in SIGNATURE_ROUTES)
+        assert virtual_signature_class(m, k).is_zero()
+        assert formulas.genus(m, k, GENUS_LOG) == 0
+        assert pontrjagin_number(m, k, _sums_to_dimension(m, k)).value == 0
+        if not formulas._empty_locus(m, k):  # the oracle has no shortcut for it
+            assert signature_enumerated(m, k).value == 0, (m.name, k)
+            assert virtual_class_enumerated(m, k).value.is_zero(), (m.name, k)
+
+
+def test_an_invalid_model_and_a_named_route_still_run_the_kernels(monkeypatch):
+    reached = []
+    for name in ("_transfer", "_extend"):
+        real = getattr(signatures, name)
+        monkeypatch.setattr(signatures, name, lambda *args, real=real, name=name, **kwargs:
+                            reached.append(name) or real(*args, **kwargs))
+    assert signature(bundled_model("hypersurface-d3"), 3) == 0 and reached  # never validated
+    for route in SIGNATURE_ROUTES:  # a fresh model each, as the routes share memos
+        d3 = bundled_model("hypersurface-d3")
+        assert validate(d3).ok
+        reached.clear()
+        assert signature(d3, 3, route=route) == 0 and reached, route
+    reached.clear()
+    assert signature(d3, 3) == 0 and virtual_signature_class(d3, 3).is_zero()
+    assert formulas.genus(d3, 3, GENUS_LOG) == 0 and pontrjagin_number(d3, 3, (0,)).value == 0
+    assert reached == []
+    # an embedding with a zero source integral that fails integration
+    # compatibility: no zero is proved, every route runs, and they disagree
+    M = truncated_polynomial_ring("t", 2, integral_value=0)
+    N = truncated_polynomial_ring("h", 3)
+    bad = truncated_model("bad", M, N, 3, 3, M.element({0: 1, 2: 3}), N.element({0: 1, 2: 3}))
+    assert not validate(bad).ok and embedding_consistent(bad) and not bad.source.integral
+    assert signatures.vanishing_warning(bad, 3) is None
+    assert signature(bad, 3) == 0 and reached
+    with pytest.raises(RouteDisagreement, match="signature routes disagree for k=1"):
+        signature(bad, 1)
 
 
 # ---------------------------------------------------------------------------

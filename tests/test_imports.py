@@ -59,7 +59,6 @@ UNREAD = {
     "formulas.pulled_from_target": "special-case evaluator, kept until auto runs the special cases",
     "formulas.pulled_from_target_class":
         "special-case evaluator, kept until auto runs the special cases",
-    "model.embedding_consistent": "self-intersection identity that tests check embeddings against",
     "oracle.transfer_to_target_enumerated": "oracle entry point that tests compare against",
     "oracle.double_composition_enumerated": "oracle entry point that tests compare against",
     "partitions.trivial_partition": "partition value that tests build",
