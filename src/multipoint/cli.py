@@ -134,8 +134,7 @@ def cmd_validate(args) -> int:
 
 def cmd_compute(args) -> int:
     from .model import validate
-    from .signatures import (RouteDisagreement, empty_locus_warning, multiple_point_dimension,
-                             vanishing_warning)
+    from .signatures import RouteDisagreement, multiple_point_dimension, zero_warning
     kind, J = _parse_quantity(args.quantity)
     if kind != "signature" and args.route != "auto":
         raise CliError(f"--route {args.route} applies to the signature only, "
@@ -175,8 +174,7 @@ def cmd_compute(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if kind in ("signature", "bk"):  # a characteristic number carries its warnings
-        why = (empty_locus_warning(model, k)
-               or vanishing_warning(model, k, virtual_class=kind == "bk"))
+        why = zero_warning(model, k)
         if why is not None:
             warnings.append(why)
     out["dimension"] = list(multiple_point_dimension(model, k))

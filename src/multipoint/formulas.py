@@ -26,9 +26,8 @@ from .signatures import (
     _genus,
     _text,
     _transfer,
-    empty_locus_warning,
     multiple_point_dimension,
-    vanishing_warning,
+    zero_warning,
 )
 
 # the signature names the benchmark harness reads from here, as the same objects
@@ -114,6 +113,14 @@ CHARACTERISTIC = {
 }
 
 
+def _characteristic(model: ImmersionModel, chern: bool) -> Characteristic:
+    """CHARACTERISTIC[chern], refused on a model that lacks the classes it
+    reads, before any rule that could answer 0 runs."""
+    if chern and (model.chern_source is None or model.chern_target is None):
+        raise ModelError("model carries no Chern data")
+    return CHARACTERISTIC[chern]
+
+
 def _genus_classes(model: ImmersionModel, kind: Characteristic,
                    c: Sequence[Scalar]) -> Tuple[GradedClass, GradedClass]:
     """K(target) and K(normal)^-1 for log K = sum_j c_j s_j, s_j the power
@@ -140,18 +147,20 @@ def genus(model: ImmersionModel, k: int, log_coeffs: Sequence[Scalar],
     """The genus of the k-tuple point manifold for the multiplicative class
     K with log K = sum_j c_j s_j, s_j the power sums of the squared
     Pontrjagin roots (of the Chern roots if chern is set) and c_j the
-    entries of log_coeffs (c_0 is not read; entries past the end are 0);
-    0 on an empty k-tuple point manifold, and when vanishing_warning names
-    a reason.
+    entries of log_coeffs (c_0 is not read; entries past the end are 0).
+    With chern set, a model with no Chern data is refused at every k; else
+    the genus is 0 when zero_warning names a reason (on an empty k-tuple
+    manifold, before it builds the text).
 
     The model defines the normal class as f*(P(target)) * P(source)^-1
     (likewise C) and K is multiplicative, so the genus is the integral of
     K(target) * E_k with u = K(normal)^-1, as the collected signature
     route pairs L(target) with it.  The classes are memoised per model.
     """
-    if _empty_locus(model, k) or vanishing_warning.__wrapped__(model, k) is not None:
+    kind = _characteristic(model, chern)
+    if _empty_locus(model, k) or zero_warning.__wrapped__(model, k) is not None:
         return Fraction(0)
-    return _genus(model, k, *_genus_classes(model, CHARACTERISTIC[chern], log_coeffs))
+    return _genus(model, k, *_genus_classes(model, kind, log_coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +251,11 @@ def _number_by_expansion(model: ImmersionModel, k: int, J: Sequence[int],
 
 def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
                            chern: bool) -> MultipointResult:
-    """The number, or 0 before any class is built when the degrees alone
-    decide it: with a warning when sum(J) is not a k-tuple dimension or
-    the manifold is empty, without one when a j is not a multiple of the
-    degree step of the classes.  Else it is 0, with vanishing_warning's
-    warning, when the model's data prove it.
+    """The number, or 0 before any class is built: with a warning when
+    sum(J) is not a k-tuple dimension, and with zero_warning's when it
+    names a reason (the empty manifold among them); without one when a j
+    is not a multiple of the degree step of the classes.  A Chern number
+    on a model with no Chern data is refused first.
 
     Otherwise _number_from_genera and _number_by_expansion both give it
     exactly.  At the L point (a Pontrjagin number of one weight w <= 1)
@@ -260,18 +269,15 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     the genera where the weight is: a large k leaves the k-tuple manifold
     a small dimension.
     """
-    kind = CHARACTERISTIC[chern]
+    kind = _characteristic(model, chern)
     warnings: List[str] = []
     # the arguments are checked: __wrapped__ runs no entry check again
     dims = multiple_point_dimension.__wrapped__(model, k)
     if sum(J) not in dims:
         warnings.append(_text("degree sum %s does not match the k-tuple dimension(s) %s; "
                               "the pairing vanishes", sum(J), dims))
-    empty = empty_locus_warning.__wrapped__(model, k)
-    if empty is not None:
-        warnings.append(empty)
-    if not warnings and (vanish := vanishing_warning.__wrapped__(model, k)) is not None:
-        warnings.append(vanish)
+    if (why := zero_warning.__wrapped__(model, k)) is not None:
+        warnings.append(why)
     value = Fraction(0)
     # a part of a Pontrjagin class has degree 0 mod 4, so any other j selects 0
     if not warnings and all(j % kind.step == 0 for j in J):
@@ -294,9 +300,9 @@ def pontrjagin_number(model: ImmersionModel, k: int, J: Sequence[int]) -> Multip
     the product of the p_(j/4) of its tangent bundle.
 
     It is 0, with a warning, when sum(J) is not a k-tuple dimension or
-    the manifold is empty, and 0 when some j is not a multiple of 4; no
-    class is built then.  Else it is 0, with vanishing_warning's warning,
-    when the data of a model that passed validate prove it.  When
+    zero_warning names a reason (an empty manifold, or on a model that
+    passed validate an embedding at k >= 2 or f_! = 0), and 0 when some j
+    is not a multiple of 4; no class is built then.  When
     sum(J) <= 4 and the manifold has one dimension it is 3^(sum(J)/4)
     times the signature, read from the signature's memoised chain.  Otherwise it is computed by the cheaper of
     two exact routes (see _characteristic_number): read from genera, or the
@@ -310,8 +316,6 @@ def chern_number(model: ImmersionModel, k: int, J: Sequence[int]) -> MultipointR
     """Chern number of the k-tuple point manifold for the index sequence J,
     computed as pontrjagin_number is, from the Chern roots (with no L
     point, and step 2 for 4); requires Chern data."""
-    if model.chern_source is None or model.chern_target is None:
-        raise ModelError("model carries no Chern data")
     return _characteristic_number(model, k, J, chern=True)
 
 

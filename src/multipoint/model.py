@@ -10,7 +10,7 @@ point formulas use.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from .graded import (
     Coords,
@@ -222,9 +222,6 @@ class ImmersionModel(Frozen):
         """The composite pullback(pushforward(x)) on the source ring."""
         return self.pullback(self.pushforward(cls))
 
-    def source_dimensions(self) -> Tuple[int, ...]:
-        return tuple(sorted({c.top_degree for c in self.source.components}))
-
     def __repr__(self) -> str:
         return f"ImmersionModel({self.name or 'unnamed'}, codim={self.codim})"
 
@@ -321,15 +318,16 @@ def _checks(model: ImmersionModel) -> ValidationReport:
         for i, row in enumerate(by_basis)))
     report.add("projection formula", not proj_witness, proj_witness)
 
-    # integration compatibility on top-degree source basis elements
+    # integration compatibility on every source basis element: one below
+    # its component's top degree has no source integral, so its pushforward
+    # must have none on the target either
     int_witness = ""
     for i in range(ns):
-        if source.degrees[i] == source.component_of(i).top_degree:
-            lhs = target.integrate_coords(pushed.get(i, {}))
-            rhs = source.integrate_coords({i: 1})
-            if lhs != rhs:
-                int_witness = f"on {source.labels[i]}: {lhs} != {rhs}"
-                break
+        lhs = target.integrate_coords(pushed.get(i, {}))
+        rhs = source.integrate_coords({i: 1})
+        if lhs != rhs:
+            int_witness = f"on {source.labels[i]}: {lhs} != {rhs}"
+            break
     report.add("integration compatibility", not int_witness, int_witness)
 
     for label, cls in (("source", model.pontrjagin_source), ("target", model.pontrjagin_target)):
@@ -396,19 +394,18 @@ def embedding_consistent(model: ImmersionModel) -> bool:
 class Vanishing(NamedTuple):
     """What the data of a valid model proves 0 before any kernel runs.
 
-    zero_integral: the integral over the source vanishes, and so does the
-    integral over the target of every class f_!(x).  Every number is the
-    one or the other (a product of pushed classes is pushed, by the
-    projection formula), so every number at k >= 1 is 0.
-    null_pushforward: f_! = 0.  The virtual class at k >= 1 is a sum of
-    products of pushed classes, so it is 0.
+    null_pushforward: f_! = 0.  Every pushed class is then 0, and so, by
+    integration compatibility, is every integral over the source.  The
+    virtual class at k >= 1 is a sum of products of pushed classes, and
+    every number an integral over the source or of a pushed class over
+    the target (a product of pushed classes is pushed, by the projection
+    formula), so every invariant at k >= 1 is 0.
     embedding: f*f_!(x) = e * x.  Each partition term of a transfer is
     then e^(k-1) times the product of the factors, weighted by
     prod_B (-1)^(|B|-1) (|B|-1)!, and these weights sum to
     k! [t^k] exp(log(1 + t)) = 0 for k >= 2: every invariant at k >= 2 is 0.
     """
 
-    zero_integral: bool
     null_pushforward: bool
     embedding: bool
 
@@ -422,8 +419,7 @@ def vanishing(model: ImmersionModel) -> Optional[Vanishing]:
         checks = model._cache.get("validation")
         if checks is None or not all(c.ok for c in checks):
             return None
-        images = [img.coords for img in model.pushforward.images.values()]
         flags = model._cache["vanishing"] = Vanishing(
-            not model.source.integral and not any(map(model.target.integrate_coords, images)),
-            not any(images), embedding_consistent(model))
+            not any(img.coords for img in model.pushforward.images.values()),
+            embedding_consistent(model))
     return flags

@@ -1,5 +1,6 @@
-"""The signature kernel: the entry checks, the transfer kernel, the
-collected chain, the four signature routes and the virtual signature class.
+"""The signature kernel: the entry checks, the one rule for a value known
+to be 0 (``zero_warning``), the transfer kernel, the collected chain, the
+four signature routes and the virtual signature class.
 
 This is all that a signature or virtual-class query runs; the genera,
 characteristic numbers, tensor transfers and special cases live in
@@ -80,11 +81,9 @@ def _route_name(route: object) -> None:
         raise ValueError(f"unknown signature route {route!r}")
 
 
-def _flag(name: str) -> Callable[[object], None]:
-    def check(value: object) -> None:
-        if type(value) is not bool:
-            raise ValueError(f"{name} must be a bool, got {value!r}")
-    return check
+def _chern(chern: object) -> None:
+    if type(chern) is not bool:
+        raise ValueError(f"chern must be a bool, got {chern!r}")
 
 
 def _log_coeffs(log_coeffs: object) -> None:
@@ -97,7 +96,7 @@ def _log_coeffs(log_coeffs: object) -> None:
 # a check's parameters after the first name the arguments it also reads
 _ENTRY_CHECKS = {
     "model": _model, "k": _k, "J": _J, "route": _route_name,
-    "chern": _flag("chern"), "virtual_class": _flag("virtual_class"), "log_coeffs": _log_coeffs,
+    "chern": _chern, "log_coeffs": _log_coeffs,
     "x": lambda x, model, k: _tensor("x", x, k, model.source, "source"),
     "y": lambda y, model, k: _tensor("y", y, k, model.target, "target"),
 }
@@ -154,35 +153,26 @@ def _empty_locus(model: ImmersionModel, k: int) -> bool:
 
 
 @_checked
-def empty_locus_warning(model: ImmersionModel, k: int) -> Optional[str]:
-    """The warning that the k-tuple point manifold is empty; None when it is
-    not."""
-    if not _empty_locus(model, k):
-        return None
-    return _text("the %s-tuple point manifold is empty: (k-1)*codim = %s exceeds the source "
-                 "dimension(s) %s; the value is 0", k, (k - 1) * model.codim,
-                 model.source_dimensions())
-
-
-@_checked
-def vanishing_warning(model: ImmersionModel, k: int, virtual_class: bool = False
-                      ) -> Optional[str]:
-    """The warning that the data of the model prove every number (with
-    virtual_class, the virtual class) of the k-tuple point manifold 0,
-    read from model.vanishing: f*f_!(x) = e * x at k >= 2, or a zero
-    source integral (for the class, f_! = 0) at k >= 1.  None when they
-    do not, or the model has not passed validate."""
+def zero_warning(model: ImmersionModel, k: int) -> Optional[str]:
+    """The first reason the value at k is 0 before any kernel runs, or None:
+    the k-tuple point manifold is empty; else, on a model that passed
+    validate (read from model.vanishing), f*f_!(x) = e * x at k >= 2, or
+    f_! = 0 at k >= 1.  One reason covers every number and the virtual
+    class alike."""
+    if _empty_locus(model, k):
+        return _text("the %s-tuple point manifold is empty: (k-1)*codim = %s exceeds the source "
+                     "dimension(s) %s; the value is 0", k, (k - 1) * model.codim,
+                     multiple_point_dimension.__wrapped__(model, 1))
     flags = vanishing(model)
     if flags is None:
         return None
     if k > 1 and flags.embedding:
         return ("f*f_!(x) = e*x, as for an embedding: there are no k-tuple points for "
                 "k >= 2; the value is 0")
-    if virtual_class:
-        return ("f_! = 0, and the virtual class is a sum of products of pushed classes; "
-                "the value is 0") if flags.null_pushforward else None
-    return ("the source integral is zero, and every number is an integral over the "
-            "source; the value is 0") if flags.zero_integral else None
+    if flags.null_pushforward:
+        return ("f_! = 0: every pushed class is 0, and so is every integral over the source "
+                "(integration compatibility); the value is 0")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +448,9 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
     L-class of a valid model has degrees 0 mod 4, so the pairing cannot
     reach the top degree.
 
-    route 'auto' returns 0 before any route runs when vanishing_warning
-    names a reason; otherwise it evaluates every route and insists on
-    exact agreement.  A named route always runs.
+    route 'auto' returns 0 before any route runs when zero_warning names a
+    reason; otherwise it evaluates every route and insists on exact
+    agreement.  A named route always runs.
     """
     bound = (k - 1) * model.codim
     for c in model.source.components:
@@ -470,7 +460,7 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
         return Fraction(0)
     if route in SIGNATURE_ROUTES:
         return SIGNATURE_ROUTES[route](model, k)
-    if vanishing_warning.__wrapped__(model, k) is not None:
+    if zero_warning.__wrapped__(model, k) is not None:
         return Fraction(0)
     values = {name: fn(model, k) for name, fn in SIGNATURE_ROUTES.items()}
     distinct = set(values.values())
@@ -490,10 +480,10 @@ def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
     """The target class whose pairing with L(target)/k! is the signature:
     k! E_k of the model's collected chain for u = L(normal)^-1, checked
     against the transfer kernel's pushed tensor power of u, which the
-    via-N route shares; 0 at once on an empty k-tuple manifold, or when
-    vanishing_warning names a reason for the class."""
+    via-N route shares; 0 at once when zero_warning names a reason (on an
+    empty k-tuple manifold, before it builds the text)."""
     target = model.target
-    if _empty_locus(model, k) or vanishing_warning.__wrapped__(model, k, True) is not None:
+    if _empty_locus(model, k) or zero_warning.__wrapped__(model, k) is not None:
         return target.zero()
     coeffs = _exponential_coefficients(model, model.l_normal_inverse, k).coeffs[k]
     collected = GradedClass(target, {i: factorial(k) * v for i, v in coeffs.items()})

@@ -7,8 +7,9 @@ import pytest
 from multipoint import cli, formulas
 from multipoint.model import ImmersionModel, LinearMap, validate
 from multipoint.modelfile import model_to_dict, save_model
-from multipoint.models import BUNDLED, bundled_model, truncated_polynomial_ring
-from multipoint.signatures import vanishing_warning
+from multipoint.graded import GradedRing
+from multipoint.models import BUNDLED, bundled_model, truncated_model, truncated_polynomial_ring
+from multipoint.signatures import multiple_point_dimension, zero_warning
 
 
 def run(capsys, *argv):
@@ -229,7 +230,7 @@ def test_compute_empty_locus_warns(capsys, model, quantity):
     empty = [line for line in err.splitlines() if "point manifold is empty" in line]
     assert len(empty) == 1
     assert "(k-1)*codim = 6" in empty[0] and "the value is 0" in empty[0]
-    assert str(bundled_model(model).source_dimensions()) in empty[0]
+    assert str(multiple_point_dimension(bundled_model(model), 1)) in empty[0]
     if quantity.startswith("pontrjagin"):
         assert "degree sum 4 does not match" in err
     code, out, _ = run(capsys, "compute", model, "--k", "4", "--quantity", quantity, "--json")
@@ -262,7 +263,7 @@ def test_compute_nonempty_locus_does_not_warn(capsys):
     assert payload["value"] == "0"
     m = bundled_model("hypersurface-d3")
     assert validate(m).ok
-    embedding = vanishing_warning(m, 3)
+    embedding = zero_warning(m, 3)
     assert payload["warnings"] == [embedding] and "embedding" in embedding
     assert err == f"warning: {embedding}\n"
     assert "point manifold is empty" not in err
@@ -301,6 +302,25 @@ def test_compute_invalid_model_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "compute", str(path), "--k", "2",
                        "--quantity", "signature")
     assert code == 2
+
+
+def test_a_pushed_class_below_the_top_degree_with_an_integral_exits_2(tmp_path, capsys):
+    # t^2 lies below its component's declared top degree 8 and has no
+    # source integral, but f_!(t^2) = h^3 has one: validate refuses the
+    # model, so compute reports it invalid instead of a route disagreement
+    M = GradedRing(["1", "t", "t^2"], [0, 2, 4],
+                   {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 1): {2: 1}}, {},
+                   top_degree=8)
+    N = truncated_polynomial_ring("h", 3)
+    path = tmp_path / "low-class.json"
+    save_model(truncated_model("low-class", M, N, 1, 1, M.element({0: 1, 2: 3}),
+                               N.element({0: 1, 2: 3})), path)
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "[FAIL] integration compatibility: on t^2: 1 != 0" in out.splitlines()
+    code, out, err = run(capsys, "compute", str(path), "--k", "1", "--quantity", "signature")
+    assert (code, out) == (2, "")
+    assert err == "invalid model: integration compatibility: on t^2: 1 != 0\n"
 
 
 @pytest.mark.parametrize("extra", [["--quantity", "bogus"],

@@ -60,6 +60,7 @@ from multipoint.signatures import (
     signature_via_source,
     signature_via_target,
     virtual_signature_class,
+    zero_warning,
 )
 from multipoint.union import disjoint_union, product_ring
 from series_reference import eval_series, tanh_coeffs
@@ -732,8 +733,7 @@ def _k_entry_points():
     calls.update({
         "signature": (signature, {**on_d3, "route": "auto"}),
         "multiple_point_dimension": (multiple_point_dimension, on_d3),
-        "empty_locus_warning": (formulas.empty_locus_warning, on_d3),
-        "vanishing_warning": (signatures.vanishing_warning, {**on_d3, "virtual_class": False}),
+        "zero_warning": (zero_warning, on_d3),
         "genus": (formulas.genus, {**on_d3, "log_coeffs": (0, 1), "chern": False}),
         "pontrjagin_number": (pontrjagin_number, {**on_d3, "J": (4,)}),
         "chern_number": (chern_number, {"model": quadric, "k": 2, "J": (2,)}),
@@ -831,9 +831,8 @@ def _d3():
     (lambda: disjoint_union([_d3(), "x"]), ModelError, "^models must"),
     (lambda: transfer_to_source(_d3(), 2, None), graded.GradedAlgebraError, "^x must"),
     (lambda: pulled_from_target_class(_d3(), 2, None), graded.GradedAlgebraError, "^y must"),
-    (lambda: formulas.empty_locus_warning(_d3(), 0), ValueError, "multiplicity k must be at least 1"),
-    (lambda: formulas.empty_locus_warning(_d3(), "a"), ValueError, "multiplicity k must be an int"),
-    (lambda: signatures.vanishing_warning(_d3(), 2, 1), ValueError, "^virtual_class must be a bool"),
+    (lambda: zero_warning(_d3(), 0), ValueError, "multiplicity k must be at least 1"),
+    (lambda: zero_warning(_d3(), "a"), ValueError, "multiplicity k must be an int"),
     (lambda: oracle.compose_enumerated([1, Fraction(-1, 2)], [1, Fraction(-1, 2)], 3),
      ValueError, "^outer_coeffs must be a list or tuple of at least k = 3 coefficients$"),
     (lambda: oracle.compose_enumerated([1, 2, 3], 5, 3),
@@ -844,7 +843,7 @@ def _d3():
         "pontrjagin-None", "dimension-None", "unit-transfer-None", "virtual-class-None",
         "union-with-an-int", "union-of-a-model", "union-of-an-int", "union-of-a-string",
         "union-with-a-string", "transfer-x-None", "pulled-y-None",
-        "warning-k-0", "warning-k-str", "vanishing-flag-int", "compose-short-lists",
+        "warning-k-0", "warning-k-str", "compose-short-lists",
         "compose-int-list", "double-composition-short-list"])
 def test_an_argument_that_escaped_before_is_refused_by_name(call, error, match):
     with pytest.raises(error, match=match):
@@ -1013,14 +1012,14 @@ def test_characteristic_numbers_warn_on_an_empty_locus():
                    (lines, chern_number(lines, 4, []))):
         assert res.value == 0
         assert [w for w in res.warnings if "point manifold is empty" in w] == \
-            [formulas.empty_locus_warning(m, 4)]
-        assert "(k-1)*codim = 6" in formulas.empty_locus_warning(m, 4)
-    assert formulas.empty_locus_warning(d3, 3) is None
+            [zero_warning(m, 4)]
+        assert "(k-1)*codim = 6" in zero_warning(m, 4)
+    assert zero_warning(d3, 3) is None
     assert pontrjagin_number(d3, 3, [0]).warnings == []
     # once validated, the embedding's triple points are a provable 0
     assert validate(d3).ok
     res = pontrjagin_number(d3, 3, [0])
-    assert res.value == 0 and res.warnings == [signatures.vanishing_warning(d3, 3)]
+    assert res.value == 0 and res.warnings == [zero_warning(d3, 3)]
     assert "embedding" in res.warnings[0] and "point manifold is empty" not in res.warnings[0]
 
 
@@ -1029,7 +1028,7 @@ HUGE = 10 ** 5000  # past the interpreter's 4,300-digit int-to-str limit
 
 def test_a_k_past_the_digit_limit_warns_by_digit_count():
     d3 = _d3()
-    warning = formulas.empty_locus_warning(d3, HUGE)
+    warning = zero_warning(d3, HUGE)
     assert warning == ("the <5001-digit integer>-tuple point manifold is empty: (k-1)*codim = "
                        "<5001-digit integer> exceeds the source dimension(s) (4,); the value is 0")
     res = pontrjagin_number(d3, HUGE, (4,))
@@ -1279,7 +1278,7 @@ def test_degree_known_zeros_build_no_class(monkeypatch):
     assert res.value == 0
     assert res.warnings == [
         "degree sum 4 does not match the k-tuple dimension(s) (-16,); the pairing vanishes",
-        formulas.empty_locus_warning(m, 20)]
+        zero_warning(m, 20)]
     d = multiple_point_dimension(m, 3)[0]
     assert d == 18
     for J in ((d,), (d - 2, 2)):  # a Pontrjagin part has degree 0 mod 4
@@ -1483,12 +1482,21 @@ def test_genus_of_the_k_tuple_manifold():
     assert formulas.genus(bundled_model("hypersurface-d4"), 1, a_hat) == 2
     assert formulas.genus(bundled_model("hypersurface-d1"), 1, a_hat) == Fraction(-1, 8)
     assert formulas.genus(bundled_model("line-in-quadric"), 1, (0, Fraction(1, 2)), chern=True) == 1
-    with pytest.raises(Exception, match="no Chern data"):
-        formulas.genus(bundled_model("hypersurface-d4"), 1, a_hat, chern=True)
+    # refused at every k, never validated and validated: at k = 3 the
+    # embedding's triple points, and at k = 9 the empty locus, would
+    # answer 0 if a zero rule ran before the refusal
+    d3 = bundled_model("hypersurface-d3")
+    for _ in range(2):
+        for k in (1, 3, 9):
+            with pytest.raises(ModelError, match="^model carries no Chern data$"):
+                formulas.genus(d3, k, a_hat, chern=True)
+            with pytest.raises(ModelError, match="^model carries no Chern data$"):
+                chern_number(d3, k, (2,))
+        assert validate(d3).ok
 
 
 # ---------------------------------------------------------------------------
-# Provable zeros: embeddings and a zero source integral
+# Provable zeros: an empty locus, an embedding at k >= 2 and f_! = 0
 # ---------------------------------------------------------------------------
 
 EMBEDDINGS = ("line-in-plane", "hypersurface-d1", "hypersurface-d2", "hypersurface-d3",
@@ -1521,17 +1529,36 @@ def _sums_to_dimension(m, k):
     return (4,) * (d // 4) + (2,) * (d % 4 // 2) if d >= 0 else (4,)
 
 
+EMBEDDING_ZERO = ("f*f_!(x) = e*x, as for an embedding: there are no k-tuple points for "
+                  "k >= 2; the value is 0")
+NULL_PUSHFORWARD_ZERO = ("f_! = 0: every pushed class is 0, and so is every integral over "
+                         "the source (integration compatibility); the value is 0")
+
+
 def test_the_bundled_provable_zeros():
+    # the one reason zero_warning gives on each bundled model at k = 1..6
     assert [n for n in BUNDLED if embedding_consistent(bundled_model(n))] == list(EMBEDDINGS)
+    given = {}
     for name in BUNDLED:
-        m = bundled_model(name)
+        fresh, m = bundled_model(name), bundled_model(name)
         assert validate(m).ok
-        proved = [k for k in range(1, 7) if signatures.vanishing_warning(m, k) is not None]
-        classes = [k for k in range(1, 7)
-                   if signatures.vanishing_warning(m, k, virtual_class=True) is not None]
-        want = ([1, 2, 3, 4, 5, 6] if name == "null-pushforward"
-                else [2, 3, 4, 5, 6] if name in EMBEDDINGS else [])
-        assert proved == classes == want, name
+        for k in range(1, 7):
+            if formulas._empty_locus(m, k):
+                want = (f"the {k}-tuple point manifold is empty: (k-1)*codim = "
+                        f"{(k - 1) * m.codim} exceeds the source dimension(s) "
+                        f"{multiple_point_dimension(m, 1)}; the value is 0")
+                assert zero_warning(fresh, k) == want, (name, k)
+            elif name in EMBEDDINGS and k >= 2:
+                want = EMBEDDING_ZERO
+            elif name == "null-pushforward":
+                want = NULL_PUSHFORWARD_ZERO
+            else:
+                want = None
+            assert zero_warning(m, k) == want, (name, k)
+            if not formulas._empty_locus(m, k):
+                assert zero_warning(fresh, k) is None, (name, k)  # never validated
+            given[want] = given.get(want, 0) + 1
+    assert given[EMBEDDING_ZERO] >= 6 and given[NULL_PUSHFORWARD_ZERO] >= 1 and given[None] >= 6
 
 
 def test_provable_zeros_run_no_kernel_and_warn(monkeypatch):
@@ -1543,20 +1570,20 @@ def test_provable_zeros_run_no_kernel_and_warn(monkeypatch):
     monkeypatch.setattr(formulas, "_number_by_expansion", _unavailable("expand the tensor"))
     nonempty = 0
     for m, k, embedding in cases:
-        why = signatures.vanishing_warning(m, k)
-        assert why is not None and ("embedding" in why or not embedding), (m.name, k)
-        assert signatures.vanishing_warning(m, k, virtual_class=True) is not None
+        why = zero_warning(m, k)
+        empty = formulas._empty_locus(m, k)
+        assert why is not None and why.endswith("the value is 0"), (m.name, k)
+        assert ("point manifold is empty" in why) is empty
+        if not empty:
+            nonempty += 1
+            assert why == (EMBEDDING_ZERO if k >= 2 and embedding_consistent(m)
+                           else NULL_PUSHFORWARD_ZERO), (m.name, k)
         assert signature(m, k) == 0
         assert virtual_signature_class(m, k).is_zero()
         assert formulas.genus(m, k, GENUS_LOG) == 0
         res = pontrjagin_number(m, k, _sums_to_dimension(m, k))
-        assert res.value == 0
-        empty = formulas.empty_locus_warning(m, k)
-        if empty is None:
-            nonempty += 1
-            assert res.warnings == [why], (m.name, k)
-        else:
-            assert empty in res.warnings and why not in res.warnings
+        # on an empty locus the degree sum misses the dimension as well
+        assert res.value == 0 and res.warnings[-1] == why and len(res.warnings) == 1 + empty
     assert nonempty >= 150
 
 
@@ -1564,7 +1591,7 @@ def test_provable_zeros_agree_with_every_route_and_the_oracle():
     # on fresh, never validated models every route runs, so a wrong proof
     # of a zero shows as a nonzero value here
     for m, k, _ in _provable_zero_cases():
-        assert signatures.vanishing_warning(m, k) is None
+        assert model_mod.vanishing(m) is None
         assert signature(m, k) == 0
         assert all(signature(m, k, route=route) == 0 for route in SIGNATURE_ROUTES)
         assert virtual_signature_class(m, k).is_zero()
@@ -1597,7 +1624,7 @@ def test_an_invalid_model_and_a_named_route_still_run_the_kernels(monkeypatch):
     N = truncated_polynomial_ring("h", 3)
     bad = truncated_model("bad", M, N, 3, 3, M.element({0: 1, 2: 3}), N.element({0: 1, 2: 3}))
     assert not validate(bad).ok and embedding_consistent(bad) and not bad.source.integral
-    assert signatures.vanishing_warning(bad, 3) is None
+    assert zero_warning(bad, 3) is None
     assert signature(bad, 3) == 0 and reached
     with pytest.raises(RouteDisagreement, match="signature routes disagree for k=1"):
         signature(bad, 1)

@@ -1,10 +1,11 @@
 """Every module of the package and of the tests reads each name it imports,
 every top-level function and class of the package has a reader, and the
-README's module table has one row per package module."""
+README's module table has one row per package module and its argument
+table one name per entry check."""
 
 import ast
 import re
-from itertools import takewhile
+from itertools import dropwhile, takewhile
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,15 @@ def test_readme_module_table_has_one_row_per_module():
     rows = [m.group(1) for line in table if (m := re.match(r"\| `multipoint\.(\w+)` \|", line))]
     modules = [p.stem for p in (ROOT / "src" / "multipoint").glob("*.py") if p.stem != "__init__"]
     assert sorted(rows) == sorted(modules)
+
+
+def test_readme_argument_table_names_every_entry_check():
+    from multipoint.signatures import _ENTRY_CHECKS
+    text = (ROOT / "README.md").read_text().split("**Argument checks.**", 1)[1]
+    lines = dropwhile(lambda line: not line.startswith("|"), text.splitlines())
+    rows = list(takewhile(lambda line: line.startswith("|"), lines))[2:]  # past the header
+    names = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(names) == sorted(_ENTRY_CHECKS)
 
 
 # package functions and classes that no code in src/ or benchmarks/ reads,

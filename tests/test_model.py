@@ -23,7 +23,7 @@ from multipoint.model import (
     validate,
 )
 from multipoint.modelfile import load_model, save_model
-from multipoint.models import BUNDLED, bundled_model
+from multipoint.models import BUNDLED, bundled_model, truncated_model, truncated_polynomial_ring
 from multipoint.random_models import random_truncated_model, random_union_components
 from multipoint.union import disjoint_union
 
@@ -132,6 +132,19 @@ def test_validation_catches_broken_projection_formula():
         ("projection formula", "on (1, h): 0 != 1*h^2"),
         ("integration compatibility", "on t: 0 != 1"),
     ]
+
+
+def test_integration_compatibility_is_checked_below_the_top_degree():
+    # t^2 lies below its component's declared top degree 8, so it has no
+    # source integral, but f_!(t^2) = h^3 has target integral 1: passed
+    # unchecked, the signature routes disagreed at k = 1
+    M = GradedRing(["1", "t", "t^2"], [0, 2, 4],
+                   {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 1): {2: 1}}, {},
+                   top_degree=8)
+    N = truncated_polynomial_ring("h", 3)
+    m = truncated_model("low-class", M, N, 1, 1, M.element({0: 1, 2: 3}), N.element({0: 1, 2: 3}))
+    assert [(c.name, c.detail) for c in validate(m).failures()] == [
+        ("integration compatibility", "on t^2: 1 != 0")]
 
 
 def test_validation_catches_bad_euler_degree():
@@ -459,5 +472,6 @@ def test_multiple_point_dimension():
 
 
 def test_source_dimensions_union():
+    from multipoint.formulas import multiple_point_dimension
     u = bundled_model("two-lines")
-    assert u.source_dimensions() == (2,)
+    assert multiple_point_dimension(u, 1) == (2,)
