@@ -65,11 +65,17 @@ def _too_long(text: str) -> bool:
 
 def exact(c: object) -> Scalar:
     """The normal form of an exact rational: an int if integral, else a
-    Fraction.  Raises GradedAlgebraError on a float, a bool or anything
+    Fraction; the one reader of a rational in the package, model files
+    included.  A string is read as Fraction reads it, a plain decimal by
+    int() at once.  Raises GradedAlgebraError on a float, a bool or anything
     else that Fraction does not read as a finite rational, and on a string
     whose exponent would take it past the int-to-str digit limit."""
     if type(c) is int:
         return c
+    # an ASCII decimal integer reads the same by int() as by Fraction(), and
+    # int() reads 640 digits under any int-to-str limit the interpreter takes
+    if type(c) is str and len(c) < 640 and c.isascii() and c.removeprefix("-").isdecimal():
+        return int(c)
     if isinstance(c, (float, bool)):
         raise GradedAlgebraError(f"{type(c).__name__} coordinate {c!r}; "
                                  "use an int, a Fraction or a string")
@@ -80,7 +86,7 @@ def exact(c: object) -> Scalar:
         try:
             c = Fraction(c)
         except (TypeError, ValueError, ArithmeticError):
-            raise GradedAlgebraError(f"coordinate {c!r} is not an exact rational; "
+            raise GradedAlgebraError(f"coordinate {_shown(c)} is not an exact rational; "
                                      "use an int, a Fraction or a string") from None
     return c.numerator if c.denominator == 1 else c
 
@@ -193,7 +199,8 @@ class GradedRing:
         self._component_of = {}
         for comp in self.components:
             if type(comp.top_degree) is not int:
-                raise GradedAlgebraError(f"component top degree {comp.top_degree!r} is not an int")
+                raise GradedAlgebraError(f"component top degree {_shown(comp.top_degree)} "
+                                         "is not an int")
             for i in basis_indices(comp.indices, n, "component", comp.name, "index"):
                 if i in self._component_of:
                     raise GradedAlgebraError("components overlap")

@@ -1,9 +1,11 @@
 """JSON serialization of immersion models.
 
 Rationals are strings like "3/4" (or "5"); ring products and linear maps
-are sparse nested maps keyed by stringified basis indices.  A file holding
-{"components": [...]} is read as a disjoint union over a shared target;
-a component holds no components of its own.
+are sparse nested maps keyed by stringified basis indices.  The reader
+checks JSON shape and basis keys itself and reads every coordinate value
+by ``graded.exact``, the one reader of a rational in the package.  A file
+holding {"components": [...]} is read as a disjoint union over a shared
+target; a component holds no components of its own.
 ``save_model`` writes one line per top-level field, each value through
 json's C encoder; the reader takes JSON of any layout.
 Validation is structural only; mathematical consistency is the job of
@@ -34,20 +36,6 @@ class ModelFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _fraction_from(value, where: str) -> Scalar:
-    """A JSON rational as a coordinate: an int if integral, else a Fraction."""
-    if isinstance(value, bool):
-        raise ModelFormatError(f"{where}: booleans are not rationals")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return exact(value)
-        except GradedAlgebraError as exc:
-            raise ModelFormatError(f"{where}: bad rational: {exc}") from None
-    raise ModelFormatError(f"{where}: expected a rational string, got {type(value).__name__}")
-
-
 def _at(where: str, keys) -> str:
     return where + "".join(f"[{k}]" for k in keys)
 
@@ -71,9 +59,8 @@ def _bad_index(key, basis: Mapping[str, int], where: str, *keys) -> ModelFormatE
 
 def _coords_from(obj, n: int, where: str, *keys) -> Dict[int, Scalar]:
     """{index: rational} from the JSON object at where[key]... on a basis of
-    n classes.  A decimal integer is read here, and the location is put
-    together only for an error or for another value, which _fraction_from
-    reads."""
+    n classes, each value read by graded.exact; the location is put
+    together only for an error."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{_at(where, keys)}: expected an object of index -> rational")
     basis = _basis_keys(n)
@@ -82,13 +69,10 @@ def _coords_from(obj, n: int, where: str, *keys) -> Dict[int, Scalar]:
         idx = basis.get(key)
         if idx is None:
             raise _bad_index(key, basis, where, *keys)
-        # an ASCII decimal integer reads the same by int() as by Fraction(), and
-        # int() reads 640 digits under any int-to-str limit the interpreter takes
-        if (type(value) is str and len(value) < 640 and value.isascii()
-                and value.removeprefix("-").isdecimal()):
-            out[idx] = int(value)
-        else:
-            out[idx] = _fraction_from(value, f"{_at(where, keys)}[{key}]")
+        try:
+            out[idx] = exact(value)
+        except GradedAlgebraError as exc:
+            raise ModelFormatError(f"{_at(where, keys)}[{key}]: bad rational: {exc}") from None
     return out
 
 

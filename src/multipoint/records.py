@@ -3,9 +3,9 @@
 A record's fields are its ``__slots__``, in constructor order; equality
 (same class only), the repr ``Name(field=value, ...)`` and pickling follow
 from them; the repr shows an int past the interpreter's int-to-str digit
-limit, alone or in a Fraction, by its digit count.  Mutable records are
-unhashable; frozen ones hash by their field values and refuse assignment,
-as any ``Frozen`` object does.  Subclasses write their own ``__init__``.
+limit, alone, in a Fraction or in a tuple or list, by its digit count.
+Mutable records are unhashable; frozen ones hash by their field values and
+refuse assignment, as any ``Frozen`` object does.  Subclasses write their own ``__init__``.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from math import log10
 def _shown(x, text=repr) -> str:
     """text(x), repr by default, with an int that text() refuses (past the
     interpreter's int-to-str digit limit), alone, as a Fraction's numerator
-    or denominator or in a tuple, shown by its digit count."""
-    if type(x) is tuple:
-        return f"({', '.join(_shown(v, text) for v in x)}{',' if len(x) == 1 else ''})"
+    or denominator or in a tuple or list, shown by its digit count."""
     try:
         return text(x)
     except ValueError:
+        if type(x) in (tuple, list):
+            body = ", ".join(_shown(v, text) for v in x)
+            return f"[{body}]" if type(x) is list else f"({body}{',' if len(x) == 1 else ''})"
         if type(x) is Fraction:
             return "/".join(_shown(v, text) for v in x.as_integer_ratio())
         if type(x) is not int:

@@ -44,7 +44,7 @@ class RouteDisagreement(ArithmeticError):
 
 def _model(model: object) -> None:
     if not isinstance(model, ImmersionModel):
-        raise ModelError(f"model must be an ImmersionModel, got {model!r}")
+        raise ModelError(f"model must be an ImmersionModel, got {_shown(model)}")
 
 
 def _text(template: str, *values) -> str:
@@ -58,17 +58,17 @@ def _text(template: str, *values) -> str:
 def _k(k: object) -> None:
     # a bool, float, Fraction or string is refused, not truncated
     if type(k) is not int:
-        raise ValueError(f"multiplicity k must be an int, got {k!r}")
+        raise ValueError(f"multiplicity k must be an int, got {_shown(k)}")
     if k < 1:
         raise ValueError(f"multiplicity k must be at least 1, got {_shown(k)}")
 
 
 def _J(J: object) -> None:
     if not isinstance(J, (list, tuple)):
-        raise GradedAlgebraError(f"index sequence {J!r} is not a sequence of integers")
+        raise GradedAlgebraError(f"index sequence {_shown(J)} is not a sequence of integers")
     for j in J:
         if type(j) is not int or j < 0 or j % 2:
-            raise GradedAlgebraError(f"index sequence entry {j!r} is not a nonnegative even integer")
+            raise GradedAlgebraError(f"index sequence entry {_shown(j)} is not a nonnegative even integer")
 
 
 def _tensor(name: str, t: object, k: int, ring: object, side: str) -> None:
@@ -78,17 +78,17 @@ def _tensor(name: str, t: object, k: int, ring: object, side: str) -> None:
 
 def _route_name(route: object) -> None:
     if not isinstance(route, str) or (route != "auto" and route not in SIGNATURE_ROUTES):
-        raise ValueError(f"unknown signature route {route!r}")
+        raise ValueError(f"unknown signature route {_shown(route)}")
 
 
 def _chern(chern: object) -> None:
     if type(chern) is not bool:
-        raise ValueError(f"chern must be a bool, got {chern!r}")
+        raise ValueError(f"chern must be a bool, got {_shown(chern)}")
 
 
 def _log_coeffs(log_coeffs: object) -> None:
     if not isinstance(log_coeffs, (list, tuple)):
-        raise GradedAlgebraError(f"log_coeffs must be a list or tuple of rationals, got {log_coeffs!r}")
+        raise GradedAlgebraError(f"log_coeffs must be a list or tuple of rationals, got {_shown(log_coeffs)}")
     for c in log_coeffs:
         exact(c)
 

@@ -14,6 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .graded import Coords, GradedClass, GradedRing, RingComponent
 from .model import ImmersionModel, LinearMap, ModelError
+from .records import _shown
 
 
 def product_ring(rings: Sequence[GradedRing], name: str = "") -> GradedRing:
@@ -60,7 +61,7 @@ def disjoint_union(models: Sequence[ImmersionModel], name: str = "") -> Immersio
     """Combine immersions of disjoint sources into one shared target."""
     if not (isinstance(models, (list, tuple))
             and all(isinstance(m, ImmersionModel) for m in models)):
-        raise ModelError(f"models must be a list or tuple of ImmersionModels, got {models!r}")
+        raise ModelError(f"models must be a list or tuple of ImmersionModels, got {_shown(models)}")
     if not models:
         raise ModelError("disjoint union of zero models")
     if len(models) == 1:

@@ -7,6 +7,7 @@ the canonical pass/fail record).
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
@@ -27,6 +28,7 @@ from multipoint.formulas import (
 )
 from multipoint.graded import cross, signature_class
 from multipoint.model import embedding_consistent, validate
+from multipoint.modelfile import model_to_dict
 from multipoint.models import BUNDLED, bundled_model
 from multipoint.oracle import recursion_identity_holds, virtual_class_enumerated
 from multipoint.partitions import (
@@ -311,3 +313,33 @@ def test_l_classes_are_signature_classes(random_models, bundled_models):
         assert signature_class(m.normal_pontrjagin) * m.l_source == signature_class(
             m.pullback(m.pontrjagin_target)), m.name
     print(f"PASS: the L-classes are signature classes on {len(models)} models")
+
+
+def _rational_strings(obj):
+    """The coordinate values of a model_to_dict tree: each string under a
+    basis-index key."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if isinstance(value, str) and key.isdecimal():
+                yield value
+            else:
+                yield from _rational_strings(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _rational_strings(value)
+
+
+def test_model_files_spell_rationals_alike_on_every_python(random_models, bundled_models):
+    # Fraction reads digit-group underscores only from Python 3.11, so a file
+    # read the same on every supported interpreter holds "p" or "p/q" alone
+    rng = random.Random(20261020)
+    models = [*bundled_models.values(), *random_models,
+              *(random_truncated_model(rng, with_chern=True) for _ in range(20))]
+    spelling = re.compile(r"-?[0-9]+(/[0-9]+)?")
+    count = 0
+    for m in models:
+        for text in _rational_strings(model_to_dict(m)):
+            assert spelling.fullmatch(text), (m.name, text)
+            count += 1
+    assert count > len(models)
+    print(f"PASS: {count} rationals of {len(models)} model files are spelled p or p/q")

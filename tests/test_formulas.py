@@ -1042,6 +1042,35 @@ def test_a_k_past_the_digit_limit_warns_by_digit_count():
         signature(d3, -HUGE)
 
 
+@pytest.mark.parametrize("call, error, names", [
+    (lambda: signature(HUGE, 1), ModelError, "model must"),
+    (lambda: signature(_d3(), Fraction(HUGE, 3)), ValueError, "multiplicity k"),
+    (lambda: signature(_d3(), [HUGE]), ValueError, "multiplicity k"),
+    (lambda: pontrjagin_number(_d3(), 1, [HUGE + 1]), graded.GradedAlgebraError,
+     "index sequence entry"),
+    (lambda: pontrjagin_number(_d3(), 1, HUGE), graded.GradedAlgebraError, "index sequence"),
+    (lambda: signature(_d3(), 1, route=HUGE), ValueError, "signature route"),
+    (lambda: formulas.genus(_d3(), 1, [0, 1], chern=HUGE), ValueError, "chern"),
+    (lambda: formulas.genus(_d3(), 1, HUGE), graded.GradedAlgebraError, "log_coeffs"),
+    (lambda: formulas.genus(_d3(), 1, [0, (HUGE,)]), graded.GradedAlgebraError,
+     "coordinate (<5001-digit integer>,)"),
+    (lambda: graded.exact((HUGE,)), graded.GradedAlgebraError, "coordinate (<5001-digit integer>,)"),
+    (lambda: disjoint_union(HUGE), ModelError, "models must"),
+    (lambda: GradedRing(["1"], [0], {(0, 0): {0: 1}}, {},
+                        components=[graded.RingComponent("c", (0,), Fraction(HUGE, 3))]),
+     graded.GradedAlgebraError, "component top degree"),
+], ids=["model", "k-fraction", "k-list", "J-entry", "J", "route", "chern", "log_coeffs",
+        "log_coeffs-entry", "exact", "disjoint_union", "component"])
+def test_a_refused_value_past_the_digit_limit_is_shown_by_its_digit_count(call, error, names):
+    # the documented class, not the interpreter's own ValueError from repr()
+    with pytest.raises(ValueError) as info:
+        call()
+    text = str(info.value)
+    assert type(info.value) is error, text
+    assert names in text and "<5001-digit integer>" in text
+    assert "Exceeds the limit" not in text
+
+
 def test_an_int_is_shown_by_str_or_by_its_digit_count():
     # an int str() can render is rendered by it, so the warnings of every
     # usable k are unchanged; past the limit, near powers of ten too, the
@@ -1050,7 +1079,9 @@ def test_an_int_is_shown_by_str_or_by_its_digit_count():
                      (10 ** 4300, "<4301-digit integer>"),
                      (1 - 10 ** 4301, "-<4301-digit integer>"),
                      (-(10 ** 4301), "-<4302-digit integer>"),
-                     (-7, "-7"), ((3,), "(3,)"), ((2, -6), "(2, -6)")):
+                     (-7, "-7"), ((3,), "(3,)"), ((2, -6), "(2, -6)"),
+                     ((HUGE,), "(<5001-digit integer>,)"), ([HUGE, 2], "[<5001-digit integer>, 2]"),
+                     ([3, [HUGE]], "[3, [<5001-digit integer>]]")):
         assert records._shown(n) == shown
 
 

@@ -120,3 +120,14 @@ def test_the_reader_scan_skips_the_body_of_the_name_it_reads():
                      "def g():\n    return getattr(m, 'h')\n")
     assert "f" not in read_names(tree, tree.body[0])
     assert {"getattr", "m", "h"} <= read_names(tree, tree.body[0])
+
+
+def test_the_declared_python_floor_has_the_int_to_str_digit_limit():
+    """graded.exact and its exponent guard call sys.get_int_max_str_digits,
+    which CPython has from 3.10.7 (and 3.11.0) on; without it nothing bounds
+    the power of ten that Fraction builds for a string like "1e99999999999".
+    tomllib is 3.11+ only, so the field is read by a regex."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)(?:\.(\d+))?"$', text, re.M)
+    assert floor, "requires-python is not a single >= floor"
+    assert tuple(int(g or 0) for g in floor.groups()) >= (3, 10, 7)

@@ -6,15 +6,16 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multipoint import cli, modelfile
-from multipoint.graded import GradedRing
+from multipoint import cli, graded, modelfile
+from multipoint.graded import GradedAlgebraError, GradedRing, exact
 from multipoint.model import validate
 from multipoint.modelfile import (
     LOADED_MODELS,
     ModelFormatError,
     _coords_from,
-    _fraction_from,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -139,11 +140,14 @@ def test_rational_strings_read_as_fraction_reads_them(text):
     """Integral strings give ints, others Fractions; the strings accepted are
     exactly those Fraction() accepts (within the int-to-str digit limit,
     which an exponent must keep too), read alone or as a coordinate."""
-    for read in (lambda: _fraction_from(text, "x"), lambda: _coords_from({"0": text}, 1, "x")[0]):
+    for read, error, match in (
+            (lambda: exact(text), GradedAlgebraError, "^coordinate "),
+            (lambda: _coords_from({"0": text}, 1, "x")[0], ModelFormatError,
+             r"^x\[0\]: bad rational: coordinate ")):
         try:
             want = Fraction(text)
         except (ValueError, ZeroDivisionError):
-            with pytest.raises(ModelFormatError, match="bad rational"):
+            with pytest.raises(error, match=match):
                 read()
             continue
         got = read()
@@ -155,14 +159,63 @@ def test_an_exponent_is_bounded_as_the_digits_of_a_plain_decimal_are():
     # the numerator, the denominator and the power of ten each stay within
     # the int-to-str digit limit, which int() applies to a plain decimal
     limit = sys.get_int_max_str_digits()
-    assert _fraction_from(f"1e{limit - 1}", "x") == 10 ** (limit - 1)
-    assert _fraction_from(f"1e-{limit - 1}", "x") == Fraction(1, 10 ** (limit - 1))
-    assert _fraction_from(f"0.{'0' * (limit - 2)}1e0", "x") == Fraction(1, 10 ** (limit - 1))
+    for text, want in ((f"1e{limit - 1}", 10 ** (limit - 1)),
+                       (f"1e-{limit - 1}", Fraction(1, 10 ** (limit - 1))),
+                       (f"0.{'0' * (limit - 2)}1e0", Fraction(1, 10 ** (limit - 1)))):
+        assert exact(text) == want
+        assert _coords_from({"0": text}, 1, "x") == {0: want}
     for text in (f"1e{limit}", f"1e-{limit}", f"0e{limit}", f"12e{limit - 1}",
                  f"0.{'0' * (limit - 1)}1e0", "1e99999999999", f"1e{'9' * (limit + 1)}",
                  "1" + "0" * limit):
-        with pytest.raises(ModelFormatError, match="^x: bad rational"):
-            _fraction_from(text, "x")
+        with pytest.raises(GradedAlgebraError, match="^coordinate "):
+            exact(text)
+        with pytest.raises(ModelFormatError, match=r"^x\[0\]: bad rational: coordinate "):
+            _coords_from({"0": text}, 1, "x")
+
+
+_LIMIT = sys.get_int_max_str_digits()
+# signs, spaces and leading zeros; p/q, points and exponents; underscores
+# and non-ASCII digits (Arabic-Indic five, superscript two, fullwidth one)
+_PIECES = st.sampled_from(["", "-", "+", " ", "0", "00", "7", "12", "/", "/3", "/0", ".", ".5",
+                           "e", "E3", "e-2", "_", "1_0", "\u0665", "\u00b2", "\uff11", "x"])
+_RATIONAL_TEXT = st.one_of(
+    st.lists(_PIECES, max_size=6).map("".join),
+    # plain decimals around the 640-character cut of the int fast path
+    st.tuples(st.sampled_from(["", "-", "+", " ", "0"]),
+              st.integers(600, 700).flatmap(lambda n: st.text("0123456789", min_size=n,
+                                                              max_size=n)),
+              st.sampled_from(["", " ", "/7", "_1", "\u0665"])).map("".join),
+    # and at the interpreter's int-to-str digit limit, one either side
+    st.tuples(st.sampled_from(["", "-"]),
+              st.sampled_from([_LIMIT - 1, _LIMIT, _LIMIT + 1]).map("9".__mul__)).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_RATIONAL_TEXT)
+def test_the_file_reader_reads_a_rational_as_exact_reads_it(text):
+    try:
+        want = exact(text)
+    except GradedAlgebraError as exc:
+        with pytest.raises(ModelFormatError, match=r"^x\[0\]: bad rational: ") as info:
+            _coords_from({"0": text}, 1, "x")
+        assert str(info.value).endswith(str(exc))
+        return
+    got = _coords_from({"0": text}, 1, "x")[0]
+    assert got == want and type(got) is type(want)
+    # both read what Fraction reads, as an int when it is integral
+    assert want == Fraction(text)
+    assert type(want) is (int if want.denominator == 1 else Fraction)
+
+
+def test_a_plain_decimal_never_reaches_the_exponent_guard(monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"the exponent guard ran on {text!r}")
+
+    monkeypatch.setattr(graded, "_too_long", refuse)
+    got = exact("-007")
+    assert got == -7 and type(got) is int
+    assert _coords_from({"0": "12"}, 1, "x") == {0: 12}
 
 
 def test_bad_product_key_rejected():
