@@ -558,7 +558,7 @@ def _solve_linear(columns: Sequence[Coords], target: Coords) -> Optional[List[Fr
 def _preimage_under(linmap: LinearMap, target: GradedClass) -> Optional[GradedClass]:
     """A class mapping to ``target`` under the linear map, or None."""
     indices = sorted(linmap.images)
-    columns = [linmap.images[i].coords for i in indices]
+    columns = [linmap.images[i] for i in indices]
     solution = _solve_linear(columns, target.coords)
     if solution is None:
         return None

@@ -81,7 +81,7 @@ def exact(c: object) -> Scalar:
                                  "use an int, a Fraction or a string")
     if type(c) is not Fraction:
         if type(c) is str and _too_long(c):
-            raise GradedAlgebraError(f"coordinate {c!r} is not an exact rational within the "
+            raise GradedAlgebraError(f"coordinate {_shown(c)} is not an exact rational within the "
                                      f"{sys.get_int_max_str_digits()}-digit int limit")
         try:
             c = Fraction(c)

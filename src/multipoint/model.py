@@ -10,7 +10,7 @@ point formulas use.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence
 
 from .graded import (
     Coords,
@@ -19,12 +19,13 @@ from .graded import (
     GradedRing,
     Scalar,
     basis_indices,
+    clean_coords,
     combine_rows,
     genus_coords,
     power_sum_coords,
     signature_genus_log_coeffs,
 )
-from .records import Frozen, FrozenRecord, Record, _shown
+from .records import Frozen, FrozenRecord, _shown
 
 
 class ModelError(ValueError):
@@ -38,20 +39,26 @@ MAX_CLASS_DEGREE = 256
 
 
 class LinearMap(FrozenRecord):
-    """Linear map between graded rings, given by images of basis elements."""
+    """Linear map between graded rings, given by the codomain coordinates of
+    the images of basis elements; an image may be empty."""
 
     __slots__ = ("domain", "codomain", "images", "degree_shift")
 
     def __init__(self, domain: GradedRing, codomain: GradedRing,
-                 images: Mapping[int, GradedClass], degree_shift: int = 0):
+                 images: Mapping[int, Mapping[int, object]], degree_shift: int = 0):
         basis_indices(list(images), len(domain.labels), "map domain index")
         if type(degree_shift) is not int:
             raise ModelError(f"degree shift must be an int, got {_shown(degree_shift)}")
-        if any(img.ring is not codomain and img.ring != codomain for img in images.values()):
-            raise ModelError("an image is not in the codomain of the map")
+        n = len(codomain.labels)
+        cleaned = {}
+        for i, img in images.items():
+            if not isinstance(img, Mapping):
+                raise GradedAlgebraError(f"image of basis index {i} is a {type(img).__name__}, "
+                                         "not a mapping of index -> rational")
+            cleaned[i] = clean_coords(img, n, "coordinate index")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", cleaned)
         object.__setattr__(self, "degree_shift", degree_shift)
 
     def __call__(self, cls: GradedClass) -> GradedClass:
@@ -65,8 +72,8 @@ class LinearMap(FrozenRecord):
         out: Coords = {}
         for i, c in coords.items():
             img = self.images.get(i)
-            if img is not None:
-                for j, v in img.coords.items():
+            if img:
+                for j, v in img.items():
                     out[j] = out.get(j, 0) + c * v
         return {j: c for j, c in out.items() if c}
 
@@ -74,14 +81,14 @@ class LinearMap(FrozenRecord):
     def from_coords(cls, domain: GradedRing, codomain: GradedRing,
                     images: Mapping[int, Mapping[int, object]],
                     degree_shift: int = 0) -> "LinearMap":
-        built = {i: codomain.element(coords) for i, coords in images.items()}
-        return cls(domain, codomain, built, degree_shift)
+        """The constructor, by its earlier name."""
+        return cls(domain, codomain, images, degree_shift)
 
     def respects_degrees(self) -> List[str]:
         issues = []
         for i, img in self.images.items():
             want = self.domain.degrees[i] + self.degree_shift
-            for j in img.coords:
+            for j in img:
                 if self.codomain.degrees[j] != want:
                     issues.append(
                         f"image of {self.domain.labels[i]} has a term of degree "
@@ -95,18 +102,38 @@ class Check(NamedTuple):
     detail: str = ""
 
 
-class ValidationReport(Record):
-    __slots__ = ("checks",)
+class Vanishing(NamedTuple):
+    """What the data of a valid model proves 0 before any kernel runs.
 
-    def __init__(self, checks: Optional[List[Check]] = None):
-        self.checks = [] if checks is None else checks
+    null_pushforward: f_! = 0.  Every pushed class is then 0, and so, by
+    integration compatibility, is every integral over the source.  The
+    virtual class at k >= 1 is a sum of products of pushed classes, and
+    every number an integral over the source or of a pushed class over
+    the target (a product of pushed classes is pushed, by the projection
+    formula), so every invariant at k >= 1 is 0.
+    embedding: f*f_!(x) = e * x.  Each partition term of a transfer is
+    then e^(k-1) times the product of the factors, weighted by
+    prod_B (-1)^(|B|-1) (|B|-1)!, and these weights sum to
+    k! [t^k] exp(log(1 + t)) = 0 for k >= 2: every invariant at k >= 2 is 0.
+    """
+
+    null_pushforward: bool
+    embedding: bool
+
+
+class ValidationReport(FrozenRecord):
+    """The checks of validate, in order, and when every one passed the
+    Vanishing facts of the model, else None."""
+
+    __slots__ = ("checks", "vanishing")
+
+    def __init__(self, checks: Sequence[Check], vanishing: Optional[Vanishing] = None):
+        object.__setattr__(self, "checks", tuple(checks))
+        object.__setattr__(self, "vanishing", vanishing)
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append(Check(name, ok, detail))
 
     def failures(self) -> List[Check]:
         return [c for c in self.checks if not c.ok]
@@ -129,7 +156,7 @@ class ImmersionModel(Frozen):
     """The full cohomological datum of an even-codimension immersion.
 
     A model is a value: its fields are set once, here, and refused after,
-    so what _cache memoises for it (derived classes, the validation checks,
+    so what _cache memoises for it (derived classes, the validation report,
     the formulas' chains) never goes stale."""
 
     _cache: Dict[object, object]
@@ -226,15 +253,14 @@ class ImmersionModel(Frozen):
         return f"ImmersionModel({self.name or 'unnamed'}, codim={self.codim})"
 
 
-def _mapped(table: Mapping[int, Coords], images: Mapping[int, Coords],
-            linmap: LinearMap) -> Dict[int, Coords]:
+def _mapped(table: Mapping[int, Coords], linmap: LinearMap) -> Dict[int, Coords]:
     """{j: linmap(table[j])} over the j where that is nonzero; the image of
-    a basis element is read from images = {m: linmap(e_m)}."""
+    a basis element is read from linmap.images."""
     out = {}
     for j, x in table.items():
         if len(x) == 1 and 1 in x.values():
             m, = x
-            y = images.get(m)
+            y = linmap.images.get(m)
         else:
             y = linmap.apply_coords(x)
         if y:
@@ -255,47 +281,47 @@ def _row_witness(ring: GradedRing, left: Sequence[str], right: Sequence[str], ro
 
 def validate(model: ImmersionModel) -> ValidationReport:
     """Run every consistency check the formulas rely on, once per model:
-    the checks are memoised on the model as a tuple, and each call hands
-    out a report of its own, so a caller that adds to it changes no later
-    report.
+    the report is memoised on the model, and with it, when every check
+    passed, the Vanishing facts that signatures.zero_warning reads.
 
     Report-valued: failures carry a witness, nothing raises.
     """
-    checks = model._cache.get("validation")
-    if checks is None:
-        checks = model._cache.setdefault("validation", tuple(_checks(model).checks))
-    return ValidationReport(list(checks))
+    report = model._cache.get("validation")
+    if report is None:
+        checks = tuple(_checks(model))
+        facts = None
+        if all(c.ok for c in checks):
+            facts = Vanishing(not any(model.pushforward.images.values()),
+                              embedding_consistent(model))
+        report = model._cache.setdefault("validation", ValidationReport(checks, facts))
+    return report
 
 
-def _checks(model: ImmersionModel) -> ValidationReport:
-    report = ValidationReport()
-
+def _checks(model: ImmersionModel) -> Iterator[Check]:
     src_issues = model.source.check_axioms()
-    report.add("source ring axioms", not src_issues, "; ".join(src_issues[:3]))
+    yield Check("source ring axioms", not src_issues, "; ".join(src_issues[:3]))
     tgt_issues = model.target.check_axioms()
-    report.add("target ring axioms", not tgt_issues, "; ".join(tgt_issues[:3]))
+    yield Check("target ring axioms", not tgt_issues, "; ".join(tgt_issues[:3]))
 
-    report.add("codimension positive even", model.codim > 0 and model.codim % 2 == 0,
-               f"codim={model.codim}")
+    yield Check("codimension positive even", model.codim > 0 and model.codim % 2 == 0,
+                f"codim={model.codim}")
 
     e_ok = all(model.source.degrees[i] == model.codim for i in model.euler.coords)
-    report.add("euler class degree equals codimension", e_ok, f"euler={model.euler}")
+    yield Check("euler class degree equals codimension", e_ok, f"euler={model.euler}")
 
     # pullback: unital degree-preserving ring homomorphism
     issues = model.pullback.respects_degrees()
-    report.add("pullback preserves degrees", not issues, "; ".join(issues[:3]))
+    yield Check("pullback preserves degrees", not issues, "; ".join(issues[:3]))
     unital = model.pullback(model.target.unit()) == model.source.unit()
-    report.add("pullback is unital", unital)
+    yield Check("pullback is unital", unital)
     # Multiplicativity and the projection formula are compared a row of basis
     # pairs at a time, on coordinate dicts; classes are built only for a witness.
     source, target = model.source, model.target
     pull, push = model.pullback, model.pushforward
-    ns, nt = len(source.labels), len(target.labels)
-    pulled = {j: pull.images[j].coords for j in range(nt) if j in pull.images}
-    pushed = {i: push.images[i].coords for i in range(ns) if i in push.images}
+    ns = len(source.labels)
     # by_basis[l] = {j: e_l f*(e_j)}, the one table both checks read
     by_basis: List[Dict[int, Coords]] = [{} for _ in range(ns)]
-    for j, img in pulled.items():
+    for j, img in pull.images.items():
         for l, x in combine_rows(img, source.rows).items():
             by_basis[l][j] = x
 
@@ -303,41 +329,41 @@ def _checks(model: ImmersionModel) -> ValidationReport:
     # f*(e_i) = sum_l c_l e_l; both sides are symmetric in (i, j), so the
     # first row that differs differs first at some j >= i
     mult_witness = _row_witness(source, target.labels, target.labels, (
-        (_mapped(row, pulled, pull), combine_rows(pulled.get(i, {}), by_basis))
+        (_mapped(row, pull), combine_rows(pull.images.get(i, {}), by_basis))
         for i, row in enumerate(target.rows)))
-    report.add("pullback is multiplicative", not mult_witness, mult_witness)
+    yield Check("pullback is multiplicative", not mult_witness, mult_witness)
 
     issues = push.respects_degrees()
     shift_ok = push.degree_shift == model.codim and not issues
-    report.add("pushforward raises degree by codimension", shift_ok,
-               f"shift={push.degree_shift}; " + "; ".join(issues[:3]))
+    yield Check("pushforward raises degree by codimension", shift_ok,
+                f"shift={push.degree_shift}; " + "; ".join(issues[:3]))
 
     # f_!(e_i f*(e_j)) against f_!(e_i) e_j
     proj_witness = _row_witness(target, source.labels, target.labels, (
-        (_mapped(row, pushed, push), combine_rows(pushed.get(i, {}), target.rows))
+        (_mapped(row, push), combine_rows(push.images.get(i, {}), target.rows))
         for i, row in enumerate(by_basis)))
-    report.add("projection formula", not proj_witness, proj_witness)
+    yield Check("projection formula", not proj_witness, proj_witness)
 
     # integration compatibility on every source basis element: one below
     # its component's top degree has no source integral, so its pushforward
     # must have none on the target either
     int_witness = ""
     for i in range(ns):
-        lhs = target.integrate_coords(pushed.get(i, {}))
+        lhs = target.integrate_coords(push.images.get(i, {}))
         rhs = source.integrate_coords({i: 1})
         if lhs != rhs:
             int_witness = f"on {source.labels[i]}: {lhs} != {rhs}"
             break
-    report.add("integration compatibility", not int_witness, int_witness)
+    yield Check("integration compatibility", not int_witness, int_witness)
 
     for label, cls in (("source", model.pontrjagin_source), ("target", model.pontrjagin_target)):
         ok = cls.is_unital() and all(
             cls.ring.degrees[i] % 4 == 0 for i in cls.coords)
-        report.add(f"{label} Pontrjagin class is unital with degrees 0 mod 4", ok, f"{cls}")
+        yield Check(f"{label} Pontrjagin class is unital with degrees 0 mod 4", ok, f"{cls}")
 
     for label, cls in (("source", model.chern_source), ("target", model.chern_target)):
         if cls is not None:
-            report.add(f"{label} Chern class is unital", cls.is_unital(), f"{cls}")
+            yield Check(f"{label} Chern class is unital", cls.is_unital(), f"{cls}")
 
     # the L-class of a total class needs its log series up to the largest
     # power sum, at a cost that grows faster than the square of its order:
@@ -356,12 +382,12 @@ def _checks(model: ImmersionModel) -> ValidationReport:
                 if top > MAX_CLASS_DEGREE:
                     high.append(f"{label} Pontrjagin class has a power sum in degree {top}")
     except GradedAlgebraError as exc:
-        report.add("normal class derivation", False, str(exc))
-        return report
+        yield Check("normal class derivation", False, str(exc))
+        return
     if high:
-        report.add(f"Pontrjagin power sums within degree {MAX_CLASS_DEGREE}", False,
-                   "; ".join(high))
-        return report
+        yield Check(f"Pontrjagin power sums within degree {MAX_CLASS_DEGREE}", False,
+                    "; ".join(high))
+        return
 
     # derived-class relations (hold by construction; checked as regression).
     # TM + normal = f*TN gives L(source) = f*L(target) * L(normal)^-1: the
@@ -371,55 +397,29 @@ def _checks(model: ImmersionModel) -> ValidationReport:
         rel_p = model.normal_pontrjagin * model.pontrjagin_source == model.pullback(
             model.pontrjagin_target)
         rel_l = model.l_source == model.pullback(model.l_target) * model.l_normal_inverse
-        report.add("normal Pontrjagin relation", rel_p)
-        report.add("normal signature-class relation", rel_l)
+        yield Check("normal Pontrjagin relation", rel_p)
+        yield Check("normal signature-class relation", rel_l)
     except GradedAlgebraError as exc:
-        report.add("normal class derivation", False, str(exc))
-
-    return report
+        yield Check("normal class derivation", False, str(exc))
 
 
 def embedding_consistent(model: ImmersionModel) -> bool:
     """True iff pullback(pushforward(x)) = euler * x on every basis element,
-    compared on coordinate dicts up to the first basis element that fails.
+    compared on coordinate dicts up to the first basis element that fails;
+    euler * e_i is read from the source's product table.
 
     This is the self-intersection identity of embeddings; models satisfying
     it have no multiple points, so their k>1 invariants vanish.
     """
-    push, pull = model.pushforward.apply_coords, model.pullback.apply_coords
-    mul, euler = model.source.mul_coords, model.euler.coords
-    return all(pull(push({i: 1})) == mul({i: 1}, euler) for i in range(len(model.source.labels)))
-
-
-class Vanishing(NamedTuple):
-    """What the data of a valid model proves 0 before any kernel runs.
-
-    null_pushforward: f_! = 0.  Every pushed class is then 0, and so, by
-    integration compatibility, is every integral over the source.  The
-    virtual class at k >= 1 is a sum of products of pushed classes, and
-    every number an integral over the source or of a pushed class over
-    the target (a product of pushed classes is pushed, by the projection
-    formula), so every invariant at k >= 1 is 0.
-    embedding: f*f_!(x) = e * x.  Each partition term of a transfer is
-    then e^(k-1) times the product of the factors, weighted by
-    prod_B (-1)^(|B|-1) (|B|-1)!, and these weights sum to
-    k! [t^k] exp(log(1 + t)) = 0 for k >= 2: every invariant at k >= 2 is 0.
-    """
-
-    null_pushforward: bool
-    embedding: bool
+    times_euler = combine_rows(model.euler.coords, model.source.rows)
+    pull, pushed = model.pullback.apply_coords, model.pushforward.images
+    return all(pull(pushed.get(i, {})) == times_euler.get(i, {})
+               for i in range(len(model.source.labels)))
 
 
 def vanishing(model: ImmersionModel) -> Optional[Vanishing]:
-    """The model's Vanishing, memoised beside its validation checks; None
-    until validate has passed on the model, so that on any other model
-    every route still runs and the routes still check each other."""
-    flags = model._cache.get("vanishing")
-    if flags is None:
-        checks = model._cache.get("validation")
-        if checks is None or not all(c.ok for c in checks):
-            return None
-        flags = model._cache["vanishing"] = Vanishing(
-            not any(img.coords for img in model.pushforward.images.values()),
-            embedding_consistent(model))
-    return flags
+    """The Vanishing of the model's memoised validation report; None until
+    validate has passed on the model, so that on any other model every
+    route still runs and the routes still check each other."""
+    report = model._cache.get("validation")
+    return None if report is None else report.vanishing

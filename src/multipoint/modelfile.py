@@ -23,6 +23,7 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .graded import GradedAlgebraError, GradedClass, GradedRing, RingComponent, Scalar, exact
 from .model import ImmersionModel, LinearMap, check_codim
+from .records import _shown
 
 FORMAT_VERSION = 1
 
@@ -37,7 +38,7 @@ class ModelFormatError(ValueError):
 
 
 def _at(where: str, keys) -> str:
-    return where + "".join(f"[{k}]" for k in keys)
+    return where + "".join(f"[{_shown(k, str)}]" for k in keys)
 
 
 def _coords_to_json(coords: Mapping[int, Scalar]) -> Dict[str, str]:
@@ -53,7 +54,7 @@ def _basis_keys(n: int) -> Dict[str, int]:
 
 
 def _bad_index(key, basis: Mapping[str, int], where: str, *keys) -> ModelFormatError:
-    return ModelFormatError(f"{_at(where, keys)}: bad basis index {key!r}; an index "
+    return ModelFormatError(f"{_at(where, keys)}: bad basis index {_shown(key)}; an index "
                             f"is a canonical decimal below {len(basis)}, such as '0'")
 
 
@@ -122,7 +123,7 @@ def ring_from_dict(obj, where: str = "ring") -> GradedRing:
     for key, coords in raw_products.items():
         i, comma, j = key.partition(",") if type(key) is str else ("", "", "")
         if not comma:
-            raise ModelFormatError(f"{where}: product key {key!r} is not 'i,j'")
+            raise ModelFormatError(f"{where}: product key {_shown(key)} is not 'i,j'")
         for part in (i, j):
             if part not in basis:
                 raise _bad_index(part, basis, at, key)
@@ -158,7 +159,7 @@ def ring_from_dict(obj, where: str = "ring") -> GradedRing:
 
 
 def _map_to_dict(linmap: LinearMap) -> Dict[str, Dict[str, str]]:
-    return {str(i): _coords_to_json(img.coords) for i, img in sorted(linmap.images.items())}
+    return {str(i): _coords_to_json(img) for i, img in sorted(linmap.images.items())}
 
 
 def _map_from(obj, domain: GradedRing, codomain: GradedRing,
@@ -171,17 +172,12 @@ def _map_from(obj, domain: GradedRing, codomain: GradedRing,
         if key not in basis:
             raise _bad_index(key, basis, where)
         images[basis[key]] = _coords_from(coords, len(codomain.labels), where, key)
-    try:
-        return LinearMap.from_coords(domain, codomain, images, degree_shift=shift)
-    except ValueError as exc:
-        raise ModelFormatError(f"{where}: {exc}") from None
+    # every key and value is checked above, and shift is 0 or a checked codim
+    return LinearMap(domain, codomain, images, degree_shift=shift)
 
 
 def _class_from(obj, ring: GradedRing, where: str) -> GradedClass:
-    try:
-        return ring.element(_coords_from(obj, len(ring.labels), where))
-    except ValueError as exc:
-        raise ModelFormatError(f"{where}: {exc}") from None
+    return ring.element(_coords_from(obj, len(ring.labels), where))
 
 
 def model_to_dict(model: ImmersionModel) -> dict:

@@ -3,7 +3,8 @@
 A record's fields are its ``__slots__``, in constructor order; equality
 (same class only), the repr ``Name(field=value, ...)`` and pickling follow
 from them; the repr shows an int past the interpreter's int-to-str digit
-limit, alone, in a Fraction or in a tuple or list, by its digit count.
+limit, alone, in a Fraction or in a tuple or list, by its digit count, and a
+long string by its start and its length.
 Mutable records are unhashable; frozen ones hash by their field values and
 refuse assignment, as any ``Frozen`` object does.  Subclasses write their own ``__init__``.
 """
@@ -17,7 +18,11 @@ from math import log10
 def _shown(x, text=repr) -> str:
     """text(x), repr by default, with an int that text() refuses (past the
     interpreter's int-to-str digit limit), alone, as a Fraction's numerator
-    or denominator or in a tuple or list, shown by its digit count."""
+    or denominator or in a tuple or list, shown by its digit count, and a
+    string past 60 characters by its first 60 and its length, so that the
+    refusal of any input stays short."""
+    if type(x) is str and len(x) > 60:
+        return f"{text(x[:60])}... ({len(x)} characters)"
     try:
         return text(x)
     except ValueError:

@@ -82,16 +82,16 @@ def disjoint_union(models: Sequence[ImmersionModel], name: str = "") -> Immersio
         offsets.append(off)
         off += len(m.source.labels)
 
-    pull_images = {
-        j: _block_class(source, [m.pullback(target.basis_class(j)) for m in models], offsets)
-        for j in range(len(target.labels))
-    }
-    pullback = LinearMap(target, source, pull_images, degree_shift=0)
-
-    push_images: Dict[int, GradedClass] = {}
+    # f*(e_j) is the sum of the components' images, each on its own block;
+    # f_!(e_i) is the image of e_i in its component
+    pull_images: Dict[int, Coords] = {j: {} for j in range(len(target.labels))}
+    push_images: Dict[int, Coords] = {}
     for m, off in zip(models, offsets):
+        for j, img in m.pullback.images.items():
+            pull_images[j].update((i + off, c) for i, c in img.items())
         for i, img in m.pushforward.images.items():
-            push_images[i + off] = target.element(img.coords)
+            push_images[i + off] = img
+    pullback = LinearMap(target, source, pull_images, degree_shift=0)
     pushforward = LinearMap(source, target, push_images, degree_shift=models[0].codim)
 
     euler = _block_class(source, [m.euler for m in models], offsets)

@@ -45,6 +45,47 @@ def test_validate_json_flag(capsys):
     assert any(c["name"] == "projection formula" for c in payload["checks"])
 
 
+# validate's report on each bundled model, pinned byte for byte: every
+# check passes, and these are the details of its Euler, Pontrjagin and
+# Chern checks (None where the model carries no Chern data)
+CHECK_NAMES = [
+    "source ring axioms", "target ring axioms", "codimension positive even",
+    "euler class degree equals codimension", "pullback preserves degrees", "pullback is unital",
+    "pullback is multiplicative", "pushforward raises degree by codimension",
+    "projection formula", "integration compatibility",
+    "source Pontrjagin class is unital with degrees 0 mod 4",
+    "target Pontrjagin class is unital with degrees 0 mod 4",
+    "source Chern class is unital", "target Chern class is unital",
+    "normal Pontrjagin relation", "normal signature-class relation",
+]
+CLASS_DETAILS = {
+    "hypersurface-d1": ("1*t", "1 + 3*t^2", "1 + 4*h^2", None, None),
+    "hypersurface-d2": ("2*t", "1", "1 + 4*h^2", None, None),
+    "hypersurface-d3": ("3*t", "1 + -5*t^2", "1 + 4*h^2", None, None),
+    "hypersurface-d4": ("4*t", "1 + -12*t^2", "1 + 4*h^2", None, None),
+    "line-in-plane": ("1*t", "1", "1 + 3*h^2", "1 + 2*t", "1 + 3*h + 3*h^2"),
+    "line-in-quadric": ("0", "1", "1", "1 + 2*t", "1 + 2*a + 2*b + 4*ab"),
+    "null-pushforward": ("1*t", "1", "1", None, None),
+    "nullhomotopic-cp2-in-s6": ("3*t", "1 + 3*t^2", "1", None, None),
+    "two-lines": ("1*t@0 + 1*t@1", "1*1@0 + 1*1@1", "1 + 3*h^2",
+                  "1*1@0 + 2*t@0 + 1*1@1 + 2*t@1", "1 + 3*h + 3*h^2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_DETAILS))
+def test_validate_prints_the_pinned_report(capsys, name):
+    euler, *classes = CLASS_DETAILS[name]
+    names = [n for n in CHECK_NAMES if "Chern" not in n or classes[2] is not None]
+    details = dict(zip(CHECK_NAMES[10:14], classes), **{
+        "codimension positive even": "codim=2",
+        "euler class degree equals codimension": f"euler={euler}",
+        "pushforward raises degree by codimension": "shift=2; "})
+    assert run(capsys, "validate", name) == (0, "".join(f"[ok] {n}\n" for n in names), "")
+    checks = [{"name": n, "ok": True, "detail": details.get(n) or ""} for n in names]
+    text = json.dumps({"model": name, "ok": True, "checks": checks}, indent=2) + "\n"
+    assert run(capsys, "validate", name, "--json") == (0, text, "")
+
+
 def test_validate_file(tmp_path, capsys):
     path = tmp_path / "m.json"
     save_model(bundled_model("hypersurface-d2"), path)

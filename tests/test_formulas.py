@@ -1156,9 +1156,9 @@ def juxtaposed(models):
     s = t = 0
     for m in models:
         for j, img in m.pullback.images.items():
-            pull[j + t] = {i + s: v for i, v in img.coords.items()}
+            pull[j + t] = {i + s: v for i, v in img.items()}
         for i, img in m.pushforward.images.items():
-            push[i + s] = {j + t: v for j, v in img.coords.items()}
+            push[i + s] = {j + t: v for j, v in img.items()}
         for name, coords in blocks.items():
             off = t if name.endswith("target") else s
             coords.update({i + off: v for i, v in getattr(m, name).coords.items()})
@@ -1545,7 +1545,7 @@ def _provable_zero_cases():
     rng = random.Random(3)
     while len(embeddings) < 56 or len(nulls) < 21:
         m = random_truncated_model(rng, max_powers=6)
-        if not any(img.coords for img in m.pushforward.images.values()):
+        if not any(m.pushforward.images.values()):
             nulls.append(m)
         elif embedding_consistent(m):
             embeddings.append(m)

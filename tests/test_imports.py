@@ -1,10 +1,12 @@
 """Every module of the package and of the tests reads each name it imports,
-every top-level function and class of the package has a reader, and the
-README's module table has one row per package module and its argument
-table one name per entry check."""
+every top-level function and class and every method of the package has a
+reader, the README's module table has one row per package module and its
+argument table one name per entry check, and its library example runs and
+gives the values its comments state."""
 
 import ast
 import re
+from fractions import Fraction
 from itertools import dropwhile, takewhile
 from pathlib import Path
 
@@ -61,8 +63,24 @@ def test_readme_argument_table_names_every_entry_check():
     assert sorted(names) == sorted(_ENTRY_CHECKS)
 
 
-# package functions and classes that no code in src/ or benchmarks/ reads,
-# each with the reason it stays
+def test_readme_library_example_gives_its_commented_values():
+    text = (ROOT / "README.md").read_text().split("## Library", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    lines, namespace, stated, got = block.splitlines(), {}, [], []
+    for node in ast.parse(block).body:
+        comment = lines[node.lineno - 1].partition("  # ")[2]
+        if isinstance(node, ast.Expr) and comment:
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            stated.append(comment.split()[0])
+            got.append(f"Fraction({value})" if isinstance(value, Fraction) else str(value))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert stated == ["Fraction(1)", "2*h^2", "Fraction(-48)", "Fraction(2)"]
+    assert got == stated
+
+
+# package functions, classes and methods that no code in src/ or
+# benchmarks/ reads, each with the reason it stays
 UNREAD = {
     "formulas.euler_zero": "special-case evaluator, kept until auto runs the special cases",
     "formulas.nullhomotopic": "special-case evaluator, kept until auto runs the special cases",
@@ -74,6 +92,7 @@ UNREAD = {
     "partitions.trivial_partition": "partition value that tests build",
     "partitions.universal_partition": "partition value that tests build",
     "partitions.count_by_type_marked": "marked type count that tests compare against",
+    "partitions.SetPartition.type_vector": "type vector of a partition that tests compare against",
     "random_models.random_union_components": "random union components that tests build",
 }
 
@@ -104,14 +123,18 @@ def test_every_package_function_and_class_has_a_reader():
         if path.parent.name != "multipoint":
             continue
         elsewhere = set().union(*(r for p, r in reads.items() if p != path))
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        # top-level functions and classes, and the methods in a class body
+        top = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs = [(f"{path.stem}.{node.name}", node) for node in top]
+        defs += [(f"{path.stem}.{cls.name}.{node.name}", node) for cls in top
+                 if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for qualname, node in defs:
             name = node.name
             if (name.startswith("__") and name.endswith("__")
                     or name in elsewhere or name in read_names(tree, node)):
                 continue
-            unread.add(f"{path.stem}.{name}")
+            unread.add(qualname)
     assert unread == set(UNREAD)
 
 

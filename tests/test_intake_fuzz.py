@@ -5,7 +5,7 @@ one as exit 0; nothing may raise, and exit 1 (route disagreement) must not
 appear.  Through the library's `load_model` alone, a file must load or
 raise `ModelFormatError`, never another exception.  Through the ring, class,
 map and model constructors, and a class's degree selection and power, a junk
-index, degree, shift, power, codimension or ring must be refused with
+index, degree, shift, power, codimension, map image or ring must be refused with
 `GradedAlgebraError` or `ModelError`."""
 
 import json
@@ -184,7 +184,7 @@ def junk_calls(draw):
     kind = draw(st.sampled_from([
         "degree", "top_degree", "component_top", "component_index", "product_key",
         "product_slot", "product_value", "integral", "unit", "class", "tensor_slot",
-        "tensor_arity", "map_domain", "map_codomain", "map_image_ring", "map_shift", "codim",
+        "tensor_arity", "map_domain", "map_codomain", "map_image", "map_shift", "codim",
         "model_class_ring", "model_map_ring", "select_degrees", "power"]))
     args = _ring_args(m)
     fields = dict(source=m.source, target=m.target, pullback=m.pullback,
@@ -234,9 +234,11 @@ def junk_calls(draw):
     elif kind == "map_codomain":
         junk = draw(bad)
         return kind, junk, lambda: LinearMap.from_coords(ring, ring, {0: {junk: 1}})
-    elif kind == "map_image_ring":
-        junk = draw(st.sampled_from([other.target, other.source, m.source]))
-        return kind, junk, lambda: LinearMap(ring, ring, {0: junk.unit()})
+    elif kind == "map_image":
+        # an image is a coordinate mapping; a class of any ring is not one
+        junk = draw(st.one_of(st.sampled_from([ring, other.target, other.source]).map(
+            lambda r: r.unit()), NOT_INT, st.none(), st.lists(st.integers(0, 2), max_size=2)))
+        return kind, junk, lambda: LinearMap(ring, ring, {0: junk})
     elif kind == "map_shift":
         junk = draw(NOT_INT)
         return kind, junk, lambda: LinearMap(ring, ring, {}, junk)
@@ -272,7 +274,8 @@ def junk_calls(draw):
 def test_constructors_refuse_junk_with_their_own_errors(call):
     # a float, bool, string, negative or past-the-basis index, a degree or
     # codimension that is not an int of the right parity, a shift or power
-    # that is not an int, and a class, image or map of another ring are each
+    # that is not an int, a map image that is not a coordinate mapping, and
+    # a class or map of another ring are each
     # refused by the constructor or operator; whatever one let through is
     # printed and validated, as a user of it would
     kind, junk, build = call

@@ -19,8 +19,10 @@ from multipoint.model import (
     ImmersionModel,
     LinearMap,
     ModelError,
+    Vanishing,
     embedding_consistent,
     validate,
+    vanishing,
 )
 from multipoint.modelfile import load_model, save_model
 from multipoint.models import BUNDLED, bundled_model, truncated_model, truncated_polynomial_ring
@@ -107,8 +109,8 @@ def _swapped(m, **changes):
      "different rings"),
     (lambda m, o: dict(pushforward=LinearMap(m.source, o.target, {}, 2)), GradedAlgebraError,
      "different rings"),
-    (lambda m, o: dict(pullback=LinearMap(m.target, m.source, {0: m.target.unit()})),
-     ModelError, "not in the codomain"),
+    (lambda m, o: dict(pullback=LinearMap(m.target, m.source, {0: m.source.unit()})),
+     GradedAlgebraError, "image of basis index 0 is a GradedClass, not a mapping"),
 ], ids=["euler-on-target", "source-pontrjagin-elsewhere", "source-chern-on-target",
         "target-pontrjagin-on-source", "target-chern-elsewhere", "pullback-elsewhere",
         "pushforward-elsewhere", "target-swapped", "pullback-codomain", "pushforward-codomain",
@@ -132,6 +134,7 @@ def test_validation_catches_broken_projection_formula():
         ("projection formula", "on (1, h): 0 != 1*h^2"),
         ("integration compatibility", "on t: 0 != 1"),
     ]
+    assert report.vanishing is None and vanishing(broken) is None
 
 
 def test_integration_compatibility_is_checked_below_the_top_degree():
@@ -297,8 +300,7 @@ def perturbed_maps(draw):
     value = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
 
     def overwritten(linmap, domain, codomain):
-        images = {i: dict(linmap.images[i].coords) if i in linmap.images else {}
-                  for i in range(len(domain.labels))}
+        images = {i: dict(linmap.images.get(i, {})) for i in range(len(domain.labels))}
         for i, idx, v in draw(st.lists(st.tuples(st.integers(0, len(domain.labels) - 1),
                                                  st.integers(0, len(codomain.labels) - 1),
                                                  value), max_size=3)):
@@ -353,17 +355,54 @@ def test_validate_multiplies_only_for_the_derived_relations(monkeypatch):
     assert 0 < len(calls) <= relations
 
 
-def test_a_check_added_to_a_report_reaches_no_later_caller():
-    # validate memoises the checks per model and hands each caller a report
-    # of its own
+def test_validate_memoises_one_frozen_report():
+    # the report is memoised on the model and refuses assignment, so no
+    # caller can change what a later one reads
     m = bundled_model("line-in-plane")
     report = validate(m)
-    count = len(report.checks)
-    report.add("extra", False)
-    report.checks.clear()
-    again = validate(m)
-    assert again.ok and len(again.checks) == count and again is not report
-    assert again == validate(m) and again.checks is not validate(m).checks
+    with pytest.raises(AttributeError, match="cannot assign"):
+        report.checks = ()
+    assert validate(m) is report and report.ok and len(report.checks) == 16
+
+
+# (null_pushforward, embedding) of each bundled model, and the draws of the
+# acceptance set (random_truncated_model from seed 20260823) where each holds
+BUNDLED_VANISHING = {
+    "hypersurface-d1": (False, True), "hypersurface-d2": (False, True),
+    "hypersurface-d3": (False, True), "hypersurface-d4": (False, True),
+    "line-in-plane": (False, True), "line-in-quadric": (False, True),
+    "null-pushforward": (True, False), "nullhomotopic-cp2-in-s6": (False, False),
+    "two-lines": (False, False),
+}
+DRAWS_NULL_PUSHFORWARD = [1, 3, 10, 16, 19, 28, 29, 30, 31, 36, 37, 41, 42, 43, 48]
+DRAWS_EMBEDDING = [9, 12, 30, 32, 44, 45]
+
+
+def test_a_passing_report_carries_the_pinned_vanishing_facts():
+    assert sorted(BUNDLED_VANISHING) == sorted(BUNDLED)
+    for name, flags in BUNDLED_VANISHING.items():
+        m = bundled_model(name)
+        assert vanishing(m) is None
+        report = validate(m)
+        assert report.vanishing == Vanishing(*flags) and vanishing(m) is report.vanishing
+    rng = random.Random(20260823)
+    for i in range(50):
+        m = random_truncated_model(rng, max_powers=3 if i % 5 else 4)
+        flags = Vanishing(i in DRAWS_NULL_PUSHFORWARD, i in DRAWS_EMBEDDING)
+        assert validate(m).vanishing == flags, (i, m.name)
+
+
+@settings(max_examples=80, deadline=None)
+@given(perturbed_maps())
+def test_the_vanishing_facts_are_set_exactly_when_every_check_passes(m):
+    report = validate(m)
+    if not report.ok:
+        assert report.vanishing is None and vanishing(m) is None
+        return
+    basis = [m.source.basis_class(i) for i in range(len(m.source.labels))]
+    assert report.vanishing == Vanishing(
+        all(m.pushforward(x).is_zero() for x in basis),
+        all(m.pullback(m.pushforward(x)) == m.euler * x for x in basis))
 
 
 def test_derived_normal_classes():

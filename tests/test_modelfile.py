@@ -297,11 +297,11 @@ def test_basis_index_aliases_are_refused(alias, place):
 def test_an_alias_does_not_overwrite_a_coordinate_or_an_image():
     obj = model_to_dict(bundled_model("line-in-plane"))
     obj["euler"] = {"1": "1", "01": "7"}
-    with pytest.raises(ModelFormatError, match=r"euler: bad basis index '01'"):
+    with pytest.raises(ModelFormatError, match=r"^model\.euler: bad basis index '01'"):
         model_from_dict(obj)
     obj = model_to_dict(bundled_model("line-in-plane"))
     obj["pushforward"]["00"] = {"2": "5"}
-    with pytest.raises(ModelFormatError, match=r"pushforward: bad basis index '00'"):
+    with pytest.raises(ModelFormatError, match=r"^model\.pushforward: bad basis index '00'"):
         model_from_dict(obj)
 
 
@@ -322,8 +322,43 @@ def test_a_large_basis_loads_and_an_index_past_the_basis_is_refused():
     for key in ("2", "256", "10000", "1" + "0" * 700):
         obj = model_to_dict(bundled_model("line-in-plane"))
         obj["euler"][key] = "1"
-        with pytest.raises(ModelFormatError, match="bad basis index " + re.escape(repr(key))):
+        # a key past 60 characters is shown by its start and its length
+        shown = repr(key) if len(key) <= 60 else f"{key[:60]!r}... (701 characters)"
+        with pytest.raises(ModelFormatError, match="bad basis index " + re.escape(shown)):
             model_from_dict(obj)
+
+
+CLASS_FIELDS = ["euler", "pontrjagin_source", "pontrjagin_target", "chern_source",
+                "chern_target"]
+
+
+@pytest.mark.parametrize("field", CLASS_FIELDS)
+@pytest.mark.parametrize("coords, error", [
+    ({"9": "1"}, ": bad basis index '9'; "), ({"0": "x"}, "[0]: bad rational: coordinate 'x' "),
+], ids=["index", "rational"])
+def test_a_class_error_names_its_location_once(field, coords, error):
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    obj[field] = coords
+    with pytest.raises(ModelFormatError, match="^" + re.escape(f"model.{field}{error}")) as info:
+        model_from_dict(obj)
+    assert str(info.value).count(field) == 1
+
+
+@pytest.mark.parametrize("place", ["value", "key", "product-key"])
+def test_a_long_refused_string_is_shown_by_its_start_and_length(tmp_path, capsys, place):
+    junk = "x" * 1000000
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    if place == "value":
+        obj["euler"] = {"1": junk}
+    elif place == "key":
+        obj["euler"] = {junk: "1"}
+    else:
+        obj["target"]["products"]["0," + junk] = {}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024 and "1000000 characters" in err, err[:2000]
 
 
 @pytest.mark.parametrize("place, value, where", [

@@ -8,7 +8,7 @@ import pytest
 
 from multipoint.formulas import MultipointResult, pontrjagin_number
 from multipoint.graded import RingComponent
-from multipoint.model import Check, LinearMap, ValidationReport
+from multipoint.model import Check, LinearMap, ValidationReport, Vanishing
 from multipoint.models import bundled_model
 from multipoint.oracle import OracleRun
 from multipoint.partitions import SetPartition
@@ -85,18 +85,19 @@ def test_multipoint_result_repr_past_the_int_to_str_limit():
 
 
 def test_validation_report():
-    report = ValidationReport()
-    report.add("n", False, "why")
-    report.add("m", True)
-    assert report == ValidationReport([Check("n", False, "why"), Check("m", True, "")])
-    assert ValidationReport().checks == [] and ValidationReport().checks is not report.checks
+    report = ValidationReport([Check("n", False, "why"), Check("m", True)])
+    assert report == ValidationReport((Check("n", False, "why"), Check("m", True, "")), None)
+    assert report.checks == (Check("n", False, "why"), Check("m", True)) and report.vanishing is None
+    assert report != ValidationReport(report.checks, Vanishing(False, True))
     assert not report.ok and ValidationReport(checks=[Check("m", True)]).ok
     assert report.failures() == [Check("n", False, "why")]
     assert str(report) == "[FAIL] n: why\n[ok] m"
-    assert repr(report) == ("ValidationReport(checks=[Check(name='n', ok=False, detail='why'), "
-                            "Check(name='m', ok=True, detail='')])")
-    with pytest.raises(TypeError):
-        hash(report)
+    assert repr(report) == ("ValidationReport(checks=(Check(name='n', ok=False, detail='why'), "
+                            "Check(name='m', ok=True, detail='')), vanishing=None)")
+    assert hash(report) == hash(ValidationReport(list(report.checks)))
+    for field in ("checks", "vanishing"):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(report, field, None)
 
 
 @pytest.mark.parametrize("a, b, text", [
