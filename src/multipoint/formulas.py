@@ -482,29 +482,32 @@ def euler_zero(model: ImmersionModel, k: int) -> Fraction:
     return (model.l_target * pushed ** k).integrate() / factorial(k)
 
 
-@_checked
-def pushpull_zero(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
-    """The signature or p_J when pullback(pushforward(.)) vanishes
-    identically: only the one-block partition survives, leaving
-    (-1)^(k-1) / k times the integral of euler^(k-1) * core."""
+def _one_block(model: ImmersionModel, k: int, core: Callable[[], GradedClass]) -> Fraction:
+    """(-1)^(k-1) / k times the integral of euler^(k-1) * core(), the one
+    partition term left when pullback(pushforward(.)) vanishes, which it requires."""
     _require(all(model.pushpull(model.source.basis_class(i)).is_zero()
                  for i in range(len(model.source.labels))),
              "pullback(pushforward(.)) is not identically zero")
     if _empty_locus(model, k):
         return Fraction(0)
-    return Fraction((-1) ** (k - 1), k) * (model.euler ** (k - 1) * _core(model, k, J)).integrate()
+    return Fraction((-1) ** (k - 1), k) * (model.euler ** (k - 1) * core()).integrate()
+
+
+@_checked
+def pushpull_zero(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
+    """The signature or p_J when pullback(pushforward(.)) vanishes: _one_block of _core."""
+    return _one_block(model, k, lambda: _core(model, k, J))
 
 
 @_checked
 def nullhomotopic(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
-    """The signature or p_J in the nullhomotopic normalization
-    P(normal)^-1 = P(source), which gives L(normal)^-1 = L(source) (every
-    log coefficient of L is nonzero), so the pushpull-zero formula becomes
-    a pure Euler-power formula."""
+    """Szucs's closed form: when also P(normal)^-1 = P(source), then
+    L(normal)^-1 = L(source) (every log coefficient of L is nonzero), and the
+    one-block core is L(source)^k, or for p_J the degree-J part of P(source)^k."""
     _require(model.normal_pontrjagin.invert_unital() == model.pontrjagin_source,
              "P(normal)^(-1) differs from P(source)")
-    # the arguments are checked: __wrapped__ runs no entry check again
-    return pushpull_zero.__wrapped__(model, k, J)
+    return _one_block(model, k, lambda: model.l_source ** k if J is None
+                      else (model.pontrjagin_source ** k).select_degrees(J))
 
 
 # ---------------------------------------------------------------------------

@@ -96,11 +96,25 @@ def _bad_index(i: object, n: int, what: tuple) -> GradedAlgebraError:
                               f"outside the basis 0..{n - 1}")
 
 
+def mapping_items(obj: Mapping, *what: object):
+    """obj.items(), refused by name when obj is not a mapping of what."""
+    try:
+        return obj.items()
+    except AttributeError:
+        raise GradedAlgebraError(f"expected a mapping of {' '.join(map(str, what))}, "
+                                 f"got {type(obj).__name__}") from None
+
+
 def clean_coords(coords: Mapping[int, object], n: int, *what: object) -> Coords:
     """coords on a basis of n, each value through exact, zeros dropped; a
-    key that is not an int (a bool is not) in 0..n-1 is refused."""
+    key that is not an int (a bool is not) in 0..n-1 is refused, and so is
+    a coords with no items(), caught rather than tested on this hot path."""
+    try:
+        items = coords.items()
+    except AttributeError:
+        items = mapping_items(coords, *what, "-> rational")
     out: Coords = {}
-    for i, c in coords.items():
+    for i, c in items:
         if type(i) is not int or not 0 <= i < n:
             raise _bad_index(i, n, what)
         if type(c) is not int:
@@ -167,7 +181,7 @@ class GradedRing:
 
         n = len(self.labels)
         table: Dict[Tuple[int, int], Coords] = {}
-        for key, coords in products.items():
+        for key, coords in mapping_items(products, "product key -> coordinates"):
             i, j = key if type(key) is tuple and len(key) == 2 else (None, None)
             if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n):
                 raise _bad_index(key, n, ("product key",))
@@ -628,7 +642,7 @@ class TensorClass(_Element):
         self.arity = arity
         n = len(ring.labels)
         clean: Dict[Tuple[int, ...], Scalar] = {}
-        for idx, c in terms.items():
+        for idx, c in mapping_items(terms, "tensor term -> rational"):
             c = exact(c)
             if not c:
                 continue

@@ -22,6 +22,7 @@ from .graded import (
     clean_coords,
     combine_rows,
     genus_coords,
+    mapping_items,
     power_sum_coords,
     signature_genus_log_coeffs,
 )
@@ -40,18 +41,18 @@ MAX_CLASS_DEGREE = 256
 
 class LinearMap(FrozenRecord):
     """Linear map between graded rings, given by the codomain coordinates of
-    the images of basis elements; an image may be empty."""
+    the images of basis elements; an image may be empty.  The degree it
+    raises by is its model's: 0 for the pullback, codim for the pushforward."""
 
-    __slots__ = ("domain", "codomain", "images", "degree_shift")
+    __slots__ = ("domain", "codomain", "images")
 
     def __init__(self, domain: GradedRing, codomain: GradedRing,
-                 images: Mapping[int, Mapping[int, object]], degree_shift: int = 0):
+                 images: Mapping[int, Mapping[int, object]]):
+        items = mapping_items(images, "map domain index -> image")
         basis_indices(list(images), len(domain.labels), "map domain index")
-        if type(degree_shift) is not int:
-            raise ModelError(f"degree shift must be an int, got {_shown(degree_shift)}")
         n = len(codomain.labels)
         cleaned = {}
-        for i, img in images.items():
+        for i, img in items:
             if not isinstance(img, Mapping):
                 raise GradedAlgebraError(f"image of basis index {i} is a {type(img).__name__}, "
                                          "not a mapping of index -> rational")
@@ -59,7 +60,6 @@ class LinearMap(FrozenRecord):
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "images", cleaned)
-        object.__setattr__(self, "degree_shift", degree_shift)
 
     def __call__(self, cls: GradedClass) -> GradedClass:
         if cls.ring is not self.domain and cls.ring != self.domain:
@@ -79,21 +79,18 @@ class LinearMap(FrozenRecord):
 
     @classmethod
     def from_coords(cls, domain: GradedRing, codomain: GradedRing,
-                    images: Mapping[int, Mapping[int, object]],
-                    degree_shift: int = 0) -> "LinearMap":
-        """The constructor, by its earlier name."""
-        return cls(domain, codomain, images, degree_shift)
+                    images: Mapping[int, Mapping[int, object]], *,
+                    degree_shift: object = None) -> "LinearMap":
+        """The constructor, by its earlier name.  degree_shift is not read (a
+        map holds no shift); it stays for callers written when one did."""
+        return cls(domain, codomain, images)
 
-    def respects_degrees(self) -> List[str]:
-        issues = []
-        for i, img in self.images.items():
-            want = self.domain.degrees[i] + self.degree_shift
-            for j in img:
-                if self.codomain.degrees[j] != want:
-                    issues.append(
-                        f"image of {self.domain.labels[i]} has a term of degree "
-                        f"{self.codomain.degrees[j]}, expected {want}")
-        return issues
+    def respects_degrees(self, shift: int) -> List[str]:
+        """The terms of images off their basis element's degree plus shift."""
+        return [f"image of {self.domain.labels[i]} has a term of degree "
+                f"{self.codomain.degrees[j]}, expected {self.domain.degrees[i] + shift}"
+                for i, img in self.images.items() for j in img
+                if self.codomain.degrees[j] != self.domain.degrees[i] + shift]
 
 
 class Check(NamedTuple):
@@ -146,12 +143,6 @@ class ValidationReport(FrozenRecord):
         return "\n".join(lines)
 
 
-def check_codim(codim: object) -> None:
-    """Refuse a codimension that is not a positive even int."""
-    if type(codim) is not int or codim <= 0 or codim % 2:
-        raise ModelError(f"codimension must be a positive even integer, got {_shown(codim)}")
-
-
 class ImmersionModel(Frozen):
     """The full cohomological datum of an even-codimension immersion.
 
@@ -175,7 +166,8 @@ class ImmersionModel(Frozen):
         chern_target: Optional[GradedClass] = None,
         name: str = "",
     ):
-        check_codim(codim)
+        if type(codim) is not int or codim <= 0 or codim % 2:
+            raise ModelError(f"codimension must be a positive even integer, got {_shown(codim)}")
         # each map and class on its ring, refused as the map call or the
         # class product that would meet it first
         if (pullback.domain, pushforward.domain) != (target, source) or any(
@@ -310,7 +302,7 @@ def _checks(model: ImmersionModel) -> Iterator[Check]:
     yield Check("euler class degree equals codimension", e_ok, f"euler={model.euler}")
 
     # pullback: unital degree-preserving ring homomorphism
-    issues = model.pullback.respects_degrees()
+    issues = model.pullback.respects_degrees(0)
     yield Check("pullback preserves degrees", not issues, "; ".join(issues[:3]))
     unital = model.pullback(model.target.unit()) == model.source.unit()
     yield Check("pullback is unital", unital)
@@ -333,10 +325,9 @@ def _checks(model: ImmersionModel) -> Iterator[Check]:
         for i, row in enumerate(target.rows)))
     yield Check("pullback is multiplicative", not mult_witness, mult_witness)
 
-    issues = push.respects_degrees()
-    shift_ok = push.degree_shift == model.codim and not issues
-    yield Check("pushforward raises degree by codimension", shift_ok,
-                f"shift={push.degree_shift}; " + "; ".join(issues[:3]))
+    issues = push.respects_degrees(model.codim)
+    yield Check("pushforward raises degree by codimension", not issues,
+                f"shift={model.codim}; " + "; ".join(issues[:3]))
 
     # f_!(e_i f*(e_j)) against f_!(e_i) e_j
     proj_witness = _row_witness(target, source.labels, target.labels, (

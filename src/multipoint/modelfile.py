@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .graded import GradedAlgebraError, GradedClass, GradedRing, RingComponent, Scalar, exact
-from .model import ImmersionModel, LinearMap, check_codim
+from .model import ImmersionModel, LinearMap
 from .records import _shown
 
 FORMAT_VERSION = 1
@@ -162,8 +162,7 @@ def _map_to_dict(linmap: LinearMap) -> Dict[str, Dict[str, str]]:
     return {str(i): _coords_to_json(img) for i, img in sorted(linmap.images.items())}
 
 
-def _map_from(obj, domain: GradedRing, codomain: GradedRing,
-              shift: int, where: str) -> LinearMap:
+def _map_from(obj, domain: GradedRing, codomain: GradedRing, where: str) -> LinearMap:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where}: expected an object of index -> class")
     images = {}
@@ -172,8 +171,7 @@ def _map_from(obj, domain: GradedRing, codomain: GradedRing,
         if key not in basis:
             raise _bad_index(key, basis, where)
         images[basis[key]] = _coords_from(coords, len(codomain.labels), where, key)
-    # every key and value is checked above, and shift is 0 or a checked codim
-    return LinearMap(domain, codomain, images, degree_shift=shift)
+    return LinearMap(domain, codomain, images)
 
 
 def _class_from(obj, ring: GradedRing, where: str) -> GradedClass:
@@ -224,15 +222,10 @@ def model_from_dict(obj, where: str = "model") -> ImmersionModel:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"{where}: unsupported format_version {version}")
     codim = _require(obj, "codim", where)
-    try:
-        check_codim(codim)  # before the pushforward takes it as its shift
-    except ValueError as exc:
-        raise ModelFormatError(f"{where}: {exc}") from None
     source = ring_from_dict(_require(obj, "source", where), f"{where}.source")
     target = ring_from_dict(_require(obj, "target", where), f"{where}.target")
-    pullback = _map_from(_require(obj, "pullback", where), target, source, 0,
-                         f"{where}.pullback")
-    pushforward = _map_from(_require(obj, "pushforward", where), source, target, codim,
+    pullback = _map_from(_require(obj, "pullback", where), target, source, f"{where}.pullback")
+    pushforward = _map_from(_require(obj, "pushforward", where), source, target,
                             f"{where}.pushforward")
     euler = _class_from(_require(obj, "euler", where), source, f"{where}.euler")
     p_src = _class_from(_require(obj, "pontrjagin_source", where), source,

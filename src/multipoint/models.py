@@ -62,7 +62,7 @@ def truncated_model(name: str, M: GradedRing, N: GradedRing, mu: int, lam: int,
     m = len(M.labels) - 1
     half = len(N.labels) - 1 - m
     pullback = LinearMap(N, M, {j: ({j: 1} if j <= m else {}) for j in range(m + half + 1)})
-    pushforward = LinearMap(M, N, {i: {i + half: mu} for i in range(m + 1)}, degree_shift=2 * half)
+    pushforward = LinearMap(M, N, {i: {i + half: mu} for i in range(m + 1)})
     return ImmersionModel(
         source=M, target=N, pullback=pullback, pushforward=pushforward,
         codim=2 * half,
@@ -119,7 +119,7 @@ def _nullhomotopic_cp2() -> ImmersionModel:
     M = truncated_polynomial_ring("t", 2, name="CP2")
     N = truncated_polynomial_ring("s", 1, gen_degree=6, name="S6")
     pullback = LinearMap(N, M, {0: {0: 1}, 1: {}})
-    pushforward = LinearMap(M, N, {0: {}, 1: {}, 2: {1: 1}}, degree_shift=2)
+    pushforward = LinearMap(M, N, {0: {}, 1: {}, 2: {1: 1}})
     return ImmersionModel(
         source=M, target=N, pullback=pullback, pushforward=pushforward,
         codim=2,
@@ -140,7 +140,7 @@ def _line_in_quadric() -> ImmersionModel:
          (1, 1): {}, (1, 2): {3: 1}, (2, 2): {}, (1, 3): {}, (2, 3): {}, (3, 3): {}},
         {3: 1}, name="CP1xCP1")
     pullback = LinearMap(N, M, {0: {0: 1}, 1: {1: 1}, 2: {}, 3: {}})
-    pushforward = LinearMap(M, N, {0: {2: 1}, 1: {3: 1}}, degree_shift=2)
+    pushforward = LinearMap(M, N, {0: {2: 1}, 1: {3: 1}})
     return ImmersionModel(
         source=M, target=N, pullback=pullback, pushforward=pushforward,
         codim=2,

@@ -91,8 +91,6 @@ def disjoint_union(models: Sequence[ImmersionModel], name: str = "") -> Immersio
             pull_images[j].update((i + off, c) for i, c in img.items())
         for i, img in m.pushforward.images.items():
             push_images[i + off] = img
-    pullback = LinearMap(target, source, pull_images, degree_shift=0)
-    pushforward = LinearMap(source, target, push_images, degree_shift=models[0].codim)
 
     euler = _block_class(source, [m.euler for m in models], offsets)
     p_src = _block_class(source, [m.pontrjagin_source for m in models], offsets)
@@ -104,8 +102,8 @@ def disjoint_union(models: Sequence[ImmersionModel], name: str = "") -> Immersio
     return ImmersionModel(
         source=source,
         target=target,
-        pullback=pullback,
-        pushforward=pushforward,
+        pullback=LinearMap(target, source, pull_images),
+        pushforward=LinearMap(source, target, push_images),
         codim=models[0].codim,
         euler=euler,
         pontrjagin_source=p_src,

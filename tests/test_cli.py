@@ -203,7 +203,7 @@ def test_power_sums_beyond_the_class_degrees_fail_validation(tmp_path, capsys):
     M = truncated_polynomial_ring("a", 20, gen_degree=256)
     N = truncated_polynomial_ring("H", 21, gen_degree=256)
     pull = LinearMap.from_coords(N, M, {j: ({j: 1} if j <= 20 else {}) for j in range(22)})
-    push = LinearMap.from_coords(M, N, {i: {i + 1: 1} for i in range(21)}, degree_shift=256)
+    push = LinearMap.from_coords(M, N, {i: {i + 1: 1} for i in range(21)})
     m = ImmersionModel(M, N, pull, push, 256, M.element({1: 1}), M.element({0: 1, 1: 1}),
                        N.unit(), name="deep")
     path = tmp_path / "deep.json"

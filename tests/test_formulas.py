@@ -366,11 +366,14 @@ def _m12_model():
     return m
 
 
-def _kernel_calls(monkeypatch):
+def _kernel_calls(monkeypatch, models):
     """Count the ring products and map calls from here on, and fail any map
     call on a zero dict or on one whose image lies above the codomain's
-    largest degree."""
+    largest degree; a map is one of the models', which raises its degree by
+    0 (pullback) or by the codimension (pushforward)."""
     calls = {"mul": 0, "map": 0}
+    shifts = {id(m.pullback): 0 for m in models}
+    shifts.update((id(m.pushforward), m.codim) for m in models)
     mul_coords, apply_coords = GradedRing.mul_coords, LinearMap.apply_coords
 
     def counted_mul(ring, a, b):
@@ -381,7 +384,7 @@ def _kernel_calls(monkeypatch):
         calls["map"] += 1
         assert coords, "a zero class was mapped"
         lowest = min(linmap.domain.degrees[i] for i in coords)
-        assert lowest + linmap.degree_shift <= linmap.codomain.max_degree, \
+        assert lowest + shifts[id(linmap)] <= linmap.codomain.max_degree, \
             "a class was mapped whose image lies above the top degree"
         return apply_coords(linmap, coords)
 
@@ -397,7 +400,7 @@ def test_transfer_on_an_empty_locus_does_no_work(monkeypatch):
     for m in [bundled_model(name) for name in BUNDLED] + [_m12_model()]:
         k = max(m.source.max_degree, m.target.max_degree) // m.codim + 2
         cases.append((m, k, [m.l_source] + [m.l_normal_inverse] * (k - 1)))
-    calls = _kernel_calls(monkeypatch)
+    calls = _kernel_calls(monkeypatch, [m for m, _, _ in cases])
     for m, k, factors in cases:
         assert all(d < 0 for d in multiple_point_dimension(m, k))
         for to_target in (False, True):
@@ -416,7 +419,7 @@ def test_transfer_maps_no_zero_or_vanishing_block(monkeypatch):
              for m in models for k in range(1, 8)]
     cases += [(m, [m.l_source] + [m.l_normal_inverse] * (k - 1))
               for m in models for k in range(1, 8)]
-    calls = _kernel_calls(monkeypatch)
+    calls = _kernel_calls(monkeypatch, models)
     for m, factors in cases:
         for to_target in (False, True):
             signatures._transfer(m, factors, to_target)
@@ -429,7 +432,7 @@ def test_transfer_products_stay_within_the_subset_bound(monkeypatch):
     rng = random.Random(31)
     cases = [[_random_class(rng, m.source) for _ in range(k)] for k in range(1, 9)]
     cases += [[m.l_source] + [m.l_normal_inverse] * (k - 1) for k in range(1, 9)]
-    calls = _kernel_calls(monkeypatch)
+    calls = _kernel_calls(monkeypatch, [m])
     for factors in cases:
         k = len(factors)
         for to_target in (False, True):
@@ -1166,7 +1169,7 @@ def juxtaposed(models):
     ring_of = {name: target if name.endswith("target") else source for name in blocks}
     classes = {name: ring_of[name].element(coords) for name, coords in blocks.items()}
     return ImmersionModel(source, target, LinearMap.from_coords(target, source, pull),
-                          LinearMap.from_coords(source, target, push, models[0].codim),
+                          LinearMap.from_coords(source, target, push),
                           models[0].codim, name="juxtaposed", **classes)
 
 
@@ -1269,7 +1272,7 @@ def _complex_dimension_20_model():
     M = truncated_polynomial_ring("t", 20, integral_value=1)
     N = truncated_polynomial_ring("h", 21, integral_value=1)
     pull = LinearMap.from_coords(N, M, {j: ({j: 1} if j <= 20 else {}) for j in range(22)})
-    push = LinearMap.from_coords(M, N, {i: {i + 1: 1} for i in range(21)}, degree_shift=2)
+    push = LinearMap.from_coords(M, N, {i: {i + 1: 1} for i in range(21)})
 
     def total(ring, step):
         return ring.element({0: 1, **{i: rng.randint(-4, 4) for i, d in enumerate(ring.degrees)
@@ -1766,6 +1769,21 @@ def test_nullhomotopic_special_case():
         if dims[0] >= 0 and dims[0] % 4 == 0:
             assert nullhomotopic(m, k, [dims[0]]) == pontrjagin_number(
                 m, k, [dims[0]]).value
+
+
+def test_nullhomotopic_evaluates_the_closed_form(monkeypatch):
+    # (-1)^(k-1)/k times the integral of e^(k-1) L(M)^k, and for p_J the
+    # degree-J part of P(M)^k: neither the pushpull-zero route nor its core runs
+    m = bundled_model("nullhomotopic-cp2-in-s6")
+    want = [signature(m, k, route="auto") for k in range(1, 6)]
+    want_p = pontrjagin_number(m, 1, [4]).value
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the general core was evaluated")
+    monkeypatch.setattr(formulas, "pushpull_zero", unavailable)
+    monkeypatch.setattr(formulas, "_core", unavailable)
+    assert [nullhomotopic(m, k) for k in range(1, 6)] == want == [1, 0, 3, 0, 0]
+    assert nullhomotopic(m, 1, [4]) == want_p == 3
 
 
 def test_nullhomotopic_precondition():

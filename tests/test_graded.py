@@ -641,3 +641,18 @@ def _cp2():
 def test_ring_rejects_indices_outside_basis(build):
     with pytest.raises(GradedAlgebraError, match="outside the basis"):
         build()
+
+
+# each raised AttributeError on .items() of the container
+@pytest.mark.parametrize("build, container", [
+    (lambda m: m.source.element([1]), "coordinate index -> rational, got list"),
+    (lambda m: m.source.element(5), "coordinate index -> rational, got int"),
+    (lambda m: LinearMap(m.target, m.source, [0]), "map domain index -> image, got list"),
+    (lambda m: GradedRing(["1"], [0], {}, [1]), "integral index -> rational, got list"),
+    (lambda m: GradedRing(["1"], [0], [1], {}), "product key -> coordinates, got list"),
+    (lambda m: TensorClass(m.source, 1, [1]), "tensor term -> rational, got list"),
+], ids=["class-list", "class-int", "map-images-list", "ring-integral-list",
+        "ring-products-list", "tensor-terms-list"])
+def test_a_container_that_is_not_a_mapping_is_refused_by_name(build, container):
+    with pytest.raises(GradedAlgebraError, match=f"^expected a mapping of {container}$"):
+        build(bundled_model("line-in-plane"))

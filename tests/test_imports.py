@@ -85,6 +85,7 @@ UNREAD = {
     "formulas.euler_zero": "special-case evaluator, kept until auto runs the special cases",
     "formulas.nullhomotopic": "special-case evaluator, kept until auto runs the special cases",
     "formulas.pulled_from_target": "special-case evaluator, kept until auto runs the special cases",
+    "formulas.pushpull_zero": "special-case evaluator, kept until auto runs the special cases",
     "formulas.pulled_from_target_class":
         "special-case evaluator, kept until auto runs the special cases",
     "oracle.transfer_to_target_enumerated": "oracle entry point that tests compare against",

@@ -184,7 +184,7 @@ def junk_calls(draw):
     kind = draw(st.sampled_from([
         "degree", "top_degree", "component_top", "component_index", "product_key",
         "product_slot", "product_value", "integral", "unit", "class", "tensor_slot",
-        "tensor_arity", "map_domain", "map_codomain", "map_image", "map_shift", "codim",
+        "tensor_arity", "map_domain", "map_codomain", "map_image", "codim",
         "model_class_ring", "model_map_ring", "select_degrees", "power"]))
     args = _ring_args(m)
     fields = dict(source=m.source, target=m.target, pullback=m.pullback,
@@ -239,9 +239,6 @@ def junk_calls(draw):
         junk = draw(st.one_of(st.sampled_from([ring, other.target, other.source]).map(
             lambda r: r.unit()), NOT_INT, st.none(), st.lists(st.integers(0, 2), max_size=2)))
         return kind, junk, lambda: LinearMap(ring, ring, {0: junk})
-    elif kind == "map_shift":
-        junk = draw(NOT_INT)
-        return kind, junk, lambda: LinearMap(ring, ring, {}, junk)
     elif kind == "select_degrees":
         junk = draw(BAD_DEGREE.filter(lambda d: d is not None))
         x = draw(st.sampled_from([m.pontrjagin_target, cross([m.pontrjagin_target] * 2)]))
@@ -273,8 +270,8 @@ def junk_calls(draw):
 @given(junk_calls())
 def test_constructors_refuse_junk_with_their_own_errors(call):
     # a float, bool, string, negative or past-the-basis index, a degree or
-    # codimension that is not an int of the right parity, a shift or power
-    # that is not an int, a map image that is not a coordinate mapping, and
+    # codimension that is not an int of the right parity, a power that is
+    # not an int, a map image that is not a coordinate mapping, and
     # a class or map of another ring are each
     # refused by the constructor or operator; whatever one let through is
     # printed and validated, as a user of it would

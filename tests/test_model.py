@@ -56,17 +56,6 @@ def test_odd_codimension_rejected():
                            m.euler, m.pontrjagin_source, m.pontrjagin_target)
 
 
-@pytest.mark.parametrize("shift", ["2", 2.0, True, None, Fraction(2)],
-                         ids=["str", "float", "bool", "none", "fraction"])
-def test_a_degree_shift_that_is_not_an_int_is_refused(shift):
-    # validate raised TypeError on it, in LinearMap.respects_degrees
-    m = bundled_model("line-in-plane")
-    with pytest.raises(ModelError, match="degree shift must be an int"):
-        LinearMap(m.source, m.target, m.pushforward.images, shift)
-    with pytest.raises(ModelError, match="degree shift must be an int"):
-        LinearMap.from_coords(m.source, m.target, {}, shift)
-
-
 def test_a_model_refuses_field_assignment():
     # a model is a value: the classes memoised for it, and the one model
     # load_model shares between the loaders of a file, stay true of it
@@ -107,7 +96,7 @@ def _swapped(m, **changes):
     (lambda m, o: dict(target=o.target), ModelError, "not in the domain"),
     (lambda m, o: dict(pullback=LinearMap(m.target, o.source, {})), GradedAlgebraError,
      "different rings"),
-    (lambda m, o: dict(pushforward=LinearMap(m.source, o.target, {}, 2)), GradedAlgebraError,
+    (lambda m, o: dict(pushforward=LinearMap(m.source, o.target, {})), GradedAlgebraError,
      "different rings"),
     (lambda m, o: dict(pullback=LinearMap(m.target, m.source, {0: m.source.unit()})),
      GradedAlgebraError, "image of basis index 0 is a GradedClass, not a mapping"),
@@ -124,8 +113,7 @@ def test_maps_and_classes_off_their_ring_are_refused(change, error, match):
 def test_validation_catches_broken_projection_formula():
     m = bundled_model("line-in-plane")
     # pushforward sending t to 0 breaks the projection formula on (1, h)
-    bad_push = LinearMap.from_coords(m.source, m.target, {0: {1: 1}, 1: {}},
-                                     degree_shift=2)
+    bad_push = LinearMap.from_coords(m.source, m.target, {0: {1: 1}, 1: {}})
     broken = ImmersionModel(m.source, m.target, m.pullback, bad_push, 2,
                             m.euler, m.pontrjagin_source, m.pontrjagin_target)
     report = validate(broken)
@@ -135,6 +123,20 @@ def test_validation_catches_broken_projection_formula():
         ("integration compatibility", "on t: 0 != 1"),
     ]
     assert report.vanishing is None and vanishing(broken) is None
+
+
+def test_degree_checks_name_each_term_off_its_degree():
+    # the pullback keeps degrees and the pushforward raises them by the
+    # model's codimension: no map carries a shift of its own
+    m = bundled_model("line-in-plane")
+    pull = LinearMap(m.target, m.source, {0: {0: 1, 1: 2}, 1: {1: 1}, 2: {}})
+    push = LinearMap(m.source, m.target, {0: {0: 1, 1: 1}, 1: {2: 1}})
+    broken = ImmersionModel(m.source, m.target, pull, push, 2,
+                            m.euler, m.pontrjagin_source, m.pontrjagin_target)
+    failures = {c.name: c.detail for c in validate(broken).failures()}
+    assert failures["pullback preserves degrees"] == "image of 1 has a term of degree 2, expected 0"
+    assert failures["pushforward raises degree by codimension"] == \
+        "shift=2; image of 1 has a term of degree 0, expected 2"
 
 
 def test_integration_compatibility_is_checked_below_the_top_degree():
@@ -253,8 +255,7 @@ def _rebased(m: ImmersionModel, draw) -> ImmersionModel:
     pullback = LinearMap.from_coords(
         target, source, {j: on_source(m.pullback.apply_coords(t)) for j, t in enumerate(T)})
     pushforward = LinearMap.from_coords(
-        source, target, {i: on_target(m.pushforward.apply_coords(b)) for i, b in enumerate(S)},
-        m.pushforward.degree_shift)
+        source, target, {i: on_target(m.pushforward.apply_coords(b)) for i, b in enumerate(S)})
     return ImmersionModel(source, target, pullback, pushforward, m.codim,
                           source.element(on_source(m.euler.coords)),
                           source.element(on_source(m.pontrjagin_source.coords)),
@@ -305,7 +306,7 @@ def perturbed_maps(draw):
                                                  st.integers(0, len(codomain.labels) - 1),
                                                  value), max_size=3)):
             images[i][idx] = v
-        return LinearMap.from_coords(domain, codomain, images, linmap.degree_shift)
+        return LinearMap.from_coords(domain, codomain, images)
 
     return ImmersionModel(source, target, overwritten(m.pullback, target, source),
                           overwritten(m.pushforward, source, target), m.codim, m.euler,
@@ -330,7 +331,7 @@ def test_models_round_trip_through_a_file(m):
     assert ((back.source, back.target, back.codim, back.name)
             == (m.source, m.target, m.codim, m.name))
     for a, b in ((back.pullback, m.pullback), (back.pushforward, m.pushforward)):
-        assert (dict(a.images), a.degree_shift) == (dict(b.images), b.degree_shift)
+        assert dict(a.images) == dict(b.images)
     assert ((back.euler, back.pontrjagin_source, back.pontrjagin_target)
             == (m.euler, m.pontrjagin_source, m.pontrjagin_target))
 

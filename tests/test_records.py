@@ -51,13 +51,15 @@ def test_special_series():
 def test_linear_map():
     m = bundled_model("line-in-plane")
     a = LinearMap(m.target, m.source, m.pullback.images)
-    b = LinearMap(domain=m.target, codomain=m.source, images=m.pullback.images, degree_shift=0)
-    assert a == b == m.pullback and a.degree_shift == 0
-    assert a != LinearMap(m.target, m.source, m.pullback.images, 2)
+    b = LinearMap(domain=m.target, codomain=m.source, images=m.pullback.images)
+    assert a == b == m.pullback
+    assert a != LinearMap(m.target, m.source, {0: {0: 1}})
+    assert a != LinearMap(m.target, m.target, m.pullback.images)
+    assert LinearMap.__slots__ == ("domain", "codomain", "images")
     assert repr(a).startswith("LinearMap(domain=GradedRing(CP2, top=4), codomain=GradedRing(")
-    assert repr(a).endswith(", degree_shift=0)")
+    assert repr(a).endswith(", images={0: {0: 1}, 1: {1: 1}, 2: {}})")
     with pytest.raises(AttributeError, match="cannot assign"):
-        a.degree_shift = 2
+        a.images = {}
     with pytest.raises(TypeError):  # images is a dict, as with the frozen dataclass
         hash(a)
 

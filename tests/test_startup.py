@@ -173,6 +173,20 @@ def test_the_benchmark_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_benchmark_model_builders_run():
+    # the harness builds models through the library's constructors (a seed
+    # other than the default redraws the acceptance models): a constructor
+    # change that breaks it fails here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, BENCHMARKS]))
+    code = ("from multipoint.model import validate\n"
+            "import wide, workloads\n"
+            "built = [wide.wide_model(*workloads.wide_params(7, workloads.WIDE_SLOTS)[0]),\n"
+            "         *workloads.acceptance_random_models(7)]\n"
+            "print(sum(validate(m).ok for m in built), len(built))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "51 51\n"), proc.stderr
+
+
 def test_no_module_imports_dataclasses():
     bare = _loaded_modules("")
     modules = [p.stem for p in Path(multipoint.__file__).parent.glob("*.py")
