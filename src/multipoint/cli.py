@@ -8,9 +8,10 @@ disagreement, 2 invalid model, 3 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 # No package module is imported here, so that each command compiles only
 # the modules it runs: examples none (it prints MODEL_NOTES), validate the
@@ -19,7 +20,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 # model file reader, identities the oracle and the series algebra, and
 # --json adds json.
 if TYPE_CHECKING:
-    from .graded import GradedClass
     from .model import ImmersionModel
 
 EXIT_OK = 0
@@ -47,21 +47,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class _RouteNames:
-    """The --route choices, read from the signature route registry only when
-    argparse checks or lists them, so that building the parser for validate
-    or examples does not import the signature kernel."""
-
-    @staticmethod
-    def _names() -> Tuple[str, ...]:
-        from .signatures import SIGNATURE_ROUTES
-        return (*SIGNATURE_ROUTES, "auto")
-
-    def __contains__(self, name) -> bool:
-        return name in self._names()
-
-    def __iter__(self):
-        return iter(self._names())
+def _int(text: str) -> int:
+    """int(text), refused with the text shown short, as argparse would not."""
+    try:
+        return int(text)
+    except ValueError:
+        from .records import _shown  # only a refusal reads it: examples loads no ring
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
 
 
 class CliError(Exception):
@@ -77,8 +69,10 @@ def _resolve_model(ref: str) -> ImmersionModel:
         from .models import bundled_model
         return bundled_model(ref)
     path = Path(ref)
-    if not path.exists():
-        raise CliError(f"{ref}: not a bundled model name or an existing file", EXIT_INVALID_MODEL)
+    if not os.path.exists(path):  # False, where Path.exists raises, on a name too long
+        from .records import _shown
+        raise CliError(f"{_shown(ref, str)}: not a bundled model name or an existing file",
+                       EXIT_INVALID_MODEL)
     from .modelfile import ModelFormatError, load_model
     try:
         return load_model(path)
@@ -91,24 +85,24 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _class_json(cls: GradedClass) -> dict:
-    return {cls.ring.labels[i]: str(c) for i, c in sorted(cls.coords.items())}
-
-
-def _parse_quantity(text: str) -> Tuple[str, Optional[Tuple[int, ...]]]:
-    if text in ("signature", "bk"):
-        return text, None
-    for prefix in ("pontrjagin", "chern"):
-        if text.startswith(prefix + "="):
-            body = text[len(prefix) + 1:]
-            try:
-                J = tuple(int(p) for p in body.split(",")) if body else ()
-            except ValueError:
-                raise CliError(f"bad index sequence {body!r} in --quantity", EXIT_USAGE) from None
-            return prefix, J
-    raise CliError(
-        f"unknown quantity {text!r}; expected signature, bk, pontrjagin=J or chern=J",
-        EXIT_USAGE)
+def _parse_quantity(text: str, route: str) -> Tuple[str, Optional[Tuple[int, ...]]]:
+    """The name in signatures.QUANTITIES and the index sequence J (None if
+    it reads none) of a --quantity text, its --route checked in the table."""
+    from .records import _shown
+    from .signatures import QUANTITIES
+    name, eq, body = text.partition("=")
+    if name not in QUANTITIES or QUANTITIES[name][1] != bool(eq):
+        forms = [f"{q}=J" if reads_J else q for q, (_, reads_J) in QUANTITIES.items()]
+        raise CliError(f"unknown quantity {_shown(text)}; expected {', '.join(forms[:-1])} "
+                       f"or {forms[-1]}", EXIT_USAGE)
+    try:
+        J = tuple(int(p) for p in body.split(",")) if body else ()
+    except ValueError:
+        raise CliError(f"bad index sequence {_shown(body)} in --quantity", EXIT_USAGE) from None
+    if route not in QUANTITIES[name][0]:
+        raise CliError(f"--route {_shown(route, str)} applies not to --quantity {_shown(text, str)}; "
+                       f"expected one of {', '.join(QUANTITIES[name][0])}", EXIT_USAGE)
+    return name, J if eq else None
 
 
 # ---------------------------------------------------------------------------
@@ -133,58 +127,36 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compute(args) -> int:
+    from .graded import GradedClass
     from .model import validate
-    from .signatures import RouteDisagreement, multiple_point_dimension, zero_warning
-    kind, J = _parse_quantity(args.quantity)
-    if kind != "signature" and args.route != "auto":
-        raise CliError(f"--route {args.route} applies to the signature only, "
-                       f"not to --quantity {args.quantity}", EXIT_USAGE)
+    from .signatures import RouteDisagreement, evaluate, multiple_point_dimension
+    quantity, J = _parse_quantity(args.quantity, args.route)
     model = _resolve_model(args.model)
     report = validate(model)
     if not report.ok:
         for check in report.failures():
             print(f"invalid model: {check.name}: {check.detail}", file=sys.stderr)
         return EXIT_INVALID_MODEL
-    k = args.k
-    warnings: List[str] = []
-    out = {"model": model.name or args.model, "k": k, "quantity": args.quantity,
-           "route": args.route}
     try:
-        # each evaluator is read from the package's exports, as a library
-        # caller reads it (the benchmark tracer wraps those names)
-        if kind == "signature":
-            from . import signature
-            out["value"] = str(signature(model, k, route=args.route))
-            text = out["value"]
-        elif kind == "bk":
-            from . import virtual_signature_class
-            cls = virtual_signature_class(model, k)
-            out["value"] = _class_json(cls)
-            text = repr(cls)
-        else:
-            from . import chern_number, pontrjagin_number
-            res = (pontrjagin_number if kind == "pontrjagin" else chern_number)(model, k, J)
-            warnings.extend(res.warnings)
-            out["value"] = str(res.value)
-            text = out["value"]
+        result = evaluate(model, args.k, quantity, J, args.route)
     except RouteDisagreement as exc:
         print(f"route disagreement: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if kind in ("signature", "bk"):  # a characteristic number carries its warnings
-        why = zero_warning(model, k)
-        if why is not None:
-            warnings.append(why)
-    out["dimension"] = list(multiple_point_dimension(model, k))
-    out["warnings"] = warnings
-    for w in warnings:
+    value = result.value  # --json shows a class by its coordinates, by basis label
+    shown = ({value.ring.labels[i]: str(c) for i, c in sorted(value.coords.items())}
+             if isinstance(value, GradedClass) else str(value))
+    for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.json:
-        _print_json(out)
+        _print_json({"model": model.name or args.model, "k": args.k, "quantity": args.quantity,
+                     "route": args.route, "value": shown,
+                     "dimension": list(multiple_point_dimension(model, args.k)),
+                     "warnings": result.warnings})
     else:
-        print(text)
+        print(value)
     return EXIT_OK
 
 
@@ -226,17 +198,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="compute a multiple-point quantity")
     p.add_argument("model", help="bundled model name or JSON file path")
-    p.add_argument("--k", type=int, required=True, help="multiplicity (k >= 1)")
+    p.add_argument("--k", type=_int, required=True, help="multiplicity (k >= 1)")
     p.add_argument("--quantity", required=True,
                    help="signature | bk | pontrjagin=J | chern=J (J comma-separated degrees)")
-    # a metavar, or add_argument would list the choices, importing the formulas
-    p.add_argument("--route", choices=_RouteNames(), default="auto", metavar="ROUTE",
-                   help="signature route: %(choices)s (default %(default)s)")
+    p.add_argument("--route", default="auto",
+                   help="a route of the quantity (default %(default)s: all, in exact agreement)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("identities", help="run the internal identity and oracle suites")
-    p.add_argument("--max-k", type=int, default=5,
+    p.add_argument("--max-k", type=_int, default=5,
                    help="largest multiplicity checked; every suite caps it, the oracle "
                         "suites at 6 or below and the series order at 12")
     p.add_argument("--json", action="store_true")
@@ -250,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:

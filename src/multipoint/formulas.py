@@ -3,8 +3,9 @@ evaluators of the k-tuple point manifolds.
 
 The signature kernel (the entry checks, the transfer kernel, the
 collected chain, the four signature routes and the virtual signature
-class) lives in ``signatures``, so that a signature query compiles none of
-this module.  The names of it that the benchmark harness reads from here,
+class), with ``evaluate`` and its record, ``MultipointResult``, lives in
+``signatures``, so that a signature query compiles none of this module.
+The names of it that the benchmark harness reads from here,
 the route table, ``signature``, the four routes and
 ``virtual_signature_class``, are bound here too, as the same objects.
 Everything is exact rational arithmetic.
@@ -19,8 +20,8 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 from . import signatures
 from .graded import Coords, GradedClass, Scalar, TensorClass, cross, exact
 from .model import ImmersionModel, LinearMap, ModelError
-from .records import Record
 from .signatures import (
+    MultipointResult,
     _checked,
     _empty_locus,
     _genus,
@@ -38,20 +39,6 @@ globals().update({name: getattr(signatures, name) for name in """SIGNATURE_ROUTE
 
 class PreconditionError(ModelError):
     """A special-case evaluator was invoked outside its hypothesis."""
-
-
-class MultipointResult(Record):
-    """One computed multiple-point quantity, with bookkeeping for reports."""
-
-    __slots__ = ("k", "kind", "value", "dimension", "warnings")
-
-    def __init__(self, k: int, kind: str, value: object, dimension: Optional[int] = None,
-                 warnings: Optional[List[str]] = None):
-        self.k = k
-        self.kind = kind
-        self.value = value  # Fraction or GradedClass
-        self.dimension = dimension
-        self.warnings = [] if warnings is None else warnings
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """The signature kernel: the entry checks, the one rule for a value known
 to be 0 (``zero_warning``), the transfer kernel, the collected chain, the
-four signature routes and the virtual signature class.
+four signature routes, the virtual signature class, and ``evaluate``, the
+one entry point for every quantity of ``QUANTITIES``, with its record.
 
 This is all that a signature or virtual-class query runs; the genera,
 characteristic numbers, tensor transfers and special cases live in
-``formulas``, and a disjoint union of components in ``union``, so such a
-query compiles neither.
+``formulas``, imported by ``evaluate`` for a number only, and a disjoint
+union of components in ``union``, so such a query compiles neither.
 
 Partition sums over an arbitrary tensor argument run as a recursion over
 the subsets of {1,...,k} that splits off the block of the smallest point,
@@ -30,11 +31,25 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from .graded import (Coords, GradedAlgebraError, GradedClass, Scalar, TensorClass, _divide, exact,
                      log_coefficient)
 from .model import ImmersionModel, ModelError, vanishing
-from .records import _shown
+from .records import Record, _shown
 
 
 class RouteDisagreement(ArithmeticError):
     """Two routes that must agree exactly produced different values."""
+
+
+class MultipointResult(Record):
+    """One computed multiple-point quantity, with bookkeeping for reports."""
+
+    __slots__ = ("k", "kind", "value", "dimension", "warnings")
+
+    def __init__(self, k: int, kind: str, value: object, dimension: Optional[int] = None,
+                 warnings: Optional[List[str]] = None):
+        self.k = k
+        self.kind = kind
+        self.value = value  # Fraction or GradedClass
+        self.dimension = dimension
+        self.warnings = [] if warnings is None else warnings
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +96,11 @@ def _route_name(route: object) -> None:
         raise ValueError(f"unknown signature route {_shown(route)}")
 
 
+def _quantity(quantity: object) -> None:
+    if not isinstance(quantity, str) or quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {_shown(quantity)}; expected one of {', '.join(QUANTITIES)}")
+
+
 def _chern(chern: object) -> None:
     if type(chern) is not bool:
         raise ValueError(f"chern must be a bool, got {_shown(chern)}")
@@ -95,7 +115,7 @@ def _log_coeffs(log_coeffs: object) -> None:
 
 # a check's parameters after the first name the arguments it also reads
 _ENTRY_CHECKS = {
-    "model": _model, "k": _k, "J": _J, "route": _route_name,
+    "model": _model, "k": _k, "J": _J, "route": _route_name, "quantity": _quantity,
     "chern": _chern, "log_coeffs": _log_coeffs,
     "x": lambda x, model, k: _tensor("x", x, k, model.source, "source"),
     "y": lambda y, model, k: _tensor("y", y, k, model.target, "target"),
@@ -494,3 +514,26 @@ def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
             f"collected {collected} vs enumerated {enumerated}")
     return collected
 
+
+# quantity -> (the routes a caller can name, "auto" among them, whether it reads J)
+QUANTITIES = {"signature": ((*SIGNATURE_ROUTES, "auto"), False), "bk": (("auto",), False),
+              "pontrjagin": (("auto",), True), "chern": (("auto",), True)}
+
+
+@_checked
+def evaluate(model: ImmersionModel, k: int, quantity: str, J: Optional[Sequence[int]] = None,
+             route: str = "auto") -> MultipointResult:
+    """The quantity at k as one record, with the route and J that QUANTITIES
+    allows it.  signature and virtual_signature_class build no record."""
+    routes, reads_J = QUANTITIES[quantity]
+    if route not in routes or reads_J != (J is not None):
+        raise ValueError(f"{quantity} takes {'an' if reads_J else 'no'} index sequence J "
+                         f"and one of the routes {', '.join(routes)}")
+    if reads_J:
+        from . import formulas  # a signature or bk query compiles none of it
+        return formulas._characteristic_number(model, k, J, chern=quantity == "chern")
+    value = (signature.__wrapped__(model, k, route) if quantity == "signature"
+             else virtual_signature_class.__wrapped__(model, k))
+    dims, why = multiple_point_dimension.__wrapped__(model, k), zero_warning.__wrapped__(model, k)
+    return MultipointResult(k, quantity, value, dims[0] if len(dims) == 1 else None,
+                            [] if why is None else [why])

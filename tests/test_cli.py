@@ -335,6 +335,62 @@ def test_compute_route_with_other_quantity_exits_3(capsys, quantity):
     assert code == 0
 
 
+def test_an_unknown_route_exits_3_naming_the_routes_of_its_quantity(capsys):
+    # one check, against signatures.QUANTITIES, for every quantity
+    code, out, err = run(capsys, "compute", "two-lines", "--k", "2",
+                         "--quantity", "signature", "--route", "bogus")
+    assert (code, out) == (3, "")
+    assert err == ("error: --route bogus applies not to --quantity signature; expected one of "
+                   "general, via-N, collected, collected-source, auto\n")
+    code, out, err = run(capsys, "compute", "two-lines", "--k", "2",
+                         "--quantity", "chern=2", "--route", "collected")
+    assert (code, out) == (3, "")
+    assert err == ("error: --route collected applies not to --quantity chern=2; "
+                   "expected one of auto\n")
+
+
+def run_to_exit(capsys, *argv):
+    """run, with argparse's SystemExit read as the exit code."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("length", [256, 5000])
+@pytest.mark.parametrize("command", ["validate", "compute"])
+def test_a_long_model_reference_exits_2_with_a_short_message(capsys, command, length):
+    # a name too long for the file system is not an existing file
+    extra = ["--k", "1", "--quantity", "signature"] if command == "compute" else []
+    code, out, err = run_to_exit(capsys, command, "m" * length, *extra)
+    assert (code, out) == (2, "")
+    assert f"({length} characters): not a bundled model name or an existing file" in err
+    assert all(len(line) < 200 for line in err.splitlines()), err[:300]
+
+
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "two-lines", "--k", "2", "--quantity", LONG],
+    ["compute", "two-lines", "--k", "2", "--quantity", "pontrjagin=" + "4" * 5000],
+    ["compute", "two-lines", "--k", "2", "--quantity", "pontrjagin=" + "4," * 2000 + "4",
+     "--route", "general"],
+    ["compute", "two-lines", "--k", "2", "--quantity", "signature", "--route", LONG],
+    ["compute", "two-lines", "--k", "4" * 5000, "--quantity", "signature"],
+    ["compute", "two-lines", "--k", LONG, "--quantity", "signature"],
+    ["identities", "--max-k", "x" * 3000],
+], ids=["quantity", "index-sequence", "quantity-of-a-route", "route", "k-digits", "k-text",
+        "max-k"])
+def test_a_long_refused_argument_is_shown_short(capsys, argv):
+    code, out, err = run_to_exit(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "characters)" in err
+    assert all(len(line) < 200 for line in err.splitlines()), err[:300]
+
+
 def test_compute_invalid_model_exits_2(tmp_path, capsys):
     obj = model_to_dict(bundled_model("line-in-plane"))
     obj["euler"] = {"0": "1"}
@@ -365,7 +421,8 @@ def test_a_pushed_class_below_the_top_degree_with_an_integral_exits_2(tmp_path, 
 
 
 @pytest.mark.parametrize("extra", [["--quantity", "bogus"],
-                                   ["--quantity", "bk", "--route", "general"]])
+                                   ["--quantity", "bk", "--route", "general"],
+                                   ["--quantity", "signature", "--route", "bogus"]])
 def test_compute_usage_error_precedes_validation(tmp_path, capsys, extra):
     # the usage error is reported, not the invalid model behind it
     obj = model_to_dict(bundled_model("line-in-plane"))

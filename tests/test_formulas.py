@@ -721,6 +721,70 @@ def test_signature_invalid_k():
         signature(bundled_model("line-in-plane"), 1, route="bogus")
 
 
+def test_evaluate_gives_the_value_of_each_public_function_with_its_warnings():
+    # every quantity on every bundled model at k = 1..6: the signature by
+    # each route, bk, and each number of a J whose degree sum is a k-tuple
+    # dimension; the warnings are zero_warning's reason for the signature
+    # and bk, and the number's own, as compute prints them
+    MultipointResult = signatures.MultipointResult
+    numbers, nonzero = 0, 0
+    for name in sorted(BUNDLED):
+        m = bundled_model(name)
+        assert validate(m).ok
+        for k in range(1, 7):
+            dims = multiple_point_dimension(m, k)
+            dim = dims[0] if len(dims) == 1 else None
+            zero = [] if (why := zero_warning(m, k)) is None else [why]
+            for route in (*SIGNATURE_ROUTES, "auto"):
+                assert signatures.evaluate(m, k, "signature", route=route) == MultipointResult(
+                    k, "signature", signature(m, k, route=route), dim, zero), (name, k, route)
+            assert signatures.evaluate(m, k, "bk") == MultipointResult(
+                k, "bk", virtual_signature_class(m, k), dim, zero), (name, k)
+            for d in (d for d in dims if d >= 0):
+                for quantity, fn, step in (("pontrjagin", pontrjagin_number, 4),
+                                           ("chern", chern_number, 2)):
+                    if quantity == "chern" and m.chern_source is None:
+                        continue
+                    for J in {(d,), (step,) * (d // step)}:
+                        result = signatures.evaluate(m, k, quantity, J)
+                        assert result == fn(m, k, J), (name, k, J)
+                        numbers, nonzero = numbers + 1, nonzero + (result.value != 0)
+    assert numbers >= 40 and nonzero >= 10, (numbers, nonzero)
+
+
+@pytest.mark.parametrize("quantity, J, route", [
+    ("bk", None, "general"), ("pontrjagin", (4,), "via-N"), ("chern", (2,), "collected"),
+    ("signature", (4,), "auto"), ("bk", (), "auto"), ("pontrjagin", None, "auto"),
+    ("chern", None, "auto")])
+def test_evaluate_refuses_a_route_or_index_sequence_its_quantity_does_not_take(quantity, J, route):
+    with pytest.raises(ValueError, match=f"^{quantity} takes"):
+        signatures.evaluate(bundled_model("line-in-quadric"), 1, quantity, J, route)
+
+
+@pytest.mark.parametrize("quantity", ["pontrjagin=4", "Signature", "", None, ["bk"], "q" * 5000])
+def test_evaluate_refuses_an_unknown_quantity_by_name(quantity):
+    with pytest.raises(ValueError, match="^unknown quantity") as exc:
+        signatures.evaluate(_d3(), 1, quantity)
+    assert len(str(exc.value)) < 200
+
+
+def test_the_public_signature_functions_build_no_record_and_no_message(monkeypatch):
+    # signature and virtual_signature_class are the library's hot path: the
+    # bookkeeping of evaluate (a record, a zero reason's text) stays off it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record or a message was built")
+
+    monkeypatch.setattr(signatures.MultipointResult, "__init__", refuse)
+    monkeypatch.setattr(signatures, "_text", refuse)
+    for name in sorted(BUNDLED):
+        m = bundled_model(name)
+        assert validate(m).ok
+        for k in (*range(1, 7), 10 ** 6):
+            for route in (*SIGNATURE_ROUTES, "auto"):
+                signature(m, k, route=route)
+            virtual_signature_class(m, k)
+
+
 def _k_entry_points():
     """Every public function of formulas and signatures and every oracle
     entry point that runs the entry checks, as name -> (function, its valid
@@ -735,6 +799,8 @@ def _k_entry_points():
     calls = {name: (fn, on_d3) for name, fn in SIGNATURE_ROUTES.items()}
     calls.update({
         "signature": (signature, {**on_d3, "route": "auto"}),
+        "evaluate": (signatures.evaluate,
+                     {**on_d3, "quantity": "signature", "J": None, "route": "auto"}),
         "multiple_point_dimension": (multiple_point_dimension, on_d3),
         "zero_warning": (zero_warning, on_d3),
         "genus": (formulas.genus, {**on_d3, "log_coeffs": (0, 1), "chern": False}),

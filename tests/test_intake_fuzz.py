@@ -6,21 +6,24 @@ appear.  Through the library's `load_model` alone, a file must load or
 raise `ModelFormatError`, never another exception.  Through the ring, class,
 map and model constructors, and a class's degree selection and power, a junk
 index, degree, shift, power, codimension, map image or ring must be refused with
-`GradedAlgebraError` or `ModelError`."""
+`GradedAlgebraError` or `ModelError`.  Through `cli.main`, any command line
+of a drawn model reference, k, quantity and route returns 0, 2 or 3, or
+argparse exits 3; nothing escapes."""
 
 import json
 import random
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multipoint import cli
 from multipoint.graded import GradedAlgebraError, GradedClass, GradedRing, TensorClass, cross
 from multipoint.model import ImmersionModel, LinearMap, ModelError, validate
-from multipoint.modelfile import ModelFormatError, load_model, model_to_dict
+from multipoint.modelfile import ModelFormatError, load_model, model_to_dict, save_model
 from multipoint.models import BUNDLED, bundled_model
+from multipoint.signatures import SIGNATURE_ROUTES
 
 MUTATIONS = 300
 LOAD_MUTATIONS = 1000
@@ -143,6 +146,50 @@ def test_huge_pontrjagin_degrees_exit_cleanly_and_quickly(tmp_path, capsys):
     worker.join(timeout=30)
     assert not worker.is_alive(), f"stalled after {len(codes)} commands"
     assert len(codes) == 120 and {code for _, code in codes} <= {2, 3}
+
+
+# text without "/", so no drawn name reaches a device such as /dev/zero;
+# without a leading "-", which argparse reads as an option ("-h" prints help);
+# and encodable in UTF-8, since the captured stderr is strict where the
+# interpreter's own stderr writes a backslash escape
+_NAME_CHARS = st.characters(codec="utf-8", blacklist_characters="/")
+_NAME = st.text(_NAME_CHARS).filter(lambda t: not t.startswith("-"))
+_LONG_NAME = st.text(_NAME_CHARS, min_size=250, max_size=5000).map(lambda t: "x" + t)
+
+
+@st.composite
+def compute_argv(draw, saved):
+    """A compute command line; each of k, the quantity and the route is
+    text one time in four, so that most lines reach the model."""
+    def valid_or_text(valid):
+        return draw(st.one_of(valid, valid, valid, st.text()))
+
+    model = draw(st.one_of(st.sampled_from(sorted(BUNDLED)), st.just(saved), _NAME, _LONG_NAME))
+    k = valid_or_text(st.one_of(st.integers(1, 6).map(str), st.just(str(10 ** 6))))
+    J = ",".join(map(str, draw(st.lists(st.integers(-2, 12), max_size=3))))
+    quantity = valid_or_text(st.sampled_from(["signature", "bk", f"pontrjagin={J}",
+                                              f"chern={J}"]))
+    route = valid_or_text(st.sampled_from(["auto", *SIGNATURE_ROUTES]))
+    json_flag = ["--json"] if draw(st.booleans()) else []
+    return ["compute", model, "--k", k, "--quantity", quantity, "--route", route, *json_flag]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_main_never_escapes_and_never_exits_1_on_bad_argv(tmp_path, capsys, data):
+    # every fixture use is read-only: the saved model is written once
+    saved = tmp_path / "saved.json"
+    if not saved.exists():
+        save_model(bundled_model("hypersurface-d3"), saved)
+    argv = data.draw(compute_argv(str(saved)))
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
+        assert code == 3, argv
+    capsys.readouterr()
+    assert code in (0, 2, 3), argv
 
 
 # ---------------------------------------------------------------------------
