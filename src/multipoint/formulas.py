@@ -18,8 +18,8 @@ from math import factorial, prod
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import signatures
-from .graded import Coords, GradedClass, Scalar, TensorClass, cross, exact
-from .model import ImmersionModel, LinearMap, ModelError
+from .graded import GradedClass, Scalar, TensorClass, cross, exact
+from .model import ImmersionModel, ModelError, _solve_linear
 from .signatures import (
     MultipointResult,
     _checked,
@@ -395,45 +395,30 @@ def transfer_of_unit(model: ImmersionModel, k: int) -> GradedClass:
     """Closed form of the transfer of the unit tensor:
     prod_{i=1}^{k-1} (pullback(pushforward(1)) - i*euler).
 
-    Valid whenever the Euler class lies in the image of the pullback.
+    Valid when the Euler class lies in the image of the pullback
+    (model.facts.euler_preimage), and refused otherwise.
     """
+    if model.facts.euler_preimage is None:
+        raise PreconditionError(f"euler class {model.euler} is not pulled back from the target")
     if _empty_locus(model, k):
         return model.source.zero()
     base = model.pushpull(model.source.unit())
-    out = model.source.unit()
-    for i in range(1, k):
-        out = out * (base - i * model.euler)
-    return out
-
-
-def _require(condition: bool, witness: str) -> None:
-    if not condition:
-        raise PreconditionError(witness)
-
-
-def _require_pulled_from_target(model: ImmersionModel) -> None:
-    _require(_preimage_under(model.pullback, model.euler) is not None,
-             f"euler class {model.euler} is not pulled back from the target")
-    # f* is a unital ring homomorphism, so L(normal) is pulled back exactly
-    # when its inverse, the class the routes read, is
-    _require(_preimage_under(model.pullback, model.l_normal_inverse) is not None,
-             "L(normal) is not pulled back from the target")
+    return prod((base - i * model.euler for i in range(1, k)), start=model.source.unit())
 
 
 @_checked
 def pulled_from_target_class(model: ImmersionModel, k: int, y: TensorClass) -> GradedClass:
     """Transfer of a class pulled back from the k-fold target power:
     the product of the slotwise pullbacks times the closed-form unit
-    transfer.  Requires euler and L(normal) to come from the target.
+    transfer, by the projection formula.  Requires only what
+    transfer_of_unit does, euler from the target.
     """
-    _require_pulled_from_target(model)
+    unit = transfer_of_unit.__wrapped__(model, k)
     out = model.source.zero()
     for idx, coeff in y.terms.items():
-        cls = model.source.unit()
-        for j in idx:
-            cls = cls * model.pullback(model.target.basis_class(j))
-        out = out + coeff * cls
-    return out * transfer_of_unit.__wrapped__(model, k)
+        out = out + coeff * prod((model.pullback(model.target.basis_class(j)) for j in idx),
+                                 start=model.source.unit())
+    return out * unit
 
 
 def _core(model: ImmersionModel, k: int, J: Optional[Sequence[int]]) -> GradedClass:
@@ -442,8 +427,7 @@ def _core(model: ImmersionModel, k: int, J: Optional[Sequence[int]]) -> GradedCl
     P(source) * P(normal)^-(k-1)."""
     if J is None:
         return model.l_source * model.l_normal_inverse ** (k - 1)
-    inv = model.normal_pontrjagin.invert_unital()
-    return (model.pontrjagin_source * inv ** (k - 1)).select_degrees(J)
+    return (model.pontrjagin_source * model.normal_pontrjagin_inverse ** (k - 1)).select_degrees(J)
 
 
 @_checked
@@ -451,10 +435,12 @@ def pulled_from_target(model: ImmersionModel, k: int,
                        J: Optional[Sequence[int]] = None) -> Fraction:
     """The signature or p_J when euler and L(normal) come from the target:
     the core paired with the closed-form unit transfer, over k!."""
-    _require_pulled_from_target(model)
+    unit = transfer_of_unit.__wrapped__(model, k)
+    if model.facts.l_normal_inverse_preimage is None:
+        raise PreconditionError("L(normal) is not pulled back from the target")
     if _empty_locus(model, k):
         return Fraction(0)
-    return (_core(model, k, J) * transfer_of_unit.__wrapped__(model, k)).integrate() / factorial(k)
+    return (_core(model, k, J) * unit).integrate() / factorial(k)
 
 
 @_checked
@@ -462,7 +448,8 @@ def euler_zero(model: ImmersionModel, k: int) -> Fraction:
     """Signature when the normal Euler class vanishes: only the finest
     partition survives, leaving a k-th power of the pushed normal class
     on the target."""
-    _require(model.euler.is_zero(), f"euler class {model.euler} is nonzero")
+    if not model.facts.null_euler:
+        raise PreconditionError(f"euler class {model.euler} is nonzero")
     if _empty_locus(model, k):
         return Fraction(0)
     pushed = model.pushforward(model.l_normal_inverse)
@@ -472,9 +459,8 @@ def euler_zero(model: ImmersionModel, k: int) -> Fraction:
 def _one_block(model: ImmersionModel, k: int, core: Callable[[], GradedClass]) -> Fraction:
     """(-1)^(k-1) / k times the integral of euler^(k-1) * core(), the one
     partition term left when pullback(pushforward(.)) vanishes, which it requires."""
-    _require(all(model.pushpull(model.source.basis_class(i)).is_zero()
-                 for i in range(len(model.source.labels))),
-             "pullback(pushforward(.)) is not identically zero")
+    if not model.facts.null_pushpull:
+        raise PreconditionError("pullback(pushforward(.)) is not identically zero")
     if _empty_locus(model, k):
         return Fraction(0)
     return Fraction((-1) ** (k - 1), k) * (model.euler ** (k - 1) * core()).integrate()
@@ -491,65 +477,7 @@ def nullhomotopic(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = No
     """Szucs's closed form: when also P(normal)^-1 = P(source), then
     L(normal)^-1 = L(source) (every log coefficient of L is nonzero), and the
     one-block core is L(source)^k, or for p_J the degree-J part of P(source)^k."""
-    _require(model.normal_pontrjagin.invert_unital() == model.pontrjagin_source,
-             "P(normal)^(-1) differs from P(source)")
+    if not model.facts.normal_inverts_source:
+        raise PreconditionError("P(normal)^(-1) differs from P(source)")
     return _one_block(model, k, lambda: model.l_source ** k if J is None
                       else (model.pontrjagin_source ** k).select_degrees(J))
-
-
-# ---------------------------------------------------------------------------
-# Exact linear solving, used for image-membership preconditions
-# ---------------------------------------------------------------------------
-
-
-def _solve_linear(columns: Sequence[Coords], target: Coords) -> Optional[List[Fraction]]:
-    """Solve sum_j v_j * columns[j] = target over the rationals.
-
-    Returns one solution vector or None when the system is inconsistent.
-    The entries of columns and target may be ints or Fractions; every
-    division is by a Fraction, so the solution is exact.
-    """
-    rows = sorted({i for col in columns for i in col} | set(target))
-    row_pos = {r: i for i, r in enumerate(rows)}
-    nrows, ncols = len(rows), len(columns)
-    mat = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for r, c in col.items():
-            mat[row_pos[r]][j] = c
-    for r, c in target.items():
-        mat[row_pos[r]][ncols] = c
-
-    pivots: List[Tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = Fraction(1, mat[row][col])
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(nrows):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if mat[r][ncols]:
-            return None
-    solution = [Fraction(0)] * ncols
-    for r, c in pivots:
-        solution[c] = mat[r][ncols]
-    return solution
-
-
-def _preimage_under(linmap: LinearMap, target: GradedClass) -> Optional[GradedClass]:
-    """A class mapping to ``target`` under the linear map, or None."""
-    indices = sorted(linmap.images)
-    columns = [linmap.images[i] for i in indices]
-    solution = _solve_linear(columns, target.coords)
-    if solution is None:
-        return None
-    return linmap.domain.element({i: v for i, v in zip(indices, solution) if v})

@@ -10,7 +10,9 @@ point formulas use.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence
+from fractions import Fraction
+from functools import cached_property
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .graded import (
     Coords,
@@ -99,34 +101,15 @@ class Check(NamedTuple):
     detail: str = ""
 
 
-class Vanishing(NamedTuple):
-    """What the data of a valid model proves 0 before any kernel runs.
-
-    null_pushforward: f_! = 0.  Every pushed class is then 0, and so, by
-    integration compatibility, is every integral over the source.  The
-    virtual class at k >= 1 is a sum of products of pushed classes, and
-    every number an integral over the source or of a pushed class over
-    the target (a product of pushed classes is pushed, by the projection
-    formula), so every invariant at k >= 1 is 0.
-    embedding: f*f_!(x) = e * x.  Each partition term of a transfer is
-    then e^(k-1) times the product of the factors, weighted by
-    prod_B (-1)^(|B|-1) (|B|-1)!, and these weights sum to
-    k! [t^k] exp(log(1 + t)) = 0 for k >= 2: every invariant at k >= 2 is 0.
-    """
-
-    null_pushforward: bool
-    embedding: bool
-
-
 class ValidationReport(FrozenRecord):
     """The checks of validate, in order, and when every one passed the
-    Vanishing facts of the model, else None."""
+    model's Facts, else None."""
 
-    __slots__ = ("checks", "vanishing")
+    __slots__ = ("checks", "facts")
 
-    def __init__(self, checks: Sequence[Check], vanishing: Optional[Vanishing] = None):
+    def __init__(self, checks: Sequence[Check], facts: Optional[Facts] = None):
         object.__setattr__(self, "checks", tuple(checks))
-        object.__setattr__(self, "vanishing", vanishing)
+        object.__setattr__(self, "facts", facts)
 
     @property
     def ok(self) -> bool:
@@ -198,6 +181,10 @@ class ImmersionModel(Frozen):
                             * self.pontrjagin_source.invert_unital())
 
     @property
+    def normal_pontrjagin_inverse(self) -> GradedClass:
+        return self._cached("P_nu_inv", lambda: self.normal_pontrjagin.invert_unital())
+
+    @property
     def normal_chern(self) -> GradedClass:
         if self.chern_source is None or self.chern_target is None:
             raise ModelError("model carries no Chern data")
@@ -237,6 +224,9 @@ class ImmersionModel(Frozen):
         return GradedClass(P.ring, genus_coords(P.ring, self.power_sum_coords(P, step),
                                                 log_coeffs))
 
+    # the model's one Facts record, each fact decided on first read
+    facts = cached_property(lambda self: Facts(self))
+
     def pushpull(self, cls: GradedClass) -> GradedClass:
         """The composite pullback(pushforward(x)) on the source ring."""
         return self.pullback(self.pushforward(cls))
@@ -272,19 +262,19 @@ def _row_witness(ring: GradedRing, left: Sequence[str], right: Sequence[str], ro
 
 
 def validate(model: ImmersionModel) -> ValidationReport:
-    """Run every consistency check the formulas rely on, once per model:
-    the report is memoised on the model, and with it, when every check
-    passed, the Vanishing facts that signatures.zero_warning reads.
+    """Run every consistency check the formulas rely on, once per model: the
+    report is memoised on the model and, when every check passed, holds
+    model.facts, whose two zero facts, which signatures.zero_warning reads on
+    every query, are decided here with the checks and not in a query.
 
     Report-valued: failures carry a witness, nothing raises.
     """
     report = model._cache.get("validation")
     if report is None:
         checks = tuple(_checks(model))
-        facts = None
-        if all(c.ok for c in checks):
-            facts = Vanishing(not any(model.pushforward.images.values()),
-                              embedding_consistent(model))
+        facts = model.facts if all(c.ok for c in checks) else None
+        if facts is not None:
+            facts.embedding, facts.null_pushforward  # decided on this first read
         report = model._cache.setdefault("validation", ValidationReport(checks, facts))
     return report
 
@@ -395,22 +385,103 @@ def _checks(model: ImmersionModel) -> Iterator[Check]:
 
 
 def embedding_consistent(model: ImmersionModel) -> bool:
-    """True iff pullback(pushforward(x)) = euler * x on every basis element,
-    compared on coordinate dicts up to the first basis element that fails;
-    euler * e_i is read from the source's product table.
+    """f*f_!(x) = e * x on every x, the self-intersection identity of embeddings
+    (kept as model.facts.embedding): then there are no k-tuple points for k >= 2."""
+    return _pushpull_is_euler_times(model, 1)
 
-    This is the self-intersection identity of embeddings; models satisfying
-    it have no multiple points, so their k>1 invariants vanish.
-    """
-    times_euler = combine_rows(model.euler.coords, model.source.rows)
+
+def _pushpull_is_euler_times(model: ImmersionModel, c: int) -> bool:
+    """True iff pullback(pushforward(e_i)) = c * euler * e_i (c 0 or 1) on
+    every source basis element, compared on coordinate dicts up to the first
+    e_i that fails; euler * e_i is read from the source's product table."""
+    times_euler = combine_rows(model.euler.coords, model.source.rows) if c else {}
     pull, pushed = model.pullback.apply_coords, model.pushforward.images
     return all(pull(pushed.get(i, {})) == times_euler.get(i, {})
                for i in range(len(model.source.labels)))
 
 
-def vanishing(model: ImmersionModel) -> Optional[Vanishing]:
-    """The Vanishing of the model's memoised validation report; None until
-    validate has passed on the model, so that on any other model every
-    route still runs and the routes still check each other."""
-    report = model._cache.get("validation")
-    return None if report is None else report.vanishing
+class Facts(Frozen):
+    """Which hypotheses of the provable zeros and the special-case evaluators a model
+    satisfies (its model.facts), each decided on its first read and kept; a passing
+    ValidationReport holds the same record.
+
+    null_pushforward: f_! = 0.  Every pushed class is then 0, and so, by integration
+    compatibility, is every integral over the source.  The virtual class at k >= 1 is
+    a sum of products of pushed classes, and every number an integral over the source
+    or of a pushed class over the target (a product of pushed classes is pushed, by
+    the projection formula), so on a valid model every invariant at k >= 1 is 0.
+    embedding: f*f_!(x) = e * x.  Each partition term of a transfer is then e^(k-1)
+    times the product of the factors, weighted by prod_B (-1)^(|B|-1) (|B|-1)!, and
+    these weights sum to k! [t^k] exp(log(1 + t)) = 0 for k >= 2: on a valid model
+    every invariant at k >= 2 is 0.
+    null_pushpull: f*f_! = 0.
+    euler_preimage, l_normal_inverse_preimage: a target class that f* maps to e, to
+    L(normal)^-1, or None (f* is a unital ring homomorphism, so L(normal) is pulled
+    back exactly when its inverse is).
+    normal_inverts_source: P(normal)^-1 = P(source).
+    null_euler: e = 0.
+    """
+
+    def __init__(self, model: ImmersionModel):
+        vars(self)["model"] = model
+
+    null_pushforward = cached_property(lambda self: not any(self.model.pushforward.images.values()))
+    embedding = cached_property(lambda self: embedding_consistent(self.model))
+    null_pushpull = cached_property(lambda self: _pushpull_is_euler_times(self.model, 0))
+    euler_preimage = cached_property(lambda self: _preimage_under(self.model.pullback,
+                                                                  self.model.euler))
+    l_normal_inverse_preimage = cached_property(lambda self: _preimage_under(
+        self.model.pullback, self.model.l_normal_inverse))
+    normal_inverts_source = cached_property(
+        lambda self: self.model.normal_pontrjagin_inverse == self.model.pontrjagin_source)
+    null_euler = cached_property(lambda self: self.model.euler.is_zero())
+
+
+def _solve_linear(columns: Sequence[Coords], target: Coords) -> Optional[List[Fraction]]:
+    """Solve sum_j v_j * columns[j] = target over the rationals.
+
+    Returns one solution vector or None when the system is inconsistent.
+    The entries of columns and target may be ints or Fractions; every
+    division is by a Fraction, so the solution is exact.
+    """
+    rows = sorted({i for col in columns for i in col} | set(target))
+    row_pos = {r: i for i, r in enumerate(rows)}
+    nrows, ncols = len(rows), len(columns)
+    mat = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
+    for j, col in enumerate([*columns, target]):  # target is column ncols
+        for r, c in col.items():
+            mat[row_pos[r]][j] = c
+
+    pivots: List[Tuple[int, int]] = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, nrows) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        inv = Fraction(1, mat[row][col])
+        mat[row] = [v * inv for v in mat[row]]
+        for r in range(nrows):
+            if r != row and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == nrows:
+            break
+    if any(mat[r][ncols] for r in range(row, nrows)):
+        return None
+    solution = [Fraction(0)] * ncols
+    for r, c in pivots:
+        solution[c] = mat[r][ncols]
+    return solution
+
+
+def _preimage_under(linmap: LinearMap, target: GradedClass) -> Optional[GradedClass]:
+    """A class mapping to ``target`` under the linear map, or None."""
+    indices = sorted(linmap.images)
+    columns = [linmap.images[i] for i in indices]
+    solution = _solve_linear(columns, target.coords)
+    if solution is None:
+        return None
+    return linmap.domain.element({i: v for i, v in zip(indices, solution) if v})

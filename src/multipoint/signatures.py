@@ -30,7 +30,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .graded import (Coords, GradedAlgebraError, GradedClass, Scalar, TensorClass, _divide, exact,
                      log_coefficient)
-from .model import ImmersionModel, ModelError, vanishing
+from .model import ImmersionModel, ModelError
 from .records import Record, _shown
 
 
@@ -176,20 +176,21 @@ def _empty_locus(model: ImmersionModel, k: int) -> bool:
 def zero_warning(model: ImmersionModel, k: int) -> Optional[str]:
     """The first reason the value at k is 0 before any kernel runs, or None:
     the k-tuple point manifold is empty; else, on a model that passed
-    validate (read from model.vanishing), f*f_!(x) = e * x at k >= 2, or
-    f_! = 0 at k >= 1.  One reason covers every number and the virtual
-    class alike."""
+    validate (read from the Facts its memoised report holds), f*f_!(x) = e * x
+    at k >= 2, or f_! = 0 at k >= 1.  One reason covers every number and the
+    virtual class alike."""
     if _empty_locus(model, k):
         return _text("the %s-tuple point manifold is empty: (k-1)*codim = %s exceeds the source "
                      "dimension(s) %s; the value is 0", k, (k - 1) * model.codim,
                      multiple_point_dimension.__wrapped__(model, 1))
-    flags = vanishing(model)
-    if flags is None:
+    report = model._cache.get("validation")
+    facts = None if report is None else report.facts
+    if facts is None:
         return None
-    if k > 1 and flags.embedding:
+    if k > 1 and facts.embedding:
         return ("f*f_!(x) = e*x, as for an embedding: there are no k-tuple points for "
                 "k >= 2; the value is 0")
-    if flags.null_pushforward:
+    if facts.null_pushforward:
         return ("f_! = 0: every pushed class is 0, and so is every integral over the source "
                 "(integration compatibility); the value is 0")
     return None

@@ -268,13 +268,12 @@ def test_criterion_8_special_cases(random_models, bundled_models):
             m, 2, [dims[0]]).value
 
     # every precondition is actually enforced
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^euler class 1\*t is nonzero$"):
         euler_zero(bundled_models["line-in-plane"], 2)
-    with pytest.raises(PreconditionError):
-        pushpull_zero(bundled_models["line-in-plane"], 2)
-    with pytest.raises(PreconditionError):
-        nullhomotopic(bundled_models["line-in-plane"], 2)
-    with pytest.raises(PreconditionError):
+    for special in (pushpull_zero, nullhomotopic):
+        with pytest.raises(PreconditionError, match=r"^pullback\(pushforward\(\.\)\) is not"):
+            special(bundled_models["line-in-plane"], 2)
+    with pytest.raises(PreconditionError, match=r"^euler class 3\*t is not pulled back"):
         pulled_from_target(bundled_models["nullhomotopic-cp2-in-s6"], 2)
     print(f"PASS: criterion 8 - special-case evaluators agree with the general "
           f"route under their preconditions (k <= 4; {pulled} pulled-back models)")

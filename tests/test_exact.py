@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from multipoint import formulas, signatures
-from multipoint.formulas import _solve_linear
+from multipoint.model import _solve_linear
 from multipoint.graded import (GradedAlgebraError, GradedClass, TensorClass, cross, exact,
                                signature_genus_log_coeffs)
 from multipoint.model import validate

@@ -66,6 +66,11 @@ from multipoint.union import disjoint_union, product_ring
 from series_reference import eval_series, tanh_coeffs
 
 
+# the PreconditionError texts of the special cases, as patterns
+L_NOT_PULLED_BACK = r"L\(normal\) is not pulled back from the target"
+NONZERO_PUSHPULL = r"pullback\(pushforward\(\.\)\) is not identically zero"
+
+
 def _random_tensor(rng, ring, k, nterms=2):
     n = len(ring.labels)
     x = cross([ring.basis_class(rng.randrange(n)) for _ in range(k)])
@@ -286,8 +291,9 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
         pushpull_zero(null_push, 10 ** 6, (3,))
     with pytest.raises(ValueError, match="multiplicity"):
         formulas.genus(m, 0, (0, 1))
-    for special in (euler_zero, pushpull_zero, nullhomotopic):
-        with pytest.raises(PreconditionError):
+    for special, text in ((euler_zero, r"euler class 1\*t is nonzero"),
+                          (pushpull_zero, NONZERO_PUSHPULL), (nullhomotopic, NONZERO_PUSHPULL)):
+        with pytest.raises(PreconditionError, match=f"^{text}$"):
             special(m, 10 ** 6)
     with pytest.raises(ModelError, match="target"):
         virtual_signature_class(disjoint_union([m, bundled_model("hypersurface-d2")]), 10 ** 6)
@@ -1501,8 +1507,8 @@ def test_the_precondition_on_the_inverse_gives_the_verdict_on_l_normal():
     rng = random.Random(3)
     models = [bundled_model(name) for name in BUNDLED]
     models += [random_truncated_model(rng, max_powers=6) for _ in range(200)]
-    verdicts = [(formulas._preimage_under(m.pullback, m.l_normal_inverse) is None,
-                 formulas._preimage_under(m.pullback, graded.signature_class(m.normal_pontrjagin))
+    verdicts = [(m.facts.l_normal_inverse_preimage is None,
+                 model_mod._preimage_under(m.pullback, graded.signature_class(m.normal_pontrjagin))
                  is None) for m in models]
     assert all(inverse == direct for inverse, direct in verdicts)
     assert 0 < sum(refused for refused, _ in verdicts) < len(models)
@@ -1691,7 +1697,7 @@ def test_provable_zeros_agree_with_every_route_and_the_oracle():
     # on fresh, never validated models every route runs, so a wrong proof
     # of a zero shows as a nonzero value here
     for m, k, _ in _provable_zero_cases():
-        assert model_mod.vanishing(m) is None
+        assert "validation" not in m._cache
         assert signature(m, k) == 0
         assert all(signature(m, k, route=route) == 0 for route in SIGNATURE_ROUTES)
         assert virtual_signature_class(m, k).is_zero()
@@ -1748,6 +1754,83 @@ def test_transfer_of_unit_line_in_plane():
     assert transfer_of_unit(m, 2).is_zero()
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), same=st.booleans())
+def test_transfer_of_unit_is_refused_or_exact_on_unions(seed, same):
+    # the closed form needs e pulled back from the target; on a union of two
+    # unequal components it often is not, and the closed form is then refused
+    rng = random.Random(seed)
+    u = disjoint_union(random_union_components(rng, 1) * 2 if same
+                       else random_union_components(rng, 2))
+    for k in range(1, 5):
+        try:
+            closed = transfer_of_unit(u, k)
+        except PreconditionError as exc:
+            assert u.facts.euler_preimage is None
+            assert str(exc) == f"euler class {u.euler} is not pulled back from the target"
+            return
+        assert closed == transfer_to_source(u, k, cross([u.source.unit()] * k)), (u.name, k)
+
+
+def test_pulled_from_target_class_needs_only_euler_pulled_back():
+    # the projection formula pulls every pulled-back factor out of the
+    # transfer, so L(normal) need not be pulled back
+    rng = random.Random(5)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [disjoint_union(random_union_components(rng, 2)) for _ in range(60)]
+    models = [m for m in models if m.facts.euler_preimage is not None
+              and m.facts.l_normal_inverse_preimage is None]
+    assert len(models) >= 8
+    for m in models:
+        assert validate(m).ok, m.name
+        with pytest.raises(PreconditionError, match=f"^{L_NOT_PULLED_BACK}$"):
+            pulled_from_target(m, 2)
+        for k in range(1, 5):
+            for _ in range(5):
+                y = _random_tensor(rng, m.target, k)
+                pulled = cross([m.source.zero()] * k)
+                for idx, c in y.terms.items():
+                    pulled = pulled + c * cross([m.pullback(m.target.basis_class(j)) for j in idx])
+                assert pulled_from_target_class(m, k, y) == transfer_to_source(m, k, pulled), \
+                    (m.name, k)
+
+
+def test_each_hypothesis_is_decided_once_per_model(monkeypatch):
+    # each special-case evaluator 20 times, at k = 1..4: the two linear
+    # solves (e and L(normal)^-1 pulled back), the one pass of f*f_! over
+    # the basis (f*f_! = 0) and the one inversion of P(normal) run once
+    m = bundled_model("hypersurface-d3")
+    normal = m.normal_pontrjagin
+    solves, passes, inversions = [], [], []
+    solve, pass_, invert = (model_mod._solve_linear, model_mod._pushpull_is_euler_times,
+                            graded.GradedClass.invert_unital)
+
+    def counted_invert(x):
+        if x == normal:
+            inversions.append(x)
+        return invert(x)
+    monkeypatch.setattr(model_mod, "_solve_linear", lambda *a: solves.append(a) or solve(*a))
+    monkeypatch.setattr(model_mod, "_pushpull_is_euler_times",
+                        lambda m, c: passes.append(c) or pass_(m, c))
+    monkeypatch.setattr(graded.GradedClass, "invert_unital", counted_invert)
+    evaluators = [lambda k, i: transfer_of_unit(m, k),
+                  lambda k, i: pulled_from_target_class(m, k, cross([m.target.unit()] * k)),
+                  lambda k, i: euler_zero(m, k)]
+    evaluators += [lambda k, i, fn=fn: fn(m, k, (4,) if i % 2 else None)
+                   for fn in (pulled_from_target, pushpull_zero, nullhomotopic)]
+    held = 0
+    for evaluator in evaluators:
+        for k in range(1, 5):
+            for i in range(5):
+                try:
+                    evaluator(k, i)
+                    held += 1
+                except PreconditionError:
+                    pass
+    assert (len(solves), passes, len(inversions)) == (2, [0], 1)
+    assert held == 60  # transfer_of_unit and both pulled_from_target forms hold on d3
+
+
 def test_pulled_from_target_class_and_signature():
     rng = random.Random(13)
     checked = 0
@@ -1766,8 +1849,9 @@ def test_pulled_from_target_class_and_signature():
 
 
 def test_pulled_from_target_precondition_enforced():
-    m = bundled_model("nullhomotopic-cp2-in-s6")  # L(nu) not pulled back
-    with pytest.raises(PreconditionError):
+    m = bundled_model("nullhomotopic-cp2-in-s6")  # e not pulled back
+    with pytest.raises(PreconditionError,
+                       match=r"^euler class 3\*t is not pulled back from the target$"):
         pulled_from_target(m, 2)
 
 
@@ -1787,7 +1871,7 @@ def test_euler_zero_special_case():
 
 
 def test_euler_zero_precondition():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^euler class 1\*t is nonzero$"):
         euler_zero(bundled_model("line-in-plane"), 2)
 
 
@@ -1821,7 +1905,7 @@ def test_special_cases_refuse_what_the_characteristic_numbers_refuse(entry):
 
 
 def test_pushpull_zero_precondition():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=f"^{NONZERO_PUSHPULL}$"):
         pushpull_zero(bundled_model("line-in-plane"), 2)
 
 
@@ -1853,8 +1937,10 @@ def test_nullhomotopic_evaluates_the_closed_form(monkeypatch):
 
 
 def test_nullhomotopic_precondition():
-    # nonzero pushpull fails the first hypothesis
-    with pytest.raises(PreconditionError):
+    # P(normal)^-1 = P(source) is checked first, then f*f_! = 0
+    with pytest.raises(PreconditionError, match=r"^P\(normal\)\^\(-1\) differs from P\(source\)$"):
+        nullhomotopic(bundled_model("hypersurface-d3"), 2)
+    with pytest.raises(PreconditionError, match=f"^{NONZERO_PUSHPULL}$"):
         nullhomotopic(bundled_model("line-in-plane"), 2)
 
 

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipoint.formulas import _preimage_under, _solve_linear
 from multipoint.graded import (GradedAlgebraError, GradedRing, RingComponent, signature_class,
                                signature_genus_log_coeffs)
 from multipoint.model import (
@@ -19,10 +18,10 @@ from multipoint.model import (
     ImmersionModel,
     LinearMap,
     ModelError,
-    Vanishing,
+    _preimage_under,
+    _solve_linear,
     embedding_consistent,
     validate,
-    vanishing,
 )
 from multipoint.modelfile import load_model, save_model
 from multipoint.models import BUNDLED, bundled_model, truncated_model, truncated_polynomial_ring
@@ -122,7 +121,7 @@ def test_validation_catches_broken_projection_formula():
         ("projection formula", "on (1, h): 0 != 1*h^2"),
         ("integration compatibility", "on t: 0 != 1"),
     ]
-    assert report.vanishing is None and vanishing(broken) is None
+    assert report.facts is None
 
 
 def test_degree_checks_name_each_term_off_its_degree():
@@ -383,14 +382,15 @@ def test_a_passing_report_carries_the_pinned_vanishing_facts():
     assert sorted(BUNDLED_VANISHING) == sorted(BUNDLED)
     for name, flags in BUNDLED_VANISHING.items():
         m = bundled_model(name)
-        assert vanishing(m) is None
         report = validate(m)
-        assert report.vanishing == Vanishing(*flags) and vanishing(m) is report.vanishing
+        assert report.facts is m.facts, name
+        assert (report.facts.null_pushforward, report.facts.embedding) == flags, name
     rng = random.Random(20260823)
     for i in range(50):
         m = random_truncated_model(rng, max_powers=3 if i % 5 else 4)
-        flags = Vanishing(i in DRAWS_NULL_PUSHFORWARD, i in DRAWS_EMBEDDING)
-        assert validate(m).vanishing == flags, (i, m.name)
+        facts = validate(m).facts
+        assert (facts.null_pushforward, facts.embedding) == (
+            i in DRAWS_NULL_PUSHFORWARD, i in DRAWS_EMBEDDING), (i, m.name)
 
 
 @settings(max_examples=80, deadline=None)
@@ -398,10 +398,11 @@ def test_a_passing_report_carries_the_pinned_vanishing_facts():
 def test_the_vanishing_facts_are_set_exactly_when_every_check_passes(m):
     report = validate(m)
     if not report.ok:
-        assert report.vanishing is None and vanishing(m) is None
+        assert report.facts is None
         return
     basis = [m.source.basis_class(i) for i in range(len(m.source.labels))]
-    assert report.vanishing == Vanishing(
+    assert report.facts is m.facts
+    assert (report.facts.null_pushforward, report.facts.embedding) == (
         all(m.pushforward(x).is_zero() for x in basis),
         all(m.pullback(m.pushforward(x)) == m.euler * x for x in basis))
 
