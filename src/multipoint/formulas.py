@@ -395,11 +395,13 @@ def transfer_of_unit(model: ImmersionModel, k: int) -> GradedClass:
     """Closed form of the transfer of the unit tensor:
     prod_{i=1}^{k-1} (pullback(pushforward(1)) - i*euler).
 
-    Valid when the Euler class lies in the image of the pullback
-    (model.facts.euler_preimage), and refused otherwise.
+    Valid when f*f_! = 0 (only the one-block partition term is left, the
+    product at f*f_!(1) = 0), read first, or when the Euler class is pulled
+    back from the target, and refused otherwise.
     """
-    if model.facts.euler_preimage is None:
-        raise PreconditionError(f"euler class {model.euler} is not pulled back from the target")
+    if not model.facts.null_pushpull and model.facts.euler_preimage is None:
+        raise PreconditionError(f"f*f_! is not zero and euler class {model.euler} "
+                                "is not pulled back from the target")
     if _empty_locus(model, k):
         return model.source.zero()
     base = model.pushpull(model.source.unit())
@@ -411,7 +413,7 @@ def pulled_from_target_class(model: ImmersionModel, k: int, y: TensorClass) -> G
     """Transfer of a class pulled back from the k-fold target power:
     the product of the slotwise pullbacks times the closed-form unit
     transfer, by the projection formula.  Requires only what
-    transfer_of_unit does, euler from the target.
+    transfer_of_unit does: f*f_! = 0, or euler from the target.
     """
     unit = transfer_of_unit.__wrapped__(model, k)
     out = model.source.zero()
@@ -421,26 +423,25 @@ def pulled_from_target_class(model: ImmersionModel, k: int, y: TensorClass) -> G
     return out * unit
 
 
-def _core(model: ImmersionModel, k: int, J: Optional[Sequence[int]]) -> GradedClass:
-    """The source class the number pairs: L(source) * L(normal)^-(k-1) for
-    the signature (J None), else the degree-J part of
-    P(source) * P(normal)^-(k-1)."""
-    if J is None:
-        return model.l_source * model.l_normal_inverse ** (k - 1)
-    return (model.pontrjagin_source * model.normal_pontrjagin_inverse ** (k - 1)).select_degrees(J)
-
-
 @_checked
-def pulled_from_target(model: ImmersionModel, k: int,
-                       J: Optional[Sequence[int]] = None) -> Fraction:
-    """The signature or p_J when euler and L(normal) come from the target:
-    the core paired with the closed-form unit transfer, over k!."""
+def herbert(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
+    """Herbert's closed form of the signature (J None) or p_J: the integral
+    of the core times the unit transfer, over k!; the core is L(source) *
+    L(normal)^-(k-1), or for p_J the degree-J part of P(source) *
+    P(normal)^-(k-1).  Valid when f*f_! = 0, or when euler and L(normal)^-1
+    are pulled back from the target.  At f*f_! = 0 the unit transfer is
+    (-1)^(k-1) (k-1)! euler^(k-1); where also P(normal)^-1 = P(source), as
+    for a nullhomotopic f, the core is L(source)^k: Szucs's formula."""
     unit = transfer_of_unit.__wrapped__(model, k)
-    if model.facts.l_normal_inverse_preimage is None:
-        raise PreconditionError("L(normal) is not pulled back from the target")
+    if not model.facts.null_pushpull and model.facts.l_normal_inverse_preimage is None:
+        raise PreconditionError("f*f_! is not zero and L(normal) is not pulled back "
+                                "from the target")
     if _empty_locus(model, k):
         return Fraction(0)
-    return (_core(model, k, J) * unit).integrate() / factorial(k)
+    core = (model.l_source * model.l_normal_inverse ** (k - 1) if J is None
+            else (model.pontrjagin_source * model.normal_pontrjagin_inverse ** (k - 1))
+            .select_degrees(J))
+    return (core * unit).integrate() / factorial(k)
 
 
 @_checked
@@ -455,29 +456,3 @@ def euler_zero(model: ImmersionModel, k: int) -> Fraction:
     pushed = model.pushforward(model.l_normal_inverse)
     return (model.l_target * pushed ** k).integrate() / factorial(k)
 
-
-def _one_block(model: ImmersionModel, k: int, core: Callable[[], GradedClass]) -> Fraction:
-    """(-1)^(k-1) / k times the integral of euler^(k-1) * core(), the one
-    partition term left when pullback(pushforward(.)) vanishes, which it requires."""
-    if not model.facts.null_pushpull:
-        raise PreconditionError("pullback(pushforward(.)) is not identically zero")
-    if _empty_locus(model, k):
-        return Fraction(0)
-    return Fraction((-1) ** (k - 1), k) * (model.euler ** (k - 1) * core()).integrate()
-
-
-@_checked
-def pushpull_zero(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
-    """The signature or p_J when pullback(pushforward(.)) vanishes: _one_block of _core."""
-    return _one_block(model, k, lambda: _core(model, k, J))
-
-
-@_checked
-def nullhomotopic(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
-    """Szucs's closed form: when also P(normal)^-1 = P(source), then
-    L(normal)^-1 = L(source) (every log coefficient of L is nonzero), and the
-    one-block core is L(source)^k, or for p_J the degree-J part of P(source)^k."""
-    if not model.facts.normal_inverts_source:
-        raise PreconditionError("P(normal)^(-1) differs from P(source)")
-    return _one_block(model, k, lambda: model.l_source ** k if J is None
-                      else (model.pontrjagin_source ** k).select_degrees(J))

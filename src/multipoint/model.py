@@ -418,7 +418,6 @@ class Facts(Frozen):
     euler_preimage, l_normal_inverse_preimage: a target class that f* maps to e, to
     L(normal)^-1, or None (f* is a unital ring homomorphism, so L(normal) is pulled
     back exactly when its inverse is).
-    normal_inverts_source: P(normal)^-1 = P(source).
     null_euler: e = 0.
     """
 
@@ -432,8 +431,6 @@ class Facts(Frozen):
                                                                   self.model.euler))
     l_normal_inverse_preimage = cached_property(lambda self: _preimage_under(
         self.model.pullback, self.model.l_normal_inverse))
-    normal_inverts_source = cached_property(
-        lambda self: self.model.normal_pontrjagin_inverse == self.model.pontrjagin_source)
     null_euler = cached_property(lambda self: self.model.euler.is_zero())
 
 

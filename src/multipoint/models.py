@@ -112,9 +112,9 @@ def _nullhomotopic_cp2() -> ImmersionModel:
     """CP2 immersed in the 6-sphere with normal Euler class 3t.
 
     The pushforward of the top class hits the fundamental class; every
-    composite pullback(pushforward(.)) vanishes, and the inverse normal
-    signature class equals the source one, so the closed nullhomotopic
-    formulas apply.
+    composite pullback(pushforward(.)) vanishes, so formulas.herbert applies
+    though e is not pulled back, and as P(normal)^-1 = P(source) it is
+    Szucs's formula for a nullhomotopic f there.
     """
     M = truncated_polynomial_ring("t", 2, name="CP2")
     N = truncated_polynomial_ring("s", 1, gen_degree=6, name="S6")

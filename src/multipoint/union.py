@@ -67,6 +67,8 @@ def disjoint_union(models: Sequence[ImmersionModel], name: str = "") -> Immersio
     if len(models) == 1:
         return models[0]
     target = models[0].target
+    # the union carries Chern data only when every component does
+    chern = all(m.chern_source is not None and m.chern_target is not None for m in models)
     for m in models[1:]:
         if m.target != target:
             raise ModelError("disjoint union requires identical target data")
@@ -74,6 +76,8 @@ def disjoint_union(models: Sequence[ImmersionModel], name: str = "") -> Immersio
             raise ModelError("disjoint union requires equal codimension")
         if m.pontrjagin_target != models[0].pontrjagin_target:
             raise ModelError("disjoint union requires one shared target Pontrjagin class")
+        if chern and m.chern_target != models[0].chern_target:
+            raise ModelError("disjoint union requires one shared target Chern class")
     source = product_ring([m.source for m in models],
                           name=name + ".source" if name else "")
     offsets = []
@@ -94,11 +98,7 @@ def disjoint_union(models: Sequence[ImmersionModel], name: str = "") -> Immersio
 
     euler = _block_class(source, [m.euler for m in models], offsets)
     p_src = _block_class(source, [m.pontrjagin_source for m in models], offsets)
-    chern_src = None
-    chern_tgt = None
-    if all(m.chern_source is not None and m.chern_target is not None for m in models):
-        chern_src = _block_class(source, [m.chern_source for m in models], offsets)
-        chern_tgt = models[0].chern_target
+    chern_src = _block_class(source, [m.chern_source for m in models], offsets) if chern else None
     return ImmersionModel(
         source=source,
         target=target,
@@ -109,6 +109,6 @@ def disjoint_union(models: Sequence[ImmersionModel], name: str = "") -> Immersio
         pontrjagin_source=p_src,
         pontrjagin_target=models[0].pontrjagin_target,
         chern_source=chern_src,
-        chern_target=chern_tgt,
+        chern_target=models[0].chern_target if chern else None,
         name=name or "union(" + ",".join(m.name or "?" for m in models) + ")",
     )

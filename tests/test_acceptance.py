@@ -18,11 +18,9 @@ from multipoint.formulas import (
     PreconditionError,
     chern_number,
     euler_zero,
-    nullhomotopic,
+    herbert,
     pontrjagin_number,
-    pulled_from_target,
     pulled_from_target_class,
-    pushpull_zero,
     transfer_of_unit,
     transfer_to_source,
 )
@@ -220,12 +218,12 @@ def test_criterion_7_union_convolution(bundled_models):
 
 
 def test_criterion_8_special_cases(random_models, bundled_models):
-    # pulled-from-target evaluators wherever the hypothesis holds
+    # Herbert's closed form and class on the random draws, wherever the hypothesis holds
     pulled = 0
     for m in random_models:
         try:
             for k in range(1, 5):
-                assert pulled_from_target(m, k) == signature(m, k, route="general")
+                assert herbert(m, k) == signature(m, k, route="general")
                 assert pulled_from_target_class(m, k, cross([m.target.unit()] * k)) \
                     == transfer_to_source(m, k, cross([m.source.unit()] * k))
                 assert transfer_of_unit(m, k) == transfer_to_source(
@@ -243,11 +241,11 @@ def test_criterion_8_special_cases(random_models, bundled_models):
         for k in range(1, 5):
             assert euler_zero(m, k) == signature(m, k, route="auto")
 
-    # vanishing pushpull: closed form, and it is the one-block-partition term
+    # vanishing pushpull: Herbert's closed form, and it is the one-block-partition term
     for name in ("null-pushforward", "nullhomotopic-cp2-in-s6"):
         m = bundled_models[name]
         for k in range(1, 5):
-            assert pushpull_zero(m, k) == signature(m, k, route="auto")
+            assert herbert(m, k) == signature(m, k, route="auto")
             x = cross([m.source.unit()] * k)
             single_block_term = Fraction((-1) ** (k - 1) * factorial(k - 1)) \
                 * m.euler ** (k - 1)
@@ -255,26 +253,28 @@ def test_criterion_8_special_cases(random_models, bundled_models):
         dims = multiple_point_dimension(m, 2)
         if dims[0] >= 0 and dims[0] % 4 == 0:
             J = [dims[0]]
-            assert pushpull_zero(m, 2, J) == pontrjagin_number(m, 2, J).value
+            assert herbert(m, 2, J) == pontrjagin_number(m, 2, J).value
 
-    # nullhomotopic normalization
+    # nullhomotopic normalization: Szucs's formula
     m = bundled_models["nullhomotopic-cp2-in-s6"]
+    assert m.normal_pontrjagin_inverse == m.pontrjagin_source
     for k in range(1, 5):
-        assert nullhomotopic(m, k) == signature(m, k, route="auto")
-    assert nullhomotopic(m, 3) == 3
+        szucs = Fraction((-1) ** (k - 1), k) * (m.euler ** (k - 1) * m.l_source ** k).integrate()
+        assert herbert(m, k) == szucs == signature(m, k, route="auto")
+    assert herbert(m, 3) == 3
     dims = multiple_point_dimension(m, 2)
     if dims[0] >= 0 and dims[0] % 4 == 0:
-        assert nullhomotopic(m, 2, [dims[0]]) == pontrjagin_number(
+        assert herbert(m, 2, [dims[0]]) == pontrjagin_number(
             m, 2, [dims[0]]).value
 
     # every precondition is actually enforced
     with pytest.raises(PreconditionError, match=r"^euler class 1\*t is nonzero$"):
         euler_zero(bundled_models["line-in-plane"], 2)
-    for special in (pushpull_zero, nullhomotopic):
-        with pytest.raises(PreconditionError, match=r"^pullback\(pushforward\(\.\)\) is not"):
-            special(bundled_models["line-in-plane"], 2)
-    with pytest.raises(PreconditionError, match=r"^euler class 3\*t is not pulled back"):
-        pulled_from_target(bundled_models["nullhomotopic-cp2-in-s6"], 2)
+    refused = disjoint_union([bundled_models["hypersurface-d1"], bundled_models["hypersurface-d2"]])
+    for special in (transfer_of_unit, herbert):
+        with pytest.raises(PreconditionError, match=r"^f\*f_! is not zero and euler class "
+                                                    r"1\*t@0 \+ 2\*t@1 is not pulled back"):
+            special(refused, 2)
     print(f"PASS: criterion 8 - special-case evaluators agree with the general "
           f"route under their preconditions (k <= 4; {pulled} pulled-back models)")
 

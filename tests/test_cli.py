@@ -113,6 +113,23 @@ def test_validate_refuses_nested_components_with_exit_2(tmp_path, capsys):
     assert "Traceback" not in err and "components[0]: a component holds no components" in err
 
 
+def test_a_union_of_two_target_chern_classes_exits_2(tmp_path, capsys):
+    # the union would keep the first component's target Chern class
+    M = truncated_polynomial_ring("t", 2, integral_value=2)
+    N = truncated_polynomial_ring("h", 3)
+    parts = [model_to_dict(truncated_model(
+        "quadric", M, N, 2, 2, M.unit(), N.element({0: 1, 2: 4}), M.element({0: 1, 1: 2, 2: 2}),
+        N.element({0: 1, 1: c1, 2: 6, 3: 4}))) for c1 in (4, 2)]
+    path = tmp_path / "union.json"
+    path.write_text(json.dumps({"components": parts}))
+    for argv in (["validate", str(path)],
+                 ["compute", str(path), "--k", "2", "--quantity", "chern=2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), (argv, err)
+        assert "Traceback" not in err
+        assert "requires one shared target Chern class" in err
+
+
 @pytest.mark.parametrize("text", ["1e5000", "1e-5000", "1e99999999999", "1e_", "1e+_", "1e-_"])
 @pytest.mark.parametrize("field", ["euler", "integral"])
 def test_an_exponent_past_the_digit_limit_exits_2_at_once(tmp_path, capsys, text, field):

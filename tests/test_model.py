@@ -471,6 +471,31 @@ def test_disjoint_union_requires_shared_target_pontrjagin():
         disjoint_union([a, skewed])
 
 
+def _quadric_surface(chern_target):
+    """The degree-2 surface in CP^3 with the given target Chern coordinates."""
+    M = truncated_polynomial_ring("t", 2, integral_value=2)
+    N = truncated_polynomial_ring("h", 3)
+    return truncated_model("quadric", M, N, 2, 2, M.unit(), N.element({0: 1, 2: 4}),
+                           M.element({0: 1, 1: 2, 2: 2}), N.element(chern_target))
+
+
+def test_disjoint_union_requires_shared_target_chern():
+    # the union keeps one target Chern class: with the first component's,
+    # c_1 of the double-point manifold read 0 or 8 by the order of the two
+    a = _quadric_surface({0: 1, 1: 4, 2: 6, 3: 4})
+    b = _quadric_surface({0: 1, 1: 2, 2: 6, 3: 4})
+    for pair in ([a, b], [b, a]):
+        with pytest.raises(ModelError, match="^disjoint union requires one shared target "
+                                             "Chern class$"):
+            disjoint_union(pair)
+    # a component with no Chern data leaves the union none, so nothing to share
+    plain = truncated_model("quadric", a.source, a.target, 2, 2, a.source.unit(),
+                            a.pontrjagin_target)
+    for pair in ([a, plain], [plain, b]):
+        assert disjoint_union(pair).chern_target is None
+    assert disjoint_union([a, a]).chern_target == a.chern_target
+
+
 def test_union_components_validate():
     rng = random.Random(6)
     for _ in range(5):
