@@ -1884,6 +1884,18 @@ def test_pulled_from_target_precondition_enforced():
                                       "is not pulled back from the target")
 
 
+def test_pushpull_zero_precondition(monkeypatch):
+    # f*f_! is not zero on the line in the plane, so herbert's f*f_! = 0 route
+    # is closed there: with L(normal) not pulled back either, it is refused
+    m = bundled_model("line-in-plane")
+    assert not m.facts.null_pushpull and m.facts.euler_preimage is not None
+    assert herbert(m, 2) == signature(m, 2)
+    monkeypatch.setitem(vars(m.facts), "l_normal_inverse_preimage", None)
+    with pytest.raises(PreconditionError, match=r"^f\*f_! is not zero and L\(normal\) "
+                                                r"is not pulled back from the target$"):
+        herbert(m, 2)
+
+
 def test_nullhomotopic_precondition():
     # e is not pulled back on the nullhomotopic model, but f*f_! = 0 there,
     # and that alone is the hypothesis of every closed form
