@@ -18,7 +18,7 @@ from math import factorial, prod
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import signatures
-from .graded import GradedClass, Scalar, TensorClass, cross, exact
+from .graded import GradedClass, Scalar, TensorClass, cross, exact, genus_class
 from .model import ImmersionModel, ModelError, _solve_linear
 from .signatures import (
     MultipointResult,
@@ -123,8 +123,8 @@ def _genus_classes(model: ImmersionModel, kind: Characteristic,
 
     def build() -> Tuple[GradedClass, GradedClass]:
         _, target, normal = kind.classes(model)
-        return (model.genus_class(target, lambda n: c, kind.step),
-                model.genus_class(normal, lambda n: [-x for x in c], kind.step))
+        return (genus_class(target, lambda n: c, kind.step),
+                genus_class(normal, lambda n: [-x for x in c], kind.step))
     return model._cached(("genus", kind.name, c), build)
 
 

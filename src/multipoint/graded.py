@@ -150,6 +150,11 @@ class GradedRing:
     coordinate dicts; the table is completed symmetrically.  ``integral``
     is a linear functional given by its values on basis elements; ring
     validation confines its support to the top degree of each component.
+
+    A ring is a value: its tables are set once, here, and never assigned
+    into after, so what _memo keeps for it (the axiom check, the power sums
+    and genus classes of its classes) never goes stale, and models that
+    read equal rings may share one (modelfile.ring_from_dict does).
     """
 
     def __init__(
@@ -221,6 +226,7 @@ class GradedRing:
                 self._component_of[i] = comp
         if len(self._component_of) != n:
             raise GradedAlgebraError("components do not cover the basis")
+        self._memo: Dict[object, object] = {}
 
     # ---- element constructors -------------------------------------------
 
@@ -265,13 +271,18 @@ class GradedRing:
         integral = self.integral
         return Fraction(sum(c * integral[i] for i, c in coords.items() if i in integral))
 
-    def component_of(self, index: int) -> RingComponent:
-        return self._component_of[index]
-
     # ---- checks -------------------------------------------------------------
 
     def check_axioms(self) -> List[str]:
         """Return a list of human-readable axiom violations (empty if none).
+        The check runs once per ring; every call returns a new list."""
+        issues = self._memo.get("axioms")
+        if issues is None:
+            issues = self._memo["axioms"] = tuple(self._axiom_issues())
+        return list(issues)
+
+    def _axiom_issues(self) -> List[str]:
+        """The axiom violations of check_axioms, computed.
 
         Associativity is compared on the structure constants.  With
         A(i, j, l) = (e_i e_j) e_l, computed once per nonzero product e_i e_j,
@@ -486,7 +497,17 @@ def nilpotency_order(ring: GradedRing) -> int:
 
 def power_sum_coords(P: GradedClass, step: int = 4) -> Dict[int, Coords]:
     """The nonzero power sums s_j of the formal roots of a total class P,
-    as coordinate dicts.
+    as coordinate dicts, computed once per class and step on P's ring;
+    callers must not mutate the result."""
+    memo, key = P.ring._memo, ("power sums", step, frozenset(P.coords.items()))
+    sums = memo.get(key)
+    if sums is None:
+        sums = memo[key] = _newton_power_sums(P, step)
+    return sums
+
+
+def _newton_power_sums(P: GradedClass, step: int) -> Dict[int, Coords]:
+    """The power sums of power_sum_coords, computed.
 
     The degree-(step * j) part of P is read as the j-th elementary
     symmetric function of formal roots (squared roots for Pontrjagin
@@ -531,10 +552,9 @@ def power_sums(P: GradedClass, step: int = 4) -> Dict[int, GradedClass]:
     return {j: GradedClass(P.ring, s) for j, s in power_sum_coords(P, step).items()}
 
 
-def genus_coords(ring: GradedRing, sums: Mapping[int, Coords],
-                 log_coeffs: Callable[[int], Sequence[object]]) -> Coords:
-    """exp(sum_j c_j s_j) for power sums s_j from power_sum_coords, the c_j
-    read from log_coeffs as genus_class reads them.
+def genus_coords(ring: GradedRing, terms: Sequence[Tuple[Scalar, Coords]]) -> Coords:
+    """exp(sum_j c_j s_j) over the pairs (c_j, s_j) of terms: c_j an exact
+    rational, s_j a power sum from power_sum_coords.
 
     For D the common denominator of sum_j c_j s_j, y = D * sum_j c_j s_j
     is integral, and with M the largest m where y^m is nonzero (below the
@@ -542,8 +562,6 @@ def genus_coords(ring: GradedRing, sums: Mapping[int, Coords],
     For integral structure constants every power and sum is an int, and
     each coordinate is divided once, at the end.
     """
-    c = log_coeffs(max(sums, default=0))
-    terms = [(exact(c[j]), s) for j, s in sums.items() if j < len(c) and c[j]]
     scale = lcm(*(x.denominator for x, _ in terms))
     y: Coords = {}
     for x, s in terms:
@@ -615,9 +633,17 @@ def genus_class(P: GradedClass, log_coeffs: Callable[[int], Sequence[Scalar]],
     log_coeffs(n) returns c_0, c_1, ... at least up to c_n, for n the
     largest j with a nonzero power sum (c_0 is not read, and entries past
     the end are 0).  The series is cut at the ring's nilpotency order; see
-    genus_coords for the integer kernel.
+    genus_coords for the integer kernel.  The class is computed once per
+    class, step and the coefficients read, each through exact, on P's ring.
     """
-    return GradedClass(P.ring, genus_coords(P.ring, power_sum_coords(P, step), log_coeffs))
+    sums = power_sum_coords(P, step)
+    c = log_coeffs(max(sums, default=0))
+    read = tuple((j, x) for j in sums if j < len(c) and c[j] and (x := exact(c[j])))
+    memo, key = P.ring._memo, ("genus", step, read, frozenset(P.coords.items()))
+    coords = memo.get(key)
+    if coords is None:
+        coords = memo[key] = genus_coords(P.ring, [(x, sums[j]) for j, x in read])
+    return GradedClass(P.ring, coords)
 
 
 def signature_class(P: GradedClass) -> GradedClass:

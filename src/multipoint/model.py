@@ -10,9 +10,10 @@ point formulas use.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .graded import (
     Coords,
@@ -23,7 +24,7 @@ from .graded import (
     basis_indices,
     clean_coords,
     combine_rows,
-    genus_coords,
+    genus_class,
     mapping_items,
     power_sum_coords,
     signature_genus_log_coeffs,
@@ -193,12 +194,12 @@ class ImmersionModel(Frozen):
 
     @property
     def l_source(self) -> GradedClass:
-        return self._cached("L_M", lambda: self.genus_class(
+        return self._cached("L_M", lambda: genus_class(
             self.pontrjagin_source, signature_genus_log_coeffs))
 
     @property
     def l_target(self) -> GradedClass:
-        return self._cached("L_N", lambda: self.genus_class(
+        return self._cached("L_N", lambda: genus_class(
             self.pontrjagin_target, signature_genus_log_coeffs))
 
     @property
@@ -206,23 +207,8 @@ class ImmersionModel(Frozen):
         """L(normal)^-1: exp(-x) = exp(x)^-1 in a nilpotent ring, so it is
         the genus class of the negated L-genus log coefficients, with no
         inversion."""
-        return self._cached("L_nu_inv", lambda: self.genus_class(
+        return self._cached("L_nu_inv", lambda: genus_class(
             self.normal_pontrjagin, lambda n: [-x for x in signature_genus_log_coeffs(n)]))
-
-    def power_sum_coords(self, P: GradedClass, step: int = 4) -> Dict[int, Coords]:
-        """graded.power_sum_coords of a class of this model, memoised per
-        class and step; callers must not mutate the result."""
-        memo = self._cached("power_sums", dict)
-        key = (P, step)
-        if key not in memo:
-            memo[key] = power_sum_coords(P, step)
-        return memo[key]
-
-    def genus_class(self, P: GradedClass, log_coeffs: Callable[[int], Sequence[Scalar]],
-                    step: int = 4) -> GradedClass:
-        """graded.genus_class on the memoised power sums of P."""
-        return GradedClass(P.ring, genus_coords(P.ring, self.power_sum_coords(P, step),
-                                                log_coeffs))
 
     # the model's one Facts record, each fact decided on first read
     facts = cached_property(lambda self: Facts(self))
@@ -359,7 +345,7 @@ def _checks(model: ImmersionModel) -> Iterator[Check]:
                  lambda: model.pullback(model.pontrjagin_target)),
                 ("normal", model.source, lambda: model.normal_pontrjagin)):
             if max(d for d in ring.degrees if d % 4 == 0) > MAX_CLASS_DEGREE:
-                top = 4 * max(model.power_sum_coords(cls()), default=0)
+                top = 4 * max(power_sum_coords(cls()), default=0)
                 if top > MAX_CLASS_DEGREE:
                     high.append(f"{label} Pontrjagin class has a power sum in degree {top}")
     except GradedAlgebraError as exc:

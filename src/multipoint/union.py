@@ -58,14 +58,20 @@ def _block_class(union: GradedRing, classes: Sequence[GradedClass],
 
 
 def disjoint_union(models: Sequence[ImmersionModel], name: str = "") -> ImmersionModel:
-    """Combine immersions of disjoint sources into one shared target."""
+    """Combine immersions of disjoint sources into one shared target.  The
+    union of one model is that model, under name when one is given."""
     if not (isinstance(models, (list, tuple))
             and all(isinstance(m, ImmersionModel) for m in models)):
         raise ModelError(f"models must be a list or tuple of ImmersionModels, got {_shown(models)}")
     if not models:
         raise ModelError("disjoint union of zero models")
     if len(models) == 1:
-        return models[0]
+        m = models[0]
+        if not name or name == m.name:
+            return m
+        return ImmersionModel(m.source, m.target, m.pullback, m.pushforward, m.codim, m.euler,
+                              m.pontrjagin_source, m.pontrjagin_target, m.chern_source,
+                              m.chern_target, name=name)
     target = models[0].target
     # the union carries Chern data only when every component does
     chern = all(m.chern_source is not None and m.chern_target is not None for m in models)

@@ -1425,13 +1425,13 @@ def test_genus_route_computes_each_power_sum_once(monkeypatch):
     # the interpolation points of the genus route, genus and the inverse
     # normal L-class all read the power sums memoised per class and step
     calls = []
-    newton = model_mod.power_sum_coords
+    newton = graded._newton_power_sums
 
-    def counted(P, step=4):
+    def counted(P, step):
         calls.append((P, step))
         return newton(P, step)
 
-    monkeypatch.setattr(model_mod, "power_sum_coords", counted)
+    monkeypatch.setattr(graded, "_newton_power_sums", counted)
     m = random_truncated_model(random.Random(23), max_powers=8, with_chern=True)
     points = 0
     for k in range(1, 4):
@@ -1456,14 +1456,13 @@ def test_validate_l_classes_and_signature_run_one_newton_loop_per_class(monkeypa
     # Newton's identities once; validation's L-class relation reads the
     # routes' classes, so f*P(target) runs none
     calls = []
-    newton = model_mod.power_sum_coords
+    newton = graded._newton_power_sums
 
-    def counted(P, step=4):
+    def counted(P, step):
         calls.append((P, step))
         return newton(P, step)
 
-    monkeypatch.setattr(model_mod, "power_sum_coords", counted)
-    monkeypatch.setattr(graded, "power_sum_coords", counted)
+    monkeypatch.setattr(graded, "_newton_power_sums", counted)
     rng = random.Random(29)
     models = [bundled_model(name) for name in BUNDLED]
     models += [random_truncated_model(rng, max_powers=8, with_chern=True) for _ in range(5)]
@@ -1484,13 +1483,13 @@ def test_validation_builds_the_l_classes_the_signature_reads(monkeypatch):
     # the precondition that L(normal) is pulled back from the target read,
     # so no query on a valid model builds another L-class
     built = []
-    genus_coords = model_mod.genus_coords
+    genus_coords = graded.genus_coords
 
-    def counted(ring, sums, log_coeffs):
+    def counted(ring, terms):
         built.append(ring)
-        return genus_coords(ring, sums, log_coeffs)
+        return genus_coords(ring, terms)
 
-    monkeypatch.setattr(model_mod, "genus_coords", counted)
+    monkeypatch.setattr(graded, "genus_coords", counted)
     rng = random.Random(31)
     models = [bundled_model(name) for name in BUNDLED]
     models += [random_truncated_model(rng, max_powers=8, with_chern=True) for _ in range(5)]
@@ -1505,7 +1504,10 @@ def test_validation_builds_the_l_classes_the_signature_reads(monkeypatch):
             held.append(herbert(m, 2))
         except PreconditionError:
             pass
-        assert len(built) == 3, m.name
+        # L(source) and L(normal)^-1 of unit classes read no coefficient and
+        # are one entry of the source ring's memo
+        assert len(built) == 3 - (m.pontrjagin_source == m.normal_pontrjagin == m.source.unit()), \
+            m.name
     assert len(held) >= 5
 
 
@@ -1552,18 +1554,18 @@ def test_a_repeated_number_on_the_genus_route_builds_nothing(monkeypatch):
     assert formulas._genus_point_count(plan) == 2
     monkeypatch.setattr(formulas, "_number_by_expansion", _unavailable("expand the tensor"))
     built = []
-    chain, genus_class = signatures._Chain, model_mod.ImmersionModel.genus_class
+    chain, genus_coords = signatures._Chain, graded.genus_coords
 
     def counted_chain(*args):
         built.append("chain")
         return chain(*args)
 
-    def counted_genus_class(*args, **kwargs):
+    def counted_genus_coords(*args):
         built.append("genus class")
-        return genus_class(*args, **kwargs)
+        return genus_coords(*args)
 
     monkeypatch.setattr(signatures, "_Chain", counted_chain)
-    monkeypatch.setattr(model_mod.ImmersionModel, "genus_class", counted_genus_class)
+    monkeypatch.setattr(graded, "genus_coords", counted_genus_coords)
     first = pontrjagin_number(m, k, J).value
     assert first == reference_characteristic_number(m, k, J)
     assert "chain" in built and "genus class" in built

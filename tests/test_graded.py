@@ -19,6 +19,7 @@ from multipoint.graded import (
     cross,
     genus_class,
     nilpotency_order,
+    power_sum_coords,
     power_sums,
     signature_class,
     signature_genus_log_coeffs,
@@ -75,11 +76,46 @@ def test_ring_axioms_catch_non_associative_table():
     assert reference_check_axioms(ring) == ring.check_axioms()
 
 
+def test_a_ring_checks_its_axioms_once_and_hands_out_a_new_list(monkeypatch):
+    labels = ["1", "a", "b", "p", "q", "t"]
+    products = {(0, i): {i: 1} for i in range(6)}
+    products.update({(1, 1): {3: 1}, (1, 2): {4: 1}, (2, 3): {5: 1}})
+    ring = GradedRing(labels, [0, 2, 2, 4, 4, 6], products, {5: 1})
+    calls, issues = [], GradedRing._axiom_issues
+    monkeypatch.setattr(GradedRing, "_axiom_issues", lambda r: calls.append(r) or issues(r))
+    first = ring.check_axioms()
+    first.clear()
+    assert ring.check_axioms() == reference_check_axioms(ring) != []
+    assert ring.check_axioms() is not ring.check_axioms() and calls == [ring]
+
+
+def test_power_sums_and_genus_classes_are_computed_once_per_ring(monkeypatch):
+    newton, kernel = [], []
+    sums, genus = graded._newton_power_sums, graded.genus_coords
+    monkeypatch.setattr(graded, "_newton_power_sums", lambda P, step: newton.append(step)
+                        or sums(P, step))
+    monkeypatch.setattr(graded, "genus_coords", lambda ring, terms: kernel.append(ring)
+                        or genus(ring, terms))
+    P = bundled_model("hypersurface-d3").pontrjagin_source
+    equal = P.ring.element(dict(P.coords))
+    assert power_sum_coords(P) is power_sum_coords(equal)
+    # every spelling of the coefficients the class reads is one entry
+    c = signature_genus_log_coeffs(4)
+    spellings = (lambda n: c, lambda n: [str(x) for x in c], lambda n: (*c, 0, 0))
+    assert {genus_class(equal, f) for f in spellings} == {signature_class(P)}
+    assert (newton, kernel) == ([4], [P.ring])
+    # another step, or another coefficient read, is another entry
+    power_sum_coords(P, 2)
+    genus_class(P, lambda n: (0, 1))
+    assert (newton, kernel) == ([4, 2], [P.ring] * 2)
+
+
 def reference_check_axioms(ring: GradedRing) -> List[str]:
     """The axiom check by class products on every basis pair and triple,
     kept as the reference for the structure-constant check."""
     issues: List[str] = []
     n = len(ring.labels)
+    component_of = {i: comp for comp in ring.components for i in comp.indices}
     unit = ring.unit()
     for i in range(n):
         b = ring.basis_class(i)
@@ -88,13 +124,13 @@ def reference_check_axioms(ring: GradedRing) -> List[str]:
     for i in range(n):
         for j in range(i, n):
             d = ring.degrees[i] + ring.degrees[j]
-            comp_i, comp_j = ring.component_of(i), ring.component_of(j)
+            comp_i, comp_j = component_of[i], component_of[j]
             for idx, c in ring.basis_product(i, j).items():
                 if ring.degrees[idx] != d:
                     issues.append(
                         f"product {ring.labels[i]}*{ring.labels[j]} has a term "
                         f"in degree {ring.degrees[idx]}, expected {d}")
-                if ring.component_of(idx) is not comp_i:
+                if component_of[idx] is not comp_i:
                     issues.append(
                         f"product {ring.labels[i]}*{ring.labels[j]} leaves its component")
             if comp_i is not comp_j and ring.basis_product(i, j):
@@ -113,7 +149,7 @@ def reference_check_axioms(ring: GradedRing) -> List[str]:
                         f"associativity fails on "
                         f"({ring.labels[i]},{ring.labels[j]},{ring.labels[l]})")
     for idx in ring.integral:
-        comp = ring.component_of(idx)
+        comp = component_of[idx]
         if ring.degrees[idx] != comp.top_degree:
             issues.append(
                 f"integral supported on {ring.labels[idx]} of degree "
@@ -505,6 +541,7 @@ def test_genus_kernel_runs_in_ints_and_divides_once(monkeypatch):
     assert not hasattr(graded.GradedClass, "eval_series")
     for key, (P, step, c, want) in expected.items():
         divisions = seen["divisions"]
+        P.ring._memo.clear()  # so that the kernel runs for every key
         K = genus_class(P, lambda n: c, step)
         assert K.coords == want.coords, key
         assert seen["divisions"] - divisions == len(K.coords), key  # one per coordinate

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipoint.graded import (GradedAlgebraError, GradedRing, RingComponent, signature_class,
-                               signature_genus_log_coeffs)
+from multipoint.graded import (GradedAlgebraError, GradedRing, RingComponent, genus_class,
+                               signature_class, signature_genus_log_coeffs)
 from multipoint.model import (
     Check,
     ImmersionModel,
@@ -23,7 +23,7 @@ from multipoint.model import (
     embedding_consistent,
     validate,
 )
-from multipoint.modelfile import load_model, save_model
+from multipoint.modelfile import load_model, model_to_dict, save_model
 from multipoint.models import BUNDLED, bundled_model, truncated_model, truncated_polynomial_ring
 from multipoint.random_models import random_truncated_model, random_union_components
 from multipoint.union import disjoint_union
@@ -419,7 +419,7 @@ def test_validate_checks_the_inverse_normal_l_class(monkeypatch):
     # the L-class relation reads L(normal)^-1, which every signature route
     # reads: an inverse built without negating the log series fails it
     monkeypatch.setattr(ImmersionModel, "l_normal_inverse", property(
-        lambda m: m.genus_class(m.normal_pontrjagin, signature_genus_log_coeffs)))
+        lambda m: genus_class(m.normal_pontrjagin, signature_genus_log_coeffs)))
     report = validate(bundled_model("hypersurface-d3"))
     assert [c.name for c in report.failures()] == ["normal signature-class relation"]
 
@@ -452,6 +452,15 @@ def test_disjoint_union_validates_and_pairs():
     # the union integral adds component integrals
     top = u.source.element({1: 1, 3: 1})
     assert top.integrate() == 2
+
+
+def test_a_one_component_union_takes_the_union_name():
+    m = bundled_model("line-in-plane")
+    assert disjoint_union([m]) is m and disjoint_union([m], name=m.name) is m
+    solo = disjoint_union([m], name="solo")
+    assert (solo.name, m.name) == ("solo", "line-in-plane")
+    assert model_to_dict(solo) == {**model_to_dict(m), "name": "solo"}
+    assert validate(solo).ok
 
 
 def test_disjoint_union_requires_shared_target():

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from multipoint.modelfile import (
 )
 from multipoint.models import BUNDLED, bundled_model, truncated_polynomial_ring
 from multipoint.random_models import random_truncated_model
+from multipoint.signatures import signature
 
 
 def _assert_same_model(a, b):
@@ -104,6 +106,17 @@ def test_union_file_builds_disjoint_union():
     assert union.source == direct.source
     assert union.target == direct.target
     assert validate(union).ok
+
+
+def test_a_one_component_union_file_keeps_its_name(tmp_path, capsys):
+    part = model_to_dict(bundled_model("line-in-plane"))
+    for name, components in (("solo-file", [part]), ("pair-file", [part, part])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"components": components, "name": name}))
+        assert load_model(path).name == name
+        assert cli.main(["compute", str(path), "--k", "1", "--quantity", "signature",
+                         "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["model"] == name
 
 
 def test_deeply_nested_components_are_a_format_error():
@@ -432,10 +445,13 @@ def test_two_loads_of_one_file_return_one_model(tmp_path, monkeypatch, loaded):
     first = load_model(path)
     report = validate(first)
     rings, checks = _counters(monkeypatch)
+    reads, ring_from = [], modelfile._ring_from
+    monkeypatch.setattr(modelfile, "_ring_from", lambda *args: reads.append(args) or ring_from(*args))
     again = load_model(path)
-    # a reload of an unchanged file builds no ring and runs no axiom check
+    # a reload of an unchanged file reads no ring object, builds no ring and
+    # runs no axiom check
     assert again is first and validate(again) == report and report.ok
-    assert rings == [] and checks == []
+    assert reads == [] and rings == [] and checks == []
     # the same text at another path is the same model; model_from_dict copies
     assert load_model(_write(tmp_path / "n.json", "hypersurface-d3")) is first
     copy = model_from_dict(model_to_dict(first))
@@ -516,6 +532,8 @@ def test_threads_loading_files_share_one_model_per_text(tmp_path, loaded):
             assert not any(worker.is_alive() for worker in workers) and errors == []
             if paths is few:
                 assert len({(path, id(m)) for path, m in got}) == len(few)
+            # the files differ in their names only: every model holds one pair of rings
+            assert len({(id(m.source), id(m.target)) for _, m in got}) == 1
     finally:
         sys.setswitchinterval(interval)
     assert len(got) == 6 * 3 * len(many) and len(loaded) == LOADED_MODELS
@@ -527,3 +545,93 @@ def test_validate_checks_the_ring_axioms_once_per_model(monkeypatch):
     rings, checks = _counters(monkeypatch)
     assert validate(m) == validate(m)
     assert checks == [m.source, m.target] and rings == []
+
+
+# ---------------------------------------------------------------------------
+# One ring per ring object
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def rings(monkeypatch):
+    """An empty table of read rings, so that no other test's ring is found in it."""
+    table = weakref.WeakValueDictionary()
+    monkeypatch.setattr(modelfile, "_rings", table)
+    return table
+
+
+def test_files_with_one_target_share_its_ring_and_what_it_derives(tmp_path, monkeypatch,
+                                                                  loaded, rings):
+    checked, built = [], []
+    issues, genus_coords = GradedRing._axiom_issues, graded.genus_coords
+    monkeypatch.setattr(GradedRing, "_axiom_issues", lambda ring: checked.append(ring)
+                        or issues(ring))
+    monkeypatch.setattr(graded, "genus_coords", lambda ring, terms: built.append(ring)
+                        or genus_coords(ring, terms))
+    a = load_model(_write(tmp_path / "a.json", "hypersurface-d2"))
+    b = load_model(_write(tmp_path / "b.json", "hypersurface-d3"))
+    assert a.target is b.target and a.source is not b.source
+    assert validate(a).ok and validate(b).ok and a.l_target == b.l_target
+    # the target's axiom check and L-class ran for the first model only
+    assert checked.count(a.target) == 1 and built.count(a.target) == 1
+    assert checked.count(a.source) == 1 and checked.count(b.source) == 1
+    # a file of another layout holds the same ring
+    relaid = {**model_to_dict(bundled_model("hypersurface-d3")), "name": "relaid"}
+    relaid["target"] = dict(reversed(list(relaid["target"].items())))
+    path = tmp_path / "relaid.json"
+    path.write_text(json.dumps(relaid, indent=1))
+    assert load_model(path).target is a.target
+
+
+def test_a_ring_that_differs_in_a_coefficient_or_its_name_is_its_own(tmp_path, loaded, rings):
+    target = model_to_dict(bundled_model("hypersurface-d3"))["target"]
+    scaled = {**target, "integral": {"3": "2"}}
+    renamed = {**target, "name": "P3"}
+    models = [load_model(_write(tmp_path / f"m{i}.json", "hypersurface-d3", target=t,
+                                name=f"m{i}"))
+              for i, t in enumerate((target, scaled, renamed, target))]
+    first, scaled, renamed, again = (m.target for m in models)
+    assert again is first
+    assert len({id(first), id(scaled), id(renamed)}) == 3
+    assert scaled != first and renamed == first and renamed.name == "P3"
+
+
+def test_a_refused_ring_is_refused_on_every_read_and_never_held(tmp_path, loaded, rings):
+    obj = model_to_dict(bundled_model("hypersurface-d3"))
+    obj["target"]["products"]["1,1"] = {"9": "1"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    errors = set()
+    for _ in range(3):
+        with pytest.raises(ModelFormatError, match=r"\.target\.products") as exc:
+            load_model(path)
+        errors.add(str(exc.value))
+        with pytest.raises(ModelFormatError, match=r"^ring\.products"):
+            ring_from_dict(obj["target"])
+    assert len(errors) == 1
+    assert all(ring.name != obj["target"]["name"] for ring in rings.values())
+
+
+def test_an_object_json_does_not_hold_is_read_as_it_stands(rings):
+    # JSON writes the int key 3 as "3" and a tuple as a list: such an object
+    # is refused as it stands, even while the ring of its JSON text is held
+    obj = ring_to_dict(bundled_model("hypersurface-d3").target)
+    held = ring_from_dict(obj)
+    assert ring_from_dict(json.loads(json.dumps(obj))) is held
+    with pytest.raises(ModelFormatError, match="bad basis index 3"):
+        ring_from_dict({**obj, "integral": {3: "1"}})
+    with pytest.raises(ModelFormatError, match="labels must be a list"):
+        ring_from_dict({**obj, "labels": tuple(obj["labels"])})
+
+
+def test_a_copy_shares_the_rings_and_gives_the_same_answers(rings):
+    for name in BUNDLED:
+        m = bundled_model(name)
+        copy, again = (model_from_dict(model_to_dict(m)) for _ in range(2))
+        assert (again.source, again.target) == (copy.source, copy.target)
+        assert again.source is copy.source and again.target is copy.target
+        _assert_same_model(copy, m)
+        assert model_to_dict(copy) == model_to_dict(m)
+        assert str(validate(copy)) == str(validate(m)) == str(validate(again))
+        for k in range(1, 4):
+            assert signature(copy, k) == signature(m, k) == signature(again, k), (name, k)
