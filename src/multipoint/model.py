@@ -10,10 +10,9 @@ point formulas use.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .graded import (
     Coords,

@@ -11,13 +11,14 @@ json's C encoder; the reader takes JSON of any layout.
 Validation is structural only; mathematical consistency is the job of
 model validation.  ``load_model`` returns one model per file text, so a
 reload of an unchanged file keeps the validation and memos of the first,
-and every reader returns one ring per canonical ring JSON while that ring
-is held, so models of files that share a ring share its memo.
+and every reader returns one ring per ring object while that ring is held,
+so models of files that hold one ring share it and its memo.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import threading
 import weakref
 from functools import lru_cache
@@ -107,39 +108,35 @@ def ring_to_dict(ring: GradedRing) -> dict:
     }
 
 
-# The rings read from ring objects, by their canonical JSON, each held while
-# a model (or any caller) holds it: a table bounded by the loaded models.
-_rings: "weakref.WeakValueDictionary[str, GradedRing]" = weakref.WeakValueDictionary()
-# json.dumps(obj, sort_keys=True), less the cycle check that a JSON parse
-# never needs (a cycle ends in RecursionError instead)
-_canonical = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+# The rings read from ring objects, each held while a model (or any caller)
+# holds it: a table bounded by the loaded models.  A ring object's key is
+# its marshal bytes: they name the builtin type of every value (1, 1.0 and
+# True differ; so do a list and a tuple, and the keys "3" and 3) and keep
+# the key order, so objects of one key are equal, of the same types, and
+# read as one ring.  Version 0 writes a string alike whether or not it is
+# interned (version 3 and later do not).  Objects marshal does not write (a
+# Fraction, a subclass of a builtin) are read as they stand.
+_rings: "weakref.WeakValueDictionary[bytes, GradedRing]" = weakref.WeakValueDictionary()
 
 
 def ring_from_dict(obj, where: str = "ring") -> GradedRing:
-    """The ring of a ring object.  An object equal to one read before, in
-    any layout, gives the ring built then while that ring is held, with the
-    memo it carries (a ring is a value, so sharing it is safe); a ring
-    refused is never held, so it is refused again on every read."""
-    return _ring_from(obj, where, parsed=False)
-
-
-def _ring_from(obj, where: str, parsed: bool) -> GradedRing:
-    """ring_from_dict; parsed says that obj came from json.loads."""
+    """The ring of a ring object.  An object equal to one read before, with
+    values of the same types and keys in the same order (as every file that
+    save_model writes has them), gives the ring built then while that ring is
+    held, with the memo it carries (a ring is a value, so sharing it is
+    safe); a ring refused is never held, so it is refused again on every
+    read."""
     try:
-        key = _canonical(obj)
-    except (TypeError, ValueError, RecursionError):
-        return _build_ring(obj, where)  # not JSON; refused or built as it stands
+        key = marshal.dumps(obj, 0)
+    except ValueError:
+        return _build_ring(obj, where)
     with _loaded_lock:
         held = _rings.get(key)
-    # JSON writes a tuple as a list and an int key as a string: an object
-    # not parsed from JSON shares the ring only if it reads back as itself
-    if held is not None and (parsed or json.loads(key) == obj):
+    if held is not None:
         return held
     ring = _build_ring(obj, where)
-    if held is None:
-        with _loaded_lock:
-            ring = _rings.setdefault(key, ring)
-    return ring
+    with _loaded_lock:
+        return _rings.setdefault(key, ring)
 
 
 def _build_ring(obj, where: str) -> GradedRing:
@@ -238,11 +235,6 @@ def model_to_dict(model: ImmersionModel) -> dict:
 
 def model_from_dict(obj, where: str = "model") -> ImmersionModel:
     """The model of a model object; its rings are read by ring_from_dict."""
-    return _model_from(obj, where, parsed=False)
-
-
-def _model_from(obj, where: str, parsed: bool) -> ImmersionModel:
-    """model_from_dict; parsed says that obj came from json.loads."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where}: expected an object")
     if "components" in obj:
@@ -255,7 +247,7 @@ def _model_from(obj, where: str, parsed: bool) -> ImmersionModel:
             if isinstance(c, dict) and "components" in c:
                 raise ModelFormatError(f"{cwhere}: a component holds no components; "
                                        "a union is one level deep")
-            parts.append(_model_from(c, cwhere, parsed))
+            parts.append(model_from_dict(c, cwhere))
         from .union import disjoint_union  # a file without components never compiles it
         try:
             return disjoint_union(parts, name=str(obj.get("name", "")))
@@ -266,8 +258,8 @@ def _model_from(obj, where: str, parsed: bool) -> ImmersionModel:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"{where}: unsupported format_version {version}")
     codim = _require(obj, "codim", where)
-    source = _ring_from(_require(obj, "source", where), f"{where}.source", parsed)
-    target = _ring_from(_require(obj, "target", where), f"{where}.target", parsed)
+    source = ring_from_dict(_require(obj, "source", where), f"{where}.source")
+    target = ring_from_dict(_require(obj, "target", where), f"{where}.target")
     pullback = _map_from(_require(obj, "pullback", where), target, source, f"{where}.pullback")
     pushforward = _map_from(_require(obj, "pushforward", where), source, target,
                             f"{where}.pushforward")
@@ -320,7 +312,9 @@ def _remember(text: str, model: Optional[ImmersionModel] = None) -> Optional[Imm
 def load_model(path: Union[str, Path]) -> ImmersionModel:
     """The model in a model file, read on every call.  A text loaded before,
     among the last LOADED_MODELS distinct ones, gives the same model object;
-    model_from_dict(model_to_dict(m)) builds an independent copy."""
+    model_from_dict(model_to_dict(m)) builds a copy with model memos of its
+    own, which shares its rings, and their memos, with every model whose
+    rings were read from equal ring objects while those rings are held."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -333,5 +327,5 @@ def load_model(path: Union[str, Path]) -> ImmersionModel:
             # ValueError: malformed JSON, or an integer literal over the
             # interpreter's digit limit; RecursionError: nesting too deep
             raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
-        model = _remember(text, _model_from(obj, str(path), parsed=True))
+        model = _remember(text, model_from_dict(obj, where=str(path)))
     return model

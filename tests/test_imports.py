@@ -87,8 +87,6 @@ UNREAD = {
     "formulas.pulled_from_target_class":
         "special-case evaluator, kept until auto runs the special cases",
     "graded.power_sums": "public wrapper that tests and the README read",
-    "modelfile.model_from_dict": "public reader of a model object, which tests and the README read",
-    "modelfile.ring_from_dict": "public reader of a ring object, which tests read",
     "oracle.transfer_to_target_enumerated": "oracle entry point that tests compare against",
     "oracle.double_composition_enumerated": "oracle entry point that tests compare against",
     "partitions.trivial_partition": "partition value that tests build",

@@ -445,8 +445,9 @@ def test_two_loads_of_one_file_return_one_model(tmp_path, monkeypatch, loaded):
     first = load_model(path)
     report = validate(first)
     rings, checks = _counters(monkeypatch)
-    reads, ring_from = [], modelfile._ring_from
-    monkeypatch.setattr(modelfile, "_ring_from", lambda *args: reads.append(args) or ring_from(*args))
+    reads, ring_from = [], modelfile.ring_from_dict
+    monkeypatch.setattr(modelfile, "ring_from_dict",
+                        lambda *args: reads.append(args) or ring_from(*args))
     again = load_model(path)
     # a reload of an unchanged file reads no ring object, builds no ring and
     # runs no axiom check
@@ -575,12 +576,16 @@ def test_files_with_one_target_share_its_ring_and_what_it_derives(tmp_path, monk
     # the target's axiom check and L-class ran for the first model only
     assert checked.count(a.target) == 1 and built.count(a.target) == 1
     assert checked.count(a.source) == 1 and checked.count(b.source) == 1
-    # a file of another layout holds the same ring
+    # a file of another layout holds the same ring; one with the target's
+    # keys in another order holds a ring of its own, equal to it
     relaid = {**model_to_dict(bundled_model("hypersurface-d3")), "name": "relaid"}
-    relaid["target"] = dict(reversed(list(relaid["target"].items())))
     path = tmp_path / "relaid.json"
     path.write_text(json.dumps(relaid, indent=1))
     assert load_model(path).target is a.target
+    relaid["target"] = dict(reversed(list(relaid["target"].items())))
+    path.write_text(json.dumps(relaid))
+    reordered = load_model(path).target
+    assert reordered is not a.target and reordered == a.target
 
 
 def test_a_ring_that_differs_in_a_coefficient_or_its_name_is_its_own(tmp_path, loaded, rings):
@@ -612,16 +617,22 @@ def test_a_refused_ring_is_refused_on_every_read_and_never_held(tmp_path, loaded
     assert all(ring.name != obj["target"]["name"] for ring in rings.values())
 
 
-def test_an_object_json_does_not_hold_is_read_as_it_stands(rings):
-    # JSON writes the int key 3 as "3" and a tuple as a list: such an object
-    # is refused as it stands, even while the ring of its JSON text is held
+def test_an_object_equal_in_other_types_is_read_as_it_stands(rings):
+    # 4.0 == 4, (..) == [..] is false but JSON writes both alike, and so on:
+    # an object that differs from a held one only in the types of its values
+    # is refused as it stands, as it is when no ring is held
     obj = ring_to_dict(bundled_model("hypersurface-d3").target)
     held = ring_from_dict(obj)
     assert ring_from_dict(json.loads(json.dumps(obj))) is held
+    assert {**obj, "top_degree": 6.0} == obj
+    with pytest.raises(ModelFormatError, match="top degree 6.0 is not an int"):
+        ring_from_dict({**obj, "top_degree": 6.0})
     with pytest.raises(ModelFormatError, match="bad basis index 3"):
         ring_from_dict({**obj, "integral": {3: "1"}})
     with pytest.raises(ModelFormatError, match="labels must be a list"):
         ring_from_dict({**obj, "labels": tuple(obj["labels"])})
+    # an object marshal does not write is read as it stands too
+    assert ring_from_dict({**obj, "integral": {"3": Fraction(1)}}) is not held
 
 
 def test_a_copy_shares_the_rings_and_gives_the_same_answers(rings):
