@@ -15,8 +15,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "formulas": """PreconditionError chern_number genus pontrjagin_number transfer_of_unit
-        transfer_to_source transfer_to_target""",
+    "formulas": """chern_number genus pontrjagin_number transfer_of_unit transfer_to_source
+        transfer_to_target""",
     "graded": """GradedAlgebraError GradedClass GradedRing NonUnitalClassError RingComponent
         TensorClass cross genus_class power_sums signature_class""",
     "model": "ImmersionModel LinearMap ModelError ValidationReport embedding_consistent validate",
@@ -27,8 +27,9 @@ _EXPORTS = {
     "random_models": "random_truncated_model",
     "series": """SpecialSeries compose identity_series invert scaled_exp_series
         scaled_log_series""",
-    "signatures": """MultipointResult RouteDisagreement evaluate multiple_point_dimension signature
-        signature_collected signature_via_source signature_via_target virtual_signature_class""",
+    "signatures": """MultipointResult PreconditionError RouteDisagreement evaluate
+        multiple_point_dimension signature signature_collected signature_via_source
+        signature_via_target virtual_signature_class""",
     "union": "disjoint_union",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -100,8 +100,8 @@ def _parse_quantity(text: str, route: str) -> Tuple[str, Optional[Tuple[int, ...
     except ValueError:
         raise CliError(f"bad index sequence {_shown(body)} in --quantity", EXIT_USAGE) from None
     if route not in QUANTITIES[name][0]:
-        raise CliError(f"--route {_shown(route, str)} applies not to --quantity {_shown(text, str)}; "
-                       f"expected one of {', '.join(QUANTITIES[name][0])}", EXIT_USAGE)
+        raise CliError(f"--route {_shown(route, str)} applies not to --quantity {_shown(text, str)}: "
+                       f"{', '.join(QUANTITIES[name][0])}", EXIT_USAGE)
     return name, J if eq else None
 
 

@@ -1,5 +1,5 @@
-"""Genera, characteristic numbers, tensor transfers and the special-case
-evaluators of the k-tuple point manifolds.
+"""Genera, characteristic numbers, tensor transfers and Herbert's closed
+form of the unit transfer and of p_J, for the k-tuple point manifolds.
 
 The signature kernel (the entry checks, the transfer kernel, the
 collected chain, the four signature routes and the virtual signature
@@ -22,12 +22,16 @@ from .graded import GradedClass, Scalar, TensorClass, cross, exact, genus_class
 from .model import ImmersionModel, ModelError, _solve_linear
 from .signatures import (
     MultipointResult,
+    PreconditionError,
     _checked,
+    _closed_form,
     _empty_locus,
     _genus,
+    _herbert_refusal,
     _text,
     _transfer,
     multiple_point_dimension,
+    signature_herbert,
     zero_warning,
 )
 
@@ -35,10 +39,6 @@ from .signatures import (
 globals().update({name: getattr(signatures, name) for name in """SIGNATURE_ROUTES signature
     signature_collected signature_collected_source signature_via_source signature_via_target
     virtual_signature_class""".split()})
-
-
-class PreconditionError(ModelError):
-    """A special-case evaluator was invoked outside its hypothesis."""
 
 
 # ---------------------------------------------------------------------------
@@ -385,74 +385,41 @@ def _interpolate_on_lower_set(values: Mapping[Tuple[int, ...], object]
 
 
 # ---------------------------------------------------------------------------
-# Special-case evaluators of the signature (J None) or p_J: after the
-# entry check and the hypothesis, 0 on an empty k-tuple point manifold
+# Herbert's closed form of the unit transfer and of p_J, on the herbert
+# route's memo: after the entry check and the hypothesis, 0 on an empty locus
 # ---------------------------------------------------------------------------
 
 
 @_checked
 def transfer_of_unit(model: ImmersionModel, k: int) -> GradedClass:
-    """Closed form of the transfer of the unit tensor:
+    """Closed form of the transfer of the unit tensor, Herbert's class:
     prod_{i=1}^{k-1} (pullback(pushforward(1)) - i*euler).
 
     Valid when f*f_! = 0 (only the one-block partition term is left, the
     product at f*f_!(1) = 0), read first, or when the Euler class is pulled
     back from the target, and refused otherwise.
     """
-    if not model.facts.null_pushpull and model.facts.euler_preimage is None:
-        raise PreconditionError(f"f*f_! is not zero and euler class {model.euler} "
-                                "is not pulled back from the target")
+    if (why := _herbert_refusal(model, l_normal=False)) is not None:
+        raise PreconditionError(why)
     if _empty_locus(model, k):
         return model.source.zero()
-    base = model.pushpull(model.source.unit())
-    return prod((base - i * model.euler for i in range(1, k)), start=model.source.unit())
-
-
-@_checked
-def pulled_from_target_class(model: ImmersionModel, k: int, y: TensorClass) -> GradedClass:
-    """Transfer of a class pulled back from the k-fold target power:
-    the product of the slotwise pullbacks times the closed-form unit
-    transfer, by the projection formula.  Requires only what
-    transfer_of_unit does: f*f_! = 0, or euler from the target.
-    """
-    unit = transfer_of_unit.__wrapped__(model, k)
-    out = model.source.zero()
-    for idx, coeff in y.terms.items():
-        out = out + coeff * prod((model.pullback(model.target.basis_class(j)) for j in idx),
-                                 start=model.source.unit())
-    return out * unit
+    return GradedClass(model.source, _closed_form(model, k, 0))
 
 
 @_checked
 def herbert(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
-    """Herbert's closed form of the signature (J None) or p_J: the integral
-    of the core times the unit transfer, over k!; the core is L(source) *
-    L(normal)^-(k-1), or for p_J the degree-J part of P(source) *
-    P(normal)^-(k-1).  Valid when f*f_! = 0, or when euler and L(normal)^-1
-    are pulled back from the target.  At f*f_! = 0 the unit transfer is
+    """Herbert's closed form of the signature (J None, the herbert route) or
+    p_J: the integral of the core times the unit transfer, over k!; the core
+    is L(source) * L(normal)^-(k-1), or for p_J the degree-J part of
+    P(source) * P(normal)^-(k-1).  Valid when f*f_! = 0, or when euler and
+    L(normal)^-1 are pulled back.  At f*f_! = 0 the unit transfer is
     (-1)^(k-1) (k-1)! euler^(k-1); where also P(normal)^-1 = P(source), as
     for a nullhomotopic f, the core is L(source)^k: Szucs's formula."""
-    unit = transfer_of_unit.__wrapped__(model, k)
-    if not model.facts.null_pushpull and model.facts.l_normal_inverse_preimage is None:
-        raise PreconditionError("f*f_! is not zero and L(normal) is not pulled back "
-                                "from the target")
+    if J is None:
+        return signature_herbert.__wrapped__(model, k)
+    if (why := _herbert_refusal(model)) is not None:
+        raise PreconditionError(why)
     if _empty_locus(model, k):
         return Fraction(0)
-    core = (model.l_source * model.l_normal_inverse ** (k - 1) if J is None
-            else (model.pontrjagin_source * model.normal_pontrjagin_inverse ** (k - 1))
-            .select_degrees(J))
-    return (core * unit).integrate() / factorial(k)
-
-
-@_checked
-def euler_zero(model: ImmersionModel, k: int) -> Fraction:
-    """Signature when the normal Euler class vanishes: only the finest
-    partition survives, leaving a k-th power of the pushed normal class
-    on the target."""
-    if not model.facts.null_euler:
-        raise PreconditionError(f"euler class {model.euler} is nonzero")
-    if _empty_locus(model, k):
-        return Fraction(0)
-    pushed = model.pushforward(model.l_normal_inverse)
-    return (model.l_target * pushed ** k).integrate() / factorial(k)
-
+    core = (model.pontrjagin_source * model.normal_pontrjagin_inverse ** (k - 1)).select_degrees(J)
+    return (core * transfer_of_unit.__wrapped__(model, k)).integrate() / factorial(k)

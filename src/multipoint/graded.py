@@ -592,8 +592,8 @@ def genus_coords(ring: GradedRing, terms: Sequence[Tuple[Scalar, Coords]]) -> Co
     return {i: _divide(v, denominator) for i, v in total.items() if v}
 
 
-def _divide(v: Scalar, n: int) -> Scalar:
-    """v / n in the int-or-Fraction normal form."""
+def _divide(v: Scalar, n: Scalar) -> Scalar:
+    """v / n in the int-or-Fraction normal form, for n nonzero."""
     if type(v) is int:
         q, r = divmod(v, n)
         return Fraction(v, n) if r else q

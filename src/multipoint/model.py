@@ -20,6 +20,7 @@ from .graded import (
     GradedClass,
     GradedRing,
     Scalar,
+    _divide,
     basis_indices,
     clean_coords,
     combine_rows,
@@ -386,7 +387,7 @@ def _pushpull_is_euler_times(model: ImmersionModel, c: int) -> bool:
 
 
 class Facts(Frozen):
-    """Which hypotheses of the provable zeros and the special-case evaluators a model
+    """Which hypotheses of the provable zeros and of Herbert's closed form a model
     satisfies (its model.facts), each decided on its first read and kept; a passing
     ValidationReport holds the same record.
 
@@ -403,7 +404,6 @@ class Facts(Frozen):
     euler_preimage, l_normal_inverse_preimage: a target class that f* maps to e, to
     L(normal)^-1, or None (f* is a unital ring homomorphism, so L(normal) is pulled
     back exactly when its inverse is).
-    null_euler: e = 0.
     """
 
     def __init__(self, model: ImmersionModel):
@@ -416,47 +416,42 @@ class Facts(Frozen):
                                                                   self.model.euler))
     l_normal_inverse_preimage = cached_property(lambda self: _preimage_under(
         self.model.pullback, self.model.l_normal_inverse))
-    null_euler = cached_property(lambda self: self.model.euler.is_zero())
 
 
 def _solve_linear(columns: Sequence[Coords], target: Coords) -> Optional[List[Fraction]]:
     """Solve sum_j v_j * columns[j] = target over the rationals.
 
-    Returns one solution vector or None when the system is inconsistent.
-    The entries of columns and target may be ints or Fractions; every
-    division is by a Fraction, so the solution is exact.
+    Returns one solution of Fractions, 0 at every free unknown, or None
+    when the system is inconsistent.  Sparse exact elimination: each row
+    {j: coefficient, -1: right-hand side} is reduced by the earlier pivot
+    rows and scaled to 1 at its least unknown, back substitution runs in
+    reverse, and ints stay ints until the end (graded._divide).
     """
-    rows = sorted({i for col in columns for i in col} | set(target))
-    row_pos = {r: i for i, r in enumerate(rows)}
-    nrows, ncols = len(rows), len(columns)
-    mat = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
-    for j, col in enumerate([*columns, target]):  # target is column ncols
+    rows: Dict[int, Dict[int, Scalar]] = {}
+    for j, col in [*enumerate(columns), (-1, target)]:
         for r, c in col.items():
-            mat[row_pos[r]][j] = c
-
-    pivots: List[Tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = Fraction(1, mat[row][col])
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(nrows):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    if any(mat[r][ncols] for r in range(row, nrows)):
-        return None
-    solution = [Fraction(0)] * ncols
-    for r, c in pivots:
-        solution[c] = mat[r][ncols]
-    return solution
+            if c:
+                rows.setdefault(r, {})[j] = c
+    pivots: List[Tuple[int, Dict[int, Scalar]]] = []
+    for row in rows.values():
+        for p, pivot in pivots:
+            c = row.get(p)
+            if c:
+                for j, v in pivot.items():
+                    row[j] = row.get(j, 0) - c * v
+        row = {j: v for j, v in row.items() if v}
+        unknowns = [j for j in row if j >= 0]
+        if unknowns:
+            p = min(unknowns)
+            a = row[p]
+            pivots.append((p, row if a == 1 else {j: _divide(v, a) for j, v in row.items()}))
+        elif row:
+            return None
+    solution: List[Scalar] = [0] * len(columns)
+    for p, pivot in reversed(pivots):
+        solution[p] = pivot.get(-1, 0) - sum(v * solution[j] for j, v in pivot.items()
+                                             if j >= 0 and j != p)
+    return list(map(Fraction, solution))
 
 
 def _preimage_under(linmap: LinearMap, target: GradedClass) -> Optional[GradedClass]:

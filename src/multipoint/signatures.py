@@ -1,12 +1,12 @@
 """The signature kernel: the entry checks, the one rule for a value known
-to be 0 (``zero_warning``), the transfer kernel, the collected chain, the
-four signature routes, the virtual signature class, and ``evaluate``, the
-one entry point for every quantity of ``QUANTITIES``, with its record.
+to be 0 (``zero_warning``), the transfer kernel, the collected chain,
+Herbert's closed form, the signature routes, the virtual signature class
+and ``evaluate``, the one entry point for every quantity, with its record.
 
 This is all that a signature or virtual-class query runs; the genera,
-characteristic numbers, tensor transfers and special cases live in
-``formulas``, imported by ``evaluate`` for a number only, and a disjoint
-union of components in ``union``, so such a query compiles neither.
+characteristic numbers and tensor transfers live in ``formulas``,
+imported by ``evaluate`` for a number only, and a disjoint union of
+components in ``union``, so such a query compiles neither.
 
 Partition sums over an arbitrary tensor argument run as a recursion over
 the subsets of {1,...,k} that splits off the block of the smallest point,
@@ -17,7 +17,8 @@ coefficients of exp(sum_i (-1)^(i-1) b_i t^i / i), b_i the pushforward of
 e^(i-1) * u^i.  For a multiplicative class K the genus of the k-tuple
 point manifold is the integral of K(target) * E_k with u = K(normal)^-1;
 the collected routes pair the L-class with it, and ``formulas`` reads the
-characteristic numbers from genera at integer points.  Everything is exact
+characteristic numbers from genera at integer points; Herbert's closed
+form shares only ring products with the chain.  Everything is exact
 rational arithmetic; agreement checks are equalities, not tolerances.
 """
 
@@ -36,6 +37,10 @@ from .records import Record, _shown
 
 class RouteDisagreement(ArithmeticError):
     """Two routes that must agree exactly produced different values."""
+
+
+class PreconditionError(ModelError):
+    """A closed form was invoked outside its hypothesis."""
 
 
 class MultipointResult(Record):
@@ -86,9 +91,10 @@ def _J(J: object) -> None:
             raise GradedAlgebraError(f"index sequence entry {_shown(j)} is not a nonnegative even integer")
 
 
-def _tensor(name: str, t: object, k: int, ring: object, side: str) -> None:
-    if not (isinstance(t, TensorClass) and t.arity == k and (t.ring is ring or t.ring == ring)):
-        raise GradedAlgebraError(f"{name} must be an arity-{k} TensorClass on the {side} ring")
+def _tensor(x: object, model: ImmersionModel, k: int) -> None:
+    if not (isinstance(x, TensorClass) and x.arity == k
+            and (x.ring is model.source or x.ring == model.source)):
+        raise GradedAlgebraError(f"x must be an arity-{k} TensorClass on the source ring")
 
 
 def _route_name(route: object) -> None:
@@ -116,9 +122,7 @@ def _log_coeffs(log_coeffs: object) -> None:
 # a check's parameters after the first name the arguments it also reads
 _ENTRY_CHECKS = {
     "model": _model, "k": _k, "J": _J, "route": _route_name, "quantity": _quantity,
-    "chern": _chern, "log_coeffs": _log_coeffs,
-    "x": lambda x, model, k: _tensor("x", x, k, model.source, "source"),
-    "y": lambda y, model, k: _tensor("y", y, k, model.target, "target"),
+    "chern": _chern, "log_coeffs": _log_coeffs, "x": _tensor,
 }
 _REQUIRED = object()
 
@@ -399,8 +403,50 @@ def _genus(model: ImmersionModel, k: int, target_class: GradedClass,
 
 
 # ---------------------------------------------------------------------------
-# Signature routes
+# Signature routes, and Herbert's closed form
 # ---------------------------------------------------------------------------
+
+
+def _herbert_refusal(model: ImmersionModel, l_normal: bool = True) -> Optional[str]:
+    """Why Herbert's closed form fails on the model, or None.  It holds where
+    f*f_! = 0 (read first: such a model solves no linear system) or where e
+    and, with l_normal, L(normal)^-1 are pulled back: every block then pulls
+    out of the pushforward, and the transfer of pulled-back u_1..u_k is
+    u_1 * ... * u_k * m_k, Herbert's class m_k = prod_{i<k} (f*f_!(1) - i*e)."""
+    facts = model.facts
+    if facts.null_pushpull:
+        return None
+    if facts.euler_preimage is None:
+        return f"f*f_! is not zero and euler class {model.euler} is not pulled back from the target"
+    if l_normal and facts.l_normal_inverse_preimage is None:
+        return "f*f_! is not zero and L(normal) is not pulled back from the target"
+    return None
+
+
+class _Herbert:
+    """The memo of Herbert's closed form: f*f_!(1), the powers u^0..u^n of
+    u = L(normal)^-1 and the classes m_1..m_n, all source coordinate dicts."""
+
+    __slots__ = ("base", "powers", "units")
+
+    def __init__(self, model: ImmersionModel):
+        unit = model.source.unit_coords
+        self.base = model.pullback.apply_coords(model.pushforward.apply_coords(unit))
+        self.powers, self.units = [unit], [unit]
+
+
+def _closed_form(model: ImmersionModel, k: int, power: int) -> Coords:
+    """u^power * m_k, from the model's memo, extended by one product per
+    class and per power; callers check _herbert_refusal and mutate nothing."""
+    memo = model._cached("herbert", lambda: _Herbert(model))
+    powers, units, mul = memo.powers, memo.units, model.source.mul_coords
+    while len(powers) <= power:
+        powers.append(mul(powers[-1], model.l_normal_inverse.coords))
+    while len(units) < k:
+        step = _sum_coords([(1, memo.base), (-len(units), model.euler.coords)])
+        units.append(mul(units[-1], step))
+    return mul(powers[power], units[k - 1]) if power else units[k - 1]
+
 
 @_checked
 def signature_via_source(model: ImmersionModel, k: int) -> Fraction:
@@ -454,11 +500,24 @@ def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
     return _pairing(model.l_source, acc) / k
 
 
+@_checked
+def signature_herbert(model: ImmersionModel, k: int) -> Fraction:
+    """Herbert's closed form: the integral of L(source) * L(normal)^-(k-1)
+    * m_k over k!, with no chain, transfer or partition; refused, on an
+    empty k-tuple manifold too, where _herbert_refusal names a reason."""
+    if (why := _herbert_refusal(model)) is not None:
+        raise PreconditionError(why)
+    if _empty_locus(model, k):
+        return Fraction(0)
+    return _pairing(model.l_source, _closed_form(model, k, k - 1)) / factorial(k)
+
+
 SIGNATURE_ROUTES = {
     "general": signature_via_source,
     "via-N": signature_via_target,
     "collected": signature_collected,
     "collected-source": signature_collected_source,
+    "herbert": signature_herbert,
 }
 
 
@@ -470,8 +529,10 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
     reach the top degree.
 
     route 'auto' returns 0 before any route runs when zero_warning names a
-    reason; otherwise it evaluates every route and insists on exact
-    agreement.  A named route always runs.
+    reason; else it runs two independent kernels, the collected chain and,
+    where Herbert's hypothesis holds, the closed form, else the subset
+    kernel of general and via-N (3^(k-1)/2 products each), and insists on
+    exact agreement.  A named route always runs.
     """
     bound = (k - 1) * model.codim
     for c in model.source.components:
@@ -483,7 +544,9 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
         return SIGNATURE_ROUTES[route](model, k)
     if zero_warning.__wrapped__(model, k) is not None:
         return Fraction(0)
-    values = {name: fn(model, k) for name, fn in SIGNATURE_ROUTES.items()}
+    names = (("collected", "collected-source", "herbert") if _herbert_refusal(model) is None
+             else ("general", "via-N", "collected", "collected-source"))
+    values = {name: SIGNATURE_ROUTES[name](model, k) for name in names}
     distinct = set(values.values())
     if len(distinct) != 1:
         detail = ", ".join(f"{name}={value}" for name, value in values.items())
@@ -500,19 +563,22 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
 def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
     """The target class whose pairing with L(target)/k! is the signature:
     k! E_k of the model's collected chain for u = L(normal)^-1, checked
-    against the transfer kernel's pushed tensor power of u, which the
-    via-N route shares; 0 at once when zero_warning names a reason (on an
-    empty k-tuple manifold, before it builds the text)."""
+    where Herbert's hypothesis holds against f_!(u^k * m_k), from the
+    herbert route's memo, else against the subset kernel's pushed tensor
+    power of u, which via-N shares; 0 at once when zero_warning names a
+    reason (on an empty k-tuple manifold, before it builds the text)."""
     target = model.target
     if _empty_locus(model, k) or zero_warning.__wrapped__(model, k) is not None:
         return target.zero()
     coeffs = _exponential_coefficients(model, model.l_normal_inverse, k).coeffs[k]
     collected = GradedClass(target, {i: factorial(k) * v for i, v in coeffs.items()})
-    enumerated = _pushed_normal_power(model, k)
-    if collected != enumerated:
+    if _herbert_refusal(model) is None:
+        other = GradedClass(target, model.pushforward.apply_coords(_closed_form(model, k, k)))
+    else:
+        other = _pushed_normal_power(model, k)
+    if collected != other:
         raise RouteDisagreement(
-            f"virtual signature class mismatch for k={k}: "
-            f"collected {collected} vs enumerated {enumerated}")
+            f"virtual signature class mismatch for k={k}: collected {collected} vs {other}")
     return collected
 
 

@@ -10,17 +10,15 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from multipoint.formulas import (
     PreconditionError,
     chern_number,
-    euler_zero,
     herbert,
     pontrjagin_number,
-    pulled_from_target_class,
     transfer_of_unit,
     transfer_to_source,
 )
@@ -218,28 +216,34 @@ def test_criterion_7_union_convolution(bundled_models):
 
 
 def test_criterion_8_special_cases(random_models, bundled_models):
-    # Herbert's closed form and class on the random draws, wherever the hypothesis holds
+    # Herbert's closed form and class on the random draws, wherever the
+    # hypothesis holds; a tensor of pulled-back classes transfers to their
+    # product times the unit transfer (the projection formula)
     pulled = 0
     for m in random_models:
         try:
             for k in range(1, 5):
                 assert herbert(m, k) == signature(m, k, route="general")
-                assert pulled_from_target_class(m, k, cross([m.target.unit()] * k)) \
-                    == transfer_to_source(m, k, cross([m.source.unit()] * k))
-                assert transfer_of_unit(m, k) == transfer_to_source(
-                    m, k, cross([m.source.unit()] * k))
+                unit = transfer_of_unit(m, k)
+                assert unit == transfer_to_source(m, k, cross([m.source.unit()] * k))
+                ys = [m.pullback(m.target.basis_class(j % len(m.target.labels)))
+                      for j in range(1, k + 1)]
+                assert transfer_to_source(m, k, cross(ys)) == prod(ys, start=unit)
             pulled += 1
         except PreconditionError:
             continue
     assert pulled >= 10
 
-    # zero Euler class
+    # zero Euler class: every block of two or more points is 0, so E_k is
+    # b_1^k / k! with b_1 = f_!(L(normal)^-1)
     zero_e = [m for m in random_models if m.euler.is_zero()]
     zero_e.append(bundled_models["line-in-quadric"])
     assert len(zero_e) >= 3
     for m in zero_e:
+        pushed = m.pushforward(m.l_normal_inverse)
         for k in range(1, 5):
-            assert euler_zero(m, k) == signature(m, k, route="auto")
+            assert (m.l_target * pushed ** k).integrate() / factorial(k) \
+                == signature(m, k, route="auto")
 
     # vanishing pushpull: Herbert's closed form, and it is the one-block-partition term
     for name in ("null-pushforward", "nullhomotopic-cp2-in-s6"):
@@ -268,8 +272,6 @@ def test_criterion_8_special_cases(random_models, bundled_models):
             m, 2, [dims[0]]).value
 
     # every precondition is actually enforced
-    with pytest.raises(PreconditionError, match=r"^euler class 1\*t is nonzero$"):
-        euler_zero(bundled_models["line-in-plane"], 2)
     refused = disjoint_union([bundled_models["hypersurface-d1"], bundled_models["hypersurface-d2"]])
     for special in (transfer_of_unit, herbert):
         with pytest.raises(PreconditionError, match=r"^f\*f_! is not zero and euler class "

@@ -357,13 +357,12 @@ def test_an_unknown_route_exits_3_naming_the_routes_of_its_quantity(capsys):
     code, out, err = run(capsys, "compute", "two-lines", "--k", "2",
                          "--quantity", "signature", "--route", "bogus")
     assert (code, out) == (3, "")
-    assert err == ("error: --route bogus applies not to --quantity signature; expected one of "
-                   "general, via-N, collected, collected-source, auto\n")
+    assert err == ("error: --route bogus applies not to --quantity signature: "
+                   "general, via-N, collected, collected-source, herbert, auto\n")
     code, out, err = run(capsys, "compute", "two-lines", "--k", "2",
                          "--quantity", "chern=2", "--route", "collected")
     assert (code, out) == (3, "")
-    assert err == ("error: --route collected applies not to --quantity chern=2; "
-                   "expected one of auto\n")
+    assert err == "error: --route collected applies not to --quantity chern=2: auto\n"
 
 
 def run_to_exit(capsys, *argv):
@@ -453,12 +452,31 @@ def test_compute_usage_error_precedes_validation(tmp_path, capsys, extra):
 
 
 def test_compute_route_disagreement_exits_1(capsys, monkeypatch):
+    # Herbert's hypothesis holds on two-lines, so auto runs herbert there
     from fractions import Fraction
-    monkeypatch.setitem(formulas.SIGNATURE_ROUTES, "via-N", lambda m, k: Fraction(999))
+    monkeypatch.setitem(formulas.SIGNATURE_ROUTES, "herbert", lambda m, k: Fraction(999))
     code, _, err = run(capsys, "compute", "two-lines", "--k", "2",
                        "--quantity", "signature", "--route", "auto")
     assert code == 1
     assert "disagreement" in err
+
+
+def test_the_herbert_route_outside_its_hypothesis_exits_3(tmp_path, capsys):
+    # neither f*f_! = 0 nor e pulled back on this union: the named route is
+    # refused, and auto runs the chain and the subset kernel instead
+    from multipoint.union import disjoint_union
+    path = tmp_path / "union.json"
+    save_model(disjoint_union([bundled_model("hypersurface-d1"),
+                               bundled_model("hypersurface-d2")]), path)
+    code, out, err = run(capsys, "compute", str(path), "--k", "1", "--quantity", "signature",
+                         "--route", "herbert")
+    assert (code, out) == (3, "")
+    assert err == ("error: f*f_! is not zero and euler class 1*t@0 + 2*t@1 "
+                   "is not pulled back from the target\n")
+    code, out, _ = run(capsys, "compute", str(path), "--k", "1", "--quantity", "signature")
+    assert code == 0 and out.strip() == str(
+        formulas.signature(bundled_model("hypersurface-d1"), 1)
+        + formulas.signature(bundled_model("hypersurface-d2"), 1))
 
 
 def test_compute_json_payload(capsys):

@@ -2,7 +2,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +13,8 @@ from multipoint import model as model_mod
 from multipoint.formulas import (
     PreconditionError,
     chern_number,
-    euler_zero,
     herbert,
     pontrjagin_number,
-    pulled_from_target_class,
     transfer_of_unit,
     transfer_to_source,
     transfer_to_target,
@@ -263,8 +261,8 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
         raise AssertionError("an empty k-tuple manifold must run no route")
 
     m = bundled_model("line-in-plane")
-    nullhomotopic_cp2, null_push, line_in_quadric = map(
-        bundled_model, ("nullhomotopic-cp2-in-s6", "null-pushforward", "line-in-quadric"))
+    nullhomotopic_cp2, null_push = map(bundled_model, ("nullhomotopic-cp2-in-s6",
+                                                       "null-pushforward"))
     for name in SIGNATURE_ROUTES:
         monkeypatch.setitem(SIGNATURE_ROUTES, name, unavailable)
     # the virtual class and genus read the kernels from signatures
@@ -279,7 +277,6 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
     assert transfer_of_unit(m, 10 ** 6) == m.source.zero()
     for held in (m, nullhomotopic_cp2, null_push):
         assert herbert(held, 10 ** 6) == herbert(held, 10 ** 6, (4,)) == 0, held.name
-    assert euler_zero(line_in_quadric, 10 ** 6) == 0
     assert time.perf_counter() - start < 1
     for k in (2, 10 ** 6):
         for route in ("nonesuch", [], None, 1):
@@ -294,8 +291,6 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
         herbert(null_push, 10 ** 6, (3,))
     with pytest.raises(ValueError, match="multiplicity"):
         formulas.genus(m, 0, (0, 1))
-    with pytest.raises(PreconditionError, match=r"^euler class 1\*t is nonzero$"):
-        euler_zero(m, 10 ** 6)
     refused = disjoint_union([bundled_model("hypersurface-d1"), bundled_model("hypersurface-d2")])
     for special in (transfer_of_unit, herbert):
         with pytest.raises(PreconditionError, match=e_not_pulled_back(refused)):
@@ -675,10 +670,12 @@ def test_signature_keeps_one_collected_chain_per_normal_class():
     # the source route reads F_n = f*(E_n) from the target chain: no chain
     # of its own, and every F_n it read is kept on the target chain; the
     # routes are called directly, since signature returns 0 before any route
-    # when no k-tuple dimension is 0 mod 4
+    # when no k-tuple dimension is 0 mod 4 (herbert where its hypothesis holds)
     for m in _memo_models():
+        routes = [route for name, route in SIGNATURE_ROUTES.items()
+                  if name != "herbert" or signatures._herbert_refusal(m) is None]
         for k in range(1, 6):
-            for route in SIGNATURE_ROUTES.values():
+            for route in routes:
                 route(m, k)
         keys = [key for key in m._cache if isinstance(key, tuple) and key[0] == "collected"]
         assert keys == [("collected", m.l_normal_inverse)], m.name
@@ -802,12 +799,11 @@ def _k_entry_points():
     arguments at k = 2 by parameter name, in parameter order).  herbert is
     there once per model that meets a different part of its hypothesis: e
     and L(normal) pulled back, f*f_! = 0 with f_! = 0, and f*f_! = 0 with
-    e not pulled back."""
+    e not pulled back; the herbert signature route is "herbert-route"."""
     d3, quadric = bundled_model("hypersurface-d3"), bundled_model("line-in-quadric")
     plane, null_push, cp2 = map(bundled_model, ("line-in-plane", "null-pushforward",
                                                 "nullhomotopic-cp2-in-s6"))
     x = graded.TensorClass(d3.source, 2, {(0, 0): 1})
-    y = graded.TensorClass(plane.target, 2, {(0, 0): 1})
     coeffs = [Fraction(1, n) for n in range(1, DEFAULT_CAP + 1)]  # one per k the oracle takes
     on_d3 = {"model": d3, "k": 2}
     calls = {name: (fn, on_d3) for name, fn in SIGNATURE_ROUTES.items()}
@@ -824,11 +820,10 @@ def _k_entry_points():
         "transfer_to_source": (transfer_to_source, {**on_d3, "x": x}),
         "transfer_to_target": (transfer_to_target, {**on_d3, "x": x}),
         "transfer_of_unit": (transfer_of_unit, on_d3),
-        "pulled_from_target_class": (pulled_from_target_class, {"model": plane, "k": 2, "y": y}),
         "herbert": (herbert, {"model": plane, "k": 2, "J": None}),
         "herbert-null-pushforward": (herbert, {"model": null_push, "k": 2, "J": None}),
         "herbert-cp2-in-s6": (herbert, {"model": cp2, "k": 2, "J": None}),
-        "euler_zero": (euler_zero, {"model": quadric, "k": 2}),
+        "herbert-route": (SIGNATURE_ROUTES["herbert"], on_d3),
         "signature_enumerated": (signature_enumerated, on_d3),
         "virtual_class_enumerated": (virtual_class_enumerated, on_d3),
         "transfer_to_source_enumerated": (transfer_to_source_enumerated, {**on_d3, "x": x}),
@@ -913,7 +908,6 @@ def _d3():
     (lambda: disjoint_union("ab"), ModelError, "^models must"),
     (lambda: disjoint_union([_d3(), "x"]), ModelError, "^models must"),
     (lambda: transfer_to_source(_d3(), 2, None), graded.GradedAlgebraError, "^x must"),
-    (lambda: pulled_from_target_class(_d3(), 2, None), graded.GradedAlgebraError, "^y must"),
     (lambda: zero_warning(_d3(), 0), ValueError, "multiplicity k must be at least 1"),
     (lambda: zero_warning(_d3(), "a"), ValueError, "multiplicity k must be an int"),
     (lambda: oracle.compose_enumerated([1, Fraction(-1, 2)], [1, Fraction(-1, 2)], 3),
@@ -925,7 +919,7 @@ def _d3():
 ], ids=["genus-None", "genus-int", "genus-str", "genus-dict", "signature-None",
         "pontrjagin-None", "dimension-None", "unit-transfer-None", "virtual-class-None",
         "union-with-an-int", "union-of-a-model", "union-of-an-int", "union-of-a-string",
-        "union-with-a-string", "transfer-x-None", "pulled-y-None",
+        "union-with-a-string", "transfer-x-None",
         "warning-k-0", "warning-k-str", "compose-short-lists",
         "compose-int-list", "double-composition-short-list"])
 def test_an_argument_that_escaped_before_is_refused_by_name(call, error, match):
@@ -1032,25 +1026,24 @@ def test_union_convolution_checks_once_on_the_union(monkeypatch):
     assert len(calls) == 1
 
 
-def test_signature_then_virtual_class_push_one_transfer(monkeypatch):
-    # the via-N route and the virtual class's check share one pushed
-    # transfer, memoised per model and k
-    calls = []
-    transfer = signatures._transfer
-
-    def counted(model, factors, to_target):
-        calls.append(to_target)
-        return transfer(model, factors, to_target)
-
-    monkeypatch.setattr(signatures, "_transfer", counted)
+def test_signature_then_bk_share_one_closed_form_memo(monkeypatch):
+    # the herbert route and the virtual class's check read one memo of
+    # Herbert's closed form per model, which the virtual class extends by
+    # one power; neither runs the subset kernel
+    built, transfers = [], []
+    monkeypatch.setattr(signatures, "_transfer", lambda *args: transfers.append(args))
+    monkeypatch.setattr(signatures._Herbert, "__init__", lambda self, m, init=(
+        signatures._Herbert.__init__): built.append(m) or init(self, m))
     for name, k in (("two-lines", 2), ("hypersurface-d3", 1)):
         m = bundled_model(name)
-        calls.clear()
+        built.clear()
         value = signature(m, k)
-        assert calls == [False, True], name  # the general route, then via-N
+        memo = m._cache["herbert"]
+        assert built == [m] and len(memo.powers) == k, name
         cls = virtual_signature_class(m, k)
-        assert calls == [False, True], name
+        assert built == [m] and m._cache["herbert"] is memo and len(memo.powers) == k + 1, name
         assert (m.l_target * cls).integrate() / factorial(k) == value, name
+    assert transfers == []
 
 
 def test_union_convolution_refuses_what_the_disjoint_union_refuses():
@@ -1720,7 +1713,7 @@ def test_provable_zeros_agree_with_every_route_and_the_oracle():
 
 def test_an_invalid_model_and_a_named_route_still_run_the_kernels(monkeypatch):
     reached = []
-    for name in ("_transfer", "_extend"):
+    for name in ("_transfer", "_extend", "_closed_form"):
         real = getattr(signatures, name)
         monkeypatch.setattr(signatures, name, lambda *args, real=real, name=name, **kwargs:
                             reached.append(name) or real(*args, **kwargs))
@@ -1784,6 +1777,15 @@ def test_transfer_of_unit_is_refused_or_exact_on_unions(seed, same):
         assert closed == transfer_to_source(u, k, cross([u.source.unit()] * k)), (u.name, k)
 
 
+def _pulled_back_transfer(m, y):
+    """The transfer of the pullback of the target tensor y, by the
+    projection formula: each term's product of pulled-back classes times
+    the unit transfer, Herbert's class."""
+    unit = transfer_of_unit(m, y.arity)
+    return sum((c * prod((m.pullback(m.target.basis_class(j)) for j in idx), start=unit)
+                for idx, c in y.terms.items()), m.source.zero())
+
+
 def test_pulled_from_target_class_needs_only_euler_pulled_back():
     # the projection formula pulls every pulled-back factor out of the
     # transfer, so L(normal) need not be pulled back
@@ -1804,15 +1806,16 @@ def test_pulled_from_target_class_needs_only_euler_pulled_back():
                 pulled = cross([m.source.zero()] * k)
                 for idx, c in y.terms.items():
                     pulled = pulled + c * cross([m.pullback(m.target.basis_class(j)) for j in idx])
-                assert pulled_from_target_class(m, k, y) == transfer_to_source(m, k, pulled), \
+                assert _pulled_back_transfer(m, y) == transfer_to_source(m, k, pulled), \
                     (m.name, k)
 
 
 def test_each_hypothesis_is_decided_once_per_model(monkeypatch):
-    # each special-case evaluator 20 times, at k = 1..4: the one pass of
-    # f*f_! over the basis (f*f_! = 0), the two linear solves (e and
-    # L(normal)^-1 pulled back), and the one inversion of P(normal) that the
-    # p_J core reads run once
+    # each closed form, and the signature and virtual class that choose
+    # their second kernel by its hypothesis, 20 times at k = 1..4 on a model
+    # never validated: the one pass of f*f_! over the basis (f*f_! = 0), the
+    # two linear solves (e and L(normal)^-1 pulled back), and the one
+    # inversion of P(normal) that the p_J core reads run once
     m = bundled_model("hypersurface-d3")
     normal = m.normal_pontrjagin
     solves, passes, inversions = [], [], []
@@ -1828,8 +1831,7 @@ def test_each_hypothesis_is_decided_once_per_model(monkeypatch):
                         lambda m, c: passes.append(c) or pass_(m, c))
     monkeypatch.setattr(graded.GradedClass, "invert_unital", counted_invert)
     evaluators = [lambda k, i: transfer_of_unit(m, k),
-                  lambda k, i: pulled_from_target_class(m, k, cross([m.target.unit()] * k)),
-                  lambda k, i: euler_zero(m, k),
+                  lambda k, i: signature(m, k) if i % 2 else virtual_signature_class(m, k),
                   lambda k, i: herbert(m, k, (4,) if i % 2 else None)]
     held = 0
     for evaluator in evaluators:
@@ -1841,7 +1843,7 @@ def test_each_hypothesis_is_decided_once_per_model(monkeypatch):
                 except PreconditionError:
                     pass
     assert (len(solves), passes, len(inversions)) == (2, [0], 1)
-    assert held == 60  # all but euler_zero hold on d3
+    assert held == 60  # every one holds on d3
 
 
 def test_a_model_with_null_pushpull_solves_no_linear_system(monkeypatch):
@@ -1851,7 +1853,8 @@ def test_a_model_with_null_pushpull_solves_no_linear_system(monkeypatch):
         m = bundled_model(name)
         for k in range(1, 5):
             transfer_of_unit(m, k)
-            pulled_from_target_class(m, k, cross([m.target.unit()] * k))
+            signature(m, k)
+            virtual_signature_class(m, k)
             herbert(m, k)
             herbert(m, k, (4,))
 
@@ -1864,9 +1867,11 @@ def test_pulled_from_target_class_and_signature():
         try:
             for k in range(1, 5):
                 assert herbert(m, k) == signature(m, k, route="general")
-                y = cross([m.target.unit()] * k)
-                assert pulled_from_target_class(m, k, y) == transfer_to_source(
-                    m, k, cross([m.source.unit()] * k))
+                y = _random_tensor(rng, m.target, k)
+                pulled = cross([m.source.zero()] * k)
+                for idx, c in y.terms.items():
+                    pulled = pulled + c * cross([m.pullback(m.target.basis_class(j)) for j in idx])
+                assert _pulled_back_transfer(m, y) == transfer_to_source(m, k, pulled)
             checked += 1
         except PreconditionError:
             continue
@@ -1878,8 +1883,7 @@ def test_pulled_from_target_precondition_enforced():
     # unit transfer is refused with the same text
     u = disjoint_union([bundled_model("hypersurface-d1"), bundled_model("hypersurface-d2")])
     assert validate(u).ok
-    for special in (transfer_of_unit, herbert,
-                    lambda m, k: pulled_from_target_class(m, k, cross([m.target.unit()] * k))):
+    for special in (transfer_of_unit, herbert, SIGNATURE_ROUTES["herbert"]):
         with pytest.raises(PreconditionError) as refused:
             special(u, 2)
         assert str(refused.value) == ("f*f_! is not zero and euler class 1*t@0 + 2*t@1 "
@@ -1907,8 +1911,16 @@ def test_nullhomotopic_precondition():
     for k in range(1, 5):
         unit = transfer_of_unit(m, k)
         assert unit == Fraction((-1) ** (k - 1) * factorial(k - 1)) * m.euler ** (k - 1)
-        assert pulled_from_target_class(m, k, cross([m.target.unit()] * k)) == unit
+        assert transfer_to_source(m, k, cross([m.source.unit()] * k)) == unit
         assert herbert(m, k) == signature(m, k)
+
+
+def euler_zero(m, k):
+    """The signature where e = 0: every block of two or more points is
+    f_!(0) = 0, so E_k = b_1^k / k!, b_1 = f_!(L(normal)^-1)."""
+    if not m.euler.is_zero():
+        raise PreconditionError(f"euler class {m.euler} is nonzero")
+    return (m.l_target * m.pushforward(m.l_normal_inverse) ** k).integrate() / factorial(k)
 
 
 def test_euler_zero_special_case():
@@ -1924,11 +1936,6 @@ def test_euler_zero_special_case():
         checked += 1
         for k in range(1, 5):
             assert euler_zero(m, k) == signature(m, k, route="auto")
-
-
-def test_euler_zero_precondition():
-    with pytest.raises(PreconditionError, match=r"^euler class 1\*t is nonzero$"):
-        euler_zero(bundled_model("line-in-plane"), 2)
 
 
 def test_herbert_where_pushpull_vanishes():

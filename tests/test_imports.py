@@ -82,10 +82,6 @@ def test_readme_library_example_gives_its_commented_values():
 # package functions, classes and methods that no code in src/ or
 # benchmarks/ reads, each with the reason it stays
 UNREAD = {
-    "formulas.euler_zero": "special-case evaluator, kept until auto runs the special cases",
-    "formulas.herbert": "special-case evaluator, kept until auto runs the special cases",
-    "formulas.pulled_from_target_class":
-        "special-case evaluator, kept until auto runs the special cases",
     "graded.power_sums": "public wrapper that tests and the README read",
     "oracle.transfer_to_target_enumerated": "oracle entry point that tests compare against",
     "oracle.double_composition_enumerated": "oracle entry point that tests compare against",

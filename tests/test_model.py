@@ -528,6 +528,50 @@ def test_solve_linear_consistent_and_inconsistent():
     assert _solve_linear([{0: Fraction(1)}], {1: Fraction(1)}) is None
 
 
+def _rank(rows) -> int:
+    """The rank of a list of equal-length rows, by dense Gaussian elimination."""
+    rows, rank = [[Fraction(v) for v in row] for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+_ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                     st.fractions(-3, 3, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), consistent=st.booleans(), zeros=st.booleans())
+def test_solve_linear_solves_exactly_or_finds_the_system_inconsistent(data, consistent, zeros):
+    # sparse rational systems of up to 6 x 6, with rows keyed 1, 3, 5, ...:
+    # consistent by construction (target = A x) or arbitrary; zero entries
+    # are kept in the dicts when zeros is set
+    nrows, ncols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    A = [[data.draw(_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    if consistent:
+        x = [data.draw(_ENTRIES) for _ in range(ncols)]
+        b = [sum(a * v for a, v in zip(row, x)) for row in A]
+    else:
+        b = [data.draw(_ENTRIES) for _ in range(nrows)]
+    columns = [{2 * r + 1: A[r][j] for r in range(nrows) if zeros or A[r][j]}
+               for j in range(ncols)]
+    target = {2 * r + 1: b[r] for r in range(nrows) if zeros or b[r]}
+    sol = _solve_linear(columns, target)
+    if sol is None:
+        assert not consistent and _rank(A) < _rank([row + [v] for row, v in zip(A, b)])
+    else:
+        assert len(sol) == ncols and all(type(v) is Fraction for v in sol)
+        assert [sum(a * v for a, v in zip(row, sol)) for row in A] == b
+
+
 def test_preimage_under_pullback():
     m = bundled_model("line-in-plane")
     pre = _preimage_under(m.pullback, m.euler)
