@@ -10,6 +10,7 @@ from multipoint.modelfile import model_to_dict, save_model
 from multipoint.graded import GradedRing
 from multipoint.models import BUNDLED, bundled_model, truncated_model, truncated_polynomial_ring
 from multipoint.signatures import multiple_point_dimension, zero_warning
+from multipoint.union import disjoint_union
 
 
 def run(capsys, *argv):
@@ -464,7 +465,6 @@ def test_compute_route_disagreement_exits_1(capsys, monkeypatch):
 def test_the_herbert_route_outside_its_hypothesis_exits_3(tmp_path, capsys):
     # neither f*f_! = 0 nor e pulled back on this union: the named route is
     # refused, and auto runs the chain and the subset kernel instead
-    from multipoint.union import disjoint_union
     path = tmp_path / "union.json"
     save_model(disjoint_union([bundled_model("hypersurface-d1"),
                                bundled_model("hypersurface-d2")]), path)
