@@ -18,7 +18,7 @@ _EXPORTS = {
     "formulas": """chern_number genus pontrjagin_number transfer_of_unit transfer_to_source
         transfer_to_target""",
     "graded": """GradedAlgebraError GradedClass GradedRing NonUnitalClassError RingComponent
-        TensorClass cross genus_class power_sums signature_class""",
+        TensorClass cross genus_class signature_class""",
     "model": "ImmersionModel LinearMap ModelError ValidationReport embedding_consistent validate",
     "modelfile": "ModelFormatError load_model model_from_dict model_to_dict save_model",
     "models": "BUNDLED bundled_model truncated_polynomial_ring",

@@ -546,12 +546,6 @@ def _newton_power_sums(P: GradedClass, step: int) -> Dict[int, Coords]:
     return sums
 
 
-def power_sums(P: GradedClass, step: int = 4) -> Dict[int, GradedClass]:
-    """The nonzero power sums of a total class P, as classes (see
-    power_sum_coords)."""
-    return {j: GradedClass(P.ring, s) for j, s in power_sum_coords(P, step).items()}
-
-
 def genus_coords(ring: GradedRing, terms: Sequence[Tuple[Scalar, Coords]]) -> Coords:
     """exp(sum_j c_j s_j) over the pairs (c_j, s_j) of terms: c_j an exact
     rational, s_j a power sum from power_sum_coords.

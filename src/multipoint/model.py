@@ -103,14 +103,12 @@ class Check(NamedTuple):
 
 
 class ValidationReport(FrozenRecord):
-    """The checks of validate, in order, and when every one passed the
-    model's Facts, else None."""
+    """The checks of validate, in order."""
 
-    __slots__ = ("checks", "facts")
+    __slots__ = ("checks",)
 
-    def __init__(self, checks: Sequence[Check], facts: Optional[Facts] = None):
+    def __init__(self, checks: Sequence[Check]):
         object.__setattr__(self, "checks", tuple(checks))
-        object.__setattr__(self, "facts", facts)
 
     @property
     def ok(self) -> bool:
@@ -131,8 +129,10 @@ class ImmersionModel(Frozen):
     """The full cohomological datum of an even-codimension immersion.
 
     A model is a value: its fields are set once, here, and refused after,
-    so what _cache memoises for it (derived classes, the validation report,
-    the formulas' chains) never goes stale."""
+    so what it memoises never goes stale: in _cache its derived classes,
+    the validation report, the zero facts and the formulas' chains, and as
+    attributes Herbert's hypotheses.  Nothing memoised refers back to the
+    model, so a dropped model is freed at once, with no cyclic collection."""
 
     _cache: Dict[object, object]
 
@@ -210,8 +210,14 @@ class ImmersionModel(Frozen):
         return self._cached("L_nu_inv", lambda: genus_class(
             self.normal_pontrjagin, lambda n: [-x for x in signature_genus_log_coeffs(n)]))
 
-    # the model's one Facts record, each fact decided on first read
-    facts = cached_property(lambda self: Facts(self))
+    # Herbert's hypotheses, each decided on its first read and kept as a
+    # value: f*f_! = 0, and a target class that f* maps to e, to
+    # L(normal)^-1, or None (f* is a unital ring homomorphism, so L(normal)
+    # is pulled back exactly when its inverse is)
+    null_pushpull = cached_property(lambda self: _pushpull_is_euler_times(self, 0))
+    euler_preimage = cached_property(lambda self: _preimage_under(self.pullback, self.euler))
+    l_normal_inverse_preimage = cached_property(lambda self: _preimage_under(
+        self.pullback, self.l_normal_inverse))
 
     def pushpull(self, cls: GradedClass) -> GradedClass:
         """The composite pullback(pushforward(x)) on the source ring."""
@@ -249,19 +255,31 @@ def _row_witness(ring: GradedRing, left: Sequence[str], right: Sequence[str], ro
 
 def validate(model: ImmersionModel) -> ValidationReport:
     """Run every consistency check the formulas rely on, once per model: the
-    report is memoised on the model and, when every check passed, holds
-    model.facts, whose two zero facts, which signatures.zero_warning reads on
-    every query, are decided here with the checks and not in a query.
+    report is memoised on the model.  When every check passed, the two zero
+    facts that signatures.zero_warning reads on every query, (embedding,
+    null_pushforward), are decided here with the checks, not in a query, and
+    memoised on the model as one entry, "zero facts".
+
+    null_pushforward: f_! = 0.  Every pushed class is then 0, and so, by
+    integration compatibility, is every integral over the source.  The
+    virtual class at k >= 1 is a sum of products of pushed classes, and
+    every number an integral over the source or of a pushed class over the
+    target (a product of pushed classes is pushed, by the projection
+    formula), so on a valid model every invariant at k >= 1 is 0.
+    embedding: f*f_!(x) = e * x.  Each partition term of a transfer is then
+    e^(k-1) times the product of the factors, weighted by prod_B (-1)^(|B|-1)
+    (|B|-1)!, and these weights sum to k! [t^k] exp(log(1 + t)) = 0 for
+    k >= 2: on a valid model every invariant at k >= 2 is 0.
 
     Report-valued: failures carry a witness, nothing raises.
     """
     report = model._cache.get("validation")
     if report is None:
         checks = tuple(_checks(model))
-        facts = model.facts if all(c.ok for c in checks) else None
-        if facts is not None:
-            facts.embedding, facts.null_pushforward  # decided on this first read
-        report = model._cache.setdefault("validation", ValidationReport(checks, facts))
+        if all(c.ok for c in checks):
+            model._cache["zero facts"] = (embedding_consistent(model),
+                                          not any(model.pushforward.images.values()))
+        report = model._cache.setdefault("validation", ValidationReport(checks))
     return report
 
 
@@ -372,7 +390,8 @@ def _checks(model: ImmersionModel) -> Iterator[Check]:
 
 def embedding_consistent(model: ImmersionModel) -> bool:
     """f*f_!(x) = e * x on every x, the self-intersection identity of embeddings
-    (kept as model.facts.embedding): then there are no k-tuple points for k >= 2."""
+    (decided by validate, as the first of the model's zero facts): then there
+    are no k-tuple points for k >= 2."""
     return _pushpull_is_euler_times(model, 1)
 
 
@@ -384,38 +403,6 @@ def _pushpull_is_euler_times(model: ImmersionModel, c: int) -> bool:
     pull, pushed = model.pullback.apply_coords, model.pushforward.images
     return all(pull(pushed.get(i, {})) == times_euler.get(i, {})
                for i in range(len(model.source.labels)))
-
-
-class Facts(Frozen):
-    """Which hypotheses of the provable zeros and of Herbert's closed form a model
-    satisfies (its model.facts), each decided on its first read and kept; a passing
-    ValidationReport holds the same record.
-
-    null_pushforward: f_! = 0.  Every pushed class is then 0, and so, by integration
-    compatibility, is every integral over the source.  The virtual class at k >= 1 is
-    a sum of products of pushed classes, and every number an integral over the source
-    or of a pushed class over the target (a product of pushed classes is pushed, by
-    the projection formula), so on a valid model every invariant at k >= 1 is 0.
-    embedding: f*f_!(x) = e * x.  Each partition term of a transfer is then e^(k-1)
-    times the product of the factors, weighted by prod_B (-1)^(|B|-1) (|B|-1)!, and
-    these weights sum to k! [t^k] exp(log(1 + t)) = 0 for k >= 2: on a valid model
-    every invariant at k >= 2 is 0.
-    null_pushpull: f*f_! = 0.
-    euler_preimage, l_normal_inverse_preimage: a target class that f* maps to e, to
-    L(normal)^-1, or None (f* is a unital ring homomorphism, so L(normal) is pulled
-    back exactly when its inverse is).
-    """
-
-    def __init__(self, model: ImmersionModel):
-        vars(self)["model"] = model
-
-    null_pushforward = cached_property(lambda self: not any(self.model.pushforward.images.values()))
-    embedding = cached_property(lambda self: embedding_consistent(self.model))
-    null_pushpull = cached_property(lambda self: _pushpull_is_euler_times(self.model, 0))
-    euler_preimage = cached_property(lambda self: _preimage_under(self.model.pullback,
-                                                                  self.model.euler))
-    l_normal_inverse_preimage = cached_property(lambda self: _preimage_under(
-        self.model.pullback, self.model.l_normal_inverse))
 
 
 def _solve_linear(columns: Sequence[Coords], target: Coords) -> Optional[List[Fraction]]:

@@ -180,21 +180,21 @@ def _empty_locus(model: ImmersionModel, k: int) -> bool:
 def zero_warning(model: ImmersionModel, k: int) -> Optional[str]:
     """The first reason the value at k is 0 before any kernel runs, or None:
     the k-tuple point manifold is empty; else, on a model that passed
-    validate (read from the Facts its memoised report holds), f*f_!(x) = e * x
-    at k >= 2, or f_! = 0 at k >= 1.  One reason covers every number and the
-    virtual class alike."""
+    validate (read from the zero facts it memoised on the model),
+    f*f_!(x) = e * x at k >= 2, or f_! = 0 at k >= 1.  One reason covers
+    every number and the virtual class alike."""
     if _empty_locus(model, k):
         return _text("the %s-tuple point manifold is empty: (k-1)*codim = %s exceeds the source "
                      "dimension(s) %s; the value is 0", k, (k - 1) * model.codim,
                      multiple_point_dimension.__wrapped__(model, 1))
-    report = model._cache.get("validation")
-    facts = None if report is None else report.facts
+    facts = model._cache.get("zero facts")
     if facts is None:
         return None
-    if k > 1 and facts.embedding:
+    embedding, null_pushforward = facts
+    if k > 1 and embedding:
         return ("f*f_!(x) = e*x, as for an embedding: there are no k-tuple points for "
                 "k >= 2; the value is 0")
-    if facts.null_pushforward:
+    if null_pushforward:
         return ("f_! = 0: every pushed class is 0, and so is every integral over the source "
                 "(integration compatibility); the value is 0")
     return None
@@ -413,12 +413,11 @@ def _herbert_refusal(model: ImmersionModel, l_normal: bool = True) -> Optional[s
     and, with l_normal, L(normal)^-1 are pulled back: every block then pulls
     out of the pushforward, and the transfer of pulled-back u_1..u_k is
     u_1 * ... * u_k * m_k, Herbert's class m_k = prod_{i<k} (f*f_!(1) - i*e)."""
-    facts = model.facts
-    if facts.null_pushpull:
+    if model.null_pushpull:
         return None
-    if facts.euler_preimage is None:
+    if model.euler_preimage is None:
         return f"f*f_! is not zero and euler class {model.euler} is not pulled back from the target"
-    if l_normal and facts.l_normal_inverse_preimage is None:
+    if l_normal and model.l_normal_inverse_preimage is None:
         return "f*f_! is not zero and L(normal) is not pulled back from the target"
     return None
 

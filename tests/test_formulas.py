@@ -1510,7 +1510,7 @@ def test_the_precondition_on_the_inverse_gives_the_verdict_on_l_normal():
     rng = random.Random(3)
     models = [bundled_model(name) for name in BUNDLED]
     models += [random_truncated_model(rng, max_powers=6) for _ in range(200)]
-    verdicts = [(m.facts.l_normal_inverse_preimage is None,
+    verdicts = [(m.l_normal_inverse_preimage is None,
                  model_mod._preimage_under(m.pullback, graded.signature_class(m.normal_pontrjagin))
                  is None) for m in models]
     assert all(inverse == direct for inverse, direct in verdicts)
@@ -1770,7 +1770,7 @@ def test_transfer_of_unit_is_refused_or_exact_on_unions(seed, same):
         try:
             closed = transfer_of_unit(u, k)
         except PreconditionError as exc:
-            assert not u.facts.null_pushpull and u.facts.euler_preimage is None
+            assert not u.null_pushpull and u.euler_preimage is None
             assert str(exc) == (f"f*f_! is not zero and euler class {u.euler} "
                                 "is not pulled back from the target")
             return
@@ -1792,9 +1792,9 @@ def test_pulled_from_target_class_needs_only_euler_pulled_back():
     rng = random.Random(5)
     models = [bundled_model(name) for name in BUNDLED]
     models += [disjoint_union(random_union_components(rng, 2)) for _ in range(60)]
-    models = [m for m in models if not m.facts.null_pushpull
-              and m.facts.euler_preimage is not None
-              and m.facts.l_normal_inverse_preimage is None]
+    models = [m for m in models if not m.null_pushpull
+              and m.euler_preimage is not None
+              and m.l_normal_inverse_preimage is None]
     assert len(models) >= 8
     for m in models:
         assert validate(m).ok, m.name
@@ -1894,9 +1894,9 @@ def test_pushpull_zero_precondition(monkeypatch):
     # f*f_! is not zero on the line in the plane, so herbert's f*f_! = 0 route
     # is closed there: with L(normal) not pulled back either, it is refused
     m = bundled_model("line-in-plane")
-    assert not m.facts.null_pushpull and m.facts.euler_preimage is not None
+    assert not m.null_pushpull and m.euler_preimage is not None
     assert herbert(m, 2) == signature(m, 2)
-    monkeypatch.setitem(vars(m.facts), "l_normal_inverse_preimage", None)
+    monkeypatch.setitem(vars(m), "l_normal_inverse_preimage", None)
     with pytest.raises(PreconditionError, match=r"^f\*f_! is not zero and L\(normal\) "
                                                 r"is not pulled back from the target$"):
         herbert(m, 2)
@@ -1906,8 +1906,8 @@ def test_nullhomotopic_precondition():
     # e is not pulled back on the nullhomotopic model, but f*f_! = 0 there,
     # and that alone is the hypothesis of every closed form
     m = bundled_model("nullhomotopic-cp2-in-s6")
-    assert m.facts.euler_preimage is None and m.facts.l_normal_inverse_preimage is None
-    assert m.facts.null_pushpull
+    assert m.euler_preimage is None and m.l_normal_inverse_preimage is None
+    assert m.null_pushpull
     for k in range(1, 5):
         unit = transfer_of_unit(m, k)
         assert unit == Fraction((-1) ** (k - 1) * factorial(k - 1)) * m.euler ** (k - 1)
@@ -1964,7 +1964,7 @@ def test_herbert_answers_every_bundled_model():
             assert herbert(m, k) == signature(m, k), (name, k)
             for J in ((4,), (4, 4), (8,)):
                 assert herbert(m, k, J) == pontrjagin_number(m, k, J).value, (name, k, J)
-    assert sum(bundled_model(name).facts.null_pushpull for name in BUNDLED) == 3
+    assert sum(bundled_model(name).null_pushpull for name in BUNDLED) == 3
 
 
 def test_pontrjagin_special_routes_check_k():
@@ -1990,7 +1990,7 @@ def test_nullhomotopic_evaluates_the_closed_form():
     # Szucs's formula is (-1)^(k-1) / k times the integral of e^(k-1) L(M)^k,
     # and for p_J of e^(k-1) times the degree-J part of P(M)^k
     m = bundled_model("nullhomotopic-cp2-in-s6")
-    assert m.facts.null_pushpull and m.normal_pontrjagin_inverse == m.pontrjagin_source
+    assert m.null_pushpull and m.normal_pontrjagin_inverse == m.pontrjagin_source
 
     def szucs(core, k):
         return Fraction((-1) ** (k - 1), k) * (m.euler ** (k - 1) * core).integrate()
@@ -2025,8 +2025,8 @@ def _sphere_target_model(rng):
 @settings(max_examples=45, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(["truncated", "union", "sphere"]))
 def test_herbert_holds_exactly_where_its_hypothesis_does(seed, family):
-    # the hypothesis, decided here without model.facts: f*f_! = 0 on every
-    # basis class, or e and L(normal) are pulled back
+    # the hypothesis, decided here without the model's memoised facts:
+    # f*f_! = 0 on every basis class, or e and L(normal) are pulled back
     rng = random.Random(seed)
     m = {"truncated": lambda: random_truncated_model(rng),
          "union": lambda: disjoint_union(random_union_components(rng, rng.randint(2, 3))),

@@ -82,7 +82,6 @@ def test_readme_library_example_gives_its_commented_values():
 # package functions, classes and methods that no code in src/ or
 # benchmarks/ reads, each with the reason it stays
 UNREAD = {
-    "graded.power_sums": "public wrapper that tests and the README read",
     "oracle.transfer_to_target_enumerated": "oracle entry point that tests compare against",
     "oracle.double_composition_enumerated": "oracle entry point that tests compare against",
     "partitions.trivial_partition": "partition value that tests build",

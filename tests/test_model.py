@@ -1,5 +1,7 @@
+import gc
 import inspect
 import random
+import weakref
 import tempfile
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -23,9 +25,11 @@ from multipoint.model import (
     embedding_consistent,
     validate,
 )
+from multipoint.formulas import herbert, transfer_of_unit
 from multipoint.modelfile import load_model, model_to_dict, save_model
 from multipoint.models import BUNDLED, bundled_model, truncated_model, truncated_polynomial_ring
 from multipoint.random_models import random_truncated_model, random_union_components
+from multipoint.signatures import signature, virtual_signature_class, zero_warning
 from multipoint.union import disjoint_union
 
 
@@ -121,7 +125,7 @@ def test_validation_catches_broken_projection_formula():
         ("projection formula", "on (1, h): 0 != 1*h^2"),
         ("integration compatibility", "on t: 0 != 1"),
     ]
-    assert report.facts is None
+    assert "zero facts" not in broken._cache
 
 
 def test_degree_checks_name_each_term_off_its_degree():
@@ -378,19 +382,25 @@ DRAWS_NULL_PUSHFORWARD = [1, 3, 10, 16, 19, 28, 29, 30, 31, 36, 37, 41, 42, 43, 
 DRAWS_EMBEDDING = [9, 12, 30, 32, 44, 45]
 
 
+def _vanishing(m):
+    """(null_pushforward, embedding), as validate memoised them on m."""
+    embedding, null_pushforward = m._cache["zero facts"]
+    return null_pushforward, embedding
+
+
 def test_a_passing_report_carries_the_pinned_vanishing_facts():
     assert sorted(BUNDLED_VANISHING) == sorted(BUNDLED)
     for name, flags in BUNDLED_VANISHING.items():
         m = bundled_model(name)
-        report = validate(m)
-        assert report.facts is m.facts, name
-        assert (report.facts.null_pushforward, report.facts.embedding) == flags, name
+        assert validate(m).ok, name
+        assert _vanishing(m) == flags, name
+        # k = 1 has a nonempty locus, so its one reason is f_! = 0
+        assert (zero_warning(m, 1) is not None) == flags[0], name
     rng = random.Random(20260823)
     for i in range(50):
         m = random_truncated_model(rng, max_powers=3 if i % 5 else 4)
-        facts = validate(m).facts
-        assert (facts.null_pushforward, facts.embedding) == (
-            i in DRAWS_NULL_PUSHFORWARD, i in DRAWS_EMBEDDING), (i, m.name)
+        assert validate(m).ok, (i, m.name)
+        assert _vanishing(m) == (i in DRAWS_NULL_PUSHFORWARD, i in DRAWS_EMBEDDING), (i, m.name)
 
 
 @settings(max_examples=80, deadline=None)
@@ -398,13 +408,51 @@ def test_a_passing_report_carries_the_pinned_vanishing_facts():
 def test_the_vanishing_facts_are_set_exactly_when_every_check_passes(m):
     report = validate(m)
     if not report.ok:
-        assert report.facts is None
+        assert "zero facts" not in m._cache
         return
     basis = [m.source.basis_class(i) for i in range(len(m.source.labels))]
-    assert report.facts is m.facts
-    assert (report.facts.null_pushforward, report.facts.embedding) == (
+    assert _vanishing(m) == (
         all(m.pushforward(x).is_zero() for x in basis),
         all(m.pullback(m.pushforward(x)) == m.euler * x for x in basis))
+
+
+def test_a_dropped_model_is_freed_without_a_cyclic_collection():
+    # nothing a model memoises refers back to it: a model, validated or not,
+    # that has answered every query reading its memos and facts dies at del,
+    # and so does its target ring, with the cyclic collector off
+    def answered(m):
+        signature(m, 2)
+        virtual_signature_class(m, 2)
+        herbert(m, 2, (4,))
+        transfer_of_unit(m, 2)
+        return m
+
+    def failing():
+        # f_! = 0 fails integration compatibility on the top class
+        m = bundled_model("hypersurface-d3")
+        return ImmersionModel(m.source, m.target, m.pullback, LinearMap(m.source, m.target, {}),
+                              m.codim, m.euler, m.pontrjagin_source, m.pontrjagin_target)
+
+    draws = {
+        "validated": lambda: answered(bundled_model("hypersurface-d3")),
+        "validated union": lambda: answered(bundled_model("two-lines")),
+        "unvalidated": lambda: answered(bundled_model("line-in-plane")),
+        "failed validation": lambda: answered(failing()),
+    }
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for case, build in draws.items():
+            m = build()
+            if case != "unvalidated":
+                assert validate(m).ok == (case != "failed validation"), case
+            refs = weakref.ref(m), weakref.ref(m.target)
+            del m
+            assert [ref() for ref in refs] == [None, None], case
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_derived_normal_classes():

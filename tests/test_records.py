@@ -88,18 +88,17 @@ def test_multipoint_result_repr_past_the_int_to_str_limit():
 
 def test_validation_report():
     report = ValidationReport([Check("n", False, "why"), Check("m", True)])
-    assert report == ValidationReport((Check("n", False, "why"), Check("m", True, "")), None)
-    assert report.checks == (Check("n", False, "why"), Check("m", True)) and report.facts is None
-    assert report != ValidationReport(report.checks, bundled_model("line-in-plane").facts)
+    assert report == ValidationReport((Check("n", False, "why"), Check("m", True, "")))
+    assert report.checks == (Check("n", False, "why"), Check("m", True))
+    assert ValidationReport.__slots__ == ("checks",)
     assert not report.ok and ValidationReport(checks=[Check("m", True)]).ok
     assert report.failures() == [Check("n", False, "why")]
     assert str(report) == "[FAIL] n: why\n[ok] m"
     assert repr(report) == ("ValidationReport(checks=(Check(name='n', ok=False, detail='why'), "
-                            "Check(name='m', ok=True, detail='')), facts=None)")
+                            "Check(name='m', ok=True, detail='')))")
     assert hash(report) == hash(ValidationReport(list(report.checks)))
-    for field in ("checks", "facts"):
-        with pytest.raises(AttributeError, match="cannot assign"):
-            setattr(report, field, None)
+    with pytest.raises(AttributeError, match="cannot assign"):
+        report.checks = None
 
 
 @pytest.mark.parametrize("a, b, text", [

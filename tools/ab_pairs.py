@@ -14,10 +14,15 @@ the run, and setup_s of one set-up (run.py takes the median of five).
 
 Every run is printed, then per metric each side's median, the parent's
 interquartile range and the number of pairs the change won (lower is
-better for every metric).  A gain is claimed only when the change wins at
-least nine pairs in ten and the gap between the medians exceeds the
-parent's IQR; the last column says whether it does.  Exits 1 when a query
-failed on either side.
+better for every metric), and two verdicts:
+- gain: a gain is claimed only when the change wins at least nine pairs
+  in ten and the gap between the medians exceeds the parent's IQR;
+- regression, against the metric's end-to-end bound in BENCHMARK.json
+  (a share of the parent's median): "worse" when the change's median
+  exceeds the parent's by more than the bound; else "unresolved" when the
+  parent's IQR exceeds the bound, unless every run of the change reads
+  better than every run of the parent; else "ok".
+Exits 1 when a query failed on either side.
 """
 
 from __future__ import annotations
@@ -69,17 +74,31 @@ def iqr(values) -> float:
     return q3 - q1
 
 
-def summary(parent: list, change: list) -> list:
+def bounds() -> dict:
+    """The end-to-end bound of each metric in BENCHMARK.json, a share of the
+    parent's median."""
+    text = (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
+    return {m["name"]: m["bound"] for m in json.loads(text)["end_to_end"]}
+
+
+def summary(parent: list, change: list, bound: dict) -> list:
     """Per metric: (name, parent median, change median, parent IQR, wins,
-    whether the change's gain holds)."""
+    whether the change's gain holds, the regression verdict against
+    bound[name]: "ok", "worse" or "unresolved")."""
     rows = []
     for name in METRICS:
         a = [run[name] for run in parent]
         b = [run[name] for run in change]
         wins = sum(y < x for x, y in zip(a, b))
-        gap, spread = statistics.median(a) - statistics.median(b), iqr(a)
-        rows.append((name, statistics.median(a), statistics.median(b), spread, wins,
-                     wins * 10 >= 9 * len(a) and gap > spread))
+        med_a, med_b, spread = statistics.median(a), statistics.median(b), iqr(a)
+        if med_b - med_a > bound[name] * med_a:
+            verdict = "worse"
+        elif spread > bound[name] * med_a and max(b) >= min(a):
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
+        rows.append((name, med_a, med_b, spread, wins,
+                     wins * 10 >= 9 * len(a) and med_a - med_b > spread, verdict))
     return rows
 
 
@@ -93,6 +112,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
+    bound = bounds()
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for root in sides.values():
         if not (root / "benchmarks" / "child.py").is_file():
@@ -122,10 +142,12 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
 
     print(f"\n{'metric':14s} {'parent':>11s} {'change':>11s} {'change':>8s} "
-          f"{'parent IQR':>11s} {'wins':>6s}  gain holds")
-    for name, a, b, spread, wins, holds in summary(runs["parent"], runs["change"]):
+          f"{'parent IQR':>11s} {'wins':>6s}  gain holds  {'bound':>6s}  regression")
+    for name, a, b, spread, wins, holds, verdict in summary(runs["parent"], runs["change"],
+                                                            bound):
         print(f"{name:14s} {a:11.6g} {b:11.6g} {100 * (b - a) / a:+7.1f}% {spread:11.6g} "
-              f"{wins:3d}/{args.pairs:<2d}  {'yes' if holds else 'no'}")
+              f"{wins:3d}/{args.pairs:<2d}  {'yes' if holds else 'no':10s}  "
+              f"{100 * bound[name]:5.0f}%  {verdict}")
     return 1 if any(run["failed"] for side in runs.values() for run in side) else 0
 
 
