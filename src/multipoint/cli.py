@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", required=True,
                    help="signature | bk | pontrjagin=J | chern=J (J comma-separated degrees)")
     p.add_argument("--route", default="auto",
-                   help="a route of the quantity (default %(default)s: all, in exact agreement)")
+                   help="a route of the quantity (default %(default)s: two independent kernels, "
+                        "in exact agreement)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compute)
 

@@ -2,11 +2,11 @@
 form of the unit transfer and of p_J, for the k-tuple point manifolds.
 
 The signature kernel (the entry checks, the transfer kernel, the
-collected chain, the four signature routes and the virtual signature
+collected chain, the five signature routes and the virtual signature
 class), with ``evaluate`` and its record, ``MultipointResult``, lives in
 ``signatures``, so that a signature query compiles none of this module.
 The names of it that the benchmark harness reads from here,
-the route table, ``signature``, the four routes and
+the route table, ``signature``, the four routes that it traces and
 ``virtual_signature_class``, are bound here too, as the same objects.
 Everything is exact rational arithmetic.
 """

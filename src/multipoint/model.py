@@ -27,6 +27,7 @@ from .graded import (
     genus_class,
     mapping_items,
     power_sum_coords,
+    signature_class,
     signature_genus_log_coeffs,
 )
 from .records import Frozen, FrozenRecord, _shown
@@ -194,13 +195,11 @@ class ImmersionModel(Frozen):
 
     @property
     def l_source(self) -> GradedClass:
-        return self._cached("L_M", lambda: genus_class(
-            self.pontrjagin_source, signature_genus_log_coeffs))
+        return self._cached("L_M", lambda: signature_class(self.pontrjagin_source))
 
     @property
     def l_target(self) -> GradedClass:
-        return self._cached("L_N", lambda: genus_class(
-            self.pontrjagin_target, signature_genus_log_coeffs))
+        return self._cached("L_N", lambda: signature_class(self.pontrjagin_target))
 
     @property
     def l_normal_inverse(self) -> GradedClass:

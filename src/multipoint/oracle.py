@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial, prod
+from math import factorial
 from typing import Dict, List, NamedTuple, Tuple
 
 from .formulas import transfer_to_source
@@ -29,8 +29,8 @@ from .models import BUNDLED, bundled_model
 from .partitions import (BELL, SetPartition, all_partitions, count_by_type, quotient, refines,
                          type_vectors)
 from .records import _shown
-from .series import (DEFAULT_ORDER, compose, composed_derivative, identity_series, invert,
-                     scaled_exp_series, scaled_log_series)
+from .series import (DEFAULT_ORDER, _partition_sum, compose, composed_derivative,
+                     identity_series, invert, scaled_exp_series, scaled_log_series)
 from .signatures import _checked, signature, virtual_signature_class
 
 DEFAULT_CAP = 7
@@ -272,9 +272,7 @@ def identity_failures(max_k: int) -> List[str]:
     b = [Fraction(rng.randint(-3, 3)) for _ in range(poly_order)]
     for k in range(1, poly_order + 1):
         enum = compose_enumerated(a, b, k).value
-        coll = sum(count_by_type(k, tv) * a[sum(tv) - 1]
-                   * prod(b[i - 1] ** m for i, m in enumerate(tv, start=1) if m)
-                   for tv in type_vectors(k))
+        coll = _partition_sum(k, a, b)
         if enum != coll:
             failures.append(f"composition oracle mismatch at k={k}: {enum} != {coll}")
 

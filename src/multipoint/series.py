@@ -105,8 +105,9 @@ def _partition_sum(k: int, outer: Sequence[GradedClass],
     sizes (0-based sequences).  Evaluated per type vector with the
     multinomial partition counts, since summands only depend on block
     sizes.  An outer of k - 1 terms leaves out the all-singletons type,
-    the only one that reads outer[k - 1]."""
-    acc = inner[0].ring.zero()
+    the only one that reads outer[k - 1].  Rationals work as well as
+    classes."""
+    acc = 0 * inner[0]
     for tv in type_vectors(k):
         blocks = sum(tv)
         if blocks <= len(outer):

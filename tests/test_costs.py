@@ -19,8 +19,9 @@ from multipoint import graded, modelfile, signatures
 from multipoint import model as model_mod
 from multipoint.formulas import pontrjagin_number
 from multipoint.model import validate
-from multipoint.models import truncated_model, truncated_polynomial_ring
-from multipoint.random_models import _random_unital, random_union_components
+from multipoint.models import BUNDLED, bundled_model, truncated_model, truncated_polynomial_ring
+from multipoint.random_models import (_random_unital, random_truncated_model,
+                                      random_union_components)
 from multipoint.signatures import RouteDisagreement, signature, virtual_signature_class
 from multipoint.union import disjoint_union
 
@@ -77,16 +78,25 @@ def cost(monkeypatch):
 
 # (k, signature(auto), virtual_signature_class) on a fresh validated
 # codim-2 model each; the subset kernel made them 167/71 and 90/36 at k = 5
-# and 1,024/267 and 525/134 at k = 7
-CODIM_2_PINS = [(5, (36, 13), (30, 9)), (7, (57, 17), (49, 11)), (13, (144, 29), (130, 17))]
+# and 1,024/267 and 525/134 at k = 7, and signature(auto) took 36/13, 57/17
+# and 144/29 while it ran collected-source beside collected
+CODIM_2_PINS = [(5, (31, 8), (30, 9)), (7, (50, 10), (49, 11)), (13, (131, 16), (130, 17))]
 
 
-@pytest.mark.parametrize("k, auto, bk", CODIM_2_PINS, ids=lambda v: str(v))
+@pytest.mark.parametrize("k, auto, bk", CODIM_2_PINS, ids=[f"k={k}" for k, _, _ in CODIM_2_PINS])
 def test_signature_and_virtual_class_on_the_codim_2_model(cost, k, auto, bk):
     m = _validated(_codim_2_model)
     assert cost(lambda: signature(m, k)) == auto
     m = _validated(_codim_2_model)
     assert cost(lambda: virtual_signature_class(m, k)) == bk
+
+
+def test_signature_on_a_union_where_herbert_fails(cost):
+    # the chain and general; running via-N and collected-source too, the
+    # default call took 1,024/268
+    u = disjoint_union(random_union_components(random.Random(6), 2, max_powers=12))
+    assert validate(u).ok
+    assert cost(lambda: signature(u, 7)) == (526, 134)
 
 
 @pytest.mark.parametrize("k, J, pin", [
@@ -160,14 +170,86 @@ def test_the_closed_form_catches_a_flipped_sign_in_the_chain(monkeypatch):
 def test_where_herbert_fails_auto_runs_the_subset_kernel(monkeypatch):
     u = disjoint_union(random_union_components(random.Random(6), 2))
     assert validate(u).ok and signatures._herbert_refusal(u) is not None
-    routes = []
-    for name, route in signatures.SIGNATURE_ROUTES.items():
-        monkeypatch.setitem(signatures.SIGNATURE_ROUTES, name, lambda m, k, name=name,
-                            route=route: routes.append(name) or route(m, k))
+    routes = _route_spy(monkeypatch)
     ran = _spied(monkeypatch, ("_closed_form", "_transfer"))
     assert signature(u, 2) == signature(u, 2, route="collected") == 3
-    assert routes[:4] == ["general", "via-N", "collected", "collected-source"]
+    assert routes == ["collected", "general", "collected"]
     assert "_transfer" in ran and "_closed_form" not in ran
     ran.clear()
     virtual_signature_class(u, 3)
     assert ran == ["_transfer"]
+
+
+def _route_spy(monkeypatch):
+    """The list of the names of the signature routes, as they run."""
+    routes = []
+    for name, route in signatures.SIGNATURE_ROUTES.items():
+        monkeypatch.setitem(signatures.SIGNATURE_ROUTES, name, lambda m, k, name=name,
+                            route=route: routes.append(name) or route(m, k))
+    return routes
+
+
+def _unions_where_herbert_fails(count):
+    out, seed = [], 0
+    while len(out) < count:
+        u = disjoint_union(random_union_components(random.Random(seed), 2))
+        if validate(u).ok and signatures._herbert_refusal(u) is not None:
+            out.append(u)
+        seed += 1
+    return out
+
+
+def test_auto_runs_the_chain_and_one_independent_kernel(monkeypatch):
+    # the bundled models, the acceptance draws and 20 unions where Herbert
+    # fails; no route runs where a zero reason or the degree rule fires
+    rng = random.Random(20260823)
+    models = [bundled_model(name) for name in BUNDLED]
+    models += [random_truncated_model(rng, max_powers=3 if n % 5 else 4) for n in range(50)]
+    unions = _unions_where_herbert_fails(20)
+    routes = _route_spy(monkeypatch)
+    checked = {"herbert": 0, "general": 0}
+    for m, other in [(m, "herbert") for m in models] + [(u, "general") for u in unions]:
+        assert validate(m).ok, m.name
+        assert (signatures._herbert_refusal(m) is None) == (other == "herbert"), m.name
+        for k in range(1, 6):
+            routes.clear()
+            signature(m, k)
+            runs = signatures.zero_warning(m, k) is None and any(
+                d >= 0 and d % 4 == 0 for d in signatures.multiple_point_dimension(m, k))
+            assert routes == (["collected", other] if runs else []), (m.name, k)
+            checked[other] += runs
+    assert checked["herbert"] >= 50 and checked["general"] >= 20, checked
+
+
+def test_the_chain_catches_a_flipped_sign_in_the_closed_form(monkeypatch):
+    def mutant(model, k, power):
+        # signatures._closed_form with the sign of i*e in m_k flipped
+        memo = model._cached("herbert", lambda: signatures._Herbert(model))
+        powers, units, mul = memo.powers, memo.units, model.source.mul_coords
+        while len(powers) <= power:
+            powers.append(mul(powers[-1], model.l_normal_inverse.coords))
+        while len(units) < k:
+            step = signatures._sum_coords([(1, memo.base), (len(units), model.euler.coords)])
+            units.append(mul(units[-1], step))
+        return mul(powers[power], units[k - 1]) if power else units[k - 1]
+
+    monkeypatch.setattr(signatures, "_closed_form", mutant)
+    start = time.perf_counter()
+    with pytest.raises(RouteDisagreement, match="signature routes disagree for k=13: "
+                                                "collected=.*, herbert="):
+        signature(_validated(_codim_2_model), 13)
+    with pytest.raises(RouteDisagreement, match="virtual signature class mismatch for k=13"):
+        virtual_signature_class(_validated(_codim_2_model), 13)
+    assert time.perf_counter() - start < 2
+
+
+def test_the_chain_catches_a_flipped_sign_in_the_transfer(monkeypatch):
+    # log_coefficient, which only _transfer reads, with the weight of a
+    # 2-block flipped, on a union where Herbert fails
+    monkeypatch.setattr(signatures, "log_coefficient",
+                        lambda n: (-1 if n == 2 else 1) * graded.log_coefficient(n))
+    u = disjoint_union(random_union_components(random.Random(6), 2))
+    assert validate(u).ok
+    with pytest.raises(RouteDisagreement, match="signature routes disagree for k=2: "
+                                                "collected=.*, general="):
+        signature(u, 2)
