@@ -146,10 +146,14 @@ class RingComponent(NamedTuple):
 class GradedRing:
     """Graded-commutative algebra over Q on a finite basis.
 
-    ``products`` maps basis index pairs (i, j) with i <= j to sparse
-    coordinate dicts; the table is completed symmetrically.  ``integral``
-    is a linear functional given by its values on basis elements; ring
-    validation confines its support to the top degree of each component.
+    The basis labels are distinct.  ``products`` maps basis index pairs
+    (i, j) to sparse coordinate dicts, e_i e_j; a pair absent, or given
+    as {}, is 0, and a pair given under both orders must agree.  The ring
+    stores one table, ``rows``, completed symmetrically: rows[i][j] =
+    e_i e_j, nonzero entries only; ``products`` reads its upper triangle
+    back.  ``integral`` is a linear functional given by its values on basis
+    elements; ring validation confines its support to the top degree of
+    each component.
 
     A ring is a value: its tables are set once, here, and never assigned
     into after, so what _memo keeps for it (the axiom check, the power sums
@@ -185,22 +189,21 @@ class GradedRing:
                                      f"the largest basis degree {self.max_degree}")
 
         n = len(self.labels)
-        table: Dict[Tuple[int, int], Coords] = {}
+        if len(set(self.labels)) < n:
+            twice = next(lab for k, lab in enumerate(self.labels) if lab in self.labels[:k])
+            raise GradedAlgebraError(f"basis label {_shown(twice)} is given twice")
+        given: Dict[Tuple[int, int], Coords] = {}  # zeros too, so either order must agree
+        self.rows: Tuple[Dict[int, Coords], ...] = tuple({} for _ in range(n))
         for key, coords in mapping_items(products, "product key -> coordinates"):
             i, j = key if type(key) is tuple and len(key) == 2 else (None, None)
             if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n):
                 raise _bad_index(key, n, ("product key",))
             key = (i, j) if i <= j else (j, i)
             coords = clean_coords(coords, n, "product", key, "value index")
-            if key in table and table[key] != coords:
+            if given.setdefault(key, coords) != coords:
                 raise GradedAlgebraError(f"conflicting product entries for {key}")
             if coords:
-                table[key] = coords
-        self.products = table
-        # the same table by rows: rows[i][j] = e_i e_j, nonzero entries only
-        self.rows: Tuple[Dict[int, Coords], ...] = tuple({} for _ in range(n))
-        for (i, j), coords in table.items():
-            self.rows[i][j] = self.rows[j][i] = coords
+                self.rows[i][j] = self.rows[j][i] = coords
 
         self.integral = clean_coords(integral, n, "integral index")
 
@@ -227,6 +230,11 @@ class GradedRing:
         if len(self._component_of) != n:
             raise GradedAlgebraError("components do not cover the basis")
         self._memo: Dict[object, object] = {}
+
+    @property
+    def products(self) -> Dict[Tuple[int, int], Coords]:
+        """{(i, j): e_i e_j} for i <= j, nonzero entries only: a new dict read off rows."""
+        return {(i, j): c for i, row in enumerate(self.rows) for j, c in row.items() if i <= j}
 
     # ---- element constructors -------------------------------------------
 
@@ -314,14 +322,13 @@ class GradedRing:
             triple[i][j] = triple[j][i] = combine_rows(ij, rows)
         failing = set()
         empty: Dict[int, Coords] = {}
-        for i, j in self.products:
-            for l, x in triple[i][j].items():
-                # the law at (i, j, l) and at its mirror (l, j, i) compare x
-                # with A(j, l, i); at (j, i, l) and (l, i, j), with A(i, l, j)
-                if x != triple[j].get(l, empty).get(i):
-                    failing.update(((i, j, l), (l, j, i)))
-                if i != j and x != triple[i].get(l, empty).get(j):
-                    failing.update(((j, i, l), (l, i, j)))
+        for i, row in enumerate(triple):
+            for j, ij in row.items():
+                # the law at (i, j, l) and at its mirror (l, j, i) compare
+                # x = A(i, j, l) with A(j, l, i); row j holds (j, i, l) too
+                for l, x in ij.items():
+                    if x != triple[j].get(l, empty).get(i):
+                        failing.update(((i, j, l), (l, j, i)))
         for i, j, l in sorted(failing):
             issues.append(f"associativity fails on ({labels[i]},{labels[j]},{labels[l]})")
         for idx in self.integral:
@@ -339,7 +346,7 @@ class GradedRing:
         if not isinstance(other, GradedRing):
             return NotImplemented
         return (self.labels == other.labels and self.degrees == other.degrees
-                and self.products == other.products and self.integral == other.integral
+                and self.rows == other.rows and self.integral == other.integral
                 and self.unit_coords == other.unit_coords
                 and self.top_degree == other.top_degree
                 and self.components == other.components)

@@ -3,9 +3,12 @@
 Rationals are strings like "3/4" (or "5"); ring products and linear maps
 are sparse nested maps keyed by stringified basis indices.  The reader
 checks JSON shape and basis keys itself and reads every coordinate value
-by ``graded.exact``, the one reader of a rational in the package.  A file
-holding {"components": [...]} is read as a disjoint union over a shared
-target; a component holds no components of its own.
+by ``graded.exact``, the one reader of a rational in the package.  A name
+given twice in one JSON object is refused, not overwritten; so are a basis
+label given twice and a product given as "i,j" and "j,i" with two values
+(``GradedRing`` refuses both).  A file holding {"components": [...]} is
+read as a disjoint union over a shared target; a component holds no
+components of its own.
 ``save_model`` writes one line per top-level field, each value through
 json's C encoder; the reader takes JSON of any layout.
 Validation is structural only; mathematical consistency is the job of
@@ -79,6 +82,17 @@ def _coords_from(obj, n: int, where: str, *keys) -> Dict[int, Scalar]:
         except GradedAlgebraError as exc:
             raise ModelFormatError(f"{_at(where, keys)}[{key}]: bad rational: {exc}") from None
     return out
+
+
+def _unique_names(pairs: list) -> dict:
+    """The object of a JSON member list, refused when a name repeats, so
+    that no member is overwritten by a later one (json.loads keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        names = [name for name, _ in pairs]
+        twice = next(name for k, name in enumerate(names) if name in names[:k])
+        raise ModelFormatError(f"the name {_shown(twice)} is given twice in one JSON object")
+    return obj
 
 
 def _require(obj: Mapping, key: str, where: str):
@@ -322,7 +336,9 @@ def load_model(path: Union[str, Path]) -> ImmersionModel:
     model = _remember(text)
     if model is None:
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_names)
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"{path}: {exc}") from None
         except (ValueError, RecursionError) as exc:
             # ValueError: malformed JSON, or an integer literal over the
             # interpreter's digit limit; RecursionError: nesting too deep

@@ -43,3 +43,20 @@ def test_summary_verdicts(parent, change, holds, verdict):
                                           ab_pairs.iqr(parent)), name
         assert wins == sum(y < x for x, y in zip(parent, change)), name
         assert (row_holds, row_verdict) == (holds, verdict), name
+
+
+def test_measure_takes_the_median_of_five_set_ups(monkeypatch, tmp_path):
+    setups = iter([0.5, 0.1, 0.9, 0.3, 0.2])
+    calls = []
+
+    def child(root, role, workload, seed, *extra):
+        calls.append(role)
+        if role == "setup":
+            return {"ref_setup_s": next(setups)}
+        return {"ref_wall_s": 1.0, "ref_latencies": [0.001] * 10, "peak_rss_mb": 50.0,
+                "failures": []}
+
+    monkeypatch.setattr(ab_pairs, "_child", child)
+    run = ab_pairs.measure(tmp_path, "wide", 1, "frozen", tmp_path)
+    assert calls == ["setup"] * ab_pairs.SETUP_REPEATS + ["run"]
+    assert run["setup_s"] == 0.3 and run["failed"] == 0

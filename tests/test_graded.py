@@ -207,6 +207,49 @@ def test_rings_round_trip_through_the_model_file_format(ring):
     assert ring_from_dict(json.loads(json.dumps(ring_to_dict(ring)))) == ring
 
 
+def test_a_ring_stores_one_product_table():
+    for ring in (r for m in map(bundled_model, BUNDLED) for r in (m.source, m.target)):
+        assert "products" not in vars(ring) and "rows" in vars(ring)
+        assert ring.products == {(i, j): c for i, row in enumerate(ring.rows)
+                                 for j, c in row.items() if i <= j}
+        assert all(ring.rows[j][i] is c for i, row in enumerate(ring.rows)
+                   for j, c in row.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_rings(), st.data())
+def test_a_ring_rebuilt_from_its_products_or_with_keys_reversed_is_equal(ring, data):
+    args = dict(integral=ring.integral, top_degree=ring.top_degree, unit=ring.unit_coords,
+                components=ring.components)
+    assert GradedRing(ring.labels, ring.degrees, ring.products, **args) == ring
+    obj = ring_to_dict(ring)
+    products = obj["products"]
+    flips = data.draw(st.lists(st.booleans(), min_size=len(products), max_size=len(products)))
+    obj["products"] = {(",".join(key.split(",")[::-1]) if flip else key): coords
+                       for flip, (key, coords) in zip(flips, products.items())}
+    assert ring_from_dict(obj) == ring
+
+
+@pytest.mark.parametrize("other", [{}, {1: 2}, {2: 1}], ids=["zero", "scaled", "other-class"])
+@pytest.mark.parametrize("first", [(0, 1), (1, 0)])
+def test_one_product_given_under_both_orders_with_two_values_is_refused(first, other):
+    # zeros are kept for the check, so neither order of the two entries loads
+    products = {(0, 0): {0: 1}, (0, 2): {2: 1}, (1, 1): {2: 1}}
+    for entries in ([(first, {1: 1}), (first[::-1], other)],
+                    [(first, other), (first[::-1], {1: 1})]):
+        with pytest.raises(GradedAlgebraError, match=r"conflicting product entries for \(0, 1\)"):
+            _ring(products={**products, **dict(entries)})
+    ring = _ring(products={**products, first: {1: 1}, first[::-1]: {1: Fraction(1)}})
+    assert ring == _ring(products={**products, (0, 1): {1: 1}}) and ring.check_axioms() == []
+    assert _ring(products={**products, first: {1: 1}, first[::-1]: {1: 1}, (1, 2): {},
+                           (2, 1): {}}) == ring
+
+
+def test_a_basis_label_given_twice_is_refused():
+    with pytest.raises(GradedAlgebraError, match="basis label 'h' is given twice"):
+        GradedRing(["1", "h", "h"], [0, 2, 4], {(0, 0): {0: 1}}, {2: 1})
+
+
 def test_check_axioms_makes_no_ring_product(monkeypatch):
     # the unit law is read from the unit's own product row, and
     # associativity from the structure constants

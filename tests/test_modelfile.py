@@ -328,6 +328,58 @@ def test_the_cli_exits_2_on_an_alias(tmp_path, capsys, alias):
     assert repr(alias) in capsys.readouterr().err
 
 
+def _exits_2(capsys, path, where, message):
+    """validate and compute on path each exit 2 with message, and load_model
+    raises it at where."""
+    for argv in (["validate", str(path)],
+                 ["compute", str(path), "--k", "1", "--quantity", "bk", "--json"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(f'{path}{where}: {message}')}$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("place, raw, name", [
+    (("euler",), '{"1": "3", "1": "5"}', "1"),
+    (("codim",), '2, "codim": 2', "codim"),
+    (("target", "products"), '{"0,0": {"0": "1"}, "0,0": {"0": "1"}}', "0,0"),
+], ids=["coordinate", "equal-fields", "product-key"])
+def test_a_json_name_given_twice_exits_2(tmp_path, capsys, place, raw, name):
+    # json.loads keeps the last of two members of one name; the reader
+    # refuses the object, whether or not the two values agree
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    node = obj
+    for key in place[:-1]:
+        node = node[key]
+    node[place[-1]] = "@"
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(obj).replace('"@"', raw))
+    _exits_2(capsys, path, "", f"the name {name!r} is given twice in one JSON object")
+
+
+def test_a_basis_label_given_twice_exits_2(tmp_path, capsys):
+    # a coordinate of bk was dropped: compute --json keys a class by label
+    obj = model_to_dict(bundled_model("hypersurface-d3"))
+    obj["target"]["labels"] = ["1", "h", "h", "h"]
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(obj))
+    _exits_2(capsys, path, ".target", "basis label 'h' is given twice")
+
+
+@pytest.mark.parametrize("value", [{}, {"1": "2"}], ids=["zero", "scaled"])
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_a_product_given_under_both_orders_with_two_values_exits_2(tmp_path, capsys, value,
+                                                                   zero_first):
+    obj = model_to_dict(bundled_model("line-in-plane"))
+    products = obj["target"]["products"]
+    entries = [("0,1", value), ("1,0", products.pop("0,1"))]
+    products.update(entries if zero_first else entries[::-1])
+    path = tmp_path / "orders.json"
+    path.write_text(json.dumps(obj))
+    _exits_2(capsys, path, ".target", "conflicting product entries for (0, 1)")
+
+
 def test_a_large_basis_loads_and_an_index_past_the_basis_is_refused():
     # the keys of a basis are the canonical decimals below its size
     ring = truncated_polynomial_ring("h", 299)
@@ -482,7 +534,8 @@ def test_a_malformed_file_raises_on_every_load(tmp_path, monkeypatch, loaded, te
     path.write_text(text)
     parses = []
     loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda text: parses.append(text) or loads(text))
+    monkeypatch.setattr(json, "loads",
+                        lambda text, **kw: parses.append(text) or loads(text, **kw))
     errors = set()
     for _ in range(3):
         with pytest.raises(ModelFormatError, match=re.escape(str(path))) as exc:

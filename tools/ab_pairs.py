@@ -3,14 +3,15 @@
     python3 tools/ab_pairs.py --parent DIR [--change DIR] --workload W
                               [--seed N] [--pairs P]
 
-Each pair runs `benchmarks/child.py setup` and `benchmarks/child.py run`
-once on the parent checkout and once on the change (the current directory
-by default; either may be a `git worktree` or an unpacked `git archive`),
+Each pair runs `benchmarks/child.py setup` five times and
+`benchmarks/child.py run` once on the parent checkout, and the same on the
+change (the current directory by default; either may be a `git worktree`
+or an unpacked `git archive`),
 in fresh processes, the side that goes first alternating from pair to pair
 so that a drift of the host's speed favours neither.  Each checkout runs
 its own benchmarks/ and src/.  Metrics are those of benchmarks/run.py, on
 the reference host: wall_s, query_p50_ms, query_p90_ms and peak_rss_mb of
-the run, and setup_s of one set-up (run.py takes the median of five).
+the run, and setup_s, the median of the five set-ups, as run.py takes it.
 
 Every run is printed, then per metric each side's median, the parent's
 interquartile range and the number of pairs the change won (lower is
@@ -39,6 +40,7 @@ from pathlib import Path
 
 DEFAULT_SEED = 20260823  # the seed of the frozen references (benchmarks/run.py)
 METRICS = ("wall_s", "query_p50_ms", "query_p90_ms", "setup_s", "peak_rss_mb")
+SETUP_REPEATS = 5  # as benchmarks/run.py
 
 
 def _child(root: Path, role: str, workload: str, seed: int, *extra: str) -> dict:
@@ -54,16 +56,17 @@ def _child(root: Path, role: str, workload: str, seed: int, *extra: str) -> dict
 
 
 def measure(root: Path, workload: str, seed: int, refs: str, work: Path) -> dict:
-    """One set-up and one run of the batch on a checkout: its metrics, and
-    the number of failed queries as "failed"."""
-    setup = _child(root, "setup", workload, seed, "--workdir", str(work / "setup"))
+    """SETUP_REPEATS set-ups and one run of the batch on a checkout: its
+    metrics, and the number of failed queries as "failed"."""
+    setups = [_child(root, "setup", workload, seed, "--workdir", str(work / f"setup{i}"))
+              for i in range(SETUP_REPEATS)]
     res = _child(root, "run", workload, seed, "--workdir", str(work / "run"), "--refs", refs)
     ms = sorted(x * 1000 for x in res["ref_latencies"])
     return {
         "wall_s": res["ref_wall_s"],
         "query_p50_ms": statistics.median(ms),
         "query_p90_ms": statistics.quantiles(ms, n=10, method="inclusive")[8],
-        "setup_s": setup["ref_setup_s"],
+        "setup_s": statistics.median(s["ref_setup_s"] for s in setups),
         "peak_rss_mb": res["peak_rss_mb"],
         "failed": len(res["failures"]),
     }
