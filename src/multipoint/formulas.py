@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 from . import signatures
 from .graded import GradedClass, Scalar, TensorClass, cross, exact, genus_class
 from .model import ImmersionModel, ModelError, _solve_linear
+from .records import _shown
 from .signatures import (
     MultipointResult,
     PreconditionError,
@@ -28,7 +29,6 @@ from .signatures import (
     _empty_locus,
     _genus,
     _herbert_refusal,
-    _text,
     _transfer,
     multiple_point_dimension,
     signature_herbert,
@@ -261,8 +261,8 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     # the arguments are checked: __wrapped__ runs no entry check again
     dims = multiple_point_dimension.__wrapped__(model, k)
     if sum(J) not in dims:
-        warnings.append(_text("degree sum %s does not match the k-tuple dimension(s) %s; "
-                              "the pairing vanishes", sum(J), dims))
+        warnings.append(f"degree sum {_shown(sum(J), str)} does not match the k-tuple "
+                        f"dimension(s) {_shown(dims, str)}; the pairing vanishes")
     if (why := zero_warning.__wrapped__(model, k)) is not None:
         warnings.append(why)
     value = Fraction(0)

@@ -146,14 +146,14 @@ class RingComponent(NamedTuple):
 class GradedRing:
     """Graded-commutative algebra over Q on a finite basis.
 
-    The basis labels are distinct.  ``products`` maps basis index pairs
-    (i, j) to sparse coordinate dicts, e_i e_j; a pair absent, or given
-    as {}, is 0, and a pair given under both orders must agree.  The ring
-    stores one table, ``rows``, completed symmetrically: rows[i][j] =
-    e_i e_j, nonzero entries only; ``products`` reads its upper triangle
-    back.  ``integral`` is a linear functional given by its values on basis
-    elements; ring validation confines its support to the top degree of
-    each component.
+    The basis labels are distinct.  The ``products`` argument maps basis
+    index pairs (i, j) to sparse coordinate dicts, e_i e_j; a pair absent,
+    or given as {}, is 0, and a pair given under both orders must agree.
+    The ring stores one table, ``rows``, completed symmetrically:
+    rows[i][j] = e_i e_j, nonzero entries only, and every reader walks it
+    (the file writer its upper triangle, i <= j).  ``integral`` is a linear
+    functional given by its values on basis elements; ring validation
+    confines its support to the top degree of each component.
 
     A ring is a value: its tables are set once, here, and never assigned
     into after, so what _memo keeps for it (the axiom check, the power sums
@@ -231,11 +231,6 @@ class GradedRing:
             raise GradedAlgebraError("components do not cover the basis")
         self._memo: Dict[object, object] = {}
 
-    @property
-    def products(self) -> Dict[Tuple[int, int], Coords]:
-        """{(i, j): e_i e_j} for i <= j, nonzero entries only: a new dict read off rows."""
-        return {(i, j): c for i, row in enumerate(self.rows) for j, c in row.items() if i <= j}
-
     # ---- element constructors -------------------------------------------
 
     def zero(self) -> "GradedClass":
@@ -251,9 +246,6 @@ class GradedRing:
         return GradedClass(self, coords)
 
     # ---- products ---------------------------------------------------------
-
-    def basis_product(self, i: int, j: int) -> Coords:
-        return self.rows[i].get(j, {})
 
     def mul_coords(self, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Coords:
         """The product of two coordinate dicts, by the structure constants.
@@ -305,8 +297,8 @@ class GradedRing:
         issues = [f"unit law fails on basis element {labels[i]}"
                   for i in range(n) if unit_row.get(i) != {i: 1}]
         triple: List[Dict[int, Dict[int, Coords]]] = [{} for _ in range(n)]
-        for (i, j), ij in sorted(self.products.items()):
-            d = degrees[i] + degrees[j]
+        for i, j in sorted((i, j) for i, row in enumerate(rows) for j in row if i <= j):
+            ij, d = rows[i][j], degrees[i] + degrees[j]
             comp_i, comp_j = component_of[i], component_of[j]
             for idx in ij:
                 if degrees[idx] != d:
@@ -695,10 +687,11 @@ class TensorClass(_Element):
     def __mul__(self, other):
         if isinstance(other, TensorClass):
             self._check(other)
+            rows = self.ring.rows
             out: Dict[Tuple[int, ...], Scalar] = {}
             for idx1, c1 in self.terms.items():
                 for idx2, c2 in other.terms.items():
-                    slot_coords = [self.ring.basis_product(a, b) for a, b in zip(idx1, idx2)]
+                    slot_coords = [rows[a].get(b) for a, b in zip(idx1, idx2)]
                     if not all(slot_coords):
                         continue
                     for combo in iproduct(*(s.items() for s in slot_coords)):

@@ -110,7 +110,8 @@ def ring_to_dict(ring: GradedRing) -> dict:
     return {
         "labels": list(ring.labels),
         "degrees": list(ring.degrees),
-        "products": {f"{i},{j}": _coords_to_json(c) for (i, j), c in sorted(ring.products.items())},
+        "products": {f"{i},{j}": _coords_to_json(row[j]) for i, row in enumerate(ring.rows)
+                     for j in sorted(row) if i <= j},
         "integral": _coords_to_json(ring.integral),
         "top_degree": ring.top_degree,
         "unit": _coords_to_json(ring.unit_coords),

@@ -67,14 +67,6 @@ def _model(model: object) -> None:
         raise ModelError(f"model must be an ImmersionModel, got {_shown(model)}")
 
 
-def _text(template: str, *values) -> str:
-    """template % values, each value shown by _shown if str() refuses one."""
-    try:
-        return template % values
-    except ValueError:
-        return template % tuple(map(_shown, values))
-
-
 def _k(k: object) -> None:
     # a bool, float, Fraction or string is refused, not truncated
     if type(k) is not int:
@@ -176,6 +168,17 @@ def _empty_locus(model: ImmersionModel, k: int) -> bool:
     return True
 
 
+def _no_signature_dimension(model: ImmersionModel, k: int) -> bool:
+    """Whether no k-tuple dimension is a nonnegative multiple of 4 (an
+    empty manifold has none): every L-class of a valid model has degrees
+    0 mod 4, so the signature pairing cannot reach the top degree."""
+    bound = (k - 1) * model.codim
+    for c in model.source.components:
+        if c.top_degree >= bound and (c.top_degree - bound) % 4 == 0:
+            return False
+    return True
+
+
 @_checked
 def zero_warning(model: ImmersionModel, k: int) -> Optional[str]:
     """The first reason the value at k is 0 before any kernel runs, or None:
@@ -184,9 +187,9 @@ def zero_warning(model: ImmersionModel, k: int) -> Optional[str]:
     f*f_!(x) = e * x at k >= 2, or f_! = 0 at k >= 1.  One reason covers
     every number and the virtual class alike."""
     if _empty_locus(model, k):
-        return _text("the %s-tuple point manifold is empty: (k-1)*codim = %s exceeds the source "
-                     "dimension(s) %s; the value is 0", k, (k - 1) * model.codim,
-                     multiple_point_dimension.__wrapped__(model, 1))
+        return (f"the {_shown(k, str)}-tuple point manifold is empty: (k-1)*codim = "
+                f"{_shown((k - 1) * model.codim, str)} exceeds the source dimension(s) "
+                f"{_shown(multiple_point_dimension.__wrapped__(model, 1), str)}; the value is 0")
     facts = model._cache.get("zero facts")
     if facts is None:
         return None
@@ -523,9 +526,7 @@ SIGNATURE_ROUTES = {
 @_checked
 def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
     """Signature of the k-tuple point manifold, 0 before any route runs
-    when none of its dimensions is 0 mod 4 (an empty one has none): every
-    L-class of a valid model has degrees 0 mod 4, so the pairing cannot
-    reach the top degree.
+    when no k-tuple dimension is 0 mod 4 (_no_signature_dimension).
 
     route 'auto' returns 0 before any route runs when zero_warning names a
     reason; else it runs one route of each of two independent kernels, the
@@ -534,11 +535,7 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
     (3^(k-1)/2 products), and insists on exact agreement.  A named route
     always runs.
     """
-    bound = (k - 1) * model.codim
-    for c in model.source.components:
-        if c.top_degree >= bound and (c.top_degree - bound) % 4 == 0:
-            break
-    else:
+    if _no_signature_dimension(model, k):
         return Fraction(0)
     if route in SIGNATURE_ROUTES:
         return SIGNATURE_ROUTES[route](model, k)
@@ -600,5 +597,8 @@ def evaluate(model: ImmersionModel, k: int, quantity: str, J: Optional[Sequence[
     value = (signature.__wrapped__(model, k, route) if quantity == "signature"
              else virtual_signature_class.__wrapped__(model, k))
     dims, why = multiple_point_dimension.__wrapped__(model, k), zero_warning.__wrapped__(model, k)
+    if why is None and quantity == "signature" and _no_signature_dimension(model, k):
+        why = (f"no k-tuple dimension in {_shown(dims, str)} is a nonnegative multiple of 4; "
+               "the pairing vanishes")
     return MultipointResult(k, quantity, value, dims[0] if len(dims) == 1 else None,
                             [] if why is None else [why])

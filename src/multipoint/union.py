@@ -33,8 +33,11 @@ def product_ring(rings: Sequence[GradedRing], name: str = "") -> GradedRing:
     for fi, ring in enumerate(rings):
         labels.extend(f"{lab}@{fi}" for lab in ring.labels)
         degrees.extend(ring.degrees)
-        for (i, j), coords in ring.products.items():
-            products[(i + offset, j + offset)] = {idx + offset: c for idx, c in coords.items()}
+        for i, row in enumerate(ring.rows):
+            for j, coords in row.items():
+                if i <= j:
+                    products[(i + offset, j + offset)] = {idx + offset: c
+                                                          for idx, c in coords.items()}
         for idx, c in ring.integral.items():
             integral[idx + offset] = c
         for idx, c in ring.unit_coords.items():

@@ -277,6 +277,26 @@ def test_compute_degree_mismatch_warns(capsys):
     assert "warning" in err
 
 
+@pytest.mark.parametrize("model, quantity, value, warning", [
+    ("line-in-plane", "signature", "0", "no k-tuple dimension in (2,) is a nonnegative multiple "
+                                        "of 4; the pairing vanishes"),
+    ("two-lines", "signature", "0", "no k-tuple dimension in (2,) is a nonnegative multiple "
+                                    "of 4; the pairing vanishes"),
+    ("hypersurface-d3", "signature", "-5", None),
+    ("line-in-plane", "bk", None, None)])
+def test_a_signature_zero_by_its_dimension_says_why(capsys, model, quantity, value, warning):
+    # at k = 1 a signature pairs with a manifold of dimension 2, or 4 for
+    # hypersurface-d3; the virtual class is a class, so its dimension warns
+    # of nothing
+    warnings = [] if warning is None else [warning]
+    code, out, err = run(capsys, "compute", model, "--k", "1", "--quantity", quantity)
+    assert code == 0 and err.splitlines() == [f"warning: {w}" for w in warnings]
+    if value is not None:
+        assert out == f"{value}\n"
+    code, out, _ = run(capsys, "compute", model, "--k", "1", "--quantity", quantity, "--json")
+    assert code == 0 and json.loads(out)["warnings"] == warnings
+
+
 @pytest.mark.parametrize("model, quantity", [("hypersurface-d3", "signature"),
                                              ("hypersurface-d3", "bk"),
                                              ("hypersurface-d3", "pontrjagin=4"),

@@ -15,6 +15,7 @@ from math import factorial
 
 import pytest
 
+from conftest import codim_2_model
 from multipoint import graded, modelfile, signatures
 from multipoint import model as model_mod
 from multipoint.formulas import pontrjagin_number
@@ -24,16 +25,6 @@ from multipoint.random_models import (_random_unital, random_truncated_model,
                                       random_union_components)
 from multipoint.signatures import RouteDisagreement, signature, virtual_signature_class
 from multipoint.union import disjoint_union
-
-
-def _codim_2_model():
-    # source t^0..t^40 with integral mu = 3, target h^0..h^41, lambda = 2:
-    # k-tuple manifolds of dimension 82 - 2k, nonempty to k = 41
-    rng = random.Random(1)
-    M = truncated_polynomial_ring("t", 40, integral_value=3)
-    N = truncated_polynomial_ring("h", 41)
-    return truncated_model("codim-2", M, N, 3, 2, _random_unital(rng, M, 4),
-                           _random_unital(rng, N, 4))
 
 
 def _codim_4_model():
@@ -85,9 +76,9 @@ CODIM_2_PINS = [(5, (31, 8), (30, 9)), (7, (50, 10), (49, 11)), (13, (131, 16), 
 
 @pytest.mark.parametrize("k, auto, bk", CODIM_2_PINS, ids=[f"k={k}" for k, _, _ in CODIM_2_PINS])
 def test_signature_and_virtual_class_on_the_codim_2_model(cost, k, auto, bk):
-    m = _validated(_codim_2_model)
+    m = _validated(codim_2_model)
     assert cost(lambda: signature(m, k)) == auto
-    m = _validated(_codim_2_model)
+    m = _validated(codim_2_model)
     assert cost(lambda: virtual_signature_class(m, k)) == bk
 
 
@@ -135,7 +126,7 @@ def _spied(monkeypatch, names):
 def test_a_default_call_at_k13_runs_the_chain_and_the_closed_form_only(monkeypatch):
     # the subset kernel would take about 265,000 products per route here
     ran = _spied(monkeypatch, ("_extend", "_closed_form", "_transfer"))
-    m = _validated(_codim_2_model)
+    m = _validated(codim_2_model)
     start = time.perf_counter()
     value = signature(m, 13)
     cls = virtual_signature_class(m, 13)
@@ -161,9 +152,9 @@ def test_the_closed_form_catches_a_flipped_sign_in_the_chain(monkeypatch):
     monkeypatch.setattr(signatures, "_extend", mutant)
     start = time.perf_counter()
     with pytest.raises(RouteDisagreement, match="signature routes disagree for k=13"):
-        signature(_validated(_codim_2_model), 13)
+        signature(_validated(codim_2_model), 13)
     with pytest.raises(RouteDisagreement, match="virtual signature class mismatch for k=13"):
-        virtual_signature_class(_validated(_codim_2_model), 13)
+        virtual_signature_class(_validated(codim_2_model), 13)
     assert time.perf_counter() - start < 2
 
 
@@ -237,9 +228,9 @@ def test_the_chain_catches_a_flipped_sign_in_the_closed_form(monkeypatch):
     start = time.perf_counter()
     with pytest.raises(RouteDisagreement, match="signature routes disagree for k=13: "
                                                 "collected=.*, herbert="):
-        signature(_validated(_codim_2_model), 13)
+        signature(_validated(codim_2_model), 13)
     with pytest.raises(RouteDisagreement, match="virtual signature class mismatch for k=13"):
-        virtual_signature_class(_validated(_codim_2_model), 13)
+        virtual_signature_class(_validated(codim_2_model), 13)
     assert time.perf_counter() - start < 2
 
 

@@ -51,7 +51,7 @@ def built_coordinates(monkeypatch):
 @pytest.mark.parametrize("m", _models(), ids=lambda m: m.name)
 def test_coordinates_are_ints_or_proper_fractions(m, built_coordinates):
     for ring in (m.source, m.target):
-        data = [c for coords in ring.products.values() for c in coords.values()]
+        data = [c for row in ring.rows for coords in row.values() for c in coords.values()]
         data += list(ring.integral.values()) + list(ring.unit_coords.values())
         assert all(_normal(c) for c in data), ring
     assert validate(m).ok

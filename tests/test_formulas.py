@@ -733,7 +733,8 @@ def test_evaluate_gives_the_value_of_each_public_function_with_its_warnings():
     # every quantity on every bundled model at k = 1..6: the signature by
     # each route, bk, and each number of a J whose degree sum is a k-tuple
     # dimension; the warnings are zero_warning's reason for the signature
-    # and bk, and the number's own, as compute prints them
+    # and bk, else, for the signature, that no dimension is 0 mod 4, and the
+    # number's own, as compute prints them
     MultipointResult = signatures.MultipointResult
     numbers, nonzero = 0, 0
     for name in sorted(BUNDLED):
@@ -743,9 +744,12 @@ def test_evaluate_gives_the_value_of_each_public_function_with_its_warnings():
             dims = multiple_point_dimension(m, k)
             dim = dims[0] if len(dims) == 1 else None
             zero = [] if (why := zero_warning(m, k)) is None else [why]
+            off = [] if zero or any(d >= 0 and d % 4 == 0 for d in dims) else [
+                f"no k-tuple dimension in {dims} is a nonnegative multiple of 4; "
+                "the pairing vanishes"]
             for route in (*SIGNATURE_ROUTES, "auto"):
                 assert signatures.evaluate(m, k, "signature", route=route) == MultipointResult(
-                    k, "signature", signature(m, k, route=route), dim, zero), (name, k, route)
+                    k, "signature", signature(m, k, route=route), dim, zero + off), (name, k, route)
             assert signatures.evaluate(m, k, "bk") == MultipointResult(
                 k, "bk", virtual_signature_class(m, k), dim, zero), (name, k)
             for d in (d for d in dims if d >= 0):
@@ -783,7 +787,7 @@ def test_the_public_signature_functions_build_no_record_and_no_message(monkeypat
         raise AssertionError("a record or a message was built")
 
     monkeypatch.setattr(signatures.MultipointResult, "__init__", refuse)
-    monkeypatch.setattr(signatures, "_text", refuse)
+    monkeypatch.setattr(signatures, "_shown", refuse)  # a zero reason's text reads it
     for name in sorted(BUNDLED):
         m = bundled_model(name)
         assert validate(m).ok
@@ -1112,6 +1116,18 @@ def test_a_k_past_the_digit_limit_warns_by_digit_count():
     assert res.warnings == [
         "degree sum 4 does not match the k-tuple dimension(s) (-<5001-digit integer>,); "
         "the pairing vanishes", warning]
+    # any one value past the limit is shown by its digit count alone, a
+    # value within it in full
+    assert zero_warning(bundled_model("two-lines"), HUGE) == (
+        "the <5001-digit integer>-tuple point manifold is empty: (k-1)*codim = "
+        "<5001-digit integer> exceeds the source dimension(s) (2,); the value is 0")
+    assert pontrjagin_number(d3, 1, (HUGE,)).warnings == [
+        "degree sum <5001-digit integer> does not match the k-tuple dimension(s) (4,); "
+        "the pairing vanishes"]
+    k = 10 ** 4299
+    assert zero_warning(d3, k) == (f"the {k}-tuple point manifold is empty: (k-1)*codim = "
+                                   f"{2 * k - 2} exceeds the source dimension(s) (4,); "
+                                   "the value is 0")
     with pytest.raises(ValueError, match="^oracle refuses k=<5001-digit integer> beyond its cap"):
         signature_enumerated(d3, HUGE)
     with pytest.raises(ValueError, match="at least 1, got -<5001-digit integer>$"):

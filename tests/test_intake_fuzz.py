@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import products_of
 from multipoint import cli
 from multipoint.graded import GradedAlgebraError, GradedClass, GradedRing, TensorClass, cross
 from multipoint.model import ImmersionModel, LinearMap, ModelError, validate
@@ -215,7 +216,7 @@ def _ring_args(m):
     """The constructor arguments of the target ring of m, to be corrupted."""
     ring = m.target
     return dict(labels=list(ring.labels), degrees=list(ring.degrees),
-                products={k: dict(v) for k, v in ring.products.items()},
+                products={k: dict(v) for k, v in products_of(ring).items()},
                 integral=dict(ring.integral), top_degree=ring.top_degree,
                 unit=dict(ring.unit_coords), components=list(ring.components))
 

@@ -201,7 +201,7 @@ def reference_map_checks(m: ImmersionModel) -> List[Check]:
     pushed = [push.apply_coords({i: 1}) for i in range(len(source.labels))]
     mult = ""
     for i, j in combinations_with_replacement(range(len(target.labels)), 2):
-        lhs = pull.apply_coords(target.basis_product(i, j))
+        lhs = pull.apply_coords(target.rows[i].get(j, {}))
         rhs = source.mul_coords(pulled[i], pulled[j])
         if lhs != rhs:
             mult = (f"on ({target.labels[i]}, {target.labels[j]}): "

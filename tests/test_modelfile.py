@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import codim_2_model, union_50_model
 from multipoint import cli, graded, modelfile
 from multipoint.graded import GradedAlgebraError, GradedRing, exact
 from multipoint.model import validate
@@ -54,6 +56,32 @@ def test_roundtrip_all_bundled(tmp_path):
         again = tmp_path / f"{name}-again.json"
         save_model(m2, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+# the sha256 of each saved file, so the writer's bytes cannot drift between
+# versions unnoticed: a round trip alone passes on any stable layout
+SAVED_SHA256 = {
+    "hypersurface-d1": "1fb73e4e141bda540d1804cf4be95a2a6fb0a988595e2cd1dfb61c9ca1f1863c",
+    "hypersurface-d2": "dcb029661d2dce7a4e916c5ba265c2d77825143da99fc8d81b4acb542a393418",
+    "hypersurface-d3": "94d04cba2d092480480ff4e6bc4cb9d3fe3367413938ff2849e4c0a5116f596a",
+    "hypersurface-d4": "cf0e32ec4371dec4e91ad99753c5e298fa25ed1d81e4e691d542d40524b82b49",
+    "line-in-plane": "118b1649866d34c4479b218ccbd34d9e94c91b88173310bdb6c95830fc5fab0c",
+    "line-in-quadric": "e9190896cae2dd5c4653f9f00fd6d2c9fb615b22a9daee77ddd8369dc79738fe",
+    "null-pushforward": "47cda6d54071d9eb627065db7be5d89b3c81f3bebad2dab3929747b63b999a31",
+    "nullhomotopic-cp2-in-s6": "937bf7886ec2f9c1030b44f6e9c492fa8f4da88862eefb45a4e19d12177f68eb",
+    "two-lines": "221427e00d4bc91670c4452eac93c30e77007c9b0c82242ca7503a5955ba5800",
+    "codim-2": "48b48e5c7db83e6b789d2d72f18ae731269af6bd47d84f437f16087e0a909a21",
+    "50-class-union": "ddc3b9c217f06dea98329a51ec6edcf57926452e5f0ba665d1e324f53f4faa05",
+}
+
+
+def test_saved_files_keep_their_bytes(tmp_path):
+    models = [*map(bundled_model, BUNDLED), codim_2_model(), union_50_model()]
+    assert sorted(m.name for m in models) == sorted(SAVED_SHA256)
+    for m in models:
+        path = tmp_path / f"{m.name}.json"
+        save_model(m, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_SHA256[m.name], m.name
 
 
 def test_rationals_serialized_as_strings(tmp_path):

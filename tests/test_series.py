@@ -110,7 +110,7 @@ def test_one_variable_coefficient_ring_is_the_truncated_polynomial_ring(K):
     ring, reference = _ring(("e",), K + 1), truncated_polynomial_ring("e", K)
     assert ring.labels == reference.labels
     assert ring.degrees == reference.degrees
-    assert ring.products == reference.products
+    assert ring.rows == reference.rows
     assert _ring(("e",), K + 1) is ring  # memoised
 
 
