@@ -145,14 +145,15 @@ def cmd_compute(args) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    value = result.value  # --json shows a class by its coordinates, by basis label
-    shown = ({value.ring.labels[i]: str(c) for i, c in sorted(value.coords.items())}
-             if isinstance(value, GradedClass) else str(value))
+    value = result.value  # --json shows a class by its coordinates, by basis label and index
+    coords = sorted(value.coords.items()) if isinstance(value, GradedClass) else None
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.json:
         _print_json({"model": model.name or args.model, "k": args.k, "quantity": args.quantity,
-                     "route": args.route, "value": shown,
+                     "route": args.route, "value": str(value) if coords is None
+                     else {value.ring.labels[i]: str(c) for i, c in coords},
+                     "coordinates": None if coords is None else {str(i): str(c) for i, c in coords},
                      "dimension": list(multiple_point_dimension(model, args.k)),
                      "warnings": result.warnings})
     else:

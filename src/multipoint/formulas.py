@@ -1,13 +1,13 @@
 """Genera, characteristic numbers, tensor transfers and Herbert's closed
 form of the unit transfer and of p_J, for the k-tuple point manifolds.
 
-The signature kernel (the entry checks, the transfer kernel, the
+The signature kernel (the argument checks, the transfer kernel, the
 collected chain, the five signature routes and the virtual signature
 class), with ``evaluate`` and its record, ``MultipointResult``, lives in
-``signatures``, so that a signature query compiles none of this module.
-The names of it that the benchmark harness reads from here,
-the route table, ``signature``, the four routes that it traces and
-``virtual_signature_class``, are bound here too, as the same objects.
+``signatures``, so that a signature query compiles none of this module;
+the names of it that the benchmark harness reads from here are bound here
+too.  A public function calls the argument checks first and shares its
+body only as a private function, so each argument is checked once.
 Everything is exact rational arithmetic.
 """
 
@@ -21,24 +21,15 @@ from . import signatures
 from .graded import GradedClass, Scalar, TensorClass, cross, exact, genus_class
 from .model import ImmersionModel, ModelError, _solve_linear
 from .records import _shown
-from .signatures import (
-    MultipointResult,
-    PreconditionError,
-    _checked,
-    _closed_form,
-    _empty_locus,
-    _genus,
-    _herbert_refusal,
-    _transfer,
-    multiple_point_dimension,
-    signature_herbert,
-    zero_warning,
-)
+from .signatures import (MultipointResult, PreconditionError, _ZERO, _chern, _closed_form,
+                         _dimensions, _empty_locus, _genus, _herbert_refusal, _J, _k,
+                         _log_coeffs, _model, _signature_herbert, _tensor, _transfer,
+                         _zero_reason)
 
 # the signature names the benchmark harness reads from here, as the same objects
 globals().update({name: getattr(signatures, name) for name in """SIGNATURE_ROUTES signature
-    signature_collected signature_collected_source signature_via_source signature_via_target
-    virtual_signature_class""".split()})
+    multiple_point_dimension signature_collected signature_collected_source signature_via_source
+    signature_via_target virtual_signature_class""".split()})
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +40,10 @@ globals().update({name: getattr(signatures, name) for name in """SIGNATURE_ROUTE
 
 def _transfer_tensor(model: ImmersionModel, k: int, x: TensorClass,
                      to_target: bool) -> GradedClass:
+    """The body of both tensor transfers, which starts with their checks."""
+    _model(model)
+    _k(k)
+    _tensor(x, model, k)
     out = (model.target if to_target else model.source).zero()
     for idx, coeff in x.terms.items():
         factors = [model.source.basis_class(i) for i in idx]
@@ -56,7 +51,6 @@ def _transfer_tensor(model: ImmersionModel, k: int, x: TensorClass,
     return out
 
 
-@_checked
 def transfer_to_source(model: ImmersionModel, k: int, x: TensorClass) -> GradedClass:
     """Push the restriction of a class on the k-fold source power down to
     the source, by the solved partition-sum formula.
@@ -70,7 +64,6 @@ def transfer_to_source(model: ImmersionModel, k: int, x: TensorClass) -> GradedC
     return _transfer_tensor(model, k, x, to_target=False)
 
 
-@_checked
 def transfer_to_target(model: ImmersionModel, k: int, x: TensorClass) -> GradedClass:
     """Pushforward of the k-tuple restriction all the way to the target:
     every block contributes a pushed-forward factor."""
@@ -128,7 +121,6 @@ def _genus_classes(model: ImmersionModel, kind: Characteristic,
     return model._cached(("genus", kind.name, c), build)
 
 
-@_checked
 def genus(model: ImmersionModel, k: int, log_coeffs: Sequence[Scalar],
           chern: bool = False) -> Fraction:
     """The genus of the k-tuple point manifold for the multiplicative class
@@ -144,9 +136,13 @@ def genus(model: ImmersionModel, k: int, log_coeffs: Sequence[Scalar],
     K(target) * E_k with u = K(normal)^-1, as the collected signature
     route pairs L(target) with it.  The classes are memoised per model.
     """
+    _model(model)
+    _k(k)
+    _log_coeffs(log_coeffs)
+    _chern(chern)
     kind = _characteristic(model, chern)
-    if _empty_locus(model, k) or zero_warning.__wrapped__(model, k) is not None:
-        return Fraction(0)
+    if _empty_locus(model, k) or _zero_reason(model, k) is not None:
+        return _ZERO
     return _genus(model, k, *_genus_classes(model, kind, log_coeffs))
 
 
@@ -258,14 +254,14 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
     """
     kind = _characteristic(model, chern)
     warnings: List[str] = []
-    # the arguments are checked: __wrapped__ runs no entry check again
-    dims = multiple_point_dimension.__wrapped__(model, k)
+    # the arguments are checked: the private bodies run no entry check again
+    dims = _dimensions(model, k)
     if sum(J) not in dims:
         warnings.append(f"degree sum {_shown(sum(J), str)} does not match the k-tuple "
                         f"dimension(s) {_shown(dims, str)}; the pairing vanishes")
-    if (why := zero_warning.__wrapped__(model, k)) is not None:
+    if (why := _zero_reason(model, k)) is not None:
         warnings.append(why)
-    value = Fraction(0)
+    value = _ZERO
     # a part of a Pontrjagin class has degree 0 mod 4, so any other j selects 0
     if not warnings and all(j % kind.step == 0 for j in J):
         plan = _genus_plan(J, kind, dims)
@@ -280,7 +276,6 @@ def _characteristic_number(model: ImmersionModel, k: int, J: Sequence[int],
                             warnings=warnings)
 
 
-@_checked
 def pontrjagin_number(model: ImmersionModel, k: int, J: Sequence[int]) -> MultipointResult:
     """Pontrjagin number of the k-tuple point manifold for the index
     sequence J (degrees of the selected graded parts): the integral of
@@ -295,14 +290,19 @@ def pontrjagin_number(model: ImmersionModel, k: int, J: Sequence[int]) -> Multip
     two exact routes (see _characteristic_number): read from genera, or the
     transfer of the expanded tensor, at small k.
     """
+    _model(model)
+    _k(k)
+    _J(J)
     return _characteristic_number(model, k, J, chern=False)
 
 
-@_checked
 def chern_number(model: ImmersionModel, k: int, J: Sequence[int]) -> MultipointResult:
     """Chern number of the k-tuple point manifold for the index sequence J,
     computed as pontrjagin_number is, from the Chern roots (with no L
     point, and step 2 for 4); requires Chern data."""
+    _model(model)
+    _k(k)
+    _J(J)
     return _characteristic_number(model, k, J, chern=True)
 
 
@@ -386,11 +386,11 @@ def _interpolate_on_lower_set(values: Mapping[Tuple[int, ...], object]
 
 # ---------------------------------------------------------------------------
 # Herbert's closed form of the unit transfer and of p_J, on the herbert
-# route's memo: after the entry check and the hypothesis, 0 on an empty locus
+# route's memo: after the argument checks and the hypothesis, 0 on an
+# empty locus
 # ---------------------------------------------------------------------------
 
 
-@_checked
 def transfer_of_unit(model: ImmersionModel, k: int) -> GradedClass:
     """Closed form of the transfer of the unit tensor, Herbert's class:
     prod_{i=1}^{k-1} (pullback(pushforward(1)) - i*euler).
@@ -399,6 +399,8 @@ def transfer_of_unit(model: ImmersionModel, k: int) -> GradedClass:
     product at f*f_!(1) = 0), read first, or when the Euler class is pulled
     back from the target, and refused otherwise.
     """
+    _model(model)
+    _k(k)
     if (why := _herbert_refusal(model, l_normal=False)) is not None:
         raise PreconditionError(why)
     if _empty_locus(model, k):
@@ -406,7 +408,6 @@ def transfer_of_unit(model: ImmersionModel, k: int) -> GradedClass:
     return GradedClass(model.source, _closed_form(model, k, 0))
 
 
-@_checked
 def herbert(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
     """Herbert's closed form of the signature (J None, the herbert route) or
     p_J: the integral of the core times the unit transfer, over k!; the core
@@ -415,11 +416,14 @@ def herbert(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) ->
     L(normal)^-1 are pulled back.  At f*f_! = 0 the unit transfer is
     (-1)^(k-1) (k-1)! euler^(k-1); where also P(normal)^-1 = P(source), as
     for a nullhomotopic f, the core is L(source)^k: Szucs's formula."""
+    _model(model)
+    _k(k)
     if J is None:
-        return signature_herbert.__wrapped__(model, k)
+        return _signature_herbert(model, k)
+    _J(J)
     if (why := _herbert_refusal(model)) is not None:
         raise PreconditionError(why)
     if _empty_locus(model, k):
-        return Fraction(0)
+        return _ZERO
     core = (model.pontrjagin_source * model.normal_pontrjagin_inverse ** (k - 1)).select_degrees(J)
-    return (core * transfer_of_unit.__wrapped__(model, k)).integrate() / factorial(k)
+    return (core * GradedClass(model.source, _closed_form(model, k, 0))).integrate() / factorial(k)

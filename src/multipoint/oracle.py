@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, prod
 from typing import Dict, List, NamedTuple, Tuple
 
 from .formulas import transfer_to_source
@@ -31,13 +31,15 @@ from .partitions import (BELL, SetPartition, all_partitions, count_by_type, quot
 from .records import _shown
 from .series import (DEFAULT_ORDER, _partition_sum, compose, composed_derivative,
                      identity_series, invert, scaled_exp_series, scaled_log_series)
-from .signatures import _checked, signature, virtual_signature_class
+from .signatures import _k, _model, _tensor, signature, virtual_signature_class
 
 DEFAULT_CAP = 7
 
 
-def _cap(k: int) -> None:
-    """Refuse k beyond DEFAULT_CAP, before any partition or factor is built."""
+def _cap(k: object) -> None:
+    """Refuse a k that the entry check _k refuses, or beyond DEFAULT_CAP,
+    before any partition or factor is built."""
+    _k(k)
     if k > DEFAULT_CAP:
         raise ValueError(f"oracle refuses k={_shown(k)} beyond its cap {DEFAULT_CAP}")
 
@@ -53,11 +55,7 @@ def _coefficients(k: int, **lists) -> None:
 
 def _weight(alpha: SetPartition) -> int:
     # product over blocks of (-1)^(size-1) (size-1)!
-    w = 1
-    for block in alpha.blocks:
-        s = len(block)
-        w *= (-1) ** (s - 1) * factorial(s - 1)
-    return w
+    return prod((-1) ** (len(block) - 1) * factorial(len(block) - 1) for block in alpha.blocks)
 
 
 class OracleRun(NamedTuple):
@@ -101,40 +99,40 @@ def _transfer_enumerated(model: ImmersionModel, k: int,
     return OracleRun(out, nparts, nterms)
 
 
-def _basis_terms(model: ImmersionModel, x: TensorClass) -> List[Tuple[Scalar, List[GradedClass]]]:
+def _basis_terms(model: ImmersionModel, k: int, x: TensorClass) -> List[Tuple[Scalar, List[GradedClass]]]:
+    """The terms of x as (coefficient, basis classes), after the argument checks."""
+    _model(model)
+    _k(k)
+    _tensor(x, model, k)
     return [(coeff, [model.source.basis_class(i) for i in idx]) for idx, coeff in x.terms.items()]
 
 
-@_checked
 def transfer_to_target_enumerated(model: ImmersionModel, k: int, x: TensorClass) -> OracleRun:
     """Pushed transfer by direct summation over every partition and term."""
-    return _transfer_enumerated(model, k, _basis_terms(model, x), to_target=True)
+    return _transfer_enumerated(model, k, _basis_terms(model, k, x), to_target=True)
 
 
-@_checked
 def transfer_to_source_enumerated(model: ImmersionModel, k: int, x: TensorClass) -> OracleRun:
     """Source-level transfer by direct summation, first block kept verbatim."""
-    return _transfer_enumerated(model, k, _basis_terms(model, x), to_target=False)
+    return _transfer_enumerated(model, k, _basis_terms(model, k, x), to_target=False)
 
 
-@_checked
 def signature_enumerated(model: ImmersionModel, k: int) -> OracleRun:
     """Signature of the k-tuple point manifold by raw enumeration on the
     target: 1/k! times the pairing of L(target) with the enumerated
-    virtual signature class."""
+    virtual signature class, which checks the arguments."""
     run = virtual_class_enumerated(model, k)
     return run._replace(value=(model.l_target * run.value).integrate() / factorial(k))
 
 
-@_checked
 def virtual_class_enumerated(model: ImmersionModel, k: int) -> OracleRun:
     """The virtual signature class on the target by raw enumeration: the
     pushed transfer of the k-fold tensor power of L(normal)^(-1)."""
+    _model(model)
     _cap(k)
     return _transfer_enumerated(model, k, [(1, [model.l_normal_inverse] * k)], to_target=True)
 
 
-@_checked
 def compose_enumerated(outer_coeffs, inner_coeffs, k: int) -> OracleRun:
     """Partition-sum composition coefficient, summed partition by partition.
 
@@ -162,7 +160,6 @@ def refinement_pairs(k: int) -> List[Tuple[SetPartition, SetPartition]]:
     return [(b, a) for b in parts for a in parts if refines(b, a)]
 
 
-@_checked
 def double_composition_enumerated(a, b, c, k: int) -> OracleRun:
     """Associativity witness: sum over refinement pairs beta <= alpha of
     a at the alpha block count, b at the quotient block sizes, c at the
@@ -212,7 +209,6 @@ def diagonal_pullback(alpha: SetPartition, x: TensorClass) -> TensorClass:
     return TensorClass(ring, len(alpha.blocks), out_terms)
 
 
-@_checked
 def recursion_identity_holds(model: ImmersionModel, k: int, x: TensorClass) -> bool:
     """Check the recursion the solved formula came from.
 
@@ -220,11 +216,12 @@ def recursion_identity_holds(model: ImmersionModel, k: int, x: TensorClass) -> b
     others.  Right side: the partition sum of Euler-weighted transfers of
     the diagonal restrictions.  Returns exact equality.
     """
+    terms = _basis_terms(model, k, x)
     lhs = model.source.zero()
-    for idx, coeff in x.terms.items():
-        cls = model.source.basis_class(idx[0])
-        for i in idx[1:]:
-            cls = cls * model.pushpull(model.source.basis_class(i))
+    for coeff, factors in terms:
+        cls = factors[0]
+        for factor in factors[1:]:
+            cls = cls * model.pushpull(factor)
         lhs = lhs + coeff * cls
 
     rhs = model.source.zero()

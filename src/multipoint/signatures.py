@@ -1,7 +1,8 @@
-"""The signature kernel: the entry checks, the one rule for a value known
-to be 0 (``zero_warning``), the transfer kernel, the collected chain,
-Herbert's closed form, the signature routes, the virtual signature class
-and ``evaluate``, the one entry point for every quantity, with its record.
+"""The signature kernel: the argument checks that every public function
+calls first, the one rule for a value known to be 0 (``zero_warning``),
+the transfer kernel, the collected chain, Herbert's closed form, the
+signature routes, the virtual signature class and ``evaluate``, the one
+entry point for every quantity, with its record.
 
 This is all that a signature or virtual-class query runs; the genera,
 characteristic numbers and tensor transfers live in ``formulas``,
@@ -25,9 +26,8 @@ rational arithmetic; agreement checks are equalities, not tolerances.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import wraps
 from math import factorial
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .graded import (Coords, GradedAlgebraError, GradedClass, Scalar, TensorClass, _divide, exact,
                      log_coefficient)
@@ -58,7 +58,8 @@ class MultipointResult(Record):
 
 
 # ---------------------------------------------------------------------------
-# Entry checks: one per parameter name, run by @_checked before the body
+# Entry checks: one per parameter name, called first by a public function
+# in parameter order (where the default is None, only on a given argument)
 # ---------------------------------------------------------------------------
 
 
@@ -111,49 +112,17 @@ def _log_coeffs(log_coeffs: object) -> None:
         exact(c)
 
 
-# a check's parameters after the first name the arguments it also reads
-_ENTRY_CHECKS = {
-    "model": _model, "k": _k, "J": _J, "route": _route_name, "quantity": _quantity,
-    "chern": _chern, "log_coeffs": _log_coeffs, "x": _tensor,
-}
-_REQUIRED = object()
+_ZERO = Fraction(0)  # every provable zero, one object: a Fraction is immutable
 
 
-def _checked(fn: Callable) -> Callable:
-    """fn, running the entry check of each of its parameters that
-    _ENTRY_CHECKS names, in parameter order, before its body.  An argument
-    left at fn's own default is not checked, so None passes where fn's
-    default is None.  The positions are read from fn once, here, so a call
-    indexes args and builds no dict."""
-    def params(f: Callable) -> Tuple[str, ...]:
-        return f.__code__.co_varnames[:f.__code__.co_argcount]
-
-    names = params(fn)
-    defaults = ((_REQUIRED,) * len(names) + (fn.__defaults__ or ()))[-len(names):]
-    spec = {n: (i, n, d) for i, (n, d) in enumerate(zip(names, defaults))}
-    plan = [(*spec[n], check, tuple(spec[r] for r in params(check)[1:]))
-            for n in names if (check := _ENTRY_CHECKS.get(n))]
-
-    @wraps(fn)
-    def checked(*args, **kwargs):
-        n = len(args)
-        for i, name, default, check, reads in plan:
-            value = args[i] if i < n else kwargs.get(name, default)
-            if value is default:
-                if value is _REQUIRED:
-                    break  # fn names the missing argument
-                continue
-            if reads:
-                check(value, *[args[j] if j < n else kwargs.get(r, d) for j, r, d in reads])
-            else:
-                check(value)
-        return fn(*args, **kwargs)
-    return checked
-
-
-@_checked
 def multiple_point_dimension(model: ImmersionModel, k: int) -> Tuple[int, ...]:
     """Expected dimension of the k-tuple point manifold, per source component."""
+    _model(model)
+    _k(k)
+    return _dimensions(model, k)
+
+
+def _dimensions(model: ImmersionModel, k: int) -> Tuple[int, ...]:
     return tuple(sorted({c.top_degree - (k - 1) * model.codim
                          for c in model.source.components}))
 
@@ -179,17 +148,22 @@ def _no_signature_dimension(model: ImmersionModel, k: int) -> bool:
     return True
 
 
-@_checked
 def zero_warning(model: ImmersionModel, k: int) -> Optional[str]:
     """The first reason the value at k is 0 before any kernel runs, or None:
     the k-tuple point manifold is empty; else, on a model that passed
     validate (read from the zero facts it memoised on the model),
     f*f_!(x) = e * x at k >= 2, or f_! = 0 at k >= 1.  One reason covers
     every number and the virtual class alike."""
+    _model(model)
+    _k(k)
+    return _zero_reason(model, k)
+
+
+def _zero_reason(model: ImmersionModel, k: int) -> Optional[str]:
     if _empty_locus(model, k):
         return (f"the {_shown(k, str)}-tuple point manifold is empty: (k-1)*codim = "
                 f"{_shown((k - 1) * model.codim, str)} exceeds the source dimension(s) "
-                f"{_shown(multiple_point_dimension.__wrapped__(model, 1), str)}; the value is 0")
+                f"{_shown(_dimensions(model, 1), str)}; the value is 0")
     facts = model._cache.get("zero facts")
     if facts is None:
         return None
@@ -450,36 +424,37 @@ def _closed_form(model: ImmersionModel, k: int, power: int) -> Coords:
     return mul(powers[power], units[k - 1]) if power else units[k - 1]
 
 
-@_checked
 def signature_via_source(model: ImmersionModel, k: int) -> Fraction:
     """Signature of the k-tuple point manifold, evaluated on the source:
     transfer of L(source) x L(normal)^{-1} x ... x L(normal)^{-1}."""
+    _model(model)
+    _k(k)
     if _empty_locus(model, k):
-        return Fraction(0)
+        return _ZERO
     factors = [model.l_source] + [model.l_normal_inverse] * (k - 1)
-    value = _transfer(model, factors, to_target=False).integrate()
-    return value / factorial(k)
+    return _transfer(model, factors, to_target=False).integrate() / factorial(k)
 
 
-@_checked
 def signature_via_target(model: ImmersionModel, k: int) -> Fraction:
     """Same signature, evaluated on the target: pair L(target) with the
     full pushforward transfer of the tensor power of L(normal)^{-1}."""
+    _model(model)
+    _k(k)
     if _empty_locus(model, k):
-        return Fraction(0)
+        return _ZERO
     return (model.l_target * _pushed_normal_power(model, k)).integrate() / factorial(k)
 
 
-@_checked
 def signature_collected(model: ImmersionModel, k: int) -> Fraction:
     """Collected form: L(target) paired with E_k of the pushed normal
     blocks, the partition sum collected by the exponential formula."""
+    _model(model)
+    _k(k)
     if _empty_locus(model, k):
-        return Fraction(0)
+        return _ZERO
     return _genus(model, k, model.l_target, model.l_normal_inverse)
 
 
-@_checked
 def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
     """Collected form on the source, where the block containing the first
     point is marked and keeps its Euler-power weight.
@@ -490,8 +465,10 @@ def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
     Horner's rule.  The F_n are pulled back from the target chain once
     each and kept on it.
     """
+    _model(model)
+    _k(k)
     if _empty_locus(model, k):
-        return Fraction(0)
+        return _ZERO
     chain = _exponential_coefficients(model, model.l_normal_inverse, k - 1)
     pulled = chain.pulled
     pulled.extend(map(model.pullback.apply_coords, chain.coeffs[len(pulled):k]))
@@ -502,15 +479,20 @@ def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
     return _pairing(model.l_source, acc) / k
 
 
-@_checked
 def signature_herbert(model: ImmersionModel, k: int) -> Fraction:
     """Herbert's closed form: the integral of L(source) * L(normal)^-(k-1)
     * m_k over k!, with no chain, transfer or partition; refused, on an
     empty k-tuple manifold too, where _herbert_refusal names a reason."""
+    _model(model)
+    _k(k)
+    return _signature_herbert(model, k)
+
+
+def _signature_herbert(model: ImmersionModel, k: int) -> Fraction:
     if (why := _herbert_refusal(model)) is not None:
         raise PreconditionError(why)
     if _empty_locus(model, k):
-        return Fraction(0)
+        return _ZERO
     return _pairing(model.l_source, _closed_form(model, k, k - 1)) / factorial(k)
 
 
@@ -523,7 +505,6 @@ SIGNATURE_ROUTES = {
 }
 
 
-@_checked
 def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
     """Signature of the k-tuple point manifold, 0 before any route runs
     when no k-tuple dimension is 0 mod 4 (_no_signature_dimension).
@@ -535,12 +516,19 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
     (3^(k-1)/2 products), and insists on exact agreement.  A named route
     always runs.
     """
+    _model(model)
+    _k(k)
+    _route_name(route)
+    return _signature(model, k, route)
+
+
+def _signature(model: ImmersionModel, k: int, route: str) -> Fraction:
     if _no_signature_dimension(model, k):
-        return Fraction(0)
+        return _ZERO
     if route in SIGNATURE_ROUTES:
         return SIGNATURE_ROUTES[route](model, k)
-    if zero_warning.__wrapped__(model, k) is not None:
-        return Fraction(0)
+    if _zero_reason(model, k) is not None:
+        return _ZERO
     other = "herbert" if _herbert_refusal(model) is None else "general"
     value, check = SIGNATURE_ROUTES["collected"](model, k), SIGNATURE_ROUTES[other](model, k)
     if value != check:
@@ -554,7 +542,6 @@ def signature(model: ImmersionModel, k: int, route: str = "auto") -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@_checked
 def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
     """The target class whose pairing with L(target)/k! is the signature:
     k! E_k of the model's collected chain for u = L(normal)^-1, checked
@@ -562,8 +549,14 @@ def virtual_signature_class(model: ImmersionModel, k: int) -> GradedClass:
     herbert route's memo, else against the subset kernel's pushed tensor
     power of u, which via-N shares; 0 at once when zero_warning names a
     reason (on an empty k-tuple manifold, before it builds the text)."""
+    _model(model)
+    _k(k)
+    return _virtual_class(model, k)
+
+
+def _virtual_class(model: ImmersionModel, k: int) -> GradedClass:
     target = model.target
-    if _empty_locus(model, k) or zero_warning.__wrapped__(model, k) is not None:
+    if _empty_locus(model, k) or _zero_reason(model, k) is not None:
         return target.zero()
     coeffs = _exponential_coefficients(model, model.l_normal_inverse, k).coeffs[k]
     collected = GradedClass(target, {i: factorial(k) * v for i, v in coeffs.items()})
@@ -582,11 +575,16 @@ QUANTITIES = {"signature": ((*SIGNATURE_ROUTES, "auto"), False), "bk": (("auto",
               "pontrjagin": (("auto",), True), "chern": (("auto",), True)}
 
 
-@_checked
 def evaluate(model: ImmersionModel, k: int, quantity: str, J: Optional[Sequence[int]] = None,
              route: str = "auto") -> MultipointResult:
     """The quantity at k as one record, with the route and J that QUANTITIES
     allows it.  signature and virtual_signature_class build no record."""
+    _model(model)
+    _k(k)
+    _quantity(quantity)
+    if J is not None:
+        _J(J)
+    _route_name(route)
     routes, reads_J = QUANTITIES[quantity]
     if route not in routes or reads_J != (J is not None):
         raise ValueError(f"{quantity} takes {'an' if reads_J else 'no'} index sequence J "
@@ -594,9 +592,8 @@ def evaluate(model: ImmersionModel, k: int, quantity: str, J: Optional[Sequence[
     if reads_J:
         from . import formulas  # a signature or bk query compiles none of it
         return formulas._characteristic_number(model, k, J, chern=quantity == "chern")
-    value = (signature.__wrapped__(model, k, route) if quantity == "signature"
-             else virtual_signature_class.__wrapped__(model, k))
-    dims, why = multiple_point_dimension.__wrapped__(model, k), zero_warning.__wrapped__(model, k)
+    value = _signature(model, k, route) if quantity == "signature" else _virtual_class(model, k)
+    dims, why = _dimensions(model, k), _zero_reason(model, k)
     if why is None and quantity == "signature" and _no_signature_dimension(model, k):
         why = (f"no k-tuple dimension in {_shown(dims, str)} is a nonnegative multiple of 4; "
                "the pairing vanishes")

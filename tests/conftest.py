@@ -19,6 +19,10 @@ def pytest_runtest_makereport():
         return (yield)
 
 
+# the parameters that the entry checks of signatures read, by name
+CHECKED_PARAMETERS = ("model", "k", "J", "x", "route", "quantity", "chern", "log_coeffs")
+
+
 def products_of(ring):
     """{(i, j): e_i e_j} for i <= j, nonzero entries only: the upper
     triangle of ring.rows, the mapping a GradedRing is built from."""

@@ -260,6 +260,12 @@ def test_compute_bk_class(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == {"h^2": "2"}
+    assert payload["coordinates"] == {"2": "2"}  # by basis index, beside the label
+    code, out, _ = run(capsys, "compute", "hypersurface-d3", "--k", "1",
+                       "--quantity", "pontrjagin=4", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == "-15" and payload["coordinates"] is None
 
 
 def test_compute_pontrjagin(capsys):

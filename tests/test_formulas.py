@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CHECKED_PARAMETERS
 from multipoint import formulas, graded, oracle, partitions, records, signatures
 from multipoint import model as model_mod
 from multipoint.formulas import (
@@ -848,7 +849,7 @@ def test_every_public_function_runs_the_entry_checks():
     table = {fn.__name__ for fn, _ in _k_entry_points().values()}
     assert public <= table, public - table
     for fn, args in _k_entry_points().values():
-        assert fn.__wrapped__.__code__.co_varnames[:len(args)] == tuple(args), fn.__name__
+        assert fn.__code__.co_varnames[:len(args)] == tuple(args), fn.__name__
 
 
 @pytest.mark.parametrize("name", sorted(_k_entry_points()))
@@ -878,7 +879,7 @@ def test_each_checked_argument_returns_or_raises_value_error(name, data):
     # oracle's coefficient lists take any values with + and *, so only the
     # parameters that the entry checks name are drawn
     fn, args = _k_entry_points()[name]
-    param = data.draw(st.sampled_from([p for p in args if p in signatures._ENTRY_CHECKS]))
+    param = data.draw(st.sampled_from([p for p in args if p in CHECKED_PARAMETERS]))
     value = data.draw(_JUNK)
     call = {**args, param: value}
     start = time.perf_counter()
@@ -947,7 +948,7 @@ def test_entry_checks_read_keywords_and_defaults_and_leave_a_missing_argument_to
         signature(d3)
     with pytest.raises(TypeError, match="missing"):
         transfer_to_source(d3, x=graded.TensorClass(d3.source, 2, {(0, 0): 1}))
-    assert signature.__name__ == "signature" and signature.__wrapped__.__name__ == "signature"
+    assert signature.__name__ == "signature"
 
 
 def test_signature_nullhomotopic_triple_point():
@@ -1703,13 +1704,46 @@ def test_provable_zeros_run_no_kernel_and_warn(monkeypatch):
             nonempty += 1
             assert why == (EMBEDDING_ZERO if k >= 2 and embedding_consistent(m)
                            else NULL_PUSHFORWARD_ZERO), (m.name, k)
-        assert signature(m, k) == 0
+        assert signature(m, k) is signatures._ZERO  # the one shared 0
         assert virtual_signature_class(m, k).is_zero()
-        assert formulas.genus(m, k, GENUS_LOG) == 0
+        assert formulas.genus(m, k, GENUS_LOG) is signatures._ZERO
         res = pontrjagin_number(m, k, _sums_to_dimension(m, k))
         # on an empty locus the degree sum misses the dimension as well
-        assert res.value == 0 and res.warnings[-1] == why and len(res.warnings) == 1 + empty
+        assert res.value is signatures._ZERO
+        assert res.warnings[-1] == why and len(res.warnings) == 1 + empty
     assert nonempty >= 150
+
+
+def test_a_public_call_checks_model_and_k_once(monkeypatch):
+    # each public function runs the checks itself and calls private bodies,
+    # so no argument is checked twice; the routes that signature runs are
+    # public entries of SIGNATURE_ROUTES, stubbed here, which check their own
+    calls = []
+    for name in ("_model", "_k"):
+        real = getattr(signatures, name)
+
+        def counted(value, real=real, name=name):
+            calls.append(name)
+            return real(value)
+        for module in (signatures, formulas):
+            monkeypatch.setattr(module, name, counted)
+    for route in SIGNATURE_ROUTES:
+        monkeypatch.setitem(SIGNATURE_ROUTES, route, lambda m, k: Fraction(1))
+    d3, plane = _d3(), bundled_model("line-in-plane")
+    validate(plane)
+    queries = [
+        lambda: signature(d3, 1), lambda: signature(d3, 2, route="general"),
+        lambda: signature(plane, 2), lambda: signature(plane, 1),
+        lambda: virtual_signature_class(d3, 2), lambda: virtual_signature_class(plane, 2),
+        lambda: pontrjagin_number(d3, 1, (4,)), lambda: pontrjagin_number(plane, 2, (4,)),
+        lambda: signatures.evaluate(d3, 1, "signature"), lambda: signatures.evaluate(d3, 2, "bk"),
+        lambda: signatures.evaluate(d3, 1, "pontrjagin", (4,)),
+        lambda: herbert(plane, 2), lambda: herbert(plane, 3),
+    ]
+    for i, query in enumerate(queries):
+        calls.clear()
+        query()
+        assert sorted(calls) == ["_k", "_model"], (i, calls)
 
 
 def test_provable_zeros_agree_with_every_route_and_the_oracle():
