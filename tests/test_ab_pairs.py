@@ -1,5 +1,8 @@
 import importlib.util
+import json
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,18 +48,51 @@ def test_summary_verdicts(parent, change, holds, verdict):
         assert (row_holds, row_verdict) == (holds, verdict), name
 
 
-def test_measure_takes_the_median_of_five_set_ups(monkeypatch, tmp_path):
-    setups = iter([0.5, 0.1, 0.9, 0.3, 0.2])
+def _fake_run(calls, returncode=0, failed=0):
+    def run(cmd, **kwargs):
+        calls.append((cmd, kwargs))
+        last = {"correct": not failed, "attempted": 10, "failed": failed,
+                "metrics": {name: {"value": n + 1.5, "unit": "s"}
+                            for n, name in enumerate(ab_pairs.METRICS)}}
+        out = "workload wide\n  wall_s 1.5 s\n" + json.dumps(last) + "\n"
+        # the JSON line even on exit 2, so that only the exit status can stop the tool
+        return subprocess.CompletedProcess(cmd, returncode, out, "error: time budget exhausted\n")
+    return run
+
+
+@pytest.mark.parametrize("seed, extra", [(None, []), (7, ["--seed", "7"])])
+def test_measure_runs_the_benchmark_command_in_the_checkout(monkeypatch, tmp_path, seed, extra):
     calls = []
+    monkeypatch.setattr(subprocess, "run", _fake_run(calls))
+    run = ab_pairs.measure(tmp_path, "wide", seed)
+    [(cmd, kwargs)] = calls
+    assert cmd == [sys.executable, "benchmarks/run.py", "--workload", "wide", *extra]
+    assert kwargs["cwd"] == tmp_path
+    assert run == {**{name: n + 1.5 for n, name in enumerate(ab_pairs.METRICS)}, "failed": 0}
 
-    def child(root, role, workload, seed, *extra):
-        calls.append(role)
-        if role == "setup":
-            return {"ref_setup_s": next(setups)}
-        return {"ref_wall_s": 1.0, "ref_latencies": [0.001] * 10, "peak_rss_mb": 50.0,
-                "failures": []}
 
-    monkeypatch.setattr(ab_pairs, "_child", child)
-    run = ab_pairs.measure(tmp_path, "wide", 1, "frozen", tmp_path)
-    assert calls == ["setup"] * ab_pairs.SETUP_REPEATS + ["run"]
-    assert run["setup_s"] == 0.3 and run["failed"] == 0
+def test_a_failed_query_is_recorded_and_any_other_exit_stops(monkeypatch, tmp_path):
+    monkeypatch.setattr(subprocess, "run", _fake_run([], returncode=1, failed=2))
+    run = ab_pairs.measure(tmp_path, "lattice", None)
+    assert run["failed"] == 2 and run["wall_s"] == 1.5
+    monkeypatch.setattr(subprocess, "run", _fake_run([], returncode=2))
+    with pytest.raises(SystemExit, match="time budget exhausted") as exc:
+        ab_pairs.measure(tmp_path, "lattice", None)
+    assert str(tmp_path) in str(exc.value)
+
+
+def test_workload_choices_are_those_of_benchmark_json(monkeypatch, tmp_path, capsys):
+    spec = json.loads((PATH.parent.parent / "BENCHMARK.json").read_text())
+    for side in ("parent", "change"):
+        (tmp_path / side / "benchmarks").mkdir(parents=True)
+        (tmp_path / side / "benchmarks" / "run.py").touch()
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--pairs", "2", "--workload"]
+    for w in spec["workloads"]:
+        calls = []
+        monkeypatch.setattr(subprocess, "run", _fake_run(calls))
+        assert ab_pairs.main([*argv, w["name"]]) == 0
+        assert [cmd[3] for cmd, _ in calls] == [w["name"]] * 4
+    with pytest.raises(SystemExit) as exc:
+        ab_pairs.main([*argv, "deep"])
+    assert exc.value.code == 2 and "invalid choice: 'deep'" in capsys.readouterr().err

@@ -3,15 +3,14 @@
     python3 tools/ab_pairs.py --parent DIR [--change DIR] --workload W
                               [--seed N] [--pairs P]
 
-Each pair runs `benchmarks/child.py setup` five times and
-`benchmarks/child.py run` once on the parent checkout, and the same on the
-change (the current directory by default; either may be a `git worktree`
-or an unpacked `git archive`),
-in fresh processes, the side that goes first alternating from pair to pair
-so that a drift of the host's speed favours neither.  Each checkout runs
-its own benchmarks/ and src/.  Metrics are those of benchmarks/run.py, on
-the reference host: wall_s, query_p50_ms, query_p90_ms and peak_rss_mb of
-the run, and setup_s, the median of the five set-ups, as run.py takes it.
+Each pair runs the command that BENCHMARK.json names, `benchmarks/run.py
+--workload W` (with `--seed N` only when given, so run.py's default seed
+and frozen answers otherwise), under this interpreter, once in the parent
+checkout and once in the change (the current directory by default; either
+may be a `git worktree` or an unpacked `git archive`), the side that goes
+first alternating from pair to pair so that a drift of the host's speed
+favours neither.  Each checkout runs its own benchmarks/ and src/; the
+metrics are BENCHMARK.json's end-to-end ones, read from run.py's last line.
 
 Every run is printed, then per metric each side's median, the parent's
 interquartile range and the number of pairs the change won (lower is
@@ -30,46 +29,31 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-DEFAULT_SEED = 20260823  # the seed of the frozen references (benchmarks/run.py)
-METRICS = ("wall_s", "query_p50_ms", "query_p90_ms", "setup_s", "peak_rss_mb")
-SETUP_REPEATS = 5  # as benchmarks/run.py
+SPEC = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+COMMAND = [sys.executable, *SPEC["command"][1:]]
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+METRICS = tuple(m["name"] for m in SPEC["end_to_end"])
 
 
-def _child(root: Path, role: str, workload: str, seed: int, *extra: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(root / "benchmarks" / "child.py"), role, "--workload", workload,
-         "--seed", str(seed), *extra],
-        cwd=root, env=env, capture_output=True, text=True, timeout=600)
-    if proc.returncode != 0:
-        raise SystemExit(f"{root}: child.py {role} exited {proc.returncode}:\n"
-                         f"{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def measure(root: Path, workload: str, seed: int, refs: str, work: Path) -> dict:
-    """SETUP_REPEATS set-ups and one run of the batch on a checkout: its
-    metrics, and the number of failed queries as "failed"."""
-    setups = [_child(root, "setup", workload, seed, "--workdir", str(work / f"setup{i}"))
-              for i in range(SETUP_REPEATS)]
-    res = _child(root, "run", workload, seed, "--workdir", str(work / "run"), "--refs", refs)
-    ms = sorted(x * 1000 for x in res["ref_latencies"])
-    return {
-        "wall_s": res["ref_wall_s"],
-        "query_p50_ms": statistics.median(ms),
-        "query_p90_ms": statistics.quantiles(ms, n=10, method="inclusive")[8],
-        "setup_s": statistics.median(s["ref_setup_s"] for s in setups),
-        "peak_rss_mb": res["peak_rss_mb"],
-        "failed": len(res["failures"]),
-    }
+def measure(root: Path, workload: str, seed: int | None) -> dict:
+    """One run of the benchmark on a checkout: its end-to-end metrics, and
+    the number of failed queries as "failed"."""
+    cmd = [*COMMAND, "--workload", workload, *([] if seed is None else ["--seed", str(seed)])]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=600)
+    if proc.returncode in (0, 1):  # 1: a query failed, and run.py still prints its metrics
+        try:
+            res = json.loads(proc.stdout.splitlines()[-1])
+            return {**{name: res["metrics"][name]["value"] for name in METRICS},
+                    "failed": res["failed"]}
+        except (ValueError, LookupError):
+            pass
+    raise SystemExit(f"{root}: {' '.join(cmd[1:])} exited {proc.returncode} without "
+                     f"a readable last line:\n{proc.stderr[-2000:]}")
 
 
 def iqr(values) -> float:
@@ -78,10 +62,8 @@ def iqr(values) -> float:
 
 
 def bounds() -> dict:
-    """The end-to-end bound of each metric in BENCHMARK.json, a share of the
-    parent's median."""
-    text = (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
-    return {m["name"]: m["bound"] for m in json.loads(text)["end_to_end"]}
+    """Each end-to-end metric's bound in BENCHMARK.json, a share of the parent's median."""
+    return {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 
 
 def summary(parent: list, change: list, bound: dict) -> list:
@@ -109,8 +91,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, default=Path.cwd(), help="checkout of the change")
-    ap.add_argument("--workload", required=True, choices=["lattice", "wide", "cli"])
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--seed", type=int, help="default: run.py's own, that of its frozen answers")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     if args.pairs < 2:
@@ -118,31 +100,20 @@ def main(argv=None) -> int:
     bound = bounds()
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for root in sides.values():
-        if not (root / "benchmarks" / "child.py").is_file():
-            ap.error(f"{root} has no benchmarks/child.py")
+        if not (root / COMMAND[1]).is_file():
+            ap.error(f"{root} has no {COMMAND[1]}")
 
-    work = Path(tempfile.mkdtemp(prefix="ab_pairs-"))
     runs = {"parent": [], "change": []}
-    try:
-        refs = {}
-        for side, root in sides.items():
-            if args.seed == DEFAULT_SEED:
-                refs[side] = "frozen"
-            else:
-                refs[side] = str(work / f"refs-{side}.json")
-                _child(root, "refs", args.workload, args.seed, "--out", refs[side])
-        print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs")
-        print("pair side    " + " ".join(f"{name:>13s}" for name in METRICS) + "  failed")
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                run = measure(sides[side], args.workload, args.seed, refs[side],
-                              work / f"{side}-{i}")
-                runs[side].append(run)
-                print(f"{i:4d} {side:7s} " + " ".join(f"{run[m]:13.6g}" for m in METRICS)
-                      + f"  {run['failed']}", flush=True)
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+    seed = "run.py's default" if args.seed is None else args.seed
+    print(f"workload {args.workload}, seed {seed}, {args.pairs} pairs")
+    print("pair side    " + " ".join(f"{name:>13s}" for name in METRICS) + "  failed")
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            run = measure(sides[side], args.workload, args.seed)
+            runs[side].append(run)
+            print(f"{i:4d} {side:7s} " + " ".join(f"{run[m]:13.6g}" for m in METRICS)
+                  + f"  {run['failed']}", flush=True)
 
     print(f"\n{'metric':14s} {'parent':>11s} {'change':>11s} {'change':>8s} "
           f"{'parent IQR':>11s} {'wins':>6s}  gain holds  {'bound':>6s}  regression")
