@@ -37,6 +37,7 @@ def test_every_end_to_end_metric_has_a_bound():
     (SPREAD, SPREAD, False, "unresolved"),  # the parent's IQR exceeds the bound
     (SPREAD, [40] * 10, False, "ok"),  # every change run below every parent run
     (SPREAD, [40] * 9 + [60], False, "unresolved"),  # one run does not
+    ([100, 101], [80, 81], False, "ok"),  # 2/2 wins, but under ten pairs
 ])
 def test_summary_verdicts(parent, change, holds, verdict):
     rows = ab_pairs.summary(_runs(parent), _runs(change), BOUND)

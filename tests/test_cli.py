@@ -215,6 +215,26 @@ def test_characteristic_class_in_a_huge_degree_fails_validation(tmp_path, capsys
         assert "normal signature-class relation" not in out
 
 
+def test_a_power_sum_that_cannot_be_read_fails_the_normal_class_derivation(tmp_path, capsys):
+    # the source ring reaches degree 280, above the bound, so validate reads
+    # the power sums of P(source) = 2, which is not unital: that is a failure
+    # of its own, and validate stops there
+    M = truncated_polynomial_ring("t", 140)
+    N = truncated_polynomial_ring("h", 141)
+    m = truncated_model("big", M, N, 1, 1, M.element({0: 2}), N.unit())
+    assert [(c.name, c.detail) for c in validate(m).checks if not c.ok] == [
+        ("source Pontrjagin class is unital with degrees 0 mod 4", "2"),
+        ("normal class derivation", "total class must be unital")]
+    path = tmp_path / "big.json"
+    save_model(m, path)
+    assert _finishes([["validate", str(path)],
+                      ["compute", str(path), "--k", "1", "--quantity", "signature"]]) == [2, 2]
+    out, err = capsys.readouterr()
+    assert "[FAIL] normal class derivation: total class must be unital" in out
+    assert "invalid model: normal class derivation: total class must be unital" in err
+    assert "Traceback" not in out + err
+
+
 def test_power_sums_beyond_the_class_degrees_fail_validation(tmp_path, capsys):
     # P = 1 + a with deg a = 256 passes a bound on the degrees of its parts,
     # but its power sums (-1)^(j-1) a^j reach a^20, in degree 5120

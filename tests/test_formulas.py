@@ -293,7 +293,7 @@ def test_signature_and_virtual_class_on_an_empty_locus_run_no_route(monkeypatch)
     with pytest.raises(ValueError, match="multiplicity"):
         formulas.genus(m, 0, (0, 1))
     refused = disjoint_union([bundled_model("hypersurface-d1"), bundled_model("hypersurface-d2")])
-    for special in (transfer_of_unit, herbert):
+    for special in (transfer_of_unit, herbert, lambda m, k: herbert(m, k, (4,))):
         with pytest.raises(PreconditionError, match=e_not_pulled_back(refused)):
             special(refused, 10 ** 6)
     with pytest.raises(ModelError, match="target"):
@@ -1933,7 +1933,8 @@ def test_pulled_from_target_precondition_enforced():
     # unit transfer is refused with the same text
     u = disjoint_union([bundled_model("hypersurface-d1"), bundled_model("hypersurface-d2")])
     assert validate(u).ok
-    for special in (transfer_of_unit, herbert, SIGNATURE_ROUTES["herbert"]):
+    for special in (transfer_of_unit, herbert, SIGNATURE_ROUTES["herbert"],
+                    lambda m, k: herbert(m, k, (4,))):
         with pytest.raises(PreconditionError) as refused:
             special(u, 2)
         assert str(refused.value) == ("f*f_! is not zero and euler class 1*t@0 + 2*t@1 "

@@ -518,6 +518,11 @@ def test_disjoint_union_requires_shared_target():
         disjoint_union([a, b])
 
 
+def test_a_disjoint_union_of_zero_models_is_refused():
+    with pytest.raises(ModelError, match="^disjoint union of zero models$"):
+        disjoint_union([])
+
+
 def test_disjoint_union_requires_shared_target_pontrjagin():
     a = bundled_model("line-in-plane")
     b = bundled_model("line-in-plane")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import codim_2_model, union_50_model
 from multipoint import cli, graded, modelfile
 from multipoint.graded import GradedAlgebraError, GradedRing, exact
-from multipoint.model import validate
+from multipoint.model import ModelError, validate
 from multipoint.modelfile import (
     LOADED_MODELS,
     ModelFormatError,
@@ -26,9 +26,10 @@ from multipoint.modelfile import (
     ring_to_dict,
     save_model,
 )
-from multipoint.models import BUNDLED, bundled_model, truncated_polynomial_ring
+from multipoint.models import BUNDLED, bundled_model, truncated_model, truncated_polynomial_ring
 from multipoint.random_models import random_truncated_model
 from multipoint.signatures import signature
+from multipoint.union import disjoint_union
 
 
 def _assert_same_model(a, b):
@@ -145,6 +146,24 @@ def test_a_one_component_union_file_keeps_its_name(tmp_path, capsys):
         assert cli.main(["compute", str(path), "--k", "1", "--quantity", "signature",
                          "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["model"] == name
+
+
+def test_a_union_file_of_unequal_codimensions_exits_2(tmp_path, capsys):
+    # t^0..t^2 and t^0..t^3 in h^0..h^4: codimensions 4 and 2 on one target
+    N = truncated_polynomial_ring("h", 4)
+    parts = []
+    for p in (2, 3):
+        M = truncated_polynomial_ring("t", p)
+        parts.append(truncated_model(f"t{p}", M, N, 1, 1, M.unit(), N.unit()))
+    assert [m.codim for m in parts] == [4, 2]
+    with pytest.raises(ModelError, match="^disjoint union requires equal codimension$"):
+        disjoint_union(parts)
+    path = tmp_path / "unequal.json"
+    path.write_text(json.dumps({"components": [model_to_dict(m) for m in parts]}))
+    with pytest.raises(ModelFormatError, match="disjoint union requires equal codimension$"):
+        load_model(path)
+    assert cli.main(["validate", str(path)]) == 2
+    assert "disjoint union requires equal codimension" in capsys.readouterr().err
 
 
 def test_deeply_nested_components_are_a_format_error():
@@ -296,6 +315,16 @@ def test_json_the_decoder_refuses_is_a_format_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ModelFormatError, match="not valid JSON"):
         load_model(path)
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "3"])
+def test_a_file_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    with pytest.raises(ModelFormatError, match="expected an object$"):
+        load_model(path)
+    assert cli.main(["validate", str(path)]) == 2
+    assert "expected an object" in capsys.readouterr().err
 
 
 def test_unsupported_version():

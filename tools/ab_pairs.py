@@ -15,8 +15,9 @@ metrics are BENCHMARK.json's end-to-end ones, read from run.py's last line.
 Every run is printed, then per metric each side's median, the parent's
 interquartile range and the number of pairs the change won (lower is
 better for every metric), and two verdicts:
-- gain: a gain is claimed only when the change wins at least nine pairs
-  in ten and the gap between the medians exceeds the parent's IQR;
+- gain: a gain is claimed only over at least ten pairs, when the change
+  wins at least nine pairs in ten and the gap between the medians exceeds
+  the parent's IQR, so a short smoke run never claims one;
 - regression, against the metric's end-to-end bound in BENCHMARK.json
   (a share of the parent's median): "worse" when the change's median
   exceeds the parent's by more than the bound; else "unresolved" when the
@@ -83,7 +84,8 @@ def summary(parent: list, change: list, bound: dict) -> list:
         else:
             verdict = "ok"
         rows.append((name, med_a, med_b, spread, wins,
-                     wins * 10 >= 9 * len(a) and med_a - med_b > spread, verdict))
+                     len(a) >= 10 and wins * 10 >= 9 * len(a) and med_a - med_b > spread,
+                     verdict))
     return rows
 
 
