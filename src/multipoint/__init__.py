@@ -15,8 +15,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "formulas": """chern_number genus pontrjagin_number transfer_of_unit transfer_to_source
-        transfer_to_target""",
+    "formulas": "chern_number genus pontrjagin_number transfer_to_source transfer_to_target",
     "graded": """GradedAlgebraError GradedClass GradedRing NonUnitalClassError RingComponent
         TensorClass cross genus_class signature_class""",
     "model": "ImmersionModel LinearMap ModelError ValidationReport embedding_consistent validate",
@@ -29,7 +28,7 @@ _EXPORTS = {
         scaled_log_series""",
     "signatures": """MultipointResult PreconditionError RouteDisagreement evaluate
         multiple_point_dimension signature signature_collected signature_via_source
-        signature_via_target virtual_signature_class""",
+        signature_via_target transfer_of_unit virtual_signature_class""",
     "union": "disjoint_union",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -1,8 +1,9 @@
-"""Genera, characteristic numbers, tensor transfers and Herbert's closed
-form of the unit transfer and of p_J, for the k-tuple point manifolds.
+"""Genera, characteristic numbers and tensor transfers, for the k-tuple
+point manifolds.
 
 The signature kernel (the argument checks, the transfer kernel, the
-collected chain, the five signature routes and the virtual signature
+collected chain, Herbert's closed form of the signature, of p_J and of
+the unit transfer, the five signature routes and the virtual signature
 class), with ``evaluate`` and its record, ``MultipointResult``, lives in
 ``signatures``, so that a signature query compiles none of this module;
 the names of it that the benchmark harness reads from here are bound here
@@ -15,16 +16,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from . import signatures
 from .graded import GradedClass, Scalar, TensorClass, cross, exact, genus_class
 from .model import ImmersionModel, ModelError, _solve_linear
 from .records import _shown
-from .signatures import (MultipointResult, PreconditionError, _ZERO, _chern, _closed_form,
-                         _dimensions, _empty_locus, _genus, _herbert_refusal, _J, _k,
-                         _log_coeffs, _model, _signature_herbert, _tensor, _transfer,
-                         _zero_reason)
+from .signatures import (MultipointResult, _ZERO, _chern, _dimensions, _empty_locus, _genus, _J,
+                         _k, _log_coeffs, _model, _tensor, _transfer, _zero_reason)
 
 # the signature names the benchmark harness reads from here, as the same objects
 globals().update({name: getattr(signatures, name) for name in """SIGNATURE_ROUTES signature
@@ -382,48 +381,3 @@ def _interpolate_on_lower_set(values: Mapping[Tuple[int, ...], object]
                     out[key] = out.get(key, 0) + s * c
         v = out
     return {m: c for m, c in v.items() if c}
-
-
-# ---------------------------------------------------------------------------
-# Herbert's closed form of the unit transfer and of p_J, on the herbert
-# route's memo: after the argument checks and the hypothesis, 0 on an
-# empty locus
-# ---------------------------------------------------------------------------
-
-
-def transfer_of_unit(model: ImmersionModel, k: int) -> GradedClass:
-    """Closed form of the transfer of the unit tensor, Herbert's class:
-    prod_{i=1}^{k-1} (pullback(pushforward(1)) - i*euler).
-
-    Valid when f*f_! = 0 (only the one-block partition term is left, the
-    product at f*f_!(1) = 0), read first, or when the Euler class is pulled
-    back from the target, and refused otherwise.
-    """
-    _model(model)
-    _k(k)
-    if (why := _herbert_refusal(model, l_normal=False)) is not None:
-        raise PreconditionError(why)
-    if _empty_locus(model, k):
-        return model.source.zero()
-    return GradedClass(model.source, _closed_form(model, k, 0))
-
-
-def herbert(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
-    """Herbert's closed form of the signature (J None, the herbert route) or
-    p_J: the integral of the core times the unit transfer, over k!; the core
-    is L(source) * L(normal)^-(k-1), or for p_J the degree-J part of
-    P(source) * P(normal)^-(k-1).  Valid when f*f_! = 0, or when euler and
-    L(normal)^-1 are pulled back.  At f*f_! = 0 the unit transfer is
-    (-1)^(k-1) (k-1)! euler^(k-1); where also P(normal)^-1 = P(source), as
-    for a nullhomotopic f, the core is L(source)^k: Szucs's formula."""
-    _model(model)
-    _k(k)
-    if J is None:
-        return _signature_herbert(model, k)
-    _J(J)
-    if (why := _herbert_refusal(model)) is not None:
-        raise PreconditionError(why)
-    if _empty_locus(model, k):
-        return _ZERO
-    core = (model.pontrjagin_source * model.normal_pontrjagin_inverse ** (k - 1)).select_degrees(J)
-    return (core * GradedClass(model.source, _closed_form(model, k, 0))).integrate() / factorial(k)

@@ -112,7 +112,7 @@ def _nullhomotopic_cp2() -> ImmersionModel:
     """CP2 immersed in the 6-sphere with normal Euler class 3t.
 
     The pushforward of the top class hits the fundamental class; every
-    composite pullback(pushforward(.)) vanishes, so formulas.herbert applies
+    composite pullback(pushforward(.)) vanishes, so signatures.herbert applies
     though e is not pulled back, and as P(normal)^-1 = P(source) it is
     Szucs's formula for a nullhomotopic f there.
     """

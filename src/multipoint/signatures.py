@@ -1,6 +1,7 @@
 """The signature kernel: the argument checks that every public function
 calls first, the one rule for a value known to be 0 (``zero_warning``),
-the transfer kernel, the collected chain, Herbert's closed form, the
+the transfer kernel, the collected chain, Herbert's closed form
+(``herbert``, the herbert route and p_J, and ``transfer_of_unit``), the
 signature routes, the virtual signature class and ``evaluate``, the one
 entry point for every quantity, with its record.
 
@@ -380,7 +381,7 @@ def _genus(model: ImmersionModel, k: int, target_class: GradedClass,
 
 
 # ---------------------------------------------------------------------------
-# Signature routes, and Herbert's closed form
+# Herbert's closed form, and the signature routes
 # ---------------------------------------------------------------------------
 
 
@@ -422,6 +423,47 @@ def _closed_form(model: ImmersionModel, k: int, power: int) -> Coords:
         step = _sum_coords([(1, memo.base), (-len(units), model.euler.coords)])
         units.append(mul(units[-1], step))
     return mul(powers[power], units[k - 1]) if power else units[k - 1]
+
+
+def transfer_of_unit(model: ImmersionModel, k: int) -> GradedClass:
+    """Closed form of the transfer of the unit tensor, Herbert's class:
+    prod_{i=1}^{k-1} (pullback(pushforward(1)) - i*euler).
+
+    Valid when f*f_! = 0 (only the one-block partition term is left, the
+    product at f*f_!(1) = 0), read first, or when the Euler class is pulled
+    back from the target, and refused otherwise.
+    """
+    _model(model)
+    _k(k)
+    if (why := _herbert_refusal(model, l_normal=False)) is not None:
+        raise PreconditionError(why)
+    if _empty_locus(model, k):
+        return model.source.zero()
+    return GradedClass(model.source, _closed_form(model, k, 0))
+
+
+def herbert(model: ImmersionModel, k: int, J: Optional[Sequence[int]] = None) -> Fraction:
+    """Herbert's closed form of the signature (J None: the herbert route) or
+    p_J: the integral of the core times the unit transfer, over k!, with no
+    chain, transfer or partition; the core is L(source) * L(normal)^-(k-1),
+    or for p_J the degree-J part of P(source) * P(normal)^-(k-1).  Valid
+    when f*f_! = 0, or when euler and L(normal)^-1 are pulled back; refused,
+    on an empty k-tuple manifold too, where _herbert_refusal names a reason.
+    At f*f_! = 0 the unit transfer is (-1)^(k-1) (k-1)! euler^(k-1); where
+    also P(normal)^-1 = P(source), as for a nullhomotopic f, the core is
+    L(source)^k: Szucs's formula."""
+    _model(model)
+    _k(k)
+    if J is not None:
+        _J(J)
+    if (why := _herbert_refusal(model)) is not None:
+        raise PreconditionError(why)
+    if _empty_locus(model, k):
+        return _ZERO
+    if J is None:
+        return _pairing(model.l_source, _closed_form(model, k, k - 1)) / factorial(k)
+    core = (model.pontrjagin_source * model.normal_pontrjagin_inverse ** (k - 1)).select_degrees(J)
+    return (core * GradedClass(model.source, _closed_form(model, k, 0))).integrate() / factorial(k)
 
 
 def signature_via_source(model: ImmersionModel, k: int) -> Fraction:
@@ -479,29 +521,12 @@ def signature_collected_source(model: ImmersionModel, k: int) -> Fraction:
     return _pairing(model.l_source, acc) / k
 
 
-def signature_herbert(model: ImmersionModel, k: int) -> Fraction:
-    """Herbert's closed form: the integral of L(source) * L(normal)^-(k-1)
-    * m_k over k!, with no chain, transfer or partition; refused, on an
-    empty k-tuple manifold too, where _herbert_refusal names a reason."""
-    _model(model)
-    _k(k)
-    return _signature_herbert(model, k)
-
-
-def _signature_herbert(model: ImmersionModel, k: int) -> Fraction:
-    if (why := _herbert_refusal(model)) is not None:
-        raise PreconditionError(why)
-    if _empty_locus(model, k):
-        return _ZERO
-    return _pairing(model.l_source, _closed_form(model, k, k - 1)) / factorial(k)
-
-
 SIGNATURE_ROUTES = {
     "general": signature_via_source,
     "via-N": signature_via_target,
     "collected": signature_collected,
     "collected-source": signature_collected_source,
-    "herbert": signature_herbert,
+    "herbert": herbert,
 }
 
 

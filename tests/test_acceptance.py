@@ -15,11 +15,8 @@ from math import factorial, prod
 import pytest
 
 from multipoint.formulas import (
-    PreconditionError,
     chern_number,
-    herbert,
     pontrjagin_number,
-    transfer_of_unit,
     transfer_to_source,
 )
 from multipoint.graded import cross, signature_class
@@ -44,12 +41,15 @@ from multipoint.series import (
     scaled_exp_series,
 )
 from multipoint.signatures import (
+    PreconditionError,
+    herbert,
     multiple_point_dimension,
     signature,
     signature_collected,
     signature_collected_source,
     signature_via_source,
     signature_via_target,
+    transfer_of_unit,
     virtual_signature_class,
 )
 from multipoint.union import disjoint_union

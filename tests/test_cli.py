@@ -539,6 +539,24 @@ def test_identities_pass(capsys):
     assert "all identities hold" in out
 
 
+def test_a_failed_identity_exits_1_and_is_named(capsys, monkeypatch):
+    # the command imports identity_failures when it runs, so the patch holds
+    failure = "series inversion coefficient 3: x"
+    monkeypatch.setattr("multipoint.oracle.identity_failures", lambda max_k: [failure])
+    code, out, _ = run(capsys, "identities", "--max-k", "3")
+    assert code == 1
+    assert out == f"FAIL: {failure}\n"
+    code, out, _ = run(capsys, "identities", "--max-k", "3", "--json")
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "failures": [failure]}
+
+
+def test_examples_json_is_the_model_notes(capsys):
+    code, out, _ = run(capsys, "examples", "--json")
+    assert code == 0
+    assert json.loads(out) == cli.MODEL_NOTES
+
+
 def test_identities_caps_the_series_order(capsys):
     # uncapped, order max(8, max_k) took minutes at --max-k 40
     start = time.perf_counter()

@@ -12,11 +12,8 @@ from conftest import CHECKED_PARAMETERS
 from multipoint import formulas, graded, oracle, partitions, records, signatures
 from multipoint import model as model_mod
 from multipoint.formulas import (
-    PreconditionError,
     chern_number,
-    herbert,
     pontrjagin_number,
-    transfer_of_unit,
     transfer_to_source,
     transfer_to_target,
 )
@@ -28,6 +25,7 @@ from multipoint.models import (
     BUNDLED,
     bundled_model,
     truncated_model,
+    truncated_monomial_ring,
     truncated_polynomial_ring,
 )
 from multipoint.oracle import (
@@ -50,13 +48,16 @@ from multipoint.random_models import (
 )
 from multipoint.signatures import (
     SIGNATURE_ROUTES,
+    PreconditionError,
     RouteDisagreement,
+    herbert,
     multiple_point_dimension,
     signature,
     signature_collected,
     signature_collected_source,
     signature_via_source,
     signature_via_target,
+    transfer_of_unit,
     virtual_signature_class,
     zero_warning,
 )
@@ -897,6 +898,14 @@ def _d3():
     return bundled_model("hypersurface-d3")
 
 
+def _t2():
+    return truncated_polynomial_ring("t", 2)
+
+
+def _h3():
+    return truncated_polynomial_ring("h", 3)
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: formulas.genus(_d3(), 1, None), graded.GradedAlgebraError, "^log_coeffs must"),
     (lambda: formulas.genus(_d3(), 1, 5), graded.GradedAlgebraError, "^log_coeffs must"),
@@ -921,12 +930,32 @@ def _d3():
      ValueError, "^inner_coeffs must be a list or tuple of at least k = 3"),
     (lambda: oracle.double_composition_enumerated([1] * 3, [1] * 3, [1, 2], 3),
      ValueError, "^c must be a list or tuple of at least k = 3"),
+    (lambda: _t2().unit() + _h3().unit(), graded.GradedAlgebraError,
+     "^classes live in different rings$"),
+    (lambda: graded.TensorClass(_t2(), 2, {(0,): 1}), graded.GradedAlgebraError,
+     r"^term \(0,\) has wrong arity$"),
+    (lambda: cross([_t2().unit()] * 2) + cross([_t2().unit()] * 3), graded.GradedAlgebraError,
+     "^tensor classes are not compatible$"),
+    (lambda: cross([]), graded.GradedAlgebraError, "^cross product needs at least one factor$"),
+    (lambda: cross([_t2().unit(), _h3().unit()]), graded.GradedAlgebraError,
+     "^cross product factors live in different rings$"),
+    (lambda: (m := bundled_model("hypersurface-d2")).pullback(m.source.unit()), ModelError,
+     "^class is not in the domain of the map$"),
+    (lambda: bundled_model("hypersurface-d2").normal_chern, ModelError,
+     "^model carries no Chern data$"),
+    (lambda: truncated_monomial_ring(("x",), -1), ValueError,
+     "^the degree cut must be nonnegative$"),
+    (lambda: bundled_model("nope"), KeyError,
+     f"unknown bundled model 'nope'; choices: {', '.join(sorted(BUNDLED))}"),
 ], ids=["genus-None", "genus-int", "genus-str", "genus-dict", "signature-None",
         "pontrjagin-None", "dimension-None", "unit-transfer-None", "virtual-class-None",
         "union-with-an-int", "union-of-a-model", "union-of-an-int", "union-of-a-string",
         "union-with-a-string", "transfer-x-None",
         "warning-k-0", "warning-k-str", "compose-short-lists",
-        "compose-int-list", "double-composition-short-list"])
+        "compose-int-list", "double-composition-short-list", "classes-of-two-rings",
+        "tensor-term-of-wrong-arity", "tensors-of-two-arities", "cross-of-nothing",
+        "cross-of-two-rings", "pullback-of-a-source-class", "chern-normal-without-chern-data",
+        "negative-degree-cut", "unknown-bundled-model"])
 def test_an_argument_that_escaped_before_is_refused_by_name(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -90,7 +90,7 @@ UNREAD = {
     "partitions.SetPartition.type_vector": "type vector of a partition that tests compare against",
     "random_models.random_union_components": "random union components that tests build",
     "signatures.zero_warning": "public entry point; the package reads its body, _zero_reason",
-    "formulas.transfer_of_unit": "public entry point; herbert reads _closed_form itself",
+    "signatures.transfer_of_unit": "public entry point; herbert reads _closed_form itself",
 }
 
 

@@ -25,11 +25,11 @@ from multipoint.model import (
     embedding_consistent,
     validate,
 )
-from multipoint.formulas import herbert, transfer_of_unit
 from multipoint.modelfile import load_model, model_to_dict, save_model
 from multipoint.models import BUNDLED, bundled_model, truncated_model, truncated_polynomial_ring
 from multipoint.random_models import random_truncated_model, random_union_components
-from multipoint.signatures import signature, virtual_signature_class, zero_warning
+from multipoint.signatures import (herbert, signature, transfer_of_unit, virtual_signature_class,
+                                   zero_warning)
 from multipoint.union import disjoint_union
 
 

@@ -51,6 +51,8 @@ def test_validation_rejects_bad_blocks():
         SetPartition(3, ((2, 3), (1,)))
     with pytest.raises(ValueError):
         SetPartition(2, ((2, 1),))
+    with pytest.raises(ValueError, match="^ground set size must be at least 1$"):
+        list(all_partitions(0))
 
 
 def test_from_labels_roundtrip():
@@ -80,6 +82,8 @@ def test_refinement_and_quotient():
     assert q == SetPartition(3, ((1, 2), (3,)))
     with pytest.raises(ValueError):
         quotient(beta, alpha)
+    with pytest.raises(ValueError, match="^ground set mismatch: 2 vs 3$"):
+        refines(SetPartition(2, ((1, 2),)), SetPartition(3, ((1, 2, 3),)))
 
 
 def test_quotient_block_count_consistency():
@@ -134,6 +138,16 @@ def test_count_by_type_rejects_bad_vectors():
         count_by_type(3, (1, 0, 1))
     with pytest.raises(ValueError):
         count_by_type_marked(3, 1, (1, 1))
+    with pytest.raises(ValueError, match="^negative multiplicity$"):
+        count_by_type(2, (-1, 1))
+    with pytest.raises(ValueError, match="^block of 1 must be nonempty$"):
+        count_by_type_marked(2, 0, (2,))
+    with pytest.raises(ValueError, match="^negative multiplicity$"):
+        count_by_type_marked(3, 1, (-1, 1))
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
+        list(type_vectors(0))
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
+        list(marked_type_vectors(0))
 
 
 def test_type_vector_identity():

@@ -64,6 +64,10 @@ def test_coefficient_bounds():
         S.coefficient(5)
     with pytest.raises(ValueError):
         S.coefficient(0)
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        falling_product(0)
+    with pytest.raises(ValueError, match="^coefficient index must be positive$"):
+        log_coefficient(0)
 
 
 def test_compose_order_mismatch():

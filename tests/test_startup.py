@@ -58,6 +58,8 @@ def _compute(*argv: str) -> set:
 @pytest.mark.parametrize("argv", [
     *(("hypersurface-d3", "--k", "2", "--quantity", "signature", "--route", route)
       for route in ("auto", "general", "via-N", "collected", "collected-source")),
+    # at k = 2 the dimension 2 answers 0 before any route runs; at k = 1 the route runs
+    ("hypersurface-d3", "--k", "1", "--quantity", "signature", "--route", "herbert"),
     ("hypersurface-d3", "--k", "2", "--quantity", "bk"),
     ("line-in-plane", "--k", "2", "--quantity", "bk", "--json"),
 ], ids=lambda argv: "-".join(argv[4::2]))
